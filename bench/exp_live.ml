@@ -56,8 +56,7 @@ let bench_rounds g ~shards ~serial ~rounds =
   let net = Network.create g Netsim.Adversary.Silent in
   let ex =
     Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards ())
-      ~serial
+      ~config:(Live.Config.make ~shards ~force_serial:serial ())
       ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
       ()
   in

@@ -39,8 +39,8 @@ let bench_rounds g ~shards ~serial ~rounds ~metrics =
   Netsim.Network.set_metrics net metrics;
   let ex =
     Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards ())
-      ~serial ~metrics
+      ~config:(Live.Config.make ~shards ~force_serial:serial ())
+      ~metrics
       ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
       ()
   in

@@ -8,13 +8,16 @@
      exact diameter wall time (iFUB: a handful of BFS passes, not
      all-pairs), and edge-id lookup latency (binary search over sorted
      adjacency — the per-party O(n) lookup arrays are gone);
-   - raw transport rounds/sec, sparse [Network.commit] vs the dense
-     [Network.round_buf] oracle, under two traffic shapes:
+   - raw transport rounds/sec, sparse [Network.commit] vs
+     [Network.round_buf], the dense-buffer adapter over [commit] (the
+     independent dense reference round lives in test/test_netsim.ml),
+     under two traffic shapes:
      {e few-active} (16 links speak; the regime the sparse API exists
      for — per-round cost must stay O(active), independent of 2m) and
      {e full-duplex} (every directed link speaks; the sparse worst case);
-   - one compiled flag-passing phase over the BFS tree, the phase driver
-     whose per-round cost is now O(speaking level);
+   - one compiled flag-passing phase over the BFS tree, run by
+     [Flag_passing.run_exec] on a serial one-shard engine, the phase
+     driver whose per-round cost is O(speaking level);
    - peak resident memory ([Util.Mem.peak_rss_kb], monotone across the
      sweep) and the GC heap high-water mark.
 
@@ -61,7 +64,7 @@ let time f =
 
 (* Few-active traffic: [active] fixed directed links speak each round.
    Reads mirror the phase drivers — iterate the delivered set, never the
-   2m-slot space (for the dense oracle that iteration is O(2m) by
+   2m-slot space (for the dense buffer that iteration is O(2m) by
    construction; charging it is the point). *)
 let bench_few g ~transport ~rounds ~active =
   let net = Network.create g Netsim.Adversary.Silent in
@@ -136,14 +139,17 @@ let bench_edge_id g ~lookups =
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int lookups
 
 let bench_flag g =
+  let n = Topology.Graph.n g in
   let net = Network.create g Netsim.Adversary.Silent in
   let tree = Topology.Graph.bfs_tree g in
   let sched = Coding.Flag_passing.compile g ~tree in
-  let active = Network.active net in
-  let statuses = Array.make (Topology.Graph.n g) true in
-  let (_ : bool array), wall =
-    time (fun () -> Coding.Flag_passing.run_active net sched ~active ~statuses)
+  let ex = Live.Exec.create ~net ~config:Live.Config.default ~weights:(Array.make n 1) () in
+  let statuses = Array.make n true in
+  let agg = Array.make n false and net_correct = Array.make n false in
+  let (), wall =
+    time (fun () -> Coding.Flag_passing.run_exec ex sched ~statuses ~agg ~net_correct)
   in
+  Live.Exec.shutdown ex;
   wall
 
 let measure ~few_rounds_sparse ~ops_budget (family, build) =
@@ -289,9 +295,7 @@ let run () =
        ~few_rounds_sparse:100_000 ~ops_budget:60_000_000 ~json:(Some "BENCH_scale.json") ())
 
 (* Tiny variant for `dune runtest` (scale-smoke alias): 64–256 parties,
-   a few thousand rounds, no JSON; asserts the shape of the results and
-   that the sparse few-active path is not slower than the dense oracle
-   at the largest smoke size. *)
+   a few thousand rounds, no JSON; asserts the shape of the results. *)
 let smoke () =
   let rows, subs =
     run_with

@@ -1,14 +1,17 @@
-(* TRANSPORT — the sparse active-link transport vs the dense oracle.
+(* TRANSPORT — the sparse active-link transport vs the dense buffer.
 
    Two levels:
 
-   1. Raw transport: drive the network for N rounds, once through the
-      dense slot oracle [Network.round_buf] (O(2m) per round by
-      construction) and once through the sparse [Network.commit], under
+   1. Raw transport: drive the network for N rounds, once through
+      [Network.round_buf] — the dense-buffer adapter over [commit], which
+      adds an O(2m) load and write-back per round — and once through the
+      sparse [Network.commit] directly, under
       two traffic shapes: full duplex (every directed link speaks — the
       sparse path's worst case) and single link (one bit per round — the
       case the sparse API exists for).  Reports rounds/sec and
-      minor-heap words allocated per round.
+      minor-heap words allocated per round.  The independent dense
+      reference round lives in test/test_netsim.ml, where the
+      differential suite compares [commit] against it.
 
    2. Full scheme: the same [Coding.Scheme.run] workload per topology on
       the (sparse) transport the phase drivers now use end to end.
@@ -193,7 +196,7 @@ let json_of ~rounds raw scheme =
     ]
 
 let run_with ?(rounds = 200_000) ?(json = Some "BENCH_transport.json") () =
-  Exp_common.heading "TRANSPORT |  sparse active-link transport vs dense slot oracle";
+  Exp_common.heading "TRANSPORT |  sparse active-link transport vs dense slot buffer";
   let k5 = Topology.Graph.clique 5 in
   let line16 = Topology.Graph.line 16 in
   let topologies = [ ("K5", k5); ("line16", line16) ] in

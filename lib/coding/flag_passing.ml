@@ -34,75 +34,16 @@ let compile graph ~(tree : Graph.tree) =
 
 type probe = { on_missing : shard:int -> node:int -> unit }
 
-let run_active ?alive ?probe net sched ~active ~statuses =
-  let tree = sched.tree in
-  let d = tree.Graph.depth in
-  let up v = match alive with None -> true | Some a -> a.(v) in
-  let missing v = match probe with None -> () | Some pr -> pr.on_missing ~shard:0 ~node:v in
-  let agg = Array.copy statuses in
-  (* Upward convergecast: nodes at level d - r speak in round r; a parent
-     has heard all its children before its own sending round.  Each round
-     costs O(|sender level|), not O(2m) — starting a round is an epoch
-     bump, and only the speaking level writes. *)
-  for r = 0 to d - 2 do
-    let sender_level = d - r in
-    Netsim.Network.Active.begin_round active;
-    Array.iter
-      (fun v ->
-        if v <> tree.Graph.root && up v then
-          Netsim.Network.Active.send active ~dir:sched.up_dir.(v) agg.(v))
-      sched.by_level.(sender_level);
-    Netsim.Network.commit net active;
-    (* A parent expects a flag from each child at the sender level; a
-       missing flag reads as stop. *)
-    Array.iter
-      (fun c ->
-        if c <> tree.Graph.root then
-          let p = tree.Graph.parent.(c) in
-          if up p then
-            match Netsim.Network.Active.get active ~dir:sched.up_dir.(c) with
-            | Some bit -> agg.(p) <- agg.(p) && bit
-            | None ->
-                missing c;
-                agg.(p) <- false)
-      sched.by_level.(sender_level)
-  done;
-  (* Downward broadcast: level ℓ speaks in round (d - 1) + (ℓ - 1);
-     every node forwards its own netCorrect, not the raw bit. *)
-  let net_correct = Array.make (Array.length statuses) false in
-  net_correct.(tree.Graph.root) <- (agg.(tree.Graph.root) && up tree.Graph.root);
-  for ell = 1 to d - 1 do
-    Netsim.Network.Active.begin_round active;
-    Array.iter
-      (fun v ->
-        if up v then
-          Array.iter
-            (fun c -> Netsim.Network.Active.send active ~dir:sched.down_dir.(c) net_correct.(v))
-            tree.Graph.children.(v))
-      sched.by_level.(ell);
-    Netsim.Network.commit net active;
-    Array.iter
-      (fun v ->
-        if v <> tree.Graph.root then
-          net_correct.(v) <-
-            up v
-            &&
-            (match Netsim.Network.Active.get active ~dir:sched.down_dir.(v) with
-            | Some bit -> bit && statuses.(v)
-            | None ->
-                missing v;
-                false))
-      sched.by_level.(ell + 1)
-  done;
-  net_correct
+(* The phase, driven through a live execution engine.
 
-(* The same phase, driven through a live execution engine: each node's
-   agg / netCorrect cell is written only by the shard owning the node,
-   so rounds parallelize without locks.  On the serial engine with one
-   shard this performs exactly the sends and reads of [run_active], in
-   the same order — the differential suite holds the two byte-identical.
-   [probe] callbacks fire on worker shards; pass one only when the
-   engine is serial. *)
+   Upward convergecast: nodes at level d - r speak in round r, so a
+   parent has heard all its children before its own sending round.
+   Downward broadcast: level ℓ speaks in round (d - 1) + (ℓ - 1), and
+   every node forwards its own netCorrect, not the raw bit.  Each round
+   costs O(|sender level|), not O(2m).  Each node's agg / netCorrect
+   cell is written only by the shard owning the node, so rounds
+   parallelize without locks.  [probe] callbacks fire on worker
+   shards. *)
 let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
   let module Exec = Live.Exec in
   let tree = sched.tree in
@@ -134,6 +75,8 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
       ~read:(fun ~shard master ->
         Array.iter
           (fun c ->
+            (* A parent expects a flag from each child at the sender
+               level; a missing flag reads as stop. *)
             if c <> root then begin
               let p = tree.Graph.parent.(c) in
               if Exec.owner ex p = shard && up p then
@@ -180,5 +123,11 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
   ignore (take_label () : (unit -> unit) option)
 
 let run net ~tree ~statuses =
+  let n = Array.length statuses in
   let sched = compile (Netsim.Network.graph net) ~tree in
-  run_active net sched ~active:(Netsim.Network.active net) ~statuses
+  let ex = Live.Exec.create ~net ~config:Live.Config.default ~weights:(Array.make n 1) () in
+  let agg = Array.make n false and net_correct = Array.make n false in
+  Fun.protect
+    ~finally:(fun () -> Live.Exec.shutdown ex)
+    (fun () -> run_exec ex sched ~statuses ~agg ~net_correct);
+  net_correct

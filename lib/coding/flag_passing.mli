@@ -10,11 +10,13 @@
     forge either verdict, which is exactly the attack surface the
     analysis charges to the adversary.
 
-    The phase's traffic pattern is fixed by the tree, so callers on the
-    hot path {!compile} the schedule (per-level sender sets and directed
-    link indices) once per execution and drive {!run_active} with a
-    reused sparse buffer — each round then costs O(nodes at the speaking
-    level), not O(2m); {!run} compiles on the fly for one-shot use. *)
+    The phase has one driver, {!run_exec}, which issues its rounds
+    through a live execution engine.  The traffic pattern is fixed by
+    the tree, so callers on the hot path {!compile} the schedule
+    (per-level sender sets and directed link indices) once per execution
+    — each round then costs O(nodes at the speaking level), not O(2m).
+    {!run} compiles on the fly and runs a serial engine for one-shot
+    use. *)
 
 val rounds_needed : Topology.Graph.tree -> int
 (** 2·(depth − 1): the a-priori fixed length of the phase. *)
@@ -29,26 +31,8 @@ type probe = { on_missing : shard:int -> node:int -> unit }
     that a listener expected from [node] but read as silence — the
     conservative-default path where a deletion (or a dead sender) forces
     a stop verdict.  [shard] is the shard whose read observed the
-    silence ([0] under {!run_active}), so sharded callbacks can emit
+    silence ([0] on a one-shard engine), so sharded callbacks can emit
     into their own trace ring. *)
-
-val run_active :
-  ?alive:bool array ->
-  ?probe:probe ->
-  Netsim.Network.t ->
-  schedule ->
-  active:Netsim.Network.Active.t ->
-  statuses:bool array ->
-  bool array
-(** [run_active net sched ~active ~statuses] executes the phase through
-    the sparse transport; [statuses.(u)] is status_u (true = continue).
-    Returns netCorrect per party: with no noise, every entry is
-    [for_all statuses].  [active] is caller-owned scratch.
-
-    [?alive] (fault injection): crashed parties ([alive.(v) = false])
-    neither send nor update state during the phase; their silence reads
-    as {e stop} at live parents — the conservative noise semantics — and
-    their own netCorrect is pinned false. *)
 
 val run_exec :
   ?alive:bool array ->
@@ -60,18 +44,28 @@ val run_exec :
   agg:bool array ->
   net_correct:bool array ->
   unit
-(** The phase driven through a live execution engine (lib/live): rounds
-    are issued to the engine, each node's aggregation and netCorrect
-    cells are touched only by the shard owning the node, and the result
-    lands in the caller-preallocated [net_correct] (fully overwritten;
-    [agg] is scratch, also fully overwritten).  On a serial one-shard
-    engine this is byte-identical to {!run_active} — same sends, same
-    reads, same order.  [label] runs once, committer-side, before the
-    first round's network transform (callers pass the phase marking).
-    [probe] fires on worker shards, carrying the observing shard id —
-    callbacks must touch only shard-local state (e.g. that shard's
-    trace ring). *)
+(** [run_exec ex sched ~statuses ~agg ~net_correct] executes the phase
+    through a live execution engine (lib/live); [statuses.(u)] is
+    status_u (true = continue).  Rounds are issued to the engine, each
+    node's aggregation and netCorrect cells are touched only by the
+    shard owning the node, and the result lands in the
+    caller-preallocated [net_correct] (fully overwritten; [agg] is
+    scratch, also fully overwritten).  With no noise, every entry is
+    [for_all statuses].  On the parallel engine the result is ready
+    after {!Live.Exec.join}.
+
+    [?alive] (fault injection): crashed parties ([alive.(v) = false])
+    neither send nor update state during the phase; their silence reads
+    as {e stop} at live parents — the conservative noise semantics — and
+    their own netCorrect is pinned false.
+
+    [label] runs once, committer-side, before the first round's network
+    transform (callers pass the phase marking).  [probe] fires on worker
+    shards, carrying the observing shard id — callbacks must touch only
+    shard-local state (e.g. that shard's trace ring). *)
 
 val run :
   Netsim.Network.t -> tree:Topology.Graph.tree -> statuses:bool array -> bool array
-(** One-shot convenience over {!compile} + {!run_active}. *)
+(** One-shot convenience: {!compile} the schedule, run {!run_exec} on a
+    serial one-shard engine over the network, and return netCorrect per
+    party. *)

@@ -35,11 +35,6 @@ let encode_message_into ~tau msg out =
   field 3 msg.ht1;
   field 4 msg.ht2
 
-let encode_message ~tau msg =
-  let out = Array.make (5 * tau) false in
-  encode_message_into ~tau msg out;
-  Array.to_list out
-
 let decode_message_arr ~tau arr =
   if Array.length arr <> 5 * tau then
     invalid_arg "Meeting_points.decode_message_arr: wrong length";
@@ -51,8 +46,6 @@ let decode_message_arr ~tau arr =
     !v
   in
   { hk = field 0; hp1 = field 1; hp2 = field 2; ht1 = field 3; ht2 = field 4 }
-
-let decode_message ~tau bits = decode_message_arr ~tau (Array.of_list bits)
 
 (* κ = 2^⌈log₂ k⌉ for k ≥ 1. *)
 let scale k =

@@ -42,10 +42,6 @@ val decode_message_arr : tau:int -> bool option array -> message
 (** Missing bits (deletions) decode as 0 — at worst a hash mismatch,
     which is the conservative direction. *)
 
-val encode_message : tau:int -> message -> bool list
-val decode_message : tau:int -> bool option list -> message
-(** List-based codecs, kept for tests and downstream callers. *)
-
 (** The hash oracle a step uses, pre-seeded for (this iteration, this
     link): [h_int ~field v] for integers (field < 3), [h_prefix ~field p]
     for the serialized transcript prefix of [p] chunks (field < 2). *)

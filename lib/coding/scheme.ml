@@ -815,23 +815,18 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     net_ref := Some net;
     Network.set_fault_hooks net (Faults.Plan.network_hooks plan);
     (* ---- execution engine ----
-       The lockstep backend is the live engine pinned serial with one
-       shard and d = 0 — exactly the historical round loop.  The
-       adversary spy still forces the serial engine (it reads party
-       state between rounds); an enabled trace sink no longer does —
+       The lockstep backend is the live engine's one-shard default
+       (serial, d = 0) — exactly the historical round loop.  The
+       adversary spy forces the serial engine through [force_serial]
+       (it reads party state between rounds); a trace sink does not —
        parallel runs capture into per-domain rings and a deterministic
        merge rebuilds the serial event order afterwards. *)
     let live_cfg =
-      match config.Config.backend with
-      | Lockstep -> Live.Config.default
-      | Live c -> c
-    in
-    let serial =
-      (match config.Config.backend with Lockstep -> true | Live _ -> false)
-      || Option.is_some config.Config.spy_hook
+      let c = match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c in
+      if Option.is_some config.Config.spy_hook then { c with force_serial = true } else c
     in
     let weights = Array.init n (fun id -> Topology.Graph.degree graph id) in
-    let ex = Live.Exec.create ~net ~config:live_cfg ~serial ~metrics ~weights () in
+    let ex = Live.Exec.create ~net ~config:live_cfg ~metrics ~weights () in
     let observing = Trace.Sink.is_enabled config.Config.sink in
     (* Sharded capture: one ring per worker domain plus a leader ring,
        merged into the caller's sink after shutdown — every existing

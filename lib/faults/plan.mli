@@ -14,8 +14,8 @@
 
     A plan is applied at two layers:
     - the network layer consumes {!network_hooks} (link stalls, overload
-      addends, adaptive-budget scaling) inside
-      {!Netsim.Network.round_buf};
+      addends, adaptive-budget scaling) inside {!Netsim.Network.commit},
+      the one implementation of a network round;
     - the scheme layer queries {!crashed}/{!rejoins}/{!transcript_rot}/
       {!seed_rot} once per iteration for the party-state faults the
       network cannot express. *)

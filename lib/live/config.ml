@@ -6,14 +6,14 @@
    (d = 0 is full lockstep, proved byte-identical to the reference
    backend by the differential suite).
 
-   The serial engine (forced by [force_serial], or chosen automatically
-   whenever observability hooks need a single-domain event order)
-   cannot develop *real* scheduling skew, so for d > 0 it injects a
-   deterministic keyed jitter: per (round, shard) a lag in [1..d] is
-   drawn with probability [jitter_rate] from the pure SplitMix stream
-   seeded by [jitter_key].  This keeps the ragged benchmarks and tests
-   reproducible while the parallel engine exhibits the genuine
-   article. *)
+   The serial engine (chosen by [force_serial] or by shards = 1; Scheme
+   sets [force_serial] for an adversary spy, which needs a single-domain
+   event order) cannot develop *real* scheduling skew, so for d > 0 it
+   injects a deterministic keyed jitter: per (round, shard) a lag in
+   [1..d] is drawn with probability [jitter_rate] from the pure
+   SplitMix stream seeded by [jitter_key].  This keeps the ragged
+   benchmarks and tests reproducible while the parallel engine exhibits
+   the genuine article. *)
 
 type t = {
   shards : int;

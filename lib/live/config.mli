@@ -12,7 +12,8 @@ type t = {
   jitter_key : int64;  (** seed of the deterministic jitter stream *)
   force_serial : bool;
       (** run the single-domain engine even for [shards] > 1 —
-          deterministic, used by the ragged benchmarks *)
+          deterministic; the only serial switch besides [shards = 1]
+          (used by the ragged benchmarks and for an adversary spy) *)
 }
 
 val make :

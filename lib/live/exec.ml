@@ -489,13 +489,12 @@ let serial_round t sr ?label ~write ~read () =
 (* ------------------------------------------------------------------ *)
 (* API                                                                 *)
 
-let create ~net ~(config : Config.t) ?(serial = false)
-    ?(metrics = Metrics.Registry.disabled) ~weights () =
+let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~weights () =
   let sh = Shard.partition ~weights ~shards:config.shards in
   let nshards = Shard.shards sh in
   let d = config.ragged_d in
   let pr = make_probes metrics in
-  if serial || config.force_serial || nshards = 1 then begin
+  if config.force_serial || nshards = 1 then begin
     let sr =
       {
         s_net = net;

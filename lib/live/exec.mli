@@ -9,17 +9,16 @@ type t
 val create :
   net:Netsim.Network.t ->
   config:Config.t ->
-  ?serial:bool ->
   ?metrics:Metrics.Registry.t ->
   weights:int array ->
   unit ->
   t
 (** Build an engine over [net] for [Array.length weights] parties,
     sharded by {!Shard.partition}.  The serial engine is chosen when
-    [serial] is passed true (callers force it when they need a
-    single-domain event order, e.g. tracing), when
-    [config.force_serial], or when the effective shard count is 1;
-    otherwise one worker domain per shard is spawned immediately.
+    [config.force_serial] is set (callers set it when they need a
+    single-domain event order, e.g. an adversary spy) or when the
+    effective shard count is 1; otherwise one worker domain per shard
+    is spawned immediately.
 
     [metrics] (default {!Metrics.Registry.disabled}) attaches engine
     telemetry: [live.rounds] (Exact counter), [live.ragged.lag] (Exact

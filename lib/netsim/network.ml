@@ -1,9 +1,8 @@
-(* Slot buffers: the dense zero-allocation transport representation.  A
-   buffer holds one Z3-encoded symbol per directed link (0, 1 are bits; 2
-   is silence ∗) and is reused across rounds.  Since the sparse
-   active-link API landed this is the differential-testing oracle: every
-   round costs O(2m) regardless of traffic, which is exactly the
-   per-round cost model the sparse path exists to beat. *)
+(* Slot buffers: the dense transport representation.  A buffer holds
+   one Z3-encoded symbol per directed link (0, 1 are bits; 2 is silence
+   ∗) and is reused across rounds.  [round_buf] runs a round on one by
+   loading it into the network's sparse scratch buffer and calling
+   [commit], so every round, dense or sparse, has one implementation. *)
 module Slots = struct
   type t = int array
 
@@ -197,12 +196,10 @@ type t = {
   mutable phase : Adversary.phase;
   (* Directed link id -> (src, dst). *)
   dir_ends : (int * int) array;
-  addends : int array; (* per-round adversary addends (dense path), reused *)
-  (* Per-round dedup stamps for adaptive corruption requests on the
-     sparse path (the dense path dedups through [addends]). *)
+  (* Per-round dedup stamps for adaptive corruption requests. *)
   adv_stamp : int array;
   mutable adv_epoch : int;
-  scratch : Active.t; (* scratch buffer for [silence] *)
+  scratch : Active.t; (* scratch buffer for [silence] and [round_buf] *)
   (* Trace probes.  The sink defaults to the disabled singleton, so the
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
@@ -250,7 +247,6 @@ let create graph adversary =
     iteration = -1;
     phase = Adversary.Idle;
     dir_ends = dir_endpoints graph;
-    addends = Array.make (max 1 two_m) 0;
     adv_stamp = Array.make (max 1 two_m) 0;
     adv_epoch = 0;
     scratch = Active.of_length two_m;
@@ -318,23 +314,8 @@ let set_phase t ~iteration ~phase =
   t.iteration <- iteration;
   t.phase <- phase
 
-(* Symbols in Z3: 0, 1 are bits; 2 is silence (∗). *)
-let decode = function 0 -> Some false | 1 -> Some true | _ -> None
-
-(* The adaptive strategy interface predates the slot API and consumes a
-   (src, dst, bit) list in ascending dir order; both transports rebuild
-   one only on that path. *)
-let sends_of_slots t (slots : Slots.t) =
-  let acc = ref [] in
-  for d = Array.length slots - 1 downto 0 do
-    match decode slots.(d) with
-    | None -> ()
-    | Some bit ->
-        let src, dst = t.dir_ends.(d) in
-        acc := (src, dst, bit) :: !acc
-  done;
-  !acc
-
+(* The adaptive strategy interface predates the buffer API and consumes
+   a (src, dst, bit) list in ascending dir order. *)
 let sends_of_active t (act : Active.t) =
   let acc = ref [] in
   Active.iter act (fun ~dir bit ->
@@ -342,7 +323,7 @@ let sends_of_active t (act : Active.t) =
       acc := (src, dst, bit) :: !acc);
   List.rev !acc
 
-(* Adaptive budget for this round, shared by both transports. *)
+(* Adaptive budget for this round. *)
 let adaptive_budget t budget =
   let scale =
     match t.faults with
@@ -355,103 +336,14 @@ let adaptive_budget t budget =
   let b = if scale = 1. then b else int_of_float (Float.min (scale *. float_of_int b) 4e18) in
   max 0 (b - t.corruptions)
 
-let round_buf t (slots : Slots.t) =
-  let two_m = two_m t in
-  if Array.length slots <> two_m then
-    invalid_arg "Network.round_buf: buffer length mismatch";
-  let cc0 = t.cc in
-  for d = 0 to two_m - 1 do
-    if slots.(d) <> 2 then t.cc <- t.cc + 1;
-    t.addends.(d) <- 0
-  done;
-  if t.m_on then begin
-    Metrics.Registry.observe t.m_active_h (t.cc - cc0);
-    Metrics.Registry.add t.m_cc (t.cc - cc0)
-  end;
-  (* Collect the adversary's addends for this round.  A fixing adversary
-     is translated into the addend that forces its chosen output; forcing
-     the honest symbol yields addend 0 and is free (Remark 1). *)
-  (match t.adversary with
-  | Adversary.Silent -> ()
-  | Adversary.Oblivious pattern ->
-      for d = 0 to two_m - 1 do
-        let a = pattern ~round:t.round_no ~dir:d in
-        assert (a >= 0 && a <= 2);
-        t.addends.(d) <- a
-      done
-  | Adversary.Oblivious_fixing pattern ->
-      for d = 0 to two_m - 1 do
-        match pattern ~round:t.round_no ~dir:d with
-        | None -> ()
-        | Some forced ->
-            assert (forced >= 0 && forced <= 2);
-            t.addends.(d) <- ((forced - slots.(d)) mod 3 + 3) mod 3
-      done
-  | Adversary.Adaptive { budget; strategy } ->
-      let budget_left = adaptive_budget t budget in
-      let ctx =
-        Adversary.
-          {
-            round = t.round_no;
-            iteration = t.iteration;
-            phase = t.phase;
-            graph = t.graph;
-            cc_sent = t.cc;
-            corruptions = t.corruptions;
-            budget_left;
-            sends = sends_of_slots t slots;
-          }
-      in
-      let left = ref budget_left in
-      List.iter
-        (fun (d, a) ->
-          if d >= 0 && d < two_m && (a = 1 || a = 2) && t.addends.(d) = 0 && !left > 0
-          then begin
-            t.addends.(d) <- a;
-            decr left
-          end)
-        (strategy ctx));
-  for d = 0 to two_m - 1 do
-    let a = t.addends.(d) in
-    if a <> 0 then begin
-      t.corruptions <- t.corruptions + 1;
-      Metrics.Registry.incr t.m_corrupt;
-      slots.(d) <- (slots.(d) + a) mod 3;
-      Trace.Sink.count t.trace ~id:t.tr_corrupt ~iter:t.round_no ~arg:d 1
-    end
-  done;
-  (* Environment faults land after the adversary: overload noise is
-     extra corruption on top of whatever the budgeted pattern did, and a
-     stalled link wins over everything (the slot goes dark). *)
-  (match t.faults with
-  | None -> ()
-  | Some h ->
-      for d = 0 to two_m - 1 do
-        let a = h.extra_addend ~round:t.round_no ~dir:d in
-        if a <> 0 then begin
-          t.injected <- t.injected + 1;
-          Metrics.Registry.incr t.m_injected;
-          slots.(d) <- (slots.(d) + a) mod 3;
-          Trace.Sink.count t.trace ~id:t.tr_injected ~iter:t.round_no ~arg:d 1
-        end;
-        if slots.(d) <> 2 && h.stall ~round:t.round_no ~dir:d then begin
-          t.stalled <- t.stalled + 1;
-          Metrics.Registry.incr t.m_stalled;
-          slots.(d) <- 2;
-          Trace.Sink.count t.trace ~id:t.tr_stalled ~iter:t.round_no ~arg:d 1
-        end
-      done);
-  t.round_no <- t.round_no + 1;
-  tick_gauges t
-
-(* The sparse round.  Observationally identical to [round_buf] — same
-   adversary query order (ascending dir), same corruption application
-   order, same accounting, same trace events — but the Silent-adversary,
-   hook-free path touches only the active links.  Oblivious patterns are
-   a function over all 2m directions (insertions can land anywhere), so
-   evaluating them is inherently O(2m); the same holds for installed
-   fault hooks.  Adaptive adversaries are naturally sparse: the strategy
-   returns the corruption list outright. *)
+(* The one implementation of a network round (§2.1).  The adversary is
+   queried and its corruptions applied in ascending dir order, then the
+   fault hooks run; the Silent-adversary, hook-free path touches only
+   the active links.  Oblivious patterns are a function over all 2m
+   directions (insertions can land anywhere), so evaluating them is
+   inherently O(2m); the same holds for installed fault hooks.
+   Adaptive adversaries are naturally sparse: the strategy returns the
+   corruption list outright. *)
 let commit t (act : Active.t) =
   let two_m = two_m t in
   if Active.length act <> two_m then invalid_arg "Network.commit: buffer length mismatch";
@@ -476,6 +368,9 @@ let commit t (act : Active.t) =
         if a <> 0 then corrupt ~dir:d a
       done
   | Adversary.Oblivious_fixing pattern ->
+      (* A fixing adversary is translated into the addend that forces its
+         chosen output; forcing the honest symbol yields addend 0 and is
+         free (Remark 1). *)
       for d = 0 to two_m - 1 do
         match pattern ~round:t.round_no ~dir:d with
         | None -> ()
@@ -499,9 +394,9 @@ let commit t (act : Active.t) =
             sends = sends_of_active t act;
           }
       in
-      (* Accept requests in strategy order (budget + dedup, as the dense
-         path does through [addends]), then apply in ascending dir order
-         so corruption counters and trace events match byte for byte. *)
+      (* Accept requests in strategy order (budget + dedup), then apply
+         in ascending dir order, so corruption counters and trace events
+         do not depend on the order the strategy listed them in. *)
       t.adv_epoch <- t.adv_epoch + 1;
       let left = ref budget_left in
       let accepted = ref [] in
@@ -518,6 +413,9 @@ let commit t (act : Active.t) =
           end)
         (strategy ctx);
       List.iter (fun (d, a) -> corrupt ~dir:d a) (List.sort compare !accepted));
+  (* Environment faults land after the adversary: overload noise is
+     extra corruption on top of whatever the budgeted pattern did, and a
+     stalled link wins over everything (the slot goes dark). *)
   (match t.faults with
   | None -> ()
   | Some h ->
@@ -538,6 +436,18 @@ let commit t (act : Active.t) =
       done);
   t.round_no <- t.round_no + 1;
   tick_gauges t
+
+(* The dense-buffer adapter: the round itself is [commit]'s, run on the
+   scratch buffer; only the O(2m) load and write-back are added. *)
+let round_buf t (slots : Slots.t) =
+  if Array.length slots <> two_m t then invalid_arg "Network.round_buf: buffer length mismatch";
+  let act = t.scratch in
+  Active.begin_round act;
+  Slots.iter slots (fun ~dir bit -> Active.send act ~dir bit);
+  commit t act;
+  for dir = 0 to Array.length slots - 1 do
+    slots.(dir) <- Active.sym act ~dir
+  done
 
 let silence t ~rounds =
   for _ = 1 to rounds do

@@ -5,24 +5,23 @@
     adversary transforms each of the 2m directed-link slots (including
     silent ones, enabling insertions); the network delivers what survives.
 
-    Two transport representations share the round semantics:
+    A round has one implementation, {!commit}, over the sparse {!Active}
+    buffer.  Parties declare a round with {!Active.begin_round} (O(1): an
+    epoch bump, no clearing of the 2m-slot space), write bits on the
+    links that actually carry a symbol, and hand the buffer to {!commit}.
+    Per-round cost is O(active links) plus whatever the adversary model
+    inherently requires (oblivious patterns and fault hooks are functions
+    over all 2m directions, so those paths scan; a silent or adaptive
+    adversary keeps the round fully sparse).  This is what lets the
+    simulation scale to thousands of parties whose phase drivers leave
+    most links idle most rounds.
 
-    - the sparse {!Active} buffer — the primary API.  Parties declare a
-      round with {!Active.begin_round} (O(1): an epoch bump, no clearing
-      of the 2m-slot space), write bits on the links that actually carry
-      a symbol, and hand the buffer to {!commit}.  Per-round cost is
-      O(active links) plus whatever the adversary model inherently
-      requires (oblivious patterns and fault hooks are functions over
-      all 2m directions, so those paths scan; a silent or adaptive
-      adversary keeps the round fully sparse).  This is what lets the
-      simulation scale to thousands of parties whose phase drivers leave
-      most links idle most rounds.
-
-    - the dense {!Slots} buffer with {!round_buf} — one int per directed
-      link, O(2m) every round.  Retained as the differential-testing
-      oracle: {!commit} is observationally identical (same adversary
-      query order, same corruption and trace ordering, same accounting),
-      which the netsim test suite checks byte for byte.
+    The dense {!Slots} buffer (one int per directed link) is a view for
+    callers that want one: {!round_buf} is the dense-buffer adapter over
+    {!commit} — it loads the buffer, commits, and writes the delivered
+    symbols back.  The independent dense reference round that
+    differential tests compare {!commit} against lives in the netsim
+    test suite, not here.
 
     The network keeps the two books the paper's accounting needs:
     - [cc]: the number of transmissions the parties actually sent — the
@@ -36,8 +35,8 @@
     silence (the paper's ∗).  Buffers are reused across rounds: [clear]
     then [set] the transmissions, hand the buffer to {!round_buf}, then
     [get]/[iter] the delivered symbols.  Every operation on the round
-    path is O(2m) — use {!Active} unless you specifically want the dense
-    oracle. *)
+    path is O(2m) — use {!Active} unless you specifically want a dense
+    buffer. *)
 module Slots : sig
   type t
 
@@ -143,7 +142,7 @@ type stats = {
 
 (** Environment faults beyond the adversary's accounted budget, supplied
     by the fault engine (lib/faults) through {!set_fault_hooks} and
-    applied inside {!commit} / {!round_buf} {e after} the adversary:
+    applied inside {!commit} {e after} the adversary:
     - [extra_addend ~round ~dir] returns a Z3 addend (0 = none) applied
       to the slot and booked under [stats.injected];
     - [stall ~round ~dir] forces the slot silent (booked under
@@ -153,7 +152,7 @@ type stats = {
     Fault events are accounted separately from [corruptions] /
     [noise_fraction], which keep meaning "budgeted model noise".  Hooks
     are queried for every direction, so installing them makes every
-    round O(2m) on both transports. *)
+    round O(2m). *)
 type fault_hooks = {
   stall : round:int -> dir:int -> bool;
   extra_addend : round:int -> dir:int -> int;
@@ -220,10 +219,12 @@ val commit : t -> Active.t -> unit
     hooks must be consulted per direction. *)
 
 val round_buf : t -> Slots.t -> unit
-(** Dense-oracle variant of {!commit} over a {!Slots} buffer — same
-    contract, same observable behaviour (identical corruption order,
-    accounting and trace events), always O(2m).  Kept for differential
-    tests and dense-baseline benchmarks. *)
+(** [round_buf t slots] is {!commit} over a dense {!Slots} buffer: the
+    buffer's symbols are loaded into the network's scratch sparse buffer,
+    {!commit} runs the round, and the delivered symbols are written back
+    into [slots].  Same contract and behaviour as {!commit}, plus an
+    O(2m) load and write-back.  Raises [Invalid_argument] on buffer
+    length mismatch. *)
 
 val note_stalled : t -> dir:int -> unit
 (** Book one deletion event on a directed link outside {!commit} — used

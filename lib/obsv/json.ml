@@ -58,10 +58,10 @@ let parse_string st =
        | 'f' -> Buffer.add_char b '\012'
        | 'u' ->
            if st.pos + 4 > String.length st.s then fail st "truncated \\u escape";
-           let code =
-             try int_of_string ("0x" ^ String.sub st.s st.pos 4)
-             with _ -> fail st "bad \\u escape"
-           in
+           let digits = String.sub st.s st.pos 4 in
+           let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+           if not (String.for_all is_hex digits) then fail st "bad \\u escape";
+           let code = int_of_string ("0x" ^ digits) in
            st.pos <- st.pos + 4;
            (* The writers only escape control bytes, so a raw-byte
               decoding round-trips everything this repo produces. *)

@@ -115,17 +115,22 @@ let test_seeds_slots_independent () =
 let test_mp_message_roundtrip () =
   let tau = 9 in
   let msg = Coding.Meeting_points.{ hk = 0x1F5; hp1 = 3; hp2 = 0x1FF; ht1 = 0; ht2 = 0x0AA } in
-  let bits = Coding.Meeting_points.encode_message ~tau msg in
-  Alcotest.(check int) "wire size" (Coding.Meeting_points.message_bits ~tau) (List.length bits);
-  let decoded = Coding.Meeting_points.decode_message ~tau (List.map (fun b -> Some b) bits) in
-  Alcotest.(check bool) "roundtrip" true (decoded = msg)
+  let bits = Array.make (Coding.Meeting_points.message_bits ~tau) false in
+  Coding.Meeting_points.encode_message_into ~tau msg bits;
+  Alcotest.(check int) "wire size" (5 * tau) (Array.length bits);
+  let decoded = Coding.Meeting_points.decode_message_arr ~tau (Array.map Option.some bits) in
+  Alcotest.(check bool) "roundtrip" true (decoded = msg);
+  Alcotest.check_raises "short buffer rejected"
+    (Invalid_argument "Meeting_points.encode_message_into: wrong buffer length") (fun () ->
+      Coding.Meeting_points.encode_message_into ~tau msg (Array.make (5 * tau - 1) false))
 
 let test_mp_message_deletion_reads_zero () =
   let tau = 4 in
   let msg = Coding.Meeting_points.{ hk = 0xF; hp1 = 0xF; hp2 = 0xF; ht1 = 0xF; ht2 = 0xF } in
-  let bits = Coding.Meeting_points.encode_message ~tau msg in
-  let all_deleted = List.map (fun _ -> None) bits in
-  let decoded = Coding.Meeting_points.decode_message ~tau all_deleted in
+  let bits = Array.make (Coding.Meeting_points.message_bits ~tau) false in
+  Coding.Meeting_points.encode_message_into ~tau msg bits;
+  let all_deleted = Array.map (fun _ -> None) bits in
+  let decoded = Coding.Meeting_points.decode_message_arr ~tau all_deleted in
   Alcotest.(check bool) "all zero" true
     (decoded = Coding.Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 })
 

@@ -1,9 +1,10 @@
 (* Tests for the synchronous noisy network: faithful delivery without
    noise, exact insertion/deletion/substitution semantics of the
-   additive adversary, and the differential guarantee that the sparse
-   active-link transport (Active + commit) and the dense slot-buffer
-   oracle (Slots + round_buf) are observationally identical — same
-   deliveries, same books, same trace events. *)
+   additive adversary, and the differential guarantee that the network
+   round ([commit] on an Active buffer, and the [round_buf] adapter on a
+   Slots buffer) is observationally identical to an independent dense
+   reference round kept in this file — same deliveries, same books,
+   same trace events. *)
 
 open Netsim
 
@@ -492,48 +493,175 @@ let fill_active g act sends =
       Network.Active.send act ~dir:(Topology.Graph.dir_id g ~src ~dst) bit)
     sends
 
-(* Drive one network with the dense oracle (round_buf) and a twin with
-   the sparse transport (commit) on the same (pure) adversary value and
-   identical traffic; deliveries, the books, and the emitted trace
-   events must agree round for round. *)
+(* ---------- the dense reference round ----------
+
+   An independent implementation of one network round (§2.1) over a
+   dense int array of Z3 symbols (0, 1 are bits; 2 is silence), written
+   the obvious way: collect every direction's adversary addend, apply
+   them in ascending dir order, then the fault hooks.  It keeps its own
+   books and trace events and calls nothing in [Network] beyond the
+   public types, so the differential suite compares [Network.commit]
+   against code that shares none of its round logic. *)
+module Dense_ref = struct
+  type t = {
+    graph : Topology.Graph.t;
+    adversary : Adversary.t;
+    faults : Network.fault_hooks option;
+    addends : int array;
+    sink : Trace.Sink.t;
+    ids : int * int * int; (* net.corrupt, net.injected, net.stalled *)
+    mutable round_no : int;
+    mutable cc : int;
+    mutable corruptions : int;
+    mutable stalled : int;
+    mutable injected : int;
+  }
+
+  let create ?faults graph adversary sink =
+    let id = Trace.Sink.intern sink in
+    { graph; adversary; faults; addends = Array.make (2 * Topology.Graph.m graph) 0; sink;
+      ids = (id "net.corrupt", id "net.injected", id "net.stalled");
+      round_no = 0; cc = 0; corruptions = 0; stalled = 0; injected = 0 }
+
+  (* (src, dst, bit) for every non-silent slot, in ascending dir order. *)
+  let listing t slots =
+    let edges = Topology.Graph.edges t.graph in
+    List.filter_map
+      (fun d ->
+        let u, v = edges.(d / 2) in
+        let lo = min u v and hi = max u v in
+        let src, dst = if d land 1 = 0 then (lo, hi) else (hi, lo) in
+        if slots.(d) = 2 then None else Some (src, dst, slots.(d) = 1))
+      (List.init (Array.length slots) Fun.id)
+
+  let adaptive_budget t budget =
+    let scale =
+      match t.faults with None -> 1. | Some h -> Float.max 1. (h.Network.budget_scale ~round:t.round_no)
+    in
+    let b = budget t.cc in
+    let b = if scale = 1. then b else int_of_float (Float.min (scale *. float_of_int b) 4e18) in
+    max 0 (b - t.corruptions)
+
+  (* One round on the parties' [sends]; returns what was delivered. *)
+  let round t sends =
+    let two_m = Array.length t.addends and tr_corrupt, tr_injected, tr_stalled = t.ids in
+    let slots = Array.make two_m 2 in
+    List.iter
+      (fun (src, dst, bit) ->
+        slots.(Topology.Graph.dir_id t.graph ~src ~dst) <- (if bit then 1 else 0))
+      sends;
+    for d = 0 to two_m - 1 do
+      if slots.(d) <> 2 then t.cc <- t.cc + 1;
+      t.addends.(d) <- 0
+    done;
+    (* A fixing adversary is translated into the addend that forces its
+       chosen output; forcing the honest symbol yields addend 0 and is
+       free (Remark 1). *)
+    (match t.adversary with
+    | Adversary.Silent -> ()
+    | Adversary.Oblivious pattern ->
+        for d = 0 to two_m - 1 do
+          t.addends.(d) <- pattern ~round:t.round_no ~dir:d
+        done
+    | Adversary.Oblivious_fixing pattern ->
+        for d = 0 to two_m - 1 do
+          match pattern ~round:t.round_no ~dir:d with
+          | None -> ()
+          | Some forced -> t.addends.(d) <- ((forced - slots.(d)) mod 3 + 3) mod 3
+        done
+    | Adversary.Adaptive { budget; strategy } ->
+        let budget_left = adaptive_budget t budget in
+        let ctx =
+          Adversary.
+            { round = t.round_no; iteration = -1; phase = Idle; graph = t.graph;
+              cc_sent = t.cc; corruptions = t.corruptions; budget_left;
+              sends = listing t slots }
+        in
+        let left = ref budget_left in
+        List.iter
+          (fun (d, a) ->
+            if d >= 0 && d < two_m && (a = 1 || a = 2) && t.addends.(d) = 0 && !left > 0
+            then begin
+              t.addends.(d) <- a;
+              decr left
+            end)
+          (strategy ctx));
+    for d = 0 to two_m - 1 do
+      let a = t.addends.(d) in
+      if a <> 0 then begin
+        t.corruptions <- t.corruptions + 1;
+        slots.(d) <- (slots.(d) + a) mod 3;
+        Trace.Sink.count t.sink ~id:tr_corrupt ~iter:t.round_no ~arg:d 1
+      end
+    done;
+    (* Environment faults land after the adversary, and a stall wins
+       over everything. *)
+    (match t.faults with
+    | None -> ()
+    | Some h ->
+        for d = 0 to two_m - 1 do
+          let a = h.Network.extra_addend ~round:t.round_no ~dir:d in
+          if a <> 0 then begin
+            t.injected <- t.injected + 1;
+            slots.(d) <- (slots.(d) + a) mod 3;
+            Trace.Sink.count t.sink ~id:tr_injected ~iter:t.round_no ~arg:d 1
+          end;
+          if slots.(d) <> 2 && h.Network.stall ~round:t.round_no ~dir:d then begin
+            t.stalled <- t.stalled + 1;
+            slots.(d) <- 2;
+            Trace.Sink.count t.sink ~id:tr_stalled ~iter:t.round_no ~arg:d 1
+          end
+        done);
+    t.round_no <- t.round_no + 1;
+    listing t slots
+
+  let stats t =
+    let noise_fraction =
+      if t.cc = 0 then 0. else float_of_int t.corruptions /. float_of_int t.cc
+    in
+    Network.
+      { rounds = t.round_no; cc = t.cc; corruptions = t.corruptions; noise_fraction;
+        stalled = t.stalled; injected = t.injected }
+end
+
+(* Drive three twins on the same (pure) adversary value and identical
+   traffic: the dense reference round above, [Network.commit] on a
+   sparse buffer, and the [Network.round_buf] adapter on a slot buffer.
+   Deliveries, the books and the emitted trace events must agree round
+   for round. *)
 let check_differential ?hooks ~name g adv ~rounds ~sends_at =
-  let net_dense = Network.create g adv in
-  let net_sparse = Network.create g adv in
-  let sink_dense = Trace.Sink.create () and sink_sparse = Trace.Sink.create () in
-  Network.set_trace net_dense sink_dense;
-  Network.set_trace net_sparse sink_sparse;
-  (match hooks with
-  | None -> ()
-  | Some h ->
-      Network.set_fault_hooks net_dense (Some h);
-      Network.set_fault_hooks net_sparse (Some h));
-  let slots = Network.slots net_dense in
+  let sink_ref = Trace.Sink.create () in
+  let oracle = Dense_ref.create ?faults:hooks g adv sink_ref in
+  let twin () =
+    let net = Network.create g adv in
+    let sink = Trace.Sink.create () in
+    Network.set_trace net sink;
+    Network.set_fault_hooks net hooks;
+    (net, sink)
+  in
+  let net_sparse, sink_sparse = twin () and net_buf, sink_buf = twin () in
   let act = Network.active net_sparse in
+  let slots = Network.slots net_buf in
   for r = 0 to rounds - 1 do
     let sends = sends_at r in
-    fill_slots g slots sends;
-    Network.round_buf net_dense slots;
-    let d_dense = delivered_of_slots net_dense slots in
+    let d_ref = Dense_ref.round oracle sends in
     fill_active g act sends;
     Network.commit net_sparse act;
-    let d_sparse = delivered_of_active net_sparse act in
-    Alcotest.(check (list (triple int int bool)))
-      (Printf.sprintf "%s: delivery, round %d" name r)
-      d_dense d_sparse
+    fill_slots g slots sends;
+    Network.round_buf net_buf slots;
+    List.iter
+      (fun (twin, got) ->
+        Alcotest.(check (list (triple int int bool)))
+          (Printf.sprintf "%s: %s delivery, round %d" name twin r)
+          d_ref got)
+      [
+        ("commit", delivered_of_active net_sparse act);
+        ("round_buf", delivered_of_slots net_buf slots);
+      ]
   done;
-  let s_dense = Network.stats net_dense and s_sparse = Network.stats net_sparse in
-  Alcotest.(check int) (name ^ ": rounds") s_dense.Network.rounds s_sparse.Network.rounds;
-  Alcotest.(check int) (name ^ ": cc") s_dense.Network.cc s_sparse.Network.cc;
-  Alcotest.(check int) (name ^ ": corruptions") s_dense.Network.corruptions
-    s_sparse.Network.corruptions;
-  Alcotest.(check int) (name ^ ": stalled") s_dense.Network.stalled s_sparse.Network.stalled;
-  Alcotest.(check int) (name ^ ": injected") s_dense.Network.injected
-    s_sparse.Network.injected;
-  Alcotest.(check (float 1e-9)) (name ^ ": noise fraction") s_dense.Network.noise_fraction
-    s_sparse.Network.noise_fraction;
   (* Event equality modulo the wall-clock stamp: same names, order,
-     rounds, links and values on both transports. *)
-  let norm evs =
+     rounds, links and values on every twin. *)
+  let norm sink =
     List.map
       (function
         | Trace.Sink.Span_begin { name; iter; seq; _ } -> `Span_begin (name, iter, seq)
@@ -541,12 +669,23 @@ let check_differential ?hooks ~name g adv ~rounds ~sends_at =
         | Trace.Sink.Count { name; iter; arg; value; seq; _ } ->
             `Count (name, iter, arg, value, seq)
         | Trace.Sink.Gauge { name; iter; value; seq; _ } -> `Gauge (name, iter, value, seq))
-      evs
+      (Trace.Sink.events sink)
   in
-  Alcotest.(check bool)
-    (name ^ ": identical trace event streams")
-    true
-    (norm (Trace.Sink.events sink_dense) = norm (Trace.Sink.events sink_sparse))
+  let s_ref = Dense_ref.stats oracle and ev_ref = norm sink_ref in
+  List.iter
+    (fun (twin, net, sink) ->
+      let s = Network.stats net and name = name ^ ": " ^ twin in
+      Alcotest.(check int) (name ^ " rounds") s_ref.Network.rounds s.Network.rounds;
+      Alcotest.(check int) (name ^ " cc") s_ref.Network.cc s.Network.cc;
+      Alcotest.(check int) (name ^ " corruptions") s_ref.Network.corruptions
+        s.Network.corruptions;
+      Alcotest.(check int) (name ^ " stalled") s_ref.Network.stalled s.Network.stalled;
+      Alcotest.(check int) (name ^ " injected") s_ref.Network.injected s.Network.injected;
+      Alcotest.(check (float 1e-9)) (name ^ " noise fraction") s_ref.Network.noise_fraction
+        s.Network.noise_fraction;
+      Alcotest.(check bool) (name ^ " identical trace event streams") true
+        (ev_ref = norm sink))
+    [ ("commit", net_sparse, sink_sparse); ("round_buf", net_buf, sink_buf) ]
 
 let test_differential_substitution () =
   (* Addend 1 on a sent 0 flips it: pure substitution. *)

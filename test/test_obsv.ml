@@ -57,7 +57,10 @@ let test_json_edges () =
   (* trailing garbage is rejected, whitespace is not *)
   List.iter
     (fun s -> Alcotest.(check bool) ("rejects " ^ s) true (Json.parse_opt s = None))
-    [ "1 2"; "{} x"; "[1] ]"; "\"a\"b"; {|"\u00ZZ"|}; {|"\q"|} ];
+    [ "1 2"; "{} x"; "[1] ]"; "\"a\"b"; {|"\u00ZZ"|}; {|"\q"|}; {|"\u0_41"|}; {|"\u00_4"|};
+      {|"\u+041"|}; {|"\u-041"|} ];
+  Alcotest.(check (option string)) "mixed-case hex" (Some "\171")
+    (Json.to_string (Json.parse {|"\u00aB"|}));
   Alcotest.(check bool) "trailing ws ok" true (Json.parse_opt "  [1, 2]  \n" <> None)
 
 (* ---------- a traced run with a known injected fault ---------- *)
