@@ -219,7 +219,6 @@ type party_state = {
   id : int;
   links : link_state array; (* in [Graph.neighbors] order *)
   repl : Replayer.t;
-  mutable status : bool;
   mutable net_correct : bool;
 }
 
@@ -469,9 +468,7 @@ let compute_statuses ex parties ~alive ~statuses =
           in
           let len0 = Transcript.length p.links.(0).tr in
           let equal_lens = Array.for_all (fun l -> Transcript.length l.tr = len0) p.links in
-          let status = alive.(p.id) && (not in_mp) && equal_lens in
-          p.status <- status;
-          statuses.(p.id) <- status))
+          statuses.(p.id) <- alive.(p.id) && (not in_mp) && equal_lens))
 
 let simulation_phase ex net tp parties fc ch ~iter ~n_real =
   let graph = Network.graph net in
@@ -927,7 +924,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             id;
             links;
             repl = Replayer.create ch ~party:id ~input:inputs.(id) ~neighbors;
-            status = true;
             net_correct = true;
           })
     in

@@ -8,7 +8,9 @@ type t = {
   real : chunk array;
   dummy_rounds : slot list array;
   max_rounds : int;
-  link_cache : (int * int, (int * int * int) array) Hashtbl.t;
+  links : (int * int * int) array array array;
+      (* [links.(i).(edge)]: chunk i+1's slots on [edge] in schedule order;
+         the last entry, at [n_real], is the layout shared by every dummy chunk *)
 }
 
 let pi t = t.pi
@@ -19,32 +21,32 @@ let max_rounds t = t.max_rounds
 
 (* All 2m directed links in a canonical order, used for padding. *)
 let all_dirs graph =
-  let dirs = ref [] in
-  let edges = Topology.Graph.edges graph in
-  for i = Array.length edges - 1 downto 0 do
-    let u, v = edges.(i) in
-    let lo = min u v and hi = max u v in
-    dirs := (lo, hi) :: (hi, lo) :: !dirs
-  done;
-  Array.of_list !dirs
+  Topology.Graph.edges graph
+  |> Array.to_list
+  |> List.concat_map (fun (u, v) -> [ (min u v, max u v); (max u v, min u v) ])
+  |> Array.of_list
 
 (* Schedule [count] padding transmissions into rounds of at most one
    symbol per directed link, cycling through all 2m links. *)
 let padding_rounds dirs count =
   let two_m = Array.length dirs in
-  let rounds = ref [] in
-  let remaining = ref count in
-  while !remaining > 0 do
-    let take = min two_m !remaining in
-    let slots = ref [] in
-    for i = take - 1 downto 0 do
-      let src, dst = dirs.(i) in
-      slots := { pi_round = None; src; dst } :: !slots
-    done;
-    rounds := !slots :: !rounds;
-    remaining := !remaining - take
+  Array.init ((count + two_m - 1) / two_m) (fun r ->
+      List.init (min two_m (count - (r * two_m))) (fun i ->
+          let src, dst = dirs.(i) in
+          { pi_round = None; src; dst }))
+
+(* Bucket a chunk's slots by link in schedule order: round ascending, then
+   list order within a round (built back to front onto per-link lists). *)
+let index_links graph rounds =
+  let buckets = Array.make (Topology.Graph.m graph) [] in
+  for roff = Array.length rounds - 1 downto 0 do
+    List.iter
+      (fun s ->
+        let e = Topology.Graph.edge_id graph s.src s.dst in
+        buckets.(e) <- (roff, s.src, s.dst) :: buckets.(e))
+      (List.rev rounds.(roff))
   done;
-  Array.of_list (List.rev !rounds)
+  Array.map Array.of_list buckets
 
 let make pi ~k =
   let m = Topology.Graph.m pi.Pi.graph in
@@ -82,36 +84,28 @@ let make pi ~k =
       (fun acc c -> max acc (Array.length c.rounds))
       (Array.length dummy_rounds) real
   in
-  { pi; k; real; dummy_rounds; max_rounds; link_cache = Hashtbl.create 64 }
+  let links = Array.map (fun c -> index_links pi.Pi.graph c.rounds) real in
+  let links = Array.append links [| index_links pi.Pi.graph dummy_rounds |] in
+  { pi; k; real; dummy_rounds; max_rounds; links }
 
 let chunk t i =
   if i < 1 then invalid_arg "Chunking.chunk: index < 1";
   if i <= Array.length t.real then t.real.(i - 1) else { index = i; rounds = t.dummy_rounds }
 
-let link_slots_full t ~chunk_index ~edge =
-  let c = chunk t chunk_index in
-  let acc = ref [] in
-  Array.iteri
-    (fun roff slots ->
-      List.iter
-        (fun s ->
-          if Topology.Graph.edge_id t.pi.Pi.graph s.src s.dst = edge then
-            acc := (roff, s.src, s.dst, s.pi_round = None) :: !acc)
-        slots)
-    c.rounds;
-  Array.of_list (List.rev !acc)
-
 let link_slots t ~chunk_index ~edge =
-  (* Dummy chunks all share the same layout; cache them under key 0. *)
-  let key = ((if chunk_index <= n_real t then chunk_index else 0), edge) in
-  match Hashtbl.find_opt t.link_cache key with
-  | Some slots -> slots
-  | None ->
-      let slots =
-        Array.map (fun (roff, src, dst, _) -> (roff, src, dst)) (link_slots_full t ~chunk_index ~edge)
-      in
-      Hashtbl.replace t.link_cache key slots;
-      slots
+  if chunk_index < 1 then invalid_arg "Chunking.chunk: index < 1";
+  if edge < 0 || edge >= Topology.Graph.m t.pi.Pi.graph then
+    invalid_arg "Chunking: edge out of range";
+  t.links.(min chunk_index (n_real t + 1) - 1).(edge)
+
+(* A slot is padding iff its round's entry for that directed link is. *)
+let link_slots_full t ~chunk_index ~edge =
+  let rounds = (chunk t chunk_index).rounds in
+  Array.map
+    (fun (roff, src, dst) ->
+      let s = List.find (fun s -> s.src = src && s.dst = dst) rounds.(roff) in
+      (roff, src, dst, s.pi_round = None))
+    (link_slots t ~chunk_index ~edge)
 
 let events_on_link t ~chunk_index ~edge = Array.length (link_slots t ~chunk_index ~edge)
 
@@ -119,13 +113,14 @@ let serialized_chunk_bits t ~chunk_index ~edge =
   32 + (2 * events_on_link t ~chunk_index ~edge)
 
 let max_transcript_words t ~horizon =
-  let m = Topology.Graph.m t.pi.Pi.graph in
+  let n_real = n_real t in
   let worst = ref 0 in
-  for edge = 0 to m - 1 do
-    let bits = ref 0 in
-    for c = 1 to horizon do
-      bits := !bits + serialized_chunk_bits t ~chunk_index:c ~edge
+  for edge = 0 to Topology.Graph.m t.pi.Pi.graph - 1 do
+    let bits c = serialized_chunk_bits t ~chunk_index:c ~edge in
+    let total = ref (max 0 (horizon - n_real) * bits (n_real + 1)) in
+    for c = 1 to min horizon n_real do
+      total := !total + bits c
     done;
-    worst := max !worst !bits
+    worst := max !worst !total
   done;
   (!worst + 63) / 64

@@ -883,6 +883,31 @@ let prop_scheme_light_noise_random_graphs =
       in
       res.Coding.Scheme.success)
 
+(* A golden fingerprint of one Algorithm 1 trial under fixed-seed iid
+   noise.  Any reordering of a link's chunk slots changes the transcript
+   layout, hence the hashes and the run, and shows up here. *)
+let test_scheme_golden_grid_fingerprint () =
+  let g = Topology.Graph.grid ~rows:4 ~cols:4 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:14 in
+  let adv = Netsim.Adversary.iid (Util.Rng.create 41) ~rate:0.0002 in
+  let r = Coding.Scheme.run ~rng:(Util.Rng.create 42) (Coding.Params.algorithm_1 g) pi adv in
+  Alcotest.(check bool) "success" true r.Coding.Scheme.success;
+  Alcotest.(check (array int))
+    "outputs"
+    [|
+      77361703401783973; 58751794733014529; 224779136541709462; 31072042349777733;
+      173833330276533132; 183396689848541679; 116467146494821599; 48369629091948127;
+      47869268898878156; 280682390557572147; 170216442567378038; 194813837005196613;
+      18069642369231685; 235803106517006576; 473559463059884; 57719885412017098;
+    |]
+    r.Coding.Scheme.outputs;
+  Alcotest.(check int) "cc" 87463 r.Coding.Scheme.cc;
+  Alcotest.(check int) "rounds" 3575 r.Coding.Scheme.rounds;
+  Alcotest.(check (float 1e-12)) "rate_blowup" 37.393330483112443 r.Coding.Scheme.rate_blowup;
+  Alcotest.(check int) "corruptions" 26 r.Coding.Scheme.corruptions;
+  Alcotest.(check int) "iterations" 55 r.Coding.Scheme.iterations_run;
+  Alcotest.(check int) "chunks rewound" 619 r.Coding.Scheme.chunks_rewound
+
 let () =
   Alcotest.run "coding"
     [
@@ -966,6 +991,7 @@ let () =
           Alcotest.test_case "no early stop" `Quick test_scheme_no_early_stop;
           Alcotest.test_case "exchange attack accounting" `Quick
             test_scheme_exchange_attack_detected;
+          Alcotest.test_case "golden grid fingerprint" `Quick test_scheme_golden_grid_fingerprint;
           QCheck_alcotest.to_alcotest prop_scheme_noiseless_random_graphs;
           QCheck_alcotest.to_alcotest prop_scheme_deterministic;
           QCheck_alcotest.to_alcotest prop_scheme_light_noise_random_graphs;

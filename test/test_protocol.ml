@@ -222,6 +222,98 @@ let test_link_slots_full_pads_marked () =
   Alcotest.(check bool) "slot views agree" true
     (Array.map (fun (r, s, d, _) -> (r, s, d)) real = Chunking.link_slots ch ~chunk_index:1 ~edge:0)
 
+(* The reference layout: rescan the whole chunk for the slots on [edge],
+   in schedule order, marking virtual padding.  The per-link index that
+   [Chunking.make] builds must reproduce it exactly. *)
+let scan_link_slots ch ~chunk_index ~edge =
+  let g = (Chunking.pi ch).Pi.graph in
+  let acc = ref [] in
+  Array.iteri
+    (fun roff slots ->
+      List.iter
+        (fun s ->
+          let open Chunking in
+          if Topology.Graph.edge_id g s.src s.dst = edge then
+            acc := (roff, s.src, s.dst, s.pi_round = None) :: !acc)
+        slots)
+    (Chunking.chunk ch chunk_index).Chunking.rounds;
+  Array.of_list (List.rev !acc)
+
+let prop_index_matches_scan =
+  QCheck.Test.make ~name:"per-link index equals the chunk rescan" ~count:30
+    QCheck.(triple (int_bound 2) small_nat bool)
+    (fun (shape, a, triple_k) ->
+      let r = Util.Rng.create ((a * 31) + shape) in
+      let g =
+        match shape with
+        | 0 -> Topology.Graph.random_connected r ~n:(4 + (a mod 6)) ~extra_edges:(a mod 5)
+        | 1 -> Topology.Graph.grid ~rows:(2 + (a mod 3)) ~cols:(2 + (a / 3 mod 3))
+        | _ -> Topology.Graph.clique (3 + (a mod 4))
+      in
+      let m = Topology.Graph.m g in
+      let k = if triple_k then 3 * m else m in
+      let pi = Protocols.random_chatter g ~rounds:(40 + (a mod 80)) ~density:0.4 ~seed:a in
+      let ch = Chunking.make pi ~k in
+      let n_real = Chunking.n_real ch in
+      let ok = ref true in
+      for chunk_index = 1 to n_real + 2 do
+        for edge = 0 to m - 1 do
+          let scan = scan_link_slots ch ~chunk_index ~edge in
+          ok :=
+            !ok
+            && Chunking.link_slots_full ch ~chunk_index ~edge = scan
+            && Chunking.link_slots ch ~chunk_index ~edge
+               = Array.map (fun (roff, src, dst, _) -> (roff, src, dst)) scan
+            && Chunking.events_on_link ch ~chunk_index ~edge = Array.length scan
+        done
+      done;
+      let brute horizon =
+        let worst = ref 0 in
+        for edge = 0 to m - 1 do
+          let bits = ref 0 in
+          for chunk_index = 1 to horizon do
+            bits := !bits + 32 + (2 * Array.length (scan_link_slots ch ~chunk_index ~edge))
+          done;
+          worst := max !worst !bits
+        done;
+        (!worst + 63) / 64
+      in
+      let planned = Coding.Scheme.planned_iterations (Coding.Params.algorithm_1 g) pi in
+      !ok
+      && List.for_all
+           (fun horizon -> Chunking.max_transcript_words ch ~horizon = brute horizon)
+           [ 1; n_real; n_real + 1; n_real + planned + 2 ])
+
+let test_accessors_reject_out_of_range () =
+  let pi = Protocols.ring_sum ~n:4 ~bits:6 in
+  let m = Topology.Graph.m pi.Pi.graph in
+  let ch = Chunking.make pi ~k:m in
+  let accessors =
+    [
+      ("link_slots", fun ~chunk_index ~edge -> ignore (Chunking.link_slots ch ~chunk_index ~edge));
+      ( "link_slots_full",
+        fun ~chunk_index ~edge -> ignore (Chunking.link_slots_full ch ~chunk_index ~edge) );
+      ("events_on_link", fun ~chunk_index ~edge -> ignore (Chunking.events_on_link ch ~chunk_index ~edge));
+      ( "serialized_chunk_bits",
+        fun ~chunk_index ~edge -> ignore (Chunking.serialized_chunk_bits ch ~chunk_index ~edge) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun chunk_index ->
+          List.iter
+            (fun edge ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s chunk %d edge %d" name chunk_index edge)
+                (Invalid_argument "Chunking: edge out of range")
+                (fun () -> f ~chunk_index ~edge))
+            [ -1; m; m + 7 ])
+        [ 1; Chunking.n_real ch + 1 ];
+      Alcotest.check_raises (name ^ " chunk 0") (Invalid_argument "Chunking.chunk: index < 1")
+        (fun () -> f ~chunk_index:0 ~edge:0))
+    accessors
+
 let prop_chunking_exact_5k =
   QCheck.Test.make ~name:"chunks are exactly 5K on random graphs" ~count:25
     QCheck.(pair small_nat small_nat)
@@ -263,5 +355,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_chunking_exact_5k;
           QCheck_alcotest.to_alcotest prop_link_slots_partition_chunk;
           Alcotest.test_case "pad slots marked" `Quick test_link_slots_full_pads_marked;
+          QCheck_alcotest.to_alcotest prop_index_matches_scan;
+          Alcotest.test_case "out-of-range edge and index" `Quick test_accessors_reject_out_of_range;
         ] );
     ]
