@@ -216,10 +216,13 @@ let run () =
 (* Tiny variant for `dune runtest` (metrics-smoke alias): determinism
    is asserted exactly; the overhead bound is loosened — a 400-round
    loop under runtest load measures noise, not cost (the 5% gate is
-   the full experiment's job). *)
+   the full experiment's job).  Run alone, the serial row's cost has a
+   median of about −13% over 10 runs; under a parallel `dune runtest`
+   a best-of-2 sometimes caught one side on a descheduled core, so each
+   side takes the best of 5 interleaved reps. *)
 let smoke () =
   let rows, merge_ok, shard_ok =
-    run_with ~grid_side:6 ~rounds:400 ~reps:2 ~trials:4 ~chatter_rounds:60
+    run_with ~grid_side:6 ~rounds:400 ~reps:5 ~trials:4 ~chatter_rounds:60
       ~max_overhead_pct:60. ~json:None ()
   in
   List.iter (fun r -> assert (r.per_sec_off > 0. && r.per_sec_on > 0.)) rows;

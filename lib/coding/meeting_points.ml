@@ -21,31 +21,26 @@ let k t = t.k
 
 let message_bits ~tau = 5 * tau
 
-let encode_message_into ~tau msg out =
-  if Array.length out <> 5 * tau then
-    invalid_arg "Meeting_points.encode_message_into: wrong buffer length";
-  let field i v =
-    for j = 0 to tau - 1 do
-      out.((i * tau) + j) <- (v lsr j) land 1 = 1
-    done
-  in
-  field 0 msg.hk;
-  field 1 msg.hp1;
-  field 2 msg.hp2;
-  field 3 msg.ht1;
-  field 4 msg.ht2
+(* Wire layout: bit t carries bit (t mod τ) of field t / τ, the fields
+   in hk, hp1, hp2, ht1, ht2 order. *)
+let field msg i =
+  match i with
+  | 0 -> msg.hk
+  | 1 -> msg.hp1
+  | 2 -> msg.hp2
+  | 3 -> msg.ht1
+  | 4 -> msg.ht2
+  | _ -> invalid_arg "Meeting_points.wire_bit: bit out of range"
 
-let decode_message_arr ~tau arr =
-  if Array.length arr <> 5 * tau then
-    invalid_arg "Meeting_points.decode_message_arr: wrong length";
-  let field i =
-    let v = ref 0 in
-    for j = 0 to tau - 1 do
-      match arr.((i * tau) + j) with Some true -> v := !v lor (1 lsl j) | Some false | None -> ()
-    done;
-    !v
-  in
-  { hk = field 0; hp1 = field 1; hp2 = field 2; ht1 = field 3; ht2 = field 4 }
+let wire_bit ~tau msg t = (field msg (t / tau) lsr (t mod tau)) land 1 = 1
+
+let receive_bit ~tau packed t =
+  let i = t / tau in
+  packed.(i) <- packed.(i) lor (1 lsl (t mod tau))
+
+let decode_packed packed =
+  if Array.length packed <> 5 then invalid_arg "Meeting_points.decode_packed: wrong length";
+  { hk = packed.(0); hp1 = packed.(1); hp2 = packed.(2); ht1 = packed.(3); ht2 = packed.(4) }
 
 (* κ = 2^⌈log₂ k⌉ for k ≥ 1. *)
 let scale k =

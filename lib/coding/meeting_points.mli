@@ -34,12 +34,19 @@ type message = { hk : int; hp1 : int; hp2 : int; ht1 : int; ht2 : int }
 val message_bits : tau:int -> int
 (** Wire size of one message: 5τ. *)
 
-val encode_message_into : tau:int -> message -> bool array -> unit
-(** Serialize into a caller-owned 5τ-bit buffer (the per-link outgoing
-    message buffer the scheme reuses across iterations). *)
+val wire_bit : tau:int -> message -> int -> bool
+(** [wire_bit ~tau msg t] is bit [t] (< 5τ) of the message on the wire:
+    bit [t mod τ] of field [t / τ], fields in [hk, hp1, hp2, ht1, ht2]
+    order. *)
 
-val decode_message_arr : tau:int -> bool option array -> message
-(** Missing bits (deletions) decode as 0 — at worst a hash mismatch,
+val receive_bit : tau:int -> int array -> int -> unit
+(** [receive_bit ~tau packed t] records that wire bit [t] arrived as 1
+    in [packed], the received message packed one int per field (5 ints,
+    zeroed before the rounds). *)
+
+val decode_packed : int array -> message
+(** The message a packed receive buffer holds.  Bits never recorded —
+    zeros and deletions alike — decode as 0: at worst a hash mismatch,
     which is the conservative direction. *)
 
 (** The hash oracle a step uses, pre-seeded for (this iteration, this

@@ -196,6 +196,92 @@ let make_probes ?(metrics = Metrics.Registry.disabled)
     flight;
   }
 
+(* Per-link hash memo for one meeting-points step.  Within an iteration
+   [prepare] and [process] hash the same few arguments — at most two
+   distinct ones per field (k; mp1 and mp2) — and with δ-biased seeds
+   each transcript-prefix hash is a pass over the expanded seed, so
+   repeats are served from fixed slots: [keys]/[vals] hold two
+   (argument, hash) pairs for each of the 3 int fields and, at slots 3
+   and 4, the 2 prefix fields; [used] counts the filled pairs per field.
+   [reset_memo] empties every slot at each MP phase start, so no hash
+   outlives its iteration; a third distinct argument would simply be
+   hashed again.
+
+   [m_rot] is the seed-rot fault: a fixed nonzero mask XORed into every
+   hash output, memoised or not, modeling a party whose stored seed
+   words decayed — its hashes are internally consistent but disagree
+   with the peer's.  0 when the party's seeds are intact. *)
+type memo = {
+  m_seeds : Seeds.t;
+  m_tr : Transcript.t;
+  mutable m_iter : int;
+  mutable m_rot : int;
+  used : int array;
+  keys : int array;
+  vals : int array;
+}
+
+let memo_fields = Seeds.int_fields + Seeds.prefix_fields
+
+let create_memo seeds tr =
+  {
+    m_seeds = seeds;
+    m_tr = tr;
+    m_iter = 0;
+    m_rot = 0;
+    used = Array.make memo_fields 0;
+    keys = Array.make (2 * memo_fields) 0;
+    vals = Array.make (2 * memo_fields) 0;
+  }
+
+let reset_memo m ~iter ~rot =
+  m.m_iter <- iter;
+  m.m_rot <- rot;
+  Array.fill m.used 0 memo_fields 0
+
+(* The memoised hash of [v] in field slot [f], or -1 (hashes are ≥ 0). *)
+let memo_find m f v =
+  let used = m.used.(f) and i = 2 * f in
+  if used > 0 && m.keys.(i) = v then m.vals.(i)
+  else if used > 1 && m.keys.(i + 1) = v then m.vals.(i + 1)
+  else -1
+
+let memo_add m f v h =
+  let used = m.used.(f) in
+  if used < 2 then begin
+    m.keys.((2 * f) + used) <- v;
+    m.vals.((2 * f) + used) <- h;
+    m.used.(f) <- used + 1
+  end;
+  h
+
+(* The link's hash oracle, built once: it reads the iteration and the
+   rot mask from the memo, which [reset_memo] sets per phase. *)
+let hasher_of m =
+  Meeting_points.
+    {
+      h_int =
+        (fun ~field v ->
+          let h = memo_find m field v in
+          let h =
+            if h >= 0 then h
+            else memo_add m field v (Seeds.hash_int m.m_seeds ~iter:m.m_iter ~field v)
+          in
+          h lxor m.m_rot);
+      h_prefix =
+        (fun ~field chunks ->
+          let f = Seeds.int_fields + field in
+          let h = memo_find m f chunks in
+          let h =
+            if h >= 0 then h
+            else
+              memo_add m f chunks
+                (Seeds.hash_prefix m.m_seeds ~iter:m.m_iter ~field (Transcript.serialized m.m_tr)
+                   ~bits:(Transcript.prefix_bits m.m_tr chunks))
+          in
+          h lxor m.m_rot);
+    }
+
 type link_state = {
   peer : int;
   edge : int;
@@ -207,12 +293,13 @@ type link_state = {
   mutable already_rewound : bool;
   mutable bot : bool;
   mutable mp_cut : int; (* parked MP truncation target; -1 = keep *)
-  out_msg : bool array; (* outgoing MP message bits, reused every iteration *)
-  in_msg : bool option array; (* incoming MP message bits, reused *)
+  mutable out_msg : Meeting_points.message; (* this iteration's outgoing MP message *)
+  in_msg : int array; (* incoming MP message, packed one int per field; reused *)
   sent_log : bool option array; (* per chunk-round offset, reused *)
   recv_log : bool option array;
   mutable mp_len : int; (* transcript length captured at MP-phase start *)
-  mutable mp_hasher : Meeting_points.hasher option;
+  memo : memo; (* the MP hasher's memo slots, reset every MP phase *)
+  hasher : Meeting_points.hasher; (* over [memo], built once *)
 }
 
 type party_state = {
@@ -250,41 +337,6 @@ let planned_rounds params pi =
     | Params.Exchange -> Randomness_exchange.rounds_needed ()
   in
   exchange + (iterations_of params (Chunking.n_real ch) * per_iter)
-
-(* The hasher memoizes per (field, argument): within one iteration the
-   meeting-points step hashes the same prefixes in [prepare] and again in
-   [process], and with δ-biased seeds each transcript-prefix hash costs a
-   pass over the expanded seed, so the cache matters.
-
-   [?rot] is the seed-rot fault: a fixed nonzero mask XORed into every
-   hash output, modeling a party whose stored seed words decayed — its
-   hashes are internally consistent but disagree with the peer's. *)
-let hasher_for ?rot l ~iter =
-  let mask = match rot with None -> fun h -> h | Some m -> fun h -> h lxor m in
-  let int_cache = Hashtbl.create 8 and prefix_cache = Hashtbl.create 8 in
-  Meeting_points.
-    {
-      h_int =
-        (fun ~field v ->
-          match Hashtbl.find_opt int_cache (field, v) with
-          | Some h -> h
-          | None ->
-              let h = mask (Seeds.hash_int l.seeds ~iter ~field v) in
-              Hashtbl.replace int_cache (field, v) h;
-              h);
-      h_prefix =
-        (fun ~field prefix_chunks ->
-          match Hashtbl.find_opt prefix_cache (field, prefix_chunks) with
-          | Some h -> h
-          | None ->
-              let h =
-                mask
-                  (Seeds.hash_prefix l.seeds ~iter ~field (Transcript.serialized l.tr)
-                     ~bits:(Transcript.prefix_bits l.tr prefix_chunks))
-              in
-              Hashtbl.replace prefix_cache (field, prefix_chunks) h;
-              h);
-    }
 
 (* Per-run fault state threaded through the phase executors.  [alive]
    is the crash mask (dead parties neither send nor update state);
@@ -358,18 +410,15 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
       iter_shard ex parties w (fun p ->
           if fc.alive.(p.id) then begin
             let rot =
-              if Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then
-                Some fc.rot_mask.(p.id)
-              else None
+              if Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then fc.rot_mask.(p.id)
+              else 0
             in
             Array.iter
               (fun l ->
                 l.mp_len <- Transcript.length l.tr;
-                let hasher = hasher_for ?rot l ~iter in
-                l.mp_hasher <- Some hasher;
-                let msg = Meeting_points.prepare l.mp hasher ~len:l.mp_len in
-                Meeting_points.encode_message_into ~tau msg l.out_msg;
-                Array.fill l.in_msg 0 mp_rounds None)
+                reset_memo l.memo ~iter ~rot;
+                l.out_msg <- Meeting_points.prepare l.mp l.hasher ~len:l.mp_len;
+                Array.fill l.in_msg 0 (Array.length l.in_msg) 0)
               p.links
           end));
   for t = 0 to mp_rounds - 1 do
@@ -378,23 +427,29 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
         Some (fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
       else None
     in
+    (* [for] loops, not [Array.iter]: a closure per party per round was
+       most of what this phase allocated once hashing stopped boxing. *)
     Live.Exec.round ex ?label
       ~write:(fun ~shard buf ->
         iter_shard ex parties shard (fun p ->
             if fc.alive.(p.id) then
-              Array.iter (fun l -> Active.send buf ~dir:l.dir_out l.out_msg.(t)) p.links))
+              for i = 0 to Array.length p.links - 1 do
+                let l = p.links.(i) in
+                Active.send buf ~dir:l.dir_out (Meeting_points.wire_bit ~tau l.out_msg t)
+              done))
       ~read:(fun ~shard master ->
-        (* [in_msg] was pre-filled with silence; each shard polls its
-           own in-directions — the MP phase speaks on every live link,
-           so O(own links) matches O(delivered) here. *)
+        (* [in_msg] was zeroed; each shard polls its own in-directions —
+           the MP phase speaks on every live link, so O(own links)
+           matches O(delivered) here.  Only 1s are recorded: a 0 and a
+           deletion both leave the bit 0. *)
         iter_shard ex parties shard (fun p ->
             if fc.alive.(p.id) then
-              Array.iter
-                (fun l ->
-                  match Active.get master ~dir:l.dir_in with
-                  | Some bit -> l.in_msg.(t) <- Some bit
-                  | None -> ())
-                p.links))
+              for i = 0 to Array.length p.links - 1 do
+                let l = p.links.(i) in
+                match Active.get master ~dir:l.dir_in with
+                | Some true -> Meeting_points.receive_bit ~tau l.in_msg t
+                | Some false | None -> ()
+              done))
       ()
   done;
   let observing = Trace.Sink.is_enabled pr.sink in
@@ -418,11 +473,11 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
             if fc.alive.(p.id) then
               Array.iter
                 (fun l ->
-                  let msg = Meeting_points.decode_message_arr ~tau l.in_msg in
+                  let msg = Meeting_points.decode_packed l.in_msg in
                   let probe = collision_probe graph parties pr pr.rings.(w) l p ~iter in
                   l.mp_cut <-
                     (match
-                       Meeting_points.process l.mp (Option.get l.mp_hasher) ~probe
+                       Meeting_points.process l.mp l.hasher ~probe
                          ~len:l.mp_len msg
                      with
                     | `Keep -> -1
@@ -448,9 +503,9 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
             if fc.alive.(p.id) then
               Array.iter
                 (fun l ->
-                  let msg = Meeting_points.decode_message_arr ~tau l.in_msg in
+                  let msg = Meeting_points.decode_packed l.in_msg in
                   match
-                    Meeting_points.process l.mp (Option.get l.mp_hasher) ~len:l.mp_len msg
+                    Meeting_points.process l.mp l.hasher ~len:l.mp_len msg
                   with
                   | `Keep -> ()
                   | `Truncate_to x ->
@@ -866,7 +921,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           Trace.Merge.into_sink sharded ~dst:config.Config.sink)
     @@ fun () ->
     let flag_sched = Flag_passing.compile graph ~tree in
-    let mp_bits = Meeting_points.message_bits ~tau:params.Params.tau in
     let max_r = Chunking.max_rounds ch in
     (* Randomness: CRS or per-link exchange (Algorithm 5). *)
     let exchange_failures = ref 0 in
@@ -900,23 +954,26 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             Array.map
               (fun peer ->
                 let edge = Topology.Graph.edge_id graph id peer in
+                let tr = Transcript.create () and seeds = seeds_for ~edge ~lower:(id < peer) in
+                let memo = create_memo seeds tr in
                 {
                   peer;
                   edge;
                   dir_out = Topology.Graph.dir_id graph ~src:id ~dst:peer;
                   dir_in = Topology.Graph.dir_id graph ~src:peer ~dst:id;
-                  tr = Transcript.create ();
+                  tr;
                   mp = Meeting_points.create ();
-                  seeds = seeds_for ~edge ~lower:(id < peer);
+                  seeds;
                   already_rewound = false;
                   bot = false;
                   mp_cut = -1;
-                  out_msg = Array.make mp_bits false;
-                  in_msg = Array.make mp_bits None;
+                  out_msg = Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 };
+                  in_msg = Array.make 5 0;
                   sent_log = Array.make max_r None;
                   recv_log = Array.make max_r None;
                   mp_len = 0;
-                  mp_hasher = None;
+                  memo;
+                  hasher = hasher_of memo;
                 })
               neighbors
           in

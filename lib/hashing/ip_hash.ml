@@ -3,21 +3,7 @@ let max_tau = 30
 let hash_prefix stream ~offset ~tau x ~bits =
   assert (tau > 0 && tau <= max_tau);
   assert (bits >= 0 && bits <= Util.Bitvec.length x);
-  let nw = (bits + 63) / 64 in
-  let tail = bits mod 64 in
-  let tail_mask = if tail = 0 then -1L else Int64.sub (Int64.shift_left 1L tail) 1L in
-  let out = ref 0 in
-  for j = 0 to tau - 1 do
-    let acc = ref 0L in
-    let base = offset + (j * max 1 nw) in
-    for w = 0 to nw - 1 do
-      let xw = Util.Bitvec.word x w in
-      let xw = if w = nw - 1 then Int64.logand xw tail_mask else xw in
-      acc := Int64.logxor !acc (Int64.logand xw (Seed_stream.word stream (base + w)))
-    done;
-    if Util.Bitvec.parity64 !acc = 1 then out := !out lor (1 lsl j)
-  done;
-  !out
+  Seed_stream.inner_products stream ~offset ~tau (Util.Bitvec.backing x) ~bits
 
 let hash stream ~offset ~tau x = hash_prefix stream ~offset ~tau x ~bits:(Util.Bitvec.length x)
 
@@ -25,10 +11,4 @@ let words_cost ~tau ~max_input_words = tau * max 1 max_input_words
 
 let hash_int stream ~offset ~tau v =
   assert (tau > 0 && tau <= max_tau);
-  let x = Int64.of_int v in
-  let out = ref 0 in
-  for j = 0 to tau - 1 do
-    if Util.Bitvec.parity64 (Int64.logand x (Seed_stream.word stream (offset + j))) = 1 then
-      out := !out lor (1 lsl j)
-  done;
-  !out
+  Seed_stream.inner_products_int stream ~offset ~tau v

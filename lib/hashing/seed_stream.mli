@@ -24,3 +24,22 @@ val word : t -> int -> int64
 (** [word t i] is the [i]-th 64-bit word of the string.  For δ-biased
     streams sequential or forward access is cheap; arbitrary access works
     but costs a field exponentiation. *)
+
+(** {2 Inner-product kernel}
+
+    The hash of {!Ip_hash} in one call per hash: τ GF(2) inner products
+    of an input against τ consecutive word-aligned seed slabs.  The
+    stream kind is dispatched once per call, and a uniform stream's
+    words are computed inline, so neither function allocates on a
+    uniform stream. *)
+
+val inner_products : t -> offset:int -> tau:int -> int64 array -> bits:int -> int
+(** [inner_products t ~offset ~tau x ~bits]: bit [j] (for [j < tau]) is
+    the parity of the first [bits] bits of the packed little-endian
+    words [x] ANDed with seed words [offset + j*nw, offset + (j+1)*nw),
+    where [nw = ceil (bits / 64)].  Bits of [x] at or beyond [bits] are
+    ignored.  Raises [Invalid_argument] unless [0 <= bits <= 64 * Array.length x]. *)
+
+val inner_products_int : t -> offset:int -> tau:int -> int -> int
+(** [inner_products_int t ~offset ~tau v]: bit [j] is the parity of the
+    64-bit two's-complement [v] ANDed with seed word [offset + j]. *)

@@ -62,6 +62,7 @@ let truncate t n =
   end
 
 let word t i = if i < Array.length t.data then t.data.(i) else 0L
+let backing t = t.data
 
 let copy t = { data = Array.copy t.data; len = t.len }
 

@@ -33,6 +33,13 @@ val truncate : t -> int -> unit
 val word : t -> int -> int64
 (** [word t i] is the [i]-th 64-bit word; bits beyond [length t] are zero. *)
 
+val backing : t -> int64 array
+(** The packed words themselves, shared rather than copied: read-only,
+    and valid only until the next mutation of [t].  Holds at least
+    [words t] words; every bit at or beyond [length t] is zero.  This
+    is the hash kernel's input view — one call per hash instead of one
+    (boxing) {!word} call per word. *)
+
 val copy : t -> t
 val equal : t -> t -> bool
 val append : t -> t -> unit

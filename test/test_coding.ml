@@ -112,27 +112,42 @@ let test_seeds_slots_independent () =
 
 (* ---------- Meeting points ---------- *)
 
+(* Send every wire bit of [msg] through a packed receive buffer; [lost t]
+   drops bit [t] (a deletion). *)
+let mp_transmit ?(lost = fun _ -> false) ~tau msg =
+  let packed = Array.make 5 0 in
+  for t = 0 to Coding.Meeting_points.message_bits ~tau - 1 do
+    if (not (lost t)) && Coding.Meeting_points.wire_bit ~tau msg t then
+      Coding.Meeting_points.receive_bit ~tau packed t
+  done;
+  Coding.Meeting_points.decode_packed packed
+
 let test_mp_message_roundtrip () =
   let tau = 9 in
   let msg = Coding.Meeting_points.{ hk = 0x1F5; hp1 = 3; hp2 = 0x1FF; ht1 = 0; ht2 = 0x0AA } in
-  let bits = Array.make (Coding.Meeting_points.message_bits ~tau) false in
-  Coding.Meeting_points.encode_message_into ~tau msg bits;
-  Alcotest.(check int) "wire size" (5 * tau) (Array.length bits);
-  let decoded = Coding.Meeting_points.decode_message_arr ~tau (Array.map Option.some bits) in
-  Alcotest.(check bool) "roundtrip" true (decoded = msg);
+  Alcotest.(check int) "wire size" (5 * tau) (Coding.Meeting_points.message_bits ~tau);
+  Alcotest.(check bool) "roundtrip" true (mp_transmit ~tau msg = msg);
+  Alcotest.(check bool) "first bit is hk's lsb" true (Coding.Meeting_points.wire_bit ~tau msg 0);
+  Alcotest.(check bool) "field order" true
+    (Coding.Meeting_points.wire_bit ~tau msg tau
+    && (not (Coding.Meeting_points.wire_bit ~tau msg (tau + 2)))
+    && Coding.Meeting_points.wire_bit ~tau msg ((4 * tau) + 1));
+  Alcotest.check_raises "bit beyond the message rejected"
+    (Invalid_argument "Meeting_points.wire_bit: bit out of range") (fun () ->
+      ignore (Coding.Meeting_points.wire_bit ~tau msg (5 * tau)));
   Alcotest.check_raises "short buffer rejected"
-    (Invalid_argument "Meeting_points.encode_message_into: wrong buffer length") (fun () ->
-      Coding.Meeting_points.encode_message_into ~tau msg (Array.make (5 * tau - 1) false))
+    (Invalid_argument "Meeting_points.decode_packed: wrong length") (fun () ->
+      ignore (Coding.Meeting_points.decode_packed (Array.make 4 0)))
 
 let test_mp_message_deletion_reads_zero () =
   let tau = 4 in
   let msg = Coding.Meeting_points.{ hk = 0xF; hp1 = 0xF; hp2 = 0xF; ht1 = 0xF; ht2 = 0xF } in
-  let bits = Array.make (Coding.Meeting_points.message_bits ~tau) false in
-  Coding.Meeting_points.encode_message_into ~tau msg bits;
-  let all_deleted = Array.map (fun _ -> None) bits in
-  let decoded = Coding.Meeting_points.decode_message_arr ~tau all_deleted in
   Alcotest.(check bool) "all zero" true
-    (decoded = Coding.Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 })
+    (mp_transmit ~lost:(fun _ -> true) ~tau msg
+    = Coding.Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 });
+  Alcotest.(check bool) "one deleted bit reads zero" true
+    (mp_transmit ~lost:(fun t -> t = (2 * tau) + 1) ~tau msg
+    = Coding.Meeting_points.{ msg with hp2 = 0xD })
 
 (* Noiseless two-endpoint harness: run the interleaved meeting-points
    steps directly (perfect message delivery) until both sides report
@@ -908,6 +923,50 @@ let test_scheme_golden_grid_fingerprint () =
   Alcotest.(check int) "iterations" 55 r.Coding.Scheme.iterations_run;
   Alcotest.(check int) "chunks rewound" 619 r.Coding.Scheme.chunks_rewound
 
+(* A golden fingerprint of one Algorithm A trial: exchanged δ-biased
+   seeds on K5 under fixed-seed iid noise, with party 2's seeds rotted
+   from iteration 1 on.  It pins the biased hash path and the
+   meeting-points hash memo's handling of the seed-rot mask, through the
+   per-iteration meeting-points state in the trace; party 2 never
+   re-syncs, so the run fails in a fixed, recorded way. *)
+let test_scheme_golden_algorithm_a_fingerprint () =
+  let g = Topology.Graph.clique 5 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:15 in
+  let adv = Netsim.Adversary.iid (Util.Rng.create 43) ~rate:0.0005 in
+  let faults =
+    Faults.Plan.make ~key:"golden-a" [ Faults.Plan.Seed_rot { party = 2; from_iteration = 1 } ]
+  in
+  let o =
+    Coding.Scheme.run_outcome
+      ~config:(Coding.Scheme.Config.make ~trace:true ~faults ())
+      ~rng:(Util.Rng.create 44) (Coding.Params.algorithm_a g) pi adv
+  in
+  match o with
+  | Faults.Outcome.Degraded (r, d) ->
+      Alcotest.(check int) "seed_rot" 956 d.Faults.Outcome.seed_rot;
+      Alcotest.(check int) "iterations" 240 d.Faults.Outcome.iterations_run;
+      Alcotest.(check bool) "success" false r.Coding.Scheme.success;
+      Alcotest.(check (array int))
+        "outputs"
+        [|
+          28979341349045130; 132005826093394967; 133620223106996948; 77461522549374527;
+          128309368817649320;
+        |]
+        r.Coding.Scheme.outputs;
+      Alcotest.(check int) "cc" 162277 r.Coding.Scheme.cc;
+      Alcotest.(check int) "rounds" 11712 r.Coding.Scheme.rounds;
+      Alcotest.(check (float 1e-12)) "rate_blowup" 169.39144050104383 r.Coding.Scheme.rate_blowup;
+      Alcotest.(check int) "corruptions" 103 r.Coding.Scheme.corruptions;
+      Alcotest.(check int) "iterations run" 240 r.Coding.Scheme.iterations_run;
+      Alcotest.(check int) "chunks rewound" 12 r.Coding.Scheme.chunks_rewound;
+      Alcotest.(check int) "exchange failures" 0 r.Coding.Scheme.exchange_failures;
+      let total f = List.fold_left (fun acc s -> acc + f s) 0 r.Coding.Scheme.trace in
+      Alcotest.(check int) "links in MP, summed over iterations" 963
+        (total (fun s -> s.Coding.Scheme.links_in_mp));
+      Alcotest.(check int) "MP counters k, summed over iterations" 0
+        (total (fun s -> s.Coding.Scheme.mp_k_total))
+  | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
+
 let () =
   Alcotest.run "coding"
     [
@@ -992,6 +1051,8 @@ let () =
           Alcotest.test_case "exchange attack accounting" `Quick
             test_scheme_exchange_attack_detected;
           Alcotest.test_case "golden grid fingerprint" `Quick test_scheme_golden_grid_fingerprint;
+          Alcotest.test_case "golden algorithm A fingerprint" `Quick
+            test_scheme_golden_algorithm_a_fingerprint;
           QCheck_alcotest.to_alcotest prop_scheme_noiseless_random_graphs;
           QCheck_alcotest.to_alcotest prop_scheme_deterministic;
           QCheck_alcotest.to_alcotest prop_scheme_light_noise_random_graphs;

@@ -155,6 +155,145 @@ let prop_prefix_sensitivity =
       Ip_hash.hash s ~offset:0 ~tau:16 x <> Ip_hash.hash s ~offset:0 ~tau:16 y
       || Ip_hash.hash s ~offset:64 ~tau:16 x <> Ip_hash.hash s ~offset:64 ~tau:16 y)
 
+(* ---------- the kernel against a per-word reference ----------
+
+   [ref_hash_prefix] / [ref_hash_int] are the straightforward per-word
+   loops of Definition 2.2: one [Seed_stream.word] and one
+   [Bitvec.word] per seed word, boxed [Int64] arithmetic throughout.
+   The library kernel ([Seed_stream.inner_products], behind [Ip_hash])
+   must agree with them bit for bit on every stream kind. *)
+
+let ref_hash_prefix stream ~offset ~tau x ~bits =
+  let nw = (bits + 63) / 64 in
+  let tail = bits mod 64 in
+  let tail_mask = if tail = 0 then -1L else Int64.sub (Int64.shift_left 1L tail) 1L in
+  let out = ref 0 in
+  for j = 0 to tau - 1 do
+    let acc = ref 0L in
+    let base = offset + (j * max 1 nw) in
+    for w = 0 to nw - 1 do
+      let xw = Util.Bitvec.word x w in
+      let xw = if w = nw - 1 then Int64.logand xw tail_mask else xw in
+      acc := Int64.logxor !acc (Int64.logand xw (Seed_stream.word stream (base + w)))
+    done;
+    if Util.Bitvec.parity64 !acc = 1 then out := !out lor (1 lsl j)
+  done;
+  !out
+
+let ref_hash_int stream ~offset ~tau v =
+  let x = Int64.of_int v in
+  let out = ref 0 in
+  for j = 0 to tau - 1 do
+    if Util.Bitvec.parity64 (Int64.logand x (Seed_stream.word stream (offset + j))) = 1 then
+      out := !out lor (1 lsl j)
+  done;
+  !out
+
+(* A random input of random length; half the time truncated and then
+   regrown, so that words once written and cleared are read again. *)
+let random_vector rng =
+  let x = mk_input rng (Util.Rng.int rng 700) in
+  if Util.Rng.bool rng then begin
+    Util.Bitvec.truncate x (Util.Rng.int rng (Util.Bitvec.length x + 1));
+    for _ = 1 to Util.Rng.int rng 200 do
+      Util.Bitvec.push x (Util.Rng.bool rng)
+    done
+  end;
+  x
+
+(* One stream of each kind: [Explicit] arrays are often shorter than the
+   range a hash reads, so out-of-range words (read as zero) are covered. *)
+let random_stream rng ~kind =
+  match kind with
+  | 0 -> Seed_stream.uniform ~key:(Util.Rng.int64 rng)
+  | 1 -> Seed_stream.biased (Smallbias.Generator.sample rng)
+  | _ -> Seed_stream.explicit (Array.init (Util.Rng.int rng 400) (fun _ -> Util.Rng.int64 rng))
+
+let random_offset rng ~kind =
+  if kind = 2 then Util.Rng.int rng 300 else Util.Rng.int rng (1 lsl 30)
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = per-word reference (all stream kinds)" ~count:600
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (kind, seed) ->
+      let rng = Util.Rng.create seed in
+      let stream = random_stream rng ~kind in
+      let x = random_vector rng in
+      let len = Util.Bitvec.length x in
+      let tau = 1 + Util.Rng.int rng Ip_hash.max_tau in
+      let offset = random_offset rng ~kind in
+      let v = Util.Rng.bits rng - (1 lsl 29) in
+      let big = Int64.to_int (Util.Rng.int64 rng) in
+      List.for_all
+        (fun bits ->
+          bits > len
+          || Ip_hash.hash_prefix stream ~offset ~tau x ~bits
+             = ref_hash_prefix stream ~offset ~tau x ~bits)
+        [ 0; 1; 63; 64; 65; len; Util.Rng.int rng (len + 1) ]
+      && Ip_hash.hash stream ~offset ~tau x = ref_hash_prefix stream ~offset ~tau x ~bits:len
+      && List.for_all
+           (fun v -> Ip_hash.hash_int stream ~offset ~tau v = ref_hash_int stream ~offset ~tau v)
+           [ 0; 1; v; big; max_int; min_int; -1 ])
+
+(* The uniform loop computes SplitMix64 inline; read every seed word
+   back out of the kernel (the parity against a unit vector is one seed
+   bit) and compare it with [Util.Rng.at]. *)
+let test_kernel_splitmix_matches_rng () =
+  let rng = Util.Rng.create 21 in
+  for _ = 1 to 40 do
+    let key = Util.Rng.int64 rng in
+    let i = Int64.to_int (Int64.shift_right_logical (Util.Rng.int64 rng) 24) in
+    let s = Seed_stream.uniform ~key in
+    Alcotest.(check int64) "word = Rng.at" (Util.Rng.at ~seed:key i) (Seed_stream.word s i);
+    let tau = Ip_hash.max_tau in
+    let words = Array.make tau 0L in
+    for b = 0 to 63 do
+      let unit = [| Int64.shift_left 1L b |] in
+      let h = Seed_stream.inner_products s ~offset:i ~tau unit ~bits:64 in
+      for j = 0 to tau - 1 do
+        if (h lsr j) land 1 = 1 then words.(j) <- Int64.logor words.(j) (Int64.shift_left 1L b)
+      done
+    done;
+    Array.iteri
+      (fun j w -> Alcotest.(check int64) "kernel word = Rng.at" (Util.Rng.at ~seed:key (i + j)) w)
+      words
+  done
+
+let test_kernel_rejects_short_array () =
+  let s = Seed_stream.uniform ~key:1L in
+  Alcotest.check_raises "bits beyond the array"
+    (Invalid_argument "Seed_stream.inner_products: bits") (fun () ->
+      ignore (Seed_stream.inner_products s ~offset:0 ~tau:4 [| 1L |] ~bits:65))
+
+(* The hot path allocates nothing: [Seeds.hash_prefix] on a 20-word
+   input and [Seeds.hash_int], on a uniform stream.  Minor-heap words
+   are counted exactly in native code. *)
+let minor_words_per_call ~calls f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_kernel_allocation_free () =
+  let seeds =
+    Coding.Seeds.make ~stream:(Seed_stream.uniform ~key:0x5EEDL) ~tau:6 ~wmax:24 ~slot:3 ~slots:16
+  in
+  let x = mk_input (Util.Rng.create 22) (20 * 64) in
+  let sink = ref 0 in
+  let prefix =
+    minor_words_per_call ~calls:10_000 (fun i ->
+        sink := !sink lxor Coding.Seeds.hash_prefix seeds ~iter:i ~field:(i land 1) x ~bits:(20 * 64))
+  in
+  let ints =
+    minor_words_per_call ~calls:10_000 (fun i ->
+        sink := !sink lxor Coding.Seeds.hash_int seeds ~iter:i ~field:(i mod 3) i)
+  in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool) (Printf.sprintf "hash_prefix %.4f words/call" prefix) true (prefix <= 0.01);
+  Alcotest.(check bool) (Printf.sprintf "hash_int %.4f words/call" ints) true (ints <= 0.01)
+
 let () =
   Alcotest.run "hashing"
     [
@@ -178,5 +317,12 @@ let () =
           Alcotest.test_case "hash_int" `Quick test_hash_int;
           Alcotest.test_case "words_cost" `Quick test_words_cost;
           QCheck_alcotest.to_alcotest prop_prefix_sensitivity;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+          Alcotest.test_case "splitmix matches Rng.at" `Quick test_kernel_splitmix_matches_rng;
+          Alcotest.test_case "rejects bits beyond the array" `Quick test_kernel_rejects_short_array;
+          Alcotest.test_case "allocation-free on a uniform stream" `Quick test_kernel_allocation_free;
         ] );
     ]
