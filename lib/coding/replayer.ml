@@ -11,54 +11,29 @@ type t = {
          bumps a version and invalidates the cache *)
 }
 
-let create ch ~party ~input ~neighbors = { ch; party; input; neighbors; cached = None }
+let create ch ~party ~input =
+  let neighbors = Topology.Graph.neighbors (Chunking.pi ch).Pi.graph party in
+  { ch; party; input; neighbors; cached = None }
 
-let versions t transcripts = Array.map (fun nbr -> Transcript.version (transcripts nbr)) t.neighbors
+let versions t transcripts = Array.mapi (fun j _ -> Transcript.version (transcripts j)) t.neighbors
 
-(* Feed one chunk into the machine: sends are recomputed, receives come
-   from the recorded transcript symbols (∗ reads as 0).  Within a round
-   all sends happen before any receive, mirroring both the noiseless
-   executor and the live simulation phase. *)
+(* Feed one chunk into the machine by walking the party's view of it:
+   sends are recomputed, receives come from the recorded transcript
+   symbols (∗, or a record too short to hold the event, reads as 0).  The
+   view orders each round's sends before its receives, mirroring both
+   the noiseless executor and the live simulation phase. *)
 let feed_chunk t machine transcripts c =
   if c <= Chunking.n_real t.ch then begin
-    let graph = (Chunking.pi t.ch).Pi.graph in
-    let chunk = Chunking.chunk t.ch c in
-    (* Per-link cursor into the chunk's event record. *)
-    let cursors = Hashtbl.create 8 in
-    let next_index edge =
-      let i = Option.value ~default:0 (Hashtbl.find_opt cursors edge) in
-      Hashtbl.replace cursors edge (i + 1);
-      i
-    in
-    Array.iter
-      (fun slots ->
-        let mine =
-          List.filter (fun s -> s.Chunking.src = t.party || s.Chunking.dst = t.party) slots
-        in
-        List.iter
-          (fun s ->
-            match s.Chunking.pi_round with
-            | Some r when s.Chunking.src = t.party ->
-                ignore (machine.Pi.send ~round:r ~dst:s.Chunking.dst)
-            | Some _ | None -> ())
-          mine;
-        List.iter
-          (fun s ->
-            let edge = Topology.Graph.edge_id graph s.Chunking.src s.Chunking.dst in
-            let i = next_index edge in
-            if s.Chunking.dst = t.party then
-              match s.Chunking.pi_round with
-              | Some r ->
-                  let ev = Transcript.events (transcripts s.Chunking.src) c in
-                  let bit =
-                    if i < Array.length ev then
-                      Option.value ~default:false (Transcript.sym_to_bit ev.(i))
-                    else false
-                  in
-                  machine.Pi.recv ~round:r ~src:s.Chunking.src bit
-              | None -> ())
-          mine)
-      chunk.Chunking.rounds
+    let lo, hi = Chunking.party_view t.ch ~chunk_index:c ~party:t.party in
+    for e = lo to hi - 1 do
+      let r = Chunking.entry_pi_round t.ch ~chunk_index:c e and j = Chunking.entry_nbr t.ch e in
+      if r >= 0 && Chunking.entry_is_send t.ch e then
+        ignore (machine.Pi.send ~round:r ~dst:t.neighbors.(j))
+      else if r >= 0 then
+        let ev = Transcript.events (transcripts j) c and i = Chunking.entry_event t.ch e in
+        machine.Pi.recv ~round:r ~src:t.neighbors.(j)
+          (i < Array.length ev && ev.(i) = Transcript.sym_bit true)
+    done
   end
 
 let machine_at t ~transcripts ~upto =

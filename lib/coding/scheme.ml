@@ -295,8 +295,7 @@ type link_state = {
   mutable mp_cut : int; (* parked MP truncation target; -1 = keep *)
   mutable out_msg : Meeting_points.message; (* this iteration's outgoing MP message *)
   in_msg : int array; (* incoming MP message, packed one int per field; reused *)
-  sent_log : bool option array; (* per chunk-round offset, reused *)
-  recv_log : bool option array;
+  record : Transcript.symbol array; (* this phase's chunk record, by event index; reused *)
   mutable mp_len : int; (* transcript length captured at MP-phase start *)
   memo : memo; (* the MP hasher's memo slots, reset every MP phase *)
   hasher : Meeting_points.hasher; (* over [memo], built once *)
@@ -313,7 +312,6 @@ type party_state = {
    neighbor is found by binary search — no per-party O(n) lookup array,
    which at 10k parties would be O(n²) memory. *)
 let link_to graph p nbr = p.links.(Topology.Graph.neighbor_index graph p.id nbr)
-let transcripts_fn graph p = fun nbr -> (link_to graph p nbr).tr
 
 let iterations_of params n_real =
   (params.Params.iteration_factor * n_real) + params.Params.extra_iterations
@@ -525,43 +523,40 @@ let compute_statuses ex parties ~alive ~statuses =
           let equal_lens = Array.for_all (fun l -> Transcript.length l.tr = len0) p.links in
           statuses.(p.id) <- alive.(p.id) && (not in_mp) && equal_lens))
 
-let simulation_phase ex net tp parties fc ch ~iter ~n_real =
-  let graph = Network.graph net in
+(* A participant's walk through its view of chunk [c]; [cur, stop) is left to play. *)
+type walk = { p : party_state; c : int; mc : Pi.machine option; mutable cur : int; stop : int }
+
+let simulation_phase ex net parties fc ch ~iter ~n_real =
   let nshards = Live.Exec.shards ex in
   let max_r = Chunking.max_rounds ch in
   (* Participation — alive with netCorrect up — is known before the
-     phase starts, so only participants' per-link logs are reset and
-     only participants listen: idle parties cost this phase nothing.
-     (Stale logs on idle parties are never read: every read below is
-     behind the participant test, and a party that participates in a
-     later iteration resets first.)  The per-shard participant lists
-     are built by the owning shard — machine reconstruction reads only
-     the party's own transcripts. *)
-  let is_participant = Array.make (Array.length parties) false in
+     phase starts, so only participants reset their records and listen:
+     idle parties cost this phase nothing.  (Stale records on idle
+     parties are never read: every read below walks the participant
+     lists, and a party resets whenever it participates.)  Each shard
+     lists its own participants — machine reconstruction reads only the
+     party's own transcripts. *)
   let participants = Array.make nshards [] in
   Live.Exec.slice ex (fun w ->
       let acc = ref [] in
       iter_shard ex parties w (fun p ->
-          is_participant.(p.id) <- fc.alive.(p.id) && p.net_correct;
-          if is_participant.(p.id) then begin
+          if fc.alive.(p.id) && p.net_correct then begin
             Array.iter
               (fun l ->
                 l.bot <- false;
-                Array.fill l.sent_log 0 max_r None;
-                Array.fill l.recv_log 0 max_r None)
+                Array.fill l.record 0 (Array.length l.record) Transcript.sym_star)
               p.links;
-            let min_len =
-              Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
+            let c =
+              1 + Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
             in
-            let c = min_len + 1 in
-            let machine =
+            let mc =
               if c <= n_real then
                 Some
-                  (Replayer.machine_at p.repl ~transcripts:(transcripts_fn graph p)
-                     ~upto:(c - 1))
+                  (Replayer.machine_at p.repl ~transcripts:(fun j -> p.links.(j).tr) ~upto:(c - 1))
               else None
             in
-            acc := (p, c, machine, Chunking.chunk ch c) :: !acc
+            let cur, stop = Chunking.party_view ch ~chunk_index:c ~party:p.id in
+            acc := { p; c; mc; cur; stop } :: !acc
           end);
       participants.(w) <- List.rev !acc);
   (* ⊥ round: idling parties announce, participants listen (Line 16/23).
@@ -573,93 +568,70 @@ let simulation_phase ex net tp parties fc ch ~iter ~n_real =
           if fc.alive.(p.id) && not p.net_correct then
             Array.iter (fun l -> Active.send buf ~dir:l.dir_out true) p.links))
     ~read:(fun ~shard master ->
-      Active.iter master (fun ~dir _bit ->
-          let id = tp.recv_party.(dir) in
-          if Live.Exec.owner ex id = shard && is_participant.(id) then
-            tp.recv_link.(dir).bot <- true))
+      List.iter
+        (fun s ->
+          Array.iter
+            (fun l -> if not (Active.is_silent master ~dir:l.dir_in) then l.bot <- true)
+            s.p.links)
+        participants.(shard))
     ();
+  (* Each round plays the participants' sends of round [t], then their
+     receives, off their views: [f s l r ev] gets the link, the Π round
+     (-1 for padding) and the event index the symbol is recorded at. *)
+  let play shard ~t ~send f =
+    List.iter
+      (fun s ->
+        while
+          s.cur < s.stop && Chunking.entry_round ch s.cur = t
+          && Chunking.entry_is_send ch s.cur = send
+        do
+          f s s.p.links.(Chunking.entry_nbr ch s.cur)
+            (Chunking.entry_pi_round ch ~chunk_index:s.c s.cur)
+            (Chunking.entry_event ch s.cur);
+          s.cur <- s.cur + 1
+        done)
+      participants.(shard)
+  in
   for t = 0 to max_r - 1 do
+    (* Only real chunks have Π entries (r >= 0), and they have a machine.
+       It still sends on a ⊥ link, so its state advances, but nothing
+       goes out; it hears 0 there. *)
     Live.Exec.round ex
       ~write:(fun ~shard buf ->
-        List.iter
-          (fun (p, _, machine, sched) ->
-            if t < Array.length sched.Chunking.rounds then
-              List.iter
-                (fun slot ->
-                  if slot.Chunking.src = p.id then begin
-                    let bit =
-                      match (slot.Chunking.pi_round, machine) with
-                      | Some r, Some mc -> mc.Pi.send ~round:r ~dst:slot.Chunking.dst
-                      | Some r, None ->
-                          ignore r;
-                          false
-                      | None, _ -> false
-                    in
-                    let l = link_to graph p slot.Chunking.dst in
-                    if not l.bot then begin
-                      Active.send buf ~dir:l.dir_out bit;
-                      l.sent_log.(t) <- Some bit
-                    end
-                  end)
-                sched.Chunking.rounds.(t))
-          participants.(shard))
+        play shard ~t ~send:true (fun s l r ev ->
+            let bit = r >= 0 && (Option.get s.mc).Pi.send ~round:r ~dst:l.peer in
+            if not l.bot then begin
+              Active.send buf ~dir:l.dir_out bit;
+              l.record.(ev) <- Transcript.sym_bit bit
+            end))
       ~read:(fun ~shard master ->
-        Active.iter master (fun ~dir bit ->
-            let id = tp.recv_party.(dir) in
-            if Live.Exec.owner ex id = shard && is_participant.(id) then
-              tp.recv_link.(dir).recv_log.(t) <- Some bit);
-        (* Feed the live machines, sends-before-receives per round. *)
-        List.iter
-          (fun (p, _, machine, sched) ->
-            match machine with
-            | None -> ()
-            | Some mc ->
-                if t < Array.length sched.Chunking.rounds then
-                  List.iter
-                    (fun slot ->
-                      if slot.Chunking.dst = p.id then
-                        match slot.Chunking.pi_round with
-                        | Some r ->
-                            let l = link_to graph p slot.Chunking.src in
-                            let bit =
-                              if l.bot then false
-                              else Option.value ~default:false l.recv_log.(t)
-                            in
-                            mc.Pi.recv ~round:r ~src:slot.Chunking.src bit
-                        | None -> ())
-                    sched.Chunking.rounds.(t))
-          participants.(shard))
+        play shard ~t ~send:false (fun s l r ev ->
+            let got = Active.get master ~dir:l.dir_in in
+            (match got with Some b -> l.record.(ev) <- Transcript.sym_bit b | None -> ());
+            if r >= 0 then
+              (Option.get s.mc).Pi.recv ~round:r ~src:l.peer
+                ((not l.bot) && Option.value ~default:false got)))
       ()
   done;
-  (* Record the observed chunk on every non-⊥ link (Tu,v grows by one
-     chunk, laid out by the schedule of the chunk the *link* expects). *)
+  (* Push the recorded chunk on every non-⊥ link.  A participant's status
+     required all its links to have equal length, and nothing truncates
+     between [compute_statuses] and this phase, so every link records the
+     participant's own chunk [c], laid out by [c]'s schedule. *)
   Live.Exec.slice ex (fun w ->
       List.iter
-        (fun (p, c, machine, _) ->
-          let all_aligned = ref true in
+        (fun s ->
           Array.iter
             (fun l ->
-              if l.bot then all_aligned := false
-              else begin
-                let e = Transcript.length l.tr + 1 in
-                if e <> c then all_aligned := false;
-                let chunk_slots = Chunking.link_slots ch ~chunk_index:e ~edge:l.edge in
-                let events =
-                  Array.map
-                    (fun (roff, src, _) ->
-                      let log = if src = p.id then l.sent_log else l.recv_log in
-                      match if roff < Array.length log then log.(roff) else None with
-                      | Some b -> Transcript.sym_bit b
-                      | None -> Transcript.sym_star)
-                    chunk_slots
-                in
-                Transcript.push_chunk l.tr ~events
+              if not l.bot then begin
+                assert (Transcript.length l.tr + 1 = s.c);
+                let n = Chunking.events_on_link ch ~chunk_index:s.c ~edge:l.edge in
+                Transcript.push_chunk l.tr ~events:(Array.sub l.record 0 n)
               end)
-            p.links;
-          match machine with
-          | Some mc when !all_aligned && c <= n_real ->
-              Replayer.store p.repl ~machine:mc ~upto:c ~transcripts:(transcripts_fn graph p)
-          | _ -> ())
+            s.p.links;
+          match s.mc with
+          | Some mc when Array.for_all (fun l -> not l.bot) s.p.links ->
+              Replayer.store s.p.repl ~machine:mc ~upto:s.c ~transcripts:(fun j -> s.p.links.(j).tr)
+          | Some _ | None -> ())
         participants.(w))
 
 let rewind_phase ex net tp parties fc pr ~iter ~reqs ~depth =
@@ -969,8 +941,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                   mp_cut = -1;
                   out_msg = Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 };
                   in_msg = Array.make 5 0;
-                  sent_log = Array.make max_r None;
-                  recv_log = Array.make max_r None;
+                  record = Array.make (2 * max_r) Transcript.sym_star;
                   mp_len = 0;
                   memo;
                   hasher = hasher_of memo;
@@ -980,7 +951,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           {
             id;
             links;
-            repl = Replayer.create ch ~party:id ~input:inputs.(id) ~neighbors;
+            repl = Replayer.create ch ~party:id ~input:inputs.(id);
             net_correct = true;
           })
     in
@@ -1209,7 +1180,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                  (List.map (fun s -> if s then "1" else "0") (Array.to_list net_corrects))));
       Metrics.Flight.note pr.flight ~iter:it "phase.simulation";
       Trace.Sink.span_begin sink ~id:pr.sp_sim ~iter:it;
-      simulation_phase ex net tp parties fc ch ~iter:it ~n_real;
+      simulation_phase ex net parties fc ch ~iter:it ~n_real;
       Trace.Sink.span_end sink ~id:pr.sp_sim ~iter:it;
       if params.Params.rewind then begin
         Metrics.Flight.note pr.flight ~iter:it "phase.rewind";
@@ -1297,8 +1268,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           let min_len =
             Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
           in
-          Replayer.output p.repl ~transcripts:(transcripts_fn graph p)
-            ~upto:(min n_real min_len))
+          Replayer.output p.repl ~transcripts:(fun j -> p.links.(j).tr) ~upto:(min n_real min_len))
         parties
     in
     Trace.Sink.span_end sink ~id:pr.sp_output ~iter:(-1);

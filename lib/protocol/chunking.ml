@@ -5,19 +5,23 @@ type chunk = { index : int; rounds : slot list array }
 type t = {
   pi : Pi.t;
   k : int;
-  real : chunk array;
-  dummy_rounds : slot list array;
-  max_rounds : int;
-  links : (int * int * int) array array array;
-      (* [links.(i).(edge)]: chunk i+1's slots on [edge] in schedule order;
-         the last entry, at [n_real], is the layout shared by every dummy chunk *)
+  layouts : slot list array array;
+      (* [layouts.(i)]: the schedule of chunk i+1; the last entry, at
+         [n_real], is the schedule every dummy chunk shares *)
+  pi_base : int array; (* per layout: the Π round played at round offset 0 *)
+  pi_rounds : int array; (* per layout: leading rounds that carry Π; the rest pad *)
+  events : int array; (* [l * m + edge]: slots of layout [l] on [edge] *)
+  view_start : int array; (* [l * n + party]: the party's first entry in layout [l] *)
+  step : int array; (* per entry: 2 * round offset, + 1 for a receive *)
+  nbr : int array; (* per entry: the peer's index in [Graph.neighbors party] *)
+  event : int array; (* per entry: its position in the link's chunk record *)
 }
 
 let pi t = t.pi
 let k t = t.k
 let chunk_bits t = 5 * t.k
-let n_real t = Array.length t.real
-let max_rounds t = t.max_rounds
+let n_real t = Array.length t.layouts - 1
+let max_rounds t = Array.fold_left (fun acc r -> max acc (Array.length r)) 0 t.layouts
 
 (* All 2m directed links in a canonical order, used for padding. *)
 let all_dirs graph =
@@ -35,18 +39,55 @@ let padding_rounds dirs count =
           let src, dst = dirs.(i) in
           { pi_round = None; src; dst }))
 
-(* Bucket a chunk's slots by link in schedule order: round ascending, then
-   list order within a round (built back to front onto per-link lists). *)
-let index_links graph rounds =
-  let buckets = Array.make (Topology.Graph.m graph) [] in
-  for roff = Array.length rounds - 1 downto 0 do
-    List.iter
-      (fun s ->
-        let e = Topology.Graph.edge_id graph s.src s.dst in
-        buckets.(e) <- (roff, s.src, s.dst) :: buckets.(e))
-      (List.rev rounds.(roff))
+(* Build the per-party views in two passes over every slot: one counts
+   each party's entries, one fills them.  Within a round every sender's
+   entry is added before any receiver's, so a party's entries come out
+   ordered by round offset, sends before receives, then schedule order.
+   A slot's event index is its position on its link in schedule order
+   (round ascending, then list order): the transcript record's layout. *)
+let index pi ~k layouts =
+  let open Topology.Graph in
+  let g = pi.Pi.graph in
+  let n = n g and m = m g and nl = Array.length layouts in
+  let view_start = Array.make ((nl * n) + 1) 0 in
+  Array.iteri
+    (fun l ->
+      let count p = view_start.((l * n) + p + 1) <- view_start.((l * n) + p + 1) + 1 in
+      Array.iter (List.iter (fun s -> count s.src; count s.dst)))
+    layouts;
+  for i = 1 to nl * n do
+    view_start.(i) <- view_start.(i) + view_start.(i - 1)
   done;
-  Array.map Array.of_list buckets
+  let total = view_start.(nl * n) in
+  let step = Array.make total 0 and nbr = Array.make total 0 and event = Array.make total 0 in
+  let fill = Array.sub view_start 0 (nl * n) and events = Array.make (nl * m) 0 in
+  let pi_base = Array.make nl 0 and pi_rounds = Array.make nl 0 in
+  let round_ev = Array.make (2 * m) 0 in
+  let add l p ~peer ~st ~ev =
+    let i = fill.((l * n) + p) in
+    fill.((l * n) + p) <- i + 1;
+    step.(i) <- st;
+    nbr.(i) <- neighbor_index g p peer;
+    event.(i) <- ev
+  in
+  Array.iteri
+    (fun l ->
+      Array.iteri (fun roff slots ->
+          (match slots with
+          | { pi_round = Some r; _ } :: _ -> pi_base.(l) <- r - roff; pi_rounds.(l) <- roff + 1
+          | _ -> ());
+          List.iteri
+            (fun j s ->
+              let cell = (l * m) + edge_id g s.src s.dst in
+              round_ev.(j) <- events.(cell);
+              events.(cell) <- events.(cell) + 1;
+              add l s.src ~peer:s.dst ~st:(2 * roff) ~ev:round_ev.(j))
+            slots;
+          List.iteri
+            (fun j s -> add l s.dst ~peer:s.src ~st:((2 * roff) + 1) ~ev:round_ev.(j))
+            slots))
+    layouts;
+  { pi; k; layouts; pi_base; pi_rounds; events; view_start; step; nbr; event }
 
 let make pi ~k =
   let m = Topology.Graph.m pi.Pi.graph in
@@ -55,15 +96,15 @@ let make pi ~k =
   let dirs = all_dirs pi.Pi.graph in
   let two_m = Array.length dirs in
   (* Greedy packing: add protocol rounds while keeping >= 2m headroom so
-     that the padding covers every directed link at least once. *)
+     that the padding covers every directed link at least once.  Each Π
+     round is one chunk round, so a chunk plays a run of consecutive Π
+     rounds. *)
   let chunks = ref [] in
   let current = ref [] and current_comm = ref 0 in
   let flush () =
-    let real_rounds = List.rev !current in
     let pad = k5 - !current_comm in
     assert (pad >= two_m);
-    let rounds = Array.append (Array.of_list real_rounds) (padding_rounds dirs pad) in
-    chunks := { index = List.length !chunks + 1; rounds } :: !chunks;
+    chunks := Array.append (Array.of_list (List.rev !current)) (padding_rounds dirs pad) :: !chunks;
     current := [];
     current_comm := 0
   in
@@ -77,37 +118,51 @@ let make pi ~k =
     current_comm := !current_comm + comm
   done;
   if !current <> [] || !chunks = [] then flush ();
-  let real = Array.of_list (List.rev !chunks) in
-  let dummy_rounds = padding_rounds dirs k5 in
-  let max_rounds =
-    Array.fold_left
-      (fun acc c -> max acc (Array.length c.rounds))
-      (Array.length dummy_rounds) real
-  in
-  let links = Array.map (fun c -> index_links pi.Pi.graph c.rounds) real in
-  let links = Array.append links [| index_links pi.Pi.graph dummy_rounds |] in
-  { pi; k; real; dummy_rounds; max_rounds; links }
+  index pi ~k (Array.of_list (List.rev (padding_rounds dirs k5 :: !chunks)))
 
-let chunk t i =
-  if i < 1 then invalid_arg "Chunking.chunk: index < 1";
-  if i <= Array.length t.real then t.real.(i - 1) else { index = i; rounds = t.dummy_rounds }
+let layout t chunk_index =
+  if chunk_index < 1 then invalid_arg "Chunking.chunk: index < 1";
+  min chunk_index (n_real t + 1) - 1
+
+let chunk t i = { index = i; rounds = t.layouts.(layout t i) }
+
+let party_view t ~chunk_index ~party =
+  let l = layout t chunk_index and n = Topology.Graph.n t.pi.Pi.graph in
+  if party < 0 || party >= n then invalid_arg "Chunking: party out of range";
+  (t.view_start.((l * n) + party), t.view_start.((l * n) + party + 1))
+
+let entry_round t e = t.step.(e) lsr 1
+let entry_is_send t e = t.step.(e) land 1 = 0
+let entry_nbr t e = t.nbr.(e)
+let entry_event t e = t.event.(e)
+
+let entry_pi_round t ~chunk_index e =
+  let l = layout t chunk_index and r = entry_round t e in
+  if r < t.pi_rounds.(l) then t.pi_base.(l) + r else -1
+
+let events_on_link t ~chunk_index ~edge =
+  let l = layout t chunk_index and m = Topology.Graph.m t.pi.Pi.graph in
+  if edge < 0 || edge >= m then invalid_arg "Chunking: edge out of range";
+  t.events.((l * m) + edge)
+
+(* A link's slots, read off its first endpoint's view: that endpoint
+   sends or receives each of them, and the entry's event index is the
+   slot's place. *)
+let link_slots_full t ~chunk_index ~edge =
+  let slots = Array.make (events_on_link t ~chunk_index ~edge) (0, 0, 0, false) in
+  let g = t.pi.Pi.graph in
+  let u, v = (Topology.Graph.edges g).(edge) in
+  let lo, hi = party_view t ~chunk_index ~party:u and j = Topology.Graph.neighbor_index g u v in
+  for e = lo to hi - 1 do
+    if t.nbr.(e) = j then begin
+      let src, dst = if entry_is_send t e then (u, v) else (v, u) in
+      slots.(t.event.(e)) <- (entry_round t e, src, dst, entry_pi_round t ~chunk_index e < 0)
+    end
+  done;
+  slots
 
 let link_slots t ~chunk_index ~edge =
-  if chunk_index < 1 then invalid_arg "Chunking.chunk: index < 1";
-  if edge < 0 || edge >= Topology.Graph.m t.pi.Pi.graph then
-    invalid_arg "Chunking: edge out of range";
-  t.links.(min chunk_index (n_real t + 1) - 1).(edge)
-
-(* A slot is padding iff its round's entry for that directed link is. *)
-let link_slots_full t ~chunk_index ~edge =
-  let rounds = (chunk t chunk_index).rounds in
-  Array.map
-    (fun (roff, src, dst) ->
-      let s = List.find (fun s -> s.src = src && s.dst = dst) rounds.(roff) in
-      (roff, src, dst, s.pi_round = None))
-    (link_slots t ~chunk_index ~edge)
-
-let events_on_link t ~chunk_index ~edge = Array.length (link_slots t ~chunk_index ~edge)
+  Array.map (fun (r, src, dst, _) -> (r, src, dst)) (link_slots_full t ~chunk_index ~edge)
 
 let serialized_chunk_bits t ~chunk_index ~edge =
   32 + (2 * events_on_link t ~chunk_index ~edge)

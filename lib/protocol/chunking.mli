@@ -28,11 +28,10 @@ val make : Pi.t -> k:int -> t
 (** [make pi ~k] chunks [pi] with chunk size 5K where K = [k].  Requires
     [k >= m] (the paper sets K = m, m·log m or m·log log m).
 
-    It also builds the per-link index: one pass over each real chunk's
-    rounds and one over the shared dummy schedule buckets every slot by
-    its link, so [make] costs O(total slots) and the per-link accessors
-    below are O(1) lookups into that index.  Nothing is cached across
-    calls: each [make] builds its own index. *)
+    It also builds the per-party view below: two passes over each real
+    chunk's rounds and over the shared dummy schedule, so [make] costs
+    O(total slots), and the view and per-link counts are O(1) lookups.
+    Nothing is cached across calls: each [make] builds its own view. *)
 
 val pi : t -> Pi.t
 val k : t -> int
@@ -51,6 +50,43 @@ val chunk : t -> int -> chunk
     schedule with the requested index.
     @raise Invalid_argument ["Chunking.chunk: index < 1"] if [i < 1]. *)
 
+(** {2 Per-party view}
+
+    The one walk of a chunk's schedule for a party.  For each chunk and
+    party, the view lists the party's {e entries}: one per slot it sends
+    or receives, ordered by round offset, then every send of the round
+    before any receive, then schedule order.  Each entry carries the
+    peer's index in [Graph.neighbors party], the Π round it plays (or
+    padding) and its {e event index}: the slot's position on its link,
+    which is where the slot lives in the pairwise transcript record of
+    the chunk.  Entries are stored in flat [int] arrays, about three
+    words per entry; an entry id is only meaningful for the chunk it
+    came from.  Dummy chunks past [n_real] share one view. *)
+
+val party_view : t -> chunk_index:int -> party:int -> int * int
+(** [party_view t ~chunk_index ~party] is the range [\[lo, hi)] of the
+    party's entry ids in that chunk.  O(1).
+    @raise Invalid_argument ["Chunking.chunk: index < 1"] if
+    [chunk_index < 1].
+    @raise Invalid_argument ["Chunking: party out of range"] if [party]
+    is outside [\[0, n)]. *)
+
+val entry_round : t -> int -> int
+(** The entry's round offset within its chunk. *)
+
+val entry_is_send : t -> int -> bool
+(** True for a send, false for a receive. *)
+
+val entry_nbr : t -> int -> int
+(** The peer, as an index into [Graph.neighbors party]. *)
+
+val entry_event : t -> int -> int
+(** The entry's position in its link's chunk record. *)
+
+val entry_pi_round : t -> chunk_index:int -> int -> int
+(** The Π round the entry plays, or [-1] for virtual padding.  Takes the
+    chunk the entry came from. *)
+
 (** {2 Per-link layout}
 
     The accessors below take a 1-based [chunk_index] (any index past
@@ -64,14 +100,13 @@ val link_slots : t -> chunk_index:int -> edge:int -> (int * int * int) array
 (** The transmissions of a chunk restricted to one link, in schedule
     order (round ascending, then list order within a round): (round
     offset within the chunk, src, dst).  This is the event layout of the
-    pairwise transcript for that chunk.  O(1): the array is the index
-    entry itself, shared by every caller — do not mutate it. *)
+    pairwise transcript for that chunk.  Read off one endpoint's view
+    into a fresh array: O(that party's entries in the chunk). *)
 
 val link_slots_full : t -> chunk_index:int -> edge:int -> (int * int * int * bool) array
 (** Like {!link_slots} with a fourth component marking virtual padding
     slots (whose honest bit is always 0) — the slots whose content an
-    adversary can predict ahead of time.  Builds a fresh array, reading
-    each slot's padding mark from the chunk's schedule. *)
+    adversary can predict ahead of time. *)
 
 val events_on_link : t -> chunk_index:int -> edge:int -> int
 (** Number of transmissions of the chunk on the link (both directions).

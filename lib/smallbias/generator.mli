@@ -44,8 +44,11 @@ val word_index : t -> int
 (** Current cursor position in words. *)
 
 val seek_word : t -> int -> unit
-(** Move the cursor to an absolute word index; both directions cost
-    O(popcount) field multiplications via a precomputed power table.
+(** Move the cursor to an absolute word index.  A no-op when the cursor
+    is already there; otherwise, in either direction, it computes the
+    state x^(64·i) from scratch by square-and-multiply ([Gf2k.pow_x]:
+    O(log i) bit-serial field multiplications, no table) and then rebuilds the
+    62-bit output window in 62 LFSR steps.
     After [seek_word g i], [next_word g] returns word [i]. *)
 
 val bit_at : t -> int -> bool

@@ -473,6 +473,84 @@ let test_replayer_matches_noiseless () =
   let r = Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~inputs ()) ~rng:(Util.Rng.create 5) params pi Netsim.Adversary.Silent in
   Alcotest.(check bool) "outputs = noiseless outputs" true (r.Coding.Scheme.outputs = reference)
 
+(* The reference schedule walk: rescan every slot of every round of
+   chunk [c], keep the slots [mine] selects, and hand each to [send],
+   then each to [recv s i] with [i] its position on its link, taken from
+   a per-link cursor.  Both the honest-transcript builder and the
+   reference replayer below are this one walk. *)
+let walk_chunk ch c ~mine ~send ~recv =
+  let open Protocol.Chunking in
+  let g = (pi ch).Protocol.Pi.graph in
+  let cursors = Hashtbl.create 8 in
+  Array.iter
+    (fun slots ->
+      let mine = List.filter mine slots in
+      List.iter send mine;
+      List.iter
+        (fun s ->
+          let e = Topology.Graph.edge_id g s.src s.dst in
+          let i = Option.value ~default:0 (Hashtbl.find_opt cursors e) in
+          Hashtbl.replace cursors e (i + 1);
+          recv s i)
+        mine)
+    (chunk ch c).rounds
+
+(* Every party's transcripts of a noiseless run of chunks 1..n_real:
+   [trs.(u).(v)] is u's copy of the link to v. *)
+let honest_transcripts ch ~inputs =
+  let open Protocol.Chunking in
+  let pi = pi ch in
+  let g = pi.Protocol.Pi.graph in
+  let n = Topology.Graph.n g in
+  let machines = Array.init n (fun party -> pi.Protocol.Pi.spawn ~party ~input:inputs.(party)) in
+  let trs = Array.init n (fun _ -> Array.init n (fun _ -> Coding.Transcript.create ())) in
+  for c = 1 to n_real ch do
+    let sent = Hashtbl.create 16 and rows = Array.make (Topology.Graph.m g) [] in
+    walk_chunk ch c
+      ~mine:(fun _ -> true)
+      ~send:(fun s ->
+        Hashtbl.replace sent (s.src, s.dst)
+          (match s.pi_round with
+          | Some r -> machines.(s.src).Protocol.Pi.send ~round:r ~dst:s.dst
+          | None -> false))
+      ~recv:(fun s i ->
+        let bit = Hashtbl.find sent (s.src, s.dst) and e = Topology.Graph.edge_id g s.src s.dst in
+        Option.iter (fun r -> machines.(s.dst).Protocol.Pi.recv ~round:r ~src:s.src bit) s.pi_round;
+        assert (i = List.length rows.(e));
+        rows.(e) <- Coding.Transcript.sym_bit bit :: rows.(e));
+    Array.iteri
+      (fun e (u, v) ->
+        let row = Array.of_list (List.rev rows.(e)) in
+        Coding.Transcript.push_chunk trs.(u).(v) ~events:row;
+        Coding.Transcript.push_chunk trs.(v).(u) ~events:(Array.copy row))
+      (Topology.Graph.edges g)
+  done;
+  trs
+
+(* The reference replayer: the party's machine after chunks 1..upto,
+   recomputing its sends and reading its receives from the records (∗,
+   or a record too short for the event, reads as 0).  [transcripts nbr]
+   is the link to neighbour id [nbr]. *)
+let reference_machine ch ~party ~input ~transcripts ~upto =
+  let open Protocol.Chunking in
+  let machine = (pi ch).Protocol.Pi.spawn ~party ~input in
+  for c = 1 to min upto (n_real ch) do
+    walk_chunk ch c
+      ~mine:(fun s -> s.src = party || s.dst = party)
+      ~send:(fun s ->
+        match s.pi_round with
+        | Some r when s.src = party -> ignore (machine.Protocol.Pi.send ~round:r ~dst:s.dst)
+        | Some _ | None -> ())
+      ~recv:(fun s i ->
+        match s.pi_round with
+        | Some r when s.dst = party ->
+            let ev = Coding.Transcript.events (transcripts s.src) c in
+            machine.Protocol.Pi.recv ~round:r ~src:s.src
+              (i < Array.length ev && ev.(i) = Coding.Transcript.sym_bit true)
+        | Some _ | None -> ())
+  done;
+  machine
+
 let test_replayer_cache_correctness () =
   (* Build transcripts from a noiseless run of chunks, then check that
      cached incremental replay, cache-stored replay, and fresh replay all
@@ -482,54 +560,11 @@ let test_replayer_cache_correctness () =
   let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.6 ~seed:41 in
   let ch = Protocol.Chunking.make pi ~k:(Topology.Graph.m g) in
   let inputs = [| 3; 14; 15; 92 |] in
-  (* Construct party 0's transcripts by simulating all chunks honestly:
-     every event records the true sent bit.  We recover the true bits by
-     running machines for everyone. *)
-  let n = Topology.Graph.n g in
-  let machines = Array.init n (fun party -> pi.Protocol.Pi.spawn ~party ~input:inputs.(party)) in
-  let trs = Array.init n (fun _ -> Array.init n (fun _ -> Coding.Transcript.create ())) in
-  for c = 1 to Protocol.Chunking.n_real ch do
-    let chunk = Protocol.Chunking.chunk ch c in
-    (* Record per-edge events in schedule order. *)
-    let events = Hashtbl.create 8 in
-    Array.iter
-      (fun slots ->
-        let bits =
-          List.map
-            (fun s ->
-              match s.Protocol.Chunking.pi_round with
-              | Some r ->
-                  (s, Some (machines.(s.Protocol.Chunking.src).Protocol.Pi.send ~round:r
-                              ~dst:s.Protocol.Chunking.dst))
-              | None -> (s, Some false))
-            slots
-        in
-        List.iter
-          (fun (s, bit) ->
-            match (s.Protocol.Chunking.pi_round, bit) with
-            | Some r, Some b ->
-                machines.(s.Protocol.Chunking.dst).Protocol.Pi.recv ~round:r
-                  ~src:s.Protocol.Chunking.src b
-            | _ -> ())
-          bits;
-        List.iter
-          (fun (s, bit) ->
-            let e = Topology.Graph.edge_id g s.Protocol.Chunking.src s.Protocol.Chunking.dst in
-            let cur = Option.value ~default:[] (Hashtbl.find_opt events e) in
-            Hashtbl.replace events e (Coding.Transcript.sym_bit (Option.get bit) :: cur))
-          bits)
-      chunk.Protocol.Chunking.rounds;
-    Array.iteri
-      (fun e (u, v) ->
-        let ev = Array.of_list (List.rev (Option.value ~default:[] (Hashtbl.find_opt events e))) in
-        Coding.Transcript.push_chunk trs.(u).(v) ~events:ev;
-        Coding.Transcript.push_chunk trs.(v).(u) ~events:(Array.copy ev))
-      (Topology.Graph.edges g)
-  done;
+  let trs = honest_transcripts ch ~inputs in
   let n_real = Protocol.Chunking.n_real ch in
   let neighbors = Topology.Graph.neighbors g 0 in
-  let transcripts nbr = trs.(0).(nbr) in
-  let repl = Coding.Replayer.create ch ~party:0 ~input:inputs.(0) ~neighbors in
+  let transcripts j = trs.(0).(neighbors.(j)) in
+  let repl = Coding.Replayer.create ch ~party:0 ~input:inputs.(0) in
   let direct = Coding.Replayer.output repl ~transcripts ~upto:n_real in
   (* The reference: run the whole protocol noiselessly. *)
   let reference = (Protocol.Pi.run_noiseless pi ~inputs).(0) in
@@ -544,6 +579,77 @@ let test_replayer_cache_correctness () =
   Coding.Transcript.push_chunk trs.(0).(nbr) ~events:saved;
   Alcotest.(check int) "post-truncation replay agrees" reference
     (Coding.Replayer.output repl ~transcripts ~upto:n_real)
+
+let prop_replayer_matches_reference =
+  (* Damaged records: random ∗ symbols, flipped bits and rows cut short
+     of the layout; then one link is truncated and re-pushed with fresh
+     damage, which must invalidate the cache.  Replayer and reference
+     agree at every prefix. *)
+  QCheck.Test.make ~name:"replayer equals the reference walk on damaged transcripts" ~count:30
+    QCheck.(triple (int_bound 2) small_nat bool)
+    (fun (shape, a, triple_k) ->
+      let r = Util.Rng.create ((a * 53) + shape) in
+      let g =
+        match shape with
+        | 0 -> Topology.Graph.random_connected r ~n:(4 + (a mod 4)) ~extra_edges:(a mod 4)
+        | 1 -> Topology.Graph.grid ~rows:2 ~cols:(2 + (a mod 3))
+        | _ -> Topology.Graph.clique (3 + (a mod 3))
+      in
+      let m = Topology.Graph.m g and n = Topology.Graph.n g in
+      let pi = Protocol.Protocols.random_chatter g ~rounds:(60 + (a mod 80)) ~density:0.5 ~seed:a in
+      let ch = Protocol.Chunking.make pi ~k:(if triple_k then 3 * m else m) in
+      let n_real = Protocol.Chunking.n_real ch in
+      let inputs = Array.init n (fun i -> (a * 7) + i) in
+      let honest = honest_transcripts ch ~inputs in
+      let party = a mod n in
+      let damage row =
+        let row =
+          if Util.Rng.int r 4 = 0 then Array.sub row 0 (Util.Rng.int r (Array.length row)) else row
+        in
+        Array.map
+          (fun sym ->
+            match Util.Rng.int r 8 with
+            | 0 -> Coding.Transcript.sym_star
+            | 1 -> if sym = 3 then 2 else 3
+            | _ -> sym)
+          row
+      in
+      let trs =
+        Array.map
+          (fun nbr ->
+            let tr = Coding.Transcript.create () in
+            for c = 1 to n_real do
+              Coding.Transcript.push_chunk tr
+                ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+            done;
+            (nbr, tr))
+          (Topology.Graph.neighbors g party)
+      in
+      let by_id nbr = List.assoc nbr (Array.to_list trs) in
+      let transcripts j = snd trs.(j) in
+      let repl = Coding.Replayer.create ch ~party ~input:inputs.(party) in
+      let agree () =
+        List.for_all
+          (fun upto ->
+            let expect =
+              (reference_machine ch ~party ~input:inputs.(party) ~transcripts:by_id ~upto)
+                .Protocol.Pi.output ()
+            in
+            (Coding.Replayer.machine_at repl ~transcripts ~upto).Protocol.Pi.output () = expect
+            && Coding.Replayer.output repl ~transcripts ~upto = expect)
+          (* [n_real] first: right after the re-push, the cache still
+             holds the pre-truncation machine at [n_real]. *)
+          (n_real :: List.init (n_real + 1) Fun.id)
+      in
+      let before = agree () in
+      let nbr, tr = trs.(a mod Array.length trs) in
+      let from = Util.Rng.int r n_real in
+      Coding.Transcript.truncate tr from;
+      for c = from + 1 to n_real do
+        Coding.Transcript.push_chunk tr
+          ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+      done;
+      before && agree ())
 
 (* ---------- Randomness exchange ---------- *)
 
@@ -967,6 +1073,53 @@ let test_scheme_golden_algorithm_a_fingerprint () =
         (total (fun s -> s.Coding.Scheme.mp_k_total))
   | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
 
+(* A golden fingerprint of one Algorithm 1 trial under party-state
+   faults: the centre of a 3×3 grid crashes at iteration 3 (its links go
+   dark, its neighbours record ∗ on them) and rejoins at iteration 9 with
+   every transcript halved, which forces from-scratch replays; three
+   stored symbols rot, so later replays read flipped records.  It pins
+   the simulation phase's recording and the replayer's walk on the paths
+   the clean goldens above never take. *)
+let test_scheme_golden_fault_fingerprint () =
+  let g = Topology.Graph.grid ~rows:3 ~cols:3 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:16 in
+  let adv = Netsim.Adversary.iid (Util.Rng.create 45) ~rate:0.0005 in
+  let faults =
+    Faults.Plan.make ~key:"golden-faults"
+      [
+        Faults.Plan.Crash { party = 4; at_iteration = 3; recover_at = Some 9 };
+        Faults.Plan.Transcript_rot { party = 1; at_iteration = 5 };
+        Faults.Plan.Transcript_rot { party = 4; at_iteration = 12 };
+        Faults.Plan.Transcript_rot { party = 7; at_iteration = 20 };
+      ]
+  in
+  let o =
+    Coding.Scheme.run_outcome
+      ~config:(Coding.Scheme.Config.make ~faults ())
+      ~rng:(Util.Rng.create 46) (Coding.Params.algorithm_1 g) pi adv
+  in
+  match o with
+  | Faults.Outcome.Degraded (r, d) ->
+      Alcotest.(check int) "crashed iterations" 6 d.Faults.Outcome.crashed_iterations;
+      Alcotest.(check int) "rejoins" 1 d.Faults.Outcome.rejoins;
+      Alcotest.(check int) "transcript rot" 3 d.Faults.Outcome.transcript_rot;
+      Alcotest.(check bool) "success" true r.Coding.Scheme.success;
+      Alcotest.(check (array int))
+        "outputs"
+        [|
+          5172762322291126; 14382836742649075; 125662948659275861; 249155439406883946;
+          190641866508567255; 41577246115498727; 34352547804903444; 159071801782401370;
+          196578070654033515;
+        |]
+        r.Coding.Scheme.outputs;
+      Alcotest.(check int) "cc" 73887 r.Coding.Scheme.cc;
+      Alcotest.(check int) "rounds" 5130 r.Coding.Scheme.rounds;
+      Alcotest.(check (float 1e-12)) "rate_blowup" 65.156084656084658 r.Coding.Scheme.rate_blowup;
+      Alcotest.(check int) "corruptions" 68 r.Coding.Scheme.corruptions;
+      Alcotest.(check int) "iterations" 95 r.Coding.Scheme.iterations_run;
+      Alcotest.(check int) "chunks rewound" 575 r.Coding.Scheme.chunks_rewound
+  | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
+
 let () =
   Alcotest.run "coding"
     [
@@ -1012,6 +1165,7 @@ let () =
         [
           Alcotest.test_case "matches noiseless" `Quick test_replayer_matches_noiseless;
           Alcotest.test_case "cache correctness" `Quick test_replayer_cache_correctness;
+          QCheck_alcotest.to_alcotest prop_replayer_matches_reference;
         ] );
       ( "randomness exchange",
         [
@@ -1053,6 +1207,7 @@ let () =
           Alcotest.test_case "golden grid fingerprint" `Quick test_scheme_golden_grid_fingerprint;
           Alcotest.test_case "golden algorithm A fingerprint" `Quick
             test_scheme_golden_algorithm_a_fingerprint;
+          Alcotest.test_case "golden fault fingerprint" `Quick test_scheme_golden_fault_fingerprint;
           QCheck_alcotest.to_alcotest prop_scheme_noiseless_random_graphs;
           QCheck_alcotest.to_alcotest prop_scheme_deterministic;
           QCheck_alcotest.to_alcotest prop_scheme_light_noise_random_graphs;

@@ -223,8 +223,8 @@ let test_link_slots_full_pads_marked () =
     (Array.map (fun (r, s, d, _) -> (r, s, d)) real = Chunking.link_slots ch ~chunk_index:1 ~edge:0)
 
 (* The reference layout: rescan the whole chunk for the slots on [edge],
-   in schedule order, marking virtual padding.  The per-link index that
-   [Chunking.make] builds must reproduce it exactly. *)
+   in schedule order, marking virtual padding.  The per-link layouts
+   [Chunking] reads off its per-party view must reproduce it exactly. *)
 let scan_link_slots ch ~chunk_index ~edge =
   let g = (Chunking.pi ch).Pi.graph in
   let acc = ref [] in
@@ -238,6 +238,34 @@ let scan_link_slots ch ~chunk_index ~edge =
         slots)
     (Chunking.chunk ch chunk_index).Chunking.rounds;
   Array.of_list (List.rev !acc)
+
+(* The reference per-party view: the link rescans of the party's edges,
+   one entry per slot it sends or receives, with the slot's position in
+   its link scan as the event index; sorted by round offset, sends
+   first, then schedule order.  Entries are (round offset, is_send,
+   neighbour index, Π round or -1, event index). *)
+let scan_party_view ch ~chunk_index ~party =
+  let g = (Chunking.pi ch).Pi.graph in
+  let rounds = (Chunking.chunk ch chunk_index).Chunking.rounds in
+  let position roff src dst =
+    let rec go i = function
+      | [] -> assert false
+      | s :: rest -> if s.Chunking.src = src && s.Chunking.dst = dst then (i, s) else go (i + 1) rest
+    in
+    go 0 rounds.(roff)
+  in
+  let acc = ref [] in
+  Array.iteri
+    (fun j peer ->
+      Array.iteri
+        (fun i (roff, src, dst, _) ->
+          let pos, s = position roff src dst in
+          let pi_round = Option.value ~default:(-1) s.Chunking.pi_round in
+          let send = src = party in
+          acc := ((roff, (if send then 0 else 1), pos), (roff, send, j, pi_round, i)) :: !acc)
+        (scan_link_slots ch ~chunk_index ~edge:(Topology.Graph.edge_id g party peer)))
+    (Topology.Graph.neighbors g party);
+  List.map snd (List.sort compare !acc)
 
 let prop_index_matches_scan =
   QCheck.Test.make ~name:"per-link index equals the chunk rescan" ~count:30
@@ -265,6 +293,19 @@ let prop_index_matches_scan =
             && Chunking.link_slots ch ~chunk_index ~edge
                = Array.map (fun (roff, src, dst, _) -> (roff, src, dst)) scan
             && Chunking.events_on_link ch ~chunk_index ~edge = Array.length scan
+        done;
+        for party = 0 to Topology.Graph.n g - 1 do
+          let lo, hi = Chunking.party_view ch ~chunk_index ~party in
+          let view =
+            List.init (hi - lo) (fun i ->
+                let e = lo + i in
+                ( Chunking.entry_round ch e,
+                  Chunking.entry_is_send ch e,
+                  Chunking.entry_nbr ch e,
+                  Chunking.entry_pi_round ch ~chunk_index e,
+                  Chunking.entry_event ch e ))
+          in
+          ok := !ok && view = scan_party_view ch ~chunk_index ~party
         done
       done;
       let brute horizon =
@@ -312,7 +353,20 @@ let test_accessors_reject_out_of_range () =
         [ 1; Chunking.n_real ch + 1 ];
       Alcotest.check_raises (name ^ " chunk 0") (Invalid_argument "Chunking.chunk: index < 1")
         (fun () -> f ~chunk_index:0 ~edge:0))
-    accessors
+    accessors;
+  let n = Topology.Graph.n pi.Pi.graph in
+  List.iter
+    (fun chunk_index ->
+      List.iter
+        (fun party ->
+          Alcotest.check_raises
+            (Printf.sprintf "party_view chunk %d party %d" chunk_index party)
+            (Invalid_argument "Chunking: party out of range")
+            (fun () -> ignore (Chunking.party_view ch ~chunk_index ~party)))
+        [ -1; n; n + 7 ])
+    [ 1; Chunking.n_real ch + 1 ];
+  Alcotest.check_raises "party_view chunk 0" (Invalid_argument "Chunking.chunk: index < 1")
+    (fun () -> ignore (Chunking.party_view ch ~chunk_index:0 ~party:0))
 
 let prop_chunking_exact_5k =
   QCheck.Test.make ~name:"chunks are exactly 5K on random graphs" ~count:25
