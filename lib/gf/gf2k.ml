@@ -1,20 +1,56 @@
 (* Elements occupy bits 0..61 of a native int, so every operation below is
    unboxed.  The modulus x^62 + low(x) keeps its top term implicit. *)
 
-type field = { m_low : int }
+(* [red.(v)] = v·x^62 mod f for a 4-bit v: folds the nibble that a
+   4-bit shift pushes past x^61 back into the field. *)
+type field = { m_low : int; red : int array }
 
 let degree = 62
-let top = 1 lsl 61 (* the bit that shifts into x^62 on a step *)
 let mask = (1 lsl 62) - 1
 let modulus_low f = f.m_low
 
-let step f a = if a land top <> 0 then ((a lsl 1) land mask) lxor f.m_low else a lsl 1
+(* a·x: bit 61 shifts out into x^62, which reduces to [m_low]. *)
+let[@inline] times_x m_low a = ((a lsl 1) land mask) lxor (m_low land -((a lsr 61) land 1))
 
+let step f a = times_x f.m_low a
+
+let field_of m_low =
+  (* x^62, x^63, x^64, x^65 reduced; red.(v) xors those picked by v. *)
+  let xs = Array.make 4 m_low in
+  for k = 1 to 3 do
+    xs.(k) <- times_x m_low xs.(k - 1)
+  done;
+  let red =
+    Array.init 16 (fun v ->
+        let r = ref 0 in
+        for k = 0 to 3 do
+          if (v lsr k) land 1 = 1 then r := !r lxor xs.(k)
+        done;
+        !r)
+  in
+  { m_low; red }
+
+(* a·nib for a 4-bit [nib], from a·x^k (k < 4) selected by mask. *)
+let[@inline] pick a a1 a2 a3 nib =
+  a land -(nib land 1)
+  lxor (a1 land -((nib lsr 1) land 1))
+  lxor (a2 land -((nib lsr 2) land 1))
+  lxor (a3 land -((nib lsr 3) land 1))
+
+(* Four-bit windows of [b], most significant first: per nibble, one
+   4-bit shift of the accumulator (its top nibble reduced through [red])
+   and the multiple of [a] the nibble selects: 16 branch-free steps. *)
 let mul f a b =
-  let acc = ref 0 in
-  for i = 61 downto 0 do
-    acc := step f !acc;
-    if (b lsr i) land 1 = 1 then acc := !acc lxor a
+  let a1 = times_x f.m_low a in
+  let a2 = times_x f.m_low a1 in
+  let a3 = times_x f.m_low a2 in
+  let acc = ref (pick a a1 a2 a3 ((b lsr 60) land 3)) in
+  for i = 14 downto 0 do
+    let hi = !acc lsr 58 in
+    acc :=
+      ((!acc lsl 4) land mask)
+      lxor Array.unsafe_get f.red hi
+      lxor pick a a1 a2 a3 ((b lsr (4 * i)) land 15)
   done;
   !acc
 
@@ -55,7 +91,7 @@ let is_irreducible m_low =
   m_low land 1 = 1
   && m_low land lnot ((1 lsl 62) - 1) = 0
   &&
-  let f = { m_low } in
+  let f = field_of m_low in
   let full = (1 lsl 62) lor m_low in
   let frob j =
     let t = ref 2 in
@@ -68,7 +104,7 @@ let is_irreducible m_low =
 
 let make ~modulus_low =
   if not (is_irreducible modulus_low) then invalid_arg "Gf2k.make: reducible modulus";
-  { m_low = modulus_low }
+  field_of modulus_low
 
 let random_irreducible rng =
   let rec go () =
@@ -77,7 +113,7 @@ let random_irreducible rng =
   in
   go ()
 
-let default = { m_low = random_irreducible (Util.Rng.create 0x5eed) }
+let default = field_of (random_irreducible (Util.Rng.create 0x5eed))
 
 let popcount_int x =
   (* SWAR popcount; valid for non-negative inputs (≤ 62 bits). *)

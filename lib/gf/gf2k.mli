@@ -13,8 +13,9 @@ val degree : int
 (** 62. *)
 
 val make : modulus_low:int -> field
-(** [make ~modulus_low] builds GF(2)[x]/(x^62 + low(x)).  Raises
-    [Invalid_argument] if the polynomial is reducible. *)
+(** [make ~modulus_low] builds GF(2)[x]/(x^62 + low(x)) and its
+    reduction table for {!mul}.  Raises [Invalid_argument] if the
+    polynomial is reducible. *)
 
 val modulus_low : field -> int
 
@@ -22,11 +23,16 @@ val default : field
 (** A fixed field instance for keyed streams and tests. *)
 
 val mul : field -> int -> int -> int
+(** [mul f a b] = a·b, 4 bits of [b] at a time: 16 branch-free steps,
+    each a 4-bit shift of the accumulator reduced through a 16-entry
+    table of v·x^62 mod f (built by {!make}) plus the multiple of [a]
+    the nibble selects.  No allocation. *)
+
 val step : field -> int -> int
 (** [step f a] = a·x — one LFSR step. *)
 
 val pow_x : field -> int -> int
-(** x^i by square-and-multiply. *)
+(** x^i by square-and-multiply ({!pow} at x). *)
 
 val pow : field -> int -> int -> int
 

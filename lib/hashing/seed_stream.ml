@@ -7,14 +7,18 @@ let uniform ~key = Uniform key
 let biased gen = Biased gen
 let explicit words = Explicit words
 
+(* Sequential reads advance the cursor for free; a jump in either
+   direction costs popcount(i) field multiplications.  The kernel's
+   slabs are contiguous, so only a call's first slab ever seeks. *)
+let[@inline] biased_seek gen i =
+  if Smallbias.Generator.word_index gen <> i then Smallbias.Generator.seek_word gen i
+
 let word t i =
   match t with
   | Uniform key -> Util.Rng.at ~seed:key i
   | Explicit a -> if i < Array.length a then a.(i) else 0L
   | Biased gen ->
-      (* Sequential reads advance the cursor for free; jumps in either
-         direction cost O(popcount) field multiplications. *)
-      if Smallbias.Generator.word_index gen <> i then Smallbias.Generator.seek_word gen i;
+      biased_seek gen i;
       Smallbias.Generator.next_word gen
 
 (* ---------- the inner-product kernel ----------
@@ -22,7 +26,9 @@ let word t i =
    Every helper below is [@inline], and [int64] values live only inside
    the kernel loops, where ocamlopt keeps them unboxed (mutable [int64]
    locals included): a call into another module, or to any function
-   that is not inlined, would box each 64-bit word it returns. *)
+   that is not inlined, would box each 64-bit word it returns.  A
+   δ-biased slab is one [Generator.inner_product] call, which takes and
+   returns native ints only. *)
 
 (* The SplitMix64 stream of [Util.Rng.at], restated so that it inlines:
    word [i] of the stream keyed by [key] is [mix (key + (i + 1) γ)], so
@@ -70,7 +76,14 @@ let inner_products t ~offset ~tau x ~bits =
           acc := Int64.logxor !acc (Int64.logand xlast (mix !ctr));
           out := !out lor (parity64 !acc lsl j)
         done
-    | Explicit _ | Biased _ ->
+    | Biased gen ->
+        let last_lo = Int64.to_int xlast land 0xFFFF_FFFF in
+        let last_hi = Int64.to_int (Int64.shift_right_logical xlast 32) in
+        for j = 0 to tau - 1 do
+          biased_seek gen (offset + (j * nw));
+          out := !out lor (Smallbias.Generator.inner_product gen x ~n:nw ~last_lo ~last_hi lsl j)
+        done
+    | Explicit _ ->
         for j = 0 to tau - 1 do
           let base = offset + (j * nw) in
           let acc = ref 0L in
@@ -93,7 +106,13 @@ let inner_products_int t ~offset ~tau v =
         ctr := advance !ctr;
         out := !out lor (parity64 (Int64.logand x (mix !ctr)) lsl j)
       done
-  | Explicit _ | Biased _ ->
+  | Biased gen ->
+      let last_lo = v land 0xFFFF_FFFF and last_hi = (v asr 32) land 0xFFFF_FFFF in
+      for j = 0 to tau - 1 do
+        biased_seek gen (offset + j);
+        out := !out lor (Smallbias.Generator.inner_product gen [||] ~n:1 ~last_lo ~last_hi lsl j)
+      done
+  | Explicit _ ->
       for j = 0 to tau - 1 do
         out := !out lor (parity64 (Int64.logand x (word t (offset + j))) lsl j)
       done);

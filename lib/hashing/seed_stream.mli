@@ -22,16 +22,17 @@ val explicit : int64 array -> t
 
 val word : t -> int -> int64
 (** [word t i] is the [i]-th 64-bit word of the string.  For δ-biased
-    streams sequential or forward access is cheap; arbitrary access works
-    but costs a field exponentiation. *)
+    streams sequential access is cheapest; any other access costs one
+    {!Smallbias.Generator.seek_word} (about a microsecond). *)
 
 (** {2 Inner-product kernel}
 
     The hash of {!Ip_hash} in one call per hash: τ GF(2) inner products
     of an input against τ consecutive word-aligned seed slabs.  The
-    stream kind is dispatched once per call, and a uniform stream's
-    words are computed inline, so neither function allocates on a
-    uniform stream. *)
+    stream kind is dispatched once per call; a uniform stream's words
+    are computed inline and a δ-biased slab is one
+    {!Smallbias.Generator.inner_product}, so neither function allocates
+    on a uniform or a δ-biased stream. *)
 
 val inner_products : t -> offset:int -> tau:int -> int64 array -> bits:int -> int
 (** [inner_products t ~offset ~tau x ~bits]: bit [j] (for [j < tau]) is

@@ -4,36 +4,34 @@ open Gf
    with characteristic polynomial f: for n ≥ 62,
        b_n = parity(f_low & (b_{n-62} … b_{n-1})).
    The generator therefore keeps a 62-bit *window* of upcoming output bits
-   as its hot state; producing a 64-bit word and the next window is a
-   GF(2)-linear map of the window, which we tabulate byte-wise: 8 table
-   lookups and a handful of xors per word.  The field representation is
-   kept alongside for seeking and random access. *)
+   as its hot state.  Word i is that window (its bits 0..61) plus two
+   bits that are parities of the window (62 and 63); the next window is
+   a GF(2)-linear map of the window, which we tabulate byte-wise: 8 table
+   lookups and xors per word.
+
+   Seeking goes through the field: word i starts at state x^(64·i),
+   the product of the [jump] powers x^(64·2^j) over the set bits j of i,
+   and a second byte table maps a state p to its window
+   ⟨p·x^j, s⟩, j < 62 (another GF(2)-linear map). *)
 
 type t = {
   field : Gf2k.field;
   s : int;
   mutable window : int; (* bits 64·widx .. 64·widx+61 of the stream *)
   mutable widx : int;
-  (* Byte-indexed tables: entry pos*256+byte gives, for a window whose
-     byte [pos] is [byte] (rest zero), the produced word (lo/hi 32-bit
-     halves) and the successor window. *)
-  mutable tbl_lo : int array;
-  mutable tbl_hi : int array;
+  par62 : int; (* word bit 62 is parity(window ∧ par62); par62 = x^62 mod f *)
+  par63 : int; (* likewise bit 63, with par63 = x^63 mod f *)
+  (* Built on first use.  Byte tables, entry pos*256+byte for a value
+     whose byte [pos] is [byte] (rest zero): [tbl_w] gives the successor
+     window of such a window, [tbl_s] the window of such a field state.
+     [jump.(j)] = x^(64·2^j). *)
   mutable tbl_w : int array;
+  mutable tbl_s : int array;
+  mutable jump : int array;
 }
 
 let seed_bits = 128
 let state_mask = (1 lsl 62) - 1
-
-(* The first 62 upcoming bits from a field state p: ⟨p·x^j, s⟩, j < 62. *)
-let window_of_state field s p0 =
-  let w = ref 0 in
-  let p = ref p0 in
-  for j = 0 to 61 do
-    if Gf2k.parity_int (!p land s) = 1 then w := !w lor (1 lsl j);
-    p := Gf2k.step field !p
-  done;
-  !w
 
 let create ~f ~s =
   let s = s land state_mask in
@@ -42,11 +40,13 @@ let create ~f ~s =
   {
     field;
     s;
-    window = window_of_state field s 1;
+    window = s (* bit j is ⟨x^j, s⟩ = s_j for j < 62 *);
     widx = 0;
-    tbl_lo = [||];
-    tbl_hi = [||];
+    par62 = f;
+    par63 = Gf2k.step field f;
     tbl_w = [||];
+    tbl_s = [||];
+    jump = [||];
   }
 
 let sample rng =
@@ -74,77 +74,118 @@ let of_seed (a, b) =
 
 let seed t = (Gf2k.modulus_low t.field, t.s)
 
-(* From window w, produce (word_lo, word_hi, next_window) by running the
-   recurrence 64 steps — the reference implementation the tables encode. *)
-let extend_window f_low w0 =
-  let lo = ref (w0 land 0xFFFFFFFF) in
-  let hi = ref ((w0 lsr 32) land 0x3FFFFFFF) in
-  let w = ref w0 in
-  for n = 62 to 125 do
-    let b = Gf2k.parity_int (!w land f_low) in
-    if n < 64 && b = 1 then hi := !hi lor (1 lsl (n - 32));
-    w := (!w lsr 1) lor (b lsl 61)
+(* One step of the recurrence: the window one bit further on. *)
+let shift f_low w = (w lsr 1) lor (Gf2k.parity_int (w land f_low) lsl 61)
+
+(* The byte table of the GF(2)-linear map sending bit k to [basis.(k)]. *)
+let byte_table basis =
+  let tbl = Array.make (8 * 256) 0 in
+  for pos = 0 to 7 do
+    for byte = 0 to 255 do
+      let v = ref 0 in
+      for bit = 0 to 7 do
+        let k = (8 * pos) + bit in
+        if k < 62 && (byte lsr bit) land 1 = 1 then v := !v lxor basis.(k)
+      done;
+      tbl.((pos * 256) + byte) <- !v
+    done
   done;
-  (!lo, !hi, !w)
+  tbl
 
 let ensure_tables t =
-  if Array.length t.tbl_lo = 0 then begin
+  if Array.length t.tbl_w = 0 then begin
     let f_low = Gf2k.modulus_low t.field in
-    (* Bit basis first. *)
-    let b_lo = Array.make 62 0 and b_hi = Array.make 62 0 and b_w = Array.make 62 0 in
+    (* The successor of window e_k is e_k shifted 64 steps on. *)
+    let succ = Array.make 62 0 in
     for k = 0 to 61 do
-      let lo, hi, w = extend_window f_low (1 lsl k) in
-      b_lo.(k) <- lo;
-      b_hi.(k) <- hi;
-      b_w.(k) <- w
+      let w = ref (1 lsl k) in
+      for _ = 1 to 64 do
+        w := shift f_low !w
+      done;
+      succ.(k) <- !w
     done;
-    let tbl_lo = Array.make (8 * 256) 0
-    and tbl_hi = Array.make (8 * 256) 0
-    and tbl_w = Array.make (8 * 256) 0 in
-    for pos = 0 to 7 do
-      for byte = 0 to 255 do
-        let lo = ref 0 and hi = ref 0 and w = ref 0 in
-        for bit = 0 to 7 do
-          let k = (8 * pos) + bit in
-          if k < 62 && (byte lsr bit) land 1 = 1 then begin
-            lo := !lo lxor b_lo.(k);
-            hi := !hi lxor b_hi.(k);
-            w := !w lxor b_w.(k)
-          end
-        done;
-        let idx = (pos * 256) + byte in
-        tbl_lo.(idx) <- !lo;
-        tbl_hi.(idx) <- !hi;
-        tbl_w.(idx) <- !w
-      done
+    (* State x^k has window b_k .. b_(k+61): the start window (= s)
+       shifted k steps on. *)
+    let states = Array.make 62 0 in
+    let w = ref t.s in
+    for k = 0 to 61 do
+      states.(k) <- !w;
+      w := shift f_low !w
     done;
-    t.tbl_lo <- tbl_lo;
-    t.tbl_hi <- tbl_hi;
-    t.tbl_w <- tbl_w
+    let jump = Array.make 62 (Gf2k.pow_x t.field 64) in
+    for j = 1 to 61 do
+      jump.(j) <- Gf2k.mul t.field jump.(j - 1) jump.(j - 1)
+    done;
+    t.tbl_s <- byte_table states;
+    t.jump <- jump;
+    (* Last: a non-empty [tbl_w] marks the tables built. *)
+    t.tbl_w <- byte_table succ
   end
+
+(* The image of a 62-bit [v] under a byte-tabulated linear map. *)
+let[@inline] apply tbl v =
+  Array.unsafe_get tbl (v land 0xFF)
+  lxor Array.unsafe_get tbl (0x100 lor ((v lsr 8) land 0xFF))
+  lxor Array.unsafe_get tbl (0x200 lor ((v lsr 16) land 0xFF))
+  lxor Array.unsafe_get tbl (0x300 lor ((v lsr 24) land 0xFF))
+  lxor Array.unsafe_get tbl (0x400 lor ((v lsr 32) land 0xFF))
+  lxor Array.unsafe_get tbl (0x500 lor ((v lsr 40) land 0xFF))
+  lxor Array.unsafe_get tbl (0x600 lor ((v lsr 48) land 0xFF))
+  lxor Array.unsafe_get tbl (0x700 lor (v lsr 56))
+
+(* [Gf2k.parity_int], restated so that it inlines into the word loops. *)
+let[@inline] parity x =
+  let x = x lxor (x lsr 32) in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  (0x6996 lsr ((x lxor (x lsr 4)) land 0xF)) land 1
 
 let next_word t =
   ensure_tables t;
   let w = t.window in
-  let lo = ref 0 and hi = ref 0 and nw = ref 0 in
-  for pos = 0 to 7 do
-    let idx = (pos * 256) + ((w lsr (8 * pos)) land 0xFF) in
-    lo := !lo lxor Array.unsafe_get t.tbl_lo idx;
-    hi := !hi lxor Array.unsafe_get t.tbl_hi idx;
-    nw := !nw lxor Array.unsafe_get t.tbl_w idx
-  done;
-  t.window <- !nw;
+  t.window <- apply t.tbl_w w;
   t.widx <- t.widx + 1;
-  Int64.logor (Int64.of_int !lo) (Int64.shift_left (Int64.of_int !hi) 32)
+  let top = parity (w land t.par62) lor (parity (w land t.par63) lsl 1) in
+  Int64.logor (Int64.of_int w) (Int64.shift_left (Int64.of_int top) 62)
+
+(* The parity of one word AND an input word (hi·2^32 + lo), as a 62-bit
+   mask on the window: the input's bits 62 and 63 select the window
+   masks that give the word's bits 62 and 63. *)
+let[@inline] window_mask t ~lo ~hi =
+  (lo lor ((hi land 0x3FFF_FFFF) lsl 32))
+  lxor (t.par62 land -((hi lsr 30) land 1))
+  lxor (t.par63 land -((hi lsr 31) land 1))
+
+let inner_product t x ~n ~last_lo ~last_hi =
+  if n < 1 || n - 1 > Array.length x then invalid_arg "Generator.inner_product: n";
+  ensure_tables t;
+  let acc = ref 0 and w = ref t.window in
+  for k = 0 to n - 2 do
+    let xk = Array.unsafe_get x k in
+    let lo = Int64.to_int xk land 0xFFFF_FFFF in
+    let hi = Int64.to_int (Int64.shift_right_logical xk 32) in
+    acc := !acc lxor (!w land window_mask t ~lo ~hi);
+    w := apply t.tbl_w !w
+  done;
+  acc := !acc lxor (!w land window_mask t ~lo:last_lo ~hi:last_hi);
+  t.window <- apply t.tbl_w !w;
+  t.widx <- t.widx + n;
+  parity !acc
 
 let word_index t = t.widx
 
 let seek_word t i =
-  assert (i >= 0);
+  if i < 0 then invalid_arg "Generator.seek_word: negative index";
   if i <> t.widx then begin
-    (* Field-side random access: state x^(64·i), then rebuild the window. *)
-    let p = Gf2k.pow_x t.field (64 * i) in
-    t.window <- window_of_state t.field t.s p;
+    ensure_tables t;
+    (* x^(64·i) = ∏ x^(64·2^j) over the set bits j of i. *)
+    let p = ref 1 and rest = ref i and j = ref 0 in
+    while !rest <> 0 do
+      if !rest land 1 = 1 then p := Gf2k.mul t.field !p (Array.unsafe_get t.jump !j);
+      rest := !rest lsr 1;
+      incr j
+    done;
+    t.window <- apply t.tbl_s !p;
     t.widx <- i
   end
 

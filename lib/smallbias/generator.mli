@@ -38,18 +38,31 @@ val seed : t -> int * int
 
 val next_word : t -> int64
 (** The next 64 output bits (bit j of the result is stream bit
-    [64*cursor + j]); advances the cursor by one word. *)
+    [64*cursor + j]); advances the cursor by one word.  One step of a
+    byte-tabulated linear map: 8 table lookups. *)
+
+val inner_product : t -> int64 array -> n:int -> last_lo:int -> last_hi:int -> int
+(** [inner_product g x ~n ~last_lo ~last_hi] consumes the [n] words at
+    the cursor and returns the parity (0 or 1) of their AND with the
+    input whose words are [x.(0)], …, [x.(n-2)], then [last_hi·2^32 +
+    last_lo] ([last_lo], [last_hi] are 32-bit halves).  Equals the
+    parity of the same AND over [n] calls of {!next_word}, without
+    boxing a word.  Raises [Invalid_argument] unless
+    [1 <= n <= Array.length x + 1]. *)
 
 val word_index : t -> int
 (** Current cursor position in words. *)
 
 val seek_word : t -> int -> unit
-(** Move the cursor to an absolute word index.  A no-op when the cursor
-    is already there; otherwise, in either direction, it computes the
-    state x^(64·i) from scratch by square-and-multiply ([Gf2k.pow_x]:
-    O(log i) bit-serial field multiplications, no table) and then rebuilds the
-    62-bit output window in 62 LFSR steps.
-    After [seek_word g i], [next_word g] returns word [i]. *)
+(** Move the cursor to an absolute word index [i], any [0 <= i <= max_int].
+    A no-op when the cursor is already there; otherwise, in either
+    direction, it builds the field state x^(64·i) as a product of
+    popcount(i) precomputed powers x^(64·2^j) (4-bit-window
+    {!Gf.Gf2k.mul}) and maps it to the 62-bit output window through a
+    byte table.  About a microsecond; the tables (32 KiB) are built on
+    the generator's first word or seek.
+    After [seek_word g i], [next_word g] returns word [i].  Raises
+    [Invalid_argument] if [i < 0]. *)
 
 val bit_at : t -> int -> bool
 (** Random access to a single stream bit (does not move the cursor). *)

@@ -1073,6 +1073,42 @@ let test_scheme_golden_algorithm_a_fingerprint () =
         (total (fun s -> s.Coding.Scheme.mp_k_total))
   | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
 
+(* A golden fingerprint of one Algorithm B trial: exchanged δ-biased
+   seeds with Θ(log m)-bit hashes (τ = [non_oblivious_tau]) on a 5-cycle,
+   under the seed-aware collision hunter.  The hunter reads single seed
+   words through [Seeds.prefix_bit_sensitivity] at offsets the hash
+   kernel does not visit in order, so this pins the generator's random
+   access as well as the biased hash path. *)
+let test_scheme_golden_algorithm_b_fingerprint () =
+  let g = Topology.Graph.cycle 5 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.4 ~seed:17 in
+  let adv, hook, stats =
+    Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 ()
+  in
+  let r =
+    Coding.Scheme.run
+      ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
+      ~rng:(Util.Rng.create 47) (Coding.Params.algorithm_b g) pi adv
+  in
+  Alcotest.(check bool) "success" true r.Coding.Scheme.success;
+  Alcotest.(check (array int))
+    "outputs"
+    [|
+      47747259761951236; 264350255716040901; 273754549381450255; 18986362412900978;
+      194093798027061628;
+    |]
+    r.Coding.Scheme.outputs;
+  Alcotest.(check int) "cc" 21034 r.Coding.Scheme.cc;
+  Alcotest.(check int) "rounds" 3199 r.Coding.Scheme.rounds;
+  Alcotest.(check (float 1e-12)) "rate_blowup" 32.064024390243901 r.Coding.Scheme.rate_blowup;
+  Alcotest.(check int) "corruptions" 7 r.Coding.Scheme.corruptions;
+  Alcotest.(check int) "iterations" 23 r.Coding.Scheme.iterations_run;
+  Alcotest.(check int) "chunks rewound" 50 r.Coding.Scheme.chunks_rewound;
+  Alcotest.(check int) "exchange failures" 0 r.Coding.Scheme.exchange_failures;
+  Alcotest.(check int) "hunter attempts" 17 stats.Coding.Attacks.attempts;
+  Alcotest.(check int) "hunter hits" 2 stats.Coding.Attacks.hits;
+  Alcotest.(check int) "hunter corruptions" 7 stats.Coding.Attacks.corruptions_spent
+
 (* A golden fingerprint of one Algorithm 1 trial under party-state
    faults: the centre of a 3×3 grid crashes at iteration 3 (its links go
    dark, its neighbours record ∗ on them) and rejoins at iteration 9 with
@@ -1207,6 +1243,8 @@ let () =
           Alcotest.test_case "golden grid fingerprint" `Quick test_scheme_golden_grid_fingerprint;
           Alcotest.test_case "golden algorithm A fingerprint" `Quick
             test_scheme_golden_algorithm_a_fingerprint;
+          Alcotest.test_case "golden algorithm B fingerprint" `Quick
+            test_scheme_golden_algorithm_b_fingerprint;
           Alcotest.test_case "golden fault fingerprint" `Quick test_scheme_golden_fault_fingerprint;
           QCheck_alcotest.to_alcotest prop_scheme_noiseless_random_graphs;
           QCheck_alcotest.to_alcotest prop_scheme_deterministic;

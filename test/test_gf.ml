@@ -5,7 +5,8 @@ open Gf
 
 let rng = Util.Rng.create 0xF1E1D
 
-let rand62 () = Int64.to_int (Util.Rng.int64 rng) land ((1 lsl 62) - 1)
+let mask62 = (1 lsl 62) - 1
+let rand62 () = Int64.to_int (Util.Rng.int64 rng) land mask62
 
 (* --- GF(2^62) --- *)
 
@@ -121,6 +122,41 @@ let prop_gf62_mul_linear_in_xor =
       let a = m a and b = m b and c = m c in
       Gf2k.mul f (a lxor b) c = Gf2k.mul f a c lxor Gf2k.mul f b c)
 
+(* The product by definition, one bit of [b] at a time (most significant
+   first, 62 shift-and-add steps): the oracle for the 4-bit-window
+   [Gf2k.mul]. *)
+let ref_mul f a b =
+  let m = Gf2k.modulus_low f in
+  let acc = ref 0 in
+  for i = 61 downto 0 do
+    acc := if !acc land (1 lsl 61) <> 0 then ((!acc lsl 1) land mask62) lxor m else !acc lsl 1;
+    if (b lsr i) land 1 = 1 then acc := !acc lxor a
+  done;
+  !acc
+
+(* Operands that stress the window's edges: 0, 1, all ones, and values
+   with bits 58..61 set (the nibble the reduction table folds back). *)
+let edge_operand rng =
+  match Util.Rng.int rng 6 with
+  | 0 -> 0
+  | 1 -> 1
+  | 2 -> mask62
+  | 3 -> (0xF lsl 58) lor (Int64.to_int (Util.Rng.int64 rng) land ((1 lsl 58) - 1))
+  | 4 -> 0xF lsl 58
+  | _ -> Int64.to_int (Util.Rng.int64 rng) land mask62
+
+let prop_gf62_mul_matches_bit_serial =
+  QCheck.Test.make ~name:"gf62 mul = bit-serial reference (random fields)" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let f = Gf2k.make ~modulus_low:(Gf2k.random_irreducible rng) in
+      List.for_all
+        (fun _ ->
+          let a = edge_operand rng and b = edge_operand rng in
+          Gf2k.mul f a b = ref_mul f a b)
+        (List.init 20 Fun.id))
+
 (* --- GF(256) --- *)
 
 let test_gf256_mul_table_vs_naive () =
@@ -199,6 +235,7 @@ let () =
           Alcotest.test_case "popcount_int" `Quick test_popcount_int;
           Alcotest.test_case "parity_int" `Quick test_parity_int;
           QCheck_alcotest.to_alcotest prop_gf62_mul_linear_in_xor;
+          QCheck_alcotest.to_alcotest prop_gf62_mul_matches_bit_serial;
         ] );
       ( "gf256",
         [

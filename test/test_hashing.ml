@@ -266,8 +266,9 @@ let test_kernel_rejects_short_array () =
       ignore (Seed_stream.inner_products s ~offset:0 ~tau:4 [| 1L |] ~bits:65))
 
 (* The hot path allocates nothing: [Seeds.hash_prefix] on a 20-word
-   input and [Seeds.hash_int], on a uniform stream.  Minor-heap words
-   are counted exactly in native code. *)
+   input and [Seeds.hash_int], on a uniform and on a δ-biased stream
+   (where every call seeks, since each reads a fresh offset).
+   Minor-heap words are counted exactly in native code. *)
 let minor_words_per_call ~calls f =
   f 0;
   let before = Gc.minor_words () in
@@ -276,10 +277,8 @@ let minor_words_per_call ~calls f =
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
-let test_kernel_allocation_free () =
-  let seeds =
-    Coding.Seeds.make ~stream:(Seed_stream.uniform ~key:0x5EEDL) ~tau:6 ~wmax:24 ~slot:3 ~slots:16
-  in
+let check_allocation_free ~name stream =
+  let seeds = Coding.Seeds.make ~stream ~tau:6 ~wmax:24 ~slot:3 ~slots:16 in
   let x = mk_input (Util.Rng.create 22) (20 * 64) in
   let sink = ref 0 in
   let prefix =
@@ -291,8 +290,15 @@ let test_kernel_allocation_free () =
         sink := !sink lxor Coding.Seeds.hash_int seeds ~iter:i ~field:(i mod 3) i)
   in
   ignore (Sys.opaque_identity !sink);
-  Alcotest.(check bool) (Printf.sprintf "hash_prefix %.4f words/call" prefix) true (prefix <= 0.01);
-  Alcotest.(check bool) (Printf.sprintf "hash_int %.4f words/call" ints) true (ints <= 0.01)
+  Alcotest.(check bool) (Printf.sprintf "%s: hash_prefix %.4f words/call" name prefix) true (prefix <= 0.01);
+  Alcotest.(check bool) (Printf.sprintf "%s: hash_int %.4f words/call" name ints) true (ints <= 0.01)
+
+let test_kernel_allocation_free () =
+  check_allocation_free ~name:"uniform" (Seed_stream.uniform ~key:0x5EEDL)
+
+let test_kernel_allocation_free_biased () =
+  check_allocation_free ~name:"biased"
+    (Seed_stream.biased (Smallbias.Generator.sample (Util.Rng.create 23)))
 
 let () =
   Alcotest.run "hashing"
@@ -324,5 +330,7 @@ let () =
           Alcotest.test_case "splitmix matches Rng.at" `Quick test_kernel_splitmix_matches_rng;
           Alcotest.test_case "rejects bits beyond the array" `Quick test_kernel_rejects_short_array;
           Alcotest.test_case "allocation-free on a uniform stream" `Quick test_kernel_allocation_free;
+          Alcotest.test_case "allocation-free on a biased stream, seeks included" `Quick
+            test_kernel_allocation_free_biased;
         ] );
     ]

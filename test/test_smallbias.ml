@@ -109,6 +109,95 @@ let test_empirical_bias_over_seeds () =
         (p > 0.38 && p < 0.62))
     tests
 
+(* The reference seek: word [i] starts at field state x^(64·i), computed
+   by square-and-multiply, and its bit j is ⟨x^(64·i)·x^j, s⟩. *)
+let ref_word g i =
+  let f, s = Generator.seed g in
+  let field = Gf.Gf2k.make ~modulus_low:f in
+  let p = ref (Gf.Gf2k.pow field (Gf.Gf2k.pow_x field 64) i) in
+  let w = ref 0L in
+  for j = 0 to 63 do
+    if Gf.Gf2k.parity_int (!p land s) = 1 then w := Int64.logor !w (Int64.shift_left 1L j);
+    p := Gf.Gf2k.step field !p
+  done;
+  !w
+
+let word_of_bits g i =
+  let w = ref 0L in
+  for j = 0 to 63 do
+    if Generator.bit_at g ((64 * i) + j) then w := Int64.logor !w (Int64.shift_left 1L j)
+  done;
+  !w
+
+(* Indices where 64·i overflows a native int: the seek must stay exact
+   for every index up to [max_int]. *)
+let test_seek_huge_indices () =
+  let g = Generator.sample (Util.Rng.create 20) in
+  List.iter
+    (fun i ->
+      Generator.seek_word g i;
+      Alcotest.(check int) "cursor" i (Generator.word_index g);
+      Alcotest.(check int64) (Printf.sprintf "word %d" i) (ref_word g i) (Generator.next_word g))
+    [ 1 lsl 56; 1 lsl 60; max_int; (1 lsl 60) + 1; 0 ]
+
+let test_seek_rejects_negative () =
+  let g = Generator.sample (Util.Rng.create 21) in
+  Alcotest.check_raises "negative index" (Invalid_argument "Generator.seek_word: negative index")
+    (fun () -> Generator.seek_word g (-1))
+
+(* Random seek sequences: far forward, back, repeated and one-step moves
+   over indices up to 2^40; after each seek the next two words must
+   match the reference and [bit_at], bit by bit. *)
+let prop_seek_matches_reference =
+  QCheck.Test.make ~name:"seek_word + next_word = pow-based reference" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let g = Generator.sample rng in
+      let prev = ref 0 in
+      List.for_all
+        (fun _ ->
+          let i =
+            match Util.Rng.int rng 4 with
+            | 0 -> !prev
+            | 1 -> !prev + 1
+            | 2 -> Util.Rng.int rng (max 1 !prev)
+            | _ -> Int64.to_int (Int64.shift_right_logical (Util.Rng.int64 rng) 24)
+          in
+          prev := i;
+          Generator.seek_word g i;
+          let w0 = Generator.next_word g in
+          let w1 = Generator.next_word g in
+          w0 = ref_word g i && w0 = word_of_bits g i && w1 = ref_word g (i + 1)
+          && Generator.word_index g = i + 2)
+        (List.init 8 Fun.id))
+
+(* [inner_product] against the parity of the same words read one by one
+   with [next_word]. *)
+let prop_inner_product_matches_words =
+  QCheck.Test.make ~name:"inner_product = parity over next_word" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let g = Generator.sample rng in
+      let n = 1 + Util.Rng.int rng 40 in
+      let x = Array.init (n - 1 + Util.Rng.int rng 3) (fun _ -> Util.Rng.int64 rng) in
+      let last = Util.Rng.int64 rng in
+      let last_lo = Int64.to_int last land 0xFFFF_FFFF in
+      let last_hi = Int64.to_int (Int64.shift_right_logical last 32) in
+      let i = Util.Rng.int rng 100_000 in
+      Generator.seek_word g i;
+      let acc = ref 0L in
+      for k = 0 to n - 1 do
+        let xk = if k = n - 1 then last else x.(k) in
+        acc := Int64.logxor !acc (Int64.logand xk (Generator.next_word g))
+      done;
+      Generator.seek_word g i;
+      let p = Generator.inner_product g x ~n ~last_lo ~last_hi in
+      p = Util.Bitvec.parity64 !acc
+      && Generator.word_index g = i + n
+      && Generator.next_word g = ref_word g (i + n))
+
 let prop_word_index_tracks =
   QCheck.Test.make ~name:"word_index tracks next_word/seek" ~count:50
     QCheck.(small_nat)
@@ -135,5 +224,9 @@ let () =
           Alcotest.test_case "empirical balance" `Quick test_empirical_balance;
           Alcotest.test_case "empirical bias over seeds" `Slow test_empirical_bias_over_seeds;
           QCheck_alcotest.to_alcotest prop_word_index_tracks;
+          Alcotest.test_case "seek huge indices" `Quick test_seek_huge_indices;
+          Alcotest.test_case "seek rejects negative" `Quick test_seek_rejects_negative;
+          QCheck_alcotest.to_alcotest prop_seek_matches_reference;
+          QCheck_alcotest.to_alcotest prop_inner_product_matches_words;
         ] );
     ]
