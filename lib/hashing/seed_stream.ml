@@ -27,8 +27,17 @@ let word t i =
    the kernel loops, where ocamlopt keeps them unboxed (mutable [int64]
    locals included): a call into another module, or to any function
    that is not inlined, would box each 64-bit word it returns.  A
-   δ-biased slab is one [Generator.inner_product] call, which takes and
-   returns native ints only. *)
+   δ-biased slab is one [Generator.inner_product] call, which takes the
+   input buffer and native ints and returns a native int. *)
+
+(* Word [w] of a {!Util.Bitvec.backing} buffer, read without a bounds
+   check: [inner_products] checks the range once per call. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] input_word x w =
+  let v = get64u x (8 * w) in
+  if Sys.big_endian then swap64 v else v
 
 (* The SplitMix64 stream of [Util.Rng.at], restated so that it inlines:
    word [i] of the stream keyed by [key] is [mix (key + (i + 1) γ)], so
@@ -54,13 +63,14 @@ let[@inline] parity64 z =
    slabs are contiguous, so the words are read in index order. *)
 let inner_products t ~offset ~tau x ~bits =
   let nw = (bits + 63) / 64 in
-  if bits < 0 || nw > Array.length x then invalid_arg "Seed_stream.inner_products: bits";
+  if bits < 0 || nw > Bytes.length x / 8 then invalid_arg "Seed_stream.inner_products: bits";
   if nw = 0 then 0
   else begin
     let last = nw - 1 in
     (* The last input word, with its bits from [bits] on cleared. *)
     let xlast =
-      Int64.logand x.(last) (Int64.shift_right_logical (-1L) ((64 - (bits land 63)) land 63))
+      Int64.logand (input_word x last)
+        (Int64.shift_right_logical (-1L) ((64 - (bits land 63)) land 63))
     in
     let out = ref 0 in
     (match t with
@@ -70,7 +80,7 @@ let inner_products t ~offset ~tau x ~bits =
           let acc = ref 0L in
           for w = 0 to last - 1 do
             ctr := advance !ctr;
-            acc := Int64.logxor !acc (Int64.logand (Array.unsafe_get x w) (mix !ctr))
+            acc := Int64.logxor !acc (Int64.logand (input_word x w) (mix !ctr))
           done;
           ctr := advance !ctr;
           acc := Int64.logxor !acc (Int64.logand xlast (mix !ctr));
@@ -88,7 +98,7 @@ let inner_products t ~offset ~tau x ~bits =
           let base = offset + (j * nw) in
           let acc = ref 0L in
           for w = 0 to last - 1 do
-            acc := Int64.logxor !acc (Int64.logand (Array.unsafe_get x w) (word t (base + w)))
+            acc := Int64.logxor !acc (Int64.logand (input_word x w) (word t (base + w)))
           done;
           acc := Int64.logxor !acc (Int64.logand xlast (word t (base + last)));
           out := !out lor (parity64 !acc lsl j)
@@ -110,7 +120,8 @@ let inner_products_int t ~offset ~tau v =
       let last_lo = v land 0xFFFF_FFFF and last_hi = (v asr 32) land 0xFFFF_FFFF in
       for j = 0 to tau - 1 do
         biased_seek gen (offset + j);
-        out := !out lor (Smallbias.Generator.inner_product gen [||] ~n:1 ~last_lo ~last_hi lsl j)
+        out :=
+          !out lor (Smallbias.Generator.inner_product gen Bytes.empty ~n:1 ~last_lo ~last_hi lsl j)
       done
   | Explicit _ ->
       for j = 0 to tau - 1 do

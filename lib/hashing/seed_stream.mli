@@ -34,12 +34,14 @@ val word : t -> int -> int64
     {!Smallbias.Generator.inner_product}, so neither function allocates
     on a uniform or a δ-biased stream. *)
 
-val inner_products : t -> offset:int -> tau:int -> int64 array -> bits:int -> int
+val inner_products : t -> offset:int -> tau:int -> Bytes.t -> bits:int -> int
 (** [inner_products t ~offset ~tau x ~bits]: bit [j] (for [j < tau]) is
-    the parity of the first [bits] bits of the packed little-endian
-    words [x] ANDed with seed words [offset + j*nw, offset + (j+1)*nw),
-    where [nw = ceil (bits / 64)].  Bits of [x] at or beyond [bits] are
-    ignored.  Raises [Invalid_argument] unless [0 <= bits <= 64 * Array.length x]. *)
+    the parity of the first [bits] bits of [x] ANDed with seed words
+    [offset + j*nw, offset + (j+1)*nw), where [nw = ceil (bits / 64)].
+    [x] is laid out as {!Util.Bitvec.backing}: input word [w] is the
+    little-endian 64-bit integer at byte offset [8w].  Bits of [x] at
+    or beyond [bits] are ignored.  Raises [Invalid_argument] unless
+    [0 <= bits <= 64 * (Bytes.length x / 8)]. *)
 
 val inner_products_int : t -> offset:int -> tau:int -> int -> int
 (** [inner_products_int t ~offset ~tau v]: bit [j] is the parity of the

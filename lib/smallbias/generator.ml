@@ -156,12 +156,21 @@ let[@inline] window_mask t ~lo ~hi =
   lxor (t.par62 land -((hi lsr 30) land 1))
   lxor (t.par63 land -((hi lsr 31) land 1))
 
+(* Word [k] of a {!Util.Bitvec.backing} buffer, read without a bounds
+   check: [inner_product] checks the range once per call. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] input_word x k =
+  let v = get64u x (8 * k) in
+  if Sys.big_endian then swap64 v else v
+
 let inner_product t x ~n ~last_lo ~last_hi =
-  if n < 1 || n - 1 > Array.length x then invalid_arg "Generator.inner_product: n";
+  if n < 1 || n - 1 > Bytes.length x / 8 then invalid_arg "Generator.inner_product: n";
   ensure_tables t;
   let acc = ref 0 and w = ref t.window in
   for k = 0 to n - 2 do
-    let xk = Array.unsafe_get x k in
+    let xk = input_word x k in
     let lo = Int64.to_int xk land 0xFFFF_FFFF in
     let hi = Int64.to_int (Int64.shift_right_logical xk 32) in
     acc := !acc lxor (!w land window_mask t ~lo ~hi);

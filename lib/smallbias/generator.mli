@@ -41,14 +41,15 @@ val next_word : t -> int64
     [64*cursor + j]); advances the cursor by one word.  One step of a
     byte-tabulated linear map: 8 table lookups. *)
 
-val inner_product : t -> int64 array -> n:int -> last_lo:int -> last_hi:int -> int
+val inner_product : t -> Bytes.t -> n:int -> last_lo:int -> last_hi:int -> int
 (** [inner_product g x ~n ~last_lo ~last_hi] consumes the [n] words at
     the cursor and returns the parity (0 or 1) of their AND with the
-    input whose words are [x.(0)], …, [x.(n-2)], then [last_hi·2^32 +
-    last_lo] ([last_lo], [last_hi] are 32-bit halves).  Equals the
-    parity of the same AND over [n] calls of {!next_word}, without
-    boxing a word.  Raises [Invalid_argument] unless
-    [1 <= n <= Array.length x + 1]. *)
+    input whose words are [x]'s words 0, …, [n-2], then [last_hi·2^32 +
+    last_lo] ([last_lo], [last_hi] are 32-bit halves).  [x] is laid out
+    as {!Util.Bitvec.backing}: word [k] is the little-endian 64-bit
+    integer at byte offset [8k].  Equals the parity of the same AND
+    over [n] calls of {!next_word}, without boxing a word.  Raises
+    [Invalid_argument] unless [1 <= n <= Bytes.length x / 8 + 1]. *)
 
 val word_index : t -> int
 (** Current cursor position in words. *)

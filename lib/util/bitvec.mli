@@ -1,9 +1,14 @@
 (** Growable packed bit vectors.
 
-    Bits are stored little-endian inside 64-bit words ([Int64] arrays) so
-    that the inner-product hash can operate word-wise with [popcount].
-    The vector supports O(1) truncation to a shorter length, which is how
-    transcripts are rewound. *)
+    Bits are packed into unboxed 64-bit words held in one [Bytes.t]:
+    word [w] (bits [64w .. 64w+63], bit [i] at position [i mod 64]) is
+    stored little-endian in bytes [8w .. 8w+7], so the byte image is the
+    same on every host and the inner-product hash reads it word-wise.
+    Every bit at or beyond [length] is zero; the pushes rely on it to OR
+    whole words into place, and none of them allocates once the capacity
+    (which doubles as needed) is there.  Truncation to a shorter length,
+    which is how transcripts are rewound, costs one masked word plus
+    clearing the dropped words. *)
 
 type t
 
@@ -22,7 +27,9 @@ val push : t -> bool -> unit
 (** Append one bit. *)
 
 val push_int : t -> bits:int -> int -> unit
-(** [push_int t ~bits v] appends the [bits] low bits of [v], LSB first. *)
+(** [push_int t ~bits v] appends the [bits] low bits of [v], LSB first.
+    Raises [Invalid_argument] unless [0 <= bits <= Sys.int_size] (63 on
+    64-bit hosts). *)
 
 val push_int64 : t -> int64 -> unit
 (** Append all 64 bits of the word, LSB first. *)
@@ -33,12 +40,13 @@ val truncate : t -> int -> unit
 val word : t -> int -> int64
 (** [word t i] is the [i]-th 64-bit word; bits beyond [length t] are zero. *)
 
-val backing : t -> int64 array
+val backing : t -> Bytes.t
 (** The packed words themselves, shared rather than copied: read-only,
-    and valid only until the next mutation of [t].  Holds at least
-    [words t] words; every bit at or beyond [length t] is zero.  This
-    is the hash kernel's input view — one call per hash instead of one
-    (boxing) {!word} call per word. *)
+    and valid only until the next mutation of [t].  Word [w] is the
+    little-endian 64-bit integer at byte offset [8w]; the buffer holds
+    at least [words t] words, and every bit at or beyond [length t] is
+    zero.  This is the hash kernel's input view — one call per hash
+    instead of one (boxing) {!word} call per word. *)
 
 val copy : t -> t
 val equal : t -> t -> bool

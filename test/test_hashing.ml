@@ -248,7 +248,8 @@ let test_kernel_splitmix_matches_rng () =
     let tau = Ip_hash.max_tau in
     let words = Array.make tau 0L in
     for b = 0 to 63 do
-      let unit = [| Int64.shift_left 1L b |] in
+      let unit = Bytes.create 8 in
+      Bytes.set_int64_le unit 0 (Int64.shift_left 1L b);
       let h = Seed_stream.inner_products s ~offset:i ~tau unit ~bits:64 in
       for j = 0 to tau - 1 do
         if (h lsr j) land 1 = 1 then words.(j) <- Int64.logor words.(j) (Int64.shift_left 1L b)
@@ -263,7 +264,7 @@ let test_kernel_rejects_short_array () =
   let s = Seed_stream.uniform ~key:1L in
   Alcotest.check_raises "bits beyond the array"
     (Invalid_argument "Seed_stream.inner_products: bits") (fun () ->
-      ignore (Seed_stream.inner_products s ~offset:0 ~tau:4 [| 1L |] ~bits:65))
+      ignore (Seed_stream.inner_products s ~offset:0 ~tau:4 (Bytes.make 8 '\001') ~bits:65))
 
 (* The hot path allocates nothing: [Seeds.hash_prefix] on a 20-word
    input and [Seeds.hash_int], on a uniform and on a δ-biased stream

@@ -181,7 +181,9 @@ let prop_inner_product_matches_words =
       let rng = Util.Rng.create seed in
       let g = Generator.sample rng in
       let n = 1 + Util.Rng.int rng 40 in
-      let x = Array.init (n - 1 + Util.Rng.int rng 3) (fun _ -> Util.Rng.int64 rng) in
+      let words = Array.init (n - 1 + Util.Rng.int rng 3) (fun _ -> Util.Rng.int64 rng) in
+      let x = Bytes.create (8 * Array.length words) in
+      Array.iteri (fun k w -> Bytes.set_int64_le x (8 * k) w) words;
       let last = Util.Rng.int64 rng in
       let last_lo = Int64.to_int last land 0xFFFF_FFFF in
       let last_hi = Int64.to_int (Int64.shift_right_logical last 32) in
@@ -189,7 +191,7 @@ let prop_inner_product_matches_words =
       Generator.seek_word g i;
       let acc = ref 0L in
       for k = 0 to n - 1 do
-        let xk = if k = n - 1 then last else x.(k) in
+        let xk = if k = n - 1 then last else words.(k) in
         acc := Int64.logxor !acc (Int64.logand xk (Generator.next_word g))
       done;
       Generator.seek_word g i;

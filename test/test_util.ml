@@ -147,6 +147,150 @@ let prop_popcount_matches_naive =
       done;
       Bitvec.popcount x = !naive)
 
+(* [push_int]'s domain is [0 <= bits <= Sys.int_size]: [~bits:66] used
+   to push a spurious 1 at bit 64 ([v lsr 64] wraps the shift count on
+   amd64) and a negative count silently pushed nothing. *)
+let test_bitvec_push_int_domain () =
+  let v = Bitvec.create () in
+  Alcotest.check_raises "bits > Sys.int_size" (Invalid_argument "Bitvec.push_int: bits")
+    (fun () -> Bitvec.push_int v ~bits:66 1);
+  Alcotest.check_raises "negative bits" (Invalid_argument "Bitvec.push_int: bits") (fun () ->
+      Bitvec.push_int v ~bits:(-3) 1);
+  Alcotest.(check int) "nothing pushed" 0 (Bitvec.length v);
+  Bitvec.push_int v ~bits:0 (-1);
+  Alcotest.(check int) "bits:0 pushes nothing" 0 (Bitvec.length v);
+  Bitvec.push_int v ~bits:Sys.int_size (-1);
+  Alcotest.(check int) "bits:int_size" Sys.int_size (Bitvec.length v);
+  Alcotest.(check bool) "all ones" true
+    (List.for_all (Bitvec.get v) (List.init Sys.int_size Fun.id))
+
+(* The vector against a [bool array] model, over random sequences of
+   every mutation.  After each step: [length], [get], [word] and
+   [equal] agree with the model, and every bit of [backing] at or
+   beyond [length] is zero — the hash kernel reads whole words of it. *)
+let model_word m w =
+  let x = ref 0L in
+  for b = 0 to 63 do
+    let i = (64 * w) + b in
+    if i < Array.length m && m.(i) then x := Int64.logor !x (Int64.shift_left 1L b)
+  done;
+  !x
+
+let agrees v m =
+  let n = Array.length m in
+  let data = Bitvec.backing v in
+  let tail_clean = ref true in
+  for i = n to (8 * Bytes.length data) - 1 do
+    if (Char.code (Bytes.get data (i / 8)) lsr (i mod 8)) land 1 = 1 then tail_clean := false
+  done;
+  Bitvec.length v = n
+  && Bitvec.words v = (n + 63) / 64
+  && Array.for_all Fun.id (Array.init n (fun i -> Bitvec.get v i = m.(i)))
+  && List.for_all
+       (fun w -> Bitvec.word v w = model_word m w)
+       (List.init (Bitvec.words v + 2) Fun.id)
+  && Bitvec.equal v (Bitvec.of_bools (Array.to_list m))
+  && !tail_clean
+
+let int_bits bits v = Array.init bits (fun i -> (v lsr i) land 1 = 1)
+let int64_bits v = Array.init 64 (fun i -> Int64.logand (Int64.shift_right_logical v i) 1L = 1L)
+
+let prop_bitvec_model =
+  QCheck.Test.make ~name:"bitvec = bool array model" ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let v = ref (Bitvec.create ()) and m = ref [||] in
+      (* Copies taken along the way, with their model: later mutations of
+         the live vector must not reach them. *)
+      let snapshots = ref [] in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        (match Rng.int rng 7 with
+        | 0 ->
+            let b = Rng.bool rng in
+            Bitvec.push !v b;
+            m := Array.append !m [| b |]
+        | 1 | 2 ->
+            let bits = Rng.int rng (Sys.int_size + 1) in
+            let x = Int64.to_int (Rng.int64 rng) in
+            Bitvec.push_int !v ~bits x;
+            m := Array.append !m (int_bits bits x)
+        | 3 ->
+            let x = Rng.int64 rng in
+            Bitvec.push_int64 !v x;
+            m := Array.append !m (int64_bits x)
+        | 4 ->
+            let n = Rng.int rng (Array.length !m + 1) in
+            Bitvec.truncate !v n;
+            m := Array.sub !m 0 n
+        | 5 ->
+            snapshots := (Bitvec.copy !v, Array.copy !m) :: !snapshots;
+            v := Bitvec.copy !v
+        | _ ->
+            if Rng.int rng 4 = 0 then begin
+              Bitvec.append !v !v;
+              m := Array.append !m !m
+            end
+            else begin
+              let src = Array.init (Rng.int rng 200) (fun _ -> Rng.bool rng) in
+              Bitvec.append !v (Bitvec.of_bools (Array.to_list src));
+              m := Array.append !m src
+            end);
+        if not (agrees !v !m) then ok := false;
+        (* Keep the model small: self-appends double it. *)
+        if Array.length !m > 4000 then begin
+          Bitvec.truncate !v 1000;
+          m := Array.sub !m 0 1000
+        end
+      done;
+      !ok && List.for_all (fun (c, cm) -> agrees c cm) !snapshots)
+
+(* [push_int] at every bit offset within a word, with every width. *)
+let test_bitvec_push_int_offsets () =
+  let rng = Rng.create 8 in
+  for o = 0 to 63 do
+    for bits = 0 to Sys.int_size do
+      let lead = Rng.int64 rng and x = Int64.to_int (Rng.int64 rng) in
+      let v = Bitvec.create () in
+      Bitvec.push_int64 v lead;
+      Bitvec.truncate v o;
+      Bitvec.push_int v ~bits x;
+      let m = Array.append (Array.sub (int64_bits lead) 0 o) (int_bits bits x) in
+      if not (agrees v m) then Alcotest.failf "push_int ~bits:%d at offset %d" bits o
+    done
+  done
+
+(* Once the capacity is there, the mutations allocate nothing.  Minor
+   words are counted exactly in native code. *)
+let minor_words_per_call ~calls f =
+  f 0;
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let test_bitvec_allocation_free () =
+  let calls = 10_000 in
+  let v = Bitvec.create () in
+  for _ = 0 to calls + 1 do
+    Bitvec.push_int64 v (-1L)
+  done;
+  Bitvec.truncate v 0;
+  let check name f =
+    let words = minor_words_per_call ~calls f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.4f words/call" name words) true (words <= 0.01)
+  in
+  check "push" (fun i -> Bitvec.push v (i land 1 = 1));
+  Bitvec.truncate v 0;
+  check "push_int" (fun i -> Bitvec.push_int v ~bits:(i mod 64) i);
+  Bitvec.truncate v 0;
+  (* Boxed up front: a call boxes an [int64] argument built on the spot. *)
+  let words = Array.init 16 (fun i -> Rng.at ~seed:3L i) in
+  check "push_int64" (fun i -> Bitvec.push_int64 v words.(i land 15));
+  check "truncate" (fun _ -> Bitvec.truncate v (Bitvec.length v - 61));
+  ignore (Sys.opaque_identity v)
+
 (* --- Stats --- *)
 
 let test_stats_mean () = Alcotest.(check (float 1e-9)) "mean" 2. (Stats.mean [ 1.; 2.; 3. ])
@@ -286,10 +430,14 @@ let () =
           Alcotest.test_case "equal" `Quick test_bitvec_equal;
           Alcotest.test_case "equal after truncate" `Quick test_bitvec_equal_after_truncate;
           Alcotest.test_case "word beyond data" `Quick test_bitvec_word_beyond_data;
+          Alcotest.test_case "push_int domain" `Quick test_bitvec_push_int_domain;
+          Alcotest.test_case "push_int at every offset" `Quick test_bitvec_push_int_offsets;
+          Alcotest.test_case "allocation-free" `Quick test_bitvec_allocation_free;
           Alcotest.test_case "popcount" `Quick test_popcount;
           Alcotest.test_case "parity" `Quick test_parity;
           QCheck_alcotest.to_alcotest prop_bitvec_roundtrip;
           QCheck_alcotest.to_alcotest prop_bitvec_append;
+          QCheck_alcotest.to_alcotest prop_bitvec_model;
           QCheck_alcotest.to_alcotest prop_popcount_matches_naive;
         ] );
       ( "stats",
