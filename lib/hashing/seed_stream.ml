@@ -7,18 +7,17 @@ let uniform ~key = Uniform key
 let biased gen = Biased gen
 let explicit words = Explicit words
 
-(* Sequential reads advance the cursor for free; a jump in either
-   direction costs popcount(i) field multiplications.  The kernel's
-   slabs are contiguous, so only a call's first slab ever seeks. *)
-let[@inline] biased_seek gen i =
-  if Smallbias.Generator.word_index gen <> i then Smallbias.Generator.seek_word gen i
+let negative () = invalid_arg "Seed_stream: negative index"
 
+(* Sequential reads advance the generator's cursor for free; any other
+   read seeks. *)
 let word t i =
+  if i < 0 then negative ();
   match t with
   | Uniform key -> Util.Rng.at ~seed:key i
   | Explicit a -> if i < Array.length a then a.(i) else 0L
   | Biased gen ->
-      biased_seek gen i;
+      if Smallbias.Generator.word_index gen <> i then Smallbias.Generator.seek_word gen i;
       Smallbias.Generator.next_word gen
 
 (* ---------- the inner-product kernel ----------
@@ -27,8 +26,9 @@ let word t i =
    the kernel loops, where ocamlopt keeps them unboxed (mutable [int64]
    locals included): a call into another module, or to any function
    that is not inlined, would box each 64-bit word it returns.  A
-   δ-biased slab is one [Generator.inner_product] call, which takes the
-   input buffer and native ints and returns a native int. *)
+   δ-biased hash is one [Generator.reduce] and one [Generator.parities]
+   call, which take the input buffer and native ints and return native
+   ints. *)
 
 (* Word [w] of a {!Util.Bitvec.backing} buffer, read without a bounds
    check: [inner_products] checks the range once per call. *)
@@ -62,6 +62,7 @@ let[@inline] parity64 z =
 (* Slab j covers seed words [offset + j·nw, offset + (j+1)·nw): the
    slabs are contiguous, so the words are read in index order. *)
 let inner_products t ~offset ~tau x ~bits =
+  if offset < 0 then negative ();
   let nw = (bits + 63) / 64 in
   if bits < 0 || nw > Bytes.length x / 8 then invalid_arg "Seed_stream.inner_products: bits";
   if nw = 0 then 0
@@ -89,10 +90,8 @@ let inner_products t ~offset ~tau x ~bits =
     | Biased gen ->
         let last_lo = Int64.to_int xlast land 0xFFFF_FFFF in
         let last_hi = Int64.to_int (Int64.shift_right_logical xlast 32) in
-        for j = 0 to tau - 1 do
-          biased_seek gen (offset + (j * nw));
-          out := !out lor (Smallbias.Generator.inner_product gen x ~n:nw ~last_lo ~last_hi lsl j)
-        done
+        let r = Smallbias.Generator.reduce gen x ~n:nw ~last_lo ~last_hi in
+        out := Smallbias.Generator.parities gen r ~offset ~stride:nw ~tau
     | Explicit _ ->
         for j = 0 to tau - 1 do
           let base = offset + (j * nw) in
@@ -107,6 +106,7 @@ let inner_products t ~offset ~tau x ~bits =
   end
 
 let inner_products_int t ~offset ~tau v =
+  if offset < 0 then negative ();
   let x = Int64.of_int v in
   let out = ref 0 in
   (match t with
@@ -118,11 +118,8 @@ let inner_products_int t ~offset ~tau v =
       done
   | Biased gen ->
       let last_lo = v land 0xFFFF_FFFF and last_hi = (v asr 32) land 0xFFFF_FFFF in
-      for j = 0 to tau - 1 do
-        biased_seek gen (offset + j);
-        out :=
-          !out lor (Smallbias.Generator.inner_product gen Bytes.empty ~n:1 ~last_lo ~last_hi lsl j)
-      done
+      let r = Smallbias.Generator.reduce gen Bytes.empty ~n:1 ~last_lo ~last_hi in
+      out := Smallbias.Generator.parities gen r ~offset ~stride:1 ~tau
   | Explicit _ ->
       for j = 0 to tau - 1 do
         out := !out lor (parity64 (Int64.logand x (word t (offset + j))) lsl j)

@@ -23,16 +23,20 @@ val explicit : int64 array -> t
 val word : t -> int -> int64
 (** [word t i] is the [i]-th 64-bit word of the string.  For δ-biased
     streams sequential access is cheapest; any other access costs one
-    {!Smallbias.Generator.seek_word} (about a microsecond). *)
+    {!Smallbias.Generator.seek_word} (about 0.15 µs on a 2-core
+    x86-64 host).  Raises [Invalid_argument] if [i < 0], on every kind
+    of stream. *)
 
 (** {2 Inner-product kernel}
 
     The hash of {!Ip_hash} in one call per hash: τ GF(2) inner products
     of an input against τ consecutive word-aligned seed slabs.  The
-    stream kind is dispatched once per call; a uniform stream's words
-    are computed inline and a δ-biased slab is one
-    {!Smallbias.Generator.inner_product}, so neither function allocates
-    on a uniform or a δ-biased stream. *)
+    stream kind is dispatched once per call.  A uniform stream's words
+    are computed inline.  A δ-biased hash reduces the input once
+    ({!Smallbias.Generator.reduce}) and then costs one field product per
+    slab ({!Smallbias.Generator.parities}).  Neither function allocates
+    on a uniform or a δ-biased stream.  Both raise [Invalid_argument] on
+    a negative [offset], on every kind of stream. *)
 
 val inner_products : t -> offset:int -> tau:int -> Bytes.t -> bits:int -> int
 (** [inner_products t ~offset ~tau x ~bits]: bit [j] (for [j < tau]) is

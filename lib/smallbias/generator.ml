@@ -10,9 +10,14 @@ open Gf
    lookups and xors per word.
 
    Seeking goes through the field: word i starts at state x^(64·i),
-   the product of the [jump] powers x^(64·2^j) over the set bits j of i,
-   and a second byte table maps a state p to its window
-   ⟨p·x^j, s⟩, j < 62 (another GF(2)-linear map). *)
+   the product of one [pow] entry per nonzero byte of i, and a second
+   byte table maps a state p to its window ⟨p·x^j, s⟩, j < 62 (another
+   GF(2)-linear map).
+
+   Hashing goes through the field too.  ⟨·, s⟩ is linear, so the parity
+   of an input X (words X_0 … X_(n-1)) ANDed with the n words from word
+   b on is ⟨x^(64·b)·R, s⟩, where R = Σ_k X_k·x^(64k) mod f: reduce the
+   input once, then each slab costs one field product. *)
 
 type t = {
   field : Gf2k.field;
@@ -21,13 +26,19 @@ type t = {
   mutable widx : int;
   par62 : int; (* word bit 62 is parity(window ∧ par62); par62 = x^62 mod f *)
   par63 : int; (* likewise bit 63, with par63 = x^63 mod f *)
-  (* Built on first use.  Byte tables, entry pos*256+byte for a value
-     whose byte [pos] is [byte] (rest zero): [tbl_w] gives the successor
-     window of such a window, [tbl_s] the window of such a field state.
-     [jump.(j)] = x^(64·2^j). *)
+  (* Byte tables, entry pos*256+byte for a value whose byte [pos] is
+     [byte] (rest zero): [tbl_w] gives the successor window of such a
+     window, [tbl_s] the window of such a field state, [tbl_x64] such a
+     field state times x^64.  [tbl_w] and [tbl_s] are built on the
+     first word or seek; a hash never reads them. *)
   mutable tbl_w : int array;
   mutable tbl_s : int array;
-  mutable jump : int array;
+  (* [tbl_x64] and [pow] are built on the first seek or hash.  [pow] is
+     the byte-window power table: entry k*256+d is x^(64·d·256^k).  Row
+     k is filled on the first power that has a nonzero byte k, and reads
+     0 at entry k*256 until then. *)
+  mutable tbl_x64 : int array;
+  mutable pow : int array;
 }
 
 let seed_bits = 128
@@ -46,7 +57,8 @@ let create ~f ~s =
     par63 = Gf2k.step field f;
     tbl_w = [||];
     tbl_s = [||];
-    jump = [||];
+    tbl_x64 = [||];
+    pow = [||];
   }
 
 let sample rng =
@@ -92,7 +104,7 @@ let byte_table basis =
   done;
   tbl
 
-let ensure_tables t =
+let ensure_walk t =
   if Array.length t.tbl_w = 0 then begin
     let f_low = Gf2k.modulus_low t.field in
     (* The successor of window e_k is e_k shifted 64 steps on. *)
@@ -112,14 +124,21 @@ let ensure_tables t =
       states.(k) <- !w;
       w := shift f_low !w
     done;
-    let jump = Array.make 62 (Gf2k.pow_x t.field 64) in
-    for j = 1 to 61 do
-      jump.(j) <- Gf2k.mul t.field jump.(j - 1) jump.(j - 1)
-    done;
     t.tbl_s <- byte_table states;
-    t.jump <- jump;
-    (* Last: a non-empty [tbl_w] marks the tables built. *)
+    (* Last: a non-empty [tbl_w] marks both tables built. *)
     t.tbl_w <- byte_table succ
+  end
+
+let ensure_field t =
+  if Array.length t.pow = 0 then begin
+    (* x^(64+k) mod f, the image of state x^k under p ↦ p·x^64. *)
+    let times = Array.make 62 (Gf2k.pow_x t.field 64) in
+    for k = 1 to 61 do
+      times.(k) <- Gf2k.step t.field times.(k - 1)
+    done;
+    t.tbl_x64 <- byte_table times;
+    (* Last: a non-empty [pow] marks both tables built. *)
+    t.pow <- Array.make (8 * 256) 0
   end
 
 (* The image of a 62-bit [v] under a byte-tabulated linear map. *)
@@ -141,23 +160,22 @@ let[@inline] parity x =
   (0x6996 lsr ((x lxor (x lsr 4)) land 0xF)) land 1
 
 let next_word t =
-  ensure_tables t;
+  ensure_walk t;
   let w = t.window in
   t.window <- apply t.tbl_w w;
   t.widx <- t.widx + 1;
   let top = parity (w land t.par62) lor (parity (w land t.par63) lsl 1) in
   Int64.logor (Int64.of_int w) (Int64.shift_left (Int64.of_int top) 62)
 
-(* The parity of one word AND an input word (hi·2^32 + lo), as a 62-bit
-   mask on the window: the input's bits 62 and 63 select the window
-   masks that give the word's bits 62 and 63. *)
-let[@inline] window_mask t ~lo ~hi =
+(* An input word (hi·2^32 + lo) as a field element: bits 0..61 as they
+   are, bits 62 and 63 reduced to x^62 and x^63 mod f. *)
+let[@inline] word_mod t ~lo ~hi =
   (lo lor ((hi land 0x3FFF_FFFF) lsl 32))
   lxor (t.par62 land -((hi lsr 30) land 1))
   lxor (t.par63 land -((hi lsr 31) land 1))
 
 (* Word [k] of a {!Util.Bitvec.backing} buffer, read without a bounds
-   check: [inner_product] checks the range once per call. *)
+   check: [reduce] checks the range once per call. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
@@ -165,36 +183,77 @@ let[@inline] input_word x k =
   let v = get64u x (8 * k) in
   if Sys.big_endian then swap64 v else v
 
-let inner_product t x ~n ~last_lo ~last_hi =
-  if n < 1 || n - 1 > Bytes.length x / 8 then invalid_arg "Generator.inner_product: n";
-  ensure_tables t;
-  let acc = ref 0 and w = ref t.window in
-  for k = 0 to n - 2 do
+let reduce t x ~n ~last_lo ~last_hi =
+  if n < 1 || n - 1 > Bytes.length x / 8 then invalid_arg "Generator.reduce: n";
+  ensure_field t;
+  (* Horner from the last word down: R ← R·x^64 + X_k. *)
+  let r = ref (word_mod t ~lo:last_lo ~hi:last_hi) in
+  for k = n - 2 downto 0 do
     let xk = input_word x k in
     let lo = Int64.to_int xk land 0xFFFF_FFFF in
     let hi = Int64.to_int (Int64.shift_right_logical xk 32) in
-    acc := !acc lxor (!w land window_mask t ~lo ~hi);
-    w := apply t.tbl_w !w
+    r := apply t.tbl_x64 !r lxor word_mod t ~lo ~hi
   done;
-  acc := !acc lxor (!w land window_mask t ~lo:last_lo ~hi:last_hi);
-  t.window <- apply t.tbl_w !w;
-  t.widx <- t.widx + n;
-  parity !acc
+  !r
+
+(* Row [k] of [pow]: x^(64·256^k) is x^64 squared 8k times, and entry d
+   its d-th power.  Entry 0 is written last: it marks the row filled. *)
+let fill_row t k =
+  let row = k * 256 in
+  let b = ref (apply t.tbl_x64 1) in
+  for _ = 1 to 8 * k do
+    b := Gf2k.mul t.field !b !b
+  done;
+  t.pow.(row + 1) <- !b;
+  for d = 2 to 255 do
+    t.pow.(row + d) <- Gf2k.mul t.field t.pow.(row + d - 1) !b
+  done;
+  t.pow.(row) <- 1
+
+(* x^(64·i) for [i >= 0]: the product of one [pow] entry per nonzero
+   byte of [i] (the first taken as it is). *)
+let power t i =
+  let p = ref 1 and rest = ref i and row = ref 0 in
+  while !rest <> 0 do
+    let d = !rest land 0xFF in
+    if d <> 0 then begin
+      if Array.unsafe_get t.pow !row = 0 then fill_row t (!row / 256);
+      let e = Array.unsafe_get t.pow (!row + d) in
+      p := if !p = 1 then e else Gf2k.mul t.field !p e
+    end;
+    rest := !rest lsr 8;
+    row := !row + 256
+  done;
+  !p
+
+let parities t r ~offset ~stride ~tau =
+  if offset < 0 || stride < 1 then invalid_arg "Generator.parities: offset or stride";
+  ensure_field t;
+  let q = ref (Gf2k.mul t.field (power t offset) r) and out = ref 0 in
+  (* Slab j + 1 starts [stride] words after slab j: its state is slab
+     j's times x^(64·stride), a table step when that is x^64. *)
+  if stride = 1 then
+    for j = 0 to tau - 1 do
+      if j > 0 then q := apply t.tbl_x64 !q;
+      out := !out lor (parity (!q land t.s) lsl j)
+    done
+  else begin
+    let step = power t stride in
+    for j = 0 to tau - 1 do
+      if j > 0 then q := Gf2k.mul t.field !q step;
+      out := !out lor (parity (!q land t.s) lsl j)
+    done
+  end;
+  !out
 
 let word_index t = t.widx
 
 let seek_word t i =
   if i < 0 then invalid_arg "Generator.seek_word: negative index";
   if i <> t.widx then begin
-    ensure_tables t;
-    (* x^(64·i) = ∏ x^(64·2^j) over the set bits j of i. *)
-    let p = ref 1 and rest = ref i and j = ref 0 in
-    while !rest <> 0 do
-      if !rest land 1 = 1 then p := Gf2k.mul t.field !p (Array.unsafe_get t.jump !j);
-      rest := !rest lsr 1;
-      incr j
-    done;
-    t.window <- apply t.tbl_s !p;
+    ensure_walk t;
+    ensure_field t;
+    t.window <- apply t.tbl_s (power t i);
     t.widx <- i
   end
 

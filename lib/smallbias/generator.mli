@@ -41,15 +41,24 @@ val next_word : t -> int64
     [64*cursor + j]); advances the cursor by one word.  One step of a
     byte-tabulated linear map: 8 table lookups. *)
 
-val inner_product : t -> Bytes.t -> n:int -> last_lo:int -> last_hi:int -> int
-(** [inner_product g x ~n ~last_lo ~last_hi] consumes the [n] words at
-    the cursor and returns the parity (0 or 1) of their AND with the
-    input whose words are [x]'s words 0, …, [n-2], then [last_hi·2^32 +
-    last_lo] ([last_lo], [last_hi] are 32-bit halves).  [x] is laid out
-    as {!Util.Bitvec.backing}: word [k] is the little-endian 64-bit
-    integer at byte offset [8k].  Equals the parity of the same AND
-    over [n] calls of {!next_word}, without boxing a word.  Raises
-    [Invalid_argument] unless [1 <= n <= Bytes.length x / 8 + 1]. *)
+val reduce : t -> Bytes.t -> n:int -> last_lo:int -> last_hi:int -> int
+(** [reduce g x ~n ~last_lo ~last_hi] is the field element Σ_k X_k·x^(64k)
+    mod f, where the input words X_0, …, X_(n-1) are [x]'s words 0, …,
+    [n-2], then [last_hi·2^32 + last_lo] ([last_lo], [last_hi] are
+    32-bit halves).  [x] is laid out as {!Util.Bitvec.backing}: word [k]
+    is the little-endian 64-bit integer at byte offset [8k].  One
+    byte-table step (8 lookups) per word; the cursor does not move.
+    Raises [Invalid_argument] unless [1 <= n <= Bytes.length x / 8 + 1]. *)
+
+val parities : t -> int -> offset:int -> stride:int -> tau:int -> int
+(** [parities g r ~offset ~stride ~tau], for [r = reduce g x ~n …]: bit
+    [j] (for [j < tau]) is the parity of the input's [n] words ANDed
+    with stream words [offset + j·stride], …, [offset + j·stride + n -
+    1], computed as ⟨x^(64·(offset + j·stride))·r, s⟩.  One field
+    product per slab (a byte-table step when [stride = 1]), plus the
+    powers x^(64·offset) and x^(64·stride) (see {!seek_word}).  The
+    cursor does not move, and nothing is allocated once the tables are
+    built.  Raises [Invalid_argument] if [offset < 0] or [stride < 1]. *)
 
 val word_index : t -> int
 (** Current cursor position in words. *)
@@ -57,11 +66,16 @@ val word_index : t -> int
 val seek_word : t -> int -> unit
 (** Move the cursor to an absolute word index [i], any [0 <= i <= max_int].
     A no-op when the cursor is already there; otherwise, in either
-    direction, it builds the field state x^(64·i) as a product of
-    popcount(i) precomputed powers x^(64·2^j) (4-bit-window
-    {!Gf.Gf2k.mul}) and maps it to the 62-bit output window through a
-    byte table.  About a microsecond; the tables (32 KiB) are built on
-    the generator's first word or seek.
+    direction, it builds the field state x^(64·i) from a byte-window
+    power table (row k holds x^(64·d·256^k), d < 256): one
+    {!Gf.Gf2k.mul} per nonzero byte of i after the first, so at most two
+    below 2^24.  A byte table then maps the state to the 62-bit output
+    window.  About 0.15 µs on a 2-core x86-64 host.  A generator builds
+    its tables on first use: the two window tables (32 KiB) on its
+    first word or seek, the x^64 byte table and the power table
+    (32 KiB) on its first seek or hash, and a power row (255
+    multiplies) the first time a power has a nonzero byte in its
+    position.
     After [seek_word g i], [next_word g] returns word [i].  Raises
     [Invalid_argument] if [i < 0]. *)
 

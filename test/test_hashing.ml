@@ -158,12 +158,12 @@ let prop_prefix_sensitivity =
 (* ---------- the kernel against a per-word reference ----------
 
    [ref_hash_prefix] / [ref_hash_int] are the straightforward per-word
-   loops of Definition 2.2: one [Seed_stream.word] and one
+   loops of Definition 2.2: one seed word from [word] and one
    [Bitvec.word] per seed word, boxed [Int64] arithmetic throughout.
    The library kernel ([Seed_stream.inner_products], behind [Ip_hash])
    must agree with them bit for bit on every stream kind. *)
 
-let ref_hash_prefix stream ~offset ~tau x ~bits =
+let ref_hash_prefix word ~offset ~tau x ~bits =
   let nw = (bits + 63) / 64 in
   let tail = bits mod 64 in
   let tail_mask = if tail = 0 then -1L else Int64.sub (Int64.shift_left 1L tail) 1L in
@@ -174,25 +174,44 @@ let ref_hash_prefix stream ~offset ~tau x ~bits =
     for w = 0 to nw - 1 do
       let xw = Util.Bitvec.word x w in
       let xw = if w = nw - 1 then Int64.logand xw tail_mask else xw in
-      acc := Int64.logxor !acc (Int64.logand xw (Seed_stream.word stream (base + w)))
+      acc := Int64.logxor !acc (Int64.logand xw (word (base + w)))
     done;
     if Util.Bitvec.parity64 !acc = 1 then out := !out lor (1 lsl j)
   done;
   !out
 
-let ref_hash_int stream ~offset ~tau v =
+let ref_hash_int word ~offset ~tau v =
   let x = Int64.of_int v in
   let out = ref 0 in
   for j = 0 to tau - 1 do
-    if Util.Bitvec.parity64 (Int64.logand x (Seed_stream.word stream (offset + j))) = 1 then
+    if Util.Bitvec.parity64 (Int64.logand x (word (offset + j))) = 1 then
       out := !out lor (1 lsl j)
   done;
   !out
 
-(* A random input of random length; half the time truncated and then
+(* Word [i] of a δ-biased stream straight from Lemma 2.5, without the
+   generator's tables: bit j is ⟨x^(64i+j) mod f, s⟩, with x^(64i) by
+   square-and-multiply.  A read of the word after the last one steps
+   the field state on instead. *)
+let biased_reference g =
+  let f, s = Smallbias.Generator.seed g in
+  let field = Gf.Gf2k.make ~modulus_low:f in
+  let x64 = Gf.Gf2k.pow_x field 64 in
+  let next = ref (-1) and p = ref 0 in
+  fun i ->
+    if i <> !next then p := Gf.Gf2k.pow field x64 i;
+    let w = ref 0L in
+    for j = 0 to 63 do
+      if Gf.Gf2k.parity_int (!p land s) = 1 then w := Int64.logor !w (Int64.shift_left 1L j);
+      p := Gf.Gf2k.step field !p
+    done;
+    next := i + 1;
+    !w
+
+(* A random input of up to ~70 words; half the time truncated and then
    regrown, so that words once written and cleared are read again. *)
 let random_vector rng =
-  let x = mk_input rng (Util.Rng.int rng 700) in
+  let x = mk_input rng (Util.Rng.int rng 4500) in
   if Util.Rng.bool rng then begin
     Util.Bitvec.truncate x (Util.Rng.int rng (Util.Bitvec.length x + 1));
     for _ = 1 to Util.Rng.int rng 200 do
@@ -201,23 +220,40 @@ let random_vector rng =
   end;
   x
 
-(* One stream of each kind: [Explicit] arrays are often shorter than the
-   range a hash reads, so out-of-range words (read as zero) are covered. *)
+(* One stream of each kind, with the reference reader of its words.
+   [Explicit] arrays are often shorter than the range a hash reads, so
+   out-of-range words (read as zero) are covered.  A δ-biased stream's
+   reference does not go through the generator. *)
 let random_stream rng ~kind =
   match kind with
-  | 0 -> Seed_stream.uniform ~key:(Util.Rng.int64 rng)
-  | 1 -> Seed_stream.biased (Smallbias.Generator.sample rng)
-  | _ -> Seed_stream.explicit (Array.init (Util.Rng.int rng 400) (fun _ -> Util.Rng.int64 rng))
+  | 0 ->
+      let s = Seed_stream.uniform ~key:(Util.Rng.int64 rng) in
+      (s, Seed_stream.word s)
+  | 1 ->
+      let g = Smallbias.Generator.sample rng in
+      (Seed_stream.biased g, biased_reference g)
+  | _ ->
+      let s = Seed_stream.explicit (Array.init (Util.Rng.int rng 400) (fun _ -> Util.Rng.int64 rng)) in
+      (s, Seed_stream.word s)
 
+(* δ-biased offsets fall in a random byte range 2^(8k) .. 2^(8k+8) - 1,
+   k < 8 (capped below 2^61), so every row of the generator's power
+   table is read. *)
 let random_offset rng ~kind =
-  if kind = 2 then Util.Rng.int rng 300 else Util.Rng.int rng (1 lsl 30)
+  match kind with
+  | 1 when Util.Rng.bool rng ->
+      let k = Util.Rng.int rng 8 in
+      let r = Int64.shift_right_logical (Util.Rng.int64 rng) (64 - min 61 ((8 * k) + 8)) in
+      Int64.to_int r lor (1 lsl (8 * k))
+  | 2 -> Util.Rng.int rng 300
+  | _ -> Util.Rng.int rng (1 lsl 30)
 
 let prop_kernel_matches_reference =
   QCheck.Test.make ~name:"kernel = per-word reference (all stream kinds)" ~count:600
     QCheck.(pair (int_bound 2) (int_bound 1_000_000))
     (fun (kind, seed) ->
       let rng = Util.Rng.create seed in
-      let stream = random_stream rng ~kind in
+      let stream, word = random_stream rng ~kind in
       let x = random_vector rng in
       let len = Util.Bitvec.length x in
       let tau = 1 + Util.Rng.int rng Ip_hash.max_tau in
@@ -228,12 +264,57 @@ let prop_kernel_matches_reference =
         (fun bits ->
           bits > len
           || Ip_hash.hash_prefix stream ~offset ~tau x ~bits
-             = ref_hash_prefix stream ~offset ~tau x ~bits)
+             = ref_hash_prefix word ~offset ~tau x ~bits)
         [ 0; 1; 63; 64; 65; len; Util.Rng.int rng (len + 1) ]
-      && Ip_hash.hash stream ~offset ~tau x = ref_hash_prefix stream ~offset ~tau x ~bits:len
+      && Ip_hash.hash stream ~offset ~tau x = ref_hash_prefix word ~offset ~tau x ~bits:len
       && List.for_all
-           (fun v -> Ip_hash.hash_int stream ~offset ~tau v = ref_hash_int stream ~offset ~tau v)
+           (fun v -> Ip_hash.hash_int stream ~offset ~tau v = ref_hash_int word ~offset ~tau v)
            [ 0; 1; v; big; max_int; min_int; -1 ])
+
+(* Offsets 0, 2^8, …, 2^56 at the full τ: every row of the power table
+   is read, whatever the random offsets above happened to pick. *)
+let test_kernel_biased_byte_rows () =
+  let rng = Util.Rng.create 24 in
+  let g = Smallbias.Generator.sample rng in
+  let stream = Seed_stream.biased g and word = biased_reference g in
+  let x = mk_input rng (70 * 64) in
+  let tau = Ip_hash.max_tau in
+  List.iter
+    (fun offset ->
+      List.iter
+        (fun bits ->
+          Alcotest.(check int)
+            (Printf.sprintf "prefix, offset %d, %d bits" offset bits)
+            (ref_hash_prefix word ~offset ~tau x ~bits)
+            (Ip_hash.hash_prefix stream ~offset ~tau x ~bits))
+        [ 0; 64; 1000; 70 * 64 ];
+      Alcotest.(check int)
+        (Printf.sprintf "int, offset %d" offset)
+        (ref_hash_int word ~offset ~tau (-12345))
+        (Ip_hash.hash_int stream ~offset ~tau (-12345)))
+    (0 :: List.init 7 (fun k -> 1 lsl (8 * (k + 1))))
+
+(* A negative index or offset raises the same [Invalid_argument] on
+   every stream kind, even where there is nothing to read. *)
+let test_rejects_negative_offsets () =
+  let g = Smallbias.Generator.sample (Util.Rng.create 25) in
+  let x = Bytes.make 16 '\001' in
+  List.iter
+    (fun (kind, s) ->
+      let raises what f =
+        Alcotest.check_raises (kind ^ ": " ^ what) (Invalid_argument "Seed_stream: negative index")
+          (fun () -> ignore (f ()))
+      in
+      raises "word" (fun () -> Seed_stream.word s (-1));
+      raises "inner_products" (fun () -> Seed_stream.inner_products s ~offset:(-1) ~tau:4 x ~bits:100);
+      raises "inner_products, no bits" (fun () ->
+          Seed_stream.inner_products s ~offset:(-3) ~tau:4 x ~bits:0);
+      raises "inner_products_int" (fun () -> Seed_stream.inner_products_int s ~offset:min_int ~tau:4 7))
+    [
+      ("uniform", Seed_stream.uniform ~key:3L);
+      ("biased", Seed_stream.biased g);
+      ("explicit", Seed_stream.explicit [| 1L; 2L |]);
+    ]
 
 (* The uniform loop computes SplitMix64 inline; read every seed word
    back out of the kernel (the parity against a unit vector is one seed
@@ -267,14 +348,16 @@ let test_kernel_rejects_short_array () =
       ignore (Seed_stream.inner_products s ~offset:0 ~tau:4 (Bytes.make 8 '\001') ~bits:65))
 
 (* The hot path allocates nothing: [Seeds.hash_prefix] on a 20-word
-   input and [Seeds.hash_int], on a uniform and on a δ-biased stream
-   (where every call seeks, since each reads a fresh offset).
+   input and [Seeds.hash_int], on a uniform and on a δ-biased stream.
+   After one warm-up call at iteration 0 the calls read iterations from
+   2^36 on, so on a δ-biased stream they fill power rows that the
+   warm-up left empty, and every call reads a fresh offset.
    Minor-heap words are counted exactly in native code. *)
 let minor_words_per_call ~calls f =
   f 0;
   let before = Gc.minor_words () in
   for i = 1 to calls do
-    f i
+    f ((1 lsl 36) + i)
   done;
   (Gc.minor_words () -. before) /. float_of_int calls
 
@@ -330,6 +413,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
           Alcotest.test_case "splitmix matches Rng.at" `Quick test_kernel_splitmix_matches_rng;
           Alcotest.test_case "rejects bits beyond the array" `Quick test_kernel_rejects_short_array;
+          Alcotest.test_case "biased, every power row" `Quick test_kernel_biased_byte_rows;
+          Alcotest.test_case "rejects negative offsets (all stream kinds)" `Quick
+            test_rejects_negative_offsets;
           Alcotest.test_case "allocation-free on a uniform stream" `Quick test_kernel_allocation_free;
           Alcotest.test_case "allocation-free on a biased stream, seeks included" `Quick
             test_kernel_allocation_free_biased;

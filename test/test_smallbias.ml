@@ -140,14 +140,33 @@ let test_seek_huge_indices () =
       Alcotest.(check int64) (Printf.sprintf "word %d" i) (ref_word g i) (Generator.next_word g))
     [ 1 lsl 56; 1 lsl 60; max_int; (1 lsl 60) + 1; 0 ]
 
+(* Every entry of the seek's power table, d·256^k for d < 256, k < 8
+   (d < 64 in the top byte, below 2^62): a single wrong entry shows. *)
+let test_seek_every_power_entry () =
+  let g = Generator.sample (Util.Rng.create 23) in
+  for k = 0 to 7 do
+    for d = 1 to if k = 7 then 63 else 255 do
+      let i = d lsl (8 * k) in
+      Generator.seek_word g i;
+      Alcotest.(check int64) (Printf.sprintf "word %d·256^%d" d k) (ref_word g i) (Generator.next_word g)
+    done
+  done
+
 let test_seek_rejects_negative () =
   let g = Generator.sample (Util.Rng.create 21) in
   Alcotest.check_raises "negative index" (Invalid_argument "Generator.seek_word: negative index")
     (fun () -> Generator.seek_word g (-1))
 
+(* An index whose highest nonzero byte is a random one of bytes 0..7,
+   below 2^61: every row of the seek's power table gets used. *)
+let random_index rng =
+  let bits = min 61 (8 * (1 + Util.Rng.int rng 8)) in
+  Int64.to_int (Int64.shift_right_logical (Util.Rng.int64 rng) (64 - bits))
+
 (* Random seek sequences: far forward, back, repeated and one-step moves
-   over indices up to 2^40; after each seek the next two words must
-   match the reference and [bit_at], bit by bit. *)
+   over indices in every byte range; after each seek the next two words
+   must match the reference, and [bit_at] bit by bit wherever the bit
+   index 64·i + 63 is a native int. *)
 let prop_seek_matches_reference =
   QCheck.Test.make ~name:"seek_word + next_word = pow-based reference" ~count:40
     QCheck.(int_bound 1_000_000)
@@ -162,18 +181,31 @@ let prop_seek_matches_reference =
             | 0 -> !prev
             | 1 -> !prev + 1
             | 2 -> Util.Rng.int rng (max 1 !prev)
-            | _ -> Int64.to_int (Int64.shift_right_logical (Util.Rng.int64 rng) 24)
+            | _ -> random_index rng
           in
           prev := i;
           Generator.seek_word g i;
           let w0 = Generator.next_word g in
           let w1 = Generator.next_word g in
-          w0 = ref_word g i && w0 = word_of_bits g i && w1 = ref_word g (i + 1)
+          w0 = ref_word g i
+          && (i >= 1 lsl 56 || w0 = word_of_bits g i)
+          && w1 = ref_word g (i + 1)
           && Generator.word_index g = i + 2)
         (List.init 8 Fun.id))
 
-(* [inner_product] against the parity of the same words read one by one
-   with [next_word]. *)
+(* The per-word window walk: the parity of the input words ANDed with
+   the stream words from word [at] on, read one by one with
+   [next_word]. *)
+let walk_parity g words ~last ~at =
+  Generator.seek_word g at;
+  let acc = ref 0L in
+  Array.iter (fun w -> acc := Int64.logxor !acc (Int64.logand w (Generator.next_word g))) words;
+  acc := Int64.logxor !acc (Int64.logand last (Generator.next_word g));
+  Util.Bitvec.parity64 !acc
+
+(* [reduce] then [parities] (one field product per slab) against the
+   window walk, slab by slab, at offsets in every byte range and at
+   the two strides the hash kernel uses; neither moves the cursor. *)
 let prop_inner_product_matches_words =
   QCheck.Test.make ~name:"inner_product = parity over next_word" ~count:200
     QCheck.(int_bound 1_000_000)
@@ -181,24 +213,30 @@ let prop_inner_product_matches_words =
       let rng = Util.Rng.create seed in
       let g = Generator.sample rng in
       let n = 1 + Util.Rng.int rng 40 in
-      let words = Array.init (n - 1 + Util.Rng.int rng 3) (fun _ -> Util.Rng.int64 rng) in
-      let x = Bytes.create (8 * Array.length words) in
+      let words = Array.init (n - 1) (fun _ -> Util.Rng.int64 rng) in
+      let x = Bytes.create (8 * (n - 1 + Util.Rng.int rng 3)) in
       Array.iteri (fun k w -> Bytes.set_int64_le x (8 * k) w) words;
       let last = Util.Rng.int64 rng in
       let last_lo = Int64.to_int last land 0xFFFF_FFFF in
       let last_hi = Int64.to_int (Int64.shift_right_logical last 32) in
-      let i = Util.Rng.int rng 100_000 in
-      Generator.seek_word g i;
-      let acc = ref 0L in
-      for k = 0 to n - 1 do
-        let xk = if k = n - 1 then last else words.(k) in
-        acc := Int64.logxor !acc (Int64.logand xk (Generator.next_word g))
-      done;
-      Generator.seek_word g i;
-      let p = Generator.inner_product g x ~n ~last_lo ~last_hi in
-      p = Util.Bitvec.parity64 !acc
-      && Generator.word_index g = i + n
-      && Generator.next_word g = ref_word g (i + n))
+      let offset = random_index rng in
+      let stride = if Util.Rng.bool rng then n else 1 in
+      let tau = 1 + Util.Rng.int rng 5 in
+      Generator.seek_word g (Util.Rng.int rng 1000);
+      let cursor = Generator.word_index g in
+      let r = Generator.reduce g x ~n ~last_lo ~last_hi in
+      let h = Generator.parities g r ~offset ~stride ~tau in
+      Generator.word_index g = cursor
+      && List.for_all
+           (fun j -> (h lsr j) land 1 = walk_parity g words ~last ~at:(offset + (j * stride)))
+           (List.init tau Fun.id)
+      && h lsr tau = 0)
+
+let test_parities_reject_negative_offset () =
+  let g = Generator.sample (Util.Rng.create 22) in
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "Generator.parities: offset or stride") (fun () ->
+      ignore (Generator.parities g 1 ~offset:(-1) ~stride:1 ~tau:1))
 
 let prop_word_index_tracks =
   QCheck.Test.make ~name:"word_index tracks next_word/seek" ~count:50
@@ -227,8 +265,11 @@ let () =
           Alcotest.test_case "empirical bias over seeds" `Slow test_empirical_bias_over_seeds;
           QCheck_alcotest.to_alcotest prop_word_index_tracks;
           Alcotest.test_case "seek huge indices" `Quick test_seek_huge_indices;
+          Alcotest.test_case "seek every power-table entry" `Quick test_seek_every_power_entry;
           Alcotest.test_case "seek rejects negative" `Quick test_seek_rejects_negative;
           QCheck_alcotest.to_alcotest prop_seek_matches_reference;
           QCheck_alcotest.to_alcotest prop_inner_product_matches_words;
+          Alcotest.test_case "parities reject negative offset" `Quick
+            test_parities_reject_negative_offset;
         ] );
     ]
