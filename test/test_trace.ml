@@ -393,6 +393,43 @@ let test_traced_scheme_run () =
   Alcotest.(check string) "replay identical" (Export.jsonl ~timing:false sink)
     (Export.jsonl ~timing:false sink2)
 
+(* One noisy run under all five fault kinds on a 3×3 grid, traced and
+   metered: the subject of the export goldens and of the cross-surface
+   consistency check.  Sampling stays off — a sampled trace's totals
+   cover the sampled iterations only, by design. *)
+let probe_run ~shards ~ragged_d =
+  let g = Topology.Graph.grid ~rows:3 ~cols:3 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:16 in
+  let adv = Netsim.Adversary.iid (Util.Rng.create 45) ~rate:0.002 in
+  let faults =
+    Faults.Plan.make ~key:"probe-vocabulary"
+      [
+        Faults.Plan.Crash { party = 4; at_iteration = 3; recover_at = Some 9 };
+        Faults.Plan.Link_stall { edge = 2; from_round = 400; rounds = 60 };
+        Faults.Plan.Noise_overload { factor = 4.; from_round = 1500; rounds = 200; rate = 0.002 };
+        Faults.Plan.Transcript_rot { party = 1; at_iteration = 5 };
+        Faults.Plan.Seed_rot { party = 7; from_iteration = 30 };
+      ]
+  in
+  let sink = Sink.create () and reg = Metrics.Registry.create () in
+  let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d ()) in
+  let config = Coding.Scheme.Config.make ~sink ~metrics:reg ~faults ~backend () in
+  let outcome =
+    Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 46) (Coding.Params.algorithm_1 g) pi
+      adv
+  in
+  (outcome, sink, Metrics.Registry.snapshot reg)
+
+(* Digests of both timing-free exports, pinned before the probe
+   vocabulary moved from per-run interning to declared ids: any change
+   to event names, order, values or metric registration shows here. *)
+let test_export_golden () =
+  let _, sink, snap = probe_run ~shards:1 ~ragged_d:0 in
+  Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "jsonl export digest" "9c2febe4bc33087187df4dc2ea3be7a4" (digest (Export.jsonl ~timing:false sink));
+  Alcotest.(check string) "exact metrics digest" "ec5458211737b9b00aefa590b382e944" (digest (Metrics.Expo.exact_json snap))
+
 let () =
   Alcotest.run "trace"
     [
@@ -409,6 +446,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_export_deterministic;
           Alcotest.test_case "summary + aggregation" `Quick test_summary_and_agg;
+          Alcotest.test_case "golden digests" `Quick test_export_golden;
         ] );
       ( "instrumentation",
         [
