@@ -339,12 +339,7 @@ let run_cmd topology parties scheme_name protocol rounds adversary rate budget_d
         | _ -> assert false));
     match Faults.Outcome.diagnosis outcome with
     | Some d ->
-        Format.printf "  diagnosis: %a@." Faults.Outcome.pp_diagnosis d;
-        (* An aborted run carries the scheme's flight recorder — the
-           last phase events before death, available even without a
-           trace sink (live backends never have one). *)
-        if d.Faults.Outcome.flight <> [] then
-          Format.printf "%a" Obsv.Postmortem.pp_flight d.Faults.Outcome.flight
+        Format.printf "  diagnosis: %a@." Faults.Outcome.pp_diagnosis d
     | None -> ()
   done;
   if !traces_written <> [] then
@@ -456,7 +451,7 @@ let metrics_t =
         ~doc:
           "Collect online telemetry for every trial (scheme iteration/rewind/Φ counters, \
            network corruption counters and noise gauges, live-engine round latency and \
-           barrier spin histograms, flight recorder) and write one snapshot per trial.  A \
+           barrier spin histograms) and write one snapshot per trial.  A \
            $(docv) ending in .jsonl gets one appended JSON line per trial; any other name \
            is written as OpenMetrics text, numbered per trial like --trace (name.t.om).  \
            Like --trace, collection is domain-safe: neither forces the live backend onto \

@@ -41,8 +41,9 @@ let fallback_seed received =
     received;
   (!a, !b)
 
+let ev_failed = Trace.Sink.declare "exchange.failed"
+
 let run ?(sink = Trace.Sink.disabled) net ~rng =
-  let tr_fail = Trace.Sink.intern sink "exchange.failed" in
   let graph = Netsim.Network.graph net in
   let edges = Topology.Graph.edges graph in
   let m = Array.length edges in
@@ -76,5 +77,5 @@ let run ?(sink = Trace.Sink.disabled) net ~rng =
       in
       let hi_gen = Smallbias.Generator.of_seed decoded in
       let ok = decoded = seeds.(e) in
-      if not ok then Trace.Sink.count sink ~id:tr_fail ~arg:e 1;
+      if not ok then Trace.Sink.count sink ~id:ev_failed ~arg:e 1;
       { lo_gen; hi_gen; ok })

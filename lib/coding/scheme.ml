@@ -101,99 +101,68 @@ module Config = struct
     }
 end
 
-(* Probe ids, interned once per execution.  With the disabled sink every
-   id is 0 and each probe site below reduces to one branch.
+(* The scheme's trace events, declared once for the process.  With the
+   disabled sink each probe site below reduces to one branch. *)
+let sp_iter = Trace.Sink.declare "scheme.iteration"
+let sp_prepass = Trace.Sink.declare "phase.fault_prepass"
+let sp_mp = Trace.Sink.declare "phase.meeting_points"
+let sp_flag = Trace.Sink.declare "phase.flag_passing"
+let sp_sim = Trace.Sink.declare "phase.simulation"
+let sp_rewind = Trace.Sink.declare "phase.rewind"
+let sp_exchange = Trace.Sink.declare "phase.exchange"
+let sp_output = Trace.Sink.declare "phase.output"
+let c_mp_enter = Trace.Sink.declare "mp.enter"
+let c_mp_exit = Trace.Sink.declare "mp.exit"
+let c_mp_trunc = Trace.Sink.declare "mp.truncate"
+let c_collision = Trace.Sink.declare "mp.hash_collision"
+let c_flag_missing = Trace.Sink.declare "flag.missing"
+let c_flag_votes = Trace.Sink.declare "flag.votes"
+let c_net_correct = Trace.Sink.declare "flag.net_correct"
+let c_idle = Trace.Sink.declare "sim.idle_parties"
+let c_rewind_req = Trace.Sink.declare "rewind.requests"
+let c_fault_crash = Trace.Sink.declare "fault.crash"
+let c_fault_rejoin = Trace.Sink.declare "fault.rejoin"
+let c_fault_seed_rot = Trace.Sink.declare "fault.seed_rot"
+let c_fault_tr_rot = Trace.Sink.declare "fault.transcript_rot"
+let c_abort = Trace.Sink.declare "scheme.abort"
+let c_phi_stall = Trace.Sink.declare "phi.stall"
+let g_rewind_depth = Trace.Sink.declare "rewind.depth"
+let g_phi = Trace.Sink.declare "phi"
+let g_gstar = Trace.Sink.declare "progress.g_star"
+let g_bstar = Trace.Sink.declare "progress.b_star"
 
-   [sink] is the leader/control-domain sink: leader-side sites (phase
-   spans, fault prepass, post-join gauges) emit into it.  [rings.(w)]
-   is the sink shard [w]'s callbacks emit into — on the serial engine
-   every entry aliases [sink], under sharded capture it is that worker
-   domain's private ring.  Ids are valid on every ring by construction
-   (all interning goes through one [intern]). *)
+(* Per-run probe state.  [sink] is the leader/control-domain sink:
+   leader-side sites (phase spans, fault prepass, post-join gauges) emit
+   into it.  [rings.(w)] is the sink shard [w]'s callbacks emit into —
+   on the serial engine every entry aliases [sink], under sharded
+   capture it is that worker domain's private ring.
+
+   The metrics handles, unlike the trace sink, are domain-safe (atomic
+   cells), so the shard-callback sites below may fire on worker domains
+   in parallel live mode.  Count metrics are Exact: at d = 0 the
+   recorded event multiset is the lockstep one for every shard count,
+   and atomic adds commute. *)
 type probes = {
   sink : Trace.Sink.t;
   rings : Trace.Sink.t array;
-  sp_iter : int;
-  sp_prepass : int;
-  sp_mp : int;
-  sp_flag : int;
-  sp_sim : int;
-  sp_rewind : int;
-  sp_exchange : int;
-  sp_output : int;
-  c_mp_enter : int;
-  c_mp_exit : int;
-  c_mp_trunc : int;
-  c_collision : int;
-  c_flag_missing : int;
-  c_flag_votes : int;
-  c_net_correct : int;
-  c_idle : int;
-  c_rewind_req : int;
-  c_fault_crash : int;
-  c_fault_rejoin : int;
-  c_fault_seed_rot : int;
-  c_fault_tr_rot : int;
-  c_abort : int;
-  c_phi_stall : int;
-  g_rewind_depth : int;
-  g_phi : int;
-  g_gstar : int;
-  g_bstar : int;
-  (* Metrics handles and the flight recorder — unlike the trace sink
-     these are domain-safe (atomic cells), so the shard-callback sites
-     below may fire on worker domains in parallel live mode.  Count
-     metrics are Exact: at d = 0 the recorded event multiset is the
-     lockstep one for every shard count, and atomic adds commute. *)
   m_on : bool;
   m_iter_c : Metrics.Registry.counter;
   m_trunc_c : Metrics.Registry.counter;
   m_rewind_c : Metrics.Registry.counter;
   m_phi_stall_c : Metrics.Registry.counter;
   m_phi_g : Metrics.Registry.gauge;
-  flight : Metrics.Flight.t;
 }
 
-let make_probes ?(metrics = Metrics.Registry.disabled)
-    ?(flight = Metrics.Flight.disabled) ~rings ~intern sink =
-  let i n = (intern n : int) in
+let make_probes ~metrics ~rings sink =
   {
     sink;
     rings;
-    sp_iter = i "scheme.iteration";
-    sp_prepass = i "phase.fault_prepass";
-    sp_mp = i "phase.meeting_points";
-    sp_flag = i "phase.flag_passing";
-    sp_sim = i "phase.simulation";
-    sp_rewind = i "phase.rewind";
-    sp_exchange = i "phase.exchange";
-    sp_output = i "phase.output";
-    c_mp_enter = i "mp.enter";
-    c_mp_exit = i "mp.exit";
-    c_mp_trunc = i "mp.truncate";
-    c_collision = i "mp.hash_collision";
-    c_flag_missing = i "flag.missing";
-    c_flag_votes = i "flag.votes";
-    c_net_correct = i "flag.net_correct";
-    c_idle = i "sim.idle_parties";
-    c_rewind_req = i "rewind.requests";
-    c_fault_crash = i "fault.crash";
-    c_fault_rejoin = i "fault.rejoin";
-    c_fault_seed_rot = i "fault.seed_rot";
-    c_fault_tr_rot = i "fault.transcript_rot";
-    c_abort = i "scheme.abort";
-    c_phi_stall = i "phi.stall";
-    g_rewind_depth = i "rewind.depth";
-    g_phi = i "phi";
-    g_gstar = i "progress.g_star";
-    g_bstar = i "progress.b_star";
     m_on = Metrics.Registry.is_enabled metrics;
     m_iter_c = Metrics.Registry.counter metrics "scheme.iterations";
     m_trunc_c = Metrics.Registry.counter metrics "scheme.mp_truncations";
     m_rewind_c = Metrics.Registry.counter metrics "scheme.rewinds";
     m_phi_stall_c = Metrics.Registry.counter metrics "scheme.phi_stalls";
     m_phi_g = Metrics.Registry.gauge metrics ~klass:Metrics.Registry.Exact "scheme.phi";
-    flight;
   }
 
 (* Per-link hash memo for one meeting-points step.  Within an iteration
@@ -377,7 +346,7 @@ let iter_shard ex parties shard f =
    transcript with the peer's copy of the same link.  [None] when either
    side is already shorter than the position (the peer may have truncated
    earlier in this very phase). *)
-let collision_probe graph parties pr ring l p ~iter =
+let collision_probe graph parties ring l p ~iter =
   let peer_tr = (link_to graph parties.(l.peer) p.id).tr in
   Meeting_points.
     {
@@ -386,7 +355,7 @@ let collision_probe graph parties pr ring l p ~iter =
           if pos <= Transcript.length l.tr && pos <= Transcript.length peer_tr then
             Some (Transcript.equal_prefix l.tr peer_tr >= pos)
           else None);
-      on_collision = (fun ~pos -> Trace.Sink.count ring ~id:pr.c_collision ~iter ~arg:pos 1);
+      on_collision = (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter ~arg:pos 1);
     }
 
 let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
@@ -401,7 +370,7 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
         Array.iter
           (fun _l ->
             fc.diag.Faults.Outcome.seed_rot <- fc.diag.Faults.Outcome.seed_rot + 1;
-            Trace.Sink.count pr.sink ~id:pr.c_fault_seed_rot ~iter ~arg:p.id 1)
+            Trace.Sink.count pr.sink ~id:c_fault_seed_rot ~iter ~arg:p.id 1)
           p.links)
     parties;
   Live.Exec.slice ex (fun w ->
@@ -472,7 +441,7 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
               Array.iter
                 (fun l ->
                   let msg = Meeting_points.decode_packed l.in_msg in
-                  let probe = collision_probe graph parties pr pr.rings.(w) l p ~iter in
+                  let probe = collision_probe graph parties pr.rings.(w) l p ~iter in
                   l.mp_cut <-
                     (match
                        Meeting_points.process l.mp l.hasher ~probe
@@ -488,7 +457,7 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
               Array.iter
                 (fun l ->
                   if l.mp_cut >= 0 then begin
-                    Trace.Sink.count pr.rings.(w) ~id:pr.c_mp_trunc ~iter ~arg:p.id 1;
+                    Trace.Sink.count pr.rings.(w) ~id:c_mp_trunc ~iter ~arg:p.id 1;
                     Metrics.Registry.incr pr.m_trunc_c;
                     Transcript.truncate l.tr l.mp_cut;
                     l.mp_cut <- -1
@@ -802,10 +771,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
   let plan = config.Config.faults in
   let diag = Faults.Outcome.fresh_diagnosis () in
   let metrics = config.Config.metrics in
-  (* The flight recorder is always on: a bounded ring of the last phase
-     events, dumped into the diagnosis if the run aborts — live-mode
-     crashes stay debuggable without a trace sink. *)
-  let flight = Metrics.Flight.create () in
+  (* Where the leader is: the iteration and span id of the phase it
+     last entered, named in the diagnosis if the run aborts. *)
+  let at_iter = ref (-1) and at_phase = ref (-1) in
   (* Outcome tallies are registered eagerly so all three names appear in
      every snapshot (zero-valued included) — the registration set stays
      invariant across runs that end differently. *)
@@ -866,24 +834,22 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let pr =
       if Trace.Sharded.is_enabled sharded then begin
         Live.Exec.set_trace ex sharded;
-        make_probes ~metrics ~flight
+        make_probes ~metrics
           ~rings:(Array.init (Live.Exec.shards ex) (Trace.Sharded.ring sharded))
-          ~intern:(Trace.Sharded.intern sharded)
           (Trace.Sharded.leader sharded)
       end
       else
-        make_probes ~metrics ~flight
+        make_probes ~metrics
           ~rings:(Array.make (Live.Exec.shards ex) config.Config.sink)
-          ~intern:(Trace.Sink.intern config.Config.sink)
           config.Config.sink
     in
     let sink = pr.sink in
-    (* net.* names must enter the shared id space before [set_trace]
-       interns them (leader-only interning would misalign the rings). *)
-    if Trace.Sharded.is_enabled sharded then
-      List.iter
-        (fun nm -> ignore (Trace.Sharded.intern sharded nm : int))
-        [ "net.corrupt"; "net.injected"; "net.stalled" ];
+    (* The leader enters a phase: open its span, remember where it is. *)
+    let enter id ~iter =
+      at_iter := iter;
+      at_phase := id;
+      Trace.Sink.span_begin sink ~id ~iter
+    in
     Network.set_trace net sink;
     Network.set_metrics net metrics;
     Fun.protect
@@ -905,9 +871,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
               ~slot:edge ~slots:m
       | Params.Exchange ->
           Network.set_phase net ~iteration:(-1) ~phase:Netsim.Adversary.Exchange;
-          Trace.Sink.span_begin sink ~id:pr.sp_exchange ~iter:(-1);
+          enter sp_exchange ~iter:(-1);
           let outcomes = Randomness_exchange.run ~sink net ~rng in
-          Trace.Sink.span_end sink ~id:pr.sp_exchange ~iter:(-1);
+          Trace.Sink.span_end sink ~id:sp_exchange ~iter:(-1);
           Array.iter
             (fun o -> if not o.Randomness_exchange.ok then incr exchange_failures)
             outcomes;
@@ -1019,8 +985,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
               incr i)
             p.links)
         parties;
-      if !enter > 0 then Trace.Sink.count sink ~id:pr.c_mp_enter ~iter !enter;
-      if !exit_ > 0 then Trace.Sink.count sink ~id:pr.c_mp_exit ~iter !exit_
+      if !enter > 0 then Trace.Sink.count sink ~id:c_mp_enter ~iter !enter;
+      if !exit_ > 0 then Trace.Sink.count sink ~id:c_mp_exit ~iter !exit_
     in
     let prev_phi = ref Float.nan in
     (* ---- adversary spy ---- *)
@@ -1034,7 +1000,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                 (fun ~shard ~node ->
                   (* Fires inside a shard's read callback — emit into
                      that shard's own ring. *)
-                  Trace.Sink.count pr.rings.(shard) ~id:pr.c_flag_missing ~iter:!cur_iter
+                  Trace.Sink.count pr.rings.(shard) ~id:c_flag_missing ~iter:!cur_iter
                     ~arg:node 1);
             }
       else None
@@ -1083,14 +1049,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           Trace.Sink.set_muted sink (not keep)
         end
       end;
-      Trace.Sink.span_begin sink ~id:pr.sp_iter ~iter:it;
-      (* The flight recorder books iteration entry before the watchdog
-         gets to kill it — a post-abort dump must name the iteration
-         the run died in. *)
-      Metrics.Flight.note pr.flight ~iter:it "scheme.iteration";
+      (* Entered before the watchdog gets to kill the iteration: the
+         abort note must name the iteration the run died in. *)
+      enter sp_iter ~iter:it;
       (match config.Config.max_wall_s with
       | Some b when Sys.time () -. t0 > b ->
-          Trace.Sink.count sink ~id:pr.c_abort ~iter:it 1;
+          Trace.Sink.count sink ~id:c_abort ~iter:it 1;
           raise (Abort (Faults.Outcome.Wall_budget b))
       | _ -> ());
       iterations_run := it + 1;
@@ -1104,22 +1068,20 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
          truncated to half, and transcript rot flips one stored symbol of
          a keyed link/chunk choice. *)
       if have_faults then begin
-        Trace.Sink.span_begin sink ~id:pr.sp_prepass ~iter:it;
+        enter sp_prepass ~iter:it;
         for id = 0 to n - 1 do
           let p = parties.(id) in
           if Faults.Plan.rejoins plan ~party:id ~iteration:it then begin
             Array.iter (fun l -> Transcript.truncate l.tr (Transcript.length l.tr / 2)) p.links;
             diag.Faults.Outcome.rejoins <- diag.Faults.Outcome.rejoins + 1;
-            Trace.Sink.count sink ~id:pr.c_fault_rejoin ~iter:it ~arg:id 1;
-            Metrics.Flight.note pr.flight ~iter:it ~arg:id "fault.rejoin";
+            Trace.Sink.count sink ~id:c_fault_rejoin ~iter:it ~arg:id 1;
             Faults.Outcome.note diag
               (Printf.sprintf "party %d rejoined at iteration %d with truncated transcripts" id
                  it)
           end;
           let down = Faults.Plan.crashed plan ~party:id ~iteration:it in
           if down && alive.(id) then begin
-            Trace.Sink.count sink ~id:pr.c_fault_crash ~iter:it ~arg:id 1;
-            Metrics.Flight.note pr.flight ~iter:it ~arg:id "fault.crash";
+            Trace.Sink.count sink ~id:c_fault_crash ~iter:it ~arg:id 1;
             Faults.Outcome.note diag (Printf.sprintf "party %d crashed at iteration %d" id it)
           end;
           alive.(id) <- not down;
@@ -1143,23 +1105,21 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                     ~bound:(Array.length row)
                 in
                 Transcript.corrupt l.tr ~chunk ~event;
-                Trace.Sink.count sink ~id:pr.c_fault_tr_rot ~iter:it ~arg:id 1;
+                Trace.Sink.count sink ~id:c_fault_tr_rot ~iter:it ~arg:id 1;
                 diag.Faults.Outcome.transcript_rot <- diag.Faults.Outcome.transcript_rot + 1
               end
             end
           end
         done;
-        Trace.Sink.span_end sink ~id:pr.sp_prepass ~iter:it
+        Trace.Sink.span_end sink ~id:sp_prepass ~iter:it
       end;
       Array.iter (fun p -> Array.iter (fun l -> l.already_rewound <- false) p.links) parties;
       if observing then record_mp_status ();
-      Metrics.Flight.note pr.flight ~iter:it "phase.meeting_points";
-      Trace.Sink.span_begin sink ~id:pr.sp_mp ~iter:it;
+      enter sp_mp ~iter:it;
       meeting_points_phase ex net tp parties fc pr ~iter:it ~tau:params.Params.tau;
-      Trace.Sink.span_end sink ~id:pr.sp_mp ~iter:it;
+      Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
       compute_statuses ex parties ~alive ~statuses;
-      Metrics.Flight.note pr.flight ~iter:it "phase.flag_passing";
-      Trace.Sink.span_begin sink ~id:pr.sp_flag ~iter:it;
+      enter sp_flag ~iter:it;
       if params.Params.flag_passing then
         Flag_passing.run_exec ~alive ?probe:flag_probe
           ~label:(fun () -> Network.set_phase net ~iteration:it ~phase:Netsim.Adversary.Flag)
@@ -1168,7 +1128,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Live.Exec.slice ex (fun w ->
             let lo, hi = Live.Exec.bounds ex ~shard:w in
             Array.blit statuses lo net_corrects lo (hi - lo));
-      Trace.Sink.span_end sink ~id:pr.sp_flag ~iter:it;
+      Trace.Sink.span_end sink ~id:sp_flag ~iter:it;
       Live.Exec.slice ex (fun w ->
           iter_shard ex parties w (fun p -> p.net_correct <- net_corrects.(p.id)));
       if Live.Exec.is_serial ex then
@@ -1178,15 +1138,13 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                  (List.map (fun s -> if s then "1" else "0") (Array.to_list statuses)))
               (String.concat ""
                  (List.map (fun s -> if s then "1" else "0") (Array.to_list net_corrects))));
-      Metrics.Flight.note pr.flight ~iter:it "phase.simulation";
-      Trace.Sink.span_begin sink ~id:pr.sp_sim ~iter:it;
+      enter sp_sim ~iter:it;
       simulation_phase ex net parties fc ch ~iter:it ~n_real;
-      Trace.Sink.span_end sink ~id:pr.sp_sim ~iter:it;
+      Trace.Sink.span_end sink ~id:sp_sim ~iter:it;
       if params.Params.rewind then begin
-        Metrics.Flight.note pr.flight ~iter:it "phase.rewind";
-        Trace.Sink.span_begin sink ~id:pr.sp_rewind ~iter:it;
+        enter sp_rewind ~iter:it;
         rewind_phase ex net tp parties fc pr ~iter:it ~reqs:rewind_reqs ~depth:rewind_depth;
-        Trace.Sink.span_end sink ~id:pr.sp_rewind ~iter:it
+        Trace.Sink.span_end sink ~id:sp_rewind ~iter:it
       end;
       (* Quiesce before the leader-side reads below (global stats, early
          stop, next iteration's prepass) — also folds any ragged drop
@@ -1203,14 +1161,14 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         count_mp_transitions ~iter:it;
         let count_true a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
         let votes = count_true statuses and ok = count_true net_corrects in
-        Trace.Sink.count sink ~id:pr.c_flag_votes ~iter:it votes;
-        Trace.Sink.count sink ~id:pr.c_net_correct ~iter:it ok;
-        Trace.Sink.count sink ~id:pr.c_idle ~iter:it (n - ok);
+        Trace.Sink.count sink ~id:c_flag_votes ~iter:it votes;
+        Trace.Sink.count sink ~id:c_net_correct ~iter:it ok;
+        Trace.Sink.count sink ~id:c_idle ~iter:it (n - ok);
         if params.Params.rewind then begin
           let total = Array.fold_left ( + ) 0 rewind_reqs in
           if total > 0 then begin
-            Trace.Sink.count sink ~id:pr.c_rewind_req ~iter:it total;
-            Trace.Sink.gauge sink ~id:pr.g_rewind_depth ~iter:it
+            Trace.Sink.count sink ~id:c_rewind_req ~iter:it total;
+            Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it
               (float_of_int (Array.fold_left max 0 rewind_depth))
           end
         end
@@ -1231,22 +1189,22 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
               ~sum_b:st.sum_b ~b_star:st.b_star ~corruptions:st.corruptions
           in
           if observing then begin
-            Trace.Sink.gauge sink ~id:pr.g_phi ~iter:it phi;
-            Trace.Sink.gauge sink ~id:pr.g_gstar ~iter:it (float_of_int st.g_star);
-            Trace.Sink.gauge sink ~id:pr.g_bstar ~iter:it (float_of_int st.b_star)
+            Trace.Sink.gauge sink ~id:g_phi ~iter:it phi;
+            Trace.Sink.gauge sink ~id:g_gstar ~iter:it (float_of_int st.g_star);
+            Trace.Sink.gauge sink ~id:g_bstar ~iter:it (float_of_int st.b_star)
           end;
           if pr.m_on then Metrics.Registry.set pr.m_phi_g phi;
           if
             (not (Float.is_nan !prev_phi))
             && phi -. !prev_phi < float_of_int params.Params.k -. 1e-9
           then begin
-            Trace.Sink.count sink ~id:pr.c_phi_stall ~iter:it 1;
+            Trace.Sink.count sink ~id:c_phi_stall ~iter:it 1;
             Metrics.Registry.incr pr.m_phi_stall_c
           end;
           prev_phi := phi
         end
       end;
-      Trace.Sink.span_end sink ~id:pr.sp_iter ~iter:it;
+      Trace.Sink.span_end sink ~id:sp_iter ~iter:it;
       (* Early stop is part of the loop condition, not a control-flow
          exception: done means every link's common prefix covers Π. *)
       if params.Params.early_stop && all_done parties graph ~n_real then continue_loop := false;
@@ -1261,7 +1219,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Faults.Outcome.note diag
         (Printf.sprintf "iterations capped at %d of %d planned" effective_iterations iterations);
     (* ---- outputs ---- *)
-    Trace.Sink.span_begin sink ~id:pr.sp_output ~iter:(-1);
+    enter sp_output ~iter:(-1);
     let outputs =
       Array.map
         (fun p ->
@@ -1271,7 +1229,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           Replayer.output p.repl ~transcripts:(fun j -> p.links.(j).tr) ~upto:(min n_real min_len))
         parties
     in
-    Trace.Sink.span_end sink ~id:pr.sp_output ~iter:(-1);
+    Trace.Sink.span_end sink ~id:sp_output ~iter:(-1);
     let net_stats = Network.stats net in
     let cc = net_stats.Network.cc in
     let cc_pi = Pi.cc pi in
@@ -1318,18 +1276,19 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Metrics.Registry.incr degraded_c;
         Faults.Outcome.Degraded (result, diag)
       end
-  | exception Abort reason ->
-      fold_net ();
-      Metrics.Registry.incr aborted_c;
-      Metrics.Flight.note flight "scheme.abort";
-      diag.Faults.Outcome.flight <- Metrics.Flight.dump flight;
-      Faults.Outcome.Aborted (reason, diag)
   | exception e ->
       fold_net ();
       Metrics.Registry.incr aborted_c;
-      Metrics.Flight.note flight "scheme.abort";
-      diag.Faults.Outcome.flight <- Metrics.Flight.dump flight;
-      Faults.Outcome.Aborted (Faults.Outcome.Internal_error (Printexc.to_string e), diag)
+      let phase = if !at_phase < 0 then "setup" else Trace.Sink.name !at_phase in
+      Faults.Outcome.note diag
+        (if !at_iter < 0 then "aborted during " ^ phase
+         else Printf.sprintf "aborted in iteration %d during %s" !at_iter phase);
+      let reason =
+        match e with
+        | Abort reason -> reason
+        | e -> Faults.Outcome.Internal_error (Printexc.to_string e)
+      in
+      Faults.Outcome.Aborted (reason, diag)
 
 let run ?(config = Config.default) ~rng params pi adversary =
   match run_outcome ~config ~rng params pi adversary with

@@ -14,9 +14,6 @@ type diagnosis = {
   mutable iterations_planned : int;
   mutable wall_s : float;
   mutable notes : string list;
-  (* Flight-recorder dump (lib/metrics): the last phase events before an
-     abort, oldest first.  Purely diagnostic — ignored by [clean]. *)
-  mutable flight : string list;
 }
 
 type 'a t =
@@ -36,7 +33,6 @@ let fresh_diagnosis () =
     iterations_planned = 0;
     wall_s = 0.;
     notes = [];
-    flight = [];
   }
 
 let clean d =

@@ -35,11 +35,9 @@ type diagnosis = {
   mutable iterations_run : int;
   mutable iterations_planned : int;
   mutable wall_s : float;  (** processor time consumed (informational) *)
-  mutable notes : string list;  (** human-readable events, newest first *)
-  mutable flight : string list;
-      (** flight-recorder dump: the last phase events before an abort,
-          oldest first (see [Metrics.Flight]).  Filled only on the
-          [Aborted] path; purely diagnostic, ignored by {!clean} *)
+  mutable notes : string list;
+      (** human-readable events, newest first; an aborted run's newest
+          note names the iteration and phase it died in *)
 }
 
 type 'a t =

@@ -272,7 +272,7 @@ let do_commit p ~w c =
        which ring physically holds it cannot affect the merged order. *)
     let r = Trace.Sharded.ring p.tr w in
     Trace.Sink.set_tick r ((4 * rj.job) + 2);
-    Network.set_trace_sink p.net r
+    Network.set_trace p.net r
   end;
   (match rj.label with Some f -> f () | None -> ());
   for w = 0 to p.nshards - 1 do
@@ -600,10 +600,12 @@ let slice t f =
       append_job p (Slice f)
 
 (* Fold the drop tally into the network books while the leader holds
-   the network exclusively (post-barrier, no round in flight). *)
+   the network exclusively (post-barrier, no round in flight); the
+   aggregate [net.stalled] count goes to the leader ring. *)
 let fold_drops p =
   let k = Atomic.exchange p.dropped 0 in
   if k > 0 then begin
+    if Trace.Sharded.is_enabled p.tr then Network.set_trace p.net (Trace.Sharded.leader p.tr);
     Network.note_stalled_count p.net k;
     p.folded <- p.folded + k
   end

@@ -51,7 +51,7 @@ val set_trace : t -> Trace.Sharded.t -> unit
     count must equal {!shards}.  Thereafter the engine stamps every
     ring with logical merge ticks — job index [j] owns ticks [4j]
     (leader), [4j+1] (shard writes / slices), [4j+2] (network commit,
-    routed to the committer's ring via [Network.set_trace_sink]) and
+    routed to the committer's ring via [Network.set_trace]) and
     [4j+3] (shard reads) — so {!Trace.Merge} can rebuild the serial
     event order deterministically.  Callbacks must emit only into the
     ring of the shard they were invoked for. *)

@@ -45,15 +45,12 @@ let upper_of i =
     let base = 1 lsl b in
     base + ((sub + 1) * (base lsr subbits)) - 1
 
-let observe_many t ~n v =
-  if n > 0 then begin
-    let v = if v < 0 then 0 else v in
-    ignore (Atomic.fetch_and_add t.cells.(bucket_of v) n);
-    ignore (Atomic.fetch_and_add t.count n);
-    ignore (Atomic.fetch_and_add t.sum (n * v))
-  end
+let observe t v =
+  let v = if v < 0 then 0 else v in
+  ignore (Atomic.fetch_and_add t.cells.(bucket_of v) 1);
+  ignore (Atomic.fetch_and_add t.count 1);
+  ignore (Atomic.fetch_and_add t.sum v)
 
-let observe t v = observe_many t ~n:1 v
 let count t = Atomic.get t.count
 let sum t = Atomic.get t.sum
 
@@ -89,37 +86,3 @@ let quantile_of_buckets buckets ~count q =
   end
 
 let quantile t q = quantile_of_buckets (nonzero t) ~count:(count t) q
-
-let percentile t q =
-  let n = count t in
-  if n = 0 then 0
-  else begin
-    let q = if q < 0. then 0. else if q > 1. then 1. else q in
-    let target = int_of_float (ceil (q *. float_of_int n)) in
-    let target = if target < 1 then 1 else target in
-    let seen = ref 0 and res = ref 0 and i = ref 0 in
-    while !seen < target && !i < bucket_count do
-      let c = Atomic.get t.cells.(!i) in
-      if c > 0 then begin
-        seen := !seen + c;
-        res := upper_of !i
-      end;
-      incr i
-    done;
-    !res
-  end
-
-let merge_into ~into src =
-  for i = 0 to bucket_count - 1 do
-    let c = Atomic.get src.cells.(i) in
-    if c > 0 then ignore (Atomic.fetch_and_add into.cells.(i) c)
-  done;
-  ignore (Atomic.fetch_and_add into.count (count src));
-  ignore (Atomic.fetch_and_add into.sum (sum src))
-
-let reset t =
-  for i = 0 to bucket_count - 1 do
-    Atomic.set t.cells.(i) 0
-  done;
-  Atomic.set t.count 0;
-  Atomic.set t.sum 0

@@ -21,9 +21,6 @@ val observe : t -> int -> unit
 (** Record one value (negative values clamp to 0).  Lock-free; safe
     from any domain. *)
 
-val observe_many : t -> n:int -> int -> unit
-(** Record the same value [n] times in one bucket update. *)
-
 val count : t -> int
 (** Number of observations so far. *)
 
@@ -41,10 +38,6 @@ val upper_of : int -> int
 val nonzero : t -> (int * int) list
 (** [(upper_bound, count)] for every non-empty cell, ascending. *)
 
-val percentile : t -> float -> int
-(** Upper bound of the cell containing the q-th quantile (q in [0,1]);
-    0 on an empty histogram. *)
-
 val quantile : t -> float -> float
 (** Interpolated q-th quantile estimate (q in [0,1], clamped).  The
     rank walk finds the cell holding the q-th observation and
@@ -58,8 +51,3 @@ val quantile_of_buckets : (int * int) list -> count:int -> float -> float
 (** The same estimator over a snapshot's [(upper_bound, count)] list
     (ascending, as produced by {!nonzero}) — lets exposition code
     compute p50/p95 from serialized buckets.  Same error bound. *)
-
-val merge_into : into:t -> t -> unit
-(** Add every cell of the source into [into] (and count/sum). *)
-
-val reset : t -> unit

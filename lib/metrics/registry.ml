@@ -65,7 +65,6 @@ let[@inline] add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_cell n)
 let[@inline] incr c = add c 1
 let[@inline] set g v = if g.g_on then Atomic.set g.g_cell v
 let[@inline] observe h v = if h.h_on then Hist.observe h.h_hist v
-let[@inline] observe_many h ~n v = if h.h_on then Hist.observe_many h.h_hist ~n v
 let counter_value c = Atomic.get c.c_cell
 let hist_count h = Hist.count h.h_hist
 
@@ -131,14 +130,3 @@ let merge snaps =
 
 let exact_only s = List.filter (fun (_, k, _) -> k = Exact) s
 let timed_only s = List.filter (fun (_, k, _) -> k = Timed) s
-
-let clear t =
-  Mutex.lock t.lock;
-  Hashtbl.iter
-    (fun _ (_, m) ->
-      match m with
-      | M_counter c -> Atomic.set c 0
-      | M_gauge g -> Atomic.set g 0.
-      | M_hist h -> Hist.reset h)
-    t.tbl;
-  Mutex.unlock t.lock

@@ -57,7 +57,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : hist -> int -> unit
-val observe_many : hist -> n:int -> int -> unit
 
 val counter_value : counter -> int
 val hist_count : hist -> int
@@ -84,6 +83,3 @@ val merge : snapshot list -> snapshot
 
 val exact_only : snapshot -> snapshot
 val timed_only : snapshot -> snapshot
-
-val clear : t -> unit
-(** Reset every registered metric to zero (registrations survive). *)

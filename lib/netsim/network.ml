@@ -183,6 +183,11 @@ type fault_hooks = {
   budget_scale : round:int -> float;
 }
 
+(* The network's trace events, declared once for the process. *)
+let ev_corrupt = Trace.Sink.declare "net.corrupt"
+let ev_injected = Trace.Sink.declare "net.injected"
+let ev_stalled = Trace.Sink.declare "net.stalled"
+
 type t = {
   graph : Topology.Graph.t;
   adversary : Adversary.t;
@@ -204,9 +209,6 @@ type t = {
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
   mutable trace : Trace.Sink.t;
-  mutable tr_corrupt : int;
-  mutable tr_injected : int;
-  mutable tr_stalled : int;
   (* Metrics probes.  Handles default to the disabled registry, so the
      counter sites cost one branch; [m_on] guards the histogram observe
      and the periodic gauge so the clean path adds nothing else. *)
@@ -251,9 +253,6 @@ let create graph adversary =
     adv_epoch = 0;
     scratch = Active.of_length two_m;
     trace = Trace.Sink.disabled;
-    tr_corrupt = 0;
-    tr_injected = 0;
-    tr_stalled = 0;
     m_on = false;
     m_active_h = Metrics.Registry.hist Metrics.Registry.disabled "net.active_links";
     m_cc = Metrics.Registry.counter Metrics.Registry.disabled "net.cc";
@@ -273,17 +272,7 @@ let set_fault_hooks t hooks =
       m "fault hooks %s" (match hooks with None -> "cleared" | Some _ -> "installed"));
   t.faults <- hooks
 
-let set_trace t sink =
-  t.trace <- sink;
-  t.tr_corrupt <- Trace.Sink.intern sink "net.corrupt";
-  t.tr_injected <- Trace.Sink.intern sink "net.injected";
-  t.tr_stalled <- Trace.Sink.intern sink "net.stalled"
-
-(* Swap the sink without re-interning: for sharded tracing the committer
-   routes net.* events to its own shard ring, and all rings share one id
-   space ([Trace.Sharded.intern]), so the ids installed by [set_trace]
-   stay valid across swaps. *)
-let set_trace_sink t sink = t.trace <- sink
+let set_trace t sink = t.trace <- sink
 
 (* Count-valued network metrics are functions of the keyed execution
    (Exact): cc, corruption/fault counts and the per-commit active-link
@@ -357,7 +346,7 @@ let commit t (act : Active.t) =
     t.corruptions <- t.corruptions + 1;
     Metrics.Registry.incr t.m_corrupt;
     Active.write act ~dir ((Active.sym act ~dir + a) mod 3);
-    Trace.Sink.count t.trace ~id:t.tr_corrupt ~iter:t.round_no ~arg:dir 1
+    Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
   in
   (match t.adversary with
   | Adversary.Silent -> ()
@@ -425,13 +414,13 @@ let commit t (act : Active.t) =
           t.injected <- t.injected + 1;
           Metrics.Registry.incr t.m_injected;
           Active.write act ~dir:d ((Active.sym act ~dir:d + a) mod 3);
-          Trace.Sink.count t.trace ~id:t.tr_injected ~iter:t.round_no ~arg:d 1
+          Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:d 1
         end;
         if Active.sym act ~dir:d <> 2 && h.stall ~round:t.round_no ~dir:d then begin
           t.stalled <- t.stalled + 1;
           Metrics.Registry.incr t.m_stalled;
           Active.write act ~dir:d 2;
-          Trace.Sink.count t.trace ~id:t.tr_stalled ~iter:t.round_no ~arg:d 1
+          Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
         end
       done);
   t.round_no <- t.round_no + 1;
@@ -464,19 +453,21 @@ let silence t ~rounds =
 let note_stalled t ~dir =
   t.stalled <- t.stalled + 1;
   Metrics.Registry.incr t.m_stalled;
-  Trace.Sink.count t.trace ~id:t.tr_stalled ~iter:t.round_no ~arg:dir 1
+  Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:dir 1
 
 let note_injected t ~dir =
   t.injected <- t.injected + 1;
   Metrics.Registry.incr t.m_injected;
-  Trace.Sink.count t.trace ~id:t.tr_injected ~iter:t.round_no ~arg:dir 1
+  Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:dir 1
 
-(* Bulk, untraced variant: folds drop counts accumulated off the trace
-   path (e.g. worker-side drops tallied in an Atomic) into the stats. *)
+(* Bulk variant: folds drop counts accumulated off the trace path (e.g.
+   worker-side drops tallied in an Atomic) into the stats, booked as one
+   aggregate trace count with no link attribution. *)
 let note_stalled_count t k =
   if k > 0 then begin
     t.stalled <- t.stalled + k;
-    Metrics.Registry.add t.m_stalled k
+    Metrics.Registry.add t.m_stalled k;
+    Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no k
   end
 
 let stats t =

@@ -178,19 +178,15 @@ val set_fault_hooks : t -> fault_hooks option -> unit
     keeps rounds on the zero-overhead path. *)
 
 val set_trace : t -> Trace.Sink.t -> unit
-(** Attach a trace sink.  Rounds then emit one [net.corrupt] /
-    [net.injected] / [net.stalled] count per affected slot, tagged with
-    the round ([iter]) and directed link ([arg]) — adversary corruptions
-    and fault-engine events stay distinguishable per link per round.
-    The default is {!Trace.Sink.disabled}, under which every probe is a
-    single branch on an already-corrupted slot and free otherwise. *)
-
-val set_trace_sink : t -> Trace.Sink.t -> unit
-(** Swap the destination sink {e without} re-interning event names.
-    Only valid between sinks sharing one interned-id space (rings of a
-    {!Trace.Sharded.t}): the parallel engine's committer points net.*
-    emissions at its own shard ring for the duration of a commit, so
-    the hot path never writes another domain's ring. *)
+(** Attach (or swap) the trace sink.  Rounds then emit one
+    [net.corrupt] / [net.injected] / [net.stalled] count per affected
+    slot, tagged with the round ([iter]) and directed link ([arg]) —
+    adversary corruptions and fault-engine events stay distinguishable
+    per link per round.  The default is {!Trace.Sink.disabled}, under
+    which every probe is a single branch on an already-corrupted slot
+    and free otherwise.  Event ids are process-wide, so the parallel
+    engine's committer may point net.* emissions at its own shard ring
+    for the duration of a commit. *)
 
 val set_metrics : t -> Metrics.Registry.t -> unit
 (** Attach a metrics registry.  Rounds then feed [net.cc],
@@ -240,8 +236,9 @@ val note_injected : t -> dir:int -> unit
     Increments [stats.injected] and emits [net.injected]. *)
 
 val note_stalled_count : t -> int -> unit
-(** Bulk, untraced variant of {!note_stalled}: fold [k] deletion events
-    (e.g. drops tallied in a worker-side Atomic) into [stats.stalled]. *)
+(** Bulk variant of {!note_stalled}: fold [k] deletion events (e.g.
+    drops tallied in a worker-side Atomic) into [stats.stalled], and
+    emit one [net.stalled] count of value [k] with no link ([arg = -1]). *)
 
 val silence : t -> rounds:int -> unit
 (** Let [rounds] rounds pass with no party speaking (insertions may still

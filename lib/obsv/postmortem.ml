@@ -207,17 +207,6 @@ let pp_blame fmt b =
   if b.link >= 0 then Format.fprintf fmt ", link %d" b.link;
   if b.round >= 0 then Format.fprintf fmt ", round %d" b.round
 
-(* Render a flight-recorder dump (Faults.Outcome.diagnosis.flight) — the
-   bounded ring of last phase events the scheme keeps even when no trace
-   sink is attached.  Complements [pp]: an aborted live run has no
-   timeline, but it always has a flight. *)
-let pp_flight fmt = function
-  | [] -> Format.fprintf fmt "  flight recorder: empty (run never reached an iteration)@."
-  | lines ->
-      Format.fprintf fmt "  flight recorder (last %d event(s), oldest first):@."
-        (List.length lines);
-      List.iter (fun l -> Format.fprintf fmt "    %s@." l) lines
-
 let pp fmt t =
   Format.fprintf fmt "postmortem: %d iteration(s), %d stall(s) (%d unexplained)@." t.iterations
     t.stalls t.unexplained_stalls;

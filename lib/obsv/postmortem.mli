@@ -72,9 +72,3 @@ val pp : Format.formatter -> t -> unit
 (** The postmortem report, human-readable. *)
 
 val pp_blame : Format.formatter -> blame -> unit
-
-val pp_flight : Format.formatter -> string list -> unit
-(** Render a flight-recorder dump ({!Faults.Outcome.diagnosis.flight}):
-    the scheme's bounded ring of last phase events, kept even when no
-    trace sink is attached.  An aborted live run has no {!Timeline}, but
-    it always has a flight — this is the postmortem surface for it. *)

@@ -205,18 +205,6 @@ let ev_of_sink_event ?(shard = -1) = function
   | Trace.Sink.Gauge { name; iter; value; seq; _ } ->
       { seq; kind = Gauge; name; iter; arg = -1; ival = 0; fval = value; shard }
 
-let of_events events =
-  let b = fresh_builder () in
-  List.iter (fun e -> feed b (ev_of_sink_event e)) events;
-  finish b ~counter_totals:None
-
-let of_entries entries =
-  let b = fresh_builder () in
-  List.iter
-    (fun e -> feed b (ev_of_sink_event ~shard:e.Trace.Merge.shard e.Trace.Merge.ev))
-    entries;
-  finish b ~counter_totals:None
-
 let of_sharded sh =
   let b = fresh_builder () in
   List.iter
@@ -297,27 +285,3 @@ let total t name = Option.value ~default:0 (List.assoc_opt name t.counter_totals
 
 let phi_trajectory t =
   List.filter_map (fun it -> Option.map (fun p -> (it.index, p)) it.phi) t.iterations
-
-let pp fmt t =
-  Format.fprintf fmt "timeline: %d iteration(s), %d setup event(s)%s@."
-    (List.length t.iterations) (List.length t.setup)
-    (if t.truncated then Printf.sprintf " (ring dropped %d-event prefix)" t.first_seq else "");
-  if t.errors <> [] then Format.fprintf fmt "  %d malformation(s)@." (List.length t.errors);
-  Format.fprintf fmt "  %6s %8s %6s %6s %5s %s@." "iter" "phi" "G*" "B*" "stall" "notable counters";
-  List.iter
-    (fun it ->
-      let opt = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
-      let notable =
-        List.filter
-          (fun (n, v) ->
-            v <> 0
-            && not (List.mem n [ "flag.votes"; "flag.net_correct" ]))
-          it.counts
-        |> List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-        |> String.concat " "
-      in
-      Format.fprintf fmt "  %6d %8s %6s %6s %5s %s@." it.index (opt it.phi) (opt it.g_star)
-        (opt it.b_star)
-        (if it.stalled then "yes" else "")
-        notable)
-    t.iterations

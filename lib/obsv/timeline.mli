@@ -26,7 +26,7 @@ type ev = {
   fval : float;  (** gauge value ([Gauge] only) *)
   shard : int;
       (** emitting shard when built from a sharded capture
-          ({!of_entries} / {!of_sharded}); [-1] for leader-ring events
+          ({!of_sharded}); [-1] for leader-ring events
           and for every event of a single-sink or re-parsed source *)
 }
 
@@ -61,16 +61,9 @@ type t = {
   errors : string list;  (** nesting/parse violations, in order *)
 }
 
-val of_events : Trace.Sink.event list -> t
-(** Build from decoded events (assumed in emission order). *)
-
 val of_sink : Trace.Sink.t -> t
 (** Build from a live sink; [counter_totals] and [truncated] come from
     the sink's drop-proof bookkeeping. *)
-
-val of_entries : Trace.Merge.entry list -> t
-(** Build from merge-ordered sharded entries, preserving each event's
-    shard attribution in [ev.shard]. *)
 
 val of_sharded : Trace.Sharded.t -> t
 (** Build straight from a sharded capture: {!Trace.Merge.entries} for
@@ -90,7 +83,3 @@ val total : t -> string -> int
 
 val phi_trajectory : t -> (int * float) list
 (** [(iteration, Φ)] for every iteration that gauged Φ, in order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact per-iteration table (index, phases, Φ/G*/B*, notable
-    counters) — the human-readable form of the timeline. *)

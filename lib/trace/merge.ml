@@ -55,8 +55,6 @@ let entries sh =
     List.mapi (fun i e -> { e with ev = with_seq i e.ev }) sorted
   end
 
-let events sh = List.map (fun e -> e.ev) (entries sh)
-
 let value_of = function Sink.Count { value; _ } -> Some value | _ -> None
 
 let name_of = function
@@ -82,9 +80,7 @@ let into_sink sh ~dst =
     List.iter
       (fun (n, total) ->
         let seen = Option.value ~default:0 (Hashtbl.find_opt replayed n) in
-        if total <> seen then
-          let id = Sink.intern dst n in
-          Sink.count dst ~id (total - seen))
+        if total <> seen then Sink.count dst ~id:(Sink.declare n) (total - seen))
       (Sharded.counter_totals sh);
     Sink.note_dropped dst (Sharded.dropped sh)
   end

@@ -25,10 +25,6 @@ val entries : Sharded.t -> entry list
 (** All retained events of every ring, merge-ordered and renumbered.
     [[]] on a disabled bundle. *)
 
-val events : Sharded.t -> Sink.event list
-(** [entries] without the shard/tick envelope — drop-in for consumers
-    of {!Sink.events}. *)
-
 val into_sink : Sharded.t -> dst:Sink.t -> unit
 (** Replay the merged stream into [dst] (preserving source timestamps
     and Gc words, assigning fresh seqs), so every single-sink consumer

@@ -21,25 +21,6 @@ let shards t = Array.length t.rings
 let ring t w = t.rings.(w)
 let leader t = t.leader
 
-(* Every ring interns every name, in the same order, so one id is valid
-   on all of them — probes carry a single id and any domain can emit it
-   into its own ring.  The discipline (assert-enforced) is that all
-   interning goes through here; interning into an individual ring
-   directly may only ever re-intern a name this function saw first. *)
-let intern t name =
-  if not t.enabled then 0
-  else begin
-    let id = Sink.intern t.leader name in
-    Array.iter (fun r -> assert (Sink.intern r name = id)) t.rings;
-    id
-  end
-
-let set_muted t m =
-  Sink.set_muted t.leader m;
-  Array.iter (fun r -> Sink.set_muted r m) t.rings
-
-let seq t = Array.fold_left (fun acc r -> acc + Sink.seq r) (Sink.seq t.leader) t.rings
-
 let dropped t =
   Array.fold_left (fun acc r -> acc + Sink.dropped r) (Sink.dropped t.leader) t.rings
 
@@ -56,7 +37,3 @@ let counter_totals t =
   Array.iter fold t.rings;
   Hashtbl.fold (fun n v l -> if v <> 0 then (n, v) :: l else l) totals []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset t =
-  Sink.reset t.leader;
-  Array.iter Sink.reset t.rings

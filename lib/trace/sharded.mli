@@ -3,9 +3,8 @@
     A sharded sink is a bundle of independent {!Sink} rings: one per
     worker shard plus one for the leader/control domain.  Each domain
     writes only its own ring on the hot path — no cross-domain stores,
-    no synchronization — and string interning is shard-local (every
-    ring interns every name in the same order, so probe ids are shared
-    by construction and reconciliation at merge time is a no-op).
+    no synchronization — and event ids are process-wide
+    ({!Sink.declare}), so one id is valid on every ring.
 
     Ordering is reconstructed after the fact by {!Merge}: the execution
     engine stamps each ring's events with a logical {e tick}
@@ -39,19 +38,6 @@ val leader : t -> Sink.t
 (** The leader/control domain's ring (phase spans, leader-side
     counters, pre-engine setup events). *)
 
-val intern : t -> string -> int
-(** Intern a name into {e every} ring (same id everywhere, see above).
-    Setup-time only; all interning for a sharded sink must go through
-    here so the per-ring id spaces stay aligned. *)
-
-val set_muted : t -> bool -> unit
-(** Mute/unmute every ring at once — leader-side sampling control for
-    code that already holds all rings quiesced.  Running engines mute
-    worker rings from the owning domains instead (via slice jobs). *)
-
-val seq : t -> int
-(** Total events emitted across all rings. *)
-
 val dropped : t -> int
 (** Total events lost to ring wrap-around across all rings.  Merged
     exports are byte-identical across shard counts only when this is 0
@@ -61,6 +47,3 @@ val dropped : t -> int
 val counter_totals : t -> (string * int) list
 (** Drop-proof per-counter lifetime totals summed across every ring,
     nonzero entries only, sorted by name. *)
-
-val reset : t -> unit
-(** {!Sink.reset} every ring (interning tables survive). *)

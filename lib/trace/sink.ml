@@ -5,7 +5,37 @@
    totals and last-gauge values that are immune to ring wrap-around.
    [seq] is the lifetime event count; slot [seq mod capacity] is the
    next write position, so the retained window is always the last
-   [min seq capacity] events. *)
+   [min seq capacity] events.  Ids come from one process-wide table
+   ([declare]); every sink indexes its side tables by them. *)
+
+module Names = Map.Make (String)
+
+(* The declared names.  Writers take [declare_lock] and publish a new
+   immutable snapshot; readers only load the current one. *)
+type table = { ids : int Names.t; names : string array }
+
+let table = Atomic.make { ids = Names.empty; names = [||] }
+let declare_lock = Mutex.create ()
+
+let declare nm =
+  match Names.find_opt nm (Atomic.get table).ids with
+  | Some id -> id
+  | None ->
+      Mutex.protect declare_lock (fun () ->
+          let tb = Atomic.get table in
+          match Names.find_opt nm tb.ids with
+          | Some id -> id
+          | None ->
+              let id = Array.length tb.names in
+              Atomic.set table
+                { ids = Names.add nm id tb.ids; names = Array.append tb.names [| nm |] };
+              id)
+
+let name id =
+  let names = (Atomic.get table).names in
+  if id >= 0 && id < Array.length names then names.(id) else ""
+
+let id_of nm = Names.find_opt nm (Atomic.get table).ids
 
 let k_span_begin = 0
 let k_span_end = 1
@@ -30,16 +60,14 @@ type t = {
   mutable seq : int;
   mutable tick : int;
   mutable pre_dropped : int; (* upstream losses noted by a merge pass *)
-  by_name : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable n_names : int;
-  mutable totals : int array;
+  mutable totals : int array; (* by declared id; grown on demand *)
   mutable glast : float array;
   mutable gset : bool array;
 }
 
 let create ?(capacity = 32768) ?(profile = false) () =
   if capacity < 1 then invalid_arg "Trace.Sink.create: capacity < 1";
+  let side = max 16 (Array.length (Atomic.get table).names) in
   {
     enabled = true;
     on = true;
@@ -58,12 +86,9 @@ let create ?(capacity = 32768) ?(profile = false) () =
     seq = 0;
     tick = 0;
     pre_dropped = 0;
-    by_name = Hashtbl.create 64;
-    names = Array.make 16 "";
-    n_names = 0;
-    totals = Array.make 16 0;
-    glast = Array.make 16 0.;
-    gset = Array.make 16 false;
+    totals = Array.make side 0;
+    glast = Array.make side 0.;
+    gset = Array.make side false;
   }
 
 let disabled =
@@ -86,9 +111,6 @@ let disabled =
     seq = 0;
     tick = 0;
     pre_dropped = 0;
-    by_name = Hashtbl.create 1;
-    names = [| "" |];
-    n_names = 0;
     totals = [| 0 |];
     glast = [| 0. |];
     gset = [| false |];
@@ -102,36 +124,19 @@ let muted t = t.enabled && not t.on
 let set_tick t k = if t.enabled then t.tick <- k
 let tick_at t sq = t.ticks.(sq mod t.capacity)
 
-let grow_side t =
-  let cap = Array.length t.names in
-  let cap' = 2 * cap in
-  let names = Array.make cap' "" in
-  Array.blit t.names 0 names 0 cap;
-  t.names <- names;
-  let totals = Array.make cap' 0 in
-  Array.blit t.totals 0 totals 0 cap;
-  t.totals <- totals;
-  let glast = Array.make cap' 0. in
-  Array.blit t.glast 0 glast 0 cap;
-  t.glast <- glast;
-  let gset = Array.make cap' false in
-  Array.blit t.gset 0 gset 0 cap;
-  t.gset <- gset
-
-let intern t name =
-  if not t.enabled then 0
-  else
-    match Hashtbl.find_opt t.by_name name with
-    | Some id -> id
-    | None ->
-        let id = t.n_names in
-        if id = Array.length t.names then grow_side t;
-        t.names.(id) <- name;
-        Hashtbl.add t.by_name name id;
-        t.n_names <- id + 1;
-        id
-
-let name t id = if id >= 0 && id < t.n_names then t.names.(id) else ""
+(* Make room for [id] in the side tables: a declaration made after the
+   sink was created outran them. *)
+let grow_side t id =
+  let cap = Array.length t.totals in
+  let cap' = max (2 * cap) (id + 1) in
+  let grow a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  t.totals <- grow t.totals 0;
+  t.glast <- grow t.glast 0.;
+  t.gset <- grow t.gset false
 
 (* The hot-path writer: array stores only, no allocation (the optional
    profile stores cost one [Gc.counters] call, profiled sinks only). *)
@@ -155,16 +160,25 @@ let[@inline] push t kind id iter ival arg fval =
 let span_begin t ~id ~iter = if t.on then push t k_span_begin id iter 0 (-1) 0.
 let span_end t ~id ~iter = if t.on then push t k_span_end id iter 0 (-1) 0.
 
+(* Side-table updates, shared by the probes and [replay]. *)
+let[@inline] add_total t id v =
+  if id >= Array.length t.totals then grow_side t id;
+  t.totals.(id) <- t.totals.(id) + v
+
+let[@inline] set_last t id v =
+  if id >= Array.length t.glast then grow_side t id;
+  t.glast.(id) <- v;
+  t.gset.(id) <- true
+
 let count t ~id ?(iter = -1) ?(arg = -1) v =
   if t.on then begin
-    t.totals.(id) <- t.totals.(id) + v;
+    add_total t id v;
     push t k_count id iter v arg 0.
   end
 
 let gauge t ~id ?(iter = -1) v =
   if t.on then begin
-    t.glast.(id) <- v;
-    t.gset.(id) <- true;
+    set_last t id v;
     push t k_gauge id iter 0 (-1) v
   end
 
@@ -185,7 +199,7 @@ let note_dropped t k = if t.enabled && k > 0 then t.pre_dropped <- t.pre_dropped
 
 let event_at t sq =
   let s = sq mod t.capacity in
-  let nm = t.names.(t.ids.(s)) in
+  let nm = name t.ids.(s) in
   let iter = t.iters.(s) and ts = t.tss.(s) in
   match t.kinds.(s) with
   | 0 -> Span_begin { name = nm; iter; seq = sq; ts }
@@ -212,16 +226,15 @@ let replay t ?alloc ev =
   if t.on then begin
     let id, kind, iter, ival, arg, fval, ts =
       match ev with
-      | Span_begin { name; iter; ts; _ } -> (intern t name, k_span_begin, iter, 0, -1, 0., ts)
-      | Span_end { name; iter; ts; _ } -> (intern t name, k_span_end, iter, 0, -1, 0., ts)
+      | Span_begin { name; iter; ts; _ } -> (declare name, k_span_begin, iter, 0, -1, 0., ts)
+      | Span_end { name; iter; ts; _ } -> (declare name, k_span_end, iter, 0, -1, 0., ts)
       | Count { name; iter; arg; value; ts; _ } ->
-          let id = intern t name in
-          t.totals.(id) <- t.totals.(id) + value;
+          let id = declare name in
+          add_total t id value;
           (id, k_count, iter, value, arg, 0., ts)
       | Gauge { name; iter; value; ts; _ } ->
-          let id = intern t name in
-          t.glast.(id) <- value;
-          t.gset.(id) <- true;
+          let id = declare name in
+          set_last t id value;
           (id, k_gauge, iter, 0, -1, value, ts)
     in
     let s = t.seq mod t.capacity in
@@ -247,29 +260,27 @@ let alloc_words t ~seq:sq =
     Some (t.mnr.(s), t.mjr.(s))
   else None
 
-let counter_total t nm =
-  match Hashtbl.find_opt t.by_name nm with Some id -> t.totals.(id) | None -> 0
+(* Side-table lookups by name: 0 / absent for names never declared or
+   declared after the sink last grew. *)
+let side_id t nm =
+  match id_of nm with Some id when id < Array.length t.totals -> Some id | _ -> None
 
-let by_name_sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+let counter_total t nm = match side_id t nm with Some id -> t.totals.(id) | None -> 0
 
-let counter_totals t =
+(* Every side-table entry [keep] selects, as (name, value), sorted by name. *)
+let side_list t keep value =
   let acc = ref [] in
-  for id = 0 to t.n_names - 1 do
-    if t.totals.(id) <> 0 then acc := (t.names.(id), t.totals.(id)) :: !acc
+  for id = 0 to Array.length t.totals - 1 do
+    if keep id then acc := (name id, value id) :: !acc
   done;
-  by_name_sorted !acc
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+
+let counter_totals t = side_list t (fun id -> t.totals.(id) <> 0) (fun id -> t.totals.(id))
 
 let gauge_last t nm =
-  match Hashtbl.find_opt t.by_name nm with
-  | Some id when t.gset.(id) -> Some t.glast.(id)
-  | _ -> None
+  match side_id t nm with Some id when t.gset.(id) -> Some t.glast.(id) | _ -> None
 
-let gauge_lasts t =
-  let acc = ref [] in
-  for id = 0 to t.n_names - 1 do
-    if t.gset.(id) then acc := (t.names.(id), t.glast.(id)) :: !acc
-  done;
-  by_name_sorted !acc
+let gauge_lasts t = side_list t (fun id -> t.gset.(id)) (fun id -> t.glast.(id))
 
 let reset t =
   t.seq <- 0;

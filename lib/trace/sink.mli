@@ -9,8 +9,10 @@
       compiled in permanently and pay only that branch.
     + {e No allocation when on.}  An enabled sink writes each event into
       preallocated parallel arrays (a ring: when full, the oldest events
-      are overwritten and counted in {!dropped}).  Event names are
-      interned once at setup time ({!intern}); probes carry integer ids.
+      are overwritten and counted in {!dropped}).  Each event name is
+      declared once per process ({!declare}); probes carry its id, and
+      the per-id side tables grow only when a declaration made after
+      the sink's creation outruns them.
     + {e Determinism.}  Every event field except the wall-clock
       timestamp is a pure function of the emission sequence, so two runs
       of the same deterministic program produce byte-identical
@@ -31,8 +33,7 @@ val create : ?capacity:int -> ?profile:bool -> unit -> t
     execution artifacts: they never appear in timing-free exports. *)
 
 val disabled : t
-(** The shared no-op sink: every probe returns after one branch, and
-    {!intern} returns a dummy id without allocating. *)
+(** The shared no-op sink: every probe returns after one branch. *)
 
 val is_enabled : t -> bool
 
@@ -62,16 +63,19 @@ val tick_at : t -> int -> int
 (** The tick stamped on retained event [seq] (meaningless for dropped
     seqs; callers guard with {!dropped}). *)
 
-val intern : t -> string -> int
-(** The id of a name, allocating one on first sight.  Setup-time only;
-    0 on a disabled sink. *)
+val declare : string -> int
+(** The process-wide id of an event name, allocated on first sight and
+    the same on every sink and every domain thereafter.  Emitting
+    modules declare their events once, at top level.  Safe from any
+    domain: a new name takes a lock, a known one is a lock-free lookup
+    in an immutable snapshot. *)
 
-val name : t -> int -> string
-(** Inverse of {!intern} ([""] for unknown ids). *)
+val name : int -> string
+(** Inverse of {!declare} ([""] for unknown ids). *)
 
 (** {2 Probes}
 
-    All take interned ids and are no-ops on a disabled sink.  [iter]
+    All take declared ids and are no-ops on a disabled sink.  [iter]
     tags the event with the caller's iteration (or round) coordinate and
     [arg] with a secondary coordinate (link id, party id, position);
     [-1] — the default — means "not applicable". *)
@@ -115,7 +119,8 @@ val iter : t -> (event -> unit) -> unit
     ({!Export}) stream through this. *)
 
 val replay : t -> ?alloc:float * float -> event -> unit
-(** Re-emit a decoded event into this sink: the name is interned here,
+(** Re-emit a decoded event into this sink: the name is declared (or
+    looked up),
     counter/gauge side tables are updated, the event's own wall
     timestamp is preserved (and [?alloc] Gc words, on a profiled sink),
     and a fresh seq is assigned.  {!Merge.into_sink} streams per-shard
@@ -138,5 +143,5 @@ val gauge_lasts : t -> (string * float) list
 (** Last value of every gauge that fired, sorted by name. *)
 
 val reset : t -> unit
-(** Forget all events and totals but keep the interning table (ids stay
-    valid), so one sink can serve consecutive trials. *)
+(** Forget all events and totals, so one sink can serve consecutive
+    trials. *)

@@ -169,7 +169,7 @@ let test_exec_sharded_trace () =
   | () -> Alcotest.fail "shard-count mismatch accepted"
   | exception Invalid_argument _ -> ());
   let sh = Trace.Sharded.create ~shards:2 () in
-  let mark = Trace.Sharded.intern sh "mark" in
+  let mark = Trace.Sink.declare "mark" in
   Live.Exec.set_trace ex sh;
   let rounds = 8 in
   Fun.protect

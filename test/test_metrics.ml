@@ -1,12 +1,11 @@
 (* Tests for lib/metrics: histogram bucket math, registry probes and
-   snapshot/merge determinism, the flight recorder ring, the exposition
-   writers, domain-safety of the atomic cells, and the end-to-end
-   contract — a scheme run's exact telemetry is a pure function of its
-   configuration, and an aborted run carries its flight recorder. *)
+   snapshot/merge determinism, the exposition writers, domain-safety of
+   the atomic cells, and the end-to-end contract — a scheme run's exact
+   telemetry is a pure function of its configuration, and an aborted
+   run's diagnosis names the iteration and phase it died in. *)
 
 module Hist = Metrics.Hist
 module Reg = Metrics.Registry
-module Flight = Metrics.Flight
 module Expo = Metrics.Expo
 
 (* ---------- histogram ---------- *)
@@ -42,24 +41,13 @@ let test_hist_observe () =
   Alcotest.(check int) "count" 6 (Hist.count h);
   (* negative clamps to 0, so the sum sees it as 0 *)
   Alcotest.(check int) "sum" (0 + 3 + 3 + 100 + 1_000_000) (Hist.sum h);
-  Hist.observe_many h ~n:10 7;
-  Alcotest.(check int) "observe_many count" 16 (Hist.count h);
-  Alcotest.(check int) "observe_many sum" (1_000_106 + 70) (Hist.sum h);
   let nz = Hist.nonzero h in
   Alcotest.(check bool) "nonzero ascending" true
     (List.sort (fun (a, _) (b, _) -> compare a b) nz = nz);
   Alcotest.(check int) "cells cover count" (Hist.count h)
     (List.fold_left (fun a (_, c) -> a + c) 0 nz);
-  (* p50 of 16 observations: the 8th smallest is a 7. *)
-  Alcotest.(check int) "p50" 7 (Hist.percentile h 0.5);
-  Alcotest.(check bool) "p100 bounds the max" true (Hist.percentile h 1.0 >= 1_000_000);
-  let h2 = Hist.create () in
-  Hist.observe h2 3;
-  Hist.merge_into ~into:h2 h;
-  Alcotest.(check int) "merge count" 17 (Hist.count h2);
-  Alcotest.(check int) "merge sum" (Hist.sum h + 3) (Hist.sum h2);
-  Hist.reset h2;
-  Alcotest.(check int) "reset" 0 (Hist.count h2)
+  Alcotest.(check (list (pair int int))) "exact cells" [ (0, 2); (3, 2) ]
+    (List.filter (fun (up, _) -> up < 16) nz)
 
 (* ---------- registry ---------- *)
 
@@ -76,7 +64,8 @@ let test_registry_probes () =
   Reg.set g 2.5;
   let h = Reg.hist r "a.h" in
   Reg.observe h 3;
-  Reg.observe_many h ~n:2 20;
+  Reg.observe h 20;
+  Reg.observe h 20;
   Alcotest.(check int) "hist count via handle" 3 (Reg.hist_count h);
   (* Snapshot is name-sorted and carries the right shapes. *)
   (match Reg.snapshot r with
@@ -93,11 +82,7 @@ let test_registry_probes () =
   Reg.incr c2;
   (match List.find (fun (n, _, _) -> n = "a.count") (Reg.snapshot r) with
   | _, Reg.Exact, Reg.Counter 7 -> ()
-  | _ -> Alcotest.fail "first-registered klass should win");
-  Reg.clear r;
-  (match Reg.snapshot r with
-  | [ (_, _, Reg.Counter 0); (_, _, Reg.Histogram { count = 0; _ }); (_, _, Reg.Gauge 0.) ] -> ()
-  | _ -> Alcotest.fail "clear keeps registrations, zeroes values")
+  | _ -> Alcotest.fail "first-registered klass should win")
 
 let test_registry_disabled () =
   Alcotest.(check bool) "disabled" false (Reg.is_enabled Reg.disabled);
@@ -154,35 +139,6 @@ let test_registry_domain_safety () =
   Array.iter Domain.join ds;
   Alcotest.(check int) "counter exact under contention" (4 * per_domain) (Reg.counter_value c);
   Alcotest.(check int) "hist count exact under contention" (4 * per_domain) (Reg.hist_count h)
-
-(* ---------- flight recorder ---------- *)
-
-let test_flight_ring () =
-  let f = Flight.create ~capacity:4 () in
-  Alcotest.(check (list string)) "fresh is empty" [] (Flight.dump f);
-  for i = 1 to 6 do
-    Flight.note f ~iter:i "ev"
-  done;
-  let lines = Flight.dump f in
-  Alcotest.(check int) "keeps capacity" 4 (List.length lines);
-  Alcotest.(check int) "seq counts lifetime" 6 (Flight.seq f);
-  (* Oldest first: of the 6 events (seq 0..5), seq 2..5 survive the
-     wrap. *)
-  (match lines with
-  | first :: _ ->
-      Alcotest.(check string) "oldest retained" "#2 iter=3 ev" first
-  | [] -> Alcotest.fail "empty dump");
-  (match List.rev lines with
-  | last :: _ -> Alcotest.(check string) "newest last" "#5 iter=6 ev" last
-  | [] -> assert false);
-  Flight.note f ~iter:7 ~arg:9 "with.arg";
-  (match List.rev (Flight.dump f) with
-  | last :: _ -> Alcotest.(check string) "arg rendered" "#6 iter=7 with.arg arg=9" last
-  | [] -> assert false);
-  Flight.clear f;
-  Alcotest.(check (list string)) "clear empties" [] (Flight.dump f);
-  Flight.note Flight.disabled "dropped";
-  Alcotest.(check (list string)) "disabled drops" [] (Flight.dump Flight.disabled)
 
 (* ---------- exposition ---------- *)
 
@@ -278,7 +234,8 @@ let test_expo_escaping () =
 
 (* ---------- end-to-end: scheme runs ---------- *)
 
-let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s () =
+let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s
+    ?(adversary = Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001) () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 g in
@@ -291,8 +248,7 @@ let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s () =
     Coding.Scheme.Config.make ~metrics:reg ~backend ?max_iterations ?max_wall_s ()
   in
   let outcome =
-    Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi
-      (Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001)
+    Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adversary
   in
   (outcome, Reg.snapshot reg)
 
@@ -323,27 +279,44 @@ let test_scheme_metrics_shard_invariant () =
   Alcotest.(check string) "lockstep vs live d=0 exact bytes" (Expo.exact_json s1)
     (Expo.exact_json s2)
 
-let test_aborted_run_carries_flight () =
-  (* A wall budget of 0 trips the watchdog at its first check, after
-     real phase work has gone through the flight recorder. *)
-  let outcome, snap = scheme_exact ~max_wall_s:0. () in
+exception Planted
+
+let test_aborted_run_names_its_phase () =
+  (* An adversary that raises inside iteration 2's simulation phase:
+     the run aborts with an internal error, the diagnosis says where,
+     and the abort is tallied. *)
+  let adversary =
+    Netsim.Adversary.Adaptive
+      {
+        budget = (fun _ -> 0);
+        strategy =
+          (fun ctx ->
+            if ctx.Netsim.Adversary.iteration = 2 && ctx.Netsim.Adversary.phase = Netsim.Adversary.Simulation
+            then raise Planted
+            else []);
+      }
+  in
+  let outcome, snap = scheme_exact ~adversary () in
   (match outcome with
-  | Faults.Outcome.Aborted (Faults.Outcome.Wall_budget _, diag) ->
-      Alcotest.(check bool) "flight dump attached" true (diag.Faults.Outcome.flight <> []);
-      Alcotest.(check bool) "iteration event recorded" true
-        (List.exists (fun l -> contains l "scheme.iteration") diag.Faults.Outcome.flight);
-      Alcotest.(check bool) "abort event recorded" true
-        (List.exists (fun l -> contains l "scheme.abort") diag.Faults.Outcome.flight);
-      (* Postmortem renders it without a timeline. *)
-      let rendered =
-        Format.asprintf "%a" Obsv.Postmortem.pp_flight diag.Faults.Outcome.flight
-      in
-      Alcotest.(check bool) "pp_flight renders events" true
-        (contains rendered "flight recorder" && contains rendered "scheme.abort")
-  | o -> Alcotest.failf "expected Wall_budget abort, got %s" (Faults.Outcome.label o));
-  match List.find_opt (fun (n, _, _) -> n = "scheme.outcome.aborted") snap with
+  | Faults.Outcome.Aborted (Faults.Outcome.Internal_error msg, diag) ->
+      Alcotest.(check bool) "the planted exception" true (contains msg "Planted");
+      Alcotest.(check (list string)) "abort note" [ "aborted in iteration 2 during phase.simulation" ]
+        diag.Faults.Outcome.notes;
+      Alcotest.(check bool) "pp_diagnosis prints it" true
+        (contains
+           (Format.asprintf "%a" Faults.Outcome.pp_diagnosis diag)
+           "aborted in iteration 2 during phase.simulation")
+  | o -> Alcotest.failf "expected an internal-error abort, got %s" (Faults.Outcome.label o));
+  (match List.find_opt (fun (n, _, _) -> n = "scheme.outcome.aborted") snap with
   | Some (_, _, Reg.Counter 1) -> ()
-  | _ -> Alcotest.fail "aborted outcome not tallied"
+  | _ -> Alcotest.fail "aborted outcome not tallied");
+  (* A wall budget of 0 trips the watchdog at its first check, right
+     after iteration 0 opens. *)
+  match scheme_exact ~max_wall_s:0. () with
+  | Faults.Outcome.Aborted (Faults.Outcome.Wall_budget _, diag), _ ->
+      Alcotest.(check (list string)) "watchdog note"
+        [ "aborted in iteration 0 during scheme.iteration" ] diag.Faults.Outcome.notes
+  | o, _ -> Alcotest.failf "expected Wall_budget abort, got %s" (Faults.Outcome.label o)
 
 let test_pool_metrics () =
   let run ~jobs =
@@ -372,7 +345,7 @@ let () =
       ( "hist",
         [
           Alcotest.test_case "bucket math" `Quick test_hist_buckets;
-          Alcotest.test_case "observe/merge/percentile" `Quick test_hist_observe;
+          Alcotest.test_case "observe + nonzero" `Quick test_hist_observe;
           Alcotest.test_case "quantile estimator" `Quick test_hist_quantile;
         ] );
       ( "registry",
@@ -382,7 +355,6 @@ let () =
           Alcotest.test_case "merge semantics" `Quick test_registry_merge;
           Alcotest.test_case "domain safety" `Quick test_registry_domain_safety;
         ] );
-      ("flight", [ Alcotest.test_case "ring wrap + dump" `Quick test_flight_ring ]);
       ( "expo",
         [
           Alcotest.test_case "openmetrics shape" `Quick test_openmetrics;
@@ -394,8 +366,8 @@ let () =
           Alcotest.test_case "scheme metrics deterministic" `Quick
             test_scheme_metrics_deterministic;
           Alcotest.test_case "shard invariance" `Quick test_scheme_metrics_shard_invariant;
-          Alcotest.test_case "aborted run carries flight" `Quick
-            test_aborted_run_carries_flight;
+          Alcotest.test_case "aborted run names its phase" `Quick
+            test_aborted_run_names_its_phase;
           Alcotest.test_case "pool metrics" `Quick test_pool_metrics;
         ] );
     ]

@@ -518,7 +518,7 @@ module Dense_ref = struct
   }
 
   let create ?faults graph adversary sink =
-    let id = Trace.Sink.intern sink in
+    let id = Trace.Sink.declare in
     { graph; adversary; faults; addends = Array.make (2 * Topology.Graph.m graph) 0; sink;
       ids = (id "net.corrupt", id "net.injected", id "net.stalled");
       round_no = 0; cc = 0; corruptions = 0; stalled = 0; injected = 0 }

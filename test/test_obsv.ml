@@ -131,8 +131,7 @@ let test_sharded_attribution () =
      the timeline must keep per-event shard attribution and the
      postmortem must decompose the deviation by shard. *)
   let sh = Trace.Sharded.create ~shards:2 () in
-  let sp = Trace.Sharded.intern sh "scheme.iteration" in
-  let corrupt = Trace.Sharded.intern sh "net.corrupt" in
+  let sp = Sink.declare "scheme.iteration" and corrupt = Sink.declare "net.corrupt" in
   let l = Trace.Sharded.leader sh in
   let r0 = Trace.Sharded.ring sh 0 and r1 = Trace.Sharded.ring sh 1 in
   Sink.set_tick l 0;
@@ -216,8 +215,8 @@ let test_postmortem_clean_run () =
    analyzer violation; the same stall next to booked noise is not. *)
 let stall_sink ~with_noise =
   let t = Sink.create () in
-  let it = Sink.intern t "scheme.iteration" and phi = Sink.intern t "phi" in
-  let stall = Sink.intern t "phi.stall" and corrupt = Sink.intern t "net.corrupt" in
+  let it = Sink.declare "scheme.iteration" and phi = Sink.declare "phi" in
+  let stall = Sink.declare "phi.stall" and corrupt = Sink.declare "net.corrupt" in
   Sink.span_begin t ~id:it ~iter:0;
   Sink.gauge t ~id:phi ~iter:0 10.;
   Sink.span_end t ~id:it ~iter:0;

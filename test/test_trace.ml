@@ -1,5 +1,5 @@
 (* Tests for lib/trace: the ring-buffer sink's bookkeeping (ordering,
-   wrap-around, drop-proof totals, interning), the disabled sink's no-op
+   wrap-around, drop-proof totals, declared ids), the disabled sink's no-op
    contract, timing-free export determinism, summary/aggregation, the
    meeting-points hash-collision probe, and a fully traced scheme run
    under a crash fault. *)
@@ -12,10 +12,10 @@ module Merge = Trace.Merge
 let test_sink_basics () =
   let t = Sink.create () in
   Alcotest.(check bool) "enabled" true (Sink.is_enabled t);
-  let a = Sink.intern t "alpha" and b = Sink.intern t "beta" in
-  Alcotest.(check int) "interning is stable" a (Sink.intern t "alpha");
+  let a = Sink.declare "alpha" and b = Sink.declare "beta" in
+  Alcotest.(check int) "declaring is idempotent" a (Sink.declare "alpha");
   Alcotest.(check bool) "distinct names, distinct ids" true (a <> b);
-  Alcotest.(check string) "name round-trips" "beta" (Sink.name t b);
+  Alcotest.(check string) "name round-trips" "beta" (Sink.name b);
   Sink.span_begin t ~id:a ~iter:0;
   Sink.count t ~id:b ~iter:0 ~arg:3 2;
   Sink.count t ~id:b ~iter:1 5;
@@ -43,12 +43,36 @@ let test_sink_basics () =
   | evs -> Alcotest.failf "expected 5 events, got %d" (List.length evs));
   Sink.reset t;
   Alcotest.(check int) "reset clears seq" 0 (Sink.seq t);
-  Alcotest.(check int) "reset clears totals" 0 (Sink.counter_total t "beta");
-  Alcotest.(check int) "reset keeps interning" a (Sink.intern t "alpha")
+  Alcotest.(check int) "reset clears totals" 0 (Sink.counter_total t "beta")
+
+let test_late_declaration () =
+  (* Names declared after a sink exists outrun its side tables, which
+     grow on the first probe; a name never emitted reads as absent. *)
+  let t = Sink.create () in
+  let late = List.init 40 (fun i -> Sink.declare (Printf.sprintf "late.%d" i)) in
+  Alcotest.(check int) "unemitted total" 0 (Sink.counter_total t "late.39");
+  List.iteri (fun i id -> Sink.count t ~id (i + 1)) late;
+  Sink.gauge t ~id:(List.nth late 39) 1.5;
+  Alcotest.(check int) "grown total" 40 (Sink.counter_total t "late.39");
+  Alcotest.(check (option (float 1e-9))) "grown gauge" (Some 1.5) (Sink.gauge_last t "late.39");
+  Alcotest.(check int) "every late counter listed" 40
+    (List.length
+       (List.filter
+          (fun (n, _) -> String.length n > 5 && String.sub n 0 5 = "late.")
+          (Sink.counter_totals t)));
+  (* Concurrent declarations of the same fresh names agree. *)
+  let names = List.init 50 (Printf.sprintf "race.%d") in
+  let ds = List.init 3 (fun _ -> Domain.spawn (fun () -> List.map Sink.declare names)) in
+  match List.map Domain.join ds with
+  | first :: rest ->
+      List.iter (fun ids -> Alcotest.(check (list int)) "same ids on every domain" first ids) rest;
+      Alcotest.(check (list string)) "ids name their declarations" names
+        (List.map Sink.name first)
+  | [] -> assert false
 
 let test_ring_wraps () =
   let t = Sink.create ~capacity:4 () in
-  let c = Sink.intern t "c" in
+  let c = Sink.declare "c" in
   for i = 1 to 10 do
     Sink.count t ~id:c ~iter:i 1
   done;
@@ -67,7 +91,7 @@ let test_ring_capacity_one () =
   (* The degenerate ring: every push evicts its predecessor, yet the
      drop-proof side tables keep exact lifetime totals. *)
   let t = Sink.create ~capacity:1 () in
-  let c = Sink.intern t "c" and d = Sink.intern t "d" in
+  let c = Sink.declare "c" and d = Sink.declare "d" in
   Sink.count t ~id:c ~iter:0 2;
   Sink.count t ~id:d ~iter:1 3;
   Sink.count t ~id:c ~iter:2 4;
@@ -81,7 +105,7 @@ let test_ring_capacity_one () =
 
 let test_iter_matches_events () =
   let t = Sink.create ~capacity:4 () in
-  let c = Sink.intern t "c" and s = Sink.intern t "s" in
+  let c = Sink.declare "c" and s = Sink.declare "s" in
   Sink.span_begin t ~id:s ~iter:0;
   for i = 1 to 7 do
     Sink.count t ~id:c ~iter:i 1
@@ -95,7 +119,7 @@ let test_iter_matches_events () =
 let test_profile_alloc () =
   let t = Sink.create ~profile:true () in
   Alcotest.(check bool) "profiled" true (Sink.profiled t);
-  let s = Sink.intern t "phase.x" in
+  let s = Sink.declare "phase.x" in
   Sink.span_begin t ~id:s ~iter:0;
   (* Small blocks so the allocation lands in the minor heap (a large
      array would go straight to the major heap); generously many of
@@ -109,13 +133,13 @@ let test_profile_alloc () =
   | _ -> Alcotest.fail "alloc_words missing on a profiled sink");
   Alcotest.(check bool) "seq out of range" true (Sink.alloc_words t ~seq:5 = None);
   let u = Sink.create () in
-  Sink.span_begin u ~id:(Sink.intern u "x") ~iter:0;
+  Sink.span_begin u ~id:(Sink.declare "x") ~iter:0;
   Alcotest.(check bool) "unprofiled sink has no alloc data" true (Sink.alloc_words u ~seq:0 = None)
 
 let test_disabled_noop () =
   let t = Sink.disabled in
   Alcotest.(check bool) "disabled" false (Sink.is_enabled t);
-  let id = Sink.intern t "anything" in
+  let id = Sink.declare "anything" in
   Sink.span_begin t ~id ~iter:0;
   Sink.count t ~id 5;
   Sink.gauge t ~id 1.0;
@@ -125,7 +149,7 @@ let test_disabled_noop () =
   Alcotest.(check bool) "no retained events" true (Sink.events t = [])
 
 let fill_sample t =
-  let s = Sink.intern t "phase.x" and c = Sink.intern t "hits" and g = Sink.intern t "phi" in
+  let s = Sink.declare "phase.x" and c = Sink.declare "hits" and g = Sink.declare "phi" in
   Sink.span_begin t ~id:s ~iter:0;
   Sink.count t ~id:c ~iter:0 ~arg:2 1;
   Sink.gauge t ~id:g ~iter:0 3.125;
@@ -215,12 +239,10 @@ let seq_of = function
   | Sink.Gauge { seq; _ } ->
       seq
 
-let test_sharded_intern_and_merge_order () =
+let test_sharded_merge_order () =
   let sh = Sharded.create ~shards:2 () in
-  let c = Sharded.intern sh "c" in
+  let c = Sink.declare "c" in
   let l = Sharded.leader sh and r0 = Sharded.ring sh 0 and r1 = Sharded.ring sh 1 in
-  Alcotest.(check int) "shared id on leader" c (Sink.intern l "c");
-  Alcotest.(check int) "shared id on every ring" c (Sink.intern r1 "c");
   (* Emit out of merge order: the sort key (tick, shard, seq) must
      reconstruct leader-first, then shard 0 before shard 1 per tick. *)
   Sink.set_tick l 0;
@@ -247,7 +269,7 @@ let test_merge_into_sink_residuals () =
      values over as a residual so the destination totals stay
      drop-proof, and the loss must surface through [dropped]. *)
   let sh = Sharded.create ~shards:1 ~capacity:2 () in
-  let c = Sharded.intern sh "c" in
+  let c = Sink.declare "c" in
   let r0 = Sharded.ring sh 0 in
   for i = 1 to 5 do
     Sink.set_tick r0 i;
@@ -420,9 +442,8 @@ let probe_run ~shards ~ragged_d =
   in
   (outcome, sink, Metrics.Registry.snapshot reg)
 
-(* Digests of both timing-free exports, pinned before the probe
-   vocabulary moved from per-run interning to declared ids: any change
-   to event names, order, values or metric registration shows here. *)
+(* Digests of both timing-free exports: any change to event names,
+   order, values or metric registration shows here. *)
 let test_export_golden () =
   let _, sink, snap = probe_run ~shards:1 ~ragged_d:0 in
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
@@ -430,12 +451,57 @@ let test_export_golden () =
   Alcotest.(check string) "jsonl export digest" "9c2febe4bc33087187df4dc2ea3be7a4" (digest (Export.jsonl ~timing:false sink));
   Alcotest.(check string) "exact metrics digest" "ec5458211737b9b00aefa590b382e944" (digest (Metrics.Expo.exact_json snap))
 
+(* Every surface books the same events: trace counter totals, Exact
+   metric counters and the result/diagnosis fields agree on the run
+   above — serial, parallel at d = 0, and ragged (where bulk drops are
+   booked as one aggregate trace count). *)
+let test_surfaces_agree ~shards ~ragged_d () =
+  let outcome, sink, snap = probe_run ~shards ~ragged_d in
+  Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
+  let r, d =
+    match outcome with
+    | Faults.Outcome.Degraded (r, d) -> (r, d)
+    | o -> Alcotest.failf "expected degraded, got %s" (Faults.Outcome.label o)
+  in
+  let trace = Sink.counter_total sink in
+  let metric n =
+    match List.find_opt (fun (m, _, _) -> m = n) snap with
+    | Some (_, Metrics.Registry.Exact, Metrics.Registry.Counter v) -> v
+    | _ -> Alcotest.failf "exact counter %s missing" n
+  in
+  let agree what values =
+    match values with
+    | v :: rest -> List.iter (Alcotest.(check int) what v) rest
+    | [] -> ()
+  in
+  agree "corruptions" [ trace "net.corrupt"; metric "net.corruptions"; r.Coding.Scheme.corruptions ];
+  agree "stalled" [ trace "net.stalled"; metric "net.stalled"; d.Faults.Outcome.stalled_slots ];
+  agree "injected" [ trace "net.injected"; metric "net.injected"; d.Faults.Outcome.injected ];
+  agree "iterations"
+    [
+      List.length (Obsv.Timeline.of_sink sink).Obsv.Timeline.iterations;
+      metric "scheme.iterations";
+      r.Coding.Scheme.iterations_run;
+      d.Faults.Outcome.iterations_run;
+    ];
+  agree "rewinds" [ trace "rewind.requests"; metric "scheme.rewinds" ];
+  agree "mp truncations" [ trace "mp.truncate"; metric "scheme.mp_truncations" ];
+  agree "phi stalls" [ trace "phi.stall"; metric "scheme.phi_stalls" ];
+  agree "cc" [ metric "net.cc"; r.Coding.Scheme.cc ];
+  (* The run exercises the surfaces it compares (at d > 0 the scheme's
+     own events depend on scheduling, so only the network's are sure). *)
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " fired") true (trace n > 0))
+    ([ "net.corrupt"; "net.stalled"; "net.injected" ]
+    @ if ragged_d = 0 then [ "mp.truncate"; "rewind.requests"; "phi.stall" ] else [])
+
 let () =
   Alcotest.run "trace"
     [
       ( "sink",
         [
           Alcotest.test_case "basics" `Quick test_sink_basics;
+          Alcotest.test_case "late declaration" `Quick test_late_declaration;
           Alcotest.test_case "ring wrap" `Quick test_ring_wraps;
           Alcotest.test_case "ring capacity 1" `Quick test_ring_capacity_one;
           Alcotest.test_case "iter matches events" `Quick test_iter_matches_events;
@@ -455,10 +521,17 @@ let () =
         ] );
       ( "sharded",
         [
-          Alcotest.test_case "intern + merge order" `Quick test_sharded_intern_and_merge_order;
+          Alcotest.test_case "merge order" `Quick test_sharded_merge_order;
           Alcotest.test_case "merge residuals" `Quick test_merge_into_sink_residuals;
           Alcotest.test_case "byte-identity vs lockstep" `Quick test_sharded_byte_identity;
           Alcotest.test_case "sampling" `Quick test_sharded_sampling;
           Alcotest.test_case "ragged well-ordered" `Quick test_sharded_ragged_well_ordered;
+        ] );
+      ( "surfaces",
+        [
+          Alcotest.test_case "agree at shards 1" `Quick (test_surfaces_agree ~shards:1 ~ragged_d:0);
+          Alcotest.test_case "agree at shards 2" `Quick (test_surfaces_agree ~shards:2 ~ragged_d:0);
+          Alcotest.test_case "agree at shards 2, d = 1" `Quick
+            (test_surfaces_agree ~shards:2 ~ragged_d:1);
         ] );
     ]
