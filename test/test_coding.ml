@@ -728,6 +728,75 @@ let test_repetition_loses_to_targeted_burst () =
   let r = Coding.Baseline.repetition ~rng:(Util.Rng.create 18) ~rep:5 pi adv in
   Alcotest.(check bool) "burst defeats repetition" false r.Coding.Baseline.success
 
+(* A golden fingerprint of both baselines: the outputs digest, cc,
+   corruptions and noise fraction of every (baseline, topology,
+   adversary) case, pinned so that a change to the transport round the
+   baselines drive cannot move their results unnoticed. *)
+let baseline_golden =
+  [
+    ("uncoded", "cycle 6", "silent", "a9b4823957b2a1dce0cc357872137b91", 376, 0, 0x0p+0);
+    ("uncoded", "cycle 6", "iid", "2dd32d3feb1c70c45031abe4551dc5a0", 376, 14, 0x1.310572620ae4cp-5);
+    ("uncoded", "cycle 6", "burst", "2c38ab0973eaa1ff747a7039e9b17725", 376, 24, 0x1.0572620ae4c41p-4);
+    ("uncoded", "line 8", "silent", "003b62b168e3867dfffa740a20e0924e", 434, 0, 0x0p+0);
+    ("uncoded", "line 8", "iid", "080520c2b2d87ab9097413328fd71c7a", 434, 17, 0x1.40e281c5038ap-5);
+    ("uncoded", "line 8", "burst", "d60ce26f713dc95a3f2ea6009a9737e1", 434, 24, 0x1.c5038a07140e3p-5);
+    ("uncoded", "clique 5", "silent", "ec6472bdb8a1bf5e4186c0792de13f9a", 616, 0, 0x0p+0);
+    ("uncoded", "clique 5", "iid", "45aa43b93138c7921ec03ea37beb1500", 616, 24, 0x1.3f2b3884fcacep-5);
+    ("uncoded", "clique 5", "burst", "0e3128a2d3b38422e77361218906bf1f", 616, 24, 0x1.3f2b3884fcacep-5);
+    ("rep 3", "cycle 6", "silent", "a9b4823957b2a1dce0cc357872137b91", 1128, 0, 0x0p+0);
+    ("rep 3", "cycle 6", "iid", "a9b4823957b2a1dce0cc357872137b91", 1128, 44, 0x1.3f8bcd29c245p-5);
+    ("rep 3", "cycle 6", "burst", "d23e33cdaebe147529de29ba4c30909a", 1128, 24, 0x1.5c9882b931057p-6);
+    ("rep 3", "line 8", "silent", "003b62b168e3867dfffa740a20e0924e", 1302, 0, 0x0p+0);
+    ("rep 3", "line 8", "iid", "003b62b168e3867dfffa740a20e0924e", 1302, 53, 0x1.4d77f04535dfcp-5);
+    ("rep 3", "line 8", "burst", "7f982e1a127602fb24dd139d9989919f", 1302, 24, 0x1.2e025c04b8097p-6);
+    ("rep 3", "clique 5", "silent", "ec6472bdb8a1bf5e4186c0792de13f9a", 1848, 0, 0x0p+0);
+    ("rep 3", "clique 5", "iid", "ec6472bdb8a1bf5e4186c0792de13f9a", 1848, 74, 0x1.4808dda520237p-5);
+    ("rep 3", "clique 5", "burst", "f42f30e31c8aff28832ad021d42f9f32", 1848, 24, 0x1.a98ef606a63bep-7);
+    ("rep 5", "cycle 6", "silent", "a9b4823957b2a1dce0cc357872137b91", 1880, 0, 0x0p+0);
+    ("rep 5", "cycle 6", "iid", "a9b4823957b2a1dce0cc357872137b91", 1880, 75, 0x1.46cefa8d9df52p-5);
+    ("rep 5", "cycle 6", "burst", "d23ebfc873e1f623926c886031fff473", 1880, 24, 0x1.a2509cde3ad35p-7);
+    ("rep 5", "line 8", "silent", "003b62b168e3867dfffa740a20e0924e", 2170, 0, 0x0p+0);
+    ("rep 5", "line 8", "iid", "003b62b168e3867dfffa740a20e0924e", 2170, 90, 0x1.53c2a7854f0aap-5);
+    ("rep 5", "line 8", "burst", "f8d58da4b8b3c8a5b59051e1cc20c48a", 2170, 24, 0x1.6a693b38dcd82p-7);
+    ("rep 5", "clique 5", "silent", "ec6472bdb8a1bf5e4186c0792de13f9a", 3080, 0, 0x0p+0);
+    ("rep 5", "clique 5", "iid", "ec6472bdb8a1bf5e4186c0792de13f9a", 3080, 123, 0x1.4725e6bb82fep-5);
+    ("rep 5", "clique 5", "burst", "94dbc39db0477b5fd6eb4f38a8a8e724", 3080, 24, 0x1.feab8da19447dp-8);
+  ]
+
+let test_baseline_golden () =
+  let topo = function
+    | "cycle 6" -> Topology.Graph.cycle 6
+    | "line 8" -> Topology.Graph.line 8
+    | _ -> Topology.Graph.clique 5
+  in
+  let adversary = function
+    | "silent" -> Netsim.Adversary.Silent
+    | "iid" -> Netsim.Adversary.iid (Util.Rng.create 9) ~rate:0.02
+    | _ -> Netsim.Adversary.burst (Util.Rng.create 4) ~start_round:10 ~len:8 ~dirs:[ 0; 1; 3 ]
+  in
+  let run scheme pi adv =
+    let rng = Util.Rng.create 5 in
+    match scheme with
+    | "uncoded" -> Coding.Baseline.uncoded ~rng pi adv
+    | "rep 3" -> Coding.Baseline.repetition ~rng ~rep:3 pi adv
+    | _ -> Coding.Baseline.repetition ~rng ~rep:5 pi adv
+  in
+  let digest outputs =
+    Digest.to_hex
+      (Digest.string (String.concat "," (Array.to_list (Array.map string_of_int outputs))))
+  in
+  List.iter
+    (fun (scheme, t, a, outputs, cc, corruptions, noise_fraction) ->
+      let case = String.concat " / " [ scheme; t; a ] in
+      let pi = Protocol.Protocols.random_chatter (topo t) ~rounds:60 ~density:0.5 ~seed:3 in
+      let r = run scheme pi (adversary a) in
+      Alcotest.(check string) (case ^ ": outputs") outputs (digest r.Coding.Baseline.outputs);
+      Alcotest.(check int) (case ^ ": cc") cc r.Coding.Baseline.cc;
+      Alcotest.(check int) (case ^ ": corruptions") corruptions r.Coding.Baseline.corruptions;
+      Alcotest.(check (float 0.)) (case ^ ": noise fraction") noise_fraction
+        r.Coding.Baseline.noise_fraction)
+    baseline_golden
+
 (* ---------- Full scheme ---------- *)
 
 let topologies =
@@ -1218,6 +1287,7 @@ let () =
             test_repetition_resists_scattered_flips;
           Alcotest.test_case "repetition loses to burst" `Quick
             test_repetition_loses_to_targeted_burst;
+          Alcotest.test_case "golden fingerprints" `Quick test_baseline_golden;
         ] );
       ( "scheme",
         [
