@@ -107,7 +107,7 @@ let cell ~jobs ~generations ~population ~trials ~rounds (alg, topo) =
    but kept out of the written snapshot, which carries the distilled
    frontier). *)
 let stable_cell_json ~full (c : cell) =
-  let open Runner.Report.Json in
+  let open Util.Json in
   let open Advsearch.Search in
   obj
     ([
@@ -131,7 +131,7 @@ let stable_cell_json ~full (c : cell) =
     @ if full then [ ("evals", arr (List.map eval_to_json c.search.evals)) ] else [])
 
 let stable_json ~full cells =
-  Runner.Report.Json.arr (List.map (stable_cell_json ~full) cells)
+  Util.Json.arr (List.map (stable_cell_json ~full) cells)
 
 let sweep ~jobs ~generations ~population ~trials ~rounds cells =
   let t0 = Unix.gettimeofday () in
@@ -174,7 +174,7 @@ let run_with ~cells ~generations ~population ~trials ~rounds ~jobs_hi ~json () =
   (match json with
   | None -> ()
   | Some path ->
-      let open Runner.Report.Json in
+      let open Util.Json in
       (* Per-cell wall from the parallel pass; classified timed. *)
       let walls =
         arr

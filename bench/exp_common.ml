@@ -157,3 +157,31 @@ let workload ?(rounds = 300) ?(density = 0.5) ?(seed = 3) graph =
 let bar ?(width = 30) fraction =
   let n = int_of_float (fraction *. float_of_int width) in
   String.init width (fun i -> if i < n then '#' else '.')
+
+(* The raw transport loop of the transport, scale and trace benches:
+   [rounds] rounds of begin a round, [send] the traffic shape of round
+   [r], commit, and iterate the deliveries the way the phase drivers
+   read them.  Returns the wall time of the loop. *)
+let raw_rounds net ~rounds ~send =
+  let act = Netsim.Network.active net in
+  let t0 = Unix.gettimeofday () in
+  for r = 0 to rounds - 1 do
+    Netsim.Network.Active.begin_round act;
+    send act r;
+    Netsim.Network.commit net act;
+    let seen = ref 0 in
+    Netsim.Network.Active.iter act (fun ~dir:_ _ -> incr seen);
+    ignore !seen
+  done;
+  Unix.gettimeofday () -. t0
+
+(* Full-duplex traffic: every directed link speaks every round, each
+   edge's endpoints alternating bits with the round parity. *)
+let full_duplex g =
+  let edges = Topology.Graph.edges g in
+  fun act r ->
+    for e = 0 to Array.length edges - 1 do
+      let u, v = edges.(e) in
+      Netsim.Network.Active.send act ~dir:(2 * e) ((r + u) land 1 = 0);
+      Netsim.Network.Active.send act ~dir:((2 * e) + 1) ((r + v) land 1 = 0)
+    done

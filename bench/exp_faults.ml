@@ -156,7 +156,7 @@ let sweep ~jobs ~trials ~rounds ~crashes ~overloads =
 
 (* The timing-free JSON of a sweep: the determinism contract's subject. *)
 let stable_json cells =
-  let open Runner.Report.Json in
+  let open Util.Json in
   arr
     (List.map
        (fun c ->
@@ -207,7 +207,7 @@ let run_with ~trials ~rounds ~crashes ~overloads ~jobs_hi ~json () =
   (match json with
   | None -> ()
   | Some path ->
-      let open Runner.Report.Json in
+      let open Util.Json in
       Runner.Report.write_file ~path
         (obj
            [

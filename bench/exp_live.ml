@@ -168,7 +168,7 @@ let parallel_jitter_probe ~chatter_rounds g =
         if r.Coding.Scheme.success then 1. else 0. )
 
 let json_of rounds_rows ragged_rows (jitter_rate_obs, jitter_success) =
-  let module J = Runner.Report.Json in
+  let module J = Util.Json in
   let rr r =
     J.obj
       [

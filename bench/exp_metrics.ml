@@ -137,7 +137,7 @@ let shard_exact ~shards ~rounds g =
 (* ---------- harness ---------- *)
 
 let json_of rows ~merge_ok ~shard_ok ~exact_series ~timed_series =
-  let module J = Runner.Report.Json in
+  let module J = Util.Json in
   J.obj
     [
       ("bench", J.str "metrics");
@@ -240,8 +240,8 @@ let smoke () =
     n >= m && String.sub s (n - m) m = suffix
   in
   assert (ends_with ~suffix:"# EOF\n" om);
-  (match Obsv.Json.parse_opt (Metrics.Expo.json snap) with
-  | Some (Obsv.Json.Obj fields) ->
+  (match Util.Json.parse_opt (Metrics.Expo.json snap) with
+  | Some (Util.Json.Obj fields) ->
       assert (List.mem_assoc "exact" fields && List.mem_assoc "timed" fields)
   | _ -> assert false);
   Format.printf "@.[metrics-smoke ok]@."

@@ -54,7 +54,7 @@ let run_in ?tolerance ~dir () =
     let benches =
       List.filter_map
         (fun f ->
-          match Obsv.Json.parse_opt (read_file (Filename.concat dir f)) with
+          match Util.Json.parse_opt (read_file (Filename.concat dir f)) with
           | Some j -> Some (label_of_file f, j)
           | None ->
               Format.eprintf "report: %s does not parse, skipping@." f;
@@ -126,7 +126,7 @@ let scenario_json ~jobs =
           params pi
           (Netsim.Adversary.iid (Exp_common.trial_rng "report:smoke:adv" t) ~rate))
   in
-  let open Runner.Report.Json in
+  let open Util.Json in
   let accum (a : Runner.Accum.summary) =
     obj [ ("n", int a.Runner.Accum.n); ("mean", num a.Runner.Accum.mean);
           ("min", num a.Runner.Accum.min); ("max", num a.Runner.Accum.max) ]

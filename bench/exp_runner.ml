@@ -49,7 +49,7 @@ let sweep ~jobs ~trials ~rounds ~rates =
 
 (* The timing-free JSON of a sweep: the determinism contract's subject. *)
 let stable_json cells =
-  Runner.Report.Json.arr
+  Util.Json.arr
     (List.map
        (fun (key, s) ->
          Runner.Report.to_json ~timing:false (Exp_common.report ~experiment:"e2-sweep" ~key s))
@@ -63,7 +63,7 @@ let bench ~trials ~rounds ~rates ~jobs_hi =
   (c1, wall1, wallh, j1)
 
 let json_doc ~trials ~rounds ~jobs_hi ~wall1 ~wallh sweep_json =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     [
       ("bench", str "runner");

@@ -8,10 +8,8 @@
      exact diameter wall time (iFUB: a handful of BFS passes, not
      all-pairs), and edge-id lookup latency (binary search over sorted
      adjacency — the per-party O(n) lookup arrays are gone);
-   - raw transport rounds/sec, sparse [Network.commit] vs
-     [Network.round_buf], the dense-buffer adapter over [commit] (the
-     independent dense reference round lives in test/test_netsim.ml),
-     under two traffic shapes:
+   - raw transport rounds/sec of [Network.commit] under two traffic
+     shapes:
      {e few-active} (16 links speak; the regime the sparse API exists
      for — per-round cost must stay O(active), independent of 2m) and
      {e full-duplex} (every directed link speaks; the sparse worst case);
@@ -22,23 +20,21 @@
      sweep) and the GC heap high-water mark.
 
    The sublinearity evidence is the per-family summary: when 2m grows by
-   a factor F across the sweep, the dense few-active per-round cost
-   grows by ≈F while the sparse cost must stay near flat.
+   a factor F across the sweep, the few-active per-round cost must stay
+   near flat.
 
    The network runs a silent adversary: oblivious patterns are functions
    over all 2m directions (insertions can land anywhere), so they are
    inherently O(2m) per round on any transport — the sparse fast path is
-   about rounds the adversary leaves alone.  Noise-equivalence of the
-   two transports is the netsim differential suite's job, not this
-   bench's.
+   about rounds the adversary leaves alone.  Noise-equivalence of
+   [commit] and the dense reference round is the netsim differential
+   suite's job, not this bench's.
 
    Results go to stdout and BENCH_scale.json (picked up by
    `bench/main.exe report`; *_per_sec / wall / rss metrics are
    tolerance-classified, counts and diameters exactly). *)
 
 module Network = Netsim.Network
-module Slots = Netsim.Network.Slots
-module Active = Netsim.Network.Active
 
 type row = {
   family : string;
@@ -48,9 +44,7 @@ type row = {
   diameter : int;
   diameter_wall_s : float;
   edge_id_ns : float;
-  few_dense_per_sec : float;
   few_sparse_per_sec : float;
-  full_dense_per_sec : float;
   full_sparse_per_sec : float;
   flag_wall_s : float;
   rss_kb : int;
@@ -62,69 +56,24 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Few-active traffic: [active] fixed directed links speak each round.
-   Reads mirror the phase drivers — iterate the delivered set, never the
-   2m-slot space (for the dense buffer that iteration is O(2m) by
-   construction; charging it is the point). *)
-let bench_few g ~transport ~rounds ~active =
-  let net = Network.create g Netsim.Adversary.Silent in
+(* Few-active traffic: [active] fixed directed links speak each round. *)
+let bench_few g ~rounds ~active =
   let two_m = 2 * Topology.Graph.m g in
   let k = min active two_m in
   let dirs = Array.init k (fun i -> i * (two_m / k)) in
-  let t0 = Unix.gettimeofday () in
-  (match transport with
-  | `Dense ->
-      let slots = Network.slots net in
-      for r = 0 to rounds - 1 do
-        Slots.clear slots;
-        Array.iter (fun d -> Slots.set slots ~dir:d ((r + d) land 1 = 0)) dirs;
-        Network.round_buf net slots;
-        let seen = ref 0 in
-        Slots.iter slots (fun ~dir:_ _ -> incr seen);
-        ignore !seen
-      done
-  | `Sparse ->
-      let act = Network.active net in
-      for r = 0 to rounds - 1 do
-        Active.begin_round act;
-        Array.iter (fun d -> Active.send act ~dir:d ((r + d) land 1 = 0)) dirs;
-        Network.commit net act;
-        let seen = ref 0 in
-        Active.iter act (fun ~dir:_ _ -> incr seen);
-        ignore !seen
-      done);
-  float_of_int rounds /. (Unix.gettimeofday () -. t0)
-
-let bench_full g ~transport ~rounds =
+  let send act r = Array.iter (fun d -> Network.Active.send act ~dir:d ((r + d) land 1 = 0)) dirs in
   let net = Network.create g Netsim.Adversary.Silent in
+  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send
+
+let bench_full g ~rounds =
   let two_m = 2 * Topology.Graph.m g in
-  let t0 = Unix.gettimeofday () in
-  (match transport with
-  | `Dense ->
-      let slots = Network.slots net in
-      for r = 0 to rounds - 1 do
-        Slots.clear slots;
-        for d = 0 to two_m - 1 do
-          Slots.set slots ~dir:d ((r + d) land 1 = 0)
-        done;
-        Network.round_buf net slots;
-        let seen = ref 0 in
-        Slots.iter slots (fun ~dir:_ _ -> incr seen);
-        ignore !seen
-      done
-  | `Sparse ->
-      let act = Network.active net in
-      for r = 0 to rounds - 1 do
-        Active.begin_round act;
-        for d = 0 to two_m - 1 do
-          Active.send act ~dir:d ((r + d) land 1 = 0)
-        done;
-        Network.commit net act;
-        let seen = ref 0 in
-        Active.iter act (fun ~dir:_ _ -> incr seen);
-        ignore !seen
-      done);
-  float_of_int rounds /. (Unix.gettimeofday () -. t0)
+  let send act r =
+    for d = 0 to two_m - 1 do
+      Network.Active.send act ~dir:d ((r + d) land 1 = 0)
+    done
+  in
+  let net = Network.create g Netsim.Adversary.Silent in
+  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send
 
 let bench_edge_id g ~lookups =
   let edges = Topology.Graph.edges g in
@@ -158,16 +107,11 @@ let measure ~few_rounds_sparse ~ops_budget (family, build) =
   let two_m = 2 * m in
   let diameter, diameter_wall_s = time (fun () -> Topology.Graph.diameter g) in
   let edge_id_ns = bench_edge_id g ~lookups:200_000 in
-  (* Dense rounds scale down with 2m so every row costs about the same
-     wall time; rounds/sec normalizes the counts away. *)
-  let few_rounds_dense = max 500 (ops_budget / two_m) in
+  (* Full-duplex rounds scale down with 2m so every row costs about the
+     same wall time; rounds/sec normalizes the counts away. *)
   let full_rounds = max 100 (ops_budget / (4 * two_m)) in
-  let few_dense_per_sec = bench_few g ~transport:`Dense ~rounds:few_rounds_dense ~active:16 in
-  let few_sparse_per_sec =
-    bench_few g ~transport:`Sparse ~rounds:few_rounds_sparse ~active:16
-  in
-  let full_dense_per_sec = bench_full g ~transport:`Dense ~rounds:full_rounds in
-  let full_sparse_per_sec = bench_full g ~transport:`Sparse ~rounds:full_rounds in
+  let few_sparse_per_sec = bench_few g ~rounds:few_rounds_sparse ~active:16 in
+  let full_sparse_per_sec = bench_full g ~rounds:full_rounds in
   let flag_wall_s = bench_flag g in
   {
     family;
@@ -177,9 +121,7 @@ let measure ~few_rounds_sparse ~ops_budget (family, build) =
     diameter;
     diameter_wall_s;
     edge_id_ns;
-    few_dense_per_sec;
     few_sparse_per_sec;
-    full_dense_per_sec;
     full_sparse_per_sec;
     flag_wall_s;
     rss_kb = Util.Mem.peak_rss_kb ();
@@ -209,12 +151,11 @@ let sublinearity rows =
       let ratio a b = a /. b in
       ( fam,
         ratio (float_of_int large.m) (float_of_int small.m),
-        ratio small.few_sparse_per_sec large.few_sparse_per_sec,
-        ratio small.few_dense_per_sec large.few_dense_per_sec ))
+        ratio small.few_sparse_per_sec large.few_sparse_per_sec ))
     fams
 
 let json_of rows subs =
-  let module J = Runner.Report.Json in
+  let module J = Util.Json in
   let row r =
     J.obj
       [
@@ -225,22 +166,19 @@ let json_of rows subs =
         ("diameter", J.int r.diameter);
         ("diameter_wall_s", J.num r.diameter_wall_s);
         ("edge_id_ns", J.num r.edge_id_ns);
-        ("few_dense_per_sec", J.num r.few_dense_per_sec);
         ("few_sparse_per_sec", J.num r.few_sparse_per_sec);
-        ("full_dense_per_sec", J.num r.full_dense_per_sec);
         ("full_sparse_per_sec", J.num r.full_sparse_per_sec);
         ("flag_phase_wall_s", J.num r.flag_wall_s);
         ("peak_rss_kb", J.num (float_of_int r.rss_kb));
         ("heap_top_kb", J.num (float_of_int r.heap_kb));
       ]
   in
-  let sub (fam, mr, sr, dr) =
+  let sub (fam, mr, sr) =
     J.obj
       [
         ("key", J.str fam);
         ("m_growth", J.num mr);
         ("sparse_few_cost_growth_speedup", J.num sr);
-        ("dense_few_cost_growth_speedup", J.num dr);
       ]
   in
   J.obj
@@ -253,19 +191,15 @@ let json_of rows subs =
 
 let run_with ~sizes ~few_rounds_sparse ~ops_budget ~json () =
   Exp_common.heading "SCALE |  sparse active-link transport at 1k-10k parties";
-  Format.printf
-    "  %-15s %6s %7s | %8s %9s %8s | %12s %12s %12s %12s | %8s %9s@." "family" "n" "m" "gen ms"
-    "diam(ms)" "eid ns" "few dense/s" "few sparse/s" "full dense/s" "full sparse/s" "flag ms"
-    "rss MiB";
+  Format.printf "  %-15s %6s %7s | %8s %9s %8s | %12s %12s | %8s %9s@." "family" "n" "m"
+    "gen ms" "diam(ms)" "eid ns" "few sparse/s" "full sparse/s" "flag ms" "rss MiB";
   let rows =
     List.map
       (fun (fam, build) ->
         let r = measure ~few_rounds_sparse ~ops_budget (fam, build) in
-        Format.printf
-          "  %-15s %6d %7d | %8.1f %4d(%3.0f) %8.0f | %12.0f %12.0f %12.0f %12.0f | %8.2f %9.1f@."
+        Format.printf "  %-15s %6d %7d | %8.1f %4d(%3.0f) %8.0f | %12.0f %12.0f | %8.2f %9.1f@."
           r.family r.n r.m (1e3 *. r.gen_wall_s) r.diameter (1e3 *. r.diameter_wall_s)
-          r.edge_id_ns r.few_dense_per_sec r.few_sparse_per_sec r.full_dense_per_sec
-          r.full_sparse_per_sec (1e3 *. r.flag_wall_s)
+          r.edge_id_ns r.few_sparse_per_sec r.full_sparse_per_sec (1e3 *. r.flag_wall_s)
           (float_of_int r.rss_kb /. 1024.);
         r)
       (families ~sizes)
@@ -274,9 +208,7 @@ let run_with ~sizes ~few_rounds_sparse ~ops_budget ~json () =
   Exp_common.subheading
     "sublinearity: cost growth across the sweep (few-active traffic; 1.0 = flat)";
   List.iter
-    (fun (fam, mr, sr, dr) ->
-      Format.printf "  %-15s m grew %5.1fx | sparse cost %5.2fx | dense cost %5.2fx@." fam mr
-        sr dr)
+    (fun (fam, mr, sr) -> Format.printf "  %-15s m grew %5.1fx | sparse cost %5.2fx@." fam mr sr)
     subs;
   (match json with
   | None -> ()

@@ -5,7 +5,7 @@
    1. Probe cost.  The raw transport loop of the transport bench, with
       the network's trace probes left disabled (the default — every
       probe is one branch) and then with an enabled sink.  The disabled
-      number is directly comparable to the slot-transport rounds/sec in
+      number is directly comparable to the K5 full-duplex rounds/sec in
       BENCH_transport.json: tracing must not tax callers who never ask
       for it.
 
@@ -24,35 +24,14 @@
    execution end-to-end: sink → scheme under a crash → export →
    re-parse, checking span nesting and counter totals. *)
 
-module Network = Netsim.Network
-module Slots = Netsim.Network.Slots
-
 (* ---------- 1. raw probe overhead ---------- *)
 
 let bench_raw g ~rounds ~sink =
   let adv = Netsim.Adversary.iid (Util.Rng.create 42) ~rate:0.01 in
-  let net = Network.create g adv in
-  (match sink with None -> () | Some s -> Network.set_trace net s);
-  let slots = Network.slots net in
-  let edges = Topology.Graph.edges g in
-  let n_edges = Array.length edges in
-  let dir_fwd = Array.init n_edges (fun e -> 2 * e) in
-  let dir_bwd = Array.init n_edges (fun e -> (2 * e) + 1) in
+  let net = Netsim.Network.create g adv in
+  (match sink with None -> () | Some s -> Netsim.Network.set_trace net s);
   Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  for r = 0 to rounds - 1 do
-    Slots.clear slots;
-    for e = 0 to n_edges - 1 do
-      let u, v = edges.(e) in
-      Slots.set slots ~dir:dir_fwd.(e) ((r + u) land 1 = 0);
-      Slots.set slots ~dir:dir_bwd.(e) ((r + v) land 1 = 0)
-    done;
-    Network.round_buf net slots;
-    let seen = ref 0 in
-    Slots.iter slots (fun ~dir:_ _ -> incr seen);
-    ignore !seen
-  done;
-  float_of_int rounds /. (Unix.gettimeofday () -. t0)
+  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send:(Exp_common.full_duplex g)
 
 (* ---------- 2. full-scheme overhead ---------- *)
 
@@ -183,7 +162,7 @@ let traced_sweep ~jobs ~trials ~rounds =
   (List.rev rows, agg, Unix.gettimeofday () -. t0)
 
 let metrics_json agg =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     (List.map
        (fun (name, s) ->
@@ -282,7 +261,7 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
   let enabled_sink = Trace.Sink.create () in
   let rps_on = bench_raw g ~rounds:raw_rounds ~sink:(Some enabled_sink) in
   let raw_overhead = 100. *. (1. -. (rps_on /. rps_off)) in
-  Format.printf "  %-22s %14.0f rounds/sec   (vs BENCH_transport.json raw slots)@." "disabled"
+  Format.printf "  %-22s %14.0f rounds/sec   (vs BENCH_transport.json raw full)@." "disabled"
     rps_off;
   Format.printf "  %-22s %14.0f rounds/sec   (%d events, %d dropped)@." "enabled" rps_on
     (Trace.Sink.seq enabled_sink) (Trace.Sink.dropped enabled_sink);
@@ -361,7 +340,7 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
   (match json with
   | None -> ()
   | Some path ->
-      let open Runner.Report.Json in
+      let open Util.Json in
       let ff_json =
         match ff with
         | None -> "null"

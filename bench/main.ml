@@ -30,7 +30,7 @@ let experiments =
     ("e13", "failure probability vs |Pi| + Remark 1", Exp_e13.run);
     ("e14", "empirical noise thresholds", Exp_e14.run);
     ("micro", "Bechamel micro-benchmarks", Exp_micro.run);
-    ("transport", "sparse active-link vs dense slot transport (BENCH_transport.json)", Exp_transport.run);
+    ("transport", "sparse transport, raw rounds and full scheme (BENCH_transport.json)", Exp_transport.run);
     ("scale", "sparse transport at 1k-10k parties (BENCH_scale.json)", Exp_scale.run);
     ("runner", "trial-pool scaling, jobs=1 vs jobs=4 (BENCH_runner.json)", Exp_runner.run);
     ("faults", "graceful degradation under crashes/overload (BENCH_faults.json)", Exp_faults.run);

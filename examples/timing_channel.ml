@@ -22,14 +22,14 @@ let payload = [ true; false; true; true; false; false; true; false ]
 let run_channel adversary =
   (* Drive send and receive together: we interleave by re-simulating the
      schedule with the receiver watching deliveries — straight on the
-     slot-buffer transport. *)
+     network's round buffer. *)
   let net = Netsim.Network.create graph adversary in
-  let slots = Netsim.Network.slots net in
+  let act = Netsim.Network.active net in
   let half b =
-    Netsim.Network.Slots.clear slots;
-    if b then Netsim.Network.Slots.set slots ~dir:dir01 true;
-    Netsim.Network.round_buf net slots;
-    not (Netsim.Network.Slots.is_silent slots ~dir:dir01)
+    Netsim.Network.Active.begin_round act;
+    if b then Netsim.Network.Active.send act ~dir:dir01 true;
+    Netsim.Network.commit net act;
+    not (Netsim.Network.Active.is_silent act ~dir:dir01)
   in
   let received = ref [] in
   List.iter

@@ -40,7 +40,7 @@ let workload ~rounds graph =
 (* ---------- serialization ---------- *)
 
 let candidate_json (c : Coding.Attacks.candidate) =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     [
       ("family", str (Coding.Attacks.family_to_string c.family));
@@ -59,7 +59,7 @@ let candidate_json (c : Coding.Attacks.candidate) =
 let candidate_to_json = candidate_json
 
 let to_json sc =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     [
       ("version", int sc.version);
@@ -78,31 +78,31 @@ let to_json sc =
 let ( let* ) r f = Result.bind r f
 
 let field name conv j =
-  match Obsv.Json.member name j with
+  match Util.Json.member name j with
   | None -> Error (Printf.sprintf "missing field %S" name)
   | Some v -> (
       match conv v with
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "field %S has the wrong shape" name))
 
-let jint j = Option.map int_of_float (Obsv.Json.to_float j)
+let jint j = Option.map int_of_float (Util.Json.to_float j)
 
 let opt_field name conv j =
-  match Obsv.Json.member name j with
-  | None | Some Obsv.Json.Null -> Ok None
+  match Util.Json.member name j with
+  | None | Some Util.Json.Null -> Ok None
   | Some v -> (
       match conv v with
       | Some x -> Ok (Some x)
       | None -> Error (Printf.sprintf "field %S has the wrong shape" name))
 
 let candidate_of_json j =
-  let* family_s = field "family" Obsv.Json.to_string j in
+  let* family_s = field "family" Util.Json.to_string j in
   let* family =
     match Coding.Attacks.family_of_string family_s with
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "unknown attack family %S" family_s)
   in
-  let* partner_s = opt_field "partner" Obsv.Json.to_string j in
+  let* partner_s = opt_field "partner" Util.Json.to_string j in
   let* partner =
     match partner_s with
     | None -> Ok None
@@ -112,7 +112,7 @@ let candidate_of_json j =
         | None -> Error (Printf.sprintf "unknown partner family %S" s))
   in
   let* edges =
-    match Obsv.Json.member "edges" j with
+    match Util.Json.member "edges" j with
     | None -> Error "missing field \"edges\""
     | Some v ->
         List.fold_right
@@ -121,13 +121,13 @@ let candidate_of_json j =
             match jint e with
             | Some n -> Ok (n :: acc)
             | None -> Error "field \"edges\" must hold integers")
-          (Obsv.Json.to_list v) (Ok [])
+          (Util.Json.to_list v) (Ok [])
   in
   let* window =
-    match Obsv.Json.member "window" j with
-    | None | Some Obsv.Json.Null -> Ok None
+    match Util.Json.member "window" j with
+    | None | Some Util.Json.Null -> Ok None
     | Some v -> (
-        match List.filter_map jint (Obsv.Json.to_list v) with
+        match List.filter_map jint (Util.Json.to_list v) with
         | [ lo; hi ] -> Ok (Some (lo, hi))
         | _ -> Error "field \"window\" must be [lo, hi]")
   in
@@ -151,15 +151,15 @@ let of_json j =
   let* v = field "version" jint j in
   if v <> version then Error (Printf.sprintf "unsupported scenario version %d (want %d)" v version)
   else
-    let* name = field "name" Obsv.Json.to_string j in
-    let* algorithm = field "algorithm" Obsv.Json.to_string j in
-    let* topology = field "topology" Obsv.Json.to_string j in
+    let* name = field "name" Util.Json.to_string j in
+    let* algorithm = field "algorithm" Util.Json.to_string j in
+    let* topology = field "topology" Util.Json.to_string j in
     let* rounds = field "rounds" jint j in
-    let* key = field "key" Obsv.Json.to_string j in
+    let* key = field "key" Util.Json.to_string j in
     let* trials = field "trials" jint j in
-    let* expected = opt_field "expected" Obsv.Json.to_string j in
+    let* expected = opt_field "expected" Util.Json.to_string j in
     let* cand_j =
-      match Obsv.Json.member "candidate" j with
+      match Util.Json.member "candidate" j with
       | Some c -> Ok c
       | None -> Error "missing field \"candidate\""
     in
@@ -169,7 +169,7 @@ let of_json j =
     else Ok { version = v; name; algorithm; topology; rounds; key; trials; expected; candidate }
 
 let parse s =
-  match Obsv.Json.parse_opt s with
+  match Util.Json.parse_opt s with
   | None -> Error "not valid JSON"
   | Some j -> of_json j
 

@@ -53,7 +53,7 @@ val candidate_to_json : Coding.Attacks.candidate -> string
 (** The candidate sub-object alone (also used by {!Search} reports). *)
 
 val to_json : t -> string
-val of_json : Obsv.Json.t -> (t, string) result
+val of_json : Util.Json.t -> (t, string) result
 val parse : string -> (t, string) result
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result

@@ -374,7 +374,7 @@ let scenario_of_eval ~name ?trials ?expected env e =
 (* ---------- stable JSON ---------- *)
 
 let eval_to_json (e : eval) =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     [
       ("label", str (Coding.Attacks.candidate_to_string e.candidate));
@@ -395,7 +395,7 @@ let eval_to_json (e : eval) =
     ]
 
 let to_json (t : t) =
-  let open Runner.Report.Json in
+  let open Util.Json in
   obj
     [
       ("algorithm", str t.algorithm);

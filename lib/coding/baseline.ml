@@ -35,25 +35,25 @@ let uncoded ?inputs ~rng pi adversary =
   let inputs = match inputs with Some i -> i | None -> default_inputs rng n in
   let reference = Pi.run_noiseless pi ~inputs in
   let net = Netsim.Network.create graph adversary in
-  let slots = Netsim.Network.slots net in
+  let act = Netsim.Network.active net in
   let machines = Array.init n (fun party -> pi.Pi.spawn ~party ~input:inputs.(party)) in
   for r = 0 to pi.Pi.rounds - 1 do
     let scheduled = pi.Pi.sends_at r in
-    Netsim.Network.Slots.clear slots;
+    Netsim.Network.Active.begin_round act;
     List.iter
       (fun (u, v) ->
-        Netsim.Network.Slots.set slots
+        Netsim.Network.Active.send act
           ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v)
           (machines.(u).Pi.send ~round:r ~dst:v))
       scheduled;
-    Netsim.Network.round_buf net slots;
+    Netsim.Network.commit net act;
     (* Receivers expect exactly the scheduled transmissions; a deletion
        reads as 0, insertions outside the schedule are ignored. *)
     List.iter
       (fun (u, v) ->
         let bit =
           Option.value ~default:false
-            (Netsim.Network.Slots.get slots ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v))
+            (Netsim.Network.Active.get act ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v))
         in
         machines.(v).Pi.recv ~round:r ~src:u bit)
       scheduled
@@ -68,7 +68,7 @@ let repetition ?inputs ~rng ~rep pi adversary =
   let inputs = match inputs with Some i -> i | None -> default_inputs rng n in
   let reference = Pi.run_noiseless pi ~inputs in
   let net = Netsim.Network.create graph adversary in
-  let slots = Netsim.Network.slots net in
+  let act = Netsim.Network.active net in
   let machines = Array.init n (fun party -> pi.Pi.spawn ~party ~input:inputs.(party)) in
   for r = 0 to pi.Pi.rounds - 1 do
     let scheduled = pi.Pi.sends_at r in
@@ -79,13 +79,13 @@ let repetition ?inputs ~rng ~rep pi adversary =
        majority-vote over the copies that arrive. *)
     let votes = Hashtbl.create 8 in
     for _copy = 1 to rep do
-      Netsim.Network.Slots.clear slots;
+      Netsim.Network.Active.begin_round act;
       List.iter
         (fun (u, v, bit) ->
-          Netsim.Network.Slots.set slots ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v) bit)
+          Netsim.Network.Active.send act ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v) bit)
         sends;
-      Netsim.Network.round_buf net slots;
-      Netsim.Network.Slots.iter slots (fun ~dir bit ->
+      Netsim.Network.commit net act;
+      Netsim.Network.Active.iter act (fun ~dir bit ->
           let key = Netsim.Network.link_ends net ~dir in
           let ones, seen = Option.value ~default:(0, 0) (Hashtbl.find_opt votes key) in
           Hashtbl.replace votes key ((ones + if bit then 1 else 0), seen + 1))

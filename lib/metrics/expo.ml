@@ -70,24 +70,10 @@ let json_value = function
         (fnum (Hist.quantile_of_buckets buckets ~count 0.50))
         (fnum (Hist.quantile_of_buckets buckets ~count 0.95))
 
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let sub_object entries =
   "{"
   ^ String.concat ", "
-      (List.map (fun (name, _, v) -> jstr name ^ ": " ^ json_value v) entries)
+      (List.map (fun (name, _, v) -> Util.Json.str name ^ ": " ^ json_value v) entries)
   ^ "}"
 
 let exact_json snap = sub_object (Registry.exact_only snap)

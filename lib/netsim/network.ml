@@ -1,39 +1,5 @@
-(* Slot buffers: the dense transport representation.  A buffer holds
-   one Z3-encoded symbol per directed link (0, 1 are bits; 2 is silence
-   ∗) and is reused across rounds.  [round_buf] runs a round on one by
-   loading it into the network's sparse scratch buffer and calling
-   [commit], so every round, dense or sparse, has one implementation. *)
-module Slots = struct
-  type t = int array
-
-  let silent = 2
-
-  let create graph = Array.make (2 * Topology.Graph.m graph) silent
-  let of_length two_m = Array.make two_m silent
-  let length (t : t) = Array.length t
-  let clear (t : t) = Array.fill t 0 (Array.length t) silent
-  let set (t : t) ~dir bit = t.(dir) <- if bit then 1 else 0
-  let unset (t : t) ~dir = t.(dir) <- silent
-  let is_silent (t : t) ~dir = t.(dir) = silent
-
-  let get (t : t) ~dir =
-    match t.(dir) with 0 -> Some false | 1 -> Some true | _ -> None
-
-  let iter (t : t) f =
-    for dir = 0 to Array.length t - 1 do
-      match t.(dir) with
-      | 0 -> f ~dir false
-      | 1 -> f ~dir true
-      | _ -> ()
-    done
-
-  let count (t : t) =
-    let c = ref 0 in
-    for dir = 0 to Array.length t - 1 do
-      if t.(dir) <> silent then incr c
-    done;
-    !c
-end
+(* The Z3 code of silence (the paper's ∗); 0 and 1 are the bits. *)
+let silent = 2
 
 (* The sparse active-link buffer: per-round cost O(links that carry a
    symbol), not O(2m).  Each direction owns one word packing its 2-bit
@@ -73,7 +39,7 @@ module Active = struct
   (* The current Z3 symbol of a direction: silence unless stamped. *)
   let sym t ~dir =
     let w = t.word.(dir) in
-    if w lsr 2 = t.epoch then w land 3 else Slots.silent
+    if w lsr 2 = t.epoch then w land 3 else silent
 
   let push t dir =
     if t.sorted && t.n_active > 0 && dir < t.dirs.(t.n_active - 1) then t.sorted <- false;
@@ -82,11 +48,11 @@ module Active = struct
 
   let write t ~dir c =
     let w = t.word.(dir) in
-    let prev = if w lsr 2 = t.epoch then w land 3 else (push t dir; Slots.silent) in
-    if prev = Slots.silent then begin
-      if c <> Slots.silent then t.spoken <- t.spoken + 1
+    let prev = if w lsr 2 = t.epoch then w land 3 else (push t dir; silent) in
+    if prev = silent then begin
+      if c <> silent then t.spoken <- t.spoken + 1
     end
-    else if c = Slots.silent then t.spoken <- t.spoken - 1;
+    else if c = silent then t.spoken <- t.spoken - 1;
     t.word.(dir) <- (t.epoch lsl 2) lor c
 
   (* Epoch stamps share their word with the 2-bit symbol lane, so they
@@ -121,7 +87,7 @@ module Active = struct
     if dir < 0 || dir >= t.len then invalid_arg "Network.Active.send: dir out of range";
     let w = Array.unsafe_get t.word dir in
     if w lsr 2 = t.epoch then begin
-      if w land 3 = Slots.silent then t.spoken <- t.spoken + 1
+      if w land 3 = silent then t.spoken <- t.spoken + 1
     end
     else begin
       if t.sorted && t.n_active > 0 && dir < Array.unsafe_get t.dirs (t.n_active - 1) then
@@ -132,15 +98,11 @@ module Active = struct
     end;
     Array.unsafe_set t.word dir ((t.epoch lsl 2) lor (if bit then 1 else 0))
 
-  let unsend t ~dir =
-    if t.word.(dir) lsr 2 = t.epoch then write t ~dir Slots.silent
-
   let get t ~dir =
     match sym t ~dir with 0 -> Some false | 1 -> Some true | _ -> None
 
-  let is_silent t ~dir = sym t ~dir = Slots.silent
+  let is_silent t ~dir = sym t ~dir = silent
   let count t = t.spoken
-  let touched t = t.n_active
 
   let sort t =
     if not t.sorted then begin
@@ -204,7 +166,6 @@ type t = {
   (* Per-round dedup stamps for adaptive corruption requests. *)
   adv_stamp : int array;
   mutable adv_epoch : int;
-  scratch : Active.t; (* scratch buffer for [silence] and [round_buf] *)
   (* Trace probes.  The sink defaults to the disabled singleton, so the
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
@@ -251,7 +212,6 @@ let create graph adversary =
     dir_ends = dir_endpoints graph;
     adv_stamp = Array.make (max 1 two_m) 0;
     adv_epoch = 0;
-    scratch = Active.of_length two_m;
     trace = Trace.Sink.disabled;
     m_on = false;
     m_active_h = Metrics.Registry.hist Metrics.Registry.disabled "net.active_links";
@@ -264,7 +224,6 @@ let create graph adversary =
 
 let two_m t = Array.length t.dir_ends
 let graph t = t.graph
-let slots t = Slots.of_length (two_m t)
 let active t = Active.of_length (two_m t)
 let link_ends t ~dir = t.dir_ends.(dir)
 let set_fault_hooks t hooks =
@@ -416,33 +375,15 @@ let commit t (act : Active.t) =
           Active.write act ~dir:d ((Active.sym act ~dir:d + a) mod 3);
           Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:d 1
         end;
-        if Active.sym act ~dir:d <> 2 && h.stall ~round:t.round_no ~dir:d then begin
+        if Active.sym act ~dir:d <> silent && h.stall ~round:t.round_no ~dir:d then begin
           t.stalled <- t.stalled + 1;
           Metrics.Registry.incr t.m_stalled;
-          Active.write act ~dir:d 2;
+          Active.write act ~dir:d silent;
           Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
         end
       done);
   t.round_no <- t.round_no + 1;
   tick_gauges t
-
-(* The dense-buffer adapter: the round itself is [commit]'s, run on the
-   scratch buffer; only the O(2m) load and write-back are added. *)
-let round_buf t (slots : Slots.t) =
-  if Array.length slots <> two_m t then invalid_arg "Network.round_buf: buffer length mismatch";
-  let act = t.scratch in
-  Active.begin_round act;
-  Slots.iter slots (fun ~dir bit -> Active.send act ~dir bit);
-  commit t act;
-  for dir = 0 to Array.length slots - 1 do
-    slots.(dir) <- Active.sym act ~dir
-  done
-
-let silence t ~rounds =
-  for _ = 1 to rounds do
-    Active.begin_round t.scratch;
-    commit t t.scratch
-  done
 
 (* Jitter noise booked by the live backend (lib/live): a symbol whose
    round the receiver had already committed is a deletion (stalled); a

@@ -16,12 +16,8 @@
     simulation scale to thousands of parties whose phase drivers leave
     most links idle most rounds.
 
-    The dense {!Slots} buffer (one int per directed link) is a view for
-    callers that want one: {!round_buf} is the dense-buffer adapter over
-    {!commit} — it loads the buffer, commits, and writes the delivered
-    symbols back.  The independent dense reference round that
-    differential tests compare {!commit} against lives in the netsim
-    test suite, not here.
+    The independent dense reference round that differential tests
+    compare {!commit} against lives in the netsim test suite, not here.
 
     The network keeps the two books the paper's accounting needs:
     - [cc]: the number of transmissions the parties actually sent — the
@@ -29,43 +25,6 @@
     - [corruptions]: the number of corrupted slots, so that the noise
       fraction of the instance is [corruptions / cc].
     Both are exposed together through {!stats}. *)
-
-(** A preallocated dense buffer of 2m directed-link slots, indexed by the
-    {!Topology.Graph.dir_id} of the link.  Each slot holds a bit or
-    silence (the paper's ∗).  Buffers are reused across rounds: [clear]
-    then [set] the transmissions, hand the buffer to {!round_buf}, then
-    [get]/[iter] the delivered symbols.  Every operation on the round
-    path is O(2m) — use {!Active} unless you specifically want a dense
-    buffer. *)
-module Slots : sig
-  type t
-
-  val create : Topology.Graph.t -> t
-  (** A fresh all-silent buffer sized for the graph (2m slots). *)
-
-  val length : t -> int
-  (** Number of slots (2m). *)
-
-  val clear : t -> unit
-  (** Reset every slot to silence (O(2m)). *)
-
-  val set : t -> dir:int -> bool -> unit
-  (** Submit a bit on a directed link (overwrites the slot). *)
-
-  val unset : t -> dir:int -> unit
-  (** Silence one slot. *)
-
-  val get : t -> dir:int -> bool option
-  (** The slot's symbol; [None] is silence. *)
-
-  val is_silent : t -> dir:int -> bool
-
-  val iter : t -> (dir:int -> bool -> unit) -> unit
-  (** Visit every non-silent slot in ascending dir order. *)
-
-  val count : t -> int
-  (** Number of non-silent slots. *)
-end
 
 (** The sparse active-link buffer.  Symbols live in bit-packed 2-bit
     lanes (four per byte); validity is epoch-stamped, so starting a round
@@ -94,9 +53,6 @@ module Active : sig
   (** Submit a bit on a directed link (overwrites).  Raises
       [Invalid_argument] if [dir] is out of range. *)
 
-  val unsend : t -> dir:int -> unit
-  (** Retract this round's symbol on a link, if any. *)
-
   val get : t -> dir:int -> bool option
   (** The direction's symbol this round; [None] is silence.  O(1). *)
 
@@ -104,11 +60,6 @@ module Active : sig
 
   val count : t -> int
   (** Number of non-silent directions this round.  O(1). *)
-
-  val touched : t -> int
-  (** Number of directions written this round (including ones written
-      and then silenced again) — the buffer's actual working-set size,
-      reported by the scale bench. *)
 
   val iter : t -> (dir:int -> bool -> unit) -> unit
   (** Visit every non-silent direction in ascending dir order.
@@ -164,9 +115,6 @@ type t
 val create : Topology.Graph.t -> Adversary.t -> t
 val graph : t -> Topology.Graph.t
 
-val slots : t -> Slots.t
-(** A fresh dense slot buffer sized for this network. *)
-
 val active : t -> Active.t
 (** A fresh sparse buffer sized for this network. *)
 
@@ -214,14 +162,6 @@ val commit : t -> Active.t -> unit
     under an adaptive one; O(2m) when an oblivious pattern or fault
     hooks must be consulted per direction. *)
 
-val round_buf : t -> Slots.t -> unit
-(** [round_buf t slots] is {!commit} over a dense {!Slots} buffer: the
-    buffer's symbols are loaded into the network's scratch sparse buffer,
-    {!commit} runs the round, and the delivered symbols are written back
-    into [slots].  Same contract and behaviour as {!commit}, plus an
-    O(2m) load and write-back.  Raises [Invalid_argument] on buffer
-    length mismatch. *)
-
 val note_stalled : t -> dir:int -> unit
 (** Book one deletion event on a directed link outside {!commit} — used
     by the live backend (lib/live) when ragged synchrony drops a symbol
@@ -239,10 +179,6 @@ val note_stalled_count : t -> int -> unit
 (** Bulk variant of {!note_stalled}: fold [k] deletion events (e.g.
     drops tallied in a worker-side Atomic) into [stats.stalled], and
     emit one [net.stalled] count of value [k] with no link ([arg = -1]). *)
-
-val silence : t -> rounds:int -> unit
-(** Let [rounds] rounds pass with no party speaking (insertions may still
-    occur but nobody is listening — used to advance the clock). *)
 
 val stats : t -> stats
 (** The network's books, in one read. *)

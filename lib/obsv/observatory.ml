@@ -1,6 +1,8 @@
 (* BENCH_*.json trajectory tracking and regression detection.  See
    observatory.mli for the contract. *)
 
+module Json = Util.Json
+
 type entry = {
   run : int;
   benches : string list;
@@ -118,33 +120,14 @@ let regressions deltas = List.filter (fun d -> d.regressed) deltas
 
 (* ---------- history (JSONL) ---------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let num f =
-  match Float.classify_float f with
-  | FP_nan | FP_infinite -> "null"
-  | _ -> Printf.sprintf "%.6f" f
-
 let metrics_obj l =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (num v)) l)
+  ^ String.concat "," (List.map (fun (k, v) -> Json.str k ^ ":" ^ Json.num v) l)
   ^ "}"
 
 let entry_to_jsonl e =
   Printf.sprintf "{\"run\":%d,\"benches\":[%s],\"exact\":%s,\"timed\":%s}" e.run
-    (String.concat "," (List.map (fun b -> "\"" ^ escape b ^ "\"") e.benches))
+    (String.concat "," (List.map Json.str e.benches))
     (metrics_obj e.exact) (metrics_obj e.timed)
 
 let entry_of_json j =

@@ -30,14 +30,14 @@ type entry = {
 val classify : string -> [ `Exact | `Timed | `Ignored ]
 (** Partition a flattened metric name (see the module comment). *)
 
-val flatten : label:string -> Json.t -> (string * float) list
+val flatten : label:string -> Util.Json.t -> (string * float) list
 (** Every numeric (or boolean, as 0/1) scalar reachable in the
     document, named [label.path.to.field]; array elements are named by
     their ["key"]/["topology"]+["transport"]/["event"] discriminator
     field when present, else by index.  Sorted by name; ignored-class
     names are dropped. *)
 
-val entry_of_benches : run:int -> (string * Json.t) list -> entry
+val entry_of_benches : run:int -> (string * Util.Json.t) list -> entry
 (** Flatten and partition one [(label, parsed document)] list. *)
 
 type delta = {
@@ -61,7 +61,7 @@ val regressions : delta list -> delta list
 val entry_to_jsonl : entry -> string
 (** One JSON line (no trailing newline). *)
 
-val entry_of_json : Json.t -> entry option
+val entry_of_json : Util.Json.t -> entry option
 
 val load_history : path:string -> entry list
 (** Entries in file order; [[]] if the file does not exist.  Unparseable

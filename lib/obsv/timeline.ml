@@ -1,5 +1,7 @@
 (* Event-stream -> per-iteration timeline.  See timeline.mli. *)
 
+module Json = Util.Json
+
 type kind = Span_begin | Span_end | Count | Gauge
 
 type ev = {

@@ -1,32 +1,4 @@
-module Json = struct
-  let str s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-
-  let num x =
-    match Float.classify_float x with
-    | FP_nan | FP_infinite -> "null"
-    | _ -> Printf.sprintf "%.6f" x
-
-  let int = string_of_int
-  let bool = string_of_bool
-  let obj fields =
-    "{" ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields) ^ "}"
-
-  let arr items = "[" ^ String.concat ", " items ^ "]"
-end
+module Json = Util.Json
 
 type t = {
   experiment : string;

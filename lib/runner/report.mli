@@ -8,24 +8,6 @@
     fixed key, [to_json ~timing:false] is byte-identical for any job
     count. *)
 
-(** Minimal JSON rendering helpers (also used by bench writers). *)
-module Json : sig
-  val str : string -> string
-  (** Quoted and escaped. *)
-
-  val num : float -> string
-  (** Fixed 6-decimal rendering; nan/inf become [null]. *)
-
-  val int : int -> string
-
-  val bool : bool -> string
-
-  val obj : (string * string) list -> string
-  (** Values must already be rendered JSON. *)
-
-  val arr : string list -> string
-end
-
 type t = {
   experiment : string;
   key : string;  (** RNG derivation key of the run *)

@@ -1,30 +1,10 @@
-(* Chrome trace-event JSON and JSONL writers.  Hand-rolled emission (no
-   JSON dependency): event names are the only strings and escaping them
-   is a few lines.
+(* Chrome trace-event JSON and JSONL writers.  Hand-rolled emission over
+   [Util.Json]'s string and float renderers: event names are the only
+   strings.
 
    Both writers stream straight off the sink's ring via [Sink.iter] —
    no intermediate event list is materialized (at a full 32k-event ring
    that list was a measurable serialization cost). *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON has no NaN/inf literals; mirror Runner.Report.Json and emit null. *)
-let add_float b v =
-  if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then
-    Buffer.add_string b "null"
-  else Buffer.add_string b (Printf.sprintf "%.6f" v)
 
 let deconstruct ev =
   match ev with
@@ -54,23 +34,23 @@ let chrome ?(timing = false) sink =
     | Sink.Span_begin { name; iter; _ } ->
         Buffer.add_string b
           (Printf.sprintf
-             "{\"name\":\"%s\",\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"iter\":%d}}"
-             (escape name) ts iter)
+             "{\"name\":%s,\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"iter\":%d}}"
+             (Util.Json.str name) ts iter)
     | Sink.Span_end { name; iter; _ } ->
         Buffer.add_string b
           (Printf.sprintf
-             "{\"name\":\"%s\",\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"iter\":%d}}"
-             (escape name) ts iter)
+             "{\"name\":%s,\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"iter\":%d}}"
+             (Util.Json.str name) ts iter)
     | Sink.Count { name; iter; arg; value; _ } ->
         Buffer.add_string b
           (Printf.sprintf
-             "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%d,\"iter\":%d,\"arg\":%d}}"
-             (escape name) ts value iter arg)
+             "{\"name\":%s,\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"value\":%d,\"iter\":%d,\"arg\":%d}}"
+             (Util.Json.str name) ts value iter arg)
     | Sink.Gauge { name; iter; value; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"value\":"
-             (escape name) ts);
-        add_float b value;
+          (Printf.sprintf "{\"name\":%s,\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%s,\"args\":{\"value\":"
+             (Util.Json.str name) ts);
+        Buffer.add_string b (Util.Json.num value);
         Buffer.add_string b (Printf.sprintf ",\"iter\":%d}}" iter)
   in
   Sink.iter sink emit;
@@ -87,22 +67,22 @@ let jsonl ?(timing = false) sink =
     (match ev with
     | Sink.Span_begin { name; iter; seq; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_begin\",\"name\":\"%s\",\"iter\":%d%s}" seq
-             (escape name) iter (wall ev))
+          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_begin\",\"name\":%s,\"iter\":%d%s}" seq
+             (Util.Json.str name) iter (wall ev))
     | Sink.Span_end { name; iter; seq; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_end\",\"name\":\"%s\",\"iter\":%d%s}" seq
-             (escape name) iter (wall ev))
+          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_end\",\"name\":%s,\"iter\":%d%s}" seq
+             (Util.Json.str name) iter (wall ev))
     | Sink.Count { name; iter; arg; value; seq; _ } ->
         Buffer.add_string b
           (Printf.sprintf
-             "{\"seq\":%d,\"kind\":\"count\",\"name\":\"%s\",\"iter\":%d,\"arg\":%d,\"value\":%d%s}"
-             seq (escape name) iter arg value (wall ev))
+             "{\"seq\":%d,\"kind\":\"count\",\"name\":%s,\"iter\":%d,\"arg\":%d,\"value\":%d%s}"
+             seq (Util.Json.str name) iter arg value (wall ev))
     | Sink.Gauge { name; iter; value; seq; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"seq\":%d,\"kind\":\"gauge\",\"name\":\"%s\",\"iter\":%d,\"value\":" seq
-             (escape name) iter);
-        add_float b value;
+          (Printf.sprintf "{\"seq\":%d,\"kind\":\"gauge\",\"name\":%s,\"iter\":%d,\"value\":" seq
+             (Util.Json.str name) iter);
+        Buffer.add_string b (Util.Json.num value);
         Buffer.add_string b (Printf.sprintf "%s}" (wall ev)));
     Buffer.add_char b '\n'
   in

@@ -1,5 +1,6 @@
-(* Recursive-descent JSON reader over a string.  See json.mli for the
-   supported subset (everything the repo's own writers emit). *)
+(* JSON for the whole repo: a recursive-descent reader over a string
+   and the writers every exporter renders with.  See json.mli for the
+   supported subset (everything those writers emit). *)
 
 type t =
   | Null
@@ -11,7 +12,7 @@ type t =
 
 type state = { s : string; mutable pos : int }
 
-let fail st msg = failwith (Printf.sprintf "Obsv.Json: %s at offset %d" msg st.pos)
+let fail st msg = failwith (Printf.sprintf "Util.Json: %s at offset %d" msg st.pos)
 let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
 
 let skip_ws st =
@@ -165,3 +166,33 @@ let to_float = function
 
 let to_string = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> l | _ -> []
+
+(* ---------- writers ---------- *)
+
+let str s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let num x =
+  match Float.classify_float x with
+  | FP_nan | FP_infinite -> "null"
+  | _ -> Printf.sprintf "%.6f" x
+
+let int = string_of_int
+let bool = string_of_bool
+let obj fields =
+  "{" ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields) ^ "}"
+
+let arr items = "[" ^ String.concat ", " items ^ "]"

@@ -73,16 +73,16 @@ let test_plan_network_hooks_compilation () =
 
 let g6 = Topology.Graph.cycle 6
 
-(* Slot-transport round helper shaped like the old list API; these tests
-   only care about the books, not the deliveries. *)
+(* Round helper shaped like the old list API; these tests only care
+   about the books, not the deliveries. *)
 let round net ~sends =
-  let slots = Netsim.Network.slots net in
-  Netsim.Network.Slots.clear slots;
+  let act = Netsim.Network.active net in
+  Netsim.Network.Active.begin_round act;
   List.iter
     (fun (src, dst, bit) ->
-      Netsim.Network.Slots.set slots ~dir:(Topology.Graph.dir_id g6 ~src ~dst) bit)
+      Netsim.Network.Active.send act ~dir:(Topology.Graph.dir_id g6 ~src ~dst) bit)
     sends;
-  Netsim.Network.round_buf net slots
+  Netsim.Network.commit net act
 
 let test_network_stall_books_separately () =
   let plan =

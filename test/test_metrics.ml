@@ -174,15 +174,15 @@ let test_json_exposition () =
   let snap = expo_snapshot () in
   let line = Expo.json snap in
   Alcotest.(check bool) "one line" false (contains line "\n");
-  (match Obsv.Json.parse_opt line with
+  (match Util.Json.parse_opt line with
   | Some j ->
-      let member2 a b = Option.bind (Obsv.Json.member a j) (Obsv.Json.member b) in
+      let member2 a b = Option.bind (Util.Json.member a j) (Util.Json.member b) in
       Alcotest.(check (option (float 1e-9))) "counter under exact" (Some 42.)
-        (Option.bind (member2 "exact" "net.cc") Obsv.Json.to_float);
+        (Option.bind (member2 "exact" "net.cc") Util.Json.to_float);
       Alcotest.(check (option (float 1e-9))) "timed gauge under timed" (Some 7.)
-        (Option.bind (member2 "timed" "sched.level") Obsv.Json.to_float);
+        (Option.bind (member2 "timed" "sched.level") Util.Json.to_float);
       Alcotest.(check bool) "hist has percentiles" true
-        (Option.bind (member2 "exact" "live.round_ns") (Obsv.Json.member "p95") <> None)
+        (Option.bind (member2 "exact" "live.round_ns") (Util.Json.member "p95") <> None)
   | None -> Alcotest.fail "json line does not parse");
   (* exact_json is the byte-comparison subject: no timed members. *)
   let ej = Expo.exact_json snap in
@@ -223,13 +223,13 @@ let test_expo_escaping () =
     (contains om "evil_quote_back_slash_total 3");
   Alcotest.(check bool) "no raw quote in openmetrics" false (contains om "evil\"");
   let line = Expo.json snap in
-  match Obsv.Json.parse_opt line with
+  match Util.Json.parse_opt line with
   | Some j ->
       Alcotest.(check (option (float 1e-9))) "json key round-trips" (Some 3.)
         (Option.bind
-           (Option.bind (Obsv.Json.member "exact" j)
-              (Obsv.Json.member "evil\"quote\\back.slash"))
-           Obsv.Json.to_float)
+           (Option.bind (Util.Json.member "exact" j)
+              (Util.Json.member "evil\"quote\\back.slash"))
+           Util.Json.to_float)
   | None -> Alcotest.fail "json line with hostile key does not parse"
 
 (* ---------- end-to-end: scheme runs ---------- *)

@@ -1,36 +1,35 @@
 (* Tests for the synchronous noisy network: faithful delivery without
    noise, exact insertion/deletion/substitution semantics of the
    additive adversary, and the differential guarantee that the network
-   round ([commit] on an Active buffer, and the [round_buf] adapter on a
-   Slots buffer) is observationally identical to an independent dense
-   reference round kept in this file — same deliveries, same books,
-   same trace events. *)
+   round ([commit] on an Active buffer) is observationally identical to
+   an independent dense reference round kept in this file — same
+   deliveries, same books, same trace events. *)
 
 open Netsim
 
 let g4 = Topology.Graph.cycle 4
 
-(* List-shaped round helper over the slot transport: most tests here
-   predate the slot API and state their expectations as (src, dst, bit)
-   send/delivery lists. *)
-let delivered_of_slots net slots =
+(* List-shaped round helpers over the network's buffer: most tests here
+   state their expectations as (src, dst, bit) send/delivery lists. *)
+let delivered_of_active net act =
   let out = ref [] in
-  Network.Slots.iter slots (fun ~dir bit ->
+  Network.Active.iter act (fun ~dir bit ->
       let src, dst = Network.link_ends net ~dir in
       out := (src, dst, bit) :: !out);
   List.rev !out
 
-let fill_slots g slots sends =
-  Network.Slots.clear slots;
+let fill_active g act sends =
+  Network.Active.begin_round act;
   List.iter
-    (fun (src, dst, bit) -> Network.Slots.set slots ~dir:(Topology.Graph.dir_id g ~src ~dst) bit)
+    (fun (src, dst, bit) ->
+      Network.Active.send act ~dir:(Topology.Graph.dir_id g ~src ~dst) bit)
     sends
 
 let round ?(g = g4) net ~sends =
-  let slots = Network.slots net in
-  fill_slots g slots sends;
-  Network.round_buf net slots;
-  delivered_of_slots net slots
+  let act = Network.active net in
+  fill_active g act sends;
+  Network.commit net act;
+  delivered_of_active net act
 
 let cc net = (Network.stats net).Network.cc
 let corruptions net = (Network.stats net).Network.corruptions
@@ -50,7 +49,11 @@ let test_silent_delivery () =
 let test_empty_round () =
   let net = Network.create g4 Adversary.Silent in
   Alcotest.(check (list (triple int int bool))) "nothing" [] (round net ~sends:[]);
-  Network.silence net ~rounds:5;
+  let act = Network.active net in
+  for _ = 1 to 5 do
+    Network.Active.begin_round act;
+    Network.commit net act
+  done;
   Alcotest.(check int) "rounds" 6 (rounds net);
   Alcotest.(check int) "cc 0" 0 (cc net)
 
@@ -341,29 +344,8 @@ let test_compose_rejects_out_of_model () =
   rejects "both out of model" adaptive fixing
 
 (* ------------------------------------------------------------------ *)
-(* Transports: dense slot oracle and sparse active-link buffer.       *)
+(* Transport: the sparse active-link buffer and its dense oracle.     *)
 (* ------------------------------------------------------------------ *)
-
-let test_slots_basics () =
-  let s = Network.Slots.create g4 in
-  Alcotest.(check int) "2m slots" (2 * Topology.Graph.m g4) (Network.Slots.length s);
-  Alcotest.(check int) "all silent" 0 (Network.Slots.count s);
-  let d01 = dir g4 0 1 and d21 = dir g4 2 1 in
-  Network.Slots.set s ~dir:d01 true;
-  Network.Slots.set s ~dir:d21 false;
-  Alcotest.(check (option bool)) "read back 1" (Some true) (Network.Slots.get s ~dir:d01);
-  Alcotest.(check (option bool)) "read back 0" (Some false) (Network.Slots.get s ~dir:d21);
-  Alcotest.(check (option bool)) "untouched silent" None (Network.Slots.get s ~dir:(dir g4 1 0));
-  Alcotest.(check bool) "is_silent false" false (Network.Slots.is_silent s ~dir:d01);
-  Alcotest.(check int) "count 2" 2 (Network.Slots.count s);
-  let seen = ref [] in
-  Network.Slots.iter s (fun ~dir bit -> seen := (dir, bit) :: !seen);
-  Alcotest.(check bool) "iter ascending, non-silent only" true
-    (List.rev !seen = List.sort compare [ (d01, true); (d21, false) ]);
-  Network.Slots.unset s ~dir:d01;
-  Alcotest.(check (option bool)) "unset silences" None (Network.Slots.get s ~dir:d01);
-  Network.Slots.clear s;
-  Alcotest.(check int) "clear empties" 0 (Network.Slots.count s)
 
 let test_active_basics () =
   let a = Network.Active.create g4 in
@@ -386,10 +368,6 @@ let test_active_basics () =
   Network.Active.send a ~dir:d01 false;
   Alcotest.(check (option bool)) "overwrite" (Some false) (Network.Active.get a ~dir:d01);
   Alcotest.(check int) "overwrite keeps count" 2 (Network.Active.count a);
-  Network.Active.unsend a ~dir:d01;
-  Alcotest.(check (option bool)) "unsend silences" None (Network.Active.get a ~dir:d01);
-  Alcotest.(check int) "unsend drops count" 1 (Network.Active.count a);
-  Alcotest.(check int) "touched tracks writes" 2 (Network.Active.touched a);
   Network.Active.begin_round a;
   Alcotest.(check int) "begin_round empties" 0 (Network.Active.count a);
   Alcotest.(check (option bool)) "begin_round silences" None (Network.Active.get a ~dir:d21)
@@ -476,22 +454,6 @@ let test_sparse_empty_round () =
   Alcotest.(check int) "cc stays 0" 0 (cc net);
   Alcotest.(check int) "one corruption" 1 (corruptions net);
   Alcotest.(check int) "two rounds" 2 (rounds net)
-
-(* List-shaped delivery view of the sparse buffer, mirroring
-   [delivered_of_slots]. *)
-let delivered_of_active net act =
-  let out = ref [] in
-  Network.Active.iter act (fun ~dir bit ->
-      let src, dst = Network.link_ends net ~dir in
-      out := (src, dst, bit) :: !out);
-  List.rev !out
-
-let fill_active g act sends =
-  Network.Active.begin_round act;
-  List.iter
-    (fun (src, dst, bit) ->
-      Network.Active.send act ~dir:(Topology.Graph.dir_id g ~src ~dst) bit)
-    sends
 
 (* ---------- the dense reference round ----------
 
@@ -624,43 +586,29 @@ module Dense_ref = struct
         stalled = t.stalled; injected = t.injected }
 end
 
-(* Drive three twins on the same (pure) adversary value and identical
-   traffic: the dense reference round above, [Network.commit] on a
-   sparse buffer, and the [Network.round_buf] adapter on a slot buffer.
-   Deliveries, the books and the emitted trace events must agree round
-   for round. *)
+(* Drive two twins on the same (pure) adversary value and identical
+   traffic: the dense reference round above and [Network.commit] on a
+   sparse buffer.  Deliveries, the books and the emitted trace events
+   must agree round for round. *)
 let check_differential ?hooks ~name g adv ~rounds ~sends_at =
   let sink_ref = Trace.Sink.create () in
   let oracle = Dense_ref.create ?faults:hooks g adv sink_ref in
-  let twin () =
-    let net = Network.create g adv in
-    let sink = Trace.Sink.create () in
-    Network.set_trace net sink;
-    Network.set_fault_hooks net hooks;
-    (net, sink)
-  in
-  let net_sparse, sink_sparse = twin () and net_buf, sink_buf = twin () in
-  let act = Network.active net_sparse in
-  let slots = Network.slots net_buf in
+  let net = Network.create g adv in
+  let sink = Trace.Sink.create () in
+  Network.set_trace net sink;
+  Network.set_fault_hooks net hooks;
+  let act = Network.active net in
   for r = 0 to rounds - 1 do
     let sends = sends_at r in
     let d_ref = Dense_ref.round oracle sends in
     fill_active g act sends;
-    Network.commit net_sparse act;
-    fill_slots g slots sends;
-    Network.round_buf net_buf slots;
-    List.iter
-      (fun (twin, got) ->
-        Alcotest.(check (list (triple int int bool)))
-          (Printf.sprintf "%s: %s delivery, round %d" name twin r)
-          d_ref got)
-      [
-        ("commit", delivered_of_active net_sparse act);
-        ("round_buf", delivered_of_slots net_buf slots);
-      ]
+    Network.commit net act;
+    Alcotest.(check (list (triple int int bool)))
+      (Printf.sprintf "%s: delivery, round %d" name r)
+      d_ref (delivered_of_active net act)
   done;
   (* Event equality modulo the wall-clock stamp: same names, order,
-     rounds, links and values on every twin. *)
+     rounds, links and values on both twins. *)
   let norm sink =
     List.map
       (function
@@ -671,21 +619,16 @@ let check_differential ?hooks ~name g adv ~rounds ~sends_at =
         | Trace.Sink.Gauge { name; iter; value; seq; _ } -> `Gauge (name, iter, value, seq))
       (Trace.Sink.events sink)
   in
-  let s_ref = Dense_ref.stats oracle and ev_ref = norm sink_ref in
-  List.iter
-    (fun (twin, net, sink) ->
-      let s = Network.stats net and name = name ^ ": " ^ twin in
-      Alcotest.(check int) (name ^ " rounds") s_ref.Network.rounds s.Network.rounds;
-      Alcotest.(check int) (name ^ " cc") s_ref.Network.cc s.Network.cc;
-      Alcotest.(check int) (name ^ " corruptions") s_ref.Network.corruptions
-        s.Network.corruptions;
-      Alcotest.(check int) (name ^ " stalled") s_ref.Network.stalled s.Network.stalled;
-      Alcotest.(check int) (name ^ " injected") s_ref.Network.injected s.Network.injected;
-      Alcotest.(check (float 1e-9)) (name ^ " noise fraction") s_ref.Network.noise_fraction
-        s.Network.noise_fraction;
-      Alcotest.(check bool) (name ^ " identical trace event streams") true
-        (ev_ref = norm sink))
-    [ ("commit", net_sparse, sink_sparse); ("round_buf", net_buf, sink_buf) ]
+  let s_ref = Dense_ref.stats oracle and s = Network.stats net in
+  Alcotest.(check int) (name ^ " rounds") s_ref.Network.rounds s.Network.rounds;
+  Alcotest.(check int) (name ^ " cc") s_ref.Network.cc s.Network.cc;
+  Alcotest.(check int) (name ^ " corruptions") s_ref.Network.corruptions s.Network.corruptions;
+  Alcotest.(check int) (name ^ " stalled") s_ref.Network.stalled s.Network.stalled;
+  Alcotest.(check int) (name ^ " injected") s_ref.Network.injected s.Network.injected;
+  Alcotest.(check (float 1e-9)) (name ^ " noise fraction") s_ref.Network.noise_fraction
+    s.Network.noise_fraction;
+  Alcotest.(check bool) (name ^ " identical trace event streams") true
+    (norm sink_ref = norm sink)
 
 let test_differential_substitution () =
   (* Addend 1 on a sent 0 flips it: pure substitution. *)
@@ -703,17 +646,16 @@ let test_differential_insertion () =
   let adv = Adversary.single ~round:1 ~dir:(dir g4 3 2) ~addend:1 in
   check_differential ~name:"insertion" g4 adv ~rounds:4 ~sends_at:(fun _ -> [])
 
-let test_differential_random () =
-  (* QuickCheck-style: random connected topologies, iid noise mixing
-     all three corruption kinds, pseudorandom traffic.  The send
-     pattern is a pure function of (seed, round, dir) so both networks
-     offer identical traffic. *)
+(* QuickCheck-style: 20 random connected topologies under the
+   adversary [adv seed], with pseudorandom traffic.  The send pattern is
+   a pure function of (seed, round, dir) so both twins offer identical
+   traffic. *)
+let check_differential_random ~name adv =
   for seed = 0 to 19 do
     let g =
       Topology.Graph.random_connected (Util.Rng.create (100 + seed)) ~n:(3 + (seed mod 5))
         ~extra_edges:(seed mod 4)
     in
-    let adv = Adversary.iid (Util.Rng.create (200 + seed)) ~rate:0.2 in
     let sends_at r =
       let sends = ref [] in
       Array.iteri
@@ -725,9 +667,20 @@ let test_differential_random () =
         (Topology.Graph.edges g);
       !sends
     in
-    check_differential ~name:(Printf.sprintf "random topology (seed %d)" seed) g adv
+    check_differential ~name:(Printf.sprintf "%s (seed %d)" name seed) g (adv seed)
       ~rounds:40 ~sends_at
   done
+
+let test_differential_random () =
+  (* iid additive noise mixes all three corruption kinds. *)
+  check_differential_random ~name:"random topology" (fun seed ->
+      Adversary.iid (Util.Rng.create (200 + seed)) ~rate:0.2)
+
+let test_differential_fixing () =
+  (* The fixing branch of [commit]: forced outputs become addends, and
+     forcing the honest symbol costs nothing (Remark 1). *)
+  check_differential_random ~name:"fixing" (fun seed ->
+      Adversary.iid_fixing (Util.Rng.create (200 + seed)) ~rate:0.2)
 
 let test_differential_fault_hooks () =
   (* Installed fault hooks (stalls + injected addends) must behave
@@ -843,7 +796,6 @@ let () =
         ] );
       ( "transport",
         [
-          Alcotest.test_case "slots basics" `Quick test_slots_basics;
           Alcotest.test_case "active basics" `Quick test_active_basics;
           Alcotest.test_case "active epoch reuse" `Quick test_active_epoch_reuse;
           Alcotest.test_case "active epoch wraparound" `Quick test_active_epoch_wraparound;
@@ -852,6 +804,7 @@ let () =
           Alcotest.test_case "differential: deletion" `Quick test_differential_deletion;
           Alcotest.test_case "differential: insertion" `Quick test_differential_insertion;
           Alcotest.test_case "differential: random topologies" `Quick test_differential_random;
+          Alcotest.test_case "differential: fixing" `Quick test_differential_fixing;
           Alcotest.test_case "differential: fault hooks" `Quick test_differential_fault_hooks;
           Alcotest.test_case "differential: adaptive" `Quick test_differential_adaptive;
           Alcotest.test_case "stats record" `Quick test_stats_record;

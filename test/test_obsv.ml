@@ -4,7 +4,7 @@
    potential-invariant analyzer, per-phase profiling, and the regression
    observatory's classify/flatten/diff/round-trip machinery. *)
 
-module Json = Obsv.Json
+module Json = Util.Json
 module Timeline = Obsv.Timeline
 module Postmortem = Obsv.Postmortem
 module Profile = Obsv.Profile

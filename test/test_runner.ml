@@ -230,10 +230,10 @@ let test_report_json_shape () =
   Alcotest.(check bool) "wilson bounded" true (0. <= lo && lo <= hi && hi <= 1.)
 
 let test_json_escaping () =
-  Alcotest.(check string) "quote" {|"a\"b"|} (Runner.Report.Json.str {|a"b|});
-  Alcotest.(check string) "newline" {|"a\nb"|} (Runner.Report.Json.str "a\nb");
-  Alcotest.(check string) "nan is null" "null" (Runner.Report.Json.num Float.nan);
-  Alcotest.(check string) "inf is null" "null" (Runner.Report.Json.num Float.infinity)
+  Alcotest.(check string) "quote" {|"a\"b"|} (Util.Json.str {|a"b|});
+  Alcotest.(check string) "newline" {|"a\nb"|} (Util.Json.str "a\nb");
+  Alcotest.(check string) "nan is null" "null" (Util.Json.num Float.nan);
+  Alcotest.(check string) "inf is null" "null" (Util.Json.num Float.infinity)
 
 let () =
   Alcotest.run "runner"

@@ -407,6 +407,13 @@ let test_mem_default_positive () =
   (* Whatever the platform provides, the probe must report something. *)
   Alcotest.(check bool) "peak_rss_kb > 0" true (Util.Mem.peak_rss_kb () > 0)
 
+(* The one JSON writer round-trips through the one reader for every byte
+   string: control bytes, quotes, backslashes and bytes >= 0x80 alike. *)
+let prop_json_str_roundtrip =
+  QCheck.Test.make ~name:"Json.parse (Json.str s) = Str s" ~count:500
+    QCheck.(string_gen Gen.(map Char.chr (int_bound 255)))
+    (fun s -> Util.Json.parse (Util.Json.str s) = Util.Json.Str s)
+
 let () =
   Alcotest.run "util"
     [
@@ -459,4 +466,5 @@ let () =
           Alcotest.test_case "fallback: malformed VmHWM" `Quick test_mem_fallback_malformed;
           Alcotest.test_case "default probe positive" `Quick test_mem_default_positive;
         ] );
+      ("json", [ QCheck_alcotest.to_alcotest prop_json_str_roundtrip ]);
     ]
