@@ -20,8 +20,8 @@
    Determinism: every proposal and trial derives from the cell key, so
    the whole sweep — every evaluation, the frontier, the winner — is
    byte-identical across job counts.  Asserted on every run (jobs=1 vs
-   jobs=hi).  The smoke variant (adv_smoke.exe, `adv-smoke` alias inside
-   `dune runtest`) runs one cell at jobs=1 vs jobs=4. *)
+   jobs=hi).  The smoke variant (`main.exe smoke adv`, `adv-smoke` alias
+   inside `dune runtest`) runs one cell at jobs=1 vs jobs=4. *)
 
 type cell = {
   key : string;
@@ -91,16 +91,8 @@ let cell ~jobs ~generations ~population ~trials ~rounds (alg, topo) =
       jobs;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let search = Advsearch.Search.run cfg env in
-  {
-    key;
-    m;
-    baselines;
-    search;
-    beats = find_beats search baselines;
-    search_wall = Unix.gettimeofday () -. t0;
-  }
+  let search, search_wall = Exp_common.time (fun () -> Advsearch.Search.run cfg env) in
+  { key; m; baselines; search; beats = find_beats search baselines; search_wall }
 
 (* The timing-free JSON of a cell — the determinism subject.  [full]
    additionally includes every evaluation (compared across job counts
@@ -134,9 +126,7 @@ let stable_json ~full cells =
   Util.Json.arr (List.map (stable_cell_json ~full) cells)
 
 let sweep ~jobs ~generations ~population ~trials ~rounds cells =
-  let t0 = Unix.gettimeofday () in
-  let out = List.map (cell ~jobs ~generations ~population ~trials ~rounds) cells in
-  (out, Unix.gettimeofday () -. t0)
+  Exp_common.time (fun () -> List.map (cell ~jobs ~generations ~population ~trials ~rounds) cells)
 
 let run_with ~cells ~generations ~population ~trials ~rounds ~jobs_hi ~json () =
   Exp_common.heading
@@ -171,31 +161,27 @@ let run_with ~cells ~generations ~population ~trials ~rounds ~jobs_hi ~json () =
     "@.  wall jobs=1: %.2fs  wall jobs=%d: %.2fs  deterministic: timing-free JSON \
      byte-identical@."
     wall1 jobs_hi wallh;
-  (match json with
-  | None -> ()
-  | Some path ->
-      let open Util.Json in
-      (* Per-cell wall from the parallel pass; classified timed. *)
-      let walls =
-        arr
-          (List.map
-             (fun (c : cell) -> obj [ ("key", str c.key); ("search_wall_s", num c.search_wall) ])
-             ch)
-      in
-      Runner.Report.write_file ~path
-        (obj
-           [
-             ("bench", str "adv");
-             ("generations", int generations);
-             ("population", int population);
-             ("trials", int trials);
-             ("workload_rounds", int rounds);
-             ("jobs_compared", arr [ int 1; int jobs_hi ]);
-             ("deterministic", bool true);
-             ("sweep", stable_json ~full:false c1);
-             ("search_walls", walls);
-           ]);
-      Format.printf "@.[wrote %s]@." path);
+  (let open Util.Json in
+   (* Per-cell wall from the parallel pass; classified timed. *)
+   let walls =
+     arr
+       (List.map
+          (fun (c : cell) -> obj [ ("key", str c.key); ("search_wall_s", num c.search_wall) ])
+          ch)
+   in
+   Exp_common.write_json json
+     (obj
+        [
+          ("bench", str "adv");
+          ("generations", int generations);
+          ("population", int population);
+          ("trials", int trials);
+          ("workload_rounds", int rounds);
+          ("jobs_compared", arr [ int 1; int jobs_hi ]);
+          ("deterministic", bool true);
+          ("sweep", stable_json ~full:false c1);
+          ("search_walls", walls);
+        ]));
   c1
 
 let all_cells = List.concat_map (fun a -> List.map (fun t -> (a, t)) topologies) algorithms
@@ -207,11 +193,11 @@ let run () =
 
 (* One-cell sweep for `dune runtest`: asserts jobs=1 ≡ jobs=4, the
    search budget was spent, and the frontier is Pareto. *)
-let smoke () =
+let smoke ?json () =
   let cells =
     run_with
       ~cells:[ ("1", "clique:5") ]
-      ~generations:2 ~population:4 ~trials:2 ~rounds:40 ~jobs_hi:4 ~json:None ()
+      ~generations:2 ~population:4 ~trials:2 ~rounds:40 ~jobs_hi:4 ~json ()
   in
   let open Advsearch.Search in
   List.iter

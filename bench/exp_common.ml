@@ -1,11 +1,80 @@
-(* Shared plumbing for the experiment harness: the Monte Carlo trial
-   runner (now on lib/runner's multicore pool) and table printing.
+(* Shared plumbing for the experiment harness: the one clock and timing
+   primitive, the Monte Carlo trial runner (on lib/runner's multicore
+   pool), the timed workloads several benches share, and table printing.
    Every experiment prints a self-contained table whose rows mirror what
    the paper reports (see DESIGN.md §3 and EXPERIMENTS.md).
 
    Determinism contract: a trial body must depend only on its trial
    index — derive every per-trial stream with [trial_rng] — so that the
    merged summary is bit-identical for any [-j N] / MIC_JOBS setting. *)
+
+(* ---------- timing ---------- *)
+
+(* The harness's one clock: [f ()]'s result and its wall seconds. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* One timed run: wall seconds and the minor-heap words the calling
+   domain allocated. *)
+type sample = { wall_s : float; minor_words : float }
+
+(* Time [f ()] after a full major collection, so garbage left by an
+   earlier run is not collected on this one's clock. *)
+let measure f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let r, wall_s = time f in
+  (r, { wall_s; minor_words = Gc.minor_words () -. w0 })
+
+let faster a b = if b.wall_s < a.wall_s then b else a
+
+(* Best of [reps] runs.  Each run of [f] does its own setup and returns
+   the sample of its timed part ([measure]), so setup stays off the
+   clock.  The minimum is the estimate least contaminated by scheduling
+   noise. *)
+let best_of ~reps f =
+  let best = ref (f ()) in
+  for _ = 2 to reps do
+    best := faster !best (f ())
+  done;
+  !best
+
+type pair = { off : sample; on : sample }
+
+(* Interleaved best-of-[reps] pairs: even reps run [off] then [on], odd
+   reps [on] then [off], so machine drift and run order hit both sides
+   alike; each side keeps its fastest run. *)
+let best_pair ~reps ~off ~on =
+  let pair i =
+    if i land 1 = 0 then
+      let a = off () in
+      { off = a; on = on () }
+    else
+      let b = on () in
+      { off = off (); on = b }
+  in
+  let best = ref (pair 0) in
+  for i = 1 to reps - 1 do
+    let p = pair i in
+    best := { off = faster !best.off p.off; on = faster !best.on p.on }
+  done;
+  !best
+
+(* What the on side costs over the off side, in percent of the off wall
+   time (negative = noise). *)
+let overhead_pct p = 100. *. ((p.on.wall_s /. p.off.wall_s) -. 1.)
+
+(* The one overhead gate: a bench fails when [pct] exceeds [bound]. *)
+let check_overhead ~what ~bound pct =
+  if pct > bound then
+    failwith (Printf.sprintf "%s overhead %.2f%% exceeds the %g%% gate" what pct bound)
+
+(* Rounds per second of [rounds] rounds timed by [s]. *)
+let per_sec ~rounds s = float_of_int rounds /. s.wall_s
+
+(* ---------- trials ---------- *)
 
 type summary = {
   trials : int;
@@ -68,11 +137,11 @@ let trial_rng key t = Runner.Pool.trial_rng ~key t
 let run_trials_aux ?jobs:j ~trials (f : int -> Coding.Scheme.result * 'aux) :
     summary * 'aux option list =
   let jobs = match j with Some j -> j | None -> !jobs in
-  let t0 = Unix.gettimeofday () in
   let blowup = Runner.Accum.create () in
   let fraction = Runner.Accum.create () in
   let iters = Runner.Accum.create () in
-  let successes, errors, aux_rev =
+  let (successes, errors, aux_rev), wall =
+    time @@ fun () ->
     Runner.Pool.fold ~jobs ~trials ~init:(0, 0, [])
       ~merge:(fun (succ, errs, aux) t outcome ->
         match outcome with
@@ -95,7 +164,7 @@ let run_trials_aux ?jobs:j ~trials (f : int -> Coding.Scheme.result * 'aux) :
       successes;
       errors;
       jobs;
-      wall = Unix.gettimeofday () -. t0;
+      wall;
       blowup = Runner.Accum.summary blowup;
       fraction = Runner.Accum.summary fraction;
       iters = Runner.Accum.summary iters;
@@ -133,13 +202,31 @@ let report ~experiment ~key s =
       [ ("rate_blowup", s.blowup); ("noise_fraction", s.fraction); ("iterations", s.iters) ];
   }
 
+(* Write a bench's JSON snapshot when the run was given a path. *)
+let write_json path doc =
+  Option.iter
+    (fun path ->
+      Runner.Report.write_file ~path doc;
+      Format.printf "@.[wrote %s]@." path)
+    path
+
+(* A summary as the {n, mean, min, max} object the JSON snapshots use. *)
+let accum_json (a : Runner.Accum.summary) =
+  Util.Json.(
+    obj
+      [
+        ("n", int a.Runner.Accum.n);
+        ("mean", num a.Runner.Accum.mean);
+        ("min", num a.Runner.Accum.min);
+        ("max", num a.Runner.Accum.max);
+      ])
+
 (* Per-experiment footer: run the driver and close with its id and wall
    time, so a multi-experiment log attributes every table to the
    experiment that printed it without scrollback archaeology. *)
 let timed id f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Format.printf "@.[%s done in %.1f s]@." id (Unix.gettimeofday () -. t0)
+  let (), wall = time f in
+  Format.printf "@.[%s done in %.1f s]@." id wall
 
 let heading title =
   Format.printf "@.==============================================================================@.";
@@ -158,22 +245,24 @@ let bar ?(width = 30) fraction =
   let n = int_of_float (fraction *. float_of_int width) in
   String.init width (fun i -> if i < n then '#' else '.')
 
-(* The raw transport loop of the transport, scale and trace benches:
+(* ---------- shared timed workloads ---------- *)
+
+(* The raw transport timer of the transport, scale and trace benches:
    [rounds] rounds of begin a round, [send] the traffic shape of round
    [r], commit, and iterate the deliveries the way the phase drivers
-   read them.  Returns the wall time of the loop. *)
+   read them.  Only the loop is on the clock. *)
 let raw_rounds net ~rounds ~send =
   let act = Netsim.Network.active net in
-  let t0 = Unix.gettimeofday () in
-  for r = 0 to rounds - 1 do
-    Netsim.Network.Active.begin_round act;
-    send act r;
-    Netsim.Network.commit net act;
-    let seen = ref 0 in
-    Netsim.Network.Active.iter act (fun ~dir:_ _ -> incr seen);
-    ignore !seen
-  done;
-  Unix.gettimeofday () -. t0
+  snd
+    (measure (fun () ->
+         for r = 0 to rounds - 1 do
+           Netsim.Network.Active.begin_round act;
+           send act r;
+           Netsim.Network.commit net act;
+           let seen = ref 0 in
+           Netsim.Network.Active.iter act (fun ~dir:_ _ -> incr seen);
+           ignore !seen
+         done))
 
 (* Full-duplex traffic: every directed link speaks every round, each
    edge's endpoints alternating bits with the round parity. *)
@@ -185,3 +274,58 @@ let full_duplex g =
       Netsim.Network.Active.send act ~dir:(2 * e) ((r + u) land 1 = 0);
       Netsim.Network.Active.send act ~dir:((2 * e) + 1) ((r + v) land 1 = 0)
     done
+
+(* The live engine's overhead floor, shared by the live and metrics
+   benches: every party sends one bit toward its first neighbour each
+   round and each shard drains its parity share of the deliveries —
+   maximal barrier pressure, minimal work.  [metrics] arms the network
+   and engine probes.  Engine start-up and shutdown stay off the clock;
+   returns the round loop's sample and the engine's jitter drops. *)
+let engine_floor ?(metrics = Metrics.Registry.disabled) g ~shards ~serial ~rounds =
+  let n = Topology.Graph.n g in
+  let net = Netsim.Network.create g Netsim.Adversary.Silent in
+  Netsim.Network.set_metrics net metrics;
+  let ex =
+    Live.Exec.create ~net
+      ~config:(Live.Config.make ~shards ~force_serial:serial ())
+      ~metrics
+      ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Live.Exec.shutdown ex)
+    (fun () ->
+      let out_dir =
+        Array.init n (fun v ->
+            let nb = Topology.Graph.neighbors g v in
+            if Array.length nb = 0 then -1 else Topology.Graph.dir_id g ~src:v ~dst:nb.(0))
+      in
+      let (), s =
+        measure (fun () ->
+            for r = 0 to rounds - 1 do
+              Live.Exec.round ex
+                ~write:(fun ~shard buf ->
+                  let lo, hi = Live.Exec.bounds ex ~shard in
+                  for v = lo to hi - 1 do
+                    if out_dir.(v) >= 0 then
+                      Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
+                  done)
+                ~read:(fun ~shard master ->
+                  let seen = ref 0 in
+                  Netsim.Network.Active.iter master (fun ~dir _ ->
+                      if dir mod 2 = shard mod 2 then incr seen);
+                  ignore !seen)
+                ()
+            done;
+            Live.Exec.join ex)
+      in
+      (s, Live.Exec.jitter_dropped ex))
+
+(* The timed Scheme.run of the transport and trace benches: Algorithm 1
+   on [pi] under 0.05% iid noise with fixed seeds, on [backend] and
+   observed by [sink] when given. *)
+let scheme_run ?backend ?sink g pi =
+  let params = Coding.Params.algorithm_1 g in
+  let adv = Netsim.Adversary.iid (Util.Rng.create 11) ~rate:0.0005 in
+  let config = Coding.Scheme.Config.make ?backend ?sink () in
+  measure (fun () -> Coding.Scheme.run ~config ~rng:(Util.Rng.create 7) params pi adv)

@@ -14,7 +14,7 @@
       the trial index, so the timing-free JSON must be byte-identical
       across job counts.  Asserted on every run (jobs=1 vs jobs=hi).
 
-   Writes BENCH_faults.json.  The smoke variant (faults_smoke.exe,
+   Writes BENCH_faults.json.  The smoke variant (`main.exe smoke faults`,
    `faults-smoke` alias inside `dune runtest`) runs a tiny sweep at
    jobs=1 vs jobs=4. *)
 
@@ -141,18 +141,17 @@ let cell ~jobs ~trials ~pi ~g (alg_id, mk_params) ~crashes ~overload ~chaos =
 let sweep ~jobs ~trials ~rounds ~crashes ~overloads =
   let g = Topology.Graph.cycle 6 in
   let pi = Exp_common.workload ~rounds g in
-  let t0 = Unix.gettimeofday () in
-  let cells =
-    List.concat_map
-      (fun alg ->
-        List.concat_map
-          (fun c ->
-            List.map (fun o -> cell ~jobs ~trials ~pi ~g alg ~crashes:c ~overload:o ~chaos:false) overloads)
-          crashes
-        @ [ cell ~jobs ~trials ~pi ~g alg ~crashes:0 ~overload:0. ~chaos:true ])
-      scheme_variants
-  in
-  (cells, Unix.gettimeofday () -. t0)
+  Exp_common.time @@ fun () ->
+  List.concat_map
+    (fun alg ->
+      List.concat_map
+        (fun c ->
+          List.map
+            (fun o -> cell ~jobs ~trials ~pi ~g alg ~crashes:c ~overload:o ~chaos:false)
+            overloads)
+        crashes
+      @ [ cell ~jobs ~trials ~pi ~g alg ~crashes:0 ~overload:0. ~chaos:true ])
+    scheme_variants
 
 (* The timing-free JSON of a sweep: the determinism contract's subject. *)
 let stable_json cells =
@@ -204,21 +203,17 @@ let run_with ~trials ~rounds ~crashes ~overloads ~jobs_hi ~json () =
   Format.printf
     "@.  wall jobs=1: %.2fs  wall jobs=%d: %.2fs  deterministic: timing-free JSON byte-identical@."
     wall1 jobs_hi wallh;
-  (match json with
-  | None -> ()
-  | Some path ->
-      let open Util.Json in
-      Runner.Report.write_file ~path
-        (obj
-           [
-             ("bench", str "faults");
-             ("trials", int trials);
-             ("workload_rounds", int rounds);
-             ("jobs_compared", arr [ int 1; int jobs_hi ]);
-             ("deterministic", bool true);
-             ("sweep", sweep_json);
-           ]);
-      Format.printf "@.[wrote %s]@." path);
+  (let open Util.Json in
+   Exp_common.write_json json
+     (obj
+        [
+          ("bench", str "faults");
+          ("trials", int trials);
+          ("workload_rounds", int rounds);
+          ("jobs_compared", arr [ int 1; int jobs_hi ]);
+          ("deterministic", bool true);
+          ("sweep", sweep_json);
+        ]));
   cells
 
 let run () =
@@ -228,9 +223,9 @@ let run () =
 
 (* Tiny sweep for `dune runtest`: asserts jobs=1 ≡ jobs=4 JSON and that
    crash cells degrade rather than raise. *)
-let smoke () =
+let smoke ?json () =
   let cells =
-    run_with ~trials:2 ~rounds:40 ~crashes:[ 0; 1 ] ~overloads:[ 0.; 4. ] ~jobs_hi:4 ~json:None ()
+    run_with ~trials:2 ~rounds:40 ~crashes:[ 0; 1 ] ~overloads:[ 0.; 4. ] ~jobs_hi:4 ~json ()
   in
   (* 2 schemes × (2 crash counts × 2 overloads + chaos row). *)
   assert (List.length cells = 10);

@@ -24,9 +24,6 @@
    the historical loop is the live test suite's differential job, not
    this bench's. *)
 
-module Network = Netsim.Network
-module Active = Netsim.Network.Active
-
 type round_row = {
   topo : string;
   n : int;
@@ -48,43 +45,10 @@ type ragged_row = {
   iterations : int;
 }
 
-(* Every party sends one bit toward its first neighbor each round;
-   receivers drain the delivered set for their own shard.  This is the
-   engine's overhead floor: maximal barrier pressure, minimal work. *)
+(* Rounds/sec and jitter drops of the engine floor (Exp_common). *)
 let bench_rounds g ~shards ~serial ~rounds =
-  let n = Topology.Graph.n g in
-  let net = Network.create g Netsim.Adversary.Silent in
-  let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards ~force_serial:serial ())
-      ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Live.Exec.shutdown ex)
-    (fun () ->
-      let out_dir =
-        Array.init n (fun v ->
-            let nb = Topology.Graph.neighbors g v in
-            if Array.length nb = 0 then -1 else Topology.Graph.dir_id g ~src:v ~dst:nb.(0))
-      in
-      let t0 = Unix.gettimeofday () in
-      for r = 0 to rounds - 1 do
-        Live.Exec.round ex
-          ~write:(fun ~shard buf ->
-            let lo, hi = Live.Exec.bounds ex ~shard in
-            for v = lo to hi - 1 do
-              if out_dir.(v) >= 0 then Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
-            done)
-          ~read:(fun ~shard master ->
-            let seen = ref 0 in
-            Active.iter master (fun ~dir _ -> if dir mod 2 = shard mod 2 then incr seen);
-            ignore !seen)
-          ()
-      done;
-      Live.Exec.join ex;
-      let wall = Unix.gettimeofday () -. t0 in
-      (float_of_int rounds /. wall, Live.Exec.jitter_dropped ex))
+  let s, dropped = Exp_common.engine_floor g ~shards ~serial ~rounds in
+  (Exp_common.per_sec ~rounds s, dropped)
 
 let topologies ~grid_side =
   [
@@ -112,60 +76,47 @@ let round_sweep ~grid_side ~rounds ~shard_counts =
            shard_counts)
     (topologies ~grid_side)
 
-(* One full scheme execution on the keyed-jitter serial engine. *)
-let ragged_run ~chatter_rounds ~jitter_rate ~d g =
+(* One full scheme execution on the live engine at ragged depth [d]
+   under a silent adversary: the insdel noise the engine's lag induced,
+   or None when the run left no result. *)
+let ragged_run ?(force_serial = true) ?(shards = 4) ~chatter_rounds ~jitter_rate ~d g =
   let pi = Protocol.Protocols.random_chatter g ~rounds:chatter_rounds ~density:0.5 ~seed:3 in
-  let params = Coding.Params.algorithm_1 g in
   let backend =
-    Coding.Scheme.Live
-      (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate ~force_serial:true ())
+    Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:d ~jitter_rate ~force_serial ())
   in
   let outcome =
     Coding.Scheme.run_outcome
       ~config:(Coding.Scheme.Config.make ~backend ())
-      ~rng:(Util.Rng.create 11) params pi Netsim.Adversary.Silent
+      ~rng:(Util.Rng.create 11) (Coding.Params.algorithm_1 g) pi Netsim.Adversary.Silent
   in
-  let result = Option.get (Faults.Outcome.result outcome) in
   let stalled, injected =
     match Faults.Outcome.diagnosis outcome with
     | Some diag -> (diag.Faults.Outcome.stalled_slots, diag.Faults.Outcome.injected)
     | None -> (0, 0)
   in
-  let cc = result.Coding.Scheme.cc in
-  {
-    d;
-    rate = jitter_rate;
-    success = result.Coding.Scheme.success;
-    insdel_rate = (if cc = 0 then 0. else float_of_int (stalled + injected) /. float_of_int cc);
-    stalled;
-    injected;
-    cc;
-    iterations = result.Coding.Scheme.iterations_run;
-  }
+  Option.map
+    (fun result ->
+      let cc = result.Coding.Scheme.cc in
+      {
+        d;
+        rate = jitter_rate;
+        success = result.Coding.Scheme.success;
+        insdel_rate = (if cc = 0 then 0. else float_of_int (stalled + injected) /. float_of_int cc);
+        stalled;
+        injected;
+        cc;
+        iterations = result.Coding.Scheme.iterations_run;
+      })
+    (Faults.Outcome.result outcome)
 
-(* A genuinely parallel ragged run: numbers depend on the machine's
-   scheduling, so they are published under jitter_* (observatory:
-   Ignored) purely as a live artifact to eyeball. *)
+(* A genuinely parallel ragged run (2 domains, d = 2, the engine's
+   default lag rate): numbers depend on the machine's scheduling, so
+   they are published under jitter_* (observatory: Ignored) purely as a
+   live artifact to eyeball.  Returns (insdel rate, success as 0/1). *)
 let parallel_jitter_probe ~chatter_rounds g =
-  let pi = Protocol.Protocols.random_chatter g ~rounds:chatter_rounds ~density:0.5 ~seed:3 in
-  let params = Coding.Params.algorithm_1 g in
-  let backend = Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:2 ()) in
-  let outcome =
-    Coding.Scheme.run_outcome
-      ~config:(Coding.Scheme.Config.make ~backend ())
-      ~rng:(Util.Rng.create 11) params pi Netsim.Adversary.Silent
-  in
-  match Faults.Outcome.result outcome with
+  match ragged_run ~force_serial:false ~shards:2 ~chatter_rounds ~jitter_rate:0.05 ~d:2 g with
   | None -> (0., 0.)
-  | Some r ->
-      let stalled, injected =
-        match Faults.Outcome.diagnosis outcome with
-        | Some diag -> (diag.Faults.Outcome.stalled_slots, diag.Faults.Outcome.injected)
-        | None -> (0, 0)
-      in
-      ( (if r.Coding.Scheme.cc = 0 then 0.
-         else float_of_int (stalled + injected) /. float_of_int r.Coding.Scheme.cc),
-        if r.Coding.Scheme.success then 1. else 0. )
+  | Some r -> (r.insdel_rate, if r.success then 1. else 0.)
 
 let json_of rounds_rows ragged_rows (jitter_rate_obs, jitter_success) =
   let module J = Util.Json in
@@ -227,7 +178,7 @@ let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json (
           (fun d ->
             (* d = 0 disables jitter entirely: one row is enough. *)
             if d = 0 && rate <> gentle then None
-            else Some (ragged_run ~chatter_rounds ~jitter_rate:rate ~d g_ragged))
+            else Some (Option.get (ragged_run ~chatter_rounds ~jitter_rate:rate ~d g_ragged)))
           ragged_ds)
       [ gentle; harsh ]
   in
@@ -243,11 +194,7 @@ let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json (
   let jitter = parallel_jitter_probe ~chatter_rounds g_ragged in
   Format.printf "  parallel probe (2 domains, d=2): insdel=%.5f success=%.0f  [machine-dependent]@."
     (fst jitter) (snd jitter);
-  (match json with
-  | None -> ()
-  | Some path ->
-      Runner.Report.write_file ~path (json_of rounds_rows ragged_rows jitter);
-      Format.printf "@.[wrote %s]@." path);
+  Exp_common.write_json json (json_of rounds_rows ragged_rows jitter);
   (rounds_rows, ragged_rows)
 
 let run () =
@@ -258,10 +205,10 @@ let run () =
 (* Tiny variant for `dune runtest` (live-smoke alias): 2 domains cross
    the real barrier path, the d=0 invariants hold, and the keyed-jitter
    sweep behaves (d=0 books nothing, d>0 books something). *)
-let smoke () =
+let smoke ?json () =
   let rounds_rows, ragged_rows =
     run_with ~grid_side:4 ~rounds:300 ~shard_counts:[ 2 ] ~chatter_rounds:60
-      ~ragged_ds:[ 0; 2 ] ~json:None ()
+      ~ragged_ds:[ 0; 2 ] ~json ()
   in
   assert (List.length rounds_rows = 6);
   List.iter (fun r -> assert (r.per_sec > 0. && r.dropped = 0)) rounds_rows;

@@ -2,13 +2,14 @@
 
    Three measurements, written to BENCH_metrics.json:
 
-   - probe overhead: the raw live-engine round loop (exp_live's floor
-     workload) with metrics disabled vs enabled, interleaved best-of
-     pairs so machine drift hits both sides equally.  The acceptance
-     bar is <= 5% rounds/sec cost with every live.* / net.* probe
-     armed — the always-on telemetry must not undo the transport
-     speedups (rows are Timed; the observatory compares them under
-     tolerance, the assert here is the hard gate);
+   - probe overhead: the live engine's floor loop
+     (Exp_common.engine_floor) with metrics disabled vs enabled,
+     interleaved best-of pairs (Exp_common.best_pair) so machine drift
+     hits both sides equally.  The acceptance bar is <= 5% wall-time
+     cost with every live.* / net.* probe armed — the always-on
+     telemetry must not undo the transport speedups (rows are Timed;
+     the observatory compares them under tolerance, the check here is
+     the hard gate);
    - merge determinism: a scheme sweep where every trial collects into
      its own registry and the pool collects into one of its own; the
      per-trial snapshots merged in trial order plus the pool snapshot
@@ -20,68 +21,28 @@
      must be byte-identical — the engine may parallelize, the Exact
      telemetry may not notice. *)
 
-module Active = Netsim.Network.Active
-
 type overhead_row = {
   key : string;
   per_sec_off : float;
   per_sec_on : float;
-  pct : float; (* (off - on) / off * 100; negative = noise *)
+  pct : float; (* wall cost of the armed probes; negative = noise *)
 }
 
-(* The engine's overhead floor (see exp_live): every party sends one
-   bit to its first neighbor each round, receivers drain their parity
-   share.  [metrics] arms the per-round probes (live.rounds,
-   live.round_ns, drift/lag histograms, net.* counters and gauges). *)
-let bench_rounds g ~shards ~serial ~rounds ~metrics =
-  let n = Topology.Graph.n g in
-  let net = Netsim.Network.create g Netsim.Adversary.Silent in
-  Netsim.Network.set_metrics net metrics;
-  let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards ~force_serial:serial ())
-      ~metrics
-      ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Live.Exec.shutdown ex)
-    (fun () ->
-      let out_dir =
-        Array.init n (fun v ->
-            let nb = Topology.Graph.neighbors g v in
-            if Array.length nb = 0 then -1 else Topology.Graph.dir_id g ~src:v ~dst:nb.(0))
-      in
-      let t0 = Unix.gettimeofday () in
-      for r = 0 to rounds - 1 do
-        Live.Exec.round ex
-          ~write:(fun ~shard buf ->
-            let lo, hi = Live.Exec.bounds ex ~shard in
-            for v = lo to hi - 1 do
-              if out_dir.(v) >= 0 then Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
-            done)
-          ~read:(fun ~shard master ->
-            let seen = ref 0 in
-            Active.iter master (fun ~dir _ -> if dir mod 2 = shard mod 2 then incr seen);
-            ignore !seen)
-          ()
-      done;
-      Live.Exec.join ex;
-      float_of_int rounds /. (Unix.gettimeofday () -. t0))
-
-(* Interleaved best-of-[reps] pairs: each rep measures off then on, and
-   the best of each side is compared — the standard way to subtract
-   scheduler noise from a small relative effect. *)
+(* The engine floor (Exp_common) with metrics disabled vs an armed
+   registry (live.rounds, live.round_ns, drift/lag histograms, net.*
+   counters and gauges), timed as interleaved best-of-[reps] pairs. *)
 let overhead_row ~key g ~shards ~serial ~rounds ~reps =
-  let best_off = ref 0. and best_on = ref 0. in
-  for _ = 1 to reps do
-    best_off := Float.max !best_off
-        (bench_rounds g ~shards ~serial ~rounds ~metrics:Metrics.Registry.disabled);
-    best_on := Float.max !best_on
-        (bench_rounds g ~shards ~serial ~rounds ~metrics:(Metrics.Registry.create ()))
-  done;
-  { key; per_sec_off = !best_off; per_sec_on = !best_on;
-    pct = 100. *. (!best_off -. !best_on) /. !best_off }
+  let floor metrics () = fst (Exp_common.engine_floor ~metrics g ~shards ~serial ~rounds) in
+  let p =
+    Exp_common.best_pair ~reps ~off:(floor Metrics.Registry.disabled)
+      ~on:(fun () -> floor (Metrics.Registry.create ()) ())
+  in
+  {
+    key;
+    per_sec_off = Exp_common.per_sec ~rounds p.Exp_common.off;
+    per_sec_on = Exp_common.per_sec ~rounds p.Exp_common.on;
+    pct = Exp_common.overhead_pct p;
+  }
 
 (* ---------- merge determinism (jobs sweep) ---------- *)
 
@@ -175,10 +136,8 @@ let run_with ~grid_side ~rounds ~reps ~trials ~chatter_rounds ~max_overhead_pct 
     rows;
   List.iter
     (fun r ->
-      if r.pct > max_overhead_pct then
-        failwith
-          (Printf.sprintf "metrics: %s probe overhead %.2f%% exceeds %.1f%%" r.key r.pct
-             max_overhead_pct))
+      Exp_common.check_overhead ~what:("metrics: " ^ r.key ^ " probe") ~bound:max_overhead_pct
+        r.pct)
     rows;
   let g_scheme = Topology.Graph.line 8 in
   let j1, merged = merged_exact ~jobs:1 ~trials ~rounds:chatter_rounds g_scheme in
@@ -200,12 +159,7 @@ let run_with ~grid_side ~rounds ~reps ~trials ~chatter_rounds ~max_overhead_pct 
     (if shard_ok then "byte-identical" else "DIFFERS");
   if not merge_ok then failwith "metrics: merged exact snapshot differs between jobs=1 and jobs=4";
   if not shard_ok then failwith "metrics: exact snapshot differs across shard counts at d=0";
-  (match json with
-  | None -> ()
-  | Some path ->
-      Runner.Report.write_file ~path
-        (json_of rows ~merge_ok ~shard_ok ~exact_series ~timed_series);
-      Format.printf "@.[wrote %s]@." path);
+  Exp_common.write_json json (json_of rows ~merge_ok ~shard_ok ~exact_series ~timed_series);
   (rows, merge_ok, shard_ok)
 
 let run () =
@@ -220,10 +174,10 @@ let run () =
    median of about −13% over 10 runs; under a parallel `dune runtest`
    a best-of-2 sometimes caught one side on a descheduled core, so each
    side takes the best of 5 interleaved reps. *)
-let smoke () =
+let smoke ?json () =
   let rows, merge_ok, shard_ok =
     run_with ~grid_side:6 ~rounds:400 ~reps:5 ~trials:4 ~chatter_rounds:60
-      ~max_overhead_pct:60. ~json:None ()
+      ~max_overhead_pct:60. ~json ()
   in
   List.iter (fun r -> assert (r.per_sec_off > 0. && r.per_sec_on > 0.)) rows;
   assert (merge_ok && shard_ok);
@@ -235,11 +189,7 @@ let smoke () =
   let snap = Metrics.Registry.snapshot reg in
   let om = Metrics.Expo.openmetrics snap in
   assert (String.length om > 0);
-  let ends_with ~suffix s =
-    let n = String.length s and m = String.length suffix in
-    n >= m && String.sub s (n - m) m = suffix
-  in
-  assert (ends_with ~suffix:"# EOF\n" om);
+  assert (String.ends_with ~suffix:"# EOF\n" om);
   (match Util.Json.parse_opt (Metrics.Expo.json snap) with
   | Some (Util.Json.Obj fields) ->
       assert (List.mem_assoc "exact" fields && List.mem_assoc "timed" fields)

@@ -11,11 +11,16 @@
    so that section is itself byte-stable across job counts.  Exit 1 on
    any regression (including a metric disappearing), 0 otherwise.
 
-   The smoke variant (report_smoke.exe, `report-smoke` alias inside
-   `dune runtest`) drives the full gate: one deterministic mini-sweep
+   A snapshot that flattens two values to one metric name (two array
+   rows sharing a label) is refused with exit 1: the diff would gate only
+   one of them.
+
+   The smoke variant (`main.exe smoke report`, `report-smoke` alias
+   inside `dune runtest`) drives the full gate: every bench smoke's
+   snapshot must flatten to distinct names, one deterministic mini-sweep
    rendered at jobs=1 and jobs=4 must produce byte-identical exact
    sections, an unchanged re-run must pass, and a synthetic exact-metric
-   change must fail the gate. *)
+   change or name collision must fail the gate. *)
 
 let history_file = "BENCH_history.jsonl"
 let output_file = "OBSERVATORY.md"
@@ -33,16 +38,26 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 let bench_files dir =
   Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> starts_with ~prefix:"BENCH_" f && Filename.extension f = ".json")
+  |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.extension f = ".json")
   |> List.sort String.compare
 
 (* "BENCH_trace.json" -> "trace" *)
 let label_of_file f = Filename.remove_extension (String.sub f 6 (String.length f - 6))
+
+(* Metric names that more than one value flattens to, sorted. *)
+let duplicate_metrics benches =
+  let names =
+    List.concat_map (fun (label, doc) -> List.map fst (Obsv.Observatory.flatten ~label doc)) benches
+    |> List.sort String.compare
+  in
+  let rec dups = function
+    | a :: (b :: _ as rest) when a = b -> a :: dups (List.filter (( <> ) a) rest)
+    | _ :: rest -> dups rest
+    | [] -> []
+  in
+  dups names
 
 let run_in ?tolerance ~dir () =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
@@ -61,44 +76,52 @@ let run_in ?tolerance ~dir () =
               None)
         files
     in
-    if benches = [] then
-      Format.printf "report: no BENCH_*.json in %s — recording an empty entry@." dir;
-    let history_path = Filename.concat dir history_file in
-    let prev = match List.rev (Obsv.Observatory.load_history ~path:history_path) with
-      | e :: _ -> Some e
-      | [] -> None
-    in
-    let run = match prev with Some p -> p.Obsv.Observatory.run + 1 | None -> 1 in
-    let cur = Obsv.Observatory.entry_of_benches ~run benches in
-    let deltas =
-      match prev with
-      | Some prev -> Obsv.Observatory.diff ?tolerance ~prev cur
-      | None -> []
-    in
-    let regs = Obsv.Observatory.regressions deltas in
-    Obsv.Observatory.append_history ~max_entries:(history_cap ()) ~path:history_path cur;
-    let md_path = Filename.concat dir output_file in
-    write_file md_path (Obsv.Observatory.render_markdown ~prev ~cur deltas);
-    Format.printf "report: run %d, %d bench file(s), %d exact + %d timed metric(s) -> %s@." run
-      (List.length benches)
-      (List.length cur.Obsv.Observatory.exact)
-      (List.length cur.Obsv.Observatory.timed)
-      md_path;
-    (match prev with
-    | None -> Format.printf "report: baseline recorded, nothing to compare@."
-    | Some p ->
-        Format.printf "report: compared against run %d: %d regression(s)@." p.Obsv.Observatory.run
-          (List.length regs);
+    match duplicate_metrics benches with
+    | _ :: _ as dups ->
         List.iter
-          (fun (d : Obsv.Observatory.delta) ->
-            let v = function None -> "(absent)" | Some f -> Printf.sprintf "%.6f" f in
-            Format.printf "  REGRESSED %s %s: %s -> %s@."
-              (if d.Obsv.Observatory.timed then "[timed]" else "[exact]")
-              d.Obsv.Observatory.metric
-              (v d.Obsv.Observatory.before)
-              (v d.Obsv.Observatory.after))
-          regs);
-    if regs = [] then 0 else 1
+          (fun name ->
+            Format.eprintf "report: metric %s is flattened from more than one value@." name)
+          dups;
+        1
+    | [] ->
+        if benches = [] then
+          Format.printf "report: no BENCH_*.json in %s — recording an empty entry@." dir;
+        let history_path = Filename.concat dir history_file in
+        let prev = match List.rev (Obsv.Observatory.load_history ~path:history_path) with
+          | e :: _ -> Some e
+          | [] -> None
+        in
+        let run = match prev with Some p -> p.Obsv.Observatory.run + 1 | None -> 1 in
+        let cur = Obsv.Observatory.entry_of_benches ~run benches in
+        let deltas =
+          match prev with
+          | Some prev -> Obsv.Observatory.diff ?tolerance ~prev cur
+          | None -> []
+        in
+        let regs = Obsv.Observatory.regressions deltas in
+        Obsv.Observatory.append_history ~max_entries:(history_cap ()) ~path:history_path cur;
+        let md_path = Filename.concat dir output_file in
+        write_file md_path (Obsv.Observatory.render_markdown ~prev ~cur deltas);
+        Format.printf "report: run %d, %d bench file(s), %d exact + %d timed metric(s) -> %s@." run
+          (List.length benches)
+          (List.length cur.Obsv.Observatory.exact)
+          (List.length cur.Obsv.Observatory.timed)
+          md_path;
+        (match prev with
+        | None -> Format.printf "report: baseline recorded, nothing to compare@."
+        | Some p ->
+            Format.printf "report: compared against run %d: %d regression(s)@."
+              p.Obsv.Observatory.run (List.length regs);
+            List.iter
+              (fun (d : Obsv.Observatory.delta) ->
+                let v = function None -> "(absent)" | Some f -> Printf.sprintf "%.6f" f in
+                Format.printf "  REGRESSED %s %s: %s -> %s@."
+                  (if d.Obsv.Observatory.timed then "[timed]" else "[exact]")
+                  d.Obsv.Observatory.metric
+                  (v d.Obsv.Observatory.before)
+                  (v d.Obsv.Observatory.after))
+              regs);
+        if regs = [] then 0 else 1
   end
 
 let run_cli args =
@@ -127,10 +150,6 @@ let scenario_json ~jobs =
           (Netsim.Adversary.iid (Exp_common.trial_rng "report:smoke:adv" t) ~rate))
   in
   let open Util.Json in
-  let accum (a : Runner.Accum.summary) =
-    obj [ ("n", int a.Runner.Accum.n); ("mean", num a.Runner.Accum.mean);
-          ("min", num a.Runner.Accum.min); ("max", num a.Runner.Accum.max) ]
-  in
   obj
     [
       ("bench", str "report_smoke");
@@ -139,8 +158,8 @@ let scenario_json ~jobs =
       ("errors", int s.Exp_common.errors);
       ("jobs", int s.Exp_common.jobs);
       ("wall_s", num s.Exp_common.wall);
-      ("rate_blowup", accum s.Exp_common.blowup);
-      ("iterations", accum s.Exp_common.iters);
+      ("rate_blowup", Exp_common.accum_json s.Exp_common.blowup);
+      ("iterations", Exp_common.accum_json s.Exp_common.iters);
     ]
 
 let fresh_dir name =
@@ -156,7 +175,19 @@ let replace_once s ~sub ~by =
   | None -> failwith (Printf.sprintf "report-smoke: %S not found in bench json" sub)
   | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
 
-let smoke () =
+let smoke bench_smokes =
+  (* Every bench's own smoke writes its snapshot; together they must
+     flatten to distinct metric names, and a colliding snapshot must be
+     refused. *)
+  let dirb = fresh_dir "obsv_report_smoke_benches" in
+  List.iter
+    (fun (id, (smoke : ?json:string -> unit -> unit)) ->
+      smoke ~json:(Filename.concat dirb ("BENCH_" ^ id ^ ".json")) ())
+    bench_smokes;
+  if run_in ~dir:dirb () <> 0 then failwith "report-smoke: bench snapshots do not report cleanly";
+  write_file (Filename.concat dirb "BENCH_collide.json")
+    {|{"rows": [{"key": "a", "v": 1}, {"key": "a", "v": 2}]}|};
+  if run_in ~dir:dirb () <> 1 then failwith "report-smoke: colliding metric names not refused";
   let dir1 = fresh_dir "obsv_report_smoke_j1" and dir4 = fresh_dir "obsv_report_smoke_j4" in
   let j1 = scenario_json ~jobs:1 and j4 = scenario_json ~jobs:4 in
   write_file (Filename.concat dir1 "BENCH_smoke.json") j1;

@@ -8,8 +8,8 @@
      exact diameter wall time (iFUB: a handful of BFS passes, not
      all-pairs), and edge-id lookup latency (binary search over sorted
      adjacency — the per-party O(n) lookup arrays are gone);
-   - raw transport rounds/sec of [Network.commit] under two traffic
-     shapes:
+   - raw transport rounds/sec of [Network.commit] (Exp_common's raw
+     transport timer, best of 3 runs) under two traffic shapes:
      {e few-active} (16 links speak; the regime the sparse API exists
      for — per-round cost must stay O(active), independent of 2m) and
      {e full-duplex} (every directed link speaks; the sparse worst case);
@@ -51,41 +51,41 @@ type row = {
   heap_kb : int;
 }
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* Rounds/sec of the raw transport timer, best of 3 runs on a fresh
+   network under a silent adversary. *)
+let raw_per_sec g ~rounds ~send =
+  Exp_common.per_sec ~rounds
+    (Exp_common.best_of ~reps:3 (fun () ->
+         Exp_common.raw_rounds (Network.create g Netsim.Adversary.Silent) ~rounds ~send))
 
 (* Few-active traffic: [active] fixed directed links speak each round. *)
 let bench_few g ~rounds ~active =
   let two_m = 2 * Topology.Graph.m g in
   let k = min active two_m in
   let dirs = Array.init k (fun i -> i * (two_m / k)) in
-  let send act r = Array.iter (fun d -> Network.Active.send act ~dir:d ((r + d) land 1 = 0)) dirs in
-  let net = Network.create g Netsim.Adversary.Silent in
-  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send
+  raw_per_sec g ~rounds ~send:(fun act r ->
+      Array.iter (fun d -> Network.Active.send act ~dir:d ((r + d) land 1 = 0)) dirs)
 
 let bench_full g ~rounds =
   let two_m = 2 * Topology.Graph.m g in
-  let send act r =
-    for d = 0 to two_m - 1 do
-      Network.Active.send act ~dir:d ((r + d) land 1 = 0)
-    done
-  in
-  let net = Network.create g Netsim.Adversary.Silent in
-  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send
+  raw_per_sec g ~rounds ~send:(fun act r ->
+      for d = 0 to two_m - 1 do
+        Network.Active.send act ~dir:d ((r + d) land 1 = 0)
+      done)
 
 let bench_edge_id g ~lookups =
   let edges = Topology.Graph.edges g in
   let ne = Array.length edges in
-  let t0 = Unix.gettimeofday () in
   let acc = ref 0 in
-  for i = 0 to lookups - 1 do
-    let u, v = edges.(i mod ne) in
-    acc := !acc + Topology.Graph.edge_id g u v
-  done;
+  let (), wall =
+    Exp_common.time (fun () ->
+        for i = 0 to lookups - 1 do
+          let u, v = edges.(i mod ne) in
+          acc := !acc + Topology.Graph.edge_id g u v
+        done)
+  in
   ignore !acc;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int lookups
+  wall *. 1e9 /. float_of_int lookups
 
 let bench_flag g =
   let n = Topology.Graph.n g in
@@ -96,16 +96,16 @@ let bench_flag g =
   let statuses = Array.make n true in
   let agg = Array.make n false and net_correct = Array.make n false in
   let (), wall =
-    time (fun () -> Coding.Flag_passing.run_exec ex sched ~statuses ~agg ~net_correct)
+    Exp_common.time (fun () -> Coding.Flag_passing.run_exec ex sched ~statuses ~agg ~net_correct)
   in
   Live.Exec.shutdown ex;
   wall
 
 let measure ~few_rounds_sparse ~ops_budget (family, build) =
-  let g, gen_wall_s = time build in
+  let g, gen_wall_s = Exp_common.time build in
   let n = Topology.Graph.n g and m = Topology.Graph.m g in
   let two_m = 2 * m in
-  let diameter, diameter_wall_s = time (fun () -> Topology.Graph.diameter g) in
+  let diameter, diameter_wall_s = Exp_common.time (fun () -> Topology.Graph.diameter g) in
   let edge_id_ns = bench_edge_id g ~lookups:200_000 in
   (* Full-duplex rounds scale down with 2m so every row costs about the
      same wall time; rounds/sec normalizes the counts away. *)
@@ -210,11 +210,7 @@ let run_with ~sizes ~few_rounds_sparse ~ops_budget ~json () =
   List.iter
     (fun (fam, mr, sr) -> Format.printf "  %-15s m grew %5.1fx | sparse cost %5.2fx@." fam mr sr)
     subs;
-  (match json with
-  | None -> ()
-  | Some path ->
-      Runner.Report.write_file ~path (json_of rows subs);
-      Format.printf "@.[wrote %s]@." path);
+  Exp_common.write_json json (json_of rows subs);
   (rows, subs)
 
 (* The published sweep: 1k, 4k and 8-10k parties per family (the 4096-
@@ -228,11 +224,11 @@ let run () =
 
 (* Tiny variant for `dune runtest` (scale-smoke alias): 64–256 parties,
    a few thousand rounds, no JSON; asserts the shape of the results. *)
-let smoke () =
+let smoke ?json () =
   let rows, subs =
     run_with
       ~sizes:[ (8, 6, 64); (16, 8, 256) ]
-      ~few_rounds_sparse:4_000 ~ops_budget:1_000_000 ~json:None ()
+      ~few_rounds_sparse:4_000 ~ops_budget:1_000_000 ~json ()
   in
   assert (List.length rows = 8);
   assert (List.length subs = 4);

@@ -19,97 +19,73 @@
       the pool produces.  Also extracts where the first fault bit — the
       trace must name the phase and iteration.
 
-   Writes BENCH_trace.json.  The smoke variant (trace_smoke.exe,
+   Writes BENCH_trace.json.  The smoke variant (`main.exe smoke trace`,
    `trace-smoke` alias inside `dune runtest`) runs one tiny traced
    execution end-to-end: sink → scheme under a crash → export →
-   re-parse, checking span nesting and counter totals. *)
+   re-parse (Obsv.Timeline.of_jsonl), checking span nesting and counter
+   totals. *)
+
+(* Every off/on comparison below is one interleaved best-of-3 pair
+   (Exp_common.best_pair); the enabled side records into a fresh sink on
+   each run, and the last one is returned for the event counts. *)
+let traced_pair ~off ~on =
+  let last = ref Trace.Sink.disabled in
+  let p =
+    Exp_common.best_pair ~reps:3 ~off ~on:(fun () ->
+        let s = Trace.Sink.create () in
+        last := s;
+        on s)
+  in
+  (p, !last)
 
 (* ---------- 1. raw probe overhead ---------- *)
 
-let bench_raw g ~rounds ~sink =
-  let adv = Netsim.Adversary.iid (Util.Rng.create 42) ~rate:0.01 in
-  let net = Netsim.Network.create g adv in
-  (match sink with None -> () | Some s -> Netsim.Network.set_trace net s);
-  Gc.full_major ();
-  float_of_int rounds /. Exp_common.raw_rounds net ~rounds ~send:(Exp_common.full_duplex g)
+let bench_raw g ~rounds =
+  let send = Exp_common.full_duplex g in
+  let net () = Netsim.Network.create g (Netsim.Adversary.iid (Util.Rng.create 42) ~rate:0.01) in
+  traced_pair
+    ~off:(fun () -> Exp_common.raw_rounds (net ()) ~rounds ~send)
+    ~on:(fun sink ->
+      let net = net () in
+      Netsim.Network.set_trace net sink;
+      Exp_common.raw_rounds net ~rounds ~send)
 
 (* ---------- 2. full-scheme overhead ---------- *)
 
-let bench_scheme g pi ~sink =
-  let params = Coding.Params.algorithm_1 g in
-  let adv = Netsim.Adversary.iid (Util.Rng.create 11) ~rate:0.0005 in
-  let config =
-    match sink with
-    | None -> Coding.Scheme.Config.make ()
-    | Some s -> Coding.Scheme.Config.make ~sink:s ()
-  in
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let r = Coding.Scheme.run ~config ~rng:(Util.Rng.create 7) params pi adv in
-  let wall = Unix.gettimeofday () -. t0 in
+let scheme_sample ?backend ?sink g pi =
+  let r, s = Exp_common.scheme_run ?backend ?sink g pi in
   assert r.Coding.Scheme.success;
-  wall
+  s
+
+let bench_scheme ?backend g pi =
+  traced_pair
+    ~off:(fun () -> scheme_sample ?backend g pi)
+    ~on:(fun sink -> scheme_sample ?backend ~sink g pi)
 
 (* ---------- 2b. sharded tracing: shards axis ---------- *)
 
-(* One Scheme.run on the live parallel engine at [shards], optionally
-   traced.  d = 0 so the traced run is the byte-identity subject. *)
-let run_live g pi ~shards ~sink =
-  let params = Coding.Params.algorithm_1 g in
-  let adv = Netsim.Adversary.iid (Util.Rng.create 11) ~rate:0.0005 in
-  let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:0 ()) in
-  let config =
-    match sink with
-    | None -> Coding.Scheme.Config.make ~backend ()
-    | Some s -> Coding.Scheme.Config.make ~backend ~sink:s ()
-  in
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  let r = Coding.Scheme.run ~config ~rng:(Util.Rng.create 7) params pi adv in
-  let wall = Unix.gettimeofday () -. t0 in
-  assert r.Coding.Scheme.success;
-  wall
-
-(* Wall clocks gate a hard threshold, so take the best of [reps] — the
-   minimum is the least scheduling-noise-contaminated estimate. *)
-let best_of reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    best := Float.min !best (f ())
-  done;
-  !best
-
 let lockstep_export g pi =
-  let params = Coding.Params.algorithm_1 g in
   let sink = Trace.Sink.create () in
-  ignore
-    (Coding.Scheme.run
-       ~config:(Coding.Scheme.Config.make ~sink ())
-       ~rng:(Util.Rng.create 7) params pi
-       (Netsim.Adversary.iid (Util.Rng.create 11) ~rate:0.0005));
+  ignore (Exp_common.scheme_run ~sink g pi);
   Trace.Export.jsonl ~timing:false sink
 
-(* The shards axis: untraced live floor vs traced live at each shard
-   count, plus the byte-identity check of every traced export against
-   the serial lockstep oracle.  Returns per-shard rows
-   (shards, wall_untraced, wall_traced, overhead_pct, identical). *)
-let sharded_axis ?(reps = 3) ~rounds () =
+(* The shards axis: untraced vs traced Scheme.run on the live parallel
+   engine at each shard count (d = 0, so the traced run is the
+   byte-identity subject), plus the check of every traced export
+   against the serial lockstep oracle.  Returns per-shard rows
+   (shards, pair, overhead_pct, identical). *)
+let sharded_axis ~rounds =
   let g = Topology.Graph.cycle 8 in
   let pi = Exp_common.workload ~rounds g in
   let oracle = lockstep_export g pi in
   List.map
     (fun shards ->
-      let wall_off = best_of reps (fun () -> run_live g pi ~shards ~sink:None) in
-      let sink = ref Trace.Sink.disabled in
-      let wall_on =
-        best_of reps (fun () ->
-            let s = Trace.Sink.create () in
-            sink := s;
-            run_live g pi ~shards ~sink:(Some s))
-      in
-      let export = Trace.Export.jsonl ~timing:false !sink in
-      let overhead = 100. *. ((wall_on /. wall_off) -. 1.) in
-      (shards, wall_off, wall_on, overhead, export = oracle))
+      let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:0 ()) in
+      let p, sink = bench_scheme ~backend g pi in
+      ( shards,
+        p,
+        Exp_common.overhead_pct p,
+        Trace.Export.jsonl ~timing:false sink = oracle ))
     [ 1; 2; 4 ]
 
 (* ---------- 3. traced determinism sweep ---------- *)
@@ -141,8 +117,8 @@ let traced_sweep ~jobs ~trials ~rounds =
   let params = Coding.Params.algorithm_1 g in
   let key = "trace:sweep" in
   let agg = Runner.Trace_agg.create () in
-  let t0 = Unix.gettimeofday () in
-  let rows =
+  let rows, wall =
+    Exp_common.time @@ fun () ->
     Runner.Pool.fold ~jobs ~trials ~init:[]
       ~merge:(fun acc t outcome ->
         match outcome with
@@ -159,22 +135,11 @@ let traced_sweep ~jobs ~trials ~rounds =
             acc)
       (traced_trial ~key ~params ~pi ~g)
   in
-  (List.rev rows, agg, Unix.gettimeofday () -. t0)
+  (List.rev rows, agg, wall)
 
 let metrics_json agg =
-  let open Util.Json in
-  obj
-    (List.map
-       (fun (name, s) ->
-         ( name,
-           obj
-             [
-               ("n", int s.Runner.Accum.n);
-               ("mean", num s.Runner.Accum.mean);
-               ("min", num s.Runner.Accum.min);
-               ("max", num s.Runner.Accum.max);
-             ] ))
-       (Runner.Trace_agg.metrics agg))
+  Util.Json.obj
+    (List.map (fun (name, s) -> (name, Exp_common.accum_json s)) (Runner.Trace_agg.metrics agg))
 
 (* ---------- per-phase resource profile ---------- *)
 
@@ -208,28 +173,28 @@ let profile_runs ~trials ~rounds =
 
 (* ---------- first-fault attribution ---------- *)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 let is_fault_event name =
-  starts_with ~prefix:"fault." name
+  String.starts_with ~prefix:"fault." name
   || name = "net.stalled" || name = "net.injected" || name = "scheme.abort"
 
-(* Walk a sink's events tracking the open iteration and phase spans; the
-   first fault-class count names where the degradation began. *)
-let first_fault events =
-  let it = ref (-1) and phase = ref "setup" in
-  let rec go = function
-    | [] -> None
-    | Trace.Sink.Span_begin { name; iter; _ } :: rest ->
-        if name = "scheme.iteration" then it := iter
-        else if starts_with ~prefix:"phase." name then phase := name;
-        go rest
-    | Trace.Sink.Count { name; arg; _ } :: rest ->
-        if is_fault_event name then Some (name, !it, !phase, arg) else go rest
-    | _ :: rest -> go rest
+(* The first fault-class count in emission order, placed by
+   Obsv.Timeline: (event, iteration or -1 outside every iteration,
+   innermost phase or "setup", party). *)
+let first_fault sink =
+  let open Obsv.Timeline in
+  let tl = of_sink sink in
+  let pick best iter { phase; ev } =
+    match best with
+    | Some (seq, _) when seq < ev.seq -> best
+    | _ when ev.kind = Count && is_fault_event ev.name ->
+        Some (ev.seq, (ev.name, iter, (if phase = "" then "setup" else phase), ev.arg))
+    | _ -> best
   in
-  go events
+  List.fold_left
+    (fun b it -> List.fold_left (fun b a -> pick b it.index a) b it.events)
+    (List.fold_left (fun b a -> pick b (-1) a) None tl.setup)
+    tl.iterations
+  |> Option.map snd
 
 (* A traced Degraded run, inline (not on the pool): the acceptance
    subject "the trace names the phase and iteration where the fault
@@ -247,31 +212,32 @@ let degraded_probe ~rounds =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 9) params pi
       (Netsim.Adversary.iid (Util.Rng.create 10) ~rate)
   in
-  (outcome, sink, first_fault (Trace.Sink.events sink))
+  (outcome, sink, first_fault sink)
 
 (* ---------- driver ---------- *)
 
 let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(sweep_rounds = 80)
-    ?(jobs_hi = 4) ?(sharded_gate = true) ?(gate_pct = 10.) ?(json = Some "BENCH_trace.json") () =
+    ?(jobs_hi = 4) ?(sharded_gate = true) ?(gate_pct = 10.)
+    ?(json = Some "BENCH_trace.json") () =
   Exp_common.heading "TRACE |  observability probes: overhead off/on + deterministic export";
   let g = Topology.Graph.clique 5 in
   Exp_common.subheading
     (Printf.sprintf "raw transport, probes disabled vs enabled sink, %d rounds (K5)" raw_rounds);
-  let rps_off = bench_raw g ~rounds:raw_rounds ~sink:None in
-  let enabled_sink = Trace.Sink.create () in
-  let rps_on = bench_raw g ~rounds:raw_rounds ~sink:(Some enabled_sink) in
-  let raw_overhead = 100. *. (1. -. (rps_on /. rps_off)) in
+  let raw, enabled_sink = bench_raw g ~rounds:raw_rounds in
+  let rps_off = Exp_common.per_sec ~rounds:raw_rounds raw.Exp_common.off in
+  let rps_on = Exp_common.per_sec ~rounds:raw_rounds raw.Exp_common.on in
+  let raw_overhead = Exp_common.overhead_pct raw in
   Format.printf "  %-22s %14.0f rounds/sec   (vs BENCH_transport.json raw full)@." "disabled"
     rps_off;
   Format.printf "  %-22s %14.0f rounds/sec   (%d events, %d dropped)@." "enabled" rps_on
     (Trace.Sink.seq enabled_sink) (Trace.Sink.dropped enabled_sink);
-  Format.printf "  enabled-probe overhead %.1f%%@." raw_overhead;
+  Format.printf "  enabled-probe overhead %+.1f%%@." raw_overhead;
   Exp_common.subheading "full Scheme.run, sink disabled vs enabled (K5, iid 0.05%)";
   let pi = Exp_common.workload ~rounds:scheme_rounds g in
-  let wall_off = bench_scheme g pi ~sink:None in
-  let scheme_sink = Trace.Sink.create () in
-  let wall_on = bench_scheme g pi ~sink:(Some scheme_sink) in
-  let scheme_overhead = 100. *. ((wall_on /. wall_off) -. 1.) in
+  let scheme, scheme_sink = bench_scheme g pi in
+  let wall_off = scheme.Exp_common.off.Exp_common.wall_s in
+  let wall_on = scheme.Exp_common.on.Exp_common.wall_s in
+  let scheme_overhead = Exp_common.overhead_pct scheme in
   Format.printf "  disabled %.3fs   enabled %.3fs (%d events)   overhead %+.1f%%@." wall_off
     wall_on (Trace.Sink.seq scheme_sink) scheme_overhead;
   Exp_common.subheading
@@ -279,26 +245,22 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
        "sharded tracing: live engine, shards axis (untraced floor vs merged trace, gate %.0f%% \
         at shards=2)"
        gate_pct);
-  let shard_rows = sharded_axis ~rounds:scheme_rounds () in
+  let shard_rows = sharded_axis ~rounds:scheme_rounds in
   List.iter
-    (fun (shards, off, on, ov, identical) ->
+    (fun (shards, p, ov, identical) ->
       Format.printf "  shards=%d  untraced %.3fs  traced %.3fs  overhead %+6.1f%%  %s@." shards
-        off on ov
+        p.Exp_common.off.Exp_common.wall_s p.Exp_common.on.Exp_common.wall_s ov
         (if identical then "export == lockstep oracle" else "EXPORT DIVERGED"))
     shard_rows;
   List.iter
-    (fun (shards, _, _, _, identical) ->
+    (fun (shards, _, ov, identical) ->
       if not identical then
         failwith
           (Printf.sprintf "trace: sharded export at shards=%d diverged from the lockstep oracle"
-             shards))
+             shards);
+      if sharded_gate && shards = 2 then
+        Exp_common.check_overhead ~what:"trace: sharded tracing at shards=2" ~bound:gate_pct ov)
     shard_rows;
-  (match List.find_opt (fun (s, _, _, _, _) -> s = 2) shard_rows with
-  | Some (_, _, _, ov, _) when sharded_gate && ov > gate_pct ->
-      failwith
-        (Printf.sprintf "trace: sharded tracing overhead %.1f%% at shards=2 exceeds the %.0f%% gate"
-           ov gate_pct)
-  | _ -> ());
   Exp_common.subheading
     (Printf.sprintf "traced sweep under a crash fault, jobs=1 vs jobs=%d, %d trials" jobs_hi
        trials);
@@ -337,126 +299,65 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
   | Some (name, iter, phase, party) ->
       Format.printf "  first fault: %s at iteration %d in %s (party %d)@." name iter phase party
   | None -> failwith "trace: degraded run's trace contains no fault event");
-  (match json with
-  | None -> ()
-  | Some path ->
-      let open Util.Json in
-      let ff_json =
-        match ff with
-        | None -> "null"
-        | Some (name, iter, phase, party) ->
-            obj
-              [
-                ("event", str name);
-                ("iteration", int iter);
-                ("phase", str phase);
-                ("party", int party);
-              ]
-      in
-      Runner.Report.write_file ~path
-        (obj
+  (let open Util.Json in
+   let ff_json =
+     match ff with
+     | None -> "null"
+     | Some (name, iter, phase, party) ->
+         obj
            [
-             ("bench", str "trace");
-             ("raw_rounds", int raw_rounds);
-             ("raw_disabled_rounds_per_sec", num rps_off);
-             ("raw_enabled_rounds_per_sec", num rps_on);
-             ("raw_enabled_overhead_pct", num raw_overhead);
-             ("scheme_wall_disabled_s", num wall_off);
-             ("scheme_wall_enabled_s", num wall_on);
-             ("scheme_enabled_overhead_pct", num scheme_overhead);
-             ("traced_trials", int trials);
-             ("jobs_compared", arr [ int 1; int jobs_hi ]);
-             ("deterministic", bool true);
-             ( "sharded",
-               arr
-                 (List.map
-                    (fun (shards, off, on, ov, identical) ->
-                      obj
-                        [
-                          ("shards", int shards);
-                          ("wall_untraced_s", num off);
-                          ("wall_traced_s", num on);
-                          ("overhead_pct", num ov);
-                          ("export_identical", bool identical);
-                        ])
-                    shard_rows) );
-             ("sharded_gate_pct", num gate_pct);
-             ("first_fault", ff_json);
-             ("trace_metrics", metrics_json agg1);
-             ("profile_metrics", metrics_json prof_agg);
-           ]);
-      Format.printf "@.[wrote %s]@." path);
+             ("event", str name);
+             ("iteration", int iter);
+             ("phase", str phase);
+             ("party", int party);
+           ]
+   in
+   Exp_common.write_json json
+     (obj
+        [
+          ("bench", str "trace");
+          ("raw_rounds", int raw_rounds);
+          ("raw_disabled_rounds_per_sec", num rps_off);
+          ("raw_enabled_rounds_per_sec", num rps_on);
+          ("raw_enabled_overhead_pct", num raw_overhead);
+          ("scheme_wall_disabled_s", num wall_off);
+          ("scheme_wall_enabled_s", num wall_on);
+          ("scheme_enabled_overhead_pct", num scheme_overhead);
+          ("traced_trials", int trials);
+          ("jobs_compared", arr [ int 1; int jobs_hi ]);
+          ("deterministic", bool true);
+          ( "sharded",
+            arr
+              (List.map
+                 (fun (shards, p, ov, identical) ->
+                   obj
+                     [
+                       ("shards", int shards);
+                       ("wall_untraced_s", num p.Exp_common.off.Exp_common.wall_s);
+                       ("wall_traced_s", num p.Exp_common.on.Exp_common.wall_s);
+                       ("overhead_pct", num ov);
+                       ("export_identical", bool identical);
+                     ])
+                 shard_rows) );
+          ("sharded_gate_pct", num gate_pct);
+          ("first_fault", ff_json);
+          ("trace_metrics", metrics_json agg1);
+          ("profile_metrics", metrics_json prof_agg);
+        ]));
   (rows1, agg1, ff)
 
 let run () = ignore (run_with ())
 
 (* ---------- smoke: end-to-end re-parse ---------- *)
 
-(* Minimal JSONL field extractor — enough for the export's flat one-line
-   objects (string values have no escapes in practice: event names). *)
-let find_sub s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i = if i + m > n then None else if String.sub s i m = pat then Some (i + m) else go (i + 1) in
-  go 0
-
-let field line key =
-  match find_sub line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some i ->
-      let n = String.length line in
-      if i < n && line.[i] = '"' then begin
-        let k = ref (i + 1) in
-        while !k < n && line.[!k] <> '"' do
-          incr k
-        done;
-        Some (String.sub line (i + 1) (!k - i - 1))
-      end
-      else begin
-        let k = ref i in
-        while !k < n && line.[!k] <> ',' && line.[!k] <> '}' do
-          incr k
-        done;
-        Some (String.sub line i (!k - i))
-      end
-
-let non_empty_lines s =
-  String.split_on_char '\n' s |> List.filter (fun l -> String.length l > 0)
-
-(* Span discipline: every span_end must match the innermost open span;
-   a fully finished run leaves nothing open. *)
-let check_nesting lines =
-  let stack = ref [] in
-  List.iter
-    (fun line ->
-      match (field line "kind", field line "name") with
-      | Some "span_begin", Some nm -> stack := nm :: !stack
-      | Some "span_end", Some nm -> (
-          match !stack with
-          | top :: rest when top = nm -> stack := rest
-          | _ -> failwith ("trace-smoke: span_end without matching begin: " ^ nm))
-      | _ -> ())
-    lines;
-  if !stack <> [] then failwith "trace-smoke: spans left open at end of trace"
-
-let counter_sums lines =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      match (field line "kind", field line "name", field line "value") with
-      | Some "count", Some nm, Some v ->
-          Hashtbl.replace tbl nm (int_of_string v + Option.value ~default:0 (Hashtbl.find_opt tbl nm))
-      | _ -> ())
-    lines;
-  tbl
-
-let smoke () =
+let smoke ?json () =
   (* The full pipeline at toy scale, JSON suppressed; includes the
      jobs=1 vs jobs=4 export comparison and the first-fault probe. *)
   (* The shards-axis byte-identity check still runs at toy scale; only
      the wall-clock gate is waived (noise-dominated at 40 rounds). *)
   let _, _, ff =
     run_with ~raw_rounds:400 ~scheme_rounds:40 ~trials:2 ~sweep_rounds:40 ~sharded_gate:false
-      ~json:None ()
+      ~json ()
   in
   (match ff with
   | Some ("fault.crash", iter, "phase.fault_prepass", 0) when iter >= 0 -> ()
@@ -468,12 +369,15 @@ let smoke () =
   (* One traced run re-parsed from its JSONL export. *)
   let _, sink, _ = degraded_probe ~rounds:40 in
   if Trace.Sink.dropped sink > 0 then failwith "trace-smoke: ring dropped events at toy scale";
-  let lines = non_empty_lines (Trace.Export.jsonl ~timing:false sink) in
-  check_nesting lines;
-  let sums = counter_sums lines in
+  (* Obsv.Timeline re-parses the export, recording span-nesting and
+     parse errors and recomputing the counter sums. *)
+  let tl = Obsv.Timeline.of_jsonl (Trace.Export.jsonl ~timing:false sink) in
+  (match tl.Obsv.Timeline.errors with
+  | [] -> ()
+  | e :: _ -> failwith ("trace-smoke: re-parsed export: " ^ e));
   List.iter
     (fun (name, total) ->
-      let reparsed = Option.value ~default:0 (Hashtbl.find_opt sums name) in
+      let reparsed = Option.value ~default:0 (List.assoc_opt name tl.Obsv.Timeline.counter_sums) in
       if reparsed <> total then
         failwith
           (Printf.sprintf "trace-smoke: counter %s re-parses to %d, sink says %d" name reparsed

@@ -38,49 +38,37 @@ type scheme_result = {
    (worst case for the sparse bookkeeping); [`Single] puts one bit on
    link 0 (the sparse fast path: per-round work independent of 2m). *)
 
-(* Each row reports the best of [repeats] runs: a single sample at
-   these sizes is dominated by scheduler and frequency jitter. *)
+(* Each row reports the best of [repeats] runs on a fresh network: a
+   single sample at these sizes is dominated by scheduler and frequency
+   jitter. *)
 let bench_raw ?(repeats = 5) name g ~traffic ~rounds =
   let send =
     match traffic with
     | `Full -> Exp_common.full_duplex g
     | `Single -> fun act r -> Netsim.Network.Active.send act ~dir:0 (r land 1 = 0)
   in
-  let best = ref infinity and words = ref 0. in
-  for _rep = 1 to repeats do
-    let net =
-      Netsim.Network.create g (Netsim.Adversary.iid (Util.Rng.create 42) ~rate:0.01)
-    in
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    let wall = Exp_common.raw_rounds net ~rounds ~send in
-    if wall < !best then best := wall;
-    words := Gc.minor_words () -. w0
-  done;
+  let best =
+    Exp_common.best_of ~reps:repeats (fun () ->
+        let net = Netsim.Network.create g (Netsim.Adversary.iid (Util.Rng.create 42) ~rate:0.01) in
+        Exp_common.raw_rounds net ~rounds ~send)
+  in
   {
     topology = name;
     traffic = (match traffic with `Full -> "full" | `Single -> "single");
     rounds;
-    wall_s = !best;
-    rounds_per_sec = float_of_int rounds /. !best;
-    minor_words_per_round = !words /. float_of_int rounds;
+    wall_s = best.Exp_common.wall_s;
+    rounds_per_sec = Exp_common.per_sec ~rounds best;
+    minor_words_per_round = best.Exp_common.minor_words /. float_of_int rounds;
   }
 
 let bench_scheme name g pi =
-  let params = Coding.Params.algorithm_1 g in
-  let adv = Netsim.Adversary.iid (Util.Rng.create 11) ~rate:0.0005 in
-  Gc.full_major ();
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let r = Coding.Scheme.run ~rng:(Util.Rng.create 7) params pi adv in
-  let wall = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
+  let r, s = Exp_common.scheme_run g pi in
   {
     s_topology = name;
     s_rounds = r.Coding.Scheme.rounds;
-    s_wall_s = wall;
-    s_rounds_per_sec = float_of_int r.Coding.Scheme.rounds /. wall;
-    s_minor_words = words;
+    s_wall_s = s.Exp_common.wall_s;
+    s_rounds_per_sec = Exp_common.per_sec ~rounds:r.Coding.Scheme.rounds s;
+    s_minor_words = s.Exp_common.minor_words;
     s_success = r.Coding.Scheme.success;
   }
 
@@ -89,8 +77,8 @@ let json_of ~rounds raw scheme =
   let raw_row r =
     J.obj
       [
+        ("key", J.str (r.topology ^ ":" ^ r.traffic));
         ("topology", J.str r.topology);
-        ("transport", J.str "sparse");
         ("traffic", J.str r.traffic);
         ("rounds", J.int r.rounds);
         ("wall_s", J.num r.wall_s);
@@ -148,19 +136,15 @@ let run_with ?(rounds = 200_000) ?(json = Some "BENCH_transport.json") () =
         s)
       topologies
   in
-  (match json with
-  | None -> ()
-  | Some path ->
-      Runner.Report.write_file ~path (json_of ~rounds raw scheme);
-      Format.printf "@.[wrote %s]@." path);
+  Exp_common.write_json json (json_of ~rounds raw scheme);
   (raw, scheme)
 
 let run () = ignore (run_with ())
 
 (* A fast variant for `dune runtest` via the bench-smoke alias: a few
    hundred transport rounds plus one scheme run per topology. *)
-let smoke () =
-  let raw, scheme = run_with ~rounds:400 ~json:None () in
+let smoke ?json () =
+  let raw, scheme = run_with ~rounds:400 ~json () in
   assert (List.length raw = 4);
   assert (List.for_all (fun s -> s.s_success) scheme);
   Format.printf "@.[bench-smoke ok]@."

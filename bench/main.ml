@@ -7,6 +7,7 @@
      dune exec bench/main.exe t1 e5 e7   # run a subset
      dune exec bench/main.exe -- -j 4 e2 # 4 worker domains for the trials
      dune exec bench/main.exe -- --list  # list experiment ids
+     dune exec bench/main.exe smoke trace  # one smoke test (see [smokes])
 
    Trials run on lib/runner's domain pool; the job count comes from
    -j N (or -jN), else the MIC_JOBS environment variable, else the
@@ -40,6 +41,24 @@ let experiments =
     ("metrics", "online telemetry: probe overhead + snapshot determinism (BENCH_metrics.json)", Exp_metrics.run);
   ]
 
+(* The toy-scale smoke tests that `dune runtest` runs, one alias each
+   (bench/dune): `main.exe smoke <id>`.  Each asserts its bench's
+   invariants and writes its BENCH_<id>.json only when given [json]. *)
+let bench_smokes : (string * (?json:string -> unit -> unit)) list =
+  [
+    ("transport", Exp_transport.smoke);
+    ("runner", Exp_runner.smoke);
+    ("faults", Exp_faults.smoke);
+    ("trace", Exp_trace.smoke);
+    ("scale", Exp_scale.smoke);
+    ("live", Exp_live.smoke);
+    ("adv", Exp_adv.smoke);
+    ("metrics", Exp_metrics.smoke);
+  ]
+
+(* The report smoke flattens what every bench smoke writes. *)
+let smokes = bench_smokes @ [ ("report", fun ?json:_ () -> Exp_report.smoke bench_smokes) ]
+
 (* Pull -j N / -jN / --jobs N out of the argument list; the rest are
    experiment ids. *)
 let parse_jobs args =
@@ -62,7 +81,21 @@ let () =
      BENCH_*.json files the experiments above left behind, appends to
      BENCH_history.jsonl, writes OBSERVATORY.md and exits non-zero on
      regression. *)
-  (match args with "report" :: rest -> exit (Exp_report.run_cli rest) | _ -> ());
+  (match args with
+  | "report" :: rest -> exit (Exp_report.run_cli rest)
+  | [ "smoke"; id ] -> (
+      match List.assoc_opt id smokes with
+      | Some smoke ->
+          smoke ();
+          exit (Exp_common.exit_code ())
+      | None ->
+          Format.eprintf "unknown smoke %S (one of: %s)@." id
+            (String.concat ", " (List.map fst smokes));
+          exit 2)
+  | "smoke" :: _ ->
+      Format.eprintf "smoke takes one id@.";
+      exit 2
+  | _ -> ());
   let jobs_arg, args = parse_jobs args in
   (match jobs_arg with
   | Some n when n >= 1 -> Exp_common.jobs := min n 64
@@ -73,7 +106,9 @@ let () =
   if List.mem "--list" args then begin
     List.iter (fun (id, descr, _) -> Format.printf "%-6s %s@." id descr) experiments;
     Format.printf "%-6s %s@." "report"
-      "regression observatory: diff BENCH_*.json vs history, write OBSERVATORY.md"
+      "regression observatory: diff BENCH_*.json vs history, write OBSERVATORY.md";
+    Format.printf "%-6s %s@." "smoke"
+      ("toy-scale smoke test: smoke <id>, id one of " ^ String.concat ", " (List.map fst smokes))
   end
   else begin
     let selected =
@@ -88,10 +123,11 @@ let () =
                 exit 2)
           args
     in
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun (id, _, run) -> Exp_common.timed id run) selected;
-    Format.printf "@.[%d experiment(s) in %.1f s, jobs=%d]@." (List.length selected)
-      (Unix.gettimeofday () -. t0)
+    let (), wall =
+      Exp_common.time (fun () ->
+          List.iter (fun (id, _, run) -> Exp_common.timed id run) selected)
+    in
+    Format.printf "@.[%d experiment(s) in %.1f s, jobs=%d]@." (List.length selected) wall
       !Exp_common.jobs;
     (* Captured trial errors are never fatal to a sweep, but they must
        not produce a clean exit status either (cells marked E:n). *)

@@ -1088,22 +1088,15 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           if down then
             diag.Faults.Outcome.crashed_iterations <- diag.Faults.Outcome.crashed_iterations + 1;
           if (not down) && Faults.Plan.transcript_rot plan ~party:id ~iteration:it then begin
-            let li =
-              Faults.Plan.choice plan ~salt:2 ~coord:((it * 4096) + id)
-                ~bound:(Array.length p.links)
-            in
+            let coord = Util.Rng.coord ~width:4096 it id in
+            let li = Faults.Plan.choice plan ~salt:2 ~coord ~bound:(Array.length p.links) in
             let l = p.links.(li) in
             let len = Transcript.length l.tr in
             if len > 0 then begin
-              let chunk =
-                1 + Faults.Plan.choice plan ~salt:3 ~coord:((it * 4096) + id) ~bound:len
-              in
+              let chunk = 1 + Faults.Plan.choice plan ~salt:3 ~coord ~bound:len in
               let row = Transcript.events l.tr chunk in
               if Array.length row > 0 then begin
-                let event =
-                  Faults.Plan.choice plan ~salt:4 ~coord:((it * 4096) + id)
-                    ~bound:(Array.length row)
-                in
+                let event = Faults.Plan.choice plan ~salt:4 ~coord ~bound:(Array.length row) in
                 Transcript.corrupt l.tr ~chunk ~event;
                 Trace.Sink.count sink ~id:c_fault_tr_rot ~iter:it ~arg:id 1;
                 diag.Faults.Outcome.transcript_rot <- diag.Faults.Outcome.transcript_rot + 1

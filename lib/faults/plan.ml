@@ -78,7 +78,7 @@ let network_hooks t =
         (fun acc (factor, r0, len, rate) ->
           if acc <> 0 || round < r0 || round >= r0 + len then acc
           else begin
-            let w = word t ~salt:1 ~coord:((round * 65536) + dir) in
+            let w = word t ~salt:1 ~coord:(Util.Rng.coord ~width:65536 round dir) in
             if uniform01 w < Float.min 1. (factor *. rate) then
               1 + Int64.to_int (Int64.logand w 1L)
             else 0

@@ -30,7 +30,7 @@ let iid rng ~rate =
   Oblivious
     (fun ~round ~dir ->
       (* A pure function of the slot: derive a per-slot word from the key. *)
-      let w = Util.Rng.at ~seed:key ((round * 65536) + dir) in
+      let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
       let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
       if u < rate then 1 + (Int64.to_int (Int64.logand w 1L)) else 0)
 
@@ -38,7 +38,7 @@ let iid_fixing rng ~rate =
   let key = Util.Rng.int64 rng in
   Oblivious_fixing
     (fun ~round ~dir ->
-      let w = Util.Rng.at ~seed:key ((round * 65536) + dir) in
+      let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
       let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
       if u < rate then Some (Int64.to_int (Int64.rem (Int64.shift_right_logical w 2) 3L)) else None)
 
@@ -65,7 +65,8 @@ let burst rng ~start_round ~len ~dirs =
   Oblivious
     (fun ~round ~dir ->
       if round >= start_round && round < start_round + len && Hashtbl.mem dirs_set dir then
-        1 + Int64.to_int (Int64.logand (Util.Rng.at ~seed:key ((round * 65536) + dir)) 1L)
+        let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
+        1 + Int64.to_int (Int64.logand w 1L)
       else 0)
 
 let single ~round ~dir ~addend = of_slots [ (round, dir, addend) ]

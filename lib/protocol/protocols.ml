@@ -318,7 +318,7 @@ let random_chatter graph ~rounds ~density ~seed =
   let edges = Topology.Graph.edges graph in
   let key = Util.Rng.mix (Int64.of_int (seed + 0x5afe)) in
   let speaks r dir_index =
-    let w = Util.Rng.at ~seed:key ((r * 65536) + dir_index) in
+    let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 r dir_index) in
     Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) < density
   in
   let sends_at r =

@@ -43,3 +43,15 @@ let float t =
   x *. (1. /. 9007199254740992.)
 
 let at ~seed i = mix (Int64.add seed (Int64.mul (Int64.of_int (i + 1)) gamma))
+
+(* In-width cells keep the row-major index the keyed streams were built
+   on, so every pinned output that draws from them stays the same.  Past
+   [width], Cantor-pair (row, col - width) into the bottom of the int
+   range: far below every in-width index, even after a small salt
+   offset, and without overflow for rows and columns below 2^30. *)
+let coord ~width row col =
+  if col < width then (row * width) + col
+  else
+    let c = col - width in
+    let s = row + c in
+    min_int + (s * (s + 1) / 2) + c

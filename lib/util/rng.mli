@@ -42,5 +42,14 @@ val at : seed:int64 -> int -> int64
     same arguments always agree, which makes it suitable as a lazily
     materialised common random string. *)
 
+val coord : width:int -> int -> int -> int
+(** [coord ~width row col] is the {!at} index of cell [(row, col)] of a
+    keyed grid [width] columns wide, such as (round, directed link) or
+    (iteration, party).  For [col < width] it is the row-major index
+    [row * width + col].  From [col >= width] on it is an
+    index in a region that no in-width cell reaches (near [min_int]),
+    injective in [(row, col)], so cell [(r, width + c)] does not draw
+    the word of [(r + 1, c)].  Requires [row >= 0] and [col >= 0]. *)
+
 val mix : int64 -> int64
 (** The SplitMix64 finalizer, exposed for key derivation. *)

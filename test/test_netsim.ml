@@ -136,6 +136,20 @@ let test_iid_oblivious_pure () =
   in
   Alcotest.(check bool) "replay identical" true (run () = run ())
 
+(* Past 65,536 directed links, slot (r, 65_536 + d) must not draw the
+   word of (r + 1, d). *)
+let test_iid_wide_slots_distinct () =
+  match Adversary.iid (Util.Rng.create 8) ~rate:0.5 with
+  | Adversary.Oblivious f ->
+      let differ = ref 0 in
+      for r = 0 to 9_999 do
+        if f ~round:r ~dir:65_543 <> f ~round:(r + 1) ~dir:7 then incr differ
+      done;
+      (* Independent slots at rate 0.5 disagree on 5/8 of the draws. *)
+      Alcotest.(check bool) (Printf.sprintf "slots independent (%d/10000 differ)" !differ) true
+        (!differ > 5_000)
+  | _ -> Alcotest.fail "iid is oblivious"
+
 let test_sampled_slots_count () =
   let rng = Util.Rng.create 7 in
   let adv = Adversary.sampled_slots rng ~count:25 ~rounds:100 ~dirs:8 in
@@ -781,6 +795,7 @@ let () =
         [
           Alcotest.test_case "iid rate" `Quick test_iid_rate;
           Alcotest.test_case "iid pure/oblivious" `Quick test_iid_oblivious_pure;
+          Alcotest.test_case "iid wide slots distinct" `Quick test_iid_wide_slots_distinct;
           Alcotest.test_case "sampled slots count" `Quick test_sampled_slots_count;
           Alcotest.test_case "burst" `Quick test_burst;
           Alcotest.test_case "fixing semantics" `Quick test_fixing_semantics;

@@ -28,6 +28,21 @@ let test_rng_stateless_at () =
   Alcotest.(check bool) "at varies with index" true (Rng.at ~seed:99L 5 <> Rng.at ~seed:99L 6);
   Alcotest.(check bool) "at varies with seed" true (Rng.at ~seed:99L 5 <> Rng.at ~seed:98L 5)
 
+(* Below the width a grid cell keeps its historical index; past it, every
+   cell gets an index of its own that no in-width cell uses. *)
+let test_rng_coord () =
+  let width = 64 in
+  let seen = Hashtbl.create 4096 in
+  for row = 0 to 40 do
+    for col = 0 to (3 * width) - 1 do
+      let i = Rng.coord ~width row col in
+      if col < width then Alcotest.(check int) "in-width index" ((row * width) + col) i
+      else Alcotest.(check bool) "out-of-width index below every in-width one" true (i < 0);
+      Alcotest.(check bool) "injective" false (Hashtbl.mem seen i);
+      Hashtbl.add seen i ()
+    done
+  done
+
 let test_rng_int_range () =
   let r = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -423,6 +438,7 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "stateless at" `Quick test_rng_stateless_at;
+          Alcotest.test_case "grid coordinates" `Quick test_rng_coord;
           Alcotest.test_case "int in range" `Quick test_rng_int_range;
           Alcotest.test_case "float in range" `Quick test_rng_float_range;
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
