@@ -310,6 +310,10 @@ let test_aborted_run_names_its_phase () =
   (match List.find_opt (fun (n, _, _) -> n = "scheme.outcome.aborted") snap with
   | Some (_, _, Reg.Counter 1) -> ()
   | _ -> Alcotest.fail "aborted outcome not tallied");
+  (* Every count booked up to the abort, pinned: the aborted run's
+     Exact metrics are as deterministic as a completed run's. *)
+  Alcotest.(check string) "aborted exact metrics digest" "efab83dbee5283f9e9cc38a238519eb6"
+    (Digest.to_hex (Digest.string (Expo.exact_json snap)));
   (* A wall budget of 0 trips the watchdog at its first check, right
      after iteration 0 opens. *)
   match scheme_exact ~max_wall_s:0. () with
