@@ -278,8 +278,10 @@ let full_duplex g =
 (* The live engine's overhead floor, shared by the live and metrics
    benches: every party sends one bit toward its first neighbour each
    round and each shard drains its parity share of the deliveries —
-   maximal barrier pressure, minimal work.  [metrics] arms the network
-   and engine probes.  Engine start-up and shutdown stay off the clock;
+   maximal barrier pressure, minimal work.  [metrics] arms the network's
+   per-round probes (net.active_links, net.noise_rate) and the engine's
+   (round latency, drift, lag, barrier spins); live.rounds is booked at
+   shutdown.  Engine start-up and shutdown stay off the clock;
    returns the round loop's sample and the engine's jitter drops. *)
 let engine_floor ?(metrics = Metrics.Registry.disabled) g ~shards ~serial ~rounds =
   let n = Topology.Graph.n g in

@@ -6,7 +6,7 @@
      (Exp_common.engine_floor) with metrics disabled vs enabled,
      interleaved best-of pairs (Exp_common.best_pair) so machine drift
      hits both sides equally.  The acceptance bar is <= 5% wall-time
-     cost with every live.* / net.* probe armed — the always-on
+     cost with every per-round live.* / net.* probe armed — the always-on
      telemetry must not undo the transport speedups (rows are Timed;
      the observatory compares them under tolerance, the check here is
      the hard gate);
@@ -29,8 +29,11 @@ type overhead_row = {
 }
 
 (* The engine floor (Exp_common) with metrics disabled vs an armed
-   registry (live.rounds, live.round_ns, drift/lag histograms, net.*
-   counters and gauges), timed as interleaved best-of-[reps] pairs. *)
+   registry, timed as interleaved best-of-[reps] pairs.  Armed on the
+   clock: live.round_ns, the drift/lag histograms, the barrier's spin
+   metrics, net.active_links and the net.noise_rate gauge.  live.rounds
+   is booked at shutdown, off the clock; the net.* counts are booked by
+   Scheme, which the floor does not run. *)
 let overhead_row ~key g ~shards ~serial ~rounds ~reps =
   let floor metrics () = fst (Exp_common.engine_floor ~metrics g ~shards ~serial ~rounds) in
   let p =

@@ -1,44 +1,5 @@
 type point = { rate : float; successes : int; trials : int; mean_fraction : float }
 
-let run_one ~rng_seed ~rate params pi t =
-  let adversary =
-    if rate <= 0. then Netsim.Adversary.Silent
-    else Netsim.Adversary.iid (Util.Rng.create (rng_seed + (17 * t) + 1)) ~rate
-  in
-  Scheme.run ~rng:(Util.Rng.create (rng_seed + t)) params pi adversary
-
-let sweep ?(trials = 8) ~rng_seed ~rates params pi =
-  List.map
-    (fun rate ->
-      let successes = ref 0 and fractions = ref 0. in
-      for t = 0 to trials - 1 do
-        let r = run_one ~rng_seed ~rate params pi t in
-        if r.Scheme.success then incr successes;
-        fractions := !fractions +. r.Scheme.noise_fraction
-      done;
-      { rate; successes = !successes; trials; mean_fraction = !fractions /. float_of_int trials })
-    rates
-
-let threshold ?(trials = 5) ?(steps = 7) ?(hi = 0.05) ~rng_seed params pi =
-  let all_pass rate =
-    let ok = ref true in
-    for t = 0 to trials - 1 do
-      if !ok && not (run_one ~rng_seed ~rate params pi t).Scheme.success then ok := false
-    done;
-    !ok
-  in
-  if not (all_pass 0.) then 0.
-  else begin
-    let lo = ref 0. and hi = ref hi in
-    for _ = 1 to steps do
-      let mid = (!lo +. !hi) /. 2. in
-      if all_pass mid then lo := mid else hi := mid
-    done;
-    !lo
-  end
-
-(* ---------- robust bisection ---------- *)
-
 type verdict = {
   threshold : float;
   scheme_runs : int;
@@ -48,7 +9,7 @@ type verdict = {
 }
 
 (* Attempt [attempt] of cell (rate, t): the streams are re-keyed by the
-   attempt (salt 0 reproduces [run_one] exactly), so a retry is a fresh
+   attempt (attempt 0 is the cell's own sample), so a retry is a fresh
    deterministic sample, not a replay of the flaky one. *)
 let run_one_r ~rng_seed ~rate ~attempt ~wall params pi t =
   let salt = attempt * 7919 in
@@ -58,6 +19,25 @@ let run_one_r ~rng_seed ~rate ~attempt ~wall params pi t =
   in
   let config = Scheme.Config.make ?max_wall_s:wall () in
   Scheme.run_outcome ~config ~rng:(Util.Rng.create (rng_seed + t + salt)) params pi adversary
+
+let sweep ?(trials = 8) ~rng_seed ~rates params pi =
+  List.map
+    (fun rate ->
+      let successes = ref 0 and fractions = ref 0. in
+      for t = 0 to trials - 1 do
+        let r =
+          match run_one_r ~rng_seed ~rate ~attempt:0 ~wall:None params pi t with
+          | Faults.Outcome.Completed r | Faults.Outcome.Degraded (r, _) -> r
+          | Faults.Outcome.Aborted (reason, _) ->
+              failwith ("Calibrate.sweep: " ^ Faults.Outcome.abort_to_string reason)
+        in
+        if r.Scheme.success then incr successes;
+        fractions := !fractions +. r.Scheme.noise_fraction
+      done;
+      { rate; successes = !successes; trials; mean_fraction = !fractions /. float_of_int trials })
+    rates
+
+(* ---------- bisection ---------- *)
 
 let threshold_r ?(trials = 5) ?(steps = 7) ?(hi = 0.05) ?(retries = 2) ?wall_s
     ?(max_runs = max_int) ~rng_seed params pi =
@@ -112,3 +92,10 @@ let threshold_r ?(trials = 5) ?(steps = 7) ?(hi = 0.05) ?(retries = 2) ?wall_s
     end
   in
   { threshold; scheme_runs = !runs; retried = !retried; aborted = !aborted; exhausted = !exhausted }
+
+(* The plain bisection is the robust one with no retries and no caps: with
+   no watchdog a run aborts only on an internal error, which raises. *)
+let threshold ?trials ?steps ?hi ~rng_seed params pi =
+  let v = threshold_r ?trials ?steps ?hi ~retries:0 ~rng_seed params pi in
+  if v.aborted > 0 then failwith "Calibrate.threshold: a scheme run aborted";
+  v.threshold

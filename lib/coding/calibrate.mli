@@ -34,7 +34,10 @@ val threshold :
   float
 (** The largest iid slot rate at which all [trials] (default 5) runs
     succeed, located by [steps] (default 7) bisection steps below [hi]
-    (default 0.05).  Returns 0 if even the noiseless run fails. *)
+    (default 0.05).  Returns 0 if even the noiseless run fails.  This
+    is {!threshold_r} with [~retries:0] and no watchdog or cap, reduced
+    to its threshold; raises [Failure] if a run aborted (with no
+    watchdog, only an internal error aborts a run). *)
 
 type verdict = {
   threshold : float;  (** the located rate — see {!threshold} *)
@@ -64,4 +67,5 @@ val threshold_r :
     as a failure.  [max_runs] caps the total number of scheme executions;
     on exhaustion the bisection stops cleanly and the verdict says so.
     With nothing flaky and no caps binding, [threshold] and
-    [threshold_r] agree exactly (attempt 0 reuses the same streams). *)
+    [threshold_r] agree exactly: both run the same bisection, and a
+    cell's attempt 0 uses the same streams. *)

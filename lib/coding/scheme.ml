@@ -69,20 +69,6 @@ module Config = struct
     trace_sample_every : int;
   }
 
-  let default =
-    {
-      trace = false;
-      sink = Trace.Sink.disabled;
-      metrics = Metrics.Registry.disabled;
-      inputs = None;
-      spy_hook = None;
-      faults = Faults.Plan.empty;
-      max_wall_s = None;
-      max_iterations = None;
-      backend = Lockstep;
-      trace_sample_every = 1;
-    }
-
   let make ?(trace = false) ?(sink = Trace.Sink.disabled)
       ?(metrics = Metrics.Registry.disabled) ?inputs ?spy_hook ?(faults = Faults.Plan.empty)
       ?max_wall_s ?max_iterations ?(backend = Lockstep) ?(trace_sample_every = 1) () =
@@ -99,6 +85,8 @@ module Config = struct
       backend;
       trace_sample_every;
     }
+
+  let default = make ()
 end
 
 (* The scheme's trace events, declared once for the process.  With the
@@ -137,33 +125,60 @@ let g_bstar = Trace.Sink.declare "progress.b_star"
    on the serial engine every entry aliases [sink], under sharded
    capture it is that worker domain's private ring.
 
-   The metrics handles, unlike the trace sink, are domain-safe (atomic
-   cells), so the shard-callback sites below may fire on worker domains
-   in parallel live mode.  Count metrics are Exact: at d = 0 the
-   recorded event multiset is the lockstep one for every shard count,
-   and atomic adds commute. *)
+   The rest are the run's own tallies, the books its Exact metrics are
+   read from when the run ends ([book_counts]).  [truncs.(w)] and
+   [rewinds.(w)] count shard [w]'s MP truncations and rewound chunks so
+   far, written only by that shard's callbacks and read by the leader
+   behind a join; [phi_stalls] and [phi] (the last Φ evaluated, nan
+   before the first) are leader-side.  Per-shard sums are the lockstep
+   counts for every shard count at d = 0. *)
 type probes = {
   sink : Trace.Sink.t;
   rings : Trace.Sink.t array;
-  m_on : bool;
-  m_iter_c : Metrics.Registry.counter;
-  m_trunc_c : Metrics.Registry.counter;
-  m_rewind_c : Metrics.Registry.counter;
-  m_phi_stall_c : Metrics.Registry.counter;
-  m_phi_g : Metrics.Registry.gauge;
+  truncs : int array;
+  rewinds : int array;
+  mutable phi_stalls : int;
+  mutable phi : float;
 }
 
-let make_probes ~metrics ~rings sink =
+let make_probes ~rings sink =
+  let shards = Array.length rings in
   {
     sink;
     rings;
-    m_on = Metrics.Registry.is_enabled metrics;
-    m_iter_c = Metrics.Registry.counter metrics "scheme.iterations";
-    m_trunc_c = Metrics.Registry.counter metrics "scheme.mp_truncations";
-    m_rewind_c = Metrics.Registry.counter metrics "scheme.rewinds";
-    m_phi_stall_c = Metrics.Registry.counter metrics "scheme.phi_stalls";
-    m_phi_g = Metrics.Registry.gauge metrics ~klass:Metrics.Registry.Exact "scheme.phi";
+    truncs = Array.make shards 0;
+    rewinds = Array.make shards 0;
+    phi_stalls = 0;
+    phi = Float.nan;
   }
+
+(* The run's Exact count metrics.  Registered when the network is wired
+   (so every run that got that far snapshots the same names), booked
+   once by the returned closure when the run ends — completed or
+   aborted — from [Network.stats] and the tallies above; no per-event
+   probe copies a count the run already keeps.  The same read folds
+   the network's fault books into the diagnosis. *)
+let book_counts metrics net pr ~diag ~iterations_run =
+  let open Metrics.Registry in
+  let c = counter metrics in
+  let net_cc = c "net.cc" and net_corrupt = c "net.corruptions" in
+  let net_stalled = c "net.stalled" and net_injected = c "net.injected" in
+  let iters = c "scheme.iterations" and truncs = c "scheme.mp_truncations" in
+  let rewinds = c "scheme.rewinds" and phi_stalls = c "scheme.phi_stalls" in
+  let phi = gauge metrics ~klass:Exact "scheme.phi" in
+  fun () ->
+    let s = Network.stats net and sum = Array.fold_left ( + ) 0 in
+    diag.Faults.Outcome.stalled_slots <- s.Network.stalled;
+    diag.Faults.Outcome.injected <- s.Network.injected;
+    add net_cc s.Network.cc;
+    add net_corrupt s.Network.corruptions;
+    add net_stalled s.Network.stalled;
+    add net_injected s.Network.injected;
+    add iters !iterations_run;
+    add truncs (sum pr.truncs);
+    add rewinds (sum pr.rewinds);
+    add phi_stalls pr.phi_stalls;
+    if not (Float.is_nan pr.phi) then set phi pr.phi
 
 (* Per-link hash memo for one meeting-points step.  Within an iteration
    [prepare] and [process] hash the same few arguments — at most two
@@ -358,7 +373,7 @@ let collision_probe graph parties ring l p ~iter =
       on_collision = (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter ~arg:pos 1);
     }
 
-let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
+let meeting_points_phase ex net parties fc pr ~iter ~tau =
   let graph = Network.graph net in
   let mp_rounds = Meeting_points.message_bits ~tau in
   (* Seed-rot accounting runs leader-side (the rot decision is a pure
@@ -419,66 +434,51 @@ let meeting_points_phase ex net _tp parties fc pr ~iter ~tau =
               done))
       ()
   done;
+  (* Decide, then apply.  The decide slice only computes each link's
+     verdict (parked in [mp_cut]); nobody truncates there.  When traced,
+     the collision probe's ground truth reads the peer's transcript,
+     which may live on another shard.  No barrier is needed before the
+     decide slice — every transcript write it can read was either
+     quiesced by the previous iteration's join (worker-side sim/rewind
+     writes) or published by the job-append release store (leader-side
+     prepass rot), and the MP rounds in flight never touch transcripts —
+     but one barrier must separate it from the applies (a lagging decide
+     may still be reading the peer copy).  Untraced, a decide reads only
+     its own shard's links, which that shard's apply follows in job
+     order, so no join is spent.  Both engines run this same job stream,
+     which is what keeps merged parallel traces byte-identical to the
+     serial oracle. *)
   let observing = Trace.Sink.is_enabled pr.sink in
-  if observing then begin
-    (* Decide/apply split: the collision probe's ground truth reads the
-       peer's transcript, which may live on another shard.  No barrier
-       is needed before the decide slice — every transcript write it
-       can read was either quiesced by the previous iteration's join
-       (worker-side sim/rewind writes) or published by the job-append
-       release store (leader-side prepass rot), and the MP rounds in
-       flight never touch transcripts.  The decide slice only computes
-       each link's verdict (parked in [mp_cut]) — nobody truncates, so
-       the cross-shard reads race nothing; one barrier, then
-       truncations apply shard-locally (a lagging decide may still be
-       reading the peer copy, so applies must not start before every
-       decide is done).  Both engines run this same traced job stream,
-       which is what keeps merged parallel traces byte-identical to the
-       serial oracle. *)
-    Live.Exec.slice ex (fun w ->
-        iter_shard ex parties w (fun p ->
-            if fc.alive.(p.id) then
-              Array.iter
-                (fun l ->
-                  let msg = Meeting_points.decode_packed l.in_msg in
-                  let probe = collision_probe graph parties pr.rings.(w) l p ~iter in
-                  l.mp_cut <-
-                    (match
-                       Meeting_points.process l.mp l.hasher ~probe
-                         ~len:l.mp_len msg
-                     with
-                    | `Keep -> -1
-                    | `Truncate_to x -> x))
-                p.links));
-    Live.Exec.join ex;
-    Live.Exec.slice ex (fun w ->
-        iter_shard ex parties w (fun p ->
-            if fc.alive.(p.id) then
-              Array.iter
-                (fun l ->
-                  if l.mp_cut >= 0 then begin
-                    Trace.Sink.count pr.rings.(w) ~id:c_mp_trunc ~iter ~arg:p.id 1;
-                    Metrics.Registry.incr pr.m_trunc_c;
-                    Transcript.truncate l.tr l.mp_cut;
-                    l.mp_cut <- -1
-                  end)
-                p.links))
-  end
-  else
-    Live.Exec.slice ex (fun w ->
-        iter_shard ex parties w (fun p ->
-            if fc.alive.(p.id) then
-              Array.iter
-                (fun l ->
-                  let msg = Meeting_points.decode_packed l.in_msg in
-                  match
-                    Meeting_points.process l.mp l.hasher ~len:l.mp_len msg
-                  with
-                  | `Keep -> ()
-                  | `Truncate_to x ->
-                      Metrics.Registry.incr pr.m_trunc_c;
-                      Transcript.truncate l.tr x)
-                p.links))
+  Live.Exec.slice ex (fun w ->
+      iter_shard ex parties w (fun p ->
+          if fc.alive.(p.id) then
+            Array.iter
+              (fun l ->
+                let probe =
+                  if observing then Some (collision_probe graph parties pr.rings.(w) l p ~iter)
+                  else None
+                in
+                l.mp_cut <-
+                  (match
+                     Meeting_points.process l.mp l.hasher ?probe ~len:l.mp_len
+                       (Meeting_points.decode_packed l.in_msg)
+                   with
+                  | `Keep -> -1
+                  | `Truncate_to x -> x))
+              p.links));
+  if observing then Live.Exec.join ex;
+  Live.Exec.slice ex (fun w ->
+      iter_shard ex parties w (fun p ->
+          if fc.alive.(p.id) then
+            Array.iter
+              (fun l ->
+                if l.mp_cut >= 0 then begin
+                  Trace.Sink.count pr.rings.(w) ~id:c_mp_trunc ~iter ~arg:p.id 1;
+                  pr.truncs.(w) <- pr.truncs.(w) + 1;
+                  Transcript.truncate l.tr l.mp_cut;
+                  l.mp_cut <- -1
+                end)
+              p.links))
 
 let compute_statuses ex parties ~alive ~statuses =
   Live.Exec.slice ex (fun w ->
@@ -603,16 +603,15 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
           | Some _ | None -> ())
         participants.(w))
 
-let rewind_phase ex net tp parties fc pr ~iter ~reqs ~depth =
+let rewind_phase ex net tp parties fc pr ~iter ~depth =
   let n = Array.length parties in
   let nshards = Live.Exec.shards ex in
-  (* Wave shape for the trace: [reqs] counts every chunk rewound (self-
-     initiated or honored request); [depth] is the last round of the
-     phase in which any link still moved.  Per-shard caller scratch,
-     written only by the owning shard's round callbacks; the caller
-     sums/maxes it behind the end-of-iteration join, so no join is
-     spent here. *)
-  Array.fill reqs 0 nshards 0;
+  (* Wave shape for the trace: [pr.rewinds] counts every chunk rewound
+     (self-initiated or honored request), cumulatively over the run;
+     [depth] is the last round of this phase in which any link still
+     moved.  Per-shard cells, written only by the owning shard's round
+     callbacks; the caller sums/maxes them behind the end-of-iteration
+     join, so no join is spent here. *)
   Array.fill depth 0 nshards 0;
   (* Only parties whose per-link state changed since their last
      evaluation can newly satisfy the send predicate: meeting-points
@@ -671,8 +670,7 @@ let rewind_phase ex net tp parties fc pr ~iter ~reqs ~depth =
                   Active.send buf ~dir:l.dir_out true;
                   Transcript.truncate l.tr (Transcript.length l.tr - 1);
                   l.already_rewound <- true;
-                  Metrics.Registry.incr pr.m_rewind_c;
-                  reqs.(shard) <- reqs.(shard) + 1;
+                  pr.rewinds.(shard) <- pr.rewinds.(shard) + 1;
                   depth.(shard) <- round;
                   sent := true
                 end)
@@ -693,8 +691,7 @@ let rewind_phase ex net tp parties fc pr ~iter ~reqs ~depth =
                 if Transcript.length l.tr > 0 then
                   Transcript.truncate l.tr (Transcript.length l.tr - 1);
                 l.already_rewound <- true;
-                Metrics.Registry.incr pr.m_rewind_c;
-                reqs.(shard) <- reqs.(shard) + 1;
+                pr.rewinds.(shard) <- pr.rewinds.(shard) + 1;
                 depth.(shard) <- round;
                 readmit shard id
               end
@@ -784,7 +781,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       counter metrics "scheme.outcome.aborted" )
   in
   let t0 = Sys.time () in
-  let net_ref = ref None in
+  (* Installed once the network is wired: books every other Exact count
+     and the network's fault counts (see [book_counts]). *)
+  let close_books = ref ignore in
   let iterations_run = ref 0 in
   let iterations_planned = ref 0 in
   let body () =
@@ -804,7 +803,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let wmax = Chunking.max_transcript_words ch ~horizon in
     let tree = Topology.Graph.bfs_tree graph in
     let net = Network.create graph adversary in
-    net_ref := Some net;
     Network.set_fault_hooks net (Faults.Plan.network_hooks plan);
     (* ---- execution engine ----
        The lockstep backend is the live engine's one-shard default
@@ -820,6 +818,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let weights = Array.init n (fun id -> Topology.Graph.degree graph id) in
     let ex = Live.Exec.create ~net ~config:live_cfg ~metrics ~weights () in
     let observing = Trace.Sink.is_enabled config.Config.sink in
+    let metered = Metrics.Registry.is_enabled metrics in
     (* Sharded capture: one ring per worker domain plus a leader ring,
        merged into the caller's sink after shutdown — every existing
        consumer of [config.sink] works unchanged.  The serial engine
@@ -834,12 +833,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let pr =
       if Trace.Sharded.is_enabled sharded then begin
         Live.Exec.set_trace ex sharded;
-        make_probes ~metrics
+        make_probes
           ~rings:(Array.init (Live.Exec.shards ex) (Trace.Sharded.ring sharded))
           (Trace.Sharded.leader sharded)
       end
       else
-        make_probes ~metrics
+        make_probes
           ~rings:(Array.make (Live.Exec.shards ex) config.Config.sink)
           config.Config.sink
     in
@@ -852,6 +851,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     in
     Network.set_trace net sink;
     Network.set_metrics net metrics;
+    close_books := book_counts metrics net pr ~diag ~iterations_run;
     Fun.protect
       ~finally:(fun () ->
         Live.Exec.shutdown ex;
@@ -988,7 +988,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       if !enter > 0 then Trace.Sink.count sink ~id:c_mp_enter ~iter !enter;
       if !exit_ > 0 then Trace.Sink.count sink ~id:c_mp_exit ~iter !exit_
     in
-    let prev_phi = ref Float.nan in
     (* ---- adversary spy ---- *)
     let cur_iter = ref 0 in
     let flag_probe =
@@ -1032,9 +1031,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let statuses = Array.make n false in
     let flag_agg = Array.make n false in
     let net_corrects = Array.make n false in
-    let nshards_scratch = Live.Exec.shards ex in
-    let rewind_reqs = Array.make nshards_scratch 0 in
-    let rewind_depth = Array.make nshards_scratch 0 in
+    let rewind_depth = Array.make (Live.Exec.shards ex) 0 in
+    let rewinds_traced = ref 0 in
     while !continue_loop && !iter < effective_iterations do
       let it = !iter in
       if observing && config.Config.trace_sample_every > 1 then begin
@@ -1059,7 +1057,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       | _ -> ());
       iterations_run := it + 1;
       cur_iter := it;
-      Metrics.Registry.incr pr.m_iter_c;
       Log.debug (fun f ->
           let s = Network.stats net in
           f "iteration %d: cc=%d corruptions=%d" it s.Network.cc s.Network.corruptions);
@@ -1109,7 +1106,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Array.iter (fun p -> Array.iter (fun l -> l.already_rewound <- false) p.links) parties;
       if observing then record_mp_status ();
       enter sp_mp ~iter:it;
-      meeting_points_phase ex net tp parties fc pr ~iter:it ~tau:params.Params.tau;
+      meeting_points_phase ex net parties fc pr ~iter:it ~tau:params.Params.tau;
       Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
       compute_statuses ex parties ~alive ~statuses;
       enter sp_flag ~iter:it;
@@ -1136,7 +1133,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Trace.Sink.span_end sink ~id:sp_sim ~iter:it;
       if params.Params.rewind then begin
         enter sp_rewind ~iter:it;
-        rewind_phase ex net tp parties fc pr ~iter:it ~reqs:rewind_reqs ~depth:rewind_depth;
+        rewind_phase ex net tp parties fc pr ~iter:it ~depth:rewind_depth;
         Trace.Sink.span_end sink ~id:sp_rewind ~iter:it
       end;
       (* Quiesce before the leader-side reads below (global stats, early
@@ -1158,21 +1155,24 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Trace.Sink.count sink ~id:c_net_correct ~iter:it ok;
         Trace.Sink.count sink ~id:c_idle ~iter:it (n - ok);
         if params.Params.rewind then begin
-          let total = Array.fold_left ( + ) 0 rewind_reqs in
-          if total > 0 then begin
-            Trace.Sink.count sink ~id:c_rewind_req ~iter:it total;
+          (* The cells are cumulative: this iteration's wave is the rise. *)
+          let total = Array.fold_left ( + ) 0 pr.rewinds in
+          let reqs = total - !rewinds_traced in
+          rewinds_traced := total;
+          if reqs > 0 then begin
+            Trace.Sink.count sink ~id:c_rewind_req ~iter:it reqs;
             Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it
               (float_of_int (Array.fold_left max 0 rewind_depth))
           end
         end
       end;
-      if config.Config.trace || observing || pr.m_on then begin
+      if config.Config.trace || observing || metered then begin
         (* Post-join: the leader reads party state quiesced, so this is
            safe on the parallel engine too (metrics do not force the
            serial engine the way an enabled trace sink does). *)
         let st = stats_of net parties graph ~iteration:it in
         if config.Config.trace then traces := st :: !traces;
-        if observing || pr.m_on then begin
+        if observing || metered then begin
           (* The live Φ trajectory (proxy of §4.1; see potential.mli) and
              the per-iteration global progress gauges.  Lemma 4.2 says Φ
              must rise by K per iteration amortized — a [phi.stall] marks
@@ -1186,15 +1186,13 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             Trace.Sink.gauge sink ~id:g_gstar ~iter:it (float_of_int st.g_star);
             Trace.Sink.gauge sink ~id:g_bstar ~iter:it (float_of_int st.b_star)
           end;
-          if pr.m_on then Metrics.Registry.set pr.m_phi_g phi;
           if
-            (not (Float.is_nan !prev_phi))
-            && phi -. !prev_phi < float_of_int params.Params.k -. 1e-9
+            (not (Float.is_nan pr.phi)) && phi -. pr.phi < float_of_int params.Params.k -. 1e-9
           then begin
             Trace.Sink.count sink ~id:c_phi_stall ~iter:it 1;
-            Metrics.Registry.incr pr.m_phi_stall_c
+            pr.phi_stalls <- pr.phi_stalls + 1
           end;
-          prev_phi := phi
+          pr.phi <- phi
         end
       end;
       Trace.Sink.span_end sink ~id:sp_iter ~iter:it;
@@ -1247,20 +1245,17 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       trace = List.rev !traces;
     }
   in
-  let fold_net () =
+  (* The run's one booking point, on either outcome branch: the
+     diagnosis and every Exact count are read from the run's books. *)
+  let fold_books () =
     diag.Faults.Outcome.iterations_run <- !iterations_run;
     diag.Faults.Outcome.iterations_planned <- !iterations_planned;
     diag.Faults.Outcome.wall_s <- Sys.time () -. t0;
-    match !net_ref with
-    | None -> ()
-    | Some net ->
-        let s = Network.stats net in
-        diag.Faults.Outcome.stalled_slots <- s.Network.stalled;
-        diag.Faults.Outcome.injected <- s.Network.injected
+    !close_books ()
   in
   match body () with
   | result ->
-      fold_net ();
+      fold_books ();
       if Faults.Outcome.clean diag then begin
         Metrics.Registry.incr completed_c;
         Faults.Outcome.Completed result
@@ -1270,7 +1265,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Faults.Outcome.Degraded (result, diag)
       end
   | exception e ->
-      fold_net ();
+      fold_books ();
       Metrics.Registry.incr aborted_c;
       let phase = if !at_phase < 0 then "setup" else Trace.Sink.name !at_phase in
       Faults.Outcome.note diag

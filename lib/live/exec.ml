@@ -87,7 +87,9 @@ let max_chunks = 4096
    lag distribution are pure functions of the keyed execution (Exact);
    per-round wall latency and the parallel engine's commit-time shard
    spread depend on real scheduling (Timed).  Both engines register
-   all four names so the exact snapshot section is shard-invariant. *)
+   all four names so the exact snapshot section is shard-invariant.
+   [live.rounds] is not probed per round: [shutdown] books it once
+   from [rounds_run]. *)
 type probes = {
   on : bool;
   rounds_c : Metrics.Registry.counter;
@@ -130,7 +132,6 @@ type par = {
   stale_del : int Atomic.t; (* deletions booked by stale surfacing *)
   mutable folded : int; (* drops already folded into stats.stalled *)
   mutable domains : unit Domain.t list;
-  mutable shut : bool;
   mutable tr : Trace.Sharded.t; (* per-domain rings; see [set_trace] *)
   yield : bool; (* domains outnumber cores: wait by sleeping, not spinning *)
   pr : probes;
@@ -153,7 +154,7 @@ type serial = {
 
 type engine = Serial of serial | Par of par
 
-type t = { engine : engine; sh : Shard.t; mutable rounds_run : int }
+type t = { engine : engine; sh : Shard.t; mutable rounds_run : int; mutable shut : bool }
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
@@ -512,7 +513,7 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     in
     Logging.Live_log.debug (fun m ->
         m "serial engine: %d shard(s), d=%d, partition %a" nshards d Shard.pp sh);
-    { engine = Serial sr; sh; rounds_run = 0 }
+    { engine = Serial sr; sh; rounds_run = 0; shut = false }
   end
   else begin
     let p =
@@ -541,7 +542,6 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
         stale_del = Atomic.make 0;
         folded = 0;
         domains = [];
-        shut = false;
         tr = Trace.Sharded.disabled;
         (* Leader + workers all burn CPU; when they outnumber the cores
            the runtime sees, waiting must yield the core instead of
@@ -555,7 +555,7 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     p.domains <- List.init nshards (fun w -> Domain.spawn (fun () -> worker p w));
     Logging.Live_log.debug (fun m ->
         m "parallel engine: %d worker domain(s), d=%d, partition %a" nshards d Shard.pp sh);
-    { engine = Par p; sh; rounds_run = 0 }
+    { engine = Par p; sh; rounds_run = 0; shut = false }
   end
 
 let shards t = Shard.shards t.sh
@@ -580,8 +580,6 @@ let set_trace t tr =
 
 let round t ?label ~write ~read () =
   t.rounds_run <- t.rounds_run + 1;
-  let pr = probes_of t in
-  if pr.on then Metrics.Registry.incr pr.rounds_c;
   match t.engine with
   | Serial sr -> serial_round t sr ?label ~write ~read ()
   | Par p ->
@@ -632,11 +630,12 @@ let jitter_surfaced t =
   | Par p -> Atomic.get p.surfaced
 
 let shutdown t =
-  match t.engine with
-  | Serial _ -> ()
-  | Par p ->
-      if not p.shut then begin
-        p.shut <- true;
+  if not t.shut then begin
+    t.shut <- true;
+    Metrics.Registry.add (probes_of t).rounds_c t.rounds_run;
+    match t.engine with
+    | Serial _ -> ()
+    | Par p ->
         (* On the clean path workers are idle waiting for a job; on the
            poisoned path they have exited (or will, at the next poison
            check in their spins).  Either way Quit + join terminates. *)
@@ -656,4 +655,4 @@ let shutdown t =
             m "shutdown: %d round(s), dropped=%d surfaced=%d" t.rounds_run
               (p.folded + Atomic.get p.stale_del)
               (Atomic.get p.surfaced))
-      end
+  end

@@ -21,7 +21,8 @@ val create :
     is spawned immediately.
 
     [metrics] (default {!Metrics.Registry.disabled}) attaches engine
-    telemetry: [live.rounds] (Exact counter), [live.ragged.lag] (Exact
+    telemetry: [live.rounds] (Exact counter, booked once by {!shutdown}
+    from {!rounds_run}, not per round), [live.ragged.lag] (Exact
     histogram of keyed serial lag draws), [live.round_ns] (Timed
     per-shard round latency) and [live.drift] (Timed commit-time shard
     spread), plus the join barrier's wait-spin metrics.  Metrics do
@@ -97,6 +98,7 @@ val jitter_surfaced : t -> int
     by {!jitter_dropped}). *)
 
 val shutdown : t -> unit
-(** Terminate and join the worker domains (idempotent; never raises on
-    the cleanup path).  Books tail-round buffers that never committed
-    as deletions.  A no-op on the serial engine. *)
+(** Book [live.rounds] from {!rounds_run}, then terminate and join the
+    worker domains (idempotent; never raises on the cleanup path).
+    Books tail-round buffers that never committed as deletions.  The
+    serial engine has no domains: there it only books [live.rounds]. *)

@@ -170,15 +170,12 @@ type t = {
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
   mutable trace : Trace.Sink.t;
-  (* Metrics probes.  Handles default to the disabled registry, so the
-     counter sites cost one branch; [m_on] guards the histogram observe
-     and the periodic gauge so the clean path adds nothing else. *)
+  (* Metrics probes for what the books above do not already hold: the
+     per-commit active-link distribution and the sampled noise rate.
+     Handles default to the disabled registry; [m_on] guards both so
+     the clean path adds one branch. *)
   mutable m_on : bool;
   mutable m_active_h : Metrics.Registry.hist;
-  mutable m_cc : Metrics.Registry.counter;
-  mutable m_corrupt : Metrics.Registry.counter;
-  mutable m_stalled : Metrics.Registry.counter;
-  mutable m_injected : Metrics.Registry.counter;
   mutable m_noise_g : Metrics.Registry.gauge;
 }
 
@@ -215,10 +212,6 @@ let create graph adversary =
     trace = Trace.Sink.disabled;
     m_on = false;
     m_active_h = Metrics.Registry.hist Metrics.Registry.disabled "net.active_links";
-    m_cc = Metrics.Registry.counter Metrics.Registry.disabled "net.cc";
-    m_corrupt = Metrics.Registry.counter Metrics.Registry.disabled "net.corruptions";
-    m_stalled = Metrics.Registry.counter Metrics.Registry.disabled "net.stalled";
-    m_injected = Metrics.Registry.counter Metrics.Registry.disabled "net.injected";
     m_noise_g = Metrics.Registry.gauge Metrics.Registry.disabled "net.noise_rate";
   }
 
@@ -233,22 +226,19 @@ let set_fault_hooks t hooks =
 
 let set_trace t sink = t.trace <- sink
 
-(* Count-valued network metrics are functions of the keyed execution
-   (Exact): cc, corruption/fault counts and the per-commit active-link
-   distribution replay byte-identically across jobs and shard counts at
-   d = 0.  The noise-rate gauge is sampled at deterministic rounds, so
-   it is Exact too.  (Parallel ragged runs, d > 0, are inherently
-   scheduling-dependent — there the whole execution is, not just its
-   metrics; benches at d > 0 already publish those counts as jitter
-   metrics, which the observatory ignores.) *)
+(* The per-commit active-link distribution is a function of the keyed
+   execution (Exact): it replays byte-identically across jobs and shard
+   counts at d = 0.  The noise-rate gauge is sampled at deterministic
+   rounds, so it is Exact too.  (Parallel ragged runs, d > 0, are
+   inherently scheduling-dependent — there the whole execution is, not
+   just its metrics; benches at d > 0 already publish those counts as
+   jitter metrics, which the observatory ignores.)  The counts of
+   [stats] are not probed here: whoever owns the run books them once,
+   from [stats], when it ends. *)
 let set_metrics t reg =
   let open Metrics.Registry in
   t.m_on <- is_enabled reg;
   t.m_active_h <- hist reg "net.active_links";
-  t.m_cc <- counter reg "net.cc";
-  t.m_corrupt <- counter reg "net.corruptions";
-  t.m_stalled <- counter reg "net.stalled";
-  t.m_injected <- counter reg "net.injected";
   t.m_noise_g <- gauge reg ~klass:Exact "net.noise_rate"
 
 let noise_fraction t = if t.cc = 0 then 0. else float_of_int t.corruptions /. float_of_int t.cc
@@ -297,13 +287,9 @@ let commit t (act : Active.t) =
   if Active.length act <> two_m then invalid_arg "Network.commit: buffer length mismatch";
   let sent = Active.count act in
   t.cc <- t.cc + sent;
-  if t.m_on then begin
-    Metrics.Registry.observe t.m_active_h sent;
-    Metrics.Registry.add t.m_cc sent
-  end;
+  if t.m_on then Metrics.Registry.observe t.m_active_h sent;
   let corrupt ~dir a =
     t.corruptions <- t.corruptions + 1;
-    Metrics.Registry.incr t.m_corrupt;
     Active.write act ~dir ((Active.sym act ~dir + a) mod 3);
     Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
   in
@@ -371,13 +357,11 @@ let commit t (act : Active.t) =
         let a = h.extra_addend ~round:t.round_no ~dir:d in
         if a <> 0 then begin
           t.injected <- t.injected + 1;
-          Metrics.Registry.incr t.m_injected;
           Active.write act ~dir:d ((Active.sym act ~dir:d + a) mod 3);
           Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:d 1
         end;
         if Active.sym act ~dir:d <> silent && h.stall ~round:t.round_no ~dir:d then begin
           t.stalled <- t.stalled + 1;
-          Metrics.Registry.incr t.m_stalled;
           Active.write act ~dir:d silent;
           Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
         end
@@ -393,12 +377,10 @@ let commit t (act : Active.t) =
    like environment faults. *)
 let note_stalled t ~dir =
   t.stalled <- t.stalled + 1;
-  Metrics.Registry.incr t.m_stalled;
   Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:dir 1
 
 let note_injected t ~dir =
   t.injected <- t.injected + 1;
-  Metrics.Registry.incr t.m_injected;
   Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:dir 1
 
 (* Bulk variant: folds drop counts accumulated off the trace path (e.g.
@@ -407,7 +389,6 @@ let note_injected t ~dir =
 let note_stalled_count t k =
   if k > 0 then begin
     t.stalled <- t.stalled + k;
-    Metrics.Registry.add t.m_stalled k;
     Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no k
   end
 

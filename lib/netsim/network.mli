@@ -137,14 +137,16 @@ val set_trace : t -> Trace.Sink.t -> unit
     for the duration of a commit. *)
 
 val set_metrics : t -> Metrics.Registry.t -> unit
-(** Attach a metrics registry.  Rounds then feed [net.cc],
-    [net.corruptions], [net.stalled], [net.injected] (Exact counters),
-    the per-commit [net.active_links] histogram (Exact) and a
-    [net.noise_rate] gauge refreshed every 64 rounds.  Count-valued
-    metrics replay byte-identically across jobs/shards whenever the
-    execution itself does (everything but parallel ragged mode).  The
-    default is {!Metrics.Registry.disabled}: counter probes cost one
-    branch on already-rare slots, the clean path is unchanged. *)
+(** Attach a metrics registry.  Rounds then feed the per-commit
+    [net.active_links] histogram (Exact) and a [net.noise_rate] gauge
+    (Exact) refreshed every 64 rounds — the two series {!stats} does not
+    hold.  The counts it does hold (cc, corruptions, stalled, injected)
+    are not probed per event: the run's owner books them once from
+    {!stats} ([Coding.Scheme] as [net.cc], [net.corruptions],
+    [net.stalled], [net.injected]).  Both series replay byte-identically
+    across jobs/shards whenever the execution itself does (everything
+    but parallel ragged mode).  The default is
+    {!Metrics.Registry.disabled}: one branch per round. *)
 
 val set_phase : t -> iteration:int -> phase:Adversary.phase -> unit
 (** Label the upcoming rounds for adaptive adversaries and traces.  The
