@@ -21,31 +21,37 @@ let k t = t.k
 
 let message_bits ~tau = 5 * tau
 
-(* Wire layout: bit t carries bit (t mod τ) of field t / τ, the fields
-   in hk, hp1, hp2, ht1, ht2 order. *)
-let field msg i =
-  match i with
-  | 0 -> msg.hk
-  | 1 -> msg.hp1
-  | 2 -> msg.hp2
-  | 3 -> msg.ht1
-  | 4 -> msg.ht2
-  | _ -> invalid_arg "Meeting_points.wire_bit: bit out of range"
+(* Wire layout: the five fields, in hk, hp1, hp2, ht1, ht2 order, are
+   the five words of a block of width τ, so wire bit t carries bit
+   (t mod τ) of field t / τ. *)
+module Block = Netsim.Network.Block
 
-let wire_bit ~tau msg t = (field msg (t / tau) lsr (t mod tau)) land 1 = 1
+let check_fields blk fn =
+  if Block.fields blk <> 5 then invalid_arg ("Meeting_points." ^ fn ^ ": block is not 5 fields")
 
-let receive_bit ~tau packed t =
-  let i = t / tau in
-  packed.(i) <- packed.(i) lor (1 lsl (t mod tau))
+let pack msg blk ~dir =
+  check_fields blk "pack";
+  Block.set blk ~dir ~field:0 msg.hk;
+  Block.set blk ~dir ~field:1 msg.hp1;
+  Block.set blk ~dir ~field:2 msg.hp2;
+  Block.set blk ~dir ~field:3 msg.ht1;
+  Block.set blk ~dir ~field:4 msg.ht2
 
-let decode_packed packed =
-  if Array.length packed <> 5 then invalid_arg "Meeting_points.decode_packed: wrong length";
-  { hk = packed.(0); hp1 = packed.(1); hp2 = packed.(2); ht1 = packed.(3); ht2 = packed.(4) }
+let unpack blk ~dir =
+  check_fields blk "unpack";
+  {
+    hk = Block.word blk ~dir ~field:0;
+    hp1 = Block.word blk ~dir ~field:1;
+    hp2 = Block.word blk ~dir ~field:2;
+    ht1 = Block.word blk ~dir ~field:3;
+    ht2 = Block.word blk ~dir ~field:4;
+  }
 
-(* κ = 2^⌈log₂ k⌉ for k ≥ 1. *)
-let scale k =
-  let rec go kappa = if kappa >= k then kappa else go (2 * kappa) in
-  go 1
+(* κ = 2^⌈log₂ k⌉ for k ≥ 1.  Top-level loops: a local recursive
+   function capturing [k] would be a closure allocated per call, and
+   this runs on every link every iteration. *)
+let rec scale_from kappa k = if kappa >= k then kappa else scale_from (2 * kappa) k
+let scale k = scale_from 1 k
 
 let reset_process t =
   t.k <- 0;
@@ -78,27 +84,28 @@ let prepare t hasher ~len =
 
 type probe = { truth : pos:int -> bool option; on_collision : pos:int -> unit }
 
-let process t hasher ?probe ~len msg =
-  let matches_position p =
-    (* Does either of the peer's candidates verifiably equal my position p
-       with an identical prefix? *)
-    let m =
-      (msg.hp1 = hasher.h_int ~field:1 p && msg.ht1 = hasher.h_prefix ~field:0 p)
-      || (msg.hp2 = hasher.h_int ~field:2 p && msg.ht2 = hasher.h_prefix ~field:1 p)
-    in
-    (* A hash vote against differing ground truth is a collision — the
-       event the Θ(1)-size hash regime gambles on being rare.  Only a
-       simulator with both transcripts in hand can see it. *)
-    (match probe with
-    | Some pr when m -> ( match pr.truth ~pos:p with Some false -> pr.on_collision ~pos:p | _ -> ())
-    | _ -> ());
-    m
+(* Does either of the peer's candidates verifiably equal my position p
+   with an identical prefix? *)
+let matches_position hasher probe msg p =
+  let m =
+    (msg.hp1 = hasher.h_int ~field:1 p && msg.ht1 = hasher.h_prefix ~field:0 p)
+    || (msg.hp2 = hasher.h_int ~field:2 p && msg.ht2 = hasher.h_prefix ~field:1 p)
   in
+  (* A hash vote against differing ground truth is a collision — the
+     event the Θ(1)-size hash regime gambles on being rare.  Only a
+     simulator with both transcripts in hand can see it. *)
+  (match probe with
+  | Some pr when m -> ( match pr.truth ~pos:p with Some false -> pr.on_collision ~pos:p | _ -> ())
+  | _ -> ());
+  m
+
+let process t hasher ?probe ~len msg =
   let k_agrees = msg.hk = hasher.h_int ~field:0 t.k in
   let decision = ref `Keep in
   if not k_agrees then t.e <- t.e + 1
   else begin
-    let m1 = matches_position t.mp1 and m2 = matches_position t.mp2 in
+    let m1 = matches_position hasher probe msg t.mp1
+    and m2 = matches_position hasher probe msg t.mp2 in
     if m1 then t.mpc1 <- t.mpc1 + 1;
     if m2 then t.mpc2 <- t.mpc2 + 1;
     if t.k = 1 && t.mp1 = len && m1 then begin

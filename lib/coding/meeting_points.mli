@@ -34,20 +34,18 @@ type message = { hk : int; hp1 : int; hp2 : int; ht1 : int; ht2 : int }
 val message_bits : tau:int -> int
 (** Wire size of one message: 5τ. *)
 
-val wire_bit : tau:int -> message -> int -> bool
-(** [wire_bit ~tau msg t] is bit [t] (< 5τ) of the message on the wire:
-    bit [t mod τ] of field [t / τ], fields in [hk, hp1, hp2, ht1, ht2]
-    order. *)
+val pack : message -> Netsim.Network.Block.t -> dir:int -> unit
+(** [pack msg blk ~dir] speaks [msg] on [dir] of a block of width τ and
+    5 fields: field [i] of [hk, hp1, hp2, ht1, ht2] is word [i], so wire
+    bit [t] (< 5τ) is bit [t mod τ] of field [t / τ].  Raises
+    [Invalid_argument] unless the block has 5 fields. *)
 
-val receive_bit : tau:int -> int array -> int -> unit
-(** [receive_bit ~tau packed t] records that wire bit [t] arrived as 1
-    in [packed], the received message packed one int per field (5 ints,
-    zeroed before the rounds). *)
-
-val decode_packed : int array -> message
-(** The message a packed receive buffer holds.  Bits never recorded —
-    zeros and deletions alike — decode as 0: at worst a hash mismatch,
-    which is the conservative direction. *)
+val unpack : Netsim.Network.Block.t -> dir:int -> message
+(** The message a block delivered on [dir], each field read as the 1
+    bits of its word.  Bits never delivered — zeros and deletions
+    alike — decode as 0: at worst a hash mismatch, which is the
+    conservative direction.  Raises [Invalid_argument] unless the block
+    has 5 fields. *)
 
 (** The hash oracle a step uses, pre-seeded for (this iteration, this
     link): [h_int ~field v] for integers (field < 3), [h_prefix ~field p]

@@ -277,11 +277,10 @@ type link_state = {
   mutable already_rewound : bool;
   mutable bot : bool;
   mutable mp_cut : int; (* parked MP truncation target; -1 = keep *)
-  mutable out_msg : Meeting_points.message; (* this iteration's outgoing MP message *)
-  in_msg : int array; (* incoming MP message, packed one int per field; reused *)
   record : Transcript.symbol array; (* this phase's chunk record, by event index; reused *)
   mutable mp_len : int; (* transcript length captured at MP-phase start *)
   memo : memo; (* the MP hasher's memo slots, reset every MP phase *)
+  mutable probe : Meeting_points.probe option; (* collision probe; traced runs only *)
   hasher : Meeting_points.hasher; (* over [memo], built once *)
 }
 
@@ -360,8 +359,9 @@ let iter_shard ex parties shard f =
 (* Ground truth for the hash-collision probe: compare this endpoint's
    transcript with the peer's copy of the same link.  [None] when either
    side is already shorter than the position (the peer may have truncated
-   earlier in this very phase). *)
-let collision_probe graph parties ring l p ~iter =
+   earlier in this very phase).  Built once per link for a traced run;
+   a collision is tagged with the iteration of the memo's phase. *)
+let collision_probe graph parties ring l p =
   let peer_tr = (link_to graph parties.(l.peer) p.id).tr in
   Meeting_points.
     {
@@ -370,15 +370,14 @@ let collision_probe graph parties ring l p ~iter =
           if pos <= Transcript.length l.tr && pos <= Transcript.length peer_tr then
             Some (Transcript.equal_prefix l.tr peer_tr >= pos)
           else None);
-      on_collision = (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter ~arg:pos 1);
+      on_collision =
+        (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter:l.memo.m_iter ~arg:pos 1);
     }
 
 let meeting_points_phase ex net parties fc pr ~iter ~tau =
-  let graph = Network.graph net in
-  let mp_rounds = Meeting_points.message_bits ~tau in
   (* Seed-rot accounting runs leader-side (the rot decision is a pure
      keyed function): the diagnosis record and the trace sink are not
-     shard-local, so the prepare slice below must not touch them. *)
+     shard-local, so the block's callbacks below must not touch them. *)
   Array.iter
     (fun p ->
       if fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then
@@ -388,84 +387,60 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
             Trace.Sink.count pr.sink ~id:c_fault_seed_rot ~iter ~arg:p.id 1)
           p.links)
     parties;
-  Live.Exec.slice ex (fun w ->
-      iter_shard ex parties w (fun p ->
+  let observing = Trace.Sink.is_enabled pr.sink in
+  (* [prepare] fixes every bit of a link's message before anything is
+     received, so the 5τ rounds go out as one block: each shard prepares
+     its links' messages and packs them (word i of a link's block is
+     field i of its message); once the block is delivered, each shard
+     decides its links' verdicts from the received words, parked in
+     [mp_cut] — nobody truncates there.  Crashed parties neither write
+     (their links go dark) nor read.
+
+     Decide, then apply.  When traced, the collision probe's ground
+     truth reads the peer's transcript, which may live on another shard.
+     No barrier is needed before the decides — every transcript write
+     they can read was either quiesced by the previous iteration's join
+     (worker-side sim/rewind writes) or published by the job-append
+     release store (leader-side prepass rot), and the block never
+     touches transcripts — but one barrier must separate them from the
+     applies (a lagging decide may still be reading the peer copy).
+     Untraced, a decide reads only its own shard's links, which that
+     shard's apply follows in job order, so no join is spent.  Both
+     engines run this same job stream, which is what keeps merged
+     parallel traces byte-identical to the serial oracle. *)
+  Live.Exec.block ex
+    ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
+    ~width:tau ~rounds:(Meeting_points.message_bits ~tau)
+    ~write:(fun ~shard out ->
+      iter_shard ex parties shard (fun p ->
           if fc.alive.(p.id) then begin
             let rot =
               if Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then fc.rot_mask.(p.id)
               else 0
             in
-            Array.iter
-              (fun l ->
-                l.mp_len <- Transcript.length l.tr;
-                reset_memo l.memo ~iter ~rot;
-                l.out_msg <- Meeting_points.prepare l.mp l.hasher ~len:l.mp_len;
-                Array.fill l.in_msg 0 (Array.length l.in_msg) 0)
-              p.links
-          end));
-  for t = 0 to mp_rounds - 1 do
-    let label =
-      if t = 0 then
-        Some (fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
-      else None
-    in
-    (* [for] loops, not [Array.iter]: a closure per party per round was
-       most of what this phase allocated once hashing stopped boxing. *)
-    Live.Exec.round ex ?label
-      ~write:(fun ~shard buf ->
-        iter_shard ex parties shard (fun p ->
-            if fc.alive.(p.id) then
-              for i = 0 to Array.length p.links - 1 do
-                let l = p.links.(i) in
-                Active.send buf ~dir:l.dir_out (Meeting_points.wire_bit ~tau l.out_msg t)
-              done))
-      ~read:(fun ~shard master ->
-        (* [in_msg] was zeroed; each shard polls its own in-directions —
-           the MP phase speaks on every live link, so O(own links)
-           matches O(delivered) here.  Only 1s are recorded: a 0 and a
-           deletion both leave the bit 0. *)
-        iter_shard ex parties shard (fun p ->
-            if fc.alive.(p.id) then
-              for i = 0 to Array.length p.links - 1 do
-                let l = p.links.(i) in
-                match Active.get master ~dir:l.dir_in with
-                | Some true -> Meeting_points.receive_bit ~tau l.in_msg t
-                | Some false | None -> ()
-              done))
-      ()
-  done;
-  (* Decide, then apply.  The decide slice only computes each link's
-     verdict (parked in [mp_cut]); nobody truncates there.  When traced,
-     the collision probe's ground truth reads the peer's transcript,
-     which may live on another shard.  No barrier is needed before the
-     decide slice — every transcript write it can read was either
-     quiesced by the previous iteration's join (worker-side sim/rewind
-     writes) or published by the job-append release store (leader-side
-     prepass rot), and the MP rounds in flight never touch transcripts —
-     but one barrier must separate it from the applies (a lagging decide
-     may still be reading the peer copy).  Untraced, a decide reads only
-     its own shard's links, which that shard's apply follows in job
-     order, so no join is spent.  Both engines run this same job stream,
-     which is what keeps merged parallel traces byte-identical to the
-     serial oracle. *)
-  let observing = Trace.Sink.is_enabled pr.sink in
-  Live.Exec.slice ex (fun w ->
-      iter_shard ex parties w (fun p ->
+            for i = 0 to Array.length p.links - 1 do
+              let l = p.links.(i) in
+              l.mp_len <- Transcript.length l.tr;
+              reset_memo l.memo ~iter ~rot;
+              Meeting_points.pack
+                (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
+                out ~dir:l.dir_out
+            done
+          end))
+    ~read:(fun ~shard inw ->
+      iter_shard ex parties shard (fun p ->
           if fc.alive.(p.id) then
-            Array.iter
-              (fun l ->
-                let probe =
-                  if observing then Some (collision_probe graph parties pr.rings.(w) l p ~iter)
-                  else None
-                in
-                l.mp_cut <-
-                  (match
-                     Meeting_points.process l.mp l.hasher ?probe ~len:l.mp_len
-                       (Meeting_points.decode_packed l.in_msg)
-                   with
-                  | `Keep -> -1
-                  | `Truncate_to x -> x))
-              p.links));
+            for i = 0 to Array.length p.links - 1 do
+              let l = p.links.(i) in
+              l.mp_cut <-
+                (match
+                   Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
+                     (Meeting_points.unpack inw ~dir:l.dir_in)
+                 with
+                | `Keep -> -1
+                | `Truncate_to x -> x)
+            done))
+    ();
   if observing then Live.Exec.join ex;
   Live.Exec.slice ex (fun w ->
       iter_shard ex parties w (fun p ->
@@ -905,11 +880,10 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                   already_rewound = false;
                   bot = false;
                   mp_cut = -1;
-                  out_msg = Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 };
-                  in_msg = Array.make 5 0;
                   record = Array.make (2 * max_r) Transcript.sym_star;
                   mp_len = 0;
                   memo;
+                  probe = None;
                   hasher = hasher_of memo;
                 })
               neighbors
@@ -921,6 +895,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             net_correct = true;
           })
     in
+    if observing then
+      Array.iter
+        (fun p ->
+          let ring = pr.rings.(Live.Exec.owner ex p.id) in
+          Array.iter (fun l -> l.probe <- Some (collision_probe graph parties ring l p)) p.links)
+        parties;
     (* Transport plumbing: the dir -> receiving-endpoint tables that let
        the delivered set be consumed without scanning all 2m directions. *)
     let tp =

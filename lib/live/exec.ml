@@ -1,7 +1,9 @@
 (* The live execution engine.  A phase driver describes each global
    round as a pair of callbacks — [write shard buf] submits the round's
    transmissions for the parties of [shard]; [read shard master]
-   consumes the delivered round — plus occasional [slice] jobs (pure
+   consumes the delivered round — plus [block]s (a run of rounds whose
+   sends are all known upfront, written and read as words and committed
+   by one [Network.commit_block]), occasional [slice] jobs (pure
    per-shard state work, no network) and [join]s (full barrier, after
    which the leader may touch any state).  The engine decides how those
    callbacks actually run:
@@ -66,11 +68,26 @@ let round_of v = (v lsr 2) - 2
 (* Job log: SPMD broadcast — every worker executes every job against
    its own shard.  Chunked so appends never move existing entries.     *)
 
+(* A block of rounds known upfront ([block]): shards write their
+   out-directions' words into [w_out], one commit runs the whole block
+   into [w_in], shards read their in-directions' words.  [w_outs.(w)] /
+   [w_ins.(w)] list the directions shard [w] sends / receives on. *)
+type words = {
+  w_rounds : int;
+  w_out : Network.Block.t;
+  w_in : Network.Block.t;
+  w_write : shard:int -> Network.Block.t -> unit;
+  w_read : shard:int -> Network.Block.t -> unit;
+  w_outs : int array array;
+  w_ins : int array array;
+}
+
 type round_job = {
   write : shard:int -> Active.t -> unit;
   read : shard:int -> Active.t -> unit;
   label : (unit -> unit) option;
   job : int; (* index of the Round job in the job log, for trace ticks *)
+  words : words option; (* a whole block committed as this one round job *)
 }
 
 type job =
@@ -107,6 +124,15 @@ let make_probes reg =
     round_ns = hist reg ~klass:Timed "live.round_ns";
     drift_h = hist reg ~klass:Timed "live.drift";
   }
+
+(* Book a job started at [t0] as [rounds] rounds of [live.round_ns]: a
+   block's latency is spread evenly over its rounds, so the histogram
+   stays a distribution of per-round latencies. *)
+let observe_rounds pr ~t0 ~rounds =
+  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) / rounds in
+  for _ = 1 to rounds do
+    Metrics.Registry.observe pr.round_ns ns
+  done
 
 type par = {
   net : Network.t;
@@ -154,7 +180,21 @@ type serial = {
 
 type engine = Serial of serial | Par of par
 
-type t = { engine : engine; sh : Shard.t; mutable rounds_run : int; mutable shut : bool }
+type t = {
+  engine : engine;
+  sh : Shard.t;
+  mutable rounds_run : int;
+  mutable shut : bool;
+  (* [block]'s word buffers (out, in), kept while the shape repeats, and
+     the per-shard (out, in) direction lists, built on first use. *)
+  mutable blocks : (Network.Block.t * Network.Block.t) option;
+  mutable owned : (int array array * int array array) option;
+}
+
+(* Silence shard [w]'s out-directions, then let it write them. *)
+let write_words b ~shard =
+  Array.iter (fun dir -> Network.Block.silence b.w_out ~dir) b.w_outs.(shard);
+  b.w_write ~shard b.w_out
 
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
@@ -203,7 +243,13 @@ let append_rjob p rj =
   if Array.length p.rjobs.(c) = 0 then
     p.rjobs.(c) <-
       Array.make chunk_size
-        { write = (fun ~shard:_ _ -> ()); read = (fun ~shard:_ _ -> ()); label = None; job = 0 };
+        {
+          write = (fun ~shard:_ _ -> ());
+          read = (fun ~shard:_ _ -> ());
+          label = None;
+          job = 0;
+          words = None;
+        };
   p.rjobs.(c).(o) <- rj;
   p.rpos <- i + 1;
   Atomic.set p.n_rounds p.rpos
@@ -303,7 +349,9 @@ let do_commit p ~w c =
        handled by the owner's late-seal path.  Consumed: the shard has
        not reached round c yet — nothing to deliver. *)
   done;
-  Network.commit p.net master;
+  (match rj.words with
+  | None -> Network.commit p.net master
+  | Some b -> Network.commit_block p.net ~rounds:b.w_rounds ~out:b.w_out ~inw:b.w_in);
   Active.sort master;
   Atomic.set p.committed c
 
@@ -380,7 +428,7 @@ let process_round p w ~job q =
   let rj = get_rjob p q in
   Trace.Sink.set_tick rng ((4 * job) + 1);
   Active.begin_round buf;
-  rj.write ~shard:w buf;
+  (match rj.words with None -> rj.write ~shard:w buf | Some b -> write_words b ~shard:w);
   let sealed = pack q t_sealed in
   Atomic.set st sealed;
   Atomic.set p.wrote.(w) q;
@@ -397,10 +445,13 @@ let process_round p w ~job q =
   (* The master for round q is intact: overwriting it (commit q+d+1)
      would need every shard's wrote >= q + 1, and ours is still q. *)
   Trace.Sink.set_tick rng ((4 * job) + 3);
-  rj.read ~shard:w p.masters.(slot);
-  if p.pr.on then
-    Metrics.Registry.observe p.pr.round_ns
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+  match rj.words with
+  | None ->
+      rj.read ~shard:w p.masters.(slot);
+      if p.pr.on then observe_rounds p.pr ~t0 ~rounds:1
+  | Some b ->
+      b.w_read ~shard:w b.w_in;
+      if p.pr.on then observe_rounds p.pr ~t0 ~rounds:b.w_rounds
 
 let worker p w =
   let cursor = ref 0 in
@@ -483,9 +534,22 @@ let serial_round t sr ?label ~write ~read () =
     read ~shard:w sr.master
   done;
   sr.q <- sr.q + 1;
-  if sr.s_pr.on then
-    Metrics.Registry.observe sr.s_pr.round_ns
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+  if sr.s_pr.on then observe_rounds sr.s_pr ~t0 ~rounds:1
+
+(* A whole block inline: every shard writes, one commit, every shard
+   reads — the serial engine at d = 0, where no round can lag. *)
+let serial_block t sr ?label b =
+  let t0 = if sr.s_pr.on then Unix.gettimeofday () else 0. in
+  for w = 0 to Shard.shards t.sh - 1 do
+    write_words b ~shard:w
+  done;
+  (match label with Some f -> f () | None -> ());
+  Network.commit_block sr.s_net ~rounds:b.w_rounds ~out:b.w_out ~inw:b.w_in;
+  for w = 0 to Shard.shards t.sh - 1 do
+    b.w_read ~shard:w b.w_in
+  done;
+  sr.q <- sr.q + b.w_rounds;
+  if sr.s_pr.on then observe_rounds sr.s_pr ~t0 ~rounds:b.w_rounds
 
 (* ------------------------------------------------------------------ *)
 (* API                                                                 *)
@@ -513,7 +577,7 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     in
     Logging.Live_log.debug (fun m ->
         m "serial engine: %d shard(s), d=%d, partition %a" nshards d Shard.pp sh);
-    { engine = Serial sr; sh; rounds_run = 0; shut = false }
+    { engine = Serial sr; sh; rounds_run = 0; shut = false; blocks = None; owned = None }
   end
   else begin
     let p =
@@ -555,7 +619,7 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     p.domains <- List.init nshards (fun w -> Domain.spawn (fun () -> worker p w));
     Logging.Live_log.debug (fun m ->
         m "parallel engine: %d worker domain(s), d=%d, partition %a" nshards d Shard.pp sh);
-    { engine = Par p; sh; rounds_run = 0; shut = false }
+    { engine = Par p; sh; rounds_run = 0; shut = false; blocks = None; owned = None }
   end
 
 let shards t = Shard.shards t.sh
@@ -584,8 +648,98 @@ let round t ?label ~write ~read () =
   | Serial sr -> serial_round t sr ?label ~write ~read ()
   | Par p ->
       check_poison p;
-      append_rjob p { write; read; label; job = p.jpos };
+      append_rjob p { write; read; label; job = p.jpos; words = None };
       append_job p (Round (p.rpos - 1))
+
+let net_of t = match t.engine with Serial sr -> sr.s_net | Par p -> p.net
+
+(* Per shard, the directions it sends on (its parties are the sources)
+   and receives on (the destinations), each in ascending order. *)
+let owned t =
+  match t.owned with
+  | Some o -> o
+  | None ->
+      let net = net_of t and nshards = Shard.shards t.sh in
+      let outs = Array.make nshards [] and ins = Array.make nshards [] in
+      let two_m = 2 * Topology.Graph.m (Network.graph net) in
+      for dir = two_m - 1 downto 0 do
+        let src, dst = Network.link_ends net ~dir in
+        let ws = Shard.owner t.sh src and wd = Shard.owner t.sh dst in
+        outs.(ws) <- dir :: outs.(ws);
+        ins.(wd) <- dir :: ins.(wd)
+      done;
+      let o = (Array.map Array.of_list outs, Array.map Array.of_list ins) in
+      t.owned <- Some o;
+      o
+
+let block_buffers t ~width ~fields =
+  match t.blocks with
+  | Some ((out, _) as b)
+    when Network.Block.width out = width && Network.Block.fields out = fields ->
+      b
+  | _ ->
+      let g = Network.graph (net_of t) in
+      let b = (Network.Block.create g ~width ~fields, Network.Block.create g ~width ~fields) in
+      t.blocks <- Some b;
+      b
+
+(* Under ragged synchrony (d > 0) drift is per round, so the block runs
+   as [rounds] ordinary rounds: round [r] sends bit [r] of each
+   out-word and records each delivered symbol into the in-words; the
+   first round's write fills the out-words and the last round's read
+   hands the in-words over. *)
+let looped t ?label b =
+  let last = b.w_rounds - 1 in
+  for r = 0 to last do
+    round t
+      ?label:(if r = 0 then label else None)
+      ~write:(fun ~shard buf ->
+        if r = 0 then write_words b ~shard;
+        Array.iter
+          (fun dir ->
+            match Network.Block.get b.w_out ~dir ~round:r with
+            | Some bit -> Active.send buf ~dir bit
+            | None -> ())
+          b.w_outs.(shard))
+      ~read:(fun ~shard master ->
+        Array.iter
+          (fun dir ->
+            if r = 0 then Network.Block.silence b.w_in ~dir;
+            match Active.get master ~dir with
+            | Some bit -> Network.Block.send b.w_in ~dir ~round:r bit
+            | None -> ())
+          b.w_ins.(shard);
+        if r = last then b.w_read ~shard b.w_in)
+      ()
+  done
+
+let block t ?label ~width ~rounds ~write ~read () =
+  if rounds < 1 then invalid_arg "Live.Exec.block: rounds < 1";
+  if width < 1 || width >= Sys.int_size then invalid_arg "Live.Exec.block: width out of range";
+  let fields = (rounds + width - 1) / width in
+  let out, inw = block_buffers t ~width ~fields in
+  let outs, ins = owned t in
+  let b =
+    { w_rounds = rounds; w_out = out; w_in = inw; w_write = write; w_read = read; w_outs = outs;
+      w_ins = ins }
+  in
+  match t.engine with
+  | Serial sr when sr.s_d = 0 ->
+      t.rounds_run <- t.rounds_run + rounds;
+      serial_block t sr ?label b
+  | Par p when p.d = 0 ->
+      check_poison p;
+      t.rounds_run <- t.rounds_run + rounds;
+      append_rjob p
+        {
+          write = (fun ~shard:_ _ -> ());
+          read = (fun ~shard:_ _ -> ());
+          label;
+          job = p.jpos;
+          words = Some b;
+        };
+      append_job p (Round (p.rpos - 1))
+  | Serial _ | Par _ -> looped t ?label b
 
 let slice t f =
   match t.engine with

@@ -24,8 +24,10 @@ val create :
     telemetry: [live.rounds] (Exact counter, booked once by {!shutdown}
     from {!rounds_run}, not per round), [live.ragged.lag] (Exact
     histogram of keyed serial lag draws), [live.round_ns] (Timed
-    per-shard round latency) and [live.drift] (Timed commit-time shard
-    spread), plus the join barrier's wait-spin metrics.  Metrics do
+    per-shard round latency; a {!block} committed as one job books its
+    latency divided by its rounds, once per round) and [live.drift]
+    (Timed commit-time shard spread, one sample per commit — such a
+    block commits once), plus the join barrier's wait-spin metrics.  Metrics do
     {e not} force the serial engine — the registry is domain-safe, and
     neither does a trace sink: sharded capture (see {!set_trace})
     gives each domain its own ring.
@@ -74,6 +76,36 @@ val round :
     immediately (the round is enqueued); callbacks must touch only
     shard-local state.  Raises a worker's pending exception, if any. *)
 
+val block :
+  t ->
+  ?label:(unit -> unit) ->
+  width:int ->
+  rounds:int ->
+  write:(shard:int -> Netsim.Network.Block.t -> unit) ->
+  read:(shard:int -> Netsim.Network.Block.t -> unit) ->
+  unit ->
+  unit
+(** Issue [rounds] (≥ 1) global rounds whose sends are all known before
+    the first, as words of [width] bits ({!Netsim.Network.Block}, with
+    [⌈rounds / width⌉] fields).  [write ~shard out] must put the whole
+    block's transmissions for exactly the parties of [shard] into [out]
+    (its out-directions start silent); [read ~shard inw] consumes the
+    delivered block on the shard's in-directions.  [label] runs once,
+    before the first round is transformed.  Equivalent to [rounds]
+    calls of {!round} (same network books, events and round counter);
+    how it runs:
+    - d = 0, serial engine: every shard writes, one
+      [Network.commit_block], every shard reads;
+    - d = 0, parallel engine: one job with the usual four merge ticks
+      (shard writes, one commit by the elected committer, shard reads)
+      — one barrier crossing instead of [rounds];
+    - d > 0 (either engine): drift is per round, so the block runs as
+      [rounds] ordinary rounds, round [r] carrying bit [r] of the words.
+    The two word buffers belong to the engine and are reused by the
+    next block: [read] must copy out what it keeps.  Raises
+    [Invalid_argument] for [rounds < 1] or a width outside
+    [1 .. Sys.int_size - 1], and a worker's pending exception, if any. *)
+
 val slice : t -> (int -> unit) -> unit
 (** Issue a no-network job: the callback runs once per shard (argument
     = shard id) and must touch only that shard's party range. *)
@@ -86,7 +118,7 @@ val join : t -> unit
     Raises a worker's pending exception, if any. *)
 
 val rounds_run : t -> int
-(** Total rounds issued. *)
+(** Total rounds issued ({!block} counts its [rounds]). *)
 
 val jitter_dropped : t -> int
 (** Symbols deleted from their intended round by ragged synchrony

@@ -25,22 +25,31 @@ type t =
   | Oblivious_fixing of (round:int -> dir:int -> int option)
   | Adaptive of { budget : int -> int; strategy : context -> (int * int) list }
 
+(* Each slot draws one word [w = Util.Rng.at ~seed:key (coord round
+   dir)]: a pure function of the slot.  A slot is hit when the top 53
+   bits of [w], as a fraction of 2^53, fall below the rate; only a hit
+   reads the other bits it needs (bit 0, or [w lsr 2] mod 3), so the
+   common miss costs one draw.  [Util.Rng.at_bits] reads the bits
+   without boxing. *)
+let[@inline] slot ~round ~dir = Util.Rng.coord ~width:65536 round dir
+
+let[@inline] hit ~key i ~rate =
+  float_of_int (Util.Rng.at_bits ~seed:key i ~lo:11 ~width:53) *. (1. /. 9007199254740992.)
+  < rate
+
 let iid rng ~rate =
   let key = Util.Rng.int64 rng in
   Oblivious
     (fun ~round ~dir ->
-      (* A pure function of the slot: derive a per-slot word from the key. *)
-      let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
-      let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
-      if u < rate then 1 + (Int64.to_int (Int64.logand w 1L)) else 0)
+      let i = slot ~round ~dir in
+      if hit ~key i ~rate then 1 + Util.Rng.at_bits ~seed:key i ~lo:0 ~width:1 else 0)
 
 let iid_fixing rng ~rate =
   let key = Util.Rng.int64 rng in
   Oblivious_fixing
     (fun ~round ~dir ->
-      let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
-      let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
-      if u < rate then Some (Int64.to_int (Int64.rem (Int64.shift_right_logical w 2) 3L)) else None)
+      let i = slot ~round ~dir in
+      if hit ~key i ~rate then Some (Util.Rng.at_bits ~seed:key i ~lo:2 ~width:62 mod 3) else None)
 
 let of_slots slots =
   let table = Hashtbl.create (List.length slots) in
@@ -65,8 +74,7 @@ let burst rng ~start_round ~len ~dirs =
   Oblivious
     (fun ~round ~dir ->
       if round >= start_round && round < start_round + len && Hashtbl.mem dirs_set dir then
-        let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
-        1 + Int64.to_int (Int64.logand w 1L)
+        1 + Util.Rng.at_bits ~seed:key (slot ~round ~dir) ~lo:0 ~width:1
       else 0)
 
 let single ~round ~dir ~addend = of_slots [ (round, dir, addend) ]

@@ -125,6 +125,115 @@ module Active = struct
     done
 end
 
+(* A block of rounds known upfront: per directed link, the symbols of
+   [width * fields] successive rounds as [fields] words, round t in bit
+   (t mod width) of word t / width.  [ones] holds the 1 bits, [heard]
+   the bits that carry a symbol at all (so [ones] is a subset of
+   [heard]; silence is a 0 in both).  Word [field] of [dir] lives at
+   [dir * fields + field] in both arrays. *)
+module Block = struct
+  type t = { len : int; width : int; fields : int; ones : int array; heard : int array }
+
+  let create graph ~width ~fields =
+    let len = 2 * Topology.Graph.m graph in
+    if width < 1 || width >= Sys.int_size then invalid_arg "Network.Block: width out of range";
+    if fields < 1 then invalid_arg "Network.Block: fields < 1";
+    let words = max 1 (len * fields) in
+    { len; width; fields; ones = Array.make words 0; heard = Array.make words 0 }
+
+  let width t = t.width
+  let fields t = t.fields
+  let mask t = (1 lsl t.width) - 1
+
+  let index t ~dir ~field =
+    if dir < 0 || dir >= t.len then invalid_arg "Network.Block: dir out of range";
+    if field < 0 || field >= t.fields then invalid_arg "Network.Block: field out of range";
+    (dir * t.fields) + field
+
+  let set t ~dir ~field w =
+    let i = index t ~dir ~field in
+    let m = mask t in
+    t.ones.(i) <- w land m;
+    t.heard.(i) <- m
+
+  let silence t ~dir =
+    let i = index t ~dir ~field:0 in
+    for j = i to i + t.fields - 1 do
+      t.ones.(j) <- 0;
+      t.heard.(j) <- 0
+    done
+
+  let word t ~dir ~field = t.ones.(index t ~dir ~field)
+  let heard t ~dir ~field = t.heard.(index t ~dir ~field)
+
+  (* Round [round] of [dir] is bit [round mod width] of this word. *)
+  let slot t ~dir ~round =
+    if round < 0 || round >= t.width * t.fields then
+      invalid_arg "Network.Block: round out of range";
+    index t ~dir ~field:(round / t.width)
+
+  let get t ~dir ~round =
+    let i = slot t ~dir ~round and bit = 1 lsl (round mod t.width) in
+    if t.heard.(i) land bit = 0 then None else Some (t.ones.(i) land bit <> 0)
+
+  let send t ~dir ~round b =
+    let i = slot t ~dir ~round and bit = 1 lsl (round mod t.width) in
+    t.heard.(i) <- t.heard.(i) lor bit;
+    t.ones.(i) <- (if b then t.ones.(i) lor bit else t.ones.(i) land lnot bit)
+
+  (* Z3 code of the slot at word [i], bit [bit], and its overwrite. *)
+  let sym t i bit =
+    if Array.unsafe_get t.heard i land bit = 0 then silent
+    else if Array.unsafe_get t.ones i land bit = 0 then 0
+    else 1
+
+  let write t i bit c =
+    if c = silent then begin
+      t.heard.(i) <- t.heard.(i) land lnot bit;
+      t.ones.(i) <- t.ones.(i) land lnot bit
+    end
+    else begin
+      t.heard.(i) <- t.heard.(i) lor bit;
+      t.ones.(i) <- (if c = 1 then t.ones.(i) lor bit else t.ones.(i) land lnot bit)
+    end
+
+  (* [dst] := [src] cut to its first [rounds] rounds.  A loop over
+     [int array]s stores without a write barrier; [Array.blit] into a
+     major-heap array would pay one per word. *)
+  let deliver src dst ~rounds =
+    let full = rounds / src.width and part = rounds mod src.width in
+    let last = (1 lsl part) - 1 in
+    for i = 0 to Array.length src.ones - 1 do
+      let f = i mod src.fields in
+      let m = if f < full then mask src else if f = full then last else 0 in
+      Array.unsafe_set dst.ones i (Array.unsafe_get src.ones i land m);
+      Array.unsafe_set dst.heard i (Array.unsafe_get src.heard i land m)
+    done
+
+  (* Bits set in a word below 2^62 (SWAR). *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x1555555555555555) in
+    let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+    let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+    (x * 0x0101010101010101) lsr 56
+
+  (* Symbols carried over all rounds. *)
+  let spoken t =
+    let c = ref 0 in
+    for i = 0 to Array.length t.heard - 1 do
+      c := !c + popcount (Array.unsafe_get t.heard i)
+    done;
+    !c
+
+  (* Directions carrying a symbol in the round at word offset [f], bit [bit]. *)
+  let count_at t f bit =
+    let c = ref 0 in
+    for d = 0 to t.len - 1 do
+      if Array.unsafe_get t.heard ((d * t.fields) + f) land bit <> 0 then incr c
+    done;
+    !c
+end
+
 type stats = {
   rounds : int;
   cc : int;
@@ -274,32 +383,62 @@ let adaptive_budget t budget =
   let b = if scale = 1. then b else int_of_float (Float.min (scale *. float_of_int b) 4e18) in
   max 0 (b - t.corruptions)
 
-(* The one implementation of a network round (§2.1).  The adversary is
-   queried and its corruptions applied in ascending dir order, then the
-   fault hooks run; the Silent-adversary, hook-free path touches only
-   the active links.  Oblivious patterns are a function over all 2m
-   directions (insertions can land anywhere), so evaluating them is
-   inherently O(2m); the same holds for installed fault hooks.
-   Adaptive adversaries are naturally sparse: the strategy returns the
-   corruption list outright. *)
-let commit t (act : Active.t) =
+(* The slots of the round being transformed, over either buffer: [sym]
+   and [write] read and overwrite one direction's Z3 code, [sends] lists
+   the parties' transmissions of the round (before any corruption) in
+   ascending dir order.  Static records of top-level functions, so a
+   round allocates no closure to reach its slots. *)
+type 'b slots = {
+  sym : 'b -> dir:int -> int;
+  write : 'b -> dir:int -> int -> unit;
+  sends : t -> 'b -> (int * int * bool) list;
+}
+
+let active_slots = { sym = Active.sym; write = Active.write; sends = sends_of_active }
+
+(* One round of a block: the parties' words [b_out], the delivered words
+   [b_in] being transformed, and the round's word offset and bit. *)
+type block_round = { b_out : Block.t; b_in : Block.t; mutable b_field : int; mutable b_bit : int }
+
+let block_slots =
+  {
+    sym = (fun v ~dir -> Block.sym v.b_in ((dir * v.b_in.Block.fields) + v.b_field) v.b_bit);
+    write =
+      (fun v ~dir c -> Block.write v.b_in ((dir * v.b_in.Block.fields) + v.b_field) v.b_bit c);
+    sends =
+      (fun t v ->
+        let o = v.b_out and acc = ref [] in
+        for dir = o.Block.len - 1 downto 0 do
+          let i = (dir * o.Block.fields) + v.b_field in
+          if o.Block.heard.(i) land v.b_bit <> 0 then begin
+            let src, dst = t.dir_ends.(dir) in
+            acc := (src, dst, o.Block.ones.(i) land v.b_bit <> 0) :: !acc
+          end
+        done;
+        !acc);
+  }
+
+let corrupt t sl buf ~dir a =
+  t.corruptions <- t.corruptions + 1;
+  sl.write buf ~dir ((sl.sym buf ~dir + a) mod 3);
+  Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
+
+(* The one transform of a network round (§2.1), once its sends are
+   booked: the adversary is queried and its corruptions applied in
+   ascending dir order, then the fault hooks run.  Oblivious patterns
+   are a function over all 2m directions (insertions can land
+   anywhere), so evaluating them is inherently O(2m); the same holds for
+   installed fault hooks.  Adaptive adversaries are naturally sparse:
+   the strategy returns the corruption list outright. *)
+let transform t sl buf =
   let two_m = two_m t in
-  if Active.length act <> two_m then invalid_arg "Network.commit: buffer length mismatch";
-  let sent = Active.count act in
-  t.cc <- t.cc + sent;
-  if t.m_on then Metrics.Registry.observe t.m_active_h sent;
-  let corrupt ~dir a =
-    t.corruptions <- t.corruptions + 1;
-    Active.write act ~dir ((Active.sym act ~dir + a) mod 3);
-    Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
-  in
   (match t.adversary with
   | Adversary.Silent -> ()
   | Adversary.Oblivious pattern ->
       for d = 0 to two_m - 1 do
         let a = pattern ~round:t.round_no ~dir:d in
         assert (a >= 0 && a <= 2);
-        if a <> 0 then corrupt ~dir:d a
+        if a <> 0 then corrupt t sl buf ~dir:d a
       done
   | Adversary.Oblivious_fixing pattern ->
       (* A fixing adversary is translated into the addend that forces its
@@ -310,8 +449,8 @@ let commit t (act : Active.t) =
         | None -> ()
         | Some forced ->
             assert (forced >= 0 && forced <= 2);
-            let a = ((forced - Active.sym act ~dir:d) mod 3 + 3) mod 3 in
-            if a <> 0 then corrupt ~dir:d a
+            let a = ((forced - sl.sym buf ~dir:d) mod 3 + 3) mod 3 in
+            if a <> 0 then corrupt t sl buf ~dir:d a
       done
   | Adversary.Adaptive { budget; strategy } ->
       let budget_left = adaptive_budget t budget in
@@ -325,7 +464,7 @@ let commit t (act : Active.t) =
             cc_sent = t.cc;
             corruptions = t.corruptions;
             budget_left;
-            sends = sends_of_active t act;
+            sends = sl.sends t buf;
           }
       in
       (* Accept requests in strategy order (budget + dedup), then apply
@@ -346,7 +485,7 @@ let commit t (act : Active.t) =
             decr left
           end)
         (strategy ctx);
-      List.iter (fun (d, a) -> corrupt ~dir:d a) (List.sort compare !accepted));
+      List.iter (fun (d, a) -> corrupt t sl buf ~dir:d a) (List.sort compare !accepted));
   (* Environment faults land after the adversary: overload noise is
      extra corruption on top of whatever the budgeted pattern did, and a
      stalled link wins over everything (the slot goes dark). *)
@@ -357,17 +496,57 @@ let commit t (act : Active.t) =
         let a = h.extra_addend ~round:t.round_no ~dir:d in
         if a <> 0 then begin
           t.injected <- t.injected + 1;
-          Active.write act ~dir:d ((Active.sym act ~dir:d + a) mod 3);
+          sl.write buf ~dir:d ((sl.sym buf ~dir:d + a) mod 3);
           Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:d 1
         end;
-        if Active.sym act ~dir:d <> silent && h.stall ~round:t.round_no ~dir:d then begin
+        if sl.sym buf ~dir:d <> silent && h.stall ~round:t.round_no ~dir:d then begin
           t.stalled <- t.stalled + 1;
-          Active.write act ~dir:d silent;
+          sl.write buf ~dir:d silent;
           Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
         end
       done);
   t.round_no <- t.round_no + 1;
   tick_gauges t
+
+(* Book a round's sends: the CC and the per-commit active-link count. *)
+let book_sent t sent =
+  t.cc <- t.cc + sent;
+  if t.m_on then Metrics.Registry.observe t.m_active_h sent
+
+(* A round on the sparse buffer: the Silent-adversary, hook-free path
+   touches only the active links. *)
+let commit t (act : Active.t) =
+  if Active.length act <> two_m t then invalid_arg "Network.commit: buffer length mismatch";
+  book_sent t (Active.count act);
+  transform t active_slots act
+
+(* [rounds] successive rounds whose sends are all known upfront.  The
+   delivered words start as a copy of the sent ones; unless the
+   adversary is silent, no hook is installed and no metric is armed (a
+   word copy and a popcount, then), each round is booked and
+   transformed slot by slot exactly as [commit] would: same queries in
+   the same (round, dir) order, same books, same events. *)
+let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
+  let two_m = two_m t in
+  if out.Block.len <> two_m || inw.Block.len <> two_m then
+    invalid_arg "Network.commit_block: block length mismatch";
+  if out.Block.width <> inw.Block.width || out.Block.fields <> inw.Block.fields then
+    invalid_arg "Network.commit_block: block shape mismatch";
+  if rounds < 0 || rounds > out.Block.width * out.Block.fields then
+    invalid_arg "Network.commit_block: rounds out of range";
+  Block.deliver out inw ~rounds;
+  match (t.adversary, t.faults) with
+  | Adversary.Silent, None when not t.m_on ->
+      t.cc <- t.cc + Block.spoken inw;
+      t.round_no <- t.round_no + rounds
+  | _ ->
+      let v = { b_out = out; b_in = inw; b_field = 0; b_bit = 1 } in
+      for r = 0 to rounds - 1 do
+        v.b_field <- r / out.Block.width;
+        v.b_bit <- 1 lsl (r mod out.Block.width);
+        book_sent t (Block.count_at out v.b_field v.b_bit);
+        transform t block_slots v
+      done
 
 (* Jitter noise booked by the live backend (lib/live): a symbol whose
    round the receiver had already committed is a deletion (stalled); a

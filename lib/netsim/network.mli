@@ -6,7 +6,10 @@
     silent ones, enabling insertions); the network delivers what survives.
 
     A round has one implementation, {!commit}, over the sparse {!Active}
-    buffer.  Parties declare a round with {!Active.begin_round} (O(1): an
+    buffer; {!commit_block} runs a block of rounds whose sends are all
+    known upfront (the meeting-points exchange) through the same
+    per-round transform, or as a word copy when nothing can touch the
+    symbols.  Parties declare a round with {!Active.begin_round} (O(1): an
     epoch bump, no clearing of the 2m-slot space), write bits on the
     links that actually carry a symbol, and hand the buffer to {!commit}.
     Per-round cost is O(active links) plus whatever the adversary model
@@ -80,6 +83,46 @@ module Active : sig
       Raises [Invalid_argument] out of range. *)
 
   (**/**)
+end
+
+(** A block of rounds whose sends are all known upfront, word-wise: per
+    directed link, [fields] words of [width] bits, round [t] of the block
+    in bit [t mod width] of word [t / width].  Each bit position either
+    carries a symbol (0 or 1) or is silent.  A block serves both ends of
+    {!commit_block}: the parties' sends going in, the delivered symbols
+    coming out.  Costs: {!set}/{!word}/{!heard}/{!get}/{!send} O(1),
+    {!silence} O(fields). *)
+module Block : sig
+  type t
+
+  val create : Topology.Graph.t -> width:int -> fields:int -> t
+  (** A silent block for the graph's 2m directions.  Raises
+      [Invalid_argument] unless [1 <= width < Sys.int_size] and
+      [fields >= 1]. *)
+
+  val width : t -> int
+  val fields : t -> int
+
+  val silence : t -> dir:int -> unit
+  (** Silence every round of one direction. *)
+
+  val set : t -> dir:int -> field:int -> int -> unit
+  (** [set b ~dir ~field w] speaks word [w] on the [width] rounds of
+      field [field]: bit [i] of [w] in round [field * width + i].  Bits
+      of [w] at or above [width] are ignored. *)
+
+  val word : t -> dir:int -> field:int -> int
+  (** The 1 bits of a field.  A silent round reads as 0, like a 0. *)
+
+  val heard : t -> dir:int -> field:int -> int
+  (** The rounds of a field that carry a symbol, as a bit mask. *)
+
+  val get : t -> dir:int -> round:int -> bool option
+  (** The direction's symbol in one round of the block; [None] is
+      silence. *)
+
+  val send : t -> dir:int -> round:int -> bool -> unit
+  (** Put one symbol on one round of a direction (overwrites). *)
 end
 
 type stats = {
@@ -163,6 +206,24 @@ val commit : t -> Active.t -> unit
     a silent adversary with no fault hooks; O(active + |strategy list|)
     under an adaptive one; O(2m) when an oblivious pattern or fault
     hooks must be consulted per direction. *)
+
+val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
+(** [commit_block t ~rounds ~out ~inw] executes the first [rounds]
+    rounds of [out] — the parties' sends of [rounds] successive rounds,
+    all known before the first — and leaves what the network delivered
+    in [inw] (rounds past [rounds] are silent there).  It is exactly
+    [rounds] successive {!commit}s of those sends: the adversary and
+    the fault hooks are queried slot by slot in the same (round, dir)
+    order, an adaptive strategy gets the same per-round context (its
+    [sends] built from [out]), and the books, the [net.*] trace events,
+    the [net.active_links] observations (one per round) and the round
+    counter advance exactly as theirs would.  Z3 arithmetic applies to
+    each bit, so a corruption of a silent round is an insertion.  Cost:
+    a copy of the words and a popcount under a silent adversary with
+    no fault hooks and no metrics; otherwise O(2m) per round.  Raises
+    [Invalid_argument] if either block does not match the network's
+    2m, the two differ in shape, or [rounds] exceeds
+    [width * fields]. *)
 
 val note_stalled : t -> dir:int -> unit
 (** Book one deletion event on a directed link outside {!commit} — used

@@ -112,32 +112,44 @@ let test_seeds_slots_independent () =
 
 (* ---------- Meeting points ---------- *)
 
-(* Send every wire bit of [msg] through a packed receive buffer; [lost t]
-   drops bit [t] (a deletion). *)
+(* Pack [msg] into a block of width τ, carry every wire bit over to a
+   receive block, and unpack it; [lost t] drops bit [t] (a deletion). *)
+let mp_block ~tau = Netsim.Network.Block.create (Topology.Graph.line 2) ~width:tau ~fields:5
+
 let mp_transmit ?(lost = fun _ -> false) ~tau msg =
-  let packed = Array.make 5 0 in
+  let out = mp_block ~tau and inw = mp_block ~tau in
+  Coding.Meeting_points.pack msg out ~dir:0;
   for t = 0 to Coding.Meeting_points.message_bits ~tau - 1 do
-    if (not (lost t)) && Coding.Meeting_points.wire_bit ~tau msg t then
-      Coding.Meeting_points.receive_bit ~tau packed t
+    match Netsim.Network.Block.get out ~dir:0 ~round:t with
+    | Some b when not (lost t) -> Netsim.Network.Block.send inw ~dir:0 ~round:t b
+    | _ -> ()
   done;
-  Coding.Meeting_points.decode_packed packed
+  Coding.Meeting_points.unpack inw ~dir:0
 
 let test_mp_message_roundtrip () =
   let tau = 9 in
   let msg = Coding.Meeting_points.{ hk = 0x1F5; hp1 = 3; hp2 = 0x1FF; ht1 = 0; ht2 = 0x0AA } in
+  let out = mp_block ~tau in
+  Coding.Meeting_points.pack msg out ~dir:0;
+  let wire t = Netsim.Network.Block.get out ~dir:0 ~round:t = Some true in
   Alcotest.(check int) "wire size" (5 * tau) (Coding.Meeting_points.message_bits ~tau);
   Alcotest.(check bool) "roundtrip" true (mp_transmit ~tau msg = msg);
-  Alcotest.(check bool) "first bit is hk's lsb" true (Coding.Meeting_points.wire_bit ~tau msg 0);
+  Alcotest.(check bool) "first bit is hk's lsb" true (wire 0);
   Alcotest.(check bool) "field order" true
-    (Coding.Meeting_points.wire_bit ~tau msg tau
-    && (not (Coding.Meeting_points.wire_bit ~tau msg (tau + 2)))
-    && Coding.Meeting_points.wire_bit ~tau msg ((4 * tau) + 1));
+    (wire tau && (not (wire (tau + 2))) && wire ((4 * tau) + 1));
+  Alcotest.(check bool) "every bit of the message speaks" true
+    (List.for_all
+       (fun t -> Netsim.Network.Block.get out ~dir:0 ~round:t <> None)
+       (List.init (5 * tau) Fun.id));
   Alcotest.check_raises "bit beyond the message rejected"
-    (Invalid_argument "Meeting_points.wire_bit: bit out of range") (fun () ->
-      ignore (Coding.Meeting_points.wire_bit ~tau msg (5 * tau)));
-  Alcotest.check_raises "short buffer rejected"
-    (Invalid_argument "Meeting_points.decode_packed: wrong length") (fun () ->
-      ignore (Coding.Meeting_points.decode_packed (Array.make 4 0)))
+    (Invalid_argument "Network.Block: round out of range") (fun () ->
+      ignore (Netsim.Network.Block.get out ~dir:0 ~round:(5 * tau)));
+  Alcotest.check_raises "short block rejected"
+    (Invalid_argument "Meeting_points.unpack: block is not 5 fields") (fun () ->
+      ignore
+        (Coding.Meeting_points.unpack
+           (Netsim.Network.Block.create (Topology.Graph.line 2) ~width:tau ~fields:4)
+           ~dir:0))
 
 let test_mp_message_deletion_reads_zero () =
   let tau = 4 in

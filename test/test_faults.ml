@@ -395,9 +395,11 @@ let test_threshold_r_exhaustion_is_clean () =
    algorithm, see bench/adv_scenarios.ml): each must parse, carry pinned
    outcome classes, and replay to exactly those classes at jobs=1 and
    jobs=4.  A deviation means scheme behaviour shifted under a known
-   worst-case attack. *)
+   worst-case attack.  The scenarios are resolved next to the test
+   executable (dune copies them there), not against the working
+   directory. *)
 let test_discovered_attack_scenarios () =
-  let dir = "scenarios" in
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "scenarios" in
   Alcotest.(check bool) "scenarios/ present" true
     (Sys.file_exists dir && Sys.is_directory dir);
   let files =

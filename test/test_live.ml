@@ -134,6 +134,78 @@ let test_exec_round_delivery () =
       Alcotest.(check int) "d=0 books no drops" 0 (Live.Exec.jitter_dropped ex);
       Alcotest.(check int) "d=0 books no stale" 0 (Live.Exec.jitter_surfaced ex))
 
+let test_exec_block_delivery () =
+  (* The same line carrying a 3-field block of width 8 (20 rounds, the
+     last field cut short), each engine shape: serial, 2 domains at
+     d = 0 (one job), and the serial keyed-jitter engine at d = 1 with
+     no jitter (the per-round fallback).  Every sender's words must
+     arrive whole, bits past the 20th silent, and the books must count
+     20 rounds. *)
+  let words v = [| 0xA5 lxor v; 0x3C + v; 0x0F lsl v |] in
+  (let ex =
+     Live.Exec.create
+       ~net:(Network.create line4 Netsim.Adversary.Silent)
+       ~config:Live.Config.default ~weights:(Array.make 4 1) ()
+   in
+   let nop ~shard:_ _ = () in
+   Alcotest.check_raises "no rounds" (Invalid_argument "Live.Exec.block: rounds < 1") (fun () ->
+       Live.Exec.block ex ~width:8 ~rounds:0 ~write:nop ~read:nop ());
+   Alcotest.check_raises "no width" (Invalid_argument "Live.Exec.block: width out of range")
+     (fun () -> Live.Exec.block ex ~width:0 ~rounds:4 ~write:nop ~read:nop ());
+   Live.Exec.shutdown ex);
+  List.iter
+    (fun (name, config) ->
+      let net = Network.create line4 Netsim.Adversary.Silent in
+      let ex =
+        Live.Exec.create ~net ~config
+          ~weights:(Array.init 4 (fun i -> Topology.Graph.degree line4 i))
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Live.Exec.shutdown ex)
+        (fun () ->
+          let bad = Atomic.make 0 in
+          for _ = 1 to 3 do
+            Live.Exec.block ex ~width:8 ~rounds:20
+              ~write:(fun ~shard out ->
+                let lo, hi = Live.Exec.bounds ex ~shard in
+                for v = lo to min hi 3 - 1 do
+                  Array.iteri
+                    (fun field w ->
+                      Network.Block.set out
+                        ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1))
+                        ~field w)
+                    (words v)
+                done)
+              ~read:(fun ~shard inw ->
+                let lo, hi = Live.Exec.bounds ex ~shard in
+                for v = max lo 1 to hi - 1 do
+                  let dir = Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v in
+                  Array.iteri
+                    (fun field w ->
+                      let keep = if field = 2 then 0xF else 0xFF in
+                      if Network.Block.word inw ~dir ~field <> w land keep then Atomic.incr bad;
+                      if Network.Block.heard inw ~dir ~field <> keep then Atomic.incr bad)
+                    (words (v - 1));
+                  (* Nobody speaks leftward: those directions stay silent. *)
+                  let back = Topology.Graph.dir_id line4 ~src:v ~dst:(v - 1) in
+                  for field = 0 to 2 do
+                    if Network.Block.heard inw ~dir:back ~field <> 0 then Atomic.incr bad
+                  done
+                done)
+              ()
+          done;
+          Live.Exec.join ex;
+          Alcotest.(check int) (name ^ ": words intact") 0 (Atomic.get bad);
+          Alcotest.(check int) (name ^ ": rounds_run") 60 (Live.Exec.rounds_run ex);
+          Alcotest.(check int) (name ^ ": network rounds") 60 (Network.stats net).Network.rounds;
+          Alcotest.(check int) (name ^ ": cc") (3 * 3 * 20) (Network.stats net).Network.cc))
+    [
+      ("serial", Live.Config.default);
+      ("2 domains", Live.Config.make ~shards:2 ());
+      ("serial d=1", Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0. ~force_serial:true ());
+    ]
+
 let test_exec_worker_exception () =
   (* A worker raising inside a job poisons the engine: the exception
      surfaces at the next issue/join on the leader, and shutdown still
@@ -374,6 +446,179 @@ let test_parallel_ragged_smoke () =
   | Faults.Outcome.Aborted (reason, _) ->
       Alcotest.fail ("ragged run aborted: " ^ Faults.Outcome.abort_to_string reason)
 
+(* ---------- Meeting-points block vs the per-round oracle ----------
+
+   The meeting-points exchange's shape: every live party sends a
+   five-field message of [width]-bit words on each of its links, every
+   bit fixed before the first round.  The same write/read callbacks go
+   once through [Live.Exec.block] and once through the reference — one
+   [Live.Exec.round] per wire bit, round t carrying bit t of every
+   message, the loop the scheme's meeting-points phase ran before it
+   became one block.  The reference packs into and unpacks from a
+   private block per shard, so nothing in it goes through
+   [Live.Exec.block] or [Network.commit_block].  The scheme end to end
+   is pinned by the Alg 1/A/B, fault and export goldens in test_coding,
+   test_faults and test_trace. *)
+let per_round_block ex g ?label ~width ~rounds ~write ~read () =
+  let module B = Network.Block in
+  let fields = (rounds + width - 1) / width and two_m = 2 * Topology.Graph.m g in
+  let mk () = Array.init (Live.Exec.shards ex) (fun _ -> B.create g ~width ~fields) in
+  let outs = mk () and ins = mk () in
+  for t = 0 to rounds - 1 do
+    Live.Exec.round ex
+      ?label:(if t = 0 then label else None)
+      ~write:(fun ~shard buf ->
+        if t = 0 then write ~shard outs.(shard);
+        for dir = 0 to two_m - 1 do
+          match B.get outs.(shard) ~dir ~round:t with
+          | Some b -> Network.Active.send buf ~dir b
+          | None -> ()
+        done)
+      ~read:(fun ~shard master ->
+        for dir = 0 to two_m - 1 do
+          match Network.Active.get master ~dir with
+          | Some b -> B.send ins.(shard) ~dir ~round:t b
+          | None -> ()
+        done;
+        if t = rounds - 1 then read ~shard ins.(shard))
+      ()
+  done
+
+let mp_blocks = 4
+
+(* [mp_blocks] meeting-points-shaped blocks on a fresh, traced and
+   metered engine.  In block [k] party [v] is down when [(v + k) mod 4 =
+   0]: its out-links stay silent, so only insertions reach its peers.
+   Returns every delivered word and heard-mask, the network's books,
+   the timing-free JSONL trace and the Exact metrics. *)
+let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
+  let module B = Network.Block in
+  let net = Network.create g (adv g) in
+  let sink = Trace.Sink.create () and reg = Metrics.Registry.create () in
+  let ex =
+    Live.Exec.create ~net ~config ~metrics:reg
+      ~weights:(Array.init (Topology.Graph.n g) (Topology.Graph.degree g))
+      ()
+  in
+  let sharded =
+    if Live.Exec.is_serial ex then Trace.Sharded.disabled
+    else Trace.Sharded.create ~shards:(Live.Exec.shards ex) ()
+  in
+  if Trace.Sharded.is_enabled sharded then begin
+    Live.Exec.set_trace ex sharded;
+    Network.set_trace net (Trace.Sharded.leader sharded)
+  end
+  else Network.set_trace net sink;
+  Network.set_metrics net reg;
+  Network.set_fault_hooks net hooks;
+  let fields = 5 and rounds = 5 * width and two_m = 2 * Topology.Graph.m g in
+  let got = Array.make (mp_blocks * two_m * fields * 2) (-1) in
+  let slot k dir field = 2 * ((((k * two_m) + dir) * fields) + field) in
+  Fun.protect
+    ~finally:(fun () ->
+      Live.Exec.shutdown ex;
+      if Trace.Sharded.is_enabled sharded then Trace.Merge.into_sink sharded ~dst:sink)
+    (fun () ->
+      for k = 0 to mp_blocks - 1 do
+        let owns ~shard v =
+          let lo, hi = Live.Exec.bounds ex ~shard in
+          v >= lo && v < hi
+        in
+        let label () = Network.set_phase net ~iteration:k ~phase:Netsim.Adversary.Meeting_points in
+        let write ~shard out =
+          for dir = 0 to two_m - 1 do
+            let src, _ = Network.link_ends net ~dir in
+            if owns ~shard src && (src + k) mod 4 <> 0 then
+              for field = 0 to fields - 1 do
+                B.set out ~dir ~field (Hashtbl.hash (k, dir, field) land ((1 lsl width) - 1))
+              done
+          done
+        in
+        let read ~shard inw =
+          for dir = 0 to two_m - 1 do
+            if owns ~shard (snd (Network.link_ends net ~dir)) then
+              for field = 0 to fields - 1 do
+                got.(slot k dir field) <- B.word inw ~dir ~field;
+                got.(slot k dir field + 1) <- B.heard inw ~dir ~field
+              done
+          done
+        in
+        if per_round then per_round_block ex g ~label ~width ~rounds ~write ~read ()
+        else Live.Exec.block ex ~label ~width ~rounds ~write ~read ()
+      done;
+      Live.Exec.join ex);
+  ( got,
+    Network.stats net,
+    Trace.Export.jsonl ~timing:false sink,
+    Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) )
+
+let mp_adversaries =
+  let mp = [ Netsim.Adversary.Meeting_points ] in
+  [
+    ("iid", fun _ -> Netsim.Adversary.iid (Util.Rng.create 99) ~rate:0.05);
+    ("fixing", fun _ -> Netsim.Adversary.iid_fixing (Util.Rng.create 98) ~rate:0.05);
+    ( "burst",
+      fun g ->
+        Netsim.Adversary.burst (Util.Rng.create 97) ~start_round:20 ~len:40
+          ~dirs:(List.init (Topology.Graph.m g) (fun e -> 2 * e)) );
+    ( "adaptive",
+      fun _ ->
+        Netsim.Adversary.adaptive_phase_attack ~rate_denom:10 ~phases:mp (Util.Rng.create 96) );
+  ]
+
+(* Network-layer faults: a stalled link and an overload window. *)
+let mp_fault_hooks =
+  Faults.Plan.network_hooks
+    (Faults.Plan.make ~key:"mp-block"
+       [
+         Faults.Plan.Link_stall { edge = 0; from_round = 10; rounds = 25 };
+         Faults.Plan.Noise_overload { factor = 4.; from_round = 30; rounds = 60; rate = 0.02 };
+       ])
+
+let check_mp_oracle ?hooks name config =
+  let g = Topology.Graph.random_connected (Util.Rng.create 7) ~n:6 ~extra_edges:3 in
+  List.iter
+    (fun width ->
+      List.iter
+        (fun (aname, adv) ->
+          let name = Printf.sprintf "%s/%s/width %d" name aname width in
+          let w_ref, s_ref, tr_ref, m_ref =
+            run_mp_blocks ?hooks ~per_round:true ~config ~adv ~width g
+          in
+          let w, s, tr, m = run_mp_blocks ?hooks ~per_round:false ~config ~adv ~width g in
+          Alcotest.(check bool) (name ^ ": noise landed") true (s_ref.Network.corruptions > 0);
+          Alcotest.(check (array int)) (name ^ ": delivered words") w_ref w;
+          Alcotest.(check bool) (name ^ ": stats") true (s_ref = s);
+          Alcotest.(check string) (name ^ ": trace export") tr_ref tr;
+          Alcotest.(check string) (name ^ ": exact metrics") m_ref m)
+        mp_adversaries)
+    [ 6; 30 ]
+
+let test_mp_block_d0 () =
+  (* d = 0: the serial block, and the one-job block on 2 and 4 domains. *)
+  List.iter
+    (fun shards ->
+      check_mp_oracle (Printf.sprintf "d=0/shards=%d" shards) (Live.Config.make ~shards ()))
+    [ 1; 2; 4 ]
+
+let test_mp_block_d1 () =
+  (* d = 1 on the keyed-jitter serial engine (deterministic): the block
+     runs as its per-round fallback under the same jitter draws. *)
+  List.iter
+    (fun shards ->
+      check_mp_oracle
+        (Printf.sprintf "d=1/shards=%d" shards)
+        (Live.Config.make ~shards ~ragged_d:1 ~jitter_rate:0.05 ~force_serial:true ()))
+    [ 1; 2; 4 ]
+
+let test_mp_block_faults () =
+  List.iter
+    (fun shards ->
+      check_mp_oracle ?hooks:mp_fault_hooks
+        (Printf.sprintf "faults/shards=%d" shards)
+        (Live.Config.make ~shards ()))
+    [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "live"
     [
@@ -390,6 +635,7 @@ let () =
       ( "exec",
         [
           Alcotest.test_case "round delivery, 2 domains" `Quick test_exec_round_delivery;
+          Alcotest.test_case "block delivery" `Quick test_exec_block_delivery;
           Alcotest.test_case "worker exception" `Quick test_exec_worker_exception;
           Alcotest.test_case "sharded trace rings" `Quick test_exec_sharded_trace;
         ] );
@@ -398,6 +644,12 @@ let () =
           Alcotest.test_case "live d=0 ≡ lockstep" `Quick test_differential_d0;
           Alcotest.test_case "under fault plans" `Quick test_differential_faults;
           Alcotest.test_case "trace streams" `Quick test_differential_trace_stream;
+        ] );
+      ( "mp block",
+        [
+          Alcotest.test_case "≡ per-round oracle, d=0" `Quick test_mp_block_d0;
+          Alcotest.test_case "≡ per-round oracle, d=1" `Quick test_mp_block_d1;
+          Alcotest.test_case "≡ per-round oracle, faults" `Quick test_mp_block_faults;
         ] );
       ( "ragged",
         [

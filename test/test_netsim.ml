@@ -150,6 +150,67 @@ let test_iid_wide_slots_distinct () =
         (!differ > 5_000)
   | _ -> Alcotest.fail "iid is oblivious"
 
+(* The iid patterns draw exactly the bits of [Util.Rng.at] they always
+   did (the key is the first word of the adversary's rng), and a draw
+   allocates nothing: they run on every slot of every round. *)
+let iid_reference ~seed ~rate ~round ~dir =
+  let key = Util.Rng.int64 (Util.Rng.create seed) in
+  let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
+  let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
+  (w, u < rate)
+
+let test_iid_draws_match_at () =
+  let rate = 0.3 in
+  match
+    ( Adversary.iid (Util.Rng.create 5) ~rate,
+      Adversary.iid_fixing (Util.Rng.create 5) ~rate,
+      Adversary.burst (Util.Rng.create 5) ~start_round:0 ~len:max_int ~dirs:[ 3; 70_000 ] )
+  with
+  | Adversary.Oblivious iid, Adversary.Oblivious_fixing fixing, Adversary.Oblivious burst ->
+      for round = 0 to 199 do
+        List.iter
+          (fun dir ->
+            let w, hit = iid_reference ~seed:5 ~rate ~round ~dir in
+            Alcotest.(check int) "iid addend"
+              (if hit then 1 + Int64.to_int (Int64.logand w 1L) else 0)
+              (iid ~round ~dir);
+            Alcotest.(check (option int)) "fixing output"
+              (if hit then Some (Int64.to_int (Int64.rem (Int64.shift_right_logical w 2) 3L))
+               else None)
+              (fixing ~round ~dir);
+            if dir = 3 || dir = 70_000 then
+              Alcotest.(check int) "burst addend"
+                (1 + Int64.to_int (Int64.logand w 1L))
+                (burst ~round ~dir))
+          [ 0; 3; 17; 65_535; 70_000 ]
+      done
+  | _ -> Alcotest.fail "iid and burst are oblivious, iid_fixing is fixing"
+
+let test_iid_draws_allocation_free () =
+  let per_call f =
+    let calls = 20_000 in
+    ignore (Sys.opaque_identity (f 0));
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      ignore (Sys.opaque_identity (f i))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let check name f =
+    let w = per_call f in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.4f words/draw" name w) true (w <= 0.01)
+  in
+  (match Adversary.iid (Util.Rng.create 6) ~rate:0.3 with
+  | Adversary.Oblivious f -> check "iid" (fun i -> f ~round:(i / 64) ~dir:(i land 63))
+  | _ -> Alcotest.fail "iid is oblivious");
+  (match Adversary.burst (Util.Rng.create 6) ~start_round:0 ~len:max_int ~dirs:[ 0; 1 ] with
+  | Adversary.Oblivious f -> check "burst" (fun i -> f ~round:i ~dir:(i land 1))
+  | _ -> Alcotest.fail "burst is oblivious");
+  (* A fixing hit is an [int option]; the misses must cost nothing. *)
+  match Adversary.iid_fixing (Util.Rng.create 6) ~rate:0. with
+  | Adversary.Oblivious_fixing f -> check "fixing misses" (fun i -> f ~round:i ~dir:0)
+  | _ -> Alcotest.fail "iid_fixing is fixing"
+
 let test_sampled_slots_count () =
   let rng = Util.Rng.create 7 in
   let adv = Adversary.sampled_slots rng ~count:25 ~rounds:100 ~dirs:8 in
@@ -600,6 +661,17 @@ module Dense_ref = struct
         stalled = t.stalled; injected = t.injected }
 end
 
+(* Trace events modulo the wall-clock stamp: same names, order, rounds,
+   links and values on both twins. *)
+let norm_events sink =
+  List.map
+    (function
+      | Trace.Sink.Span_begin { name; iter; seq; _ } -> `Span_begin (name, iter, seq)
+      | Trace.Sink.Span_end { name; iter; seq; _ } -> `Span_end (name, iter, seq)
+      | Trace.Sink.Count { name; iter; arg; value; seq; _ } -> `Count (name, iter, arg, value, seq)
+      | Trace.Sink.Gauge { name; iter; value; seq; _ } -> `Gauge (name, iter, value, seq))
+    (Trace.Sink.events sink)
+
 (* Drive two twins on the same (pure) adversary value and identical
    traffic: the dense reference round above and [Network.commit] on a
    sparse buffer.  Deliveries, the books and the emitted trace events
@@ -621,18 +693,6 @@ let check_differential ?hooks ~name g adv ~rounds ~sends_at =
       (Printf.sprintf "%s: delivery, round %d" name r)
       d_ref (delivered_of_active net act)
   done;
-  (* Event equality modulo the wall-clock stamp: same names, order,
-     rounds, links and values on both twins. *)
-  let norm sink =
-    List.map
-      (function
-        | Trace.Sink.Span_begin { name; iter; seq; _ } -> `Span_begin (name, iter, seq)
-        | Trace.Sink.Span_end { name; iter; seq; _ } -> `Span_end (name, iter, seq)
-        | Trace.Sink.Count { name; iter; arg; value; seq; _ } ->
-            `Count (name, iter, arg, value, seq)
-        | Trace.Sink.Gauge { name; iter; value; seq; _ } -> `Gauge (name, iter, value, seq))
-      (Trace.Sink.events sink)
-  in
   let s_ref = Dense_ref.stats oracle and s = Network.stats net in
   Alcotest.(check int) (name ^ " rounds") s_ref.Network.rounds s.Network.rounds;
   Alcotest.(check int) (name ^ " cc") s_ref.Network.cc s.Network.cc;
@@ -642,7 +702,7 @@ let check_differential ?hooks ~name g adv ~rounds ~sends_at =
   Alcotest.(check (float 1e-9)) (name ^ " noise fraction") s_ref.Network.noise_fraction
     s.Network.noise_fraction;
   Alcotest.(check bool) (name ^ " identical trace event streams") true
-    (norm sink_ref = norm sink)
+    (norm_events sink_ref = norm_events sink)
 
 let test_differential_substitution () =
   (* Addend 1 on a sent 0 flips it: pure substitution. *)
@@ -745,6 +805,153 @@ let test_differential_adaptive () =
   check_differential ~name:"adaptive reversed overspend" g4 adv_rev ~rounds:20
     ~sends_at:(fun r -> [ (1, 2, r mod 2 = 0) ])
 
+(* ---------- commit_block = rounds × commit ----------
+
+   Two twins on the same traffic: one runs [rounds] single [commit]s of
+   the block's sends (round r carries bit r of each direction's words),
+   the other one [commit_block].  Delivered words, books, trace events
+   and the Exact metrics (one net.active_links observation per round,
+   the 64-round noise gauge) must agree.  [adv ()] is called once per
+   twin, so a stateful strategy gets a fresh, identical copy each. *)
+let check_block ?hooks ~metered ~name g adv ~width ~fields ~rounds ~sym =
+  let module B = Network.Block in
+  let twin () =
+    let net = Network.create g (adv ()) in
+    let sink = Trace.Sink.create () in
+    let reg = if metered then Metrics.Registry.create () else Metrics.Registry.disabled in
+    Network.set_trace net sink;
+    Network.set_metrics net reg;
+    Network.set_fault_hooks net hooks;
+    Network.set_phase net ~iteration:3 ~phase:Adversary.Meeting_points;
+    (net, sink, reg)
+  in
+  let net_r, sink_r, reg_r = twin () and net_b, sink_b, reg_b = twin () in
+  let two_m = 2 * Topology.Graph.m g in
+  (* [sym dir r]: 0, 1, or 2 for a silent round (2 everywhere: a dead sender). *)
+  let out = Network.Block.create g ~width ~fields in
+  for dir = 0 to two_m - 1 do
+    for r = 0 to (width * fields) - 1 do
+      match sym dir r with 2 -> () | c -> B.send out ~dir ~round:r (c = 1)
+    done
+  done;
+  let expected = Network.Block.create g ~width ~fields in
+  let act = Network.active net_r in
+  for r = 0 to rounds - 1 do
+    Network.Active.begin_round act;
+    for dir = 0 to two_m - 1 do
+      match B.get out ~dir ~round:r with Some b -> Network.Active.send act ~dir b | None -> ()
+    done;
+    Network.commit net_r act;
+    Network.Active.iter act (fun ~dir b -> B.send expected ~dir ~round:r b)
+  done;
+  (* Stale contents must not survive: rounds past [rounds] come out silent. *)
+  let inw = Network.Block.create g ~width ~fields in
+  for dir = 0 to two_m - 1 do
+    for field = 0 to fields - 1 do
+      B.set inw ~dir ~field (-1)
+    done
+  done;
+  Network.commit_block net_b ~rounds ~out ~inw;
+  for dir = 0 to two_m - 1 do
+    for field = 0 to fields - 1 do
+      let at what f = Printf.sprintf "%s: %s dir %d field %d" name what dir field |> fun m ->
+        Alcotest.(check int) m (f expected ~dir ~field) (f inw ~dir ~field)
+      in
+      at "delivered ones" B.word;
+      at "delivered symbols" B.heard
+    done
+  done;
+  let s_r = Network.stats net_r and s_b = Network.stats net_b in
+  Alcotest.(check bool) (name ^ ": stats") true (s_r = s_b);
+  Alcotest.(check bool) (name ^ ": trace events") true (norm_events sink_r = norm_events sink_b);
+  let exact reg = Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) in
+  Alcotest.(check string) (name ^ ": exact metrics") (exact reg_r) (exact reg_b)
+
+(* The block shapes: τ = 30 (the largest hash width, 150 rounds, the
+   meeting-points shape) and a short ragged one that ends mid-field. *)
+let block_shapes = [ (30, 5, 150); (7, 3, 19) ]
+
+let check_block_random ?hooks ~name adv =
+  for seed = 0 to 19 do
+    let g =
+      Topology.Graph.random_connected (Util.Rng.create (100 + seed)) ~n:(3 + (seed mod 5))
+        ~extra_edges:(seed mod 4)
+    in
+    (* Every third direction is a dead sender (silent: only insertions
+       reach it); the rest speak, with an occasional silent round. *)
+    let sym dir r =
+      let h = (((seed * 131) + dir) * 31) + r in
+      if dir mod 3 = 2 then 2 else if h mod 17 = 0 then 2 else (h / 3) land 1
+    in
+    (* Unmetered, a silent adversary without hooks takes the word-copy
+       path; metered, every adversary goes round by round. *)
+    List.iter
+      (fun (width, fields, rounds) ->
+        List.iter
+          (fun metered ->
+            check_block ?hooks ~metered
+              ~name:
+                (Printf.sprintf "%s (seed %d, width %d, %d rounds, metered %b)" name seed width
+                   rounds metered)
+              g (fun () -> adv seed g) ~width ~fields ~rounds ~sym)
+          [ true; false ])
+      block_shapes
+  done
+
+let test_block_silent () = check_block_random ~name:"silent" (fun _ _ -> Adversary.Silent)
+
+let test_block_iid () =
+  check_block_random ~name:"iid" (fun seed _ ->
+      Adversary.iid (Util.Rng.create (200 + seed)) ~rate:0.2)
+
+let test_block_fixing () =
+  check_block_random ~name:"fixing" (fun seed _ ->
+      Adversary.iid_fixing (Util.Rng.create (200 + seed)) ~rate:0.2)
+
+let test_block_burst () =
+  check_block_random ~name:"burst" (fun seed g ->
+      Adversary.burst (Util.Rng.create (300 + seed)) ~start_round:40 ~len:50
+        ~dirs:(List.init (Topology.Graph.m g) (fun e -> 2 * e)))
+
+let test_block_adaptive () =
+  let phases = [ Adversary.Meeting_points ] in
+  check_block_random ~name:"adaptive link target" (fun _ g ->
+      Adversary.adaptive_link_target ~edge_dirs:[ 0; 1; (2 * Topology.Graph.m g) - 1 ]
+        ~rate_denom:4 ~phases);
+  check_block_random ~name:"adaptive phase attack" (fun seed _ ->
+      Adversary.adaptive_phase_attack ~rate_denom:5 ~phases (Util.Rng.create (400 + seed)))
+
+let test_block_fault_hooks () =
+  (* Stalls, injected addends (insertions on dead senders included) and a
+     scaled adaptive budget, on top of iid and adaptive noise. *)
+  let hooks =
+    Network.
+      {
+        stall = (fun ~round ~dir -> (round + dir) mod 7 = 0);
+        extra_addend =
+          (fun ~round ~dir -> if ((round * 3) + dir) mod 11 = 0 then 1 + (round land 1) else 0);
+        budget_scale = (fun ~round -> if round mod 5 = 0 then 2. else 1.);
+      }
+  in
+  check_block_random ~hooks ~name:"fault hooks, iid" (fun seed _ ->
+      Adversary.iid (Util.Rng.create (500 + seed)) ~rate:0.1);
+  check_block_random ~hooks ~name:"fault hooks, adaptive" (fun seed _ ->
+      Adversary.adaptive_phase_attack ~rate_denom:6 ~phases:[ Adversary.Meeting_points ]
+        (Util.Rng.create (600 + seed)))
+
+let test_block_rejects () =
+  let net = Network.create g4 Adversary.Silent in
+  let b = Network.Block.create g4 ~width:4 ~fields:2 in
+  let other ~width ~fields = Network.Block.create g4 ~width ~fields in
+  Alcotest.check_raises "rounds past the words"
+    (Invalid_argument "Network.commit_block: rounds out of range") (fun () ->
+      Network.commit_block net ~rounds:9 ~out:b ~inw:(other ~width:4 ~fields:2));
+  Alcotest.check_raises "shape mismatch"
+    (Invalid_argument "Network.commit_block: block shape mismatch") (fun () ->
+      Network.commit_block net ~rounds:4 ~out:b ~inw:(other ~width:8 ~fields:1));
+  Alcotest.check_raises "width" (Invalid_argument "Network.Block: width out of range") (fun () ->
+      ignore (Network.Block.create g4 ~width:Sys.int_size ~fields:1))
+
 let test_stats_record () =
   (* The stats record is the one-read view of the network's books. *)
   let net = Network.create g4 Adversary.Silent in
@@ -796,6 +1003,8 @@ let () =
           Alcotest.test_case "iid rate" `Quick test_iid_rate;
           Alcotest.test_case "iid pure/oblivious" `Quick test_iid_oblivious_pure;
           Alcotest.test_case "iid wide slots distinct" `Quick test_iid_wide_slots_distinct;
+          Alcotest.test_case "iid draws match at" `Quick test_iid_draws_match_at;
+          Alcotest.test_case "iid draws allocation-free" `Quick test_iid_draws_allocation_free;
           Alcotest.test_case "sampled slots count" `Quick test_sampled_slots_count;
           Alcotest.test_case "burst" `Quick test_burst;
           Alcotest.test_case "fixing semantics" `Quick test_fixing_semantics;
@@ -822,6 +1031,13 @@ let () =
           Alcotest.test_case "differential: fixing" `Quick test_differential_fixing;
           Alcotest.test_case "differential: fault hooks" `Quick test_differential_fault_hooks;
           Alcotest.test_case "differential: adaptive" `Quick test_differential_adaptive;
+          Alcotest.test_case "block: silent" `Quick test_block_silent;
+          Alcotest.test_case "block: iid" `Quick test_block_iid;
+          Alcotest.test_case "block: fixing" `Quick test_block_fixing;
+          Alcotest.test_case "block: burst" `Quick test_block_burst;
+          Alcotest.test_case "block: adaptive" `Quick test_block_adaptive;
+          Alcotest.test_case "block: fault hooks" `Quick test_block_fault_hooks;
+          Alcotest.test_case "block: rejects" `Quick test_block_rejects;
           Alcotest.test_case "stats record" `Quick test_stats_record;
           Alcotest.test_case "corruption probe" `Quick test_corruption_probe;
         ] );
