@@ -16,9 +16,8 @@
      induced insdel rate ((stalled + injected) / cc) and whether the
      simulation still succeeds.  These rows are keyed ragged_* and are
      exactly reproducible (the jitter stream is keyed, not timed), so
-     the observatory classifies them Exact; one additional genuinely
-     parallel row is keyed jitter_* so the observatory ignores its
-     scheduling-dependent values.
+     the observatory classifies them Exact.  Keyed jitter is the one
+     ragged model: the engine runs it serially at any shard count.
 
    The serial d=0 engine is the lockstep reference; its equivalence to
    the historical loop is the live test suite's differential job, not
@@ -76,13 +75,14 @@ let round_sweep ~grid_side ~rounds ~shard_counts =
            shard_counts)
     (topologies ~grid_side)
 
-(* One full scheme execution on the live engine at ragged depth [d]
-   under a silent adversary: the insdel noise the engine's lag induced,
-   or None when the run left no result. *)
-let ragged_run ?(force_serial = true) ?(shards = 4) ~chatter_rounds ~jitter_rate ~d g =
+(* One full scheme execution on the force-serial live engine (4
+   shards) at ragged depth [d] under a silent adversary: the insdel
+   noise the keyed lags induced, or None when the run left no result. *)
+let ragged_run ~chatter_rounds ~jitter_rate ~d g =
   let pi = Protocol.Protocols.random_chatter g ~rounds:chatter_rounds ~density:0.5 ~seed:3 in
   let backend =
-    Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:d ~jitter_rate ~force_serial ())
+    Coding.Scheme.Live
+      (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate ~force_serial:true ())
   in
   let outcome =
     Coding.Scheme.run_outcome
@@ -109,16 +109,7 @@ let ragged_run ?(force_serial = true) ?(shards = 4) ~chatter_rounds ~jitter_rate
       })
     (Faults.Outcome.result outcome)
 
-(* A genuinely parallel ragged run (2 domains, d = 2, the engine's
-   default lag rate): numbers depend on the machine's scheduling, so
-   they are published under jitter_* (observatory: Ignored) purely as a
-   live artifact to eyeball.  Returns (insdel rate, success as 0/1). *)
-let parallel_jitter_probe ~chatter_rounds g =
-  match ragged_run ~force_serial:false ~shards:2 ~chatter_rounds ~jitter_rate:0.05 ~d:2 g with
-  | None -> (0., 0.)
-  | Some r -> (r.insdel_rate, if r.success then 1. else 0.)
-
-let json_of rounds_rows ragged_rows (jitter_rate_obs, jitter_success) =
+let json_of rounds_rows ragged_rows =
   let module J = Util.Json in
   let rr r =
     J.obj
@@ -148,8 +139,6 @@ let json_of rounds_rows ragged_rows (jitter_rate_obs, jitter_success) =
       ("bench", J.str "live");
       ("rounds", J.arr (List.map rr rounds_rows));
       ("ragged_serial_sweep", J.arr (List.map gr ragged_rows));
-      ("jitter_parallel_insdel_rate", J.num jitter_rate_obs);
-      ("jitter_parallel_success", J.num jitter_success);
     ]
 
 let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json () =
@@ -191,10 +180,7 @@ let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json (
         (if r.success then "yes" else "NO")
         r.insdel_rate r.stalled r.injected r.cc r.iterations)
     ragged_rows;
-  let jitter = parallel_jitter_probe ~chatter_rounds g_ragged in
-  Format.printf "  parallel probe (2 domains, d=2): insdel=%.5f success=%.0f  [machine-dependent]@."
-    (fst jitter) (snd jitter);
-  Exp_common.write_json json (json_of rounds_rows ragged_rows jitter);
+  Exp_common.write_json json (json_of rounds_rows ragged_rows);
   (rounds_rows, ragged_rows)
 
 let run () =

@@ -479,8 +479,8 @@ let backend_t =
           "Execution backend: $(b,lockstep) (serial reference) or $(b,live) (parties sharded \
            across domains; see --shards / --ragged).  Tracing (--trace / --postmortem) runs \
            the parallel engine with one trace ring per shard and merges the streams \
-           deterministically afterwards (byte-identical to the serial order at --ragged 0); \
-           only an adversary spy ($(b,--adversary hunter)) still forces the serial engine.")
+           deterministically afterwards (byte-identical to the serial order); an adversary spy \
+           ($(b,--adversary hunter)) or --ragged above 0 selects the serial engine.")
 
 let shards_t =
   Arg.(
@@ -496,9 +496,10 @@ let ragged_t =
     value & opt int 0
     & info [ "ragged" ] ~docv:"D"
         ~doc:
-          "Ragged-synchrony slack for --backend live: shards may run up to $(docv) rounds \
-           ahead; the induced scheduling jitter surfaces as insertion/deletion noise booked \
-           through the fault accounting.  0 (default) keeps rounds lockstep-equivalent.")
+          "Ragged-synchrony slack for --backend live: a shard's round may land up to $(docv) \
+           rounds late, drawn by keyed jitter on the serial engine at any shard count (exactly \
+           reproducible); the delays surface as insertion/deletion noise booked through the \
+           fault accounting.  0 (default) keeps rounds lockstep-equivalent.")
 
 let attack_t =
   Arg.(

@@ -340,8 +340,8 @@ type fault_ctx = {
    [slice] jobs for the no-network per-party steps.  Every callback
    touches only the state of its own shard's parties — that discipline
    is what lets the same four phase drivers run unmodified on the
-   lockstep (serial, one shard) and live (one domain per shard,
-   optionally ragged) backends.  [recv_link]/[recv_party] resolve a
+   lockstep (serial, one shard) and live (one domain per shard, or
+   serial keyed jitter when ragged) backends.  [recv_link]/[recv_party] resolve a
    delivered dir id to the receiving endpoint in O(1). *)
 
 type transport = {
@@ -1019,8 +1019,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         (* Per-shard sampling: keep 1-in-N iterations.  Mute flips ride
            the job stream (each worker flips its own ring when it
            reaches the slice), so every ring switches at the same
-           schedule position — exact at d = 0, ragged like everything
-           else at d > 0.  Counter totals cover sampled iterations. *)
+           schedule position.  Counter totals cover sampled
+           iterations. *)
         let keep = it mod config.Config.trace_sample_every = 0 in
         if Trace.Sink.muted sink <> not keep then begin
           Live.Exec.slice ex (fun w -> Trace.Sink.set_muted pr.rings.(w) (not keep));
@@ -1117,8 +1117,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Trace.Sink.span_end sink ~id:sp_rewind ~iter:it
       end;
       (* Quiesce before the leader-side reads below (global stats, early
-         stop, next iteration's prepass) — also folds any ragged drop
-         tally into the network stats so per-iteration snapshots see it. *)
+         stop, next iteration's prepass). *)
       Live.Exec.join ex;
       if observing then begin
         (* Deferred per-iteration tallies, all behind the one join the

@@ -82,9 +82,10 @@ type backend =
           shard, d = 0 — the historical single-domain round loop *)
   | Live of Live.Config.t
       (** the concurrent backend (lib/live): parties sharded across
-          domains, rounds committed through a per-round epoch barrier,
-          optionally ragged ([ragged_d] > 0 books scheduling jitter as
-          insertions/deletions through the network's fault accounting).
+          domains, each round one barrier whose last arriver commits;
+          or, with [ragged_d] > 0, the serial engine's keyed jitter at
+          any shard count, booked as insertions/deletions through the
+          network's fault accounting.
           A spy hook forces the serial engine (it reads party state
           between rounds).  An enabled trace sink does {e not}: the
           parallel engine captures into one private ring per domain

@@ -32,7 +32,6 @@ let create parties =
     yield = false;
   }
 
-let parties t = t.parties
 let set_yield t b = t.yield <- b
 
 (* Wait-spin counts are pure scheduling artifacts, never functions of
@@ -44,8 +43,8 @@ let set_metrics t reg =
     Metrics.Registry.counter reg ~klass:Metrics.Registry.Timed "live.barrier.sleeps";
   t.probe <- Metrics.Registry.is_enabled reg
 
-(* Spin until [cond] holds or [giveup] fires; shared with the commit
-   window waits in Exec.  [cpu_relax] bursts keep latency low when a
+(* Spin until [cond] holds or [giveup] fires; shared with the job-log
+   wait in Exec.  [cpu_relax] bursts keep latency low when a
    core is available; the sleep ladder keeps oversubscribed runs (more
    domains than cores) from starving the domain that must make
    progress.  In [yield] mode — the caller knows it is oversubscribed —
@@ -82,10 +81,12 @@ let spin_until ?giveup ?yield cond =
   let spins = ref 0 and sleeps = ref 0 in
   spin_core ?giveup ?yield ~spins ~sleeps cond
 
-let await ?giveup t =
+let await ?giveup ?last t =
   let my_sense = not (Atomic.get t.sense) in
   if Atomic.fetch_and_add t.count (-1) = 1 then begin
-    (* Last arriver: refill for the next episode, then release. *)
+    (* Last arriver: run [last] while every other party still waits,
+       refill for the next episode, then release. *)
+    (match last with Some f -> f () | None -> ());
     Atomic.set t.count t.parties;
     Atomic.set t.sense my_sense;
     if t.probe then Metrics.Registry.observe t.spins_h 0;

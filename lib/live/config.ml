@@ -1,19 +1,17 @@
 (* Configuration of the live execution backend.
 
    [shards] is the number of worker domains the parties are split
-   across; [ragged_d] is the synchrony slack: shards may run up to
-   [ragged_d] rounds ahead of the slowest commit before blocking
-   (d = 0 is full lockstep, proved byte-identical to the reference
-   backend by the differential suite).
+   across; [ragged_d] is the synchrony slack: a shard's round may land
+   up to [ragged_d] rounds late (d = 0 is full lockstep, proved
+   byte-identical to the reference backend by the differential suite).
 
-   The serial engine (chosen by [force_serial] or by shards = 1; Scheme
-   sets [force_serial] for an adversary spy, which needs a single-domain
-   event order) cannot develop *real* scheduling skew, so for d > 0 it
-   injects a deterministic keyed jitter: per (round, shard) a lag in
-   [1..d] is drawn with probability [jitter_rate] from the pure
-   SplitMix stream seeded by [jitter_key].  This keeps the ragged
-   benchmarks and tests reproducible while the parallel engine exhibits
-   the genuine article. *)
+   Ragged synchrony is keyed jitter: per (round, shard) a lag in [1..d]
+   is drawn with probability [jitter_rate] from the pure SplitMix
+   stream seeded by [jitter_key], on the serial engine, at any shard
+   count.  That keeps the ragged benchmarks and tests exactly
+   reproducible.  The serial engine is also chosen by [force_serial]
+   (Scheme sets it for an adversary spy, which needs a single-domain
+   event order) and by shards = 1. *)
 
 type t = {
   shards : int;

@@ -3,17 +3,18 @@
 type t = {
   shards : int;  (** worker domains the parties are sharded across (>= 1) *)
   ragged_d : int;
-      (** synchrony slack: shards may run up to [ragged_d] rounds ahead
-          of the slowest commit; 0 = lockstep (byte-identical to the
-          reference backend) *)
+      (** synchrony slack: a shard's round may land up to [ragged_d]
+          rounds late, by keyed jitter on the serial engine (any
+          [ragged_d] > 0 selects it); 0 = lockstep (byte-identical to
+          the reference backend) *)
   jitter_rate : float;
-      (** serial engine only: probability that a (round, shard) pair
-          draws a simulated lag in [1..ragged_d] *)
+      (** probability that a (round, shard) pair draws a lag in
+          [1..ragged_d] *)
   jitter_key : int64;  (** seed of the deterministic jitter stream *)
   force_serial : bool;
-      (** run the single-domain engine even for [shards] > 1 —
-          deterministic; the only serial switch besides [shards = 1]
-          (used by the ragged benchmarks and for an adversary spy) *)
+      (** run the single-domain engine even for [shards] > 1 at
+          [ragged_d] = 0 (used for an adversary spy); the other serial
+          switches are [shards = 1] and [ragged_d > 0] *)
 }
 
 val make :

@@ -1,7 +1,8 @@
 (** The live execution engine: runs a phase driver's per-round
     write/read callbacks either inline (serial engine — with d = 0 this
-    {e is} the historical lockstep loop) or across one domain per shard
-    with a d-deep ragged commit window (parallel engine).  See
+    {e is} the historical lockstep loop, with d > 0 it adds keyed
+    jitter) or in lockstep across one domain per shard (parallel
+    engine: each round is one barrier whose last arriver commits).  See
     DESIGN.md §3h for the protocol and the d=0 ≡ lockstep argument. *)
 
 type t
@@ -16,18 +17,20 @@ val create :
 (** Build an engine over [net] for [Array.length weights] parties,
     sharded by {!Shard.partition}.  The serial engine is chosen when
     [config.force_serial] is set (callers set it when they need a
-    single-domain event order, e.g. an adversary spy) or when the
-    effective shard count is 1; otherwise one worker domain per shard
-    is spawned immediately.
+    single-domain event order, e.g. an adversary spy), when the
+    effective shard count is 1, or when [config.ragged_d > 0] (ragged
+    synchrony is keyed jitter, exactly reproducible at any shard
+    count); otherwise one worker domain per shard is spawned
+    immediately.
 
     [metrics] (default {!Metrics.Registry.disabled}) attaches engine
-    telemetry: [live.rounds] (Exact counter, booked once by {!shutdown}
-    from {!rounds_run}, not per round), [live.ragged.lag] (Exact
-    histogram of keyed serial lag draws), [live.round_ns] (Timed
-    per-shard round latency; a {!block} committed as one job books its
-    latency divided by its rounds, once per round) and [live.drift]
-    (Timed commit-time shard spread, one sample per commit — such a
-    block commits once), plus the join barrier's wait-spin metrics.  Metrics do
+    telemetry: [live.rounds] (Exact counter, booked once by {!shutdown},
+    not per round), [live.ragged.lag] (Exact histogram of keyed serial
+    lag draws) and [live.round_ns] (Timed per-shard round latency; a
+    {!block} committed as one job books its latency divided by its
+    rounds, once per round), plus the join barrier's wait-spin metrics.
+    [live.drift] (Timed) is registered so snapshot name sets stay put,
+    and never observed: lockstep rounds have no shard spread.  Metrics do
     {e not} force the serial engine — the registry is domain-safe, and
     neither does a trace sink: sharded capture (see {!set_trace})
     gives each domain its own ring.
@@ -54,7 +57,8 @@ val set_trace : t -> Trace.Sharded.t -> unit
     count must equal {!shards}.  Thereafter the engine stamps every
     ring with logical merge ticks — job index [j] owns ticks [4j]
     (leader), [4j+1] (shard writes / slices), [4j+2] (network commit,
-    routed to the committer's ring via [Network.set_trace]) and
+    routed to the ring of the round barrier's last arriver via
+    [Network.set_trace]) and
     [4j+3] (shard reads) — so {!Trace.Merge} can rebuild the serial
     event order deterministically.  Callbacks must emit only into the
     ring of the shard they were invoked for. *)
@@ -71,7 +75,7 @@ val round :
     (out-directions only — each directed link has a unique sending
     party, so shards never collide); [read ~shard master] consumes the
     delivered round.  [label], when given, runs exactly once before the
-    network transforms the round (committer-serialized) — used for
+    network transforms the round (on the committing domain) — used for
     [Network.set_phase].  On the parallel engine this returns
     immediately (the round is enqueued); callbacks must touch only
     shard-local state.  Raises a worker's pending exception, if any. *)
@@ -96,11 +100,12 @@ val block :
     how it runs:
     - d = 0, serial engine: every shard writes, one
       [Network.commit_block], every shard reads;
-    - d = 0, parallel engine: one job with the usual four merge ticks
-      (shard writes, one commit by the elected committer, shard reads)
-      — one barrier crossing instead of [rounds];
-    - d > 0 (either engine): drift is per round, so the block runs as
-      [rounds] ordinary rounds, round [r] carrying bit [r] of the words.
+    - parallel engine: one job with the usual four merge ticks (shard
+      writes, one commit by the round barrier's last arriver, shard
+      reads) — one barrier crossing instead of [rounds];
+    - d > 0 (serial keyed jitter): lags are drawn per round, so the
+      block runs as [rounds] ordinary rounds, round [r] carrying bit
+      [r] of the words.
     The two word buffers belong to the engine and are reused by the
     next block: [read] must copy out what it keeps.  Raises
     [Invalid_argument] for [rounds < 1] or a width outside
@@ -113,24 +118,23 @@ val slice : t -> (int -> unit) -> unit
 val join : t -> unit
 (** Barrier: returns once every issued job has fully executed on every
     shard.  After [join] the leader may read and mutate any party
-    state until the next [round]/[slice].  Also folds the ragged drop
-    tally into [Network.stats] and garbage-collects the job log.
-    Raises a worker's pending exception, if any. *)
+    state until the next [round]/[slice].  Also garbage-collects the
+    job log.  Raises a worker's pending exception, if any. *)
 
 val rounds_run : t -> int
 (** Total rounds issued ({!block} counts its [rounds]). *)
 
 val jitter_dropped : t -> int
-(** Symbols deleted from their intended round by ragged synchrony
-    (owner-retired late seals + stale-surfaced; serial engine: delayed
-    symbols). *)
+(** Symbols the keyed jitter delayed past their intended round
+    (deletions there); 0 on the parallel engine, which has no jitter. *)
 
 val jitter_surfaced : t -> int
-(** Stale symbols delivered into a later round (each is also counted
-    by {!jitter_dropped}). *)
+(** Delayed symbols delivered into a later round (each is also counted
+    by {!jitter_dropped}); 0 on the parallel engine. *)
 
 val shutdown : t -> unit
-(** Book [live.rounds] from {!rounds_run}, then terminate and join the
-    worker domains (idempotent; never raises on the cleanup path).
-    Books tail-round buffers that never committed as deletions.  The
-    serial engine has no domains: there it only books [live.rounds]. *)
+(** Terminate and join the worker domains, then book [live.rounds]
+    (idempotent; never raises on the cleanup path).  The serial engine
+    books {!rounds_run}; the parallel engine books the rounds whose
+    commit began, so a run poisoned mid-round counts the same rounds
+    however far ahead the leader had issued. *)

@@ -13,12 +13,6 @@ let shards t = Array.length t.ranges
 let range t s = t.ranges.(s)
 let owner t party = t.owner_of.(party)
 
-let iter_range t s f =
-  let lo, hi = t.ranges.(s) in
-  for p = lo to hi - 1 do
-    f p
-  done
-
 (* Cut [n] parties into [shards] non-empty contiguous ranges with
    near-equal prefix weight: shard k gets the parties whose prefix sum
    falls in [k*total/s, (k+1)*total/s).  Cuts are forced strictly

@@ -24,8 +24,4 @@ val range : t -> int -> int * int
 val owner : t -> int -> int
 (** [owner t p] is the shard owning party [p]. *)
 
-val iter_range : t -> int -> (int -> unit) -> unit
-(** [iter_range t k f] applies [f] to each party of shard [k] in
-    ascending id order. *)
-
 val pp : Format.formatter -> t -> unit

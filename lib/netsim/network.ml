@@ -548,9 +548,9 @@ let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
         transform t block_slots v
       done
 
-(* Jitter noise booked by the live backend (lib/live): a symbol whose
-   round the receiver had already committed is a deletion (stalled); a
-   stale symbol surfacing in a later-committed slot is an insertion.
+(* Jitter noise booked by the live backend (lib/live): a symbol delayed
+   past the round it was written for is a deletion (stalled); the
+   delayed symbol surfacing in a later round is an insertion.
    Routed through the same counters and trace ids as the fault engine so
    postmortems and Φ gauges attribute ragged-synchrony noise exactly
    like environment faults. *)
@@ -561,15 +561,6 @@ let note_stalled t ~dir =
 let note_injected t ~dir =
   t.injected <- t.injected + 1;
   Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:dir 1
-
-(* Bulk variant: folds drop counts accumulated off the trace path (e.g.
-   worker-side drops tallied in an Atomic) into the stats, booked as one
-   aggregate trace count with no link attribution. *)
-let note_stalled_count t k =
-  if k > 0 then begin
-    t.stalled <- t.stalled + k;
-    Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no k
-  end
 
 let stats t =
   {

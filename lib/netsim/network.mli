@@ -187,8 +187,8 @@ val set_metrics : t -> Metrics.Registry.t -> unit
     are not probed per event: the run's owner books them once from
     {!stats} ([Coding.Scheme] as [net.cc], [net.corruptions],
     [net.stalled], [net.injected]).  Both series replay byte-identically
-    across jobs/shards whenever the execution itself does (everything
-    but parallel ragged mode).  The default is
+    across jobs and shards, since the execution itself does.  The
+    default is
     {!Metrics.Registry.disabled}: one branch per round. *)
 
 val set_phase : t -> iteration:int -> phase:Adversary.phase -> unit
@@ -227,21 +227,16 @@ val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
 
 val note_stalled : t -> dir:int -> unit
 (** Book one deletion event on a directed link outside {!commit} — used
-    by the live backend (lib/live) when ragged synchrony drops a symbol
-    whose round the receiver had already committed.  Increments
+    by the live backend (lib/live) when keyed jitter delays a symbol
+    past the round it was written for.  Increments
     [stats.stalled] and emits the same [net.stalled] trace event as a
     fault-engine stall, so postmortems attribute jitter noise
     uniformly. *)
 
 val note_injected : t -> dir:int -> unit
 (** Book one insertion/substitution event on a directed link outside
-    {!commit} — a stale symbol surfacing in a later-committed round.
+    {!commit} — a delayed symbol surfacing in a later round.
     Increments [stats.injected] and emits [net.injected]. *)
-
-val note_stalled_count : t -> int -> unit
-(** Bulk variant of {!note_stalled}: fold [k] deletion events (e.g.
-    drops tallied in a worker-side Atomic) into [stats.stalled], and
-    emit one [net.stalled] count of value [k] with no link ([arg = -1]). *)
 
 val stats : t -> stats
 (** The network's books, in one read. *)

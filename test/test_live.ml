@@ -374,10 +374,10 @@ let test_differential_faults () =
     [ List.nth graphs 0; List.nth graphs 2 ]
 
 let test_differential_trace_stream () =
-  (* With an enabled sink the live backend pins itself serial, so the
-     normalized (timing-free) trace streams must match the reference
-     backend character for character — same probes, same order, same
-     arguments. *)
+  (* An enabled sink captures into per-domain rings merged after the
+     run, so the normalized (timing-free) trace streams must match the
+     reference backend character for character — same probes, same
+     order, same arguments. *)
   let g = Topology.Graph.clique 5 in
   let go backend =
     let sink = Trace.Sink.create () in
@@ -430,21 +430,49 @@ let test_serial_ragged_deterministic () =
   in
   Alcotest.(check string) "d=0 stays clean" "completed" (Faults.Outcome.label d0)
 
-let test_parallel_ragged_smoke () =
-  (* Real domains racing under a d=1 window: the run must terminate in
-     a completed or degraded state (never abort), with any jitter the
-     race produced booked through the network stats. *)
-  let g = Topology.Graph.clique 4 in
-  let outcome =
-    run_backend
-      ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ()))
-      ~adv:(fun () -> Netsim.Adversary.Silent)
-      ~seed:23 g
+let test_ragged_is_keyed_jitter () =
+  (* Ragged synchrony is the keyed-jitter serial engine at every shard
+     count: a 2-shard d = 1 config builds the serial engine, and its run
+     is byte-identical to the same config with [force_serial] — outcome,
+     timing-free trace export and Exact metrics. *)
+  let g = Topology.Graph.line 6 in
+  let config ~force_serial = Live.Config.make ~shards:2 ~ragged_d:1 ~force_serial () in
+  let ex =
+    Live.Exec.create
+      ~net:(Network.create g Netsim.Adversary.Silent)
+      ~config:(config ~force_serial:false)
+      ~weights:(Array.init 6 (Topology.Graph.degree g))
+      ()
   in
-  match outcome with
-  | Faults.Outcome.Completed _ | Faults.Outcome.Degraded _ -> ()
-  | Faults.Outcome.Aborted (reason, _) ->
-      Alcotest.fail ("ragged run aborted: " ^ Faults.Outcome.abort_to_string reason)
+  let serial = Live.Exec.is_serial ex and shards = Live.Exec.shards ex in
+  Live.Exec.shutdown ex;
+  Alcotest.(check bool) "d = 1 builds the serial engine" true serial;
+  Alcotest.(check int) "over both shards" 2 shards;
+  let go ~force_serial =
+    let sink = Trace.Sink.create () and reg = Metrics.Registry.create () in
+    let pi = Protocol.Protocols.random_chatter g ~rounds:100 ~density:0.5 ~seed:3 in
+    let outcome =
+      Coding.Scheme.run_outcome
+        ~config:
+          (Coding.Scheme.Config.make ~sink ~metrics:reg ~faults:(fault_plan g)
+             ~backend:(Coding.Scheme.Live (config ~force_serial))
+             ())
+        ~rng:(Util.Rng.create 23) (Coding.Params.algorithm_1 g) pi
+        (Netsim.Adversary.iid (Util.Rng.create 99) ~rate:0.002)
+    in
+    ( outcome,
+      Trace.Export.jsonl ~timing:false sink,
+      Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) )
+  in
+  let o, tr, m = go ~force_serial:false and o_ref, tr_ref, m_ref = go ~force_serial:true in
+  check_identical "d=1/shards=2" o_ref o;
+  Alcotest.(check string) "trace export" tr_ref tr;
+  Alcotest.(check string) "exact metrics" m_ref m;
+  match Faults.Outcome.diagnosis o with
+  | Some d ->
+      Alcotest.(check bool) "jitter booked" true
+        (d.Faults.Outcome.stalled_slots > 0 && d.Faults.Outcome.injected > 0)
+  | None -> Alcotest.fail "expected a diagnosis"
 
 (* ---------- Meeting-points block vs the per-round oracle ----------
 
@@ -655,6 +683,6 @@ let () =
         [
           Alcotest.test_case "serial jitter deterministic" `Quick
             test_serial_ragged_deterministic;
-          Alcotest.test_case "parallel d=1 smoke" `Quick test_parallel_ragged_smoke;
+          Alcotest.test_case "keyed jitter at any shard count" `Quick test_ragged_is_keyed_jitter;
         ] );
     ]

@@ -314,6 +314,17 @@ let test_aborted_run_names_its_phase () =
      Exact metrics are as deterministic as a completed run's. *)
   Alcotest.(check string) "aborted exact metrics digest" "efab83dbee5283f9e9cc38a238519eb6"
     (Digest.to_hex (Digest.string (Expo.exact_json snap)));
+  (* On two domains the round that raises is committed once, by the
+     round barrier's last arriver, and no later round can commit: the
+     same counts, booked from the rounds whose commit began. *)
+  (match scheme_exact ~shards:2 ~adversary () with
+  | Faults.Outcome.Aborted (Faults.Outcome.Internal_error _, _), snap2 ->
+      Alcotest.(check string) "aborted exact metrics digest, 2 shards"
+        "efab83dbee5283f9e9cc38a238519eb6"
+        (Digest.to_hex (Digest.string (Expo.exact_json snap2)))
+  | o, _ ->
+      Alcotest.failf "expected an internal-error abort at 2 shards, got %s"
+        (Faults.Outcome.label o));
   (* A wall budget of 0 trips the watchdog at its first check, right
      after iteration 0 opens. *)
   match scheme_exact ~max_wall_s:0. () with

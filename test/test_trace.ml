@@ -344,9 +344,9 @@ let test_sharded_sampling () =
     (String.length oracle > 0)
 
 let test_sharded_ragged_well_ordered () =
-  (* At ragged depth > 0 byte-identity is out of scope; the merged
-     stream must still nest correctly (all spans live on the leader
-     ring, whose order survives the merge) and keep drop-proof totals. *)
+  (* Ragged depth > 0 runs on the keyed-jitter serial engine at any
+     shard count: the run must finish and its spans must nest even
+     though symbols surface rounds late. *)
   let o, live, sink =
     scheme_export ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ())) ()
   in
@@ -453,8 +453,8 @@ let test_export_golden () =
 
 (* Every surface books the same events: trace counter totals, Exact
    metric counters and the result/diagnosis fields agree on the run
-   above — serial, parallel at d = 0, and ragged (where bulk drops are
-   booked as one aggregate trace count). *)
+   above — serial, parallel at d = 0, and ragged (keyed jitter, where
+   delayed symbols are booked as stalls and surface as injections). *)
 let test_surfaces_agree ~shards ~ragged_d () =
   let outcome, sink, snap = probe_run ~shards ~ragged_d in
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
@@ -488,12 +488,10 @@ let test_surfaces_agree ~shards ~ragged_d () =
   agree "mp truncations" [ trace "mp.truncate"; metric "scheme.mp_truncations" ];
   agree "phi stalls" [ trace "phi.stall"; metric "scheme.phi_stalls" ];
   agree "cc" [ metric "net.cc"; r.Coding.Scheme.cc ];
-  (* The run exercises the surfaces it compares (at d > 0 the scheme's
-     own events depend on scheduling, so only the network's are sure). *)
+  (* The run exercises the surfaces it compares. *)
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " fired") true (trace n > 0))
-    ([ "net.corrupt"; "net.stalled"; "net.injected" ]
-    @ if ragged_d = 0 then [ "mp.truncate"; "rewind.requests"; "phi.stall" ] else [])
+    [ "net.corrupt"; "net.stalled"; "net.injected"; "mp.truncate"; "rewind.requests"; "phi.stall" ]
 
 let () =
   Alcotest.run "trace"
