@@ -23,7 +23,7 @@ type t = {
 
 let default_shards () = max 1 (Domain.recommended_domain_count ())
 
-let make ?shards ?(ragged_d = 0) ?(jitter_rate = 0.05) ?(jitter_key = 0x11feL)
+let make ?shards ?(ragged_d = 0) ?(jitter_rate = 0.001) ?(jitter_key = 0x11feL)
     ?(force_serial = false) () =
   let shards = match shards with Some s -> s | None -> default_shards () in
   if shards < 1 then invalid_arg "Live.Config.make: shards must be >= 1";

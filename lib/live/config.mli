@@ -26,8 +26,9 @@ val make :
   unit ->
   t
 (** [shards] defaults to [Domain.recommended_domain_count ()]; [ragged_d]
-    to [0]; [jitter_rate] to [0.05]; [force_serial] to [false].
-    Raises [Invalid_argument] on out-of-range values. *)
+    to [0]; [jitter_rate] to [0.001] (on mic's default cycle-8 run the
+    scheme fails from a lag rate of about 0.005 on); [force_serial] to
+    [false].  Raises [Invalid_argument] on out-of-range values. *)
 
 val default : t
 (** One shard, lockstep — semantically the reference backend run

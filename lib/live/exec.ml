@@ -220,18 +220,18 @@ let commit p ~w ~job rj =
     Trace.Sink.set_tick r ((4 * job) + 2);
     Network.set_trace p.net r
   end;
+  (* Counted before the label, as the serial engine counts a round
+     before running it. *)
+  p.committed <- (p.committed + match rj.words with None -> 1 | Some b -> b.w_rounds);
   (match rj.label with Some f -> f () | None -> ());
   match rj.words with
   | None ->
-      p.committed <- p.committed + 1;
       Active.begin_round p.master;
       let send ~dir bit = Active.send p.master ~dir bit in
       Array.iter (fun buf -> Active.iter buf send) p.bufs;
       Network.commit p.net p.master;
       Active.sort p.master
-  | Some b ->
-      p.committed <- p.committed + b.w_rounds;
-      Network.commit_block p.net ~rounds:b.w_rounds ~out:b.w_out ~inw:b.w_in
+  | Some b -> Network.commit_block p.net ~rounds:b.w_rounds ~out:b.w_out ~inw:b.w_in
 
 let process_round p w ~giveup ~job rj =
   let t0 = if p.pr.on then Unix.gettimeofday () else 0. in

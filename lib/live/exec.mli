@@ -136,5 +136,8 @@ val shutdown : t -> unit
 (** Terminate and join the worker domains, then book [live.rounds]
     (idempotent; never raises on the cleanup path).  The serial engine
     books {!rounds_run}; the parallel engine books the rounds whose
-    commit began, so a run poisoned mid-round counts the same rounds
-    however far ahead the leader had issued. *)
+    commit began (counted before the label runs), so a run poisoned by
+    a raise in a label or in the commit counts the same rounds as the
+    serial engine however far ahead the leader had issued.  A raise in
+    a shard's [write] stops that round before its commit begins, so it
+    counts one round fewer than serial. *)

@@ -19,13 +19,10 @@ let lowercase_contains ~needle hay =
   go 0
 
 (* Names are matched on the full flattened path, lowercased.  "jobs" is
-   a knob, not a measurement; "jitter" names a scheduling-dependent
-   value (the keyed ragged sweep reports "ragged_*" instead, which stays
-   exact); anything wall-clock-, rate- or allocation-flavoured is an
-   execution artifact. *)
+   a knob, not a measurement; anything wall-clock-, rate- or
+   allocation-flavoured is an execution artifact. *)
 let classify name =
-  if List.exists (fun needle -> lowercase_contains ~needle name) [ "jobs"; "jitter" ] then
-    `Ignored
+  if lowercase_contains ~needle:"jobs" name then `Ignored
   else if
     List.exists
       (fun needle -> lowercase_contains ~needle name)

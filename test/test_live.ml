@@ -434,9 +434,12 @@ let test_ragged_is_keyed_jitter () =
   (* Ragged synchrony is the keyed-jitter serial engine at every shard
      count: a 2-shard d = 1 config builds the serial engine, and its run
      is byte-identical to the same config with [force_serial] — outcome,
-     timing-free trace export and Exact metrics. *)
+     timing-free trace export and Exact metrics.  No fault plan: every
+     stalled or injected symbol is the jitter's. *)
   let g = Topology.Graph.line 6 in
-  let config ~force_serial = Live.Config.make ~shards:2 ~ragged_d:1 ~force_serial () in
+  let config ~force_serial =
+    Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.05 ~force_serial ()
+  in
   let ex =
     Live.Exec.create
       ~net:(Network.create g Netsim.Adversary.Silent)
@@ -454,7 +457,7 @@ let test_ragged_is_keyed_jitter () =
     let outcome =
       Coding.Scheme.run_outcome
         ~config:
-          (Coding.Scheme.Config.make ~sink ~metrics:reg ~faults:(fault_plan g)
+          (Coding.Scheme.Config.make ~sink ~metrics:reg
              ~backend:(Coding.Scheme.Live (config ~force_serial))
              ())
         ~rng:(Util.Rng.create 23) (Coding.Params.algorithm_1 g) pi

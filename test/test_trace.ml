@@ -348,7 +348,7 @@ let test_sharded_ragged_well_ordered () =
      shard count: the run must finish and its spans must nest even
      though symbols surface rounds late. *)
   let o, live, sink =
-    scheme_export ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ())) ()
+    scheme_export ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.05 ())) ()
   in
   Alcotest.(check bool) "run finished" true
     (match o with Faults.Outcome.Aborted _ -> false | _ -> true);
@@ -434,7 +434,7 @@ let probe_run ~shards ~ragged_d =
       ]
   in
   let sink = Sink.create () and reg = Metrics.Registry.create () in
-  let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d ()) in
+  let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d ~jitter_rate:0.05 ()) in
   let config = Coding.Scheme.Config.make ~sink ~metrics:reg ~faults ~backend () in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 46) (Coding.Params.algorithm_1 g) pi
