@@ -180,92 +180,6 @@ let book_counts metrics net pr ~diag ~iterations_run =
     add phi_stalls pr.phi_stalls;
     if not (Float.is_nan pr.phi) then set phi pr.phi
 
-(* Per-link hash memo for one meeting-points step.  Within an iteration
-   [prepare] and [process] hash the same few arguments — at most two
-   distinct ones per field (k; mp1 and mp2) — and with δ-biased seeds
-   each transcript-prefix hash is a pass over the expanded seed, so
-   repeats are served from fixed slots: [keys]/[vals] hold two
-   (argument, hash) pairs for each of the 3 int fields and, at slots 3
-   and 4, the 2 prefix fields; [used] counts the filled pairs per field.
-   [reset_memo] empties every slot at each MP phase start, so no hash
-   outlives its iteration; a third distinct argument would simply be
-   hashed again.
-
-   [m_rot] is the seed-rot fault: a fixed nonzero mask XORed into every
-   hash output, memoised or not, modeling a party whose stored seed
-   words decayed — its hashes are internally consistent but disagree
-   with the peer's.  0 when the party's seeds are intact. *)
-type memo = {
-  m_seeds : Seeds.t;
-  m_tr : Transcript.t;
-  mutable m_iter : int;
-  mutable m_rot : int;
-  used : int array;
-  keys : int array;
-  vals : int array;
-}
-
-let memo_fields = Seeds.int_fields + Seeds.prefix_fields
-
-let create_memo seeds tr =
-  {
-    m_seeds = seeds;
-    m_tr = tr;
-    m_iter = 0;
-    m_rot = 0;
-    used = Array.make memo_fields 0;
-    keys = Array.make (2 * memo_fields) 0;
-    vals = Array.make (2 * memo_fields) 0;
-  }
-
-let reset_memo m ~iter ~rot =
-  m.m_iter <- iter;
-  m.m_rot <- rot;
-  Array.fill m.used 0 memo_fields 0
-
-(* The memoised hash of [v] in field slot [f], or -1 (hashes are ≥ 0). *)
-let memo_find m f v =
-  let used = m.used.(f) and i = 2 * f in
-  if used > 0 && m.keys.(i) = v then m.vals.(i)
-  else if used > 1 && m.keys.(i + 1) = v then m.vals.(i + 1)
-  else -1
-
-let memo_add m f v h =
-  let used = m.used.(f) in
-  if used < 2 then begin
-    m.keys.((2 * f) + used) <- v;
-    m.vals.((2 * f) + used) <- h;
-    m.used.(f) <- used + 1
-  end;
-  h
-
-(* The link's hash oracle, built once: it reads the iteration and the
-   rot mask from the memo, which [reset_memo] sets per phase. *)
-let hasher_of m =
-  Meeting_points.
-    {
-      h_int =
-        (fun ~field v ->
-          let h = memo_find m field v in
-          let h =
-            if h >= 0 then h
-            else memo_add m field v (Seeds.hash_int m.m_seeds ~iter:m.m_iter ~field v)
-          in
-          h lxor m.m_rot);
-      h_prefix =
-        (fun ~field chunks ->
-          let f = Seeds.int_fields + field in
-          let h = memo_find m f chunks in
-          let h =
-            if h >= 0 then h
-            else
-              memo_add m f chunks
-                (Seeds.hash_prefix m.m_seeds ~iter:m.m_iter ~field (Transcript.serialized m.m_tr)
-                   ~bits:(Transcript.prefix_bits m.m_tr chunks))
-          in
-          h lxor m.m_rot);
-    }
-
 type link_state = {
   peer : int;
   edge : int;
@@ -279,9 +193,9 @@ type link_state = {
   mutable mp_cut : int; (* parked MP truncation target; -1 = keep *)
   record : Transcript.symbol array; (* this phase's chunk record, by event index; reused *)
   mutable mp_len : int; (* transcript length captured at MP-phase start *)
-  memo : memo; (* the MP hasher's memo slots, reset every MP phase *)
+  memo : Mp_memo.t; (* the link's hash memo, shared with the peer end when it can be *)
   mutable probe : Meeting_points.probe option; (* collision probe; traced runs only *)
-  hasher : Meeting_points.hasher; (* over [memo], built once *)
+  hasher : Meeting_points.hasher; (* this end's oracle over [memo], built once *)
 }
 
 type party_state = {
@@ -371,7 +285,7 @@ let collision_probe graph parties ring l p =
             Some (Transcript.equal_prefix l.tr peer_tr >= pos)
           else None);
       on_collision =
-        (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter:l.memo.m_iter ~arg:pos 1);
+        (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter:(Mp_memo.iter l.memo) ~arg:pos 1);
     }
 
 let meeting_points_phase ex net parties fc pr ~iter ~tau =
@@ -421,7 +335,7 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
             for i = 0 to Array.length p.links - 1 do
               let l = p.links.(i) in
               l.mp_len <- Transcript.length l.tr;
-              reset_memo l.memo ~iter ~rot;
+              Mp_memo.start l.memo ~lower:(p.id < l.peer) ~iter ~rot;
               Meeting_points.pack
                 (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
                 out ~dir:l.dir_out
@@ -835,15 +749,17 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     @@ fun () ->
     let flag_sched = Flag_passing.compile graph ~tree in
     let max_r = Chunking.max_rounds ch in
-    (* Randomness: CRS or per-link exchange (Algorithm 5). *)
+    (* Randomness: CRS or per-link exchange (Algorithm 5).  [same_stream
+       edge]: both ends of [edge] hash with one seed stream. *)
     let exchange_failures = ref 0 in
-    let seeds_for =
+    let seeds_for, same_stream =
       match params.Params.seed_mode with
       | Params.Crs ->
           let key = Util.Rng.int64 rng in
-          fun ~edge ~lower:_ ->
-            Seeds.make ~stream:(Hashing.Seed_stream.uniform ~key) ~tau:params.Params.tau ~wmax
-              ~slot:edge ~slots:m
+          ( (fun ~edge ~lower:_ ->
+              Seeds.make ~stream:(Hashing.Seed_stream.uniform ~key) ~tau:params.Params.tau ~wmax
+                ~slot:edge ~slots:m),
+            fun _ -> true )
       | Params.Exchange ->
           Network.set_phase net ~iteration:(-1) ~phase:Netsim.Adversary.Exchange;
           enter sp_exchange ~iter:(-1);
@@ -852,13 +768,35 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           Array.iter
             (fun o -> if not o.Randomness_exchange.ok then incr exchange_failures)
             outcomes;
-          fun ~edge ~lower ->
-            let o = outcomes.(edge) in
-            let gen =
-              if lower then o.Randomness_exchange.lo_gen else o.Randomness_exchange.hi_gen
-            in
-            Seeds.make ~stream:(Hashing.Seed_stream.biased gen) ~tau:params.Params.tau ~wmax
-              ~slot:0 ~slots:1
+          ( (fun ~edge ~lower ->
+              let o = outcomes.(edge) in
+              let gen =
+                if lower then o.Randomness_exchange.lo_gen else o.Randomness_exchange.hi_gen
+              in
+              Seeds.make ~stream:(Hashing.Seed_stream.biased gen) ~tau:params.Params.tau ~wmax
+                ~slot:0 ~slots:1),
+            fun edge -> outcomes.(edge).Randomness_exchange.ok )
+    in
+    (* One hash memo per link, shared by its two ends when they hold one
+       stream and one domain runs both (every link on the serial engine,
+       a link inside one shard on the parallel one); otherwise one per
+       end, so no cross-domain access is added.  The lower-id end is
+       built first and makes the shared memo; [trs] holds every end's
+       transcript by outgoing dir, so that memo can see the peer's. *)
+    let trs = Array.init (2 * m) (fun _ -> Transcript.create ()) in
+    let shared_memos = Array.make m None in
+    let memo_for ~edge ~seeds ~tr ~dir_in id peer =
+      if
+        same_stream edge
+        && (Live.Exec.is_serial ex || Live.Exec.owner ex id = Live.Exec.owner ex peer)
+      then (
+        match shared_memos.(edge) with
+        | Some memo -> memo
+        | None ->
+            let memo = Mp_memo.shared seeds ~lo:tr ~hi:trs.(dir_in) in
+            shared_memos.(edge) <- Some memo;
+            memo)
+      else Mp_memo.single seeds tr
     in
     let parties =
       Array.init n (fun id ->
@@ -867,13 +805,15 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             Array.map
               (fun peer ->
                 let edge = Topology.Graph.edge_id graph id peer in
-                let tr = Transcript.create () and seeds = seeds_for ~edge ~lower:(id < peer) in
-                let memo = create_memo seeds tr in
+                let dir_out = Topology.Graph.dir_id graph ~src:id ~dst:peer
+                and dir_in = Topology.Graph.dir_id graph ~src:peer ~dst:id in
+                let tr = trs.(dir_out) and seeds = seeds_for ~edge ~lower:(id < peer) in
+                let memo = memo_for ~edge ~seeds ~tr ~dir_in id peer in
                 {
                   peer;
                   edge;
-                  dir_out = Topology.Graph.dir_id graph ~src:id ~dst:peer;
-                  dir_in = Topology.Graph.dir_id graph ~src:peer ~dst:id;
+                  dir_out;
+                  dir_in;
                   tr;
                   mp = Meeting_points.create ();
                   seeds;
@@ -884,7 +824,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                   mp_len = 0;
                   memo;
                   probe = None;
-                  hasher = hasher_of memo;
+                  hasher = Mp_memo.hasher memo ~lower:(id < peer);
                 })
               neighbors
           in

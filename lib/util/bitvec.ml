@@ -97,6 +97,23 @@ let equal a b =
   let rec go i = i >= n || (Int64.equal (load a.data i) (load b.data i) && go (i + 1)) in
   go 0
 
+(* Word-wise, unboxed: the [bits lsr 6] whole words compared as they
+   are, then the partial last word (if any) under a mask, since bits
+   past [bits] may differ even where both vectors are longer. *)
+let equal_prefix a b ~bits =
+  if bits < 0 || bits > a.len || bits > b.len then invalid_arg "Bitvec.equal_prefix: bits";
+  let full = bits lsr 6 and rest = bits land 63 in
+  let i = ref 0 in
+  while !i < full && Int64.equal (load a.data !i) (load b.data !i) do
+    incr i
+  done;
+  !i = full
+  && (rest = 0
+     || Int64.equal 0L
+          (Int64.logand
+             (Int64.logxor (load a.data full) (load b.data full))
+             (Int64.pred (Int64.shift_left 1L rest))))
+
 let append dst src =
   let src = if dst == src then copy src else src in
   ensure dst (dst.len + src.len);

@@ -50,6 +50,12 @@ val backing : t -> Bytes.t
 
 val copy : t -> t
 val equal : t -> t -> bool
+val equal_prefix : t -> t -> bits:int -> bool
+(** [equal_prefix a b ~bits] is true when the first [bits] bits of [a]
+    and [b] agree, whatever follows them.  Compares whole words, about
+    one compare per 64 bits, and allocates nothing.  Raises
+    [Invalid_argument] unless [0 <= bits <= min (length a) (length b)]. *)
+
 val append : t -> t -> unit
 (** [append dst src] appends all bits of [src] to [dst]. *)
 

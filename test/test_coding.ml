@@ -161,6 +161,19 @@ let test_mp_message_deletion_reads_zero () =
     (mp_transmit ~lost:(fun t -> t = (2 * tau) + 1) ~tau msg
     = Coding.Meeting_points.{ msg with hp2 = 0xD })
 
+(* The unmemoised per-end hash oracle: every call hashes afresh, under
+   (iteration, field) of [seeds], and XORs the end's seed-rot mask in. *)
+let plain_hasher ~rot seeds tr ~iter =
+  Coding.Meeting_points.
+    {
+      h_int = (fun ~field v -> Coding.Seeds.hash_int seeds ~iter ~field v lxor rot);
+      h_prefix =
+        (fun ~field p ->
+          Coding.Seeds.hash_prefix seeds ~iter ~field (Coding.Transcript.serialized tr)
+            ~bits:(Coding.Transcript.prefix_bits tr p)
+          lxor rot);
+    }
+
 (* Noiseless two-endpoint harness: run the interleaved meeting-points
    steps directly (perfect message delivery) until both sides report
    Simulate, or a step budget runs out. *)
@@ -171,16 +184,7 @@ let mp_harness ?(tau = 16) ta tb =
   in
   let sa = mk_seeds () and sb = mk_seeds () in
   let ma = Coding.Meeting_points.create () and mb = Coding.Meeting_points.create () in
-  let hasher seeds tr ~iter =
-    Coding.Meeting_points.
-      {
-        h_int = (fun ~field v -> Coding.Seeds.hash_int seeds ~iter ~field v);
-        h_prefix =
-          (fun ~field p ->
-            Coding.Seeds.hash_prefix seeds ~iter ~field (Coding.Transcript.serialized tr)
-              ~bits:(Coding.Transcript.prefix_bits tr p));
-      }
-  in
+  let hasher = plain_hasher ~rot:0 in
   let steps = ref 0 in
   let budget = 200 in
   let rec go iter =
@@ -290,16 +294,7 @@ let prop_mp_converges_under_random_message_noise =
       in
       let sa = mk_seeds () and sb = mk_seeds () in
       let ma = Coding.Meeting_points.create () and mb = Coding.Meeting_points.create () in
-      let hasher seeds tr ~iter =
-        Coding.Meeting_points.
-          {
-            h_int = (fun ~field v -> Coding.Seeds.hash_int seeds ~iter ~field v);
-            h_prefix =
-              (fun ~field p ->
-                Coding.Seeds.hash_prefix seeds ~iter ~field (Coding.Transcript.serialized tr)
-                  ~bits:(Coding.Transcript.prefix_bits tr p));
-          }
-      in
+      let hasher = plain_hasher ~rot:0 in
       let garble msg =
         if Util.Rng.int noise 4 = 0 then
           Coding.Meeting_points.
@@ -328,6 +323,125 @@ let prop_mp_converges_under_random_message_noise =
         end
       done;
       !converged)
+
+(* The link hash memo against [plain_hasher].  Two ends whose
+   transcripts share a random prefix and then diverge (equal suffixes
+   included) run the same meeting-points steps twice, once over the
+   per-end oracle and once over [Mp_memo], with the same message noise
+   and transcript growth so that k and the lengths wander.  The stream
+   is uniform or δ-biased; the ends hold the same one (one shared memo,
+   or one memo per end as for a cross-shard link) or different ones (a
+   failed exchange: one memo per end); seed rot hits 0, 1 or 2 ends.
+   Every message and every verdict must agree. *)
+let prop_mp_memo_matches_plain_hasher =
+  QCheck.Test.make ~name:"link hash memo ≡ per-end hasher" ~count:200
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let r = Util.Rng.create seed in
+      let module MP = Coding.Meeting_points in
+      let module T = Coding.Transcript in
+      let tau = 1 + Util.Rng.int r 24 in
+      let biased = Util.Rng.bool r and matched = Util.Rng.int r 4 > 0 in
+      let key_a = Util.Rng.int64 r in
+      let key_b = if matched then key_a else Int64.succ key_a in
+      (* A fresh stream per user: a δ-biased generator carries a cursor. *)
+      let seeds key =
+        let stream =
+          if biased then Hashing.Seed_stream.biased (Smallbias.Generator.of_seed (key, 0x5EEDL))
+          else Hashing.Seed_stream.uniform ~key
+        in
+        Coding.Seeds.make ~stream ~tau ~wmax:64 ~slot:0 ~slots:1
+      in
+      let rot () = if Util.Rng.bool r then 1 + Util.Rng.int r ((1 lsl tau) - 1) else 0 in
+      let rot_a = rot () and rot_b = rot () in
+      let chunk () =
+        Array.init (1 + Util.Rng.int r 6) (fun _ -> [| 0; 2; 3 |].(Util.Rng.int r 3))
+      in
+      let common = List.init (Util.Rng.int r 10) (fun _ -> chunk ()) in
+      let suffix_a = List.init (Util.Rng.int r 6) (fun _ -> chunk ()) in
+      let suffix_b =
+        if Util.Rng.int r 3 = 0 then suffix_a else List.init (Util.Rng.int r 6) (fun _ -> chunk ())
+      in
+      let build suffix =
+        let t = T.create () in
+        List.iter (fun events -> T.push_chunk t ~events) (common @ suffix);
+        t
+      in
+      (* [p] the oracle's side, [m] the memo's. *)
+      let pa = build suffix_a and pb = build suffix_b in
+      let ma = build suffix_a and mb = build suffix_b in
+      let spa = seeds key_a and spb = seeds key_b in
+      let memo_a, memo_b =
+        if matched && Util.Rng.int r 3 > 0 then
+          let m = Coding.Mp_memo.shared (seeds key_a) ~lo:ma ~hi:mb in
+          (m, m)
+        else (Coding.Mp_memo.single (seeds key_a) ma, Coding.Mp_memo.single (seeds key_b) mb)
+      in
+      let ha = Coding.Mp_memo.hasher memo_a ~lower:true
+      and hb = Coding.Mp_memo.hasher memo_b ~lower:false in
+      let st_pa = MP.create () and st_pb = MP.create () in
+      let st_ma = MP.create () and st_mb = MP.create () in
+      let ok = ref true in
+      let agree x y = if x <> y then ok := false in
+      let garble msg =
+        if Util.Rng.int r 4 = 0 then MP.{ msg with ht1 = msg.ht1 lxor (1 + Util.Rng.int r 7) }
+        else if Util.Rng.int r 6 = 0 then MP.{ msg with hk = 0 }
+        else msg
+      in
+      let apply tr = function `Keep -> () | `Truncate_to x -> T.truncate tr x in
+      for iter = 0 to Util.Rng.int r 24 do
+        let a_first = Util.Rng.bool r in
+        let lpa = T.length pa and lpb = T.length pb in
+        let oa = plain_hasher ~rot:rot_a spa pa ~iter
+        and ob = plain_hasher ~rot:rot_b spb pb ~iter in
+        (* The memo side runs each end's start and prepare together, as
+           the scheme does, in a random end order. *)
+        let step_a () =
+          Coding.Mp_memo.start memo_a ~lower:true ~iter ~rot:rot_a;
+          MP.prepare st_ma ha ~len:(T.length ma)
+        and step_b () =
+          Coding.Mp_memo.start memo_b ~lower:false ~iter ~rot:rot_b;
+          MP.prepare st_mb hb ~len:(T.length mb)
+        in
+        let msg_ma, msg_mb =
+          if a_first then
+            let x = step_a () in
+            (x, step_b ())
+          else
+            let y = step_b () in
+            (step_a (), y)
+        in
+        let msg_pa = MP.prepare st_pa oa ~len:lpa and msg_pb = MP.prepare st_pb ob ~len:lpb in
+        agree msg_pa msg_ma;
+        agree msg_pb msg_mb;
+        let to_b = garble msg_pa and to_a = garble msg_pb in
+        let va = MP.process st_pa oa ~len:lpa to_a and vb = MP.process st_pb ob ~len:lpb to_b in
+        let wa, wb =
+          if a_first then
+            let x = MP.process st_ma ha ~len:(T.length ma) to_a in
+            (x, MP.process st_mb hb ~len:(T.length mb) to_b)
+          else
+            let y = MP.process st_mb hb ~len:(T.length mb) to_b in
+            (MP.process st_ma ha ~len:(T.length ma) to_a, y)
+        in
+        agree va wa;
+        agree vb wb;
+        apply pa va;
+        apply pb vb;
+        apply ma wa;
+        apply mb wb;
+        (* Growth: a chunk on one end, or the same chunk on both. *)
+        (match Util.Rng.int r 4 with
+        | 0 ->
+            let c = chunk () in
+            T.push_chunk pa ~events:c;
+            T.push_chunk ma ~events:c
+        | 1 ->
+            let c = chunk () in
+            List.iter (fun t -> T.push_chunk t ~events:c) [ pa; pb; ma; mb ]
+        | _ -> ())
+      done;
+      !ok)
 
 let prop_transcript_serialization_is_prefix_closed =
   (* The serialization of the first i chunks is literally a bit-prefix of
@@ -382,16 +496,7 @@ let test_mp_survives_corrupted_messages () =
   in
   let sa = mk_seeds () and sb = mk_seeds () in
   let ma = Coding.Meeting_points.create () and mb = Coding.Meeting_points.create () in
-  let hasher seeds tr ~iter =
-    Coding.Meeting_points.
-      {
-        h_int = (fun ~field v -> Coding.Seeds.hash_int seeds ~iter ~field v);
-        h_prefix =
-          (fun ~field p ->
-            Coding.Seeds.hash_prefix seeds ~iter ~field (Coding.Transcript.serialized tr)
-              ~bits:(Coding.Transcript.prefix_bits tr p));
-      }
-  in
+  let hasher = plain_hasher ~rot:0 in
   let converged = ref false in
   for iter = 0 to 199 do
     if not !converged then begin
@@ -1268,6 +1373,7 @@ let () =
           Alcotest.test_case "total divergence" `Quick test_mp_total_divergence;
           QCheck_alcotest.to_alcotest prop_mp_convergence;
           QCheck_alcotest.to_alcotest prop_mp_converges_under_random_message_noise;
+          QCheck_alcotest.to_alcotest prop_mp_memo_matches_plain_hasher;
           Alcotest.test_case "survives corrupted messages" `Quick
             test_mp_survives_corrupted_messages;
         ] );

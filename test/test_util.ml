@@ -145,6 +145,36 @@ let test_bitvec_equal_after_truncate () =
   Bitvec.truncate b 2;
   Alcotest.(check bool) "prefixes equal" true (Bitvec.equal a b)
 
+(* [equal_prefix] at word boundaries: [bits] of 0, 63, 64 and 65 over
+   vectors that run 70 bits past it and differ only there; then a
+   difference in the last bit in range, and the domain check. *)
+let test_bitvec_equal_prefix () =
+  let r = Rng.create 7 in
+  let pattern = List.init 200 (fun _ -> Rng.bool r) in
+  let mk ?flip ?(len = 200) () =
+    Bitvec.of_bools
+      (List.filteri (fun i _ -> i < len)
+         (List.mapi (fun i b -> if Some i = flip then not b else b) pattern))
+  in
+  List.iter
+    (fun bits ->
+      let a = mk () in
+      Alcotest.(check bool) (Printf.sprintf "bits %d: equal" bits) true
+        (Bitvec.equal_prefix a (mk ()) ~bits);
+      Alcotest.(check bool) (Printf.sprintf "bits %d: differs just past" bits) true
+        (Bitvec.equal_prefix a (mk ~flip:bits ()) ~bits);
+      Alcotest.(check bool) (Printf.sprintf "bits %d: differs 70 past" bits) true
+        (Bitvec.equal_prefix a (mk ~flip:(bits + 69) ()) ~bits);
+      Alcotest.(check bool) (Printf.sprintf "bits %d: shorter peer" bits) true
+        (Bitvec.equal_prefix a (mk ~len:bits ()) ~bits);
+      if bits > 0 then
+        Alcotest.(check bool) (Printf.sprintf "bits %d: last bit in range" bits) false
+          (Bitvec.equal_prefix a (mk ~flip:(bits - 1) ()) ~bits))
+    [ 0; 63; 64; 65 ];
+  Alcotest.check_raises "bits past the shorter vector"
+    (Invalid_argument "Bitvec.equal_prefix: bits") (fun () ->
+      ignore (Bitvec.equal_prefix (mk ()) (mk ~len:64 ()) ~bits:65))
+
 let test_bitvec_word_beyond_data () =
   let v = Bitvec.of_bools [ true ] in
   Alcotest.(check int64) "out-of-range word is 0" 0L (Bitvec.word v 100)
@@ -476,6 +506,7 @@ let () =
           Alcotest.test_case "truncate then push" `Quick test_bitvec_truncate_then_push;
           Alcotest.test_case "equal" `Quick test_bitvec_equal;
           Alcotest.test_case "equal after truncate" `Quick test_bitvec_equal_after_truncate;
+          Alcotest.test_case "equal_prefix" `Quick test_bitvec_equal_prefix;
           Alcotest.test_case "word beyond data" `Quick test_bitvec_word_beyond_data;
           Alcotest.test_case "push_int domain" `Quick test_bitvec_push_int_domain;
           Alcotest.test_case "push_int at every offset" `Quick test_bitvec_push_int_offsets;
