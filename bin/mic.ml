@@ -50,8 +50,8 @@ let scheme_of_string graph = function
 (* Logging: a global default level (--verbose = debug) refined by
    --log-level SPEC, where SPEC is a comma list of either a bare level
    ("info") or a per-source override ("mic.live:debug").  Sources are
-   the per-subsystem Logs sources (mic.scheme, mic.live, mic.live.*,
-   mic.netsim, mic.runner); `--log-level list` prints them. *)
+   the per-subsystem Logs sources (mic.scheme, mic.live, mic.netsim,
+   mic.runner); `--log-level list` prints them. *)
 let setup_logs verbose spec =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning);
@@ -439,9 +439,8 @@ let log_level_t =
         ~doc:
           "Log levels as a comma list of $(i,LEVEL) (global) or $(i,SOURCE:LEVEL) (one \
            subsystem), e.g. $(b,--log-level warning,mic.live:debug).  Levels: quiet, app, \
-           error, warning, info, debug.  Sources: mic.scheme, mic.live, mic.live.shard, \
-           mic.live.barrier, mic.netsim, mic.runner ($(b,--log-level list) prints them).  \
-           Overrides --verbose.")
+           error, warning, info, debug.  Sources: mic.scheme, mic.live, mic.netsim, \
+           mic.runner ($(b,--log-level list) prints them).  Overrides --verbose.")
 
 let metrics_t =
   Arg.(

@@ -1,4 +1,4 @@
-(* Per-domain trace capture: one preallocated ring per worker shard plus
+(* Per-domain trace capture: one ring per worker shard plus
    one ring for the leader/control domain.  See sharded.mli. *)
 
 type t = {

@@ -5,7 +5,9 @@
    totals and last-gauge values that are immune to ring wrap-around.
    [seq] is the lifetime event count; slot [seq mod capacity] is the
    next write position, so the retained window is always the last
-   [min seq capacity] events.  Ids come from one process-wide table
+   [min seq capacity] events.  The ring arrays start small and double
+   up to [capacity] as events arrive (see [grow_ring]), so a sink that
+   records few events never pays for a full ring.  Ids come from one process-wide table
    ([declare]); every sink indexes its side tables by them. *)
 
 module Names = Map.Make (String)
@@ -47,16 +49,16 @@ type t = {
   mutable on : bool; (* enabled && not muted — the hot-path branch *)
   profile : bool;
   capacity : int;
-  kinds : int array;
-  ids : int array;
-  iters : int array;
-  ivals : int array;
-  args : int array;
-  fvals : float array;
-  tss : float array;
-  ticks : int array; (* merge position stamp, see [set_tick] *)
-  mnr : float array; (* Gc minor words at emission; capacity-sized iff profile *)
-  mjr : float array; (* Gc major words at emission *)
+  mutable kinds : int array; (* the ring arrays: [min capacity start_slots] long at first *)
+  mutable ids : int array;
+  mutable iters : int array;
+  mutable ivals : int array;
+  mutable args : int array;
+  mutable fvals : float array;
+  mutable tss : float array;
+  mutable ticks : int array; (* merge position stamp, see [set_tick] *)
+  mutable mnr : float array; (* Gc minor words at emission; ring-sized iff profile *)
+  mutable mjr : float array; (* Gc major words at emission *)
   mutable seq : int;
   mutable tick : int;
   mutable pre_dropped : int; (* upstream losses noted by a merge pass *)
@@ -65,24 +67,27 @@ type t = {
   mutable gset : bool array;
 }
 
+let start_slots = 256
+
 let create ?(capacity = 32768) ?(profile = false) () =
   if capacity < 1 then invalid_arg "Trace.Sink.create: capacity < 1";
   let side = max 16 (Array.length (Atomic.get table).names) in
+  let slots = min capacity start_slots in
   {
     enabled = true;
     on = true;
     profile;
     capacity;
-    kinds = Array.make capacity 0;
-    ids = Array.make capacity 0;
-    iters = Array.make capacity 0;
-    ivals = Array.make capacity 0;
-    args = Array.make capacity 0;
-    fvals = Array.make capacity 0.;
-    tss = Array.make capacity 0.;
-    ticks = Array.make capacity 0;
-    mnr = (if profile then Array.make capacity 0. else [| 0. |]);
-    mjr = (if profile then Array.make capacity 0. else [| 0. |]);
+    kinds = Array.make slots 0;
+    ids = Array.make slots 0;
+    iters = Array.make slots 0;
+    ivals = Array.make slots 0;
+    args = Array.make slots 0;
+    fvals = Array.make slots 0.;
+    tss = Array.make slots 0.;
+    ticks = Array.make slots 0;
+    mnr = (if profile then Array.make slots 0. else [| 0. |]);
+    mjr = (if profile then Array.make slots 0. else [| 0. |]);
     seq = 0;
     tick = 0;
     pre_dropped = 0;
@@ -138,10 +143,42 @@ let grow_side t id =
   t.glast <- grow t.glast 0.;
   t.gset <- grow t.gset false
 
-(* The hot-path writer: array stores only, no allocation (the optional
-   profile stores cost one [Gc.counters] call, profiled sinks only). *)
-let[@inline] push t kind id iter ival arg fval =
+(* Double the ring arrays, up to [capacity].  Only a ring shorter than
+   [capacity] grows, and it cannot have wrapped yet: every event so far
+   sits at slot [seq], so the copy keeps each one in place. *)
+let grow_ring t =
+  let len = Array.length t.kinds in
+  let len' = min t.capacity (2 * len) in
+  let grow a fill =
+    let a' = Array.make len' fill in
+    Array.blit a 0 a' 0 len;
+    a'
+  in
+  t.kinds <- grow t.kinds 0;
+  t.ids <- grow t.ids 0;
+  t.iters <- grow t.iters 0;
+  t.ivals <- grow t.ivals 0;
+  t.args <- grow t.args 0;
+  t.fvals <- grow t.fvals 0.;
+  t.tss <- grow t.tss 0.;
+  t.ticks <- grow t.ticks 0;
+  if t.profile then begin
+    t.mnr <- grow t.mnr 0.;
+    t.mjr <- grow t.mjr 0.
+  end
+
+(* The next write slot, growing the ring first when it is full but
+   still short of [capacity]. *)
+let[@inline] slot t =
   let s = t.seq mod t.capacity in
+  if s >= Array.length t.kinds then grow_ring t;
+  s
+
+(* The hot-path writer: array stores only, no allocation once the ring
+   has grown to its working size (the optional profile stores cost one
+   [Gc.counters] call, profiled sinks only). *)
+let[@inline] push t kind id iter ival arg fval =
+  let s = slot t in
   t.kinds.(s) <- kind;
   t.ids.(s) <- id;
   t.iters.(s) <- iter;
@@ -237,7 +274,7 @@ let replay t ?alloc ev =
           set_last t id value;
           (id, k_gauge, iter, 0, -1, value, ts)
     in
-    let s = t.seq mod t.capacity in
+    let s = slot t in
     t.kinds.(s) <- kind;
     t.ids.(s) <- id;
     t.iters.(s) <- iter;

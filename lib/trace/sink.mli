@@ -1,5 +1,4 @@
-(** The event sink: a preallocated ring-buffer log of spans, counters
-    and gauges.
+(** The event sink: a ring-buffer log of spans, counters and gauges.
 
     Design constraints, in order:
 
@@ -8,8 +7,11 @@
       allocation, no hashing, no writes.  Hot paths keep their probes
       compiled in permanently and pay only that branch.
     + {e No allocation when on.}  An enabled sink writes each event into
-      preallocated parallel arrays (a ring: when full, the oldest events
-      are overwritten and counted in {!dropped}).  Each event name is
+      parallel arrays (a ring: when full, the oldest events are
+      overwritten and counted in {!dropped}).  The arrays start at a
+      few hundred slots and double up to the capacity as events arrive,
+      so a sink pays for the events it records, not for its capacity;
+      once grown it allocates nothing per event.  Each event name is
       declared once per process ({!declare}); probes carry its id, and
       the per-id side tables grow only when a declaration made after
       the sink's creation outruns them.
@@ -24,7 +26,8 @@ type t
 
 val create : ?capacity:int -> ?profile:bool -> unit -> t
 (** An enabled sink whose ring retains the last [capacity] (default
-    32768) events.  Raises [Invalid_argument] if [capacity < 1].
+    32768) events; the ring grows to that size on demand.  Raises
+    [Invalid_argument] if [capacity < 1].
 
     With [~profile:true] every event additionally records the domain's
     cumulative Gc minor/major word counters at emission time (read back

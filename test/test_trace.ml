@@ -87,6 +87,40 @@ let test_ring_wraps () =
   | _ -> Alcotest.fail "expected counts");
   Alcotest.(check int) "total survives drops" 10 (Sink.counter_total t "c")
 
+(* The ring starts small and doubles up to its capacity (1000 here, so
+   the last step is clamped), through [count] and through [replay]:
+   crossing every growth step and then wrapping, it keeps exactly the
+   last [capacity] events, in order, with their ticks and Gc words, and
+   books the same drops as a ring built at full size would. *)
+let test_ring_grows_then_wraps () =
+  let c = Sink.declare "c" in
+  let check name t ~n =
+    let kept = min n 1000 in
+    Alcotest.(check int) (name ^ ": dropped") (n - kept) (Sink.dropped t);
+    let iters = List.map (function Sink.Count { iter; _ } -> iter | _ -> -1) (Sink.events t) in
+    Alcotest.(check (list int)) (name ^ ": the last events, in order")
+      (List.init kept (fun i -> n - kept + i))
+      iters;
+    Alcotest.(check int) (name ^ ": total survives drops")
+      (n * (n - 1) / 2)
+      (Sink.counter_total t "c")
+  in
+  let t = Sink.create ~capacity:1000 ~profile:true () in
+  for i = 0 to 2499 do
+    Sink.set_tick t (3 * i);
+    Sink.count t ~id:c ~iter:i i;
+    if i = 599 then check "count, mid-growth" t ~n:600
+  done;
+  check "count, wrapped" t ~n:2500;
+  Alcotest.(check int) "tick of the oldest retained" (3 * 1500) (Sink.tick_at t 1500);
+  Alcotest.(check bool) "gc words retained" true (Sink.alloc_words t ~seq:1500 <> None);
+  Alcotest.(check bool) "gc words dropped" true (Sink.alloc_words t ~seq:1499 = None);
+  let r = Sink.create ~capacity:1000 () in
+  for i = 0 to 2499 do
+    Sink.replay r (Sink.Count { name = "c"; iter = i; arg = -1; value = i; seq = i; ts = 0. })
+  done;
+  check "replay, wrapped" r ~n:2500
+
 let test_ring_capacity_one () =
   (* The degenerate ring: every push evicts its predecessor, yet the
      drop-proof side tables keep exact lifetime totals. *)
@@ -501,6 +535,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_sink_basics;
           Alcotest.test_case "late declaration" `Quick test_late_declaration;
           Alcotest.test_case "ring wrap" `Quick test_ring_wraps;
+          Alcotest.test_case "ring grows then wraps" `Quick test_ring_grows_then_wraps;
           Alcotest.test_case "ring capacity 1" `Quick test_ring_capacity_one;
           Alcotest.test_case "iter matches events" `Quick test_iter_matches_events;
           Alcotest.test_case "profile alloc words" `Quick test_profile_alloc;
