@@ -1005,7 +1005,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           if down then
             diag.Faults.Outcome.crashed_iterations <- diag.Faults.Outcome.crashed_iterations + 1;
           if (not down) && Faults.Plan.transcript_rot plan ~party:id ~iteration:it then begin
-            let coord = Util.Rng.coord ~width:4096 it id in
+            let coord = Util.Rng.coord ~width:n it id in
             let li = Faults.Plan.choice plan ~salt:2 ~coord ~bound:(Array.length p.links) in
             let l = p.links.(li) in
             let len = Transcript.length l.tr in

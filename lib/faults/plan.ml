@@ -46,8 +46,10 @@ let seed_rot t ~party ~iteration =
     t.specs
 
 (* The plan's pseudorandom die: a pure function of (key, salt, coord),
-   so every decision replays identically at any job count. *)
-let word t ~salt ~coord = Util.Rng.at ~seed:t.key64 ((salt * 0x3d0f2b) + coord)
+   so every decision replays identically at any job count.  Each
+   (salt, coord) pair draws its own word: salts (1-5 in use) are the
+   columns of an 8-wide keyed grid, so no two pairs share an index. *)
+let word t ~salt ~coord = Util.Rng.at ~seed:t.key64 (Util.Rng.coord ~width:8 coord salt)
 
 let choice t ~salt ~coord ~bound =
   if bound <= 0 then invalid_arg "Plan.choice: bound <= 0";

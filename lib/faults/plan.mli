@@ -66,7 +66,9 @@ val seed_rot : t -> party:int -> iteration:int -> bool
 
 val choice : t -> salt:int -> coord:int -> bound:int -> int
 (** Keyed deterministic choice in [0, bound): the plan's pseudorandom
-    die, a pure function of (key, salt, coord).  Requires [bound > 0]. *)
+    die, a pure function of (key, salt, coord).  Distinct
+    [(salt, coord)] pairs with [0 <= salt < 8] and
+    [0 <= coord < 2^59] draw distinct words.  Requires [bound > 0]. *)
 
 (** {2 Network-layer hooks} *)
 

@@ -29,6 +29,19 @@ let test_plan_keyed_determinism () =
     Alcotest.(check bool) "choice in [0, bound)" true (v >= 0 && v < 5)
   done
 
+(* Every (salt, coord) pair draws its own word.  The die once indexed
+   its stream by [salt * 0x3d0f2b + coord], so salt 1 at coord
+   [c + 0x3d0f2b] drew exactly salt 2's word at [c]. *)
+let test_plan_die_injective () =
+  let p = Faults.Plan.make ~key:"die" [] in
+  let draw ~salt ~coord = Faults.Plan.choice p ~salt ~coord ~bound:max_int in
+  for c = 0 to 99 do
+    Alcotest.(check bool)
+      (Printf.sprintf "salt 1 at c + 0x3d0f2b vs salt 2 at c = %d" c)
+      true
+      (draw ~salt:1 ~coord:(c + 0x3d0f2b) <> draw ~salt:2 ~coord:c)
+  done
+
 let test_plan_crash_windows () =
   let p =
     Faults.Plan.make ~key:"w"
@@ -429,6 +442,7 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "keyed determinism" `Quick test_plan_keyed_determinism;
+          Alcotest.test_case "die is injective" `Quick test_plan_die_injective;
           Alcotest.test_case "crash windows" `Quick test_plan_crash_windows;
           Alcotest.test_case "network hooks compilation" `Quick
             test_plan_network_hooks_compilation;
