@@ -90,9 +90,10 @@ let hash_prefix t e field p =
     if i >= 0 then t.tab.(i + 1)
     else begin
       (* The other end's hash of [p], if it made one and its prefix is
-         this end's too; a failed compare is not repeated, since the
-         hash added below is found first from then on. *)
-      let j = if is_single t then -1 else find t.tab b n p (e lxor both) 0 in
+         this end's too (never in a single memo, where every prefix
+         hash is the lower end's); a failed compare is not repeated,
+         since the hash added below is found first from then on. *)
+      let j = find t.tab b n p (e lxor both) 0 in
       if j >= 0 && same_prefix t p then begin
         t.tab.(j) <- t.tab.(j) lor e;
         t.tab.(j + 1)
