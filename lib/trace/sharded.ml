@@ -7,12 +7,16 @@ type t = {
   leader : Sink.t;
 }
 
+(* A traced parallel run creates its rings itself, so they start small
+   and grow only as far as the run's events need. *)
+let initial = 256
+
 let create ~shards ?(capacity = 32768) ?(profile = false) () =
   if shards < 1 then invalid_arg "Trace.Sharded.create: shards < 1";
   {
     enabled = true;
-    rings = Array.init shards (fun _ -> Sink.create ~capacity ~profile ());
-    leader = Sink.create ~capacity ~profile ();
+    rings = Array.init shards (fun _ -> Sink.create ~capacity ~initial ~profile ());
+    leader = Sink.create ~capacity ~initial ~profile ();
   }
 
 let disabled = { enabled = false; rings = [| Sink.disabled |]; leader = Sink.disabled }

@@ -20,7 +20,10 @@ type t
 
 val create : shards:int -> ?capacity:int -> ?profile:bool -> unit -> t
 (** One enabled ring per shard plus the leader ring, each retaining
-    [capacity] (default 32768) events.  Raises [Invalid_argument] if
+    [capacity] (default 32768) events.  The rings start at 256 slots
+    and grow as events arrive ({!Sink.create}'s [initial]): a traced
+    parallel [Scheme.run] creates them, so it pays only for what it
+    records.  Raises [Invalid_argument] if
     [shards < 1]. *)
 
 val disabled : t

@@ -5,9 +5,10 @@
    totals and last-gauge values that are immune to ring wrap-around.
    [seq] is the lifetime event count; slot [seq mod capacity] is the
    next write position, so the retained window is always the last
-   [min seq capacity] events.  The ring arrays start small and double
-   up to [capacity] as events arrive (see [grow_ring]), so a sink that
-   records few events never pays for a full ring.  Ids come from one process-wide table
+   [min seq capacity] events.  The ring arrays start at [initial]
+   slots and double up to [capacity] as events arrive (see
+   [grow_ring]), so a per-run ring that records few events never pays
+   for a full one.  Ids come from one process-wide table
    ([declare]); every sink indexes its side tables by them. *)
 
 module Names = Map.Make (String)
@@ -49,7 +50,7 @@ type t = {
   mutable on : bool; (* enabled && not muted — the hot-path branch *)
   profile : bool;
   capacity : int;
-  mutable kinds : int array; (* the ring arrays: [min capacity start_slots] long at first *)
+  mutable kinds : int array; (* the ring arrays, [initial] long at first *)
   mutable ids : int array;
   mutable iters : int array;
   mutable ivals : int array;
@@ -67,12 +68,10 @@ type t = {
   mutable gset : bool array;
 }
 
-let start_slots = 256
-
-let create ?(capacity = 32768) ?(profile = false) () =
+let create ?(capacity = 32768) ?initial ?(profile = false) () =
   if capacity < 1 then invalid_arg "Trace.Sink.create: capacity < 1";
   let side = max 16 (Array.length (Atomic.get table).names) in
-  let slots = min capacity start_slots in
+  let slots = match initial with Some k -> max 1 (min capacity k) | None -> capacity in
   {
     enabled = true;
     on = true;
@@ -167,18 +166,18 @@ let grow_ring t =
     t.mjr <- grow t.mjr 0.
   end
 
-(* The next write slot, growing the ring first when it is full but
-   still short of [capacity]. *)
-let[@inline] slot t =
-  let s = t.seq mod t.capacity in
-  if s >= Array.length t.kinds then grow_ring t;
-  s
+(* Count one more event, and grow the ring once it is full but still
+   short of [capacity].  Last in the writers, so nothing is live across
+   the rare call. *)
+let[@inline] advance t =
+  t.seq <- t.seq + 1;
+  if t.seq = Array.length t.kinds && t.seq < t.capacity then grow_ring t
 
 (* The hot-path writer: array stores only, no allocation once the ring
    has grown to its working size (the optional profile stores cost one
    [Gc.counters] call, profiled sinks only). *)
 let[@inline] push t kind id iter ival arg fval =
-  let s = slot t in
+  let s = t.seq mod t.capacity in
   t.kinds.(s) <- kind;
   t.ids.(s) <- id;
   t.iters.(s) <- iter;
@@ -192,7 +191,7 @@ let[@inline] push t kind id iter ival arg fval =
     t.mnr.(s) <- mn;
     t.mjr.(s) <- mj
   end;
-  t.seq <- t.seq + 1
+  advance t
 
 let span_begin t ~id ~iter = if t.on then push t k_span_begin id iter 0 (-1) 0.
 let span_end t ~id ~iter = if t.on then push t k_span_end id iter 0 (-1) 0.
@@ -274,7 +273,7 @@ let replay t ?alloc ev =
           set_last t id value;
           (id, k_gauge, iter, 0, -1, value, ts)
     in
-    let s = slot t in
+    let s = t.seq mod t.capacity in
     t.kinds.(s) <- kind;
     t.ids.(s) <- id;
     t.iters.(s) <- iter;
@@ -288,7 +287,7 @@ let replay t ?alloc ev =
       t.mnr.(s) <- mn;
       t.mjr.(s) <- mj
     end;
-    t.seq <- t.seq + 1
+    advance t
   end
 
 let alloc_words t ~seq:sq =

@@ -8,10 +8,10 @@
       compiled in permanently and pay only that branch.
     + {e No allocation when on.}  An enabled sink writes each event into
       parallel arrays (a ring: when full, the oldest events are
-      overwritten and counted in {!dropped}).  The arrays start at a
-      few hundred slots and double up to the capacity as events arrive,
-      so a sink pays for the events it records, not for its capacity;
-      once grown it allocates nothing per event.  Each event name is
+      overwritten and counted in {!dropped}).  A sink created with
+      [~initial] starts that small and doubles up to the capacity as
+      events arrive, so it pays for the events it records, not for its
+      capacity; once grown it allocates nothing per event.  Each event name is
       declared once per process ({!declare}); probes carry its id, and
       the per-id side tables grow only when a declaration made after
       the sink's creation outruns them.
@@ -24,10 +24,17 @@
 
 type t
 
-val create : ?capacity:int -> ?profile:bool -> unit -> t
+val create : ?capacity:int -> ?initial:int -> ?profile:bool -> unit -> t
 (** An enabled sink whose ring retains the last [capacity] (default
-    32768) events; the ring grows to that size on demand.  Raises
-    [Invalid_argument] if [capacity < 1].
+    32768) events.  Raises [Invalid_argument] if [capacity < 1].
+
+    The ring starts with [initial] slots (default [capacity], clamped to
+    [1 .. capacity]) and doubles up to [capacity] as events arrive;
+    retention and drops are the same either way.  A ring created inside
+    every run ({!Sharded}) should start small.  A long-lived sink,
+    reused through {!reset}, should not: its full-size arrays are
+    allocated once, up front, rather than while the first run is being
+    measured.
 
     With [~profile:true] every event additionally records the domain's
     cumulative Gc minor/major word counters at emission time (read back

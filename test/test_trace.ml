@@ -87,8 +87,8 @@ let test_ring_wraps () =
   | _ -> Alcotest.fail "expected counts");
   Alcotest.(check int) "total survives drops" 10 (Sink.counter_total t "c")
 
-(* The ring starts small and doubles up to its capacity (1000 here, so
-   the last step is clamped), through [count] and through [replay]:
+(* A ring that starts at 100 slots doubles up to its capacity (1000
+   here, so the last step is clamped), through [count] and [replay]:
    crossing every growth step and then wrapping, it keeps exactly the
    last [capacity] events, in order, with their ticks and Gc words, and
    books the same drops as a ring built at full size would. *)
@@ -105,7 +105,7 @@ let test_ring_grows_then_wraps () =
       (n * (n - 1) / 2)
       (Sink.counter_total t "c")
   in
-  let t = Sink.create ~capacity:1000 ~profile:true () in
+  let t = Sink.create ~capacity:1000 ~initial:100 ~profile:true () in
   for i = 0 to 2499 do
     Sink.set_tick t (3 * i);
     Sink.count t ~id:c ~iter:i i;
@@ -115,7 +115,7 @@ let test_ring_grows_then_wraps () =
   Alcotest.(check int) "tick of the oldest retained" (3 * 1500) (Sink.tick_at t 1500);
   Alcotest.(check bool) "gc words retained" true (Sink.alloc_words t ~seq:1500 <> None);
   Alcotest.(check bool) "gc words dropped" true (Sink.alloc_words t ~seq:1499 = None);
-  let r = Sink.create ~capacity:1000 () in
+  let r = Sink.create ~capacity:1000 ~initial:100 () in
   for i = 0 to 2499 do
     Sink.replay r (Sink.Count { name = "c"; iter = i; arg = -1; value = i; seq = i; ts = 0. })
   done;
