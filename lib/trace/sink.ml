@@ -128,42 +128,36 @@ let muted t = t.enabled && not t.on
 let set_tick t k = if t.enabled then t.tick <- k
 let tick_at t sq = t.ticks.(sq mod t.capacity)
 
+(* [a] copied into the front of a fresh [len]-long array of [fill]. *)
+let extend a len fill =
+  let a' = Array.make len fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
 (* Make room for [id] in the side tables: a declaration made after the
    sink was created outran them. *)
 let grow_side t id =
-  let cap = Array.length t.totals in
-  let cap' = max (2 * cap) (id + 1) in
-  let grow a fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  t.totals <- grow t.totals 0;
-  t.glast <- grow t.glast 0.;
-  t.gset <- grow t.gset false
+  let cap = max (2 * Array.length t.totals) (id + 1) in
+  t.totals <- extend t.totals cap 0;
+  t.glast <- extend t.glast cap 0.;
+  t.gset <- extend t.gset cap false
 
 (* Double the ring arrays, up to [capacity].  Only a ring shorter than
    [capacity] grows, and it cannot have wrapped yet: every event so far
    sits at slot [seq], so the copy keeps each one in place. *)
 let grow_ring t =
-  let len = Array.length t.kinds in
-  let len' = min t.capacity (2 * len) in
-  let grow a fill =
-    let a' = Array.make len' fill in
-    Array.blit a 0 a' 0 len;
-    a'
-  in
-  t.kinds <- grow t.kinds 0;
-  t.ids <- grow t.ids 0;
-  t.iters <- grow t.iters 0;
-  t.ivals <- grow t.ivals 0;
-  t.args <- grow t.args 0;
-  t.fvals <- grow t.fvals 0.;
-  t.tss <- grow t.tss 0.;
-  t.ticks <- grow t.ticks 0;
+  let len = min t.capacity (2 * Array.length t.kinds) in
+  t.kinds <- extend t.kinds len 0;
+  t.ids <- extend t.ids len 0;
+  t.iters <- extend t.iters len 0;
+  t.ivals <- extend t.ivals len 0;
+  t.args <- extend t.args len 0;
+  t.fvals <- extend t.fvals len 0.;
+  t.tss <- extend t.tss len 0.;
+  t.ticks <- extend t.ticks len 0;
   if t.profile then begin
-    t.mnr <- grow t.mnr 0.;
-    t.mjr <- grow t.mjr 0.
+    t.mnr <- extend t.mnr len 0.;
+    t.mjr <- extend t.mjr len 0.
   end
 
 (* Count one more event, and grow the ring once it is full but still
