@@ -277,20 +277,18 @@ let full_duplex g =
 
 (* The live engine's overhead floor, shared by the live and metrics
    benches: every party sends one bit toward its first neighbour each
-   round and each shard drains its parity share of the deliveries —
-   maximal barrier pressure, minimal work.  [metrics] arms the network's
-   per-round probes (net.active_links, net.noise_rate) and the engine's
-   (round latency, drift, lag, barrier spins); live.rounds is booked at
-   shutdown.  Engine start-up and shutdown stay off the clock;
-   returns the round loop's sample and the engine's jitter drops. *)
-let engine_floor ?(metrics = Metrics.Registry.disabled) g ~shards ~serial ~rounds =
+   round and the read drains its parity share of the deliveries —
+   maximal round pressure, minimal work.  [metrics] arms the network's per-round probes
+   (net.active_links, net.noise_rate) and the engine's (round latency,
+   lag); live.rounds is booked at shutdown.  Engine start-up and
+   shutdown stay off the clock; returns the round loop's sample and the
+   engine's jitter drops. *)
+let engine_floor ?(metrics = Metrics.Registry.disabled) g ~rounds =
   let n = Topology.Graph.n g in
   let net = Netsim.Network.create g Netsim.Adversary.Silent in
   Netsim.Network.set_metrics net metrics;
   let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards ~force_serial:serial ())
-      ~metrics
+    Live.Exec.create ~net ~config:Live.Config.default ~metrics
       ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
       ()
   in
@@ -318,8 +316,7 @@ let engine_floor ?(metrics = Metrics.Registry.disabled) g ~shards ~serial ~round
                       if dir mod 2 = shard mod 2 then incr seen);
                   ignore !seen)
                 ()
-            done;
-            Live.Exec.join ex)
+            done)
       in
       (s, Live.Exec.jitter_dropped ex))
 

@@ -1,37 +1,24 @@
-(* LIVE — the concurrent execution runtime (lib/live).
+(* LIVE — the execution engine (lib/live).
 
-   Three measurements, written to BENCH_live.json:
+   Two measurements, written to BENCH_live.json:
 
-   - raw engine rounds/sec vs shard count on K5, line16 and a 32x32
-     grid (1024 parties): every party speaks to its first neighbor
-     every round, so the per-round work is O(n) split across shards —
-     the knee where barrier cost eats the sharding win is the number
-     this sweep exposes;
-   - barrier overhead: the same workload on the serial engine vs the
-     parallel engine at each shard count (overhead_x > 1 means the
-     domains + barrier cost more than the parallelism returns — the
-     expected verdict on small graphs and few cores);
-   - the ragged sweep, d in {0, 1, 2, 4}: full scheme executions on the
-     deterministic force-serial engine with keyed jitter, reporting the
-     induced insdel rate ((stalled + injected) / cc) and whether the
-     simulation still succeeds.  These rows are keyed ragged_* and are
-     exactly reproducible (the jitter stream is keyed, not timed), so
-     the observatory classifies them Exact.  Keyed jitter is the one
-     ragged model: the engine runs it serially at any shard count.
+   - raw engine rounds/sec on K5, line16 and a 32x32 grid (1024
+     parties): every party speaks to its first neighbor every round, so
+     the per-round work is O(n);
+   - the ragged sweep, d in {0, 1, 2, 4}: full scheme executions on
+     4 shards with keyed jitter, reporting the induced insdel rate
+     ((stalled + injected) / cc) and whether the simulation still
+     succeeds.  These rows are keyed ragged_* and are exactly
+     reproducible (the jitter stream is keyed, not timed), so the
+     observatory classifies them Exact.
 
-   The serial d=0 engine is the lockstep reference; its equivalence to
-   the historical loop is the live test suite's differential job, not
-   this bench's. *)
+   The d=0 engine is the lockstep reference; its equivalence to the
+   historical loop is the live test suite's differential job, not this
+   bench's.  The rows keep their historical keys ([<topo>:serial1]) and
+   fields; [overhead_x] is 1 by construction since the parallel engine
+   it compared against was deleted (DESIGN.md §3h). *)
 
-type round_row = {
-  topo : string;
-  n : int;
-  shards : int;
-  serial : bool;
-  per_sec : float;
-  overhead_x : float; (* serial wall / this wall; > 1 = parallel slower *)
-  dropped : int;
-}
+type round_row = { topo : string; n : int; per_sec : float; dropped : int }
 
 type ragged_row = {
   d : int;
@@ -44,10 +31,6 @@ type ragged_row = {
   iterations : int;
 }
 
-(* Rounds/sec and jitter drops of the engine floor (Exp_common). *)
-let bench_rounds g ~shards ~serial ~rounds =
-  let s, dropped = Exp_common.engine_floor g ~shards ~serial ~rounds in
-  (Exp_common.per_sec ~rounds s, dropped)
 
 let topologies ~grid_side =
   [
@@ -57,33 +40,20 @@ let topologies ~grid_side =
      Topology.Graph.grid ~rows:grid_side ~cols:grid_side);
   ]
 
-let round_sweep ~grid_side ~rounds ~shard_counts =
-  List.concat_map
+(* Rounds/sec and jitter drops of the engine floor (Exp_common). *)
+let round_sweep ~grid_side ~rounds =
+  List.map
     (fun (topo, g) ->
-      let n = Topology.Graph.n g in
-      let serial_per_sec, _ = bench_rounds g ~shards:1 ~serial:true ~rounds in
-      let serial_row =
-        { topo; n; shards = 1; serial = true; per_sec = serial_per_sec; overhead_x = 1.;
-          dropped = 0 }
-      in
-      serial_row
-      :: List.map
-           (fun shards ->
-             let per_sec, dropped = bench_rounds g ~shards ~serial:false ~rounds in
-             { topo; n; shards; serial = false; per_sec;
-               overhead_x = serial_per_sec /. per_sec; dropped })
-           shard_counts)
+      let s, dropped = Exp_common.engine_floor g ~rounds in
+      { topo; n = Topology.Graph.n g; per_sec = Exp_common.per_sec ~rounds s; dropped })
     (topologies ~grid_side)
 
-(* One full scheme execution on the force-serial live engine (4
-   shards) at ragged depth [d] under a silent adversary: the insdel
-   noise the keyed lags induced, or None when the run left no result. *)
+(* One full scheme execution on the live engine (4 shards) at ragged
+   depth [d] under a silent adversary: the insdel noise the keyed lags
+   induced, or None when the run left no result. *)
 let ragged_run ~chatter_rounds ~jitter_rate ~d g =
   let pi = Protocol.Protocols.random_chatter g ~rounds:chatter_rounds ~density:0.5 ~seed:3 in
-  let backend =
-    Coding.Scheme.Live
-      (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate ~force_serial:true ())
-  in
+  let backend = Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate ()) in
   let outcome =
     Coding.Scheme.run_outcome
       ~config:(Coding.Scheme.Config.make ~backend ())
@@ -114,10 +84,10 @@ let json_of rounds_rows ragged_rows =
   let rr r =
     J.obj
       [
-        ("key", J.str (Printf.sprintf "%s:%s%d" r.topo (if r.serial then "serial" else "shards") r.shards));
+        ("key", J.str (r.topo ^ ":serial1"));
         ("n", J.int r.n);
         ("rounds_per_sec", J.num r.per_sec);
-        ("overhead_x", J.num r.overhead_x);
+        ("overhead_x", J.num 1.);
         ("dropped_at_d0", J.int r.dropped);
       ]
   in
@@ -141,16 +111,13 @@ let json_of rounds_rows ragged_rows =
       ("ragged_serial_sweep", J.arr (List.map gr ragged_rows));
     ]
 
-let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json () =
-  Exp_common.heading "LIVE  |  concurrent runtime: shards, barrier overhead, ragged synchrony";
-  let rounds_rows = round_sweep ~grid_side ~rounds ~shard_counts in
-  Format.printf "  %-10s %6s %8s | %12s %10s %8s@." "topology" "n" "engine" "rounds/s"
-    "overhead" "dropped";
+let run_with ~grid_side ~rounds ~chatter_rounds ~ragged_ds ~json () =
+  Exp_common.heading "LIVE  |  execution engine: round floor, ragged synchrony";
+  let rounds_rows = round_sweep ~grid_side ~rounds in
+  Format.printf "  %-10s %6s | %12s %8s@." "topology" "n" "rounds/s" "dropped";
   List.iter
     (fun r ->
-      Format.printf "  %-10s %6d %8s | %12.0f %9.2fx %8d@." r.topo r.n
-        (if r.serial then "serial" else Printf.sprintf "%dd" r.shards)
-        r.per_sec r.overhead_x r.dropped;
+      Format.printf "  %-10s %6d | %12.0f %8d@." r.topo r.n r.per_sec r.dropped;
       assert (r.dropped = 0) (* d = 0: the lockstep window never drops *))
     rounds_rows;
   let g_ragged = Topology.Graph.line 8 in
@@ -171,7 +138,7 @@ let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json (
           ragged_ds)
       [ gentle; harsh ]
   in
-  Exp_common.subheading "ragged sweep (force-serial keyed jitter, line8): induced insdel noise";
+  Exp_common.subheading "ragged sweep (keyed jitter, 4 shards, line8): induced insdel noise";
   Format.printf "  %-4s %8s %8s %12s %9s %9s %10s %6s@." "d" "rate" "success" "insdel rate"
     "stalled" "injected" "cc" "iters";
   List.iter
@@ -185,18 +152,17 @@ let run_with ~grid_side ~rounds ~shard_counts ~chatter_rounds ~ragged_ds ~json (
 
 let run () =
   ignore
-    (run_with ~grid_side:32 ~rounds:4_000 ~shard_counts:[ 2; 4 ] ~chatter_rounds:100
-       ~ragged_ds:[ 0; 1; 2; 4 ] ~json:(Some "BENCH_live.json") ())
+    (run_with ~grid_side:32 ~rounds:4_000 ~chatter_rounds:100 ~ragged_ds:[ 0; 1; 2; 4 ]
+       ~json:(Some "BENCH_live.json") ())
 
-(* Tiny variant for `dune runtest` (live-smoke alias): 2 domains cross
-   the real barrier path, the d=0 invariants hold, and the keyed-jitter
-   sweep behaves (d=0 books nothing, d>0 books something). *)
+(* Tiny variant for `dune runtest` (live-smoke alias): the d=0
+   invariants hold, and the keyed-jitter sweep behaves (d=0 books
+   nothing, d>0 books something). *)
 let smoke ?json () =
   let rounds_rows, ragged_rows =
-    run_with ~grid_side:4 ~rounds:300 ~shard_counts:[ 2 ] ~chatter_rounds:60
-      ~ragged_ds:[ 0; 2 ] ~json ()
+    run_with ~grid_side:4 ~rounds:300 ~chatter_rounds:60 ~ragged_ds:[ 0; 2 ] ~json ()
   in
-  assert (List.length rounds_rows = 6);
+  assert (List.length rounds_rows = 3);
   List.iter (fun r -> assert (r.per_sec > 0. && r.dropped = 0)) rounds_rows;
   (match ragged_rows with
   | [ d0; d2_gentle; d2_harsh ] ->

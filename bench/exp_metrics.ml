@@ -18,8 +18,8 @@
      class, which is exactly the split the observatory applies);
    - shard invariance: one live-backend scheme run per shard count in
      {1, 2, 4} at d=0; the exact (count-valued) part of each snapshot
-     must be byte-identical — the engine may parallelize, the Exact
-     telemetry may not notice. *)
+     must be byte-identical — the shard count orders the engine's
+     callbacks, and the Exact telemetry may not notice. *)
 
 type overhead_row = {
   key : string;
@@ -30,12 +30,12 @@ type overhead_row = {
 
 (* The engine floor (Exp_common) with metrics disabled vs an armed
    registry, timed as interleaved best-of-[reps] pairs.  Armed on the
-   clock: live.round_ns, the drift/lag histograms, the barrier's spin
-   metrics, net.active_links and the net.noise_rate gauge.  live.rounds
-   is booked at shutdown, off the clock; the net.* counts are booked by
-   Scheme, which the floor does not run. *)
-let overhead_row ~key g ~shards ~serial ~rounds ~reps =
-  let floor metrics () = fst (Exp_common.engine_floor ~metrics g ~shards ~serial ~rounds) in
+   clock: live.round_ns, the lag histogram, net.active_links and the
+   net.noise_rate gauge.  live.rounds is booked at shutdown, off the
+   clock; the net.* counts are booked by Scheme, which the floor does
+   not run. *)
+let overhead_row ~key g ~rounds ~reps =
+  let floor metrics () = fst (Exp_common.engine_floor ~metrics g ~rounds) in
   let p =
     Exp_common.best_pair ~reps ~off:(floor Metrics.Registry.disabled)
       ~on:(fun () -> floor (Metrics.Registry.create ()) ())
@@ -126,12 +126,7 @@ let json_of rows ~merge_ok ~shard_ok ~exact_series ~timed_series =
 let run_with ~grid_side ~rounds ~reps ~trials ~chatter_rounds ~max_overhead_pct ~json () =
   Exp_common.heading "METRICS  |  online telemetry: probe overhead + snapshot determinism";
   let g = Topology.Graph.grid ~rows:grid_side ~cols:grid_side in
-  let rows =
-    [
-      overhead_row ~key:"serial" g ~shards:1 ~serial:true ~rounds ~reps;
-      overhead_row ~key:"shards2" g ~shards:2 ~serial:false ~rounds ~reps;
-    ]
-  in
+  let rows = [ overhead_row ~key:"serial" g ~rounds ~reps ] in
   Format.printf "  %-10s | %12s %12s %9s@." "engine" "off r/s" "on r/s" "cost";
   List.iter
     (fun r ->

@@ -1,6 +1,6 @@
 (* TRACE — the observability layer, measured.
 
-   Three questions, answered in order:
+   Four questions, answered in order:
 
    1. Probe cost.  The raw transport loop of the transport bench, with
       the network's trace probes left disabled (the default — every
@@ -13,7 +13,11 @@
       enabled — the end-to-end price of per-iteration spans, counters
       and Φ gauges.
 
-   3. Determinism.  A traced sweep under a crash fault at jobs=1 and
+   3. Shard invariance.  A traced run on the live backend at shards
+      1, 2 and 4 (d = 0) must export byte-identically to the lockstep
+      oracle.
+
+   4. Determinism.  A traced sweep under a crash fault at jobs=1 and
       jobs=4: every trial's timing-free JSONL export and the Trace_agg
       cross-trial metrics must be byte-identical, like everything else
       the pool produces.  Also extracts where the first fault bit — the
@@ -52,43 +56,34 @@ let bench_raw g ~rounds =
 
 (* ---------- 2. full-scheme overhead ---------- *)
 
-let scheme_sample ?backend ?sink g pi =
-  let r, s = Exp_common.scheme_run ?backend ?sink g pi in
+let scheme_sample ?sink g pi =
+  let r, s = Exp_common.scheme_run ?sink g pi in
   assert r.Coding.Scheme.success;
   s
 
-let bench_scheme ?backend g pi =
-  traced_pair
-    ~off:(fun () -> scheme_sample ?backend g pi)
-    ~on:(fun sink -> scheme_sample ?backend ~sink g pi)
+let bench_scheme g pi =
+  traced_pair ~off:(fun () -> scheme_sample g pi) ~on:(fun sink -> scheme_sample ~sink g pi)
 
-(* ---------- 2b. sharded tracing: shards axis ---------- *)
+(* ---------- 3. shard invariance of the export ---------- *)
 
-let lockstep_export g pi =
+let traced_export ?backend g pi =
   let sink = Trace.Sink.create () in
-  ignore (Exp_common.scheme_run ~sink g pi);
+  ignore (Exp_common.scheme_run ?backend ~sink g pi);
   Trace.Export.jsonl ~timing:false sink
 
-(* The shards axis: untraced vs traced Scheme.run on the live parallel
-   engine at each shard count (d = 0, so the traced run is the
-   byte-identity subject), plus the check of every traced export
-   against the serial lockstep oracle.  Returns per-shard rows
-   (shards, pair, overhead_pct, identical). *)
-let sharded_axis ~rounds =
+(* Per shard count, whether the traced run on the live backend (d = 0)
+   exports byte-identically to the lockstep oracle. *)
+let shard_identity ~rounds =
   let g = Topology.Graph.cycle 8 in
   let pi = Exp_common.workload ~rounds g in
-  let oracle = lockstep_export g pi in
+  let oracle = traced_export g pi in
   List.map
     (fun shards ->
       let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:0 ()) in
-      let p, sink = bench_scheme ~backend g pi in
-      ( shards,
-        p,
-        Exp_common.overhead_pct p,
-        Trace.Export.jsonl ~timing:false sink = oracle ))
+      (shards, traced_export ~backend g pi = oracle))
     [ 1; 2; 4 ]
 
-(* ---------- 3. traced determinism sweep ---------- *)
+(* ---------- 4. traced determinism sweep ---------- *)
 
 (* One crash fault per trial, keyed like every fault-plan in the repo so
    the schedule replays at any job count. *)
@@ -217,8 +212,7 @@ let degraded_probe ~rounds =
 (* ---------- driver ---------- *)
 
 let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(sweep_rounds = 80)
-    ?(jobs_hi = 4) ?(sharded_gate = true) ?(gate_pct = 10.)
-    ?(json = Some "BENCH_trace.json") () =
+    ?(jobs_hi = 4) ?(json = Some "BENCH_trace.json") () =
   Exp_common.heading "TRACE |  observability probes: overhead off/on + deterministic export";
   let g = Topology.Graph.clique 5 in
   Exp_common.subheading
@@ -240,26 +234,15 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
   let scheme_overhead = Exp_common.overhead_pct scheme in
   Format.printf "  disabled %.3fs   enabled %.3fs (%d events)   overhead %+.1f%%@." wall_off
     wall_on (Trace.Sink.seq scheme_sink) scheme_overhead;
-  Exp_common.subheading
-    (Printf.sprintf
-       "sharded tracing: live engine, shards axis (untraced floor vs merged trace, gate %.0f%% \
-        at shards=2)"
-       gate_pct);
-  let shard_rows = sharded_axis ~rounds:scheme_rounds in
+  Exp_common.subheading "shard invariance: traced live backend at d = 0 vs the lockstep export";
+  let shard_rows = shard_identity ~rounds:scheme_rounds in
   List.iter
-    (fun (shards, p, ov, identical) ->
-      Format.printf "  shards=%d  untraced %.3fs  traced %.3fs  overhead %+6.1f%%  %s@." shards
-        p.Exp_common.off.Exp_common.wall_s p.Exp_common.on.Exp_common.wall_s ov
-        (if identical then "export == lockstep oracle" else "EXPORT DIVERGED"))
-    shard_rows;
-  List.iter
-    (fun (shards, _, ov, identical) ->
+    (fun (shards, identical) ->
+      Format.printf "  shards=%d  %s@." shards
+        (if identical then "export == lockstep oracle" else "EXPORT DIVERGED");
       if not identical then
         failwith
-          (Printf.sprintf "trace: sharded export at shards=%d diverged from the lockstep oracle"
-             shards);
-      if sharded_gate && shards = 2 then
-        Exp_common.check_overhead ~what:"trace: sharded tracing at shards=2" ~bound:gate_pct ov)
+          (Printf.sprintf "trace: export at shards=%d diverged from the lockstep oracle" shards))
     shard_rows;
   Exp_common.subheading
     (Printf.sprintf "traced sweep under a crash fault, jobs=1 vs jobs=%d, %d trials" jobs_hi
@@ -329,17 +312,9 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
           ( "sharded",
             arr
               (List.map
-                 (fun (shards, p, ov, identical) ->
-                   obj
-                     [
-                       ("shards", int shards);
-                       ("wall_untraced_s", num p.Exp_common.off.Exp_common.wall_s);
-                       ("wall_traced_s", num p.Exp_common.on.Exp_common.wall_s);
-                       ("overhead_pct", num ov);
-                       ("export_identical", bool identical);
-                     ])
+                 (fun (shards, identical) ->
+                   obj [ ("shards", int shards); ("export_identical", bool identical) ])
                  shard_rows) );
-          ("sharded_gate_pct", num gate_pct);
           ("first_fault", ff_json);
           ("trace_metrics", metrics_json agg1);
           ("profile_metrics", metrics_json prof_agg);
@@ -352,13 +327,9 @@ let run () = ignore (run_with ())
 
 let smoke ?json () =
   (* The full pipeline at toy scale, JSON suppressed; includes the
-     jobs=1 vs jobs=4 export comparison and the first-fault probe. *)
-  (* The shards-axis byte-identity check still runs at toy scale; only
-     the wall-clock gate is waived (noise-dominated at 40 rounds). *)
-  let _, _, ff =
-    run_with ~raw_rounds:400 ~scheme_rounds:40 ~trials:2 ~sweep_rounds:40 ~sharded_gate:false
-      ~json ()
-  in
+     shard-invariance check, the jobs=1 vs jobs=4 export comparison and
+     the first-fault probe. *)
+  let _, _, ff = run_with ~raw_rounds:400 ~scheme_rounds:40 ~trials:2 ~sweep_rounds:40 ~json () in
   (match ff with
   | Some ("fault.crash", iter, "phase.fault_prepass", 0) when iter >= 0 -> ()
   | Some (name, iter, phase, party) ->

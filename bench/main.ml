@@ -36,7 +36,7 @@ let experiments =
     ("runner", "trial-pool scaling, jobs=1 vs jobs=4 (BENCH_runner.json)", Exp_runner.run);
     ("faults", "graceful degradation under crashes/overload (BENCH_faults.json)", Exp_faults.run);
     ("trace", "observability probes: overhead + determinism (BENCH_trace.json)", Exp_trace.run);
-    ("live", "live backend: shards, barrier overhead, ragged insdel sweep (BENCH_live.json)", Exp_live.run);
+    ("live", "live engine: round floor, ragged insdel sweep (BENCH_live.json)", Exp_live.run);
     ("adv", "attack-space search: discovered vs baseline adversaries (BENCH_adv.json)", Exp_adv.run);
     ("metrics", "online telemetry: probe overhead + snapshot determinism (BENCH_metrics.json)", Exp_metrics.run);
   ]

@@ -404,9 +404,9 @@ let trace_t =
           "Record a structured trace of every trial (phase spans, fault/corruption counters, \
            per-iteration potential) and write it as Chrome trace-event JSON.  A single trial \
            writes $(docv) itself; with --trials N each trial t writes its own numbered file \
-           (name.t.json for $(docv) of name.json).  Under --backend live each shard records \
-           into its own ring and the export is the deterministic merge.  Also prints the \
-           per-iteration global state table.  See --trace-sample to bound the cost on long \
+           (name.t.json for $(docv) of name.json).  At --ragged 0 the export is the same \
+           under either backend and at any --shards.  Also prints the per-iteration global \
+           state table.  See --trace-sample to bound the cost on long \
            runs.")
 let trials_t = Arg.(value & opt int 1 & info [ "trials" ] ~doc:"Independent trials.")
 
@@ -417,9 +417,7 @@ let trace_sample_t =
         ~doc:
           "With --trace / --postmortem: record only every $(docv)-th scheme iteration \
            (phase spans and per-iteration probes; setup, output decoding and drop-proof \
-           counter totals are always kept).  1 (default) records everything.  Sampling is \
-           applied per shard ring, so a sampled sharded trace merges exactly like an \
-           unsampled one.")
+           counter totals are always kept).  1 (default) records everything.")
 
 let postmortem_t =
   Arg.(
@@ -450,11 +448,10 @@ let metrics_t =
         ~doc:
           "Collect online telemetry for every trial (scheme iteration/rewind/Φ counters, \
            network corruption counters and noise gauges, live-engine round latency and \
-           barrier spin histograms) and write one snapshot per trial.  A \
-           $(docv) ending in .jsonl gets one appended JSON line per trial; any other name \
-           is written as OpenMetrics text, numbered per trial like --trace (name.t.om).  \
-           Like --trace, collection is domain-safe: neither forces the live backend onto \
-           its serial engine.")
+           ragged lag histograms) and write one snapshot per trial.  A $(docv) ending in \
+           .jsonl gets one appended JSON line per trial; any other name is written as \
+           OpenMetrics text, numbered per trial like --trace (name.t.om).  Count-valued \
+           metrics are the same at any --shards at --ragged 0.")
 
 let crash_t =
   Arg.(value & opt int 0 & info [ "crash" ] ~doc:"Crash-stop the first $(docv) parties early.")
@@ -475,11 +472,10 @@ let backend_t =
     value & opt backend_conv `Lockstep
     & info [ "backend" ]
         ~doc:
-          "Execution backend: $(b,lockstep) (serial reference) or $(b,live) (parties sharded \
-           across domains; see --shards / --ragged).  Tracing (--trace / --postmortem) runs \
-           the parallel engine with one trace ring per shard and merges the streams \
-           deterministically afterwards (byte-identical to the serial order); an adversary spy \
-           ($(b,--adversary hunter)) or --ragged above 0 selects the serial engine.")
+          "Execution backend: $(b,lockstep) (the reference round loop) or $(b,live) (parties \
+           split into --shards contiguous ranges, with --ragged keyed jitter per round and \
+           shard).  Both run every party on one domain; at --ragged 0 their output, trace \
+           and count metrics are identical.")
 
 let shards_t =
   Arg.(
@@ -487,8 +483,8 @@ let shards_t =
     & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Worker domains for --backend live (default: the runtime's recommended domain \
-           count).")
+          "Party ranges for --backend live; each draws its own ragged lags (default: the \
+           runtime's recommended domain count).")
 
 let ragged_t =
   Arg.(
@@ -496,9 +492,9 @@ let ragged_t =
     & info [ "ragged" ] ~docv:"D"
         ~doc:
           "Ragged-synchrony slack for --backend live: a shard's round may land up to $(docv) \
-           rounds late, drawn by keyed jitter on the serial engine at any shard count (exactly \
-           reproducible); the delays surface as insertion/deletion noise booked through the \
-           fault accounting.  0 (default) keeps rounds lockstep-equivalent.")
+           rounds late, drawn by keyed jitter per round and shard (exactly reproducible; the \
+           draws change with --shards); the delays surface as insertion/deletion noise booked \
+           through the fault accounting.  0 (default) keeps rounds lockstep-equivalent.")
 
 let attack_t =
   Arg.(

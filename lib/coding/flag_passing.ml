@@ -32,7 +32,7 @@ let compile graph ~(tree : Graph.tree) =
   in
   { tree; up_dir; down_dir; by_level }
 
-type probe = { on_missing : shard:int -> node:int -> unit }
+type probe = { on_missing : node:int -> unit }
 
 (* The phase, driven through a live execution engine.
 
@@ -41,18 +41,14 @@ type probe = { on_missing : shard:int -> node:int -> unit }
    Downward broadcast: level ℓ speaks in round (d - 1) + (ℓ - 1), and
    every node forwards its own netCorrect, not the raw bit.  Each round
    costs O(|sender level|), not O(2m).  Each node's agg / netCorrect
-   cell is written only by the shard owning the node, so rounds
-   parallelize without locks.  [probe] callbacks fire on worker
-   shards. *)
+   cell is written only by the shard owning the node. *)
 let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
   let module Exec = Live.Exec in
   let tree = sched.tree in
   let d = tree.Graph.depth in
   let root = tree.Graph.root in
   let up v = match alive with None -> true | Some a -> a.(v) in
-  let missing ~shard v =
-    match probe with None -> () | Some pr -> pr.on_missing ~shard ~node:v
-  in
+  let missing v = match probe with None -> () | Some pr -> pr.on_missing ~node:v in
   Exec.slice ex (fun w ->
       let lo, hi = Exec.bounds ex ~shard:w in
       Array.blit statuses lo agg lo (hi - lo);
@@ -83,7 +79,7 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
                 match Netsim.Network.Active.get master ~dir:sched.up_dir.(c) with
                 | Some bit -> agg.(p) <- agg.(p) && bit
                 | None ->
-                    missing ~shard c;
+                    missing c;
                     agg.(p) <- false
             end)
           senders)
@@ -111,7 +107,7 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
                 match Netsim.Network.Active.get master ~dir:sched.down_dir.(v) with
                 | Some bit -> bit && statuses.(v)
                 | None ->
-                    missing ~shard v;
+                    missing v;
                     false)
           sched.by_level.(ell + 1))
       ()

@@ -26,13 +26,11 @@ type schedule
 
 val compile : Topology.Graph.t -> tree:Topology.Graph.tree -> schedule
 
-type probe = { on_missing : shard:int -> node:int -> unit }
-(** Observability hook: [on_missing ~shard ~node] fires once per flag
-    that a listener expected from [node] but read as silence — the
+type probe = { on_missing : node:int -> unit }
+(** Observability hook: [on_missing ~node] fires once per flag that a
+    listener expected from [node] but read as silence — the
     conservative-default path where a deletion (or a dead sender) forces
-    a stop verdict.  [shard] is the shard whose read observed the
-    silence ([0] on a one-shard engine), so sharded callbacks can emit
-    into their own trace ring. *)
+    a stop verdict. *)
 
 val run_exec :
   ?alive:bool array ->
@@ -51,18 +49,15 @@ val run_exec :
     shard owning the node, and the result lands in the
     caller-preallocated [net_correct] (fully overwritten; [agg] is
     scratch, also fully overwritten).  With no noise, every entry is
-    [for_all statuses].  On the parallel engine the result is ready
-    after {!Live.Exec.join}.
+    [for_all statuses].
 
     [?alive] (fault injection): crashed parties ([alive.(v) = false])
     neither send nor update state during the phase; their silence reads
     as {e stop} at live parents — the conservative noise semantics — and
     their own netCorrect is pinned false.
 
-    [label] runs once, committer-side, before the first round's network
-    transform (callers pass the phase marking).  [probe] fires on worker
-    shards, carrying the observing shard id — callbacks must touch only
-    shard-local state (e.g. that shard's trace ring). *)
+    [label] runs once, before the first round's network transform
+    (callers pass the phase marking). *)
 
 val run :
   Netsim.Network.t -> tree:Topology.Graph.tree -> statuses:bool array -> bool array

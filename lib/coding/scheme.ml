@@ -119,38 +119,20 @@ let g_phi = Trace.Sink.declare "phi"
 let g_gstar = Trace.Sink.declare "progress.g_star"
 let g_bstar = Trace.Sink.declare "progress.b_star"
 
-(* Per-run probe state.  [sink] is the leader/control-domain sink:
-   leader-side sites (phase spans, fault prepass, post-join gauges) emit
-   into it.  [rings.(w)] is the sink shard [w]'s callbacks emit into —
-   on the serial engine every entry aliases [sink], under sharded
-   capture it is that worker domain's private ring.
-
-   The rest are the run's own tallies, the books its Exact metrics are
-   read from when the run ends ([book_counts]).  [truncs.(w)] and
-   [rewinds.(w)] count shard [w]'s MP truncations and rewound chunks so
-   far, written only by that shard's callbacks and read by the leader
-   behind a join; [phi_stalls] and [phi] (the last Φ evaluated, nan
-   before the first) are leader-side.  Per-shard sums are the lockstep
-   counts for every shard count at d = 0. *)
+(* Per-run probe state: the sink every probe site emits into, and the
+   run's own tallies, the books its Exact metrics are read from when the
+   run ends ([book_counts]).  [truncs] and [rewinds] count MP
+   truncations and rewound chunks so far; [phi] is the last Φ
+   evaluated, nan before the first. *)
 type probes = {
   sink : Trace.Sink.t;
-  rings : Trace.Sink.t array;
-  truncs : int array;
-  rewinds : int array;
+  mutable truncs : int;
+  mutable rewinds : int;
   mutable phi_stalls : int;
   mutable phi : float;
 }
 
-let make_probes ~rings sink =
-  let shards = Array.length rings in
-  {
-    sink;
-    rings;
-    truncs = Array.make shards 0;
-    rewinds = Array.make shards 0;
-    phi_stalls = 0;
-    phi = Float.nan;
-  }
+let make_probes sink = { sink; truncs = 0; rewinds = 0; phi_stalls = 0; phi = Float.nan }
 
 (* The run's Exact count metrics.  Registered when the network is wired
    (so every run that got that far snapshots the same names), booked
@@ -167,7 +149,7 @@ let book_counts metrics net pr ~diag ~iterations_run =
   let rewinds = c "scheme.rewinds" and phi_stalls = c "scheme.phi_stalls" in
   let phi = gauge metrics ~klass:Exact "scheme.phi" in
   fun () ->
-    let s = Network.stats net and sum = Array.fold_left ( + ) 0 in
+    let s = Network.stats net in
     diag.Faults.Outcome.stalled_slots <- s.Network.stalled;
     diag.Faults.Outcome.injected <- s.Network.injected;
     add net_cc s.Network.cc;
@@ -175,8 +157,8 @@ let book_counts metrics net pr ~diag ~iterations_run =
     add net_stalled s.Network.stalled;
     add net_injected s.Network.injected;
     add iters !iterations_run;
-    add truncs (sum pr.truncs);
-    add rewinds (sum pr.rewinds);
+    add truncs pr.truncs;
+    add rewinds pr.rewinds;
     add phi_stalls pr.phi_stalls;
     if not (Float.is_nan pr.phi) then set phi pr.phi
 
@@ -246,16 +228,14 @@ type fault_ctx = {
 
 (* ---------- phase executors ----------
 
-   Each drives the network through a live execution engine (lib/live):
+   Each drives the network through the live execution engine (lib/live):
    a phase is a sequence of [Live.Exec.round]s whose write callback
    submits the round's transmissions for one shard's parties (by
-   precomputed dir index, into the shard's sparse [Active] buffer) and
-   whose read callback consumes the committed deliveries, plus
-   [slice] jobs for the no-network per-party steps.  Every callback
-   touches only the state of its own shard's parties — that discipline
-   is what lets the same four phase drivers run unmodified on the
-   lockstep (serial, one shard) and live (one domain per shard, or
-   serial keyed jitter when ragged) backends.  [recv_link]/[recv_party] resolve a
+   precomputed dir index, into a sparse [Active] buffer) and whose read
+   callback consumes the committed deliveries, plus [slice] steps for
+   the no-network per-party work.  Every write touches only its own
+   shard's parties: under keyed jitter a shard's whole round may lag,
+   so its sends must be separable.  [recv_link]/[recv_party] resolve a
    delivered dir id to the receiving endpoint in O(1). *)
 
 type transport = {
@@ -275,7 +255,7 @@ let iter_shard ex parties shard f =
    side is already shorter than the position (the peer may have truncated
    earlier in this very phase).  Built once per link for a traced run;
    a collision is tagged with the iteration of the memo's phase. *)
-let collision_probe graph parties ring l p =
+let collision_probe graph parties sink l p =
   let peer_tr = (link_to graph parties.(l.peer) p.id).tr in
   Meeting_points.
     {
@@ -285,13 +265,13 @@ let collision_probe graph parties ring l p =
             Some (Transcript.equal_prefix l.tr peer_tr >= pos)
           else None);
       on_collision =
-        (fun ~pos -> Trace.Sink.count ring ~id:c_collision ~iter:(Mp_memo.iter l.memo) ~arg:pos 1);
+        (fun ~pos -> Trace.Sink.count sink ~id:c_collision ~iter:(Mp_memo.iter l.memo) ~arg:pos 1);
     }
 
 let meeting_points_phase ex net parties fc pr ~iter ~tau =
-  (* Seed-rot accounting runs leader-side (the rot decision is a pure
-     keyed function): the diagnosis record and the trace sink are not
-     shard-local, so the block's callbacks below must not touch them. *)
+  (* Seed-rot accounting runs before the block (the rot decision is a
+     pure keyed function), so the block's callbacks touch no run-wide
+     books. *)
   Array.iter
     (fun p ->
       if fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then
@@ -301,7 +281,6 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
             Trace.Sink.count pr.sink ~id:c_fault_seed_rot ~iter ~arg:p.id 1)
           p.links)
     parties;
-  let observing = Trace.Sink.is_enabled pr.sink in
   (* [prepare] fixes every bit of a link's message before anything is
      received, so the 5τ rounds go out as one block: each shard prepares
      its links' messages and packs them (word i of a link's block is
@@ -310,18 +289,9 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
      [mp_cut] — nobody truncates there.  Crashed parties neither write
      (their links go dark) nor read.
 
-     Decide, then apply.  When traced, the collision probe's ground
-     truth reads the peer's transcript, which may live on another shard.
-     No barrier is needed before the decides — every transcript write
-     they can read was either quiesced by the previous iteration's join
-     (worker-side sim/rewind writes) or published by the job-append
-     release store (leader-side prepass rot), and the block never
-     touches transcripts — but one barrier must separate them from the
-     applies (a lagging decide may still be reading the peer copy).
-     Untraced, a decide reads only its own shard's links, which that
-     shard's apply follows in job order, so no join is spent.  Both
-     engines run this same job stream, which is what keeps merged
-     parallel traces byte-identical to the serial oracle. *)
+     Decide, then apply: when traced, the collision probe's ground
+     truth reads the peer's transcript, so every link decides before any
+     link truncates. *)
   Live.Exec.block ex
     ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
     ~width:tau ~rounds:(Meeting_points.message_bits ~tau)
@@ -355,15 +325,14 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
                 | `Truncate_to x -> x)
             done))
     ();
-  if observing then Live.Exec.join ex;
   Live.Exec.slice ex (fun w ->
       iter_shard ex parties w (fun p ->
           if fc.alive.(p.id) then
             Array.iter
               (fun l ->
                 if l.mp_cut >= 0 then begin
-                  Trace.Sink.count pr.rings.(w) ~id:c_mp_trunc ~iter ~arg:p.id 1;
-                  pr.truncs.(w) <- pr.truncs.(w) + 1;
+                  Trace.Sink.count pr.sink ~id:c_mp_trunc ~iter ~arg:p.id 1;
+                  pr.truncs <- pr.truncs + 1;
                   Transcript.truncate l.tr l.mp_cut;
                   l.mp_cut <- -1
                 end)
@@ -498,10 +467,8 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
   (* Wave shape for the trace: [pr.rewinds] counts every chunk rewound
      (self-initiated or honored request), cumulatively over the run;
      [depth] is the last round of this phase in which any link still
-     moved.  Per-shard cells, written only by the owning shard's round
-     callbacks; the caller sums/maxes them behind the end-of-iteration
-     join, so no join is spent here. *)
-  Array.fill depth 0 nshards 0;
+     moved. *)
+  depth := 0;
   (* Only parties whose per-link state changed since their last
      evaluation can newly satisfy the send predicate: meeting-points
      statuses are frozen for the phase, [already_rewound] is monotone,
@@ -559,8 +526,8 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
                   Active.send buf ~dir:l.dir_out true;
                   Transcript.truncate l.tr (Transcript.length l.tr - 1);
                   l.already_rewound <- true;
-                  pr.rewinds.(shard) <- pr.rewinds.(shard) + 1;
-                  depth.(shard) <- round;
+                  pr.rewinds <- pr.rewinds + 1;
+                  depth := round;
                   sent := true
                 end)
               p.links;
@@ -580,8 +547,8 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
                 if Transcript.length l.tr > 0 then
                   Transcript.truncate l.tr (Transcript.length l.tr - 1);
                 l.already_rewound <- true;
-                pr.rewinds.(shard) <- pr.rewinds.(shard) + 1;
-                depth.(shard) <- round;
+                pr.rewinds <- pr.rewinds + 1;
+                depth := round;
                 readmit shard id
               end
             end);
@@ -657,8 +624,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
   let plan = config.Config.faults in
   let diag = Faults.Outcome.fresh_diagnosis () in
   let metrics = config.Config.metrics in
-  (* Where the leader is: the iteration and span id of the phase it
-     last entered, named in the diagnosis if the run aborts. *)
+  (* Where the run is: the iteration and span id of the phase it last
+     entered, named in the diagnosis if the run aborts. *)
   let at_iter = ref (-1) and at_phase = ref (-1) in
   (* Outcome tallies are registered eagerly so all three names appear in
      every snapshot (zero-valued included) — the registration set stays
@@ -695,44 +662,17 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     Network.set_fault_hooks net (Faults.Plan.network_hooks plan);
     (* ---- execution engine ----
        The lockstep backend is the live engine's one-shard default
-       (serial, d = 0) — exactly the historical round loop.  The
-       adversary spy forces the serial engine through [force_serial]
-       (it reads party state between rounds); a trace sink does not —
-       parallel runs capture into per-domain rings and a deterministic
-       merge rebuilds the serial event order afterwards. *)
+       (d = 0) — exactly the historical round loop. *)
     let live_cfg =
-      let c = match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c in
-      if Option.is_some config.Config.spy_hook then { c with force_serial = true } else c
+      match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c
     in
     let weights = Array.init n (fun id -> Topology.Graph.degree graph id) in
     let ex = Live.Exec.create ~net ~config:live_cfg ~metrics ~weights () in
-    let observing = Trace.Sink.is_enabled config.Config.sink in
+    let sink = config.Config.sink in
+    let observing = Trace.Sink.is_enabled sink in
     let metered = Metrics.Registry.is_enabled metrics in
-    (* Sharded capture: one ring per worker domain plus a leader ring,
-       merged into the caller's sink after shutdown — every existing
-       consumer of [config.sink] works unchanged.  The serial engine
-       emits inline into the caller's sink; no merge needed. *)
-    let sharded =
-      if observing && not (Live.Exec.is_serial ex) then
-        Trace.Sharded.create ~shards:(Live.Exec.shards ex)
-          ~capacity:(Trace.Sink.capacity config.Config.sink)
-          ~profile:(Trace.Sink.profiled config.Config.sink) ()
-      else Trace.Sharded.disabled
-    in
-    let pr =
-      if Trace.Sharded.is_enabled sharded then begin
-        Live.Exec.set_trace ex sharded;
-        make_probes
-          ~rings:(Array.init (Live.Exec.shards ex) (Trace.Sharded.ring sharded))
-          (Trace.Sharded.leader sharded)
-      end
-      else
-        make_probes
-          ~rings:(Array.make (Live.Exec.shards ex) config.Config.sink)
-          config.Config.sink
-    in
-    let sink = pr.sink in
-    (* The leader enters a phase: open its span, remember where it is. *)
+    let pr = make_probes sink in
+    (* Enter a phase: open its span, remember where the run is. *)
     let enter id ~iter =
       at_iter := iter;
       at_phase := id;
@@ -741,12 +681,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     Network.set_trace net sink;
     Network.set_metrics net metrics;
     close_books := book_counts metrics net pr ~diag ~iterations_run;
-    Fun.protect
-      ~finally:(fun () ->
-        Live.Exec.shutdown ex;
-        if Trace.Sharded.is_enabled sharded then
-          Trace.Merge.into_sink sharded ~dst:config.Config.sink)
-    @@ fun () ->
+    Fun.protect ~finally:(fun () -> Live.Exec.shutdown ex) @@ fun () ->
     let flag_sched = Flag_passing.compile graph ~tree in
     let max_r = Chunking.max_rounds ch in
     (* Randomness: CRS or per-link exchange (Algorithm 5).  [same_stream
@@ -778,18 +713,13 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             fun edge -> outcomes.(edge).Randomness_exchange.ok )
     in
     (* One hash memo per link, shared by its two ends when they hold one
-       stream and one domain runs both (every link on the serial engine,
-       a link inside one shard on the parallel one); otherwise one per
-       end, so no cross-domain access is added.  The lower-id end is
-       built first and makes the shared memo; [trs] holds every end's
-       transcript by outgoing dir, so that memo can see the peer's. *)
+       stream; otherwise one per end.  The lower-id end is built first
+       and makes the shared memo; [trs] holds every end's transcript by
+       outgoing dir, so that memo can see the peer's. *)
     let trs = Array.init (2 * m) (fun _ -> Transcript.create ()) in
     let shared_memos = Array.make m None in
-    let memo_for ~edge ~seeds ~tr ~dir_in id peer =
-      if
-        same_stream edge
-        && (Live.Exec.is_serial ex || Live.Exec.owner ex id = Live.Exec.owner ex peer)
-      then (
+    let memo_for ~edge ~seeds ~tr ~dir_in =
+      if same_stream edge then (
         match shared_memos.(edge) with
         | Some memo -> memo
         | None ->
@@ -808,7 +738,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                 let dir_out = Topology.Graph.dir_id graph ~src:id ~dst:peer
                 and dir_in = Topology.Graph.dir_id graph ~src:peer ~dst:id in
                 let tr = trs.(dir_out) and seeds = seeds_for ~edge ~lower:(id < peer) in
-                let memo = memo_for ~edge ~seeds ~tr ~dir_in id peer in
+                let memo = memo_for ~edge ~seeds ~tr ~dir_in in
                 {
                   peer;
                   edge;
@@ -838,8 +768,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     if observing then
       Array.iter
         (fun p ->
-          let ring = pr.rings.(Live.Exec.owner ex p.id) in
-          Array.iter (fun l -> l.probe <- Some (collision_probe graph parties ring l p)) p.links)
+          Array.iter (fun l -> l.probe <- Some (collision_probe graph parties sink l p)) p.links)
         parties;
     (* Transport plumbing: the dir -> receiving-endpoint tables that let
        the delivered set be consumed without scanning all 2m directions. *)
@@ -874,24 +803,20 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let total_links = Array.fold_left (fun acc p -> acc + Array.length p.links) 0 parties in
     (* Per-link meeting-points status snapshot taken before each MP phase,
        so the enter/exit transition counters come from a diff, not from
-       hooks inside the mechanism.  The snapshot runs as a slice (each
-       shard fills its own parties' cells — disjoint [link_base]
-       ranges); the diff runs on the leader, deferred to behind the
-       end-of-iteration join (MP statuses only mutate inside the MP
-       phase, so the deferred read sees exactly the post-phase values).
-       Neither spends a join of its own. *)
+       hooks inside the mechanism.  The diff runs at the end of the
+       iteration (MP statuses only mutate inside the MP phase, so it sees
+       exactly the post-phase values). *)
     let mp_before = Array.make (max 1 total_links) false in
-    let link_base = Array.make (n + 1) 0 in
-    Array.iteri (fun i p -> link_base.(i + 1) <- link_base.(i) + Array.length p.links) parties;
     let record_mp_status () =
-      Live.Exec.slice ex (fun w ->
-          iter_shard ex parties w (fun p ->
-              let i = ref link_base.(p.id) in
-              Array.iter
-                (fun l ->
-                  mp_before.(!i) <- Meeting_points.status l.mp = Meeting_points.Meeting_points;
-                  incr i)
-                p.links))
+      let i = ref 0 in
+      Array.iter
+        (fun p ->
+          Array.iter
+            (fun l ->
+              mp_before.(!i) <- Meeting_points.status l.mp = Meeting_points.Meeting_points;
+              incr i)
+            p.links)
+        parties
     in
     let count_mp_transitions ~iter =
       let enter = ref 0 and exit_ = ref 0 and i = ref 0 in
@@ -916,11 +841,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           Flag_passing.
             {
               on_missing =
-                (fun ~shard ~node ->
-                  (* Fires inside a shard's read callback — emit into
-                     that shard's own ring. *)
-                  Trace.Sink.count pr.rings.(shard) ~id:c_flag_missing ~iter:!cur_iter
-                    ~arg:node 1);
+                (fun ~node -> Trace.Sink.count sink ~id:c_flag_missing ~iter:!cur_iter ~arg:node 1);
             }
       else None
     in
@@ -951,22 +872,14 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let statuses = Array.make n false in
     let flag_agg = Array.make n false in
     let net_corrects = Array.make n false in
-    let rewind_depth = Array.make (Live.Exec.shards ex) 0 in
+    let rewind_depth = ref 0 in
     let rewinds_traced = ref 0 in
     while !continue_loop && !iter < effective_iterations do
       let it = !iter in
-      if observing && config.Config.trace_sample_every > 1 then begin
-        (* Per-shard sampling: keep 1-in-N iterations.  Mute flips ride
-           the job stream (each worker flips its own ring when it
-           reaches the slice), so every ring switches at the same
-           schedule position.  Counter totals cover sampled
-           iterations. *)
-        let keep = it mod config.Config.trace_sample_every = 0 in
-        if Trace.Sink.muted sink <> not keep then begin
-          Live.Exec.slice ex (fun w -> Trace.Sink.set_muted pr.rings.(w) (not keep));
-          Trace.Sink.set_muted sink (not keep)
-        end
-      end;
+      if observing && config.Config.trace_sample_every > 1 then
+        (* Sampling: keep 1-in-N iterations.  Counter totals cover
+           sampled iterations. *)
+        Trace.Sink.set_muted sink (it mod config.Config.trace_sample_every <> 0);
       (* Entered before the watchdog gets to kill the iteration: the
          abort note must name the iteration the run died in. *)
       enter sp_iter ~iter:it;
@@ -1041,8 +954,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Trace.Sink.span_end sink ~id:sp_flag ~iter:it;
       Live.Exec.slice ex (fun w ->
           iter_shard ex parties w (fun p -> p.net_correct <- net_corrects.(p.id)));
-      if Live.Exec.is_serial ex then
-        Log.debug (fun f ->
+      Log.debug (fun f ->
             f "iteration %d: statuses=[%s] netCorrect=[%s]" it
               (String.concat ""
                  (List.map (fun s -> if s then "1" else "0") (Array.to_list statuses)))
@@ -1056,17 +968,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         rewind_phase ex net tp parties fc pr ~iter:it ~depth:rewind_depth;
         Trace.Sink.span_end sink ~id:sp_rewind ~iter:it
       end;
-      (* Quiesce before the leader-side reads below (global stats, early
-         stop, next iteration's prepass). *)
-      Live.Exec.join ex;
       if observing then begin
-        (* Deferred per-iteration tallies, all behind the one join the
-           iteration already pays: everything read here went quiet when
+        (* Per-iteration tallies: everything read here went quiet when
            its phase ended (MP statuses freeze after the MP phase, the
-           flag scratch after the flag phase, the rewind cells after the
-           wave), so one quiesce covers the lot.  Values are global
-           sums, not per-shard splits — the merged export stays
-           byte-identical whatever the shard count. *)
+           flag scratch after the flag phase, the rewind tally after the
+           wave).  Values are global sums, so the export is the same
+           whatever the shard count. *)
         count_mp_transitions ~iter:it;
         let count_true a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
         let votes = count_true statuses and ok = count_true net_corrects in
@@ -1074,21 +981,16 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Trace.Sink.count sink ~id:c_net_correct ~iter:it ok;
         Trace.Sink.count sink ~id:c_idle ~iter:it (n - ok);
         if params.Params.rewind then begin
-          (* The cells are cumulative: this iteration's wave is the rise. *)
-          let total = Array.fold_left ( + ) 0 pr.rewinds in
-          let reqs = total - !rewinds_traced in
-          rewinds_traced := total;
+          (* The tally is cumulative: this iteration's wave is the rise. *)
+          let reqs = pr.rewinds - !rewinds_traced in
+          rewinds_traced := pr.rewinds;
           if reqs > 0 then begin
             Trace.Sink.count sink ~id:c_rewind_req ~iter:it reqs;
-            Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it
-              (float_of_int (Array.fold_left max 0 rewind_depth))
+            Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it (float_of_int !rewind_depth)
           end
         end
       end;
       if config.Config.trace || observing || metered then begin
-        (* Post-join: the leader reads party state quiesced, so this is
-           safe on the parallel engine too (metrics do not force the
-           serial engine the way an enabled trace sink does). *)
         let st = stats_of net parties graph ~iteration:it in
         if config.Config.trace then traces := st :: !traces;
         if observing || metered then begin
@@ -1120,11 +1022,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       if params.Params.early_stop && all_done parties graph ~n_real then continue_loop := false;
       incr iter
     done;
-    if observing && config.Config.trace_sample_every > 1 then begin
-      (* Leave every ring live for the output span (and the caller). *)
-      Live.Exec.slice ex (fun w -> Trace.Sink.set_muted pr.rings.(w) false);
-      Trace.Sink.set_muted sink false
-    end;
+    (* Leave the sink live for the output span (and the caller). *)
+    if observing && config.Config.trace_sample_every > 1 then Trace.Sink.set_muted sink false;
     if !continue_loop && effective_iterations < iterations then
       Faults.Outcome.note diag
         (Printf.sprintf "iterations capped at %d of %d planned" effective_iterations iterations);

@@ -78,22 +78,17 @@ type spy = {
 
 type backend =
   | Lockstep
-      (** the reference backend: the live engine pinned serial, one
-          shard, d = 0 — the historical single-domain round loop *)
+      (** the reference backend: the live engine at one shard, d = 0 —
+          the historical round loop *)
   | Live of Live.Config.t
-      (** the concurrent backend (lib/live): parties sharded across
-          domains, each round one barrier whose last arriver commits;
-          or, with [ragged_d] > 0, the serial engine's keyed jitter at
-          any shard count, booked as insertions/deletions through the
-          network's fault accounting.
-          A spy hook forces the serial engine (it reads party state
-          between rounds).  An enabled trace sink does {e not}: the
-          parallel engine captures into one private ring per domain
-          ({!Trace.Sharded}) and a deterministic merge ({!Trace.Merge})
-          rebuilds the serial event order into the caller's sink after
-          the run — at d = 0 the timing-free export is byte-identical
-          to the serial one at any shard count.  With d = 0 the two
-          backends are differentially tested byte-identical. *)
+      (** the live engine (lib/live) at the configured shard count: with
+          [ragged_d] = 0 it is differentially tested byte-identical to
+          {!Lockstep} (outcome and timing-free trace export) at any
+          shard count; with [ragged_d] > 0 each (round, shard) may lag
+          by keyed jitter, booked as insertions/deletions through the
+          network's fault accounting.  Every callback runs on the
+          caller's domain; parallelism lives across trials
+          ([Runner.Pool]). *)
 
 module Config : sig
   type t = {
@@ -114,9 +109,7 @@ module Config : sig
             books [scheme.*] counters (iterations, MP truncations,
             rewinds, Φ stalls, outcome tallies) and the [scheme.phi]
             gauge, and is threaded to the network ([net.*]) and the live
-            engine ([live.*]).  Unlike an enabled trace sink, metrics do
-            {e not} force the serial engine — probes are domain-safe
-            atomics — and count-valued ([Exact]) metrics stay
+            engine ([live.*]).  Count-valued ([Exact]) metrics stay
             deterministic for a fixed configuration. *)
     inputs : int array option;
         (** party inputs; [None] draws a deterministic pseudorandom
@@ -139,12 +132,11 @@ module Config : sig
             ({!Faults.Outcome.Iteration_budget}) *)
     backend : backend;
         (** execution backend; {!Lockstep} (the default) is the serial
-            reference, [Live _] runs the concurrent engine *)
+            reference, [Live _] sets the shard count and ragged slack *)
     trace_sample_every : int;
-        (** per-shard trace sampling: keep every Nth iteration's events
-            (1 — the default — keeps all).  Muting rides the job
-            stream, so all rings switch at the same schedule position;
-            counter totals then cover the sampled iterations only. *)
+        (** trace sampling: keep every Nth iteration's events (1 — the
+            default — keeps all); counter totals then cover the sampled
+            iterations only. *)
   }
 
   val default : t

@@ -1,20 +1,17 @@
 (** Configuration of the live execution backend (see DESIGN.md §3h). *)
 
 type t = {
-  shards : int;  (** worker domains the parties are sharded across (>= 1) *)
+  shards : int;
+      (** contiguous party ranges (>= 1): the engine runs each round's
+          callbacks range by range, and keys its jitter per range *)
   ragged_d : int;
       (** synchrony slack: a shard's round may land up to [ragged_d]
-          rounds late, by keyed jitter on the serial engine (any
-          [ragged_d] > 0 selects it); 0 = lockstep (byte-identical to
+          rounds late, by keyed jitter; 0 = lockstep (byte-identical to
           the reference backend) *)
   jitter_rate : float;
       (** probability that a (round, shard) pair draws a lag in
           [1..ragged_d] *)
   jitter_key : int64;  (** seed of the deterministic jitter stream *)
-  force_serial : bool;
-      (** run the single-domain engine even for [shards] > 1 at
-          [ragged_d] = 0 (used for an adversary spy); the other serial
-          switches are [shards = 1] and [ragged_d > 0] *)
 }
 
 val make :
@@ -22,13 +19,12 @@ val make :
   ?ragged_d:int ->
   ?jitter_rate:float ->
   ?jitter_key:int64 ->
-  ?force_serial:bool ->
   unit ->
   t
 (** [shards] defaults to [Domain.recommended_domain_count ()]; [ragged_d]
     to [0]; [jitter_rate] to [0.001] (on mic's default cycle-8 run the
-    scheme fails from a lag rate of about 0.005 on); [force_serial] to
-    [false].  Raises [Invalid_argument] on out-of-range values. *)
+    scheme fails from a lag rate of about 0.005 on).  Raises
+    [Invalid_argument] on out-of-range values. *)
 
 val default : t
 (** One shard, lockstep — semantically the reference backend run

@@ -337,11 +337,9 @@ let set_trace t sink = t.trace <- sink
 
 (* The per-commit active-link distribution is a function of the keyed
    execution (Exact): it replays byte-identically across jobs and shard
-   counts at d = 0.  The noise-rate gauge is sampled at deterministic
-   rounds, so it is Exact too.  (Parallel ragged runs, d > 0, are
-   inherently scheduling-dependent — there the whole execution is, not
-   just its metrics; benches at d > 0 already publish those counts as
-   jitter metrics, which the observatory ignores.)  The counts of
+   counts at d = 0, and under keyed jitter (d > 0) for a fixed shard
+   count.  The noise-rate gauge is sampled at deterministic rounds, so
+   it is Exact too.  The counts of
    [stats] are not probed here: whoever owns the run books them once,
    from [stats], when it ends. *)
 let set_metrics t reg =

@@ -68,13 +68,6 @@ module Active : sig
   (** Visit every non-silent direction in ascending dir order.
       O(active), independent of 2m. *)
 
-  val sort : t -> unit
-  (** Force the lazily-sorted active set into ascending dir order now,
-      so that subsequent {!iter} / {!get} calls are read-only.  The live
-      backend calls this before publishing a committed buffer to other
-      domains; single-domain users never need it ({!iter} sorts on
-      demand). *)
-
   (**/**)
 
   val debug_set_epoch : t -> int -> unit
@@ -175,9 +168,7 @@ val set_trace : t -> Trace.Sink.t -> unit
     adversary corruptions and fault-engine events stay distinguishable
     per link per round.  The default is {!Trace.Sink.disabled}, under
     which every probe is a single branch on an already-corrupted slot
-    and free otherwise.  Event ids are process-wide, so the parallel
-    engine's committer may point net.* emissions at its own shard ring
-    for the duration of a commit. *)
+    and free otherwise. *)
 
 val set_metrics : t -> Metrics.Registry.t -> unit
 (** Attach a metrics registry.  Rounds then feed the per-commit
@@ -187,7 +178,7 @@ val set_metrics : t -> Metrics.Registry.t -> unit
     are not probed per event: the run's owner books them once from
     {!stats} ([Coding.Scheme] as [net.cc], [net.corruptions],
     [net.stalled], [net.injected]).  Both series replay byte-identically
-    across jobs and shards, since the execution itself does.  The
+    across jobs and shard counts, since the execution itself does.  The
     default is
     {!Metrics.Registry.disabled}: one branch per round. *)
 

@@ -10,7 +10,6 @@ type blame = {
   party : int;
   link : int;
   round : int;
-  shard : int; (* emitting shard under sharded capture, -1 otherwise *)
 }
 
 type severity = Info | Warning | Violation
@@ -24,7 +23,6 @@ type t = {
   first_divergence : (int * string) option;
   blame : blame option;
   blame_counts : (string * int) list;
-  shard_noise : (int * int) list;
   findings : finding list;
 }
 
@@ -54,7 +52,6 @@ let blame_of ~iteration (a : Timeline.attributed) cause =
     party = (if is_party then ev.Timeline.arg else -1);
     link = (if is_net then ev.Timeline.arg else -1);
     round = (if is_net then ev.Timeline.iter else -1);
-    shard = ev.Timeline.shard;
   }
 
 (* Counters whose presence at (or one iteration before) a stall makes
@@ -92,28 +89,6 @@ let analyze (tl : Timeline.t) =
   in
   let blame_counts =
     List.filter (fun (name, _) -> classify name <> None) tl.Timeline.counter_totals
-  in
-  (* --- per-shard noise attribution (sharded captures only) ---
-     Every blame-class count event carries its emitting shard, so a
-     merged multi-shard stream decomposes deviation by shard boundary —
-     a skew here means one shard's parties absorbed the noise. *)
-  let shard_noise =
-    let tbl = Hashtbl.create 8 in
-    let note (a : Timeline.attributed) =
-      let ev = a.Timeline.ev in
-      if
-        ev.Timeline.shard >= 0
-        && ev.Timeline.kind = Timeline.Count
-        && ev.Timeline.ival > 0
-        && classify ev.Timeline.name <> None
-      then
-        Hashtbl.replace tbl ev.Timeline.shard
-          (ev.Timeline.ival + Option.value ~default:0 (Hashtbl.find_opt tbl ev.Timeline.shard))
-    in
-    List.iter note tl.Timeline.setup;
-    List.iter (fun (it : Timeline.iteration) -> List.iter note it.Timeline.events)
-      tl.Timeline.iterations;
-    Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [] |> List.sort compare
   in
   (* --- first divergence --- *)
   let first_divergence =
@@ -187,7 +162,6 @@ let analyze (tl : Timeline.t) =
     first_divergence;
     blame;
     blame_counts;
-    shard_noise;
     findings;
   }
 
@@ -202,7 +176,6 @@ let cause_to_string = function
 let pp_blame fmt b =
   Format.fprintf fmt "%s (%s) at iteration %d in %s" b.event (cause_to_string b.cause) b.iteration
     (if b.phase = "" then "setup" else b.phase);
-  if b.shard >= 0 then Format.fprintf fmt ", shard %d" b.shard;
   if b.party >= 0 then Format.fprintf fmt ", party %d" b.party;
   if b.link >= 0 then Format.fprintf fmt ", link %d" b.link;
   if b.round >= 0 then Format.fprintf fmt ", round %d" b.round
@@ -219,11 +192,6 @@ let pp fmt t =
   if t.blame_counts <> [] then begin
     Format.fprintf fmt "  booked deviations:";
     List.iter (fun (n, v) -> Format.fprintf fmt " %s=%d" n v) t.blame_counts;
-    Format.fprintf fmt "@."
-  end;
-  if t.shard_noise <> [] then begin
-    Format.fprintf fmt "  deviations by shard:";
-    List.iter (fun (w, v) -> Format.fprintf fmt " %d=%d" w v) t.shard_noise;
     Format.fprintf fmt "@."
   end;
   if t.findings = [] then Format.fprintf fmt "  findings: none@."

@@ -36,10 +36,6 @@ type blame = {
   party : int;  (** party id for [fault.*] events, [-1] otherwise *)
   link : int;  (** directed link id for [net.*] events, [-1] otherwise *)
   round : int;  (** absolute network round for [net.*] events, [-1] otherwise *)
-  shard : int;
-      (** shard whose ring recorded the event, for timelines built from a
-          sharded capture ({!Timeline.of_sharded}); [-1] for leader-ring
-          events and single-sink or re-parsed timelines *)
 }
 
 type severity = Info | Warning | Violation
@@ -54,10 +50,6 @@ type t = {
   blame : blame option;  (** first cause, if any blame-class event fired *)
   blame_counts : (string * int) list;
       (** lifetime totals of every blame-class counter that fired *)
-  shard_noise : (int * int) list;
-      (** [(shard, count)] sums of blame-class events per emitting shard,
-          sorted by shard — nonempty only for sharded captures.  A skew
-          here localizes which shard's parties absorbed the deviation. *)
   findings : finding list;  (** analyzer findings, in severity order *)
 }
 

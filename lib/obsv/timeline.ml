@@ -12,7 +12,6 @@ type ev = {
   arg : int;
   ival : int;
   fval : float;
-  shard : int; (* emitting shard under sharded capture; -1 = leader/unknown *)
 }
 
 type attributed = { phase : string; ev : ev }
@@ -71,11 +70,7 @@ let finalize_iteration b index =
           | "phi" -> phi := Some ev.fval
           | "progress.g_star" -> g_star := Some ev.fval
           | "progress.b_star" -> b_star := Some ev.fval
-          | "rewind.depth" ->
-              (* Sharded captures emit one depth gauge per shard that
-                 rewound; the iteration's depth is their max (equals the
-                 single gauge of a single-sink stream). *)
-              depth := Some (max (Option.value ~default:0 !depth) (int_of_float ev.fval))
+          | "rewind.depth" -> depth := Some (int_of_float ev.fval)
           | _ -> ())
       | Span_begin | Span_end -> ())
     events;
@@ -197,23 +192,15 @@ let fresh_builder () =
     sums = Hashtbl.create 32;
   }
 
-let ev_of_sink_event ?(shard = -1) = function
+let ev_of_sink_event = function
   | Trace.Sink.Span_begin { name; iter; seq; _ } ->
-      { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0.; shard }
+      { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0. }
   | Trace.Sink.Span_end { name; iter; seq; _ } ->
-      { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0.; shard }
+      { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0. }
   | Trace.Sink.Count { name; iter; arg; value; seq; _ } ->
-      { seq; kind = Count; name; iter; arg; ival = value; fval = 0.; shard }
+      { seq; kind = Count; name; iter; arg; ival = value; fval = 0. }
   | Trace.Sink.Gauge { name; iter; value; seq; _ } ->
-      { seq; kind = Gauge; name; iter; arg = -1; ival = 0; fval = value; shard }
-
-let of_sharded sh =
-  let b = fresh_builder () in
-  List.iter
-    (fun e -> feed b (ev_of_sink_event ~shard:e.Trace.Merge.shard e.Trace.Merge.ev))
-    (Trace.Merge.entries sh);
-  let tl = finish b ~counter_totals:(Some (Trace.Sharded.counter_totals sh)) in
-  { tl with truncated = Trace.Sharded.dropped sh > 0 }
+      { seq; kind = Gauge; name; iter; arg = -1; ival = 0; fval = value }
 
 let of_sink sink =
   let b = fresh_builder () in
@@ -233,9 +220,8 @@ let ev_of_json j =
       let iter = int_of "iter" ~default:(-1) in
       match kind with
       | "span_begin" ->
-          Some { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0.; shard = -1 }
-      | "span_end" ->
-          Some { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0.; shard = -1 }
+          Some { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0. }
+      | "span_end" -> Some { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0. }
       | "count" ->
           Some
             {
@@ -246,7 +232,6 @@ let ev_of_json j =
               arg = int_of "arg" ~default:(-1);
               ival = int_of "value" ~default:0;
               fval = 0.;
-              shard = -1;
             }
       | "gauge" ->
           Some
@@ -258,7 +243,6 @@ let ev_of_json j =
               arg = -1;
               ival = 0;
               fval = Option.value ~default:Float.nan (num "value");
-              shard = -1;
             }
       | _ -> None)
   | _ -> None

@@ -24,10 +24,6 @@ type ev = {
   arg : int;  (** secondary coordinate: party, directed link, position *)
   ival : int;  (** count value ([Count] only) *)
   fval : float;  (** gauge value ([Gauge] only) *)
-  shard : int;
-      (** emitting shard when built from a sharded capture
-          ({!of_sharded}); [-1] for leader-ring events
-          and for every event of a single-sink or re-parsed source *)
 }
 
 type attributed = { phase : string;  (** innermost [phase.*] span, [""] outside *) ev : ev }
@@ -64,12 +60,6 @@ type t = {
 val of_sink : Trace.Sink.t -> t
 (** Build from a live sink; [counter_totals] and [truncated] come from
     the sink's drop-proof bookkeeping. *)
-
-val of_sharded : Trace.Sharded.t -> t
-(** Build straight from a sharded capture: {!Trace.Merge.entries} for
-    the ordered stream, the rings' summed drop-proof side tables for
-    [counter_totals], and any per-ring drop marks the timeline
-    truncated. *)
 
 val of_jsonl : string -> t
 (** Re-parse a {!Trace.Export.jsonl} export (either flavour; wall-clock

@@ -8,11 +8,9 @@
       compiled in permanently and pay only that branch.
     + {e No allocation when on.}  An enabled sink writes each event into
       parallel arrays (a ring: when full, the oldest events are
-      overwritten and counted in {!dropped}).  A sink created with
-      [~initial] starts that small and doubles up to the capacity as
-      events arrive, so it pays for the events it records, not for its
-      capacity; once grown it allocates nothing per event.  Each event name is
-      declared once per process ({!declare}); probes carry its id, and
+      overwritten and counted in {!dropped}), allocated in full when the
+      sink is created, so nothing is allocated per event.  Each event
+      name is declared once per process ({!declare}); probes carry its id, and
       the per-id side tables grow only when a declaration made after
       the sink's creation outruns them.
     + {e Determinism.}  Every event field except the wall-clock
@@ -24,17 +22,10 @@
 
 type t
 
-val create : ?capacity:int -> ?initial:int -> ?profile:bool -> unit -> t
+val create : ?capacity:int -> ?profile:bool -> unit -> t
 (** An enabled sink whose ring retains the last [capacity] (default
-    32768) events.  Raises [Invalid_argument] if [capacity < 1].
-
-    The ring starts with [initial] slots (default [capacity], clamped to
-    [1 .. capacity]) and doubles up to [capacity] as events arrive;
-    retention and drops are the same either way.  A ring created inside
-    every run ({!Sharded}) should start small.  A long-lived sink,
-    reused through {!reset}, should not: its full-size arrays are
-    allocated once, up front, rather than while the first run is being
-    measured.
+    32768) events.  Raises [Invalid_argument] if [capacity < 1].  A
+    long-lived sink reused through {!reset} allocates its ring once.
 
     With [~profile:true] every event additionally records the domain's
     cumulative Gc minor/major word counters at emission time (read back
@@ -60,18 +51,6 @@ val set_muted : t -> bool -> unit
     no-op; unmuting never enables a disabled sink. *)
 
 val muted : t -> bool
-
-val set_tick : t -> int -> unit
-(** Set the logical merge-position stamp recorded on every subsequent
-    event.  A single-writer concern: the domain that owns the ring sets
-    its tick at each engine sync point (job issue/execution), and
-    {!Merge} later orders events of different rings by
-    [(tick, shard, seq)].  Purely additive — single-ring consumers never
-    see ticks. *)
-
-val tick_at : t -> int -> int
-(** The tick stamped on retained event [seq] (meaningless for dropped
-    seqs; callers guard with {!dropped}). *)
 
 val declare : string -> int
 (** The process-wide id of an event name, allocated on first sight and
@@ -111,13 +90,7 @@ val seq : t -> int
 (** Total events emitted over the sink's lifetime (≥ retained). *)
 
 val dropped : t -> int
-(** Events overwritten by ring wrap-around, plus any upstream losses
-    recorded with {!note_dropped}. *)
-
-val note_dropped : t -> int -> unit
-(** Record [k] events lost before they reached this sink (e.g. per-shard
-    ring drops observed by {!Merge.into_sink}); added to {!dropped} so a
-    merged sink faithfully reports its sources' losses. *)
+(** Events overwritten by ring wrap-around. *)
 
 val events : t -> event list
 (** The retained events, oldest first.  [seq] numbers are global, so a
@@ -127,14 +100,6 @@ val iter : t -> (event -> unit) -> unit
 (** Visit the retained events oldest first without materializing the
     list — same order and contents as {!events}.  Serializers
     ({!Export}) stream through this. *)
-
-val replay : t -> ?alloc:float * float -> event -> unit
-(** Re-emit a decoded event into this sink: the name is declared (or
-    looked up),
-    counter/gauge side tables are updated, the event's own wall
-    timestamp is preserved (and [?alloc] Gc words, on a profiled sink),
-    and a fresh seq is assigned.  {!Merge.into_sink} streams per-shard
-    rings through this to rebuild one deterministic timeline. *)
 
 val alloc_words : t -> seq:int -> (float * float) option
 (** [(minor_words, major_words)] recorded when event [seq] was emitted;

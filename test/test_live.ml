@@ -1,8 +1,7 @@
-(* Tests for lib/live: the shard partitioner, the sense-reversing
-   barrier under real parallelism, the execution engine's round
-   semantics, and — the backbone — the backend differential: the scheme
-   on [Live] with d = 0 must be byte-identical to [Lockstep] across
-   topologies, adversaries and fault plans. *)
+(* Tests for lib/live: the shard partitioner, the execution engine's
+   round semantics, and — the backbone — the backend differential: the
+   scheme on [Live] with d = 0 must be byte-identical to [Lockstep]
+   across topologies, adversaries, fault plans and shard counts. *)
 
 module Network = Netsim.Network
 
@@ -44,55 +43,14 @@ let test_shard_balance () =
   let _, hub_hi = Live.Shard.range sh (Live.Shard.owner sh 0) in
   Alcotest.(check bool) "hub shard is lean" true (hub_hi <= 32)
 
-(* ---------- Barrier ---------- *)
-
-let test_barrier_two_domains () =
-  (* Two domains cross the same barrier 500 times; a shared counter is
-     incremented before each await, so after the k-th crossing both
-     sides must read exactly 2k — a missed or double release would show
-     up as a torn count. *)
-  let b = Live.Barrier.create 2 in
-  let count = Atomic.make 0 in
-  let bad = Atomic.make 0 in
-  let episodes = 500 in
-  let body () =
-    for k = 1 to episodes do
-      Atomic.incr count;
-      ignore (Live.Barrier.await b : bool);
-      if Atomic.get count < 2 * k then Atomic.incr bad;
-      (* Second barrier keeps a fast domain from racing into the next
-         episode's increment before the slow one checked. *)
-      ignore (Live.Barrier.await b : bool)
-    done
-  in
-  let d = Domain.spawn body in
-  body ();
-  Domain.join d;
-  Alcotest.(check int) "no torn episode" 0 (Atomic.get bad);
-  Alcotest.(check int) "final count" (2 * episodes) (Atomic.get count)
-
-let test_barrier_giveup () =
-  let b = Live.Barrier.create 2 in
-  (* Nobody else ever arrives: the giveup must fire and await report
-     failure rather than hanging. *)
-  let tries = ref 0 in
-  let ok =
-    Live.Barrier.await
-      ~giveup:(fun () ->
-        incr tries;
-        !tries > 3)
-      b
-  in
-  Alcotest.(check bool) "aborted wait returns false" false ok
-
 (* ---------- Exec: raw round semantics ---------- *)
 
 let line4 = Topology.Graph.line 4
 
 let test_exec_round_delivery () =
-  (* A 4-party line driven for 24 rounds on 2 real domains, d = 0:
-     every round's rightward bit must be delivered in that round, and
-     the lockstep window must book zero jitter. *)
+  (* A 4-party line driven for 24 rounds on 2 shards, d = 0: every
+     round's rightward bit must be delivered in that round, and the
+     lockstep engine must book zero jitter. *)
   let net = Network.create line4 Netsim.Adversary.Silent in
   let ex =
     Live.Exec.create ~net
@@ -103,7 +61,7 @@ let test_exec_round_delivery () =
   Fun.protect
     ~finally:(fun () -> Live.Exec.shutdown ex)
     (fun () ->
-      let missed = Atomic.make 0 in
+      let missed = ref 0 in
       for r = 0 to 23 do
         Live.Exec.round ex
           ~write:(fun ~shard buf ->
@@ -122,13 +80,12 @@ let test_exec_round_delivery () =
                   Network.Active.get master
                     ~dir:(Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v)
                 with
-                | Some b -> if b <> (r land 1 = 1) then Atomic.incr missed
-                | None -> Atomic.incr missed
+                | Some b -> if b <> (r land 1 = 1) then incr missed
+                | None -> incr missed
             done)
           ()
       done;
-      Live.Exec.join ex;
-      Alcotest.(check int) "all deliveries intact" 0 (Atomic.get missed);
+      Alcotest.(check int) "all deliveries intact" 0 !missed;
       Alcotest.(check int) "rounds_run" 24 (Live.Exec.rounds_run ex);
       Alcotest.(check int) "cc" (24 * 3) (Network.stats net).Network.cc;
       Alcotest.(check int) "d=0 books no drops" 0 (Live.Exec.jitter_dropped ex);
@@ -136,9 +93,9 @@ let test_exec_round_delivery () =
 
 let test_exec_block_delivery () =
   (* The same line carrying a 3-field block of width 8 (20 rounds, the
-     last field cut short), each engine shape: serial, 2 domains at
-     d = 0 (one job), and the serial keyed-jitter engine at d = 1 with
-     no jitter (the per-round fallback).  Every sender's words must
+     last field cut short), each engine shape: 1 and 2 shards at d = 0
+     (one commit), and the keyed-jitter engine at d = 1 with no jitter
+     (the per-round fallback).  Every sender's words must
      arrive whole, bits past the 20th silent, and the books must count
      20 rounds. *)
   let words v = [| 0xA5 lxor v; 0x3C + v; 0x0F lsl v |] in
@@ -164,7 +121,7 @@ let test_exec_block_delivery () =
       Fun.protect
         ~finally:(fun () -> Live.Exec.shutdown ex)
         (fun () ->
-          let bad = Atomic.make 0 in
+          let bad = ref 0 in
           for _ = 1 to 3 do
             Live.Exec.block ex ~width:8 ~rounds:20
               ~write:(fun ~shard out ->
@@ -184,93 +141,60 @@ let test_exec_block_delivery () =
                   Array.iteri
                     (fun field w ->
                       let keep = if field = 2 then 0xF else 0xFF in
-                      if Network.Block.word inw ~dir ~field <> w land keep then Atomic.incr bad;
-                      if Network.Block.heard inw ~dir ~field <> keep then Atomic.incr bad)
+                      if Network.Block.word inw ~dir ~field <> w land keep then incr bad;
+                      if Network.Block.heard inw ~dir ~field <> keep then incr bad)
                     (words (v - 1));
                   (* Nobody speaks leftward: those directions stay silent. *)
                   let back = Topology.Graph.dir_id line4 ~src:v ~dst:(v - 1) in
                   for field = 0 to 2 do
-                    if Network.Block.heard inw ~dir:back ~field <> 0 then Atomic.incr bad
+                    if Network.Block.heard inw ~dir:back ~field <> 0 then incr bad
                   done
                 done)
               ()
           done;
-          Live.Exec.join ex;
-          Alcotest.(check int) (name ^ ": words intact") 0 (Atomic.get bad);
+          Alcotest.(check int) (name ^ ": words intact") 0 !bad;
           Alcotest.(check int) (name ^ ": rounds_run") 60 (Live.Exec.rounds_run ex);
           Alcotest.(check int) (name ^ ": network rounds") 60 (Network.stats net).Network.rounds;
           Alcotest.(check int) (name ^ ": cc") (3 * 3 * 20) (Network.stats net).Network.cc))
     [
-      ("serial", Live.Config.default);
-      ("2 domains", Live.Config.make ~shards:2 ());
-      ("serial d=1", Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0. ~force_serial:true ());
+      ("1 shard", Live.Config.default);
+      ("2 shards", Live.Config.make ~shards:2 ());
+      ("d=1", Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0. ());
     ]
 
-let test_exec_worker_exception () =
-  (* A worker raising inside a job poisons the engine: the exception
-     surfaces at the next issue/join on the leader, and shutdown still
-     returns cleanly afterwards. *)
+let test_exec_callbacks_on_caller () =
+  (* Every callback of a 4-shard engine — round writes and reads, block
+     writes and reads, slices — runs on the domain that issued it, once
+     per shard, in shard order. *)
   let net = Network.create line4 Netsim.Adversary.Silent in
   let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards:2 ())
-      ~weights:(Array.make 4 1) ()
+    Live.Exec.create ~net ~config:(Live.Config.make ~shards:4 ()) ~weights:(Array.make 4 1) ()
   in
-  let raised =
-    try
-      Live.Exec.slice ex (fun w -> if w = 1 then failwith "boom");
-      Live.Exec.join ex;
-      false
-    with Failure m -> m = "boom"
+  let self = Domain.self () in
+  let calls = ref [] in
+  let note kind shard =
+    Alcotest.(check bool) (kind ^ " on the caller's domain") true (Domain.self () = self);
+    calls := (kind, shard) :: !calls
   in
-  Alcotest.(check bool) "worker exception propagates to leader" true raised;
-  Live.Exec.shutdown ex;
-  Live.Exec.shutdown ex (* idempotent *)
-
-let test_exec_sharded_trace () =
-  (* Workers emit into their own rings from real domains; the engine
-     stamps job ticks, so the merge must come out round-ordered with
-     shard 0 before shard 1 inside every round. *)
-  let net = Network.create line4 Netsim.Adversary.Silent in
-  let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards:2 ())
-      ~weights:(Array.make 4 1) ()
-  in
-  (match Live.Exec.set_trace ex (Trace.Sharded.create ~shards:3 ()) with
-  | () -> Alcotest.fail "shard-count mismatch accepted"
-  | exception Invalid_argument _ -> ());
-  let sh = Trace.Sharded.create ~shards:2 () in
-  let mark = Trace.Sink.declare "mark" in
-  Live.Exec.set_trace ex sh;
-  let rounds = 8 in
   Fun.protect
     ~finally:(fun () -> Live.Exec.shutdown ex)
     (fun () ->
-      for r = 0 to rounds - 1 do
-        Live.Exec.round ex
-          ~write:(fun ~shard _buf ->
-            Trace.Sink.count (Trace.Sharded.ring sh shard) ~id:mark ~iter:r ~arg:shard 1)
-          ~read:(fun ~shard:_ _master -> ())
-          ()
-      done;
+      Live.Exec.round ex
+        ~write:(fun ~shard _ -> note "write" shard)
+        ~read:(fun ~shard _ -> note "read" shard)
+        ();
+      Live.Exec.block ex ~width:8 ~rounds:10
+        ~write:(fun ~shard _ -> note "block write" shard)
+        ~read:(fun ~shard _ -> note "block read" shard)
+        ();
+      Live.Exec.slice ex (note "slice");
       Live.Exec.join ex);
-  let es = Trace.Merge.entries sh in
-  Alcotest.(check int) "one event per shard per round" 16 (List.length es);
-  let coords =
-    List.map
-      (fun (e : Trace.Merge.entry) ->
-        match e.Trace.Merge.ev with
-        | Trace.Sink.Count { iter; arg; _ } -> (iter, arg)
-        | _ -> Alcotest.fail "unexpected event kind")
-      es
-  in
-  Alcotest.(check (list (pair int int))) "round-major, shard-minor order"
-    (List.concat_map (fun r -> [ (r, 0); (r, 1) ]) (List.init rounds Fun.id))
-    coords;
-  (* Ticks are monotone across the merge (the job schedule is total). *)
-  let ticks = List.map (fun (e : Trace.Merge.entry) -> e.Trace.Merge.tick) es in
-  Alcotest.(check bool) "ticks monotone" true (List.sort compare ticks = ticks)
+  Alcotest.(check int) "4 shards" 4 (Live.Exec.shards ex);
+  let each kind = List.init 4 (fun w -> (kind, w)) in
+  Alcotest.(check (list (pair string int)))
+    "once per shard, in shard order"
+    (List.concat_map each [ "write"; "read"; "block write"; "block read"; "slice" ])
+    (List.rev !calls)
 
 (* ---------- Backend differential ---------- *)
 
@@ -374,10 +298,9 @@ let test_differential_faults () =
     [ List.nth graphs 0; List.nth graphs 2 ]
 
 let test_differential_trace_stream () =
-  (* An enabled sink captures into per-domain rings merged after the
-     run, so the normalized (timing-free) trace streams must match the
-     reference backend character for character — same probes, same
-     order, same arguments. *)
+  (* An enabled sink on a 4-shard engine: the normalized (timing-free)
+     trace streams must match the reference backend character for
+     character — same probes, same order, same arguments. *)
   let g = Topology.Graph.clique 5 in
   let go backend =
     let sink = Trace.Sink.create () in
@@ -400,14 +323,11 @@ let test_differential_trace_stream () =
 (* ---------- Ragged synchrony ---------- *)
 
 let test_serial_ragged_deterministic () =
-  (* The keyed-jitter serial engine: same config twice gives the same
+  (* The keyed-jitter engine: same config twice gives the same
      degraded run, and the jitter really is booked — the diagnosis
      carries stalled/injected symbols and the outcome degrades. *)
   let g = Topology.Graph.line 6 in
-  let backend =
-    Coding.Scheme.Live
-      (Live.Config.make ~shards:4 ~ragged_d:2 ~jitter_rate:0.2 ~force_serial:true ())
-  in
+  let backend = Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:2 ~jitter_rate:0.2 ()) in
   let adv () = Netsim.Adversary.Silent in
   let a = run_backend ~backend ~adv ~seed:21 g in
   let b = run_backend ~backend ~adv ~seed:21 g in
@@ -425,40 +345,28 @@ let test_serial_ragged_deterministic () =
     run_backend
       ~backend:
         (Coding.Scheme.Live
-           (Live.Config.make ~shards:4 ~ragged_d:0 ~jitter_rate:0.2 ~force_serial:true ()))
+           (Live.Config.make ~shards:4 ~ragged_d:0 ~jitter_rate:0.2 ()))
       ~adv ~seed:21 g
   in
   Alcotest.(check string) "d=0 stays clean" "completed" (Faults.Outcome.label d0)
 
 let test_ragged_is_keyed_jitter () =
-  (* Ragged synchrony is the keyed-jitter serial engine at every shard
-     count: a 2-shard d = 1 config builds the serial engine, and its run
-     is byte-identical to the same config with [force_serial] — outcome,
-     timing-free trace export and Exact metrics.  No fault plan: every
-     stalled or injected symbol is the jitter's. *)
+  (* Ragged synchrony is keyed jitter, drawn per (round, shard): a
+     2-shard d = 1 run reproduces exactly — outcome, timing-free trace
+     export and Exact metrics — and matches the digests pinned when
+     ragged runs were first keyed (so no engine change has moved a lag
+     draw).  No fault plan: every stalled or injected symbol is the
+     jitter's. *)
   let g = Topology.Graph.line 6 in
-  let config ~force_serial =
-    Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.05 ~force_serial ()
-  in
-  let ex =
-    Live.Exec.create
-      ~net:(Network.create g Netsim.Adversary.Silent)
-      ~config:(config ~force_serial:false)
-      ~weights:(Array.init 6 (Topology.Graph.degree g))
-      ()
-  in
-  let serial = Live.Exec.is_serial ex and shards = Live.Exec.shards ex in
-  Live.Exec.shutdown ex;
-  Alcotest.(check bool) "d = 1 builds the serial engine" true serial;
-  Alcotest.(check int) "over both shards" 2 shards;
-  let go ~force_serial =
+  let go () =
     let sink = Trace.Sink.create () and reg = Metrics.Registry.create () in
     let pi = Protocol.Protocols.random_chatter g ~rounds:100 ~density:0.5 ~seed:3 in
     let outcome =
       Coding.Scheme.run_outcome
         ~config:
           (Coding.Scheme.Config.make ~sink ~metrics:reg
-             ~backend:(Coding.Scheme.Live (config ~force_serial))
+             ~backend:
+               (Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.05 ()))
              ())
         ~rng:(Util.Rng.create 23) (Coding.Params.algorithm_1 g) pi
         (Netsim.Adversary.iid (Util.Rng.create 99) ~rate:0.002)
@@ -467,10 +375,13 @@ let test_ragged_is_keyed_jitter () =
       Trace.Export.jsonl ~timing:false sink,
       Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) )
   in
-  let o, tr, m = go ~force_serial:false and o_ref, tr_ref, m_ref = go ~force_serial:true in
+  let o, tr, m = go () and o_ref, tr_ref, m_ref = go () in
   check_identical "d=1/shards=2" o_ref o;
   Alcotest.(check string) "trace export" tr_ref tr;
   Alcotest.(check string) "exact metrics" m_ref m;
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "trace export digest" "53a7ac25722427eaf905f2b1ee1ce660" (digest tr);
+  Alcotest.(check string) "exact metrics digest" "6dca4461c3bbe6b40bcd1a4b52e64100" (digest m);
   match Faults.Outcome.diagnosis o with
   | Some d ->
       Alcotest.(check bool) "jitter booked" true
@@ -531,24 +442,14 @@ let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
       ~weights:(Array.init (Topology.Graph.n g) (Topology.Graph.degree g))
       ()
   in
-  let sharded =
-    if Live.Exec.is_serial ex then Trace.Sharded.disabled
-    else Trace.Sharded.create ~shards:(Live.Exec.shards ex) ()
-  in
-  if Trace.Sharded.is_enabled sharded then begin
-    Live.Exec.set_trace ex sharded;
-    Network.set_trace net (Trace.Sharded.leader sharded)
-  end
-  else Network.set_trace net sink;
+  Network.set_trace net sink;
   Network.set_metrics net reg;
   Network.set_fault_hooks net hooks;
   let fields = 5 and rounds = 5 * width and two_m = 2 * Topology.Graph.m g in
   let got = Array.make (mp_blocks * two_m * fields * 2) (-1) in
   let slot k dir field = 2 * ((((k * two_m) + dir) * fields) + field) in
   Fun.protect
-    ~finally:(fun () ->
-      Live.Exec.shutdown ex;
-      if Trace.Sharded.is_enabled sharded then Trace.Merge.into_sink sharded ~dst:sink)
+    ~finally:(fun () -> Live.Exec.shutdown ex)
     (fun () ->
       for k = 0 to mp_blocks - 1 do
         let owns ~shard v =
@@ -576,8 +477,7 @@ let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
         in
         if per_round then per_round_block ex g ~label ~width ~rounds ~write ~read ()
         else Live.Exec.block ex ~label ~width ~rounds ~write ~read ()
-      done;
-      Live.Exec.join ex);
+      done);
   ( got,
     Network.stats net,
     Trace.Export.jsonl ~timing:false sink,
@@ -626,20 +526,20 @@ let check_mp_oracle ?hooks name config =
     [ 6; 30 ]
 
 let test_mp_block_d0 () =
-  (* d = 0: the serial block, and the one-job block on 2 and 4 domains. *)
+  (* d = 0: one commit per block, at 1, 2 and 4 shards. *)
   List.iter
     (fun shards ->
       check_mp_oracle (Printf.sprintf "d=0/shards=%d" shards) (Live.Config.make ~shards ()))
     [ 1; 2; 4 ]
 
 let test_mp_block_d1 () =
-  (* d = 1 on the keyed-jitter serial engine (deterministic): the block
-     runs as its per-round fallback under the same jitter draws. *)
+  (* d = 1 under keyed jitter (deterministic): the block runs as its
+     per-round fallback under the same jitter draws. *)
   List.iter
     (fun shards ->
       check_mp_oracle
         (Printf.sprintf "d=1/shards=%d" shards)
-        (Live.Config.make ~shards ~ragged_d:1 ~jitter_rate:0.05 ~force_serial:true ()))
+        (Live.Config.make ~shards ~ragged_d:1 ~jitter_rate:0.05 ()))
     [ 1; 2; 4 ]
 
 let test_mp_block_faults () =
@@ -658,17 +558,12 @@ let () =
           Alcotest.test_case "partition properties" `Quick test_shard_partition_properties;
           Alcotest.test_case "degree balance" `Quick test_shard_balance;
         ] );
-      ( "barrier",
-        [
-          Alcotest.test_case "two domains, 500 episodes" `Quick test_barrier_two_domains;
-          Alcotest.test_case "giveup" `Quick test_barrier_giveup;
-        ] );
       ( "exec",
         [
-          Alcotest.test_case "round delivery, 2 domains" `Quick test_exec_round_delivery;
+          Alcotest.test_case "round delivery, 2 shards" `Quick test_exec_round_delivery;
           Alcotest.test_case "block delivery" `Quick test_exec_block_delivery;
-          Alcotest.test_case "worker exception" `Quick test_exec_worker_exception;
-          Alcotest.test_case "sharded trace rings" `Quick test_exec_sharded_trace;
+          Alcotest.test_case "callbacks on the caller's domain" `Quick
+            test_exec_callbacks_on_caller;
         ] );
       ( "differential",
         [

@@ -234,7 +234,7 @@ let test_expo_escaping () =
 
 (* ---------- end-to-end: scheme runs ---------- *)
 
-let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s
+let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s ?sink
     ?(adversary = Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001) () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
@@ -245,7 +245,7 @@ let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s
     else Coding.Scheme.Live (Live.Config.make ~shards ())
   in
   let config =
-    Coding.Scheme.Config.make ~metrics:reg ~backend ?max_iterations ?max_wall_s ()
+    Coding.Scheme.Config.make ~metrics:reg ~backend ?max_iterations ?max_wall_s ?sink ()
   in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adversary
@@ -314,14 +314,21 @@ let test_aborted_run_names_its_phase () =
      Exact metrics are as deterministic as a completed run's. *)
   Alcotest.(check string) "aborted exact metrics digest" "efab83dbee5283f9e9cc38a238519eb6"
     (Digest.to_hex (Digest.string (Expo.exact_json snap)));
-  (* On two domains the round that raises is committed once, by the
-     round barrier's last arriver, and no later round can commit: the
-     same counts, booked from the rounds whose commit began. *)
-  (match scheme_exact ~shards:2 ~adversary () with
+  (* At 2 shards the run aborts at the same round with the same books,
+     and its trace is the serial one, event for event: the timing-free
+     export of the aborted run is pinned at 1 and 2 shards alike. *)
+  let export_digest sink = Digest.to_hex (Digest.string (Trace.Export.jsonl ~timing:false sink)) in
+  let sink1 = Trace.Sink.create () and sink2 = Trace.Sink.create () in
+  ignore (scheme_exact ~sink:sink1 ~adversary ());
+  Alcotest.(check string) "aborted export digest" "5d4b97b4e25f4327c087bf28847ebd78"
+    (export_digest sink1);
+  (match scheme_exact ~shards:2 ~sink:sink2 ~adversary () with
   | Faults.Outcome.Aborted (Faults.Outcome.Internal_error _, _), snap2 ->
       Alcotest.(check string) "aborted exact metrics digest, 2 shards"
         "efab83dbee5283f9e9cc38a238519eb6"
-        (Digest.to_hex (Digest.string (Expo.exact_json snap2)))
+        (Digest.to_hex (Digest.string (Expo.exact_json snap2)));
+      Alcotest.(check string) "aborted export digest, 2 shards"
+        "5d4b97b4e25f4327c087bf28847ebd78" (export_digest sink2)
   | o, _ ->
       Alcotest.failf "expected an internal-error abort at 2 shards, got %s"
         (Faults.Outcome.label o));

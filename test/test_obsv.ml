@@ -124,61 +124,6 @@ let test_timeline_of_jsonl () =
       Alcotest.(check bool) "same stall flag" true (a.Timeline.stalled = b.Timeline.stalled))
     live.Timeline.iterations reparsed.Timeline.iterations
 
-(* ---------- sharded capture: shard attribution end-to-end ---------- *)
-
-let test_sharded_attribution () =
-  (* A hand-built two-shard capture with one noise event per shard:
-     the timeline must keep per-event shard attribution and the
-     postmortem must decompose the deviation by shard. *)
-  let sh = Trace.Sharded.create ~shards:2 () in
-  let sp = Sink.declare "scheme.iteration" and corrupt = Sink.declare "net.corrupt" in
-  let l = Trace.Sharded.leader sh in
-  let r0 = Trace.Sharded.ring sh 0 and r1 = Trace.Sharded.ring sh 1 in
-  Sink.set_tick l 0;
-  Sink.span_begin l ~id:sp ~iter:0;
-  Sink.set_tick r0 1;
-  Sink.count r0 ~id:corrupt ~iter:7 ~arg:3 1;
-  Sink.set_tick r1 1;
-  Sink.count r1 ~id:corrupt ~iter:9 ~arg:5 2;
-  Sink.set_tick l 4;
-  Sink.span_end l ~id:sp ~iter:0;
-  let tl = Timeline.of_sharded sh in
-  Alcotest.(check (list string)) "no nesting errors" [] tl.Timeline.errors;
-  (match tl.Timeline.iterations with
-  | [ it ] ->
-      Alcotest.(check (list int)) "events carry their shard" [ 0; 1 ]
-        (List.filter_map
-           (fun (a : Timeline.attributed) ->
-             if a.Timeline.ev.Timeline.name = "net.corrupt" then Some a.Timeline.ev.Timeline.shard
-             else None)
-           it.Timeline.events)
-  | its -> Alcotest.failf "expected 1 iteration, got %d" (List.length its));
-  Alcotest.(check int) "totals summed across rings" 3 (Timeline.total tl "net.corrupt");
-  let pm = Postmortem.analyze tl in
-  (match pm.Postmortem.blame with
-  | Some b ->
-      Alcotest.(check bool) "cause" true (b.Postmortem.cause = Postmortem.Adversary_noise);
-      Alcotest.(check int) "blamed shard" 0 b.Postmortem.shard;
-      Alcotest.(check int) "blamed link" 3 b.Postmortem.link
-  | None -> Alcotest.fail "no blame on a noisy capture");
-  Alcotest.(check (list (pair int int))) "noise decomposed by shard" [ (0, 1); (1, 2) ]
-    pm.Postmortem.shard_noise
-
-let test_single_sink_has_no_shards () =
-  (* Single-sink captures keep the pre-sharding shape: shard = -1
-     everywhere and no per-shard decomposition. *)
-  let _, sink = traced_run () in
-  let tl = Timeline.of_sink sink in
-  List.iter
-    (fun (a : Timeline.attributed) ->
-      Alcotest.(check int) "no shard attribution" (-1) a.Timeline.ev.Timeline.shard)
-    tl.Timeline.setup;
-  let pm = Postmortem.analyze tl in
-  Alcotest.(check (list (pair int int))) "no shard decomposition" [] pm.Postmortem.shard_noise;
-  match pm.Postmortem.blame with
-  | Some b -> Alcotest.(check int) "blame carries no shard" (-1) b.Postmortem.shard
-  | None -> Alcotest.fail "seeded fault must be blamed"
-
 (* ---------- postmortem ---------- *)
 
 let test_postmortem_seeded_fault () =
@@ -249,8 +194,8 @@ let test_postmortem_stall_invariant () =
 
 (* ---------- ragged live traces ---------- *)
 
-(* A live-backend run with keyed scheduling jitter (ragged_d > 0 on the
-   deterministic force-serial engine) and a silent adversary: every
+(* A live-backend run with keyed scheduling jitter (ragged_d > 0) and a
+   silent adversary: every
    booked deviation is insdel noise induced by raggedness, so the
    analyzer must attribute it to the jitter source (Injected_fault via
    net.stalled / net.injected), never to adversary noise. *)
@@ -259,10 +204,7 @@ let ragged_traced_run ~d =
   let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 g in
   let sink = Sink.create () in
-  let backend =
-    Coding.Scheme.Live
-      (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate:0.01 ~force_serial:true ())
-  in
+  let backend = Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:d ~jitter_rate:0.01 ()) in
   let config = Coding.Scheme.Config.make ~sink ~backend () in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 11) params pi
@@ -452,11 +394,6 @@ let () =
           Alcotest.test_case "ragged jitter attribution" `Quick
             test_postmortem_ragged_attribution;
           Alcotest.test_case "ragged d=0 clean" `Quick test_postmortem_ragged_d0_clean;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "shard attribution" `Quick test_sharded_attribution;
-          Alcotest.test_case "single sink unchanged" `Quick test_single_sink_has_no_shards;
         ] );
       ("profile", [ Alcotest.test_case "rows + metrics" `Quick test_profile_rows ]);
       ( "observatory",

@@ -6,8 +6,6 @@
 
 module Sink = Trace.Sink
 module Export = Trace.Export
-module Sharded = Trace.Sharded
-module Merge = Trace.Merge
 
 let test_sink_basics () =
   let t = Sink.create () in
@@ -86,40 +84,6 @@ let test_ring_wraps () =
       Alcotest.(check int) "seq gap reveals drops" 6 seq
   | _ -> Alcotest.fail "expected counts");
   Alcotest.(check int) "total survives drops" 10 (Sink.counter_total t "c")
-
-(* A ring that starts at 100 slots doubles up to its capacity (1000
-   here, so the last step is clamped), through [count] and [replay]:
-   crossing every growth step and then wrapping, it keeps exactly the
-   last [capacity] events, in order, with their ticks and Gc words, and
-   books the same drops as a ring built at full size would. *)
-let test_ring_grows_then_wraps () =
-  let c = Sink.declare "c" in
-  let check name t ~n =
-    let kept = min n 1000 in
-    Alcotest.(check int) (name ^ ": dropped") (n - kept) (Sink.dropped t);
-    let iters = List.map (function Sink.Count { iter; _ } -> iter | _ -> -1) (Sink.events t) in
-    Alcotest.(check (list int)) (name ^ ": the last events, in order")
-      (List.init kept (fun i -> n - kept + i))
-      iters;
-    Alcotest.(check int) (name ^ ": total survives drops")
-      (n * (n - 1) / 2)
-      (Sink.counter_total t "c")
-  in
-  let t = Sink.create ~capacity:1000 ~initial:100 ~profile:true () in
-  for i = 0 to 2499 do
-    Sink.set_tick t (3 * i);
-    Sink.count t ~id:c ~iter:i i;
-    if i = 599 then check "count, mid-growth" t ~n:600
-  done;
-  check "count, wrapped" t ~n:2500;
-  Alcotest.(check int) "tick of the oldest retained" (3 * 1500) (Sink.tick_at t 1500);
-  Alcotest.(check bool) "gc words retained" true (Sink.alloc_words t ~seq:1500 <> None);
-  Alcotest.(check bool) "gc words dropped" true (Sink.alloc_words t ~seq:1499 = None);
-  let r = Sink.create ~capacity:1000 ~initial:100 () in
-  for i = 0 to 2499 do
-    Sink.replay r (Sink.Count { name = "c"; iter = i; arg = -1; value = i; seq = i; ts = 0. })
-  done;
-  check "replay, wrapped" r ~n:2500
 
 let test_ring_capacity_one () =
   (* The degenerate ring: every push evicts its predecessor, yet the
@@ -261,63 +225,10 @@ let test_mp_collision_probe () =
   ignore (MP.process b2 h ~probe:probe2 ~len:4 msg2);
   Alcotest.(check int) "no collision on agreement" 0 !false_alarms
 
-(* ---------- sharded capture + deterministic merge ---------- *)
+(* ---------- shard counts ---------- *)
 
-let iter_of = function
-  | Sink.Span_begin { iter; _ } | Sink.Span_end { iter; _ } | Sink.Count { iter; _ }
-  | Sink.Gauge { iter; _ } ->
-      iter
-
-let seq_of = function
-  | Sink.Span_begin { seq; _ } | Sink.Span_end { seq; _ } | Sink.Count { seq; _ }
-  | Sink.Gauge { seq; _ } ->
-      seq
-
-let test_sharded_merge_order () =
-  let sh = Sharded.create ~shards:2 () in
-  let c = Sink.declare "c" in
-  let l = Sharded.leader sh and r0 = Sharded.ring sh 0 and r1 = Sharded.ring sh 1 in
-  (* Emit out of merge order: the sort key (tick, shard, seq) must
-     reconstruct leader-first, then shard 0 before shard 1 per tick. *)
-  Sink.set_tick l 0;
-  Sink.count l ~id:c ~iter:10 1;
-  Sink.set_tick r1 1;
-  Sink.count r1 ~id:c ~iter:13 1;
-  Sink.set_tick r0 1;
-  Sink.count r0 ~id:c ~iter:12 1;
-  Sink.set_tick l 4;
-  Sink.count l ~id:c ~iter:11 1;
-  Sink.set_tick r0 5;
-  Sink.count r0 ~id:c ~iter:14 1;
-  let es = Merge.entries sh in
-  Alcotest.(check (list int)) "merge order by (tick, shard, seq)" [ 10; 12; 13; 11; 14 ]
-    (List.map (fun (e : Merge.entry) -> iter_of e.Merge.ev) es);
-  Alcotest.(check (list int)) "seqs renumbered densely" [ 0; 1; 2; 3; 4 ]
-    (List.map (fun (e : Merge.entry) -> seq_of e.Merge.ev) es);
-  Alcotest.(check (list int)) "shard attribution kept" [ -1; 0; 1; -1; 0 ]
-    (List.map (fun (e : Merge.entry) -> e.Merge.shard) es);
-  Alcotest.(check int) "summed counter totals" 5 (List.assoc "c" (Sharded.counter_totals sh))
-
-let test_merge_into_sink_residuals () =
-  (* A tiny worker ring wraps: merged replay must carry the lost count
-     values over as a residual so the destination totals stay
-     drop-proof, and the loss must surface through [dropped]. *)
-  let sh = Sharded.create ~shards:1 ~capacity:2 () in
-  let c = Sink.declare "c" in
-  let r0 = Sharded.ring sh 0 in
-  for i = 1 to 5 do
-    Sink.set_tick r0 i;
-    Sink.count r0 ~id:c ~iter:i 1
-  done;
-  Alcotest.(check int) "ring dropped 3" 3 (Sharded.dropped sh);
-  let dst = Sink.create () in
-  Merge.into_sink sh ~dst;
-  Alcotest.(check int) "destination total is drop-proof" 5 (Sink.counter_total dst "c");
-  Alcotest.(check bool) "loss surfaced" true (Sink.dropped dst >= 3)
-
-(* The tentpole's differential proof: a traced run on the live parallel
-   engine — one trace ring per shard, merged afterwards — exports
-   byte-identically to the serial lockstep oracle at ragged depth 0,
+(* Shard invariance of the trace: a traced run on the live backend
+   exports byte-identically to the lockstep oracle at ragged depth 0,
    for shards in {1, 2, 4}, with identical outcomes. *)
 let scheme_export ~backend ?(sample = 1) () =
   let g = Topology.Graph.cycle 8 in
@@ -357,12 +268,12 @@ let test_sharded_byte_identity () =
         (Printf.sprintf "outcome identical at shards=%d" shards)
         (outcome_fingerprint o0) (outcome_fingerprint o);
       Alcotest.(check string)
-        (Printf.sprintf "merged export byte-identical at shards=%d" shards)
+        (Printf.sprintf "export byte-identical at shards=%d" shards)
         oracle live)
     [ 1; 2; 4 ]
 
 let test_sharded_sampling () =
-  (* Sampling mutes whole iterations identically on both engines, keeps
+  (* Sampling mutes whole iterations identically on both backends, keeps
      setup and the output phase, and strictly shrinks the stream. *)
   let _, full, _ = scheme_export ~backend:Coding.Scheme.Lockstep () in
   let _, oracle, _ = scheme_export ~backend:Coding.Scheme.Lockstep ~sample:2 () in
@@ -378,9 +289,8 @@ let test_sharded_sampling () =
     (String.length oracle > 0)
 
 let test_sharded_ragged_well_ordered () =
-  (* Ragged depth > 0 runs on the keyed-jitter serial engine at any
-     shard count: the run must finish and its spans must nest even
-     though symbols surface rounds late. *)
+  (* Ragged depth > 0 (keyed jitter, 2 shards): the run must finish and
+     its spans must nest even though symbols surface rounds late. *)
   let o, live, sink =
     scheme_export ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.05 ())) ()
   in
@@ -397,7 +307,7 @@ let test_sharded_ragged_well_ordered () =
           | _ -> Alcotest.failf "span_end %s without matching begin" name)
       | _ -> ())
     (Sink.events sink);
-  Alcotest.(check (list string)) "merged spans nest" [] !stack
+  Alcotest.(check (list string)) "spans nest" [] !stack
 
 (* One traced scheme execution under a crash fault: spans must nest,
    fault counters must fire, the potential gauge must be live, and the
@@ -487,7 +397,7 @@ let test_export_golden () =
 
 (* Every surface books the same events: trace counter totals, Exact
    metric counters and the result/diagnosis fields agree on the run
-   above — serial, parallel at d = 0, and ragged (keyed jitter, where
+   above — at 1 and 2 shards at d = 0, and ragged (keyed jitter, where
    delayed symbols are booked as stalls and surface as injections). *)
 let test_surfaces_agree ~shards ~ragged_d () =
   let outcome, sink, snap = probe_run ~shards ~ragged_d in
@@ -535,7 +445,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_sink_basics;
           Alcotest.test_case "late declaration" `Quick test_late_declaration;
           Alcotest.test_case "ring wrap" `Quick test_ring_wraps;
-          Alcotest.test_case "ring grows then wraps" `Quick test_ring_grows_then_wraps;
           Alcotest.test_case "ring capacity 1" `Quick test_ring_capacity_one;
           Alcotest.test_case "iter matches events" `Quick test_iter_matches_events;
           Alcotest.test_case "profile alloc words" `Quick test_profile_alloc;
@@ -554,8 +463,6 @@ let () =
         ] );
       ( "sharded",
         [
-          Alcotest.test_case "merge order" `Quick test_sharded_merge_order;
-          Alcotest.test_case "merge residuals" `Quick test_merge_into_sink_residuals;
           Alcotest.test_case "byte-identity vs lockstep" `Quick test_sharded_byte_identity;
           Alcotest.test_case "sampling" `Quick test_sharded_sampling;
           Alcotest.test_case "ragged well-ordered" `Quick test_sharded_ragged_well_ordered;
