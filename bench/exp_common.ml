@@ -43,10 +43,15 @@ let best_of ~reps f =
 
 type pair = { off : sample; on : sample }
 
-(* Interleaved best-of-[reps] pairs: even reps run [off] then [on], odd
-   reps [on] then [off], so machine drift and run order hit both sides
-   alike; each side keeps its fastest run. *)
-let best_pair ~reps ~off ~on =
+(* Interleaved best-of pairs: even pairs run [off] then [on], odd pairs
+   [on] then [off], so machine drift and run order hit both sides alike;
+   each side keeps its fastest run.  At least [reps] pairs run; then the
+   pair count follows the spread the run itself shows: pairs go on, up
+   to [max_reps], until [settle] pairs in a row have improved neither
+   side's best by more than the fraction [tol] — a noisy stretch keeps
+   sampling, a quiet one stops.  Returns the best pair and the number of
+   pairs run. *)
+let settled_pair ~reps ~max_reps ~settle ~tol ~off ~on =
   let pair i =
     if i land 1 = 0 then
       let a = off () in
@@ -55,12 +60,18 @@ let best_pair ~reps ~off ~on =
       let b = on () in
       { off = off (); on = b }
   in
-  let best = ref (pair 0) in
-  for i = 1 to reps - 1 do
-    let p = pair i in
-    best := { off = faster !best.off p.off; on = faster !best.on p.on }
+  let gains s best = s.wall_s < best.wall_s *. (1. -. tol) in
+  let best = ref (pair 0) and quiet = ref 0 and n = ref 1 in
+  while !n < reps || (!quiet < settle && !n < max_reps) do
+    let p = pair !n in
+    if gains p.off !best.off || gains p.on !best.on then quiet := 0 else incr quiet;
+    best := { off = faster !best.off p.off; on = faster !best.on p.on };
+    incr n
   done;
-  !best
+  (!best, !n)
+
+(* Exactly [reps] interleaved pairs. *)
+let best_pair ~reps ~off ~on = fst (settled_pair ~reps ~max_reps:reps ~settle:0 ~tol:0. ~off ~on)
 
 (* What the on side costs over the off side, in percent of the off wall
    time (negative = noise). *)
@@ -277,7 +288,7 @@ let full_duplex g =
 
 (* The live engine's overhead floor, shared by the live and metrics
    benches: every party sends one bit toward its first neighbour each
-   round and the read drains its parity share of the deliveries —
+   round and the read drains the deliveries —
    maximal round pressure, minimal work.  [metrics] arms the network's per-round probes
    (net.active_links, net.noise_rate) and the engine's (round latency,
    lag); live.rounds is booked at shutdown.  Engine start-up and
@@ -304,16 +315,14 @@ let engine_floor ?(metrics = Metrics.Registry.disabled) g ~rounds =
         measure (fun () ->
             for r = 0 to rounds - 1 do
               Live.Exec.round ex
-                ~write:(fun ~shard buf ->
-                  let lo, hi = Live.Exec.bounds ex ~shard in
-                  for v = lo to hi - 1 do
+                ~write:(fun ~shard:_ buf ->
+                  for v = 0 to n - 1 do
                     if out_dir.(v) >= 0 then
                       Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
                   done)
-                ~read:(fun ~shard master ->
+                ~read:(fun ~shard:_ master ->
                   let seen = ref 0 in
-                  Netsim.Network.Active.iter master (fun ~dir _ ->
-                      if dir mod 2 = shard mod 2 then incr seen);
+                  Netsim.Network.Active.iter master (fun ~dir:_ _ -> incr seen);
                   ignore !seen)
                 ()
             done)

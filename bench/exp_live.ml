@@ -6,7 +6,7 @@
      parties): every party speaks to its first neighbor every round, so
      the per-round work is O(n);
    - the ragged sweep, d in {0, 1, 2, 4}: full scheme executions on
-     4 shards with keyed jitter, reporting the induced insdel rate
+     4 jitter units with keyed jitter, reporting the induced insdel rate
      ((stalled + injected) / cc) and whether the simulation still
      succeeds.  These rows are keyed ragged_* and are exactly
      reproducible (the jitter stream is keyed, not timed), so the
@@ -22,7 +22,7 @@ type round_row = { topo : string; n : int; per_sec : float; dropped : int }
 
 type ragged_row = {
   d : int;
-  rate : float; (* per-round per-shard lag probability (jitter_rate) *)
+  rate : float; (* per-round per-unit lag probability (jitter_rate) *)
   success : bool;
   insdel_rate : float;
   stalled : int;
@@ -48,7 +48,7 @@ let round_sweep ~grid_side ~rounds =
       { topo; n = Topology.Graph.n g; per_sec = Exp_common.per_sec ~rounds s; dropped })
     (topologies ~grid_side)
 
-(* One full scheme execution on the live engine (4 shards) at ragged
+(* One full scheme execution on the live engine (4 jitter units) at ragged
    depth [d] under a silent adversary: the insdel noise the keyed lags
    induced, or None when the run left no result. *)
 let ragged_run ~chatter_rounds ~jitter_rate ~d g =

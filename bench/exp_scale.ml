@@ -14,7 +14,7 @@
      for — per-round cost must stay O(active), independent of 2m) and
      {e full-duplex} (every directed link speaks; the sparse worst case);
    - one compiled flag-passing phase over the BFS tree, run by
-     [Flag_passing.run_exec] on a serial one-shard engine, the phase
+     [Flag_passing.run_exec] on a default engine, the phase
      driver whose per-round cost is O(speaking level);
    - peak resident memory ([Util.Mem.peak_rss_kb], monotone across the
      sweep) and the GC heap high-water mark.

@@ -472,10 +472,10 @@ let backend_t =
     value & opt backend_conv `Lockstep
     & info [ "backend" ]
         ~doc:
-          "Execution backend: $(b,lockstep) (the reference round loop) or $(b,live) (parties \
-           split into --shards contiguous ranges, with --ragged keyed jitter per round and \
-           shard).  Both run every party on one domain; at --ragged 0 their output, trace \
-           and count metrics are identical.")
+          "Execution backend: $(b,lockstep) (the reference round loop) or $(b,live) (the same \
+           loop with --ragged keyed jitter per round and jitter unit).  Both run every party \
+           on one domain; at --ragged 0 their output, trace and count metrics are \
+           identical.")
 
 let shards_t =
   Arg.(
@@ -483,17 +483,18 @@ let shards_t =
     & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Party ranges for --backend live; each draws its own ragged lags (default: the \
-           runtime's recommended domain count).")
+          "Jitter units for --backend live: contiguous party ranges, each drawing its own \
+           ragged lags (default: 1 on every host, so a --ragged run reproduces anywhere).  \
+           No effect at --ragged 0.")
 
 let ragged_t =
   Arg.(
     value & opt int 0
     & info [ "ragged" ] ~docv:"D"
         ~doc:
-          "Ragged-synchrony slack for --backend live: a shard's round may land up to $(docv) \
-           rounds late, drawn by keyed jitter per round and shard (exactly reproducible; the \
-           draws change with --shards); the delays surface as insertion/deletion noise booked \
+          "Ragged-synchrony slack for --backend live: a jitter unit's round may land up to \
+           $(docv) rounds late, drawn by keyed jitter per round and unit (exactly \
+           reproducible; the draws change with --shards); the delays surface as insertion/deletion noise booked \
            through the fault accounting.  0 (default) keeps rounds lockstep-equivalent.")
 
 let attack_t =

@@ -40,19 +40,15 @@ type probe = { on_missing : node:int -> unit }
    parent has heard all its children before its own sending round.
    Downward broadcast: level ℓ speaks in round (d - 1) + (ℓ - 1), and
    every node forwards its own netCorrect, not the raw bit.  Each round
-   costs O(|sender level|), not O(2m).  Each node's agg / netCorrect
-   cell is written only by the shard owning the node. *)
+   costs O(|sender level|), not O(2m). *)
 let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
-  let module Exec = Live.Exec in
   let tree = sched.tree in
   let d = tree.Graph.depth in
   let root = tree.Graph.root in
   let up v = match alive with None -> true | Some a -> a.(v) in
   let missing v = match probe with None -> () | Some pr -> pr.on_missing ~node:v in
-  Exec.slice ex (fun w ->
-      let lo, hi = Exec.bounds ex ~shard:w in
-      Array.blit statuses lo agg lo (hi - lo);
-      Array.fill net_correct lo (hi - lo) false);
+  Array.blit statuses 0 agg 0 (Array.length statuses);
+  Array.fill net_correct 0 (Array.length net_correct) false;
   let label = ref label in
   let take_label () =
     let l = !label in
@@ -61,21 +57,21 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
   in
   for r = 0 to d - 2 do
     let senders = sched.by_level.(d - r) in
-    Exec.round ex ?label:(take_label ())
-      ~write:(fun ~shard buf ->
+    Live.Exec.round ex ?label:(take_label ())
+      ~write:(fun ~shard:_ buf ->
         Array.iter
           (fun v ->
-            if v <> root && Exec.owner ex v = shard && up v then
+            if v <> root && up v then
               Netsim.Network.Active.send buf ~dir:sched.up_dir.(v) agg.(v))
           senders)
-      ~read:(fun ~shard master ->
+      ~read:(fun ~shard:_ master ->
         Array.iter
           (fun c ->
             (* A parent expects a flag from each child at the sender
                level; a missing flag reads as stop. *)
             if c <> root then begin
               let p = tree.Graph.parent.(c) in
-              if Exec.owner ex p = shard && up p then
+              if up p then
                 match Netsim.Network.Active.get master ~dir:sched.up_dir.(c) with
                 | Some bit -> agg.(p) <- agg.(p) && bit
                 | None ->
@@ -85,22 +81,21 @@ let run_exec ?alive ?probe ?label ex sched ~statuses ~agg ~net_correct =
           senders)
       ()
   done;
-  Exec.slice ex (fun w ->
-      if Exec.owner ex root = w then net_correct.(root) <- agg.(root) && up root);
+  net_correct.(root) <- agg.(root) && up root;
   for ell = 1 to d - 1 do
-    Exec.round ex ?label:(take_label ())
-      ~write:(fun ~shard buf ->
+    Live.Exec.round ex ?label:(take_label ())
+      ~write:(fun ~shard:_ buf ->
         Array.iter
           (fun v ->
-            if Exec.owner ex v = shard && up v then
+            if up v then
               Array.iter
                 (fun c -> Netsim.Network.Active.send buf ~dir:sched.down_dir.(c) net_correct.(v))
                 tree.Graph.children.(v))
           sched.by_level.(ell))
-      ~read:(fun ~shard master ->
+      ~read:(fun ~shard:_ master ->
         Array.iter
           (fun v ->
-            if v <> root && Exec.owner ex v = shard then
+            if v <> root then
               net_correct.(v) <-
                 up v
                 &&

@@ -15,7 +15,7 @@
     the tree, so callers on the hot path {!compile} the schedule
     (per-level sender sets and directed link indices) once per execution
     — each round then costs O(nodes at the speaking level), not O(2m).
-    {!run} compiles on the fly and runs a serial engine for one-shot
+    {!run} compiles on the fly and runs a default engine for one-shot
     use. *)
 
 val rounds_needed : Topology.Graph.tree -> int
@@ -44,10 +44,9 @@ val run_exec :
   unit
 (** [run_exec ex sched ~statuses ~agg ~net_correct] executes the phase
     through a live execution engine (lib/live); [statuses.(u)] is
-    status_u (true = continue).  Rounds are issued to the engine, each
-    node's aggregation and netCorrect cells are touched only by the
-    shard owning the node, and the result lands in the
-    caller-preallocated [net_correct] (fully overwritten; [agg] is
+    status_u (true = continue).  Each round is one engine round whose
+    write and read run over the speaking level, and the result lands in
+    the caller-preallocated [net_correct] (fully overwritten; [agg] is
     scratch, also fully overwritten).  With no noise, every entry is
     [for_all statuses].
 
@@ -62,5 +61,5 @@ val run_exec :
 val run :
   Netsim.Network.t -> tree:Topology.Graph.tree -> statuses:bool array -> bool array
 (** One-shot convenience: {!compile} the schedule, run {!run_exec} on a
-    serial one-shard engine over the network, and return netCorrect per
-    party. *)
+    default engine ({!Live.Config.default}) over the network, and
+    return netCorrect per party. *)

@@ -76,12 +76,6 @@ let hash_int t e field v =
   in
   h lxor rot t e
 
-(* The two ends' serializations of their first [p] chunks are equal. *)
-let same_prefix t p =
-  let bits = Transcript.prefix_bits t.lo p in
-  bits = Transcript.prefix_bits t.hi p
-  && Util.Bitvec.equal_prefix (Transcript.serialized t.lo) (Transcript.serialized t.hi) ~bits
-
 let hash_prefix t e field p =
   let b = (Seeds.int_fields + field) * stride t in
   let n = filled t b in
@@ -94,7 +88,7 @@ let hash_prefix t e field p =
          hash is the lower end's); a failed compare is not repeated,
          since the hash added below is found first from then on. *)
       let j = find t.tab b n p (e lxor both) 0 in
-      if j >= 0 && same_prefix t p then begin
+      if j >= 0 && Transcript.same_prefix t.lo t.hi p then begin
         t.tab.(j) <- t.tab.(j) lor e;
         t.tab.(j + 1)
       end

@@ -11,7 +11,7 @@
       for both ends at once.
     - A prefix-field hash depends on the end's transcript.  One end's
       hash of [p] chunks becomes valid for the other end only once
-      {!Util.Bitvec.equal_prefix} finds the two serialized prefixes
+      {!Transcript.same_prefix} finds the two serialized prefixes
       identical — about one word compare per input word, against τ seed
       words per input word to hash it.
 

@@ -229,32 +229,27 @@ type fault_ctx = {
 (* ---------- phase executors ----------
 
    Each drives the network through the live execution engine (lib/live):
-   a phase is a sequence of [Live.Exec.round]s whose write callback
-   submits the round's transmissions for one shard's parties (by
-   precomputed dir index, into a sparse [Active] buffer) and whose read
-   callback consumes the committed deliveries, plus [slice] steps for
-   the no-network per-party work.  Every write touches only its own
-   shard's parties: under keyed jitter a shard's whole round may lag,
-   so its sends must be separable.  [recv_link]/[recv_party] resolve a
-   delivered dir id to the receiving endpoint in O(1). *)
+   a phase is a sequence of [Live.Exec.round]s (and one meeting-points
+   [Live.Exec.block]) whose write callback submits every party's
+   transmissions of the round (by precomputed dir index, into a sparse
+   [Active] buffer) and whose read callback consumes the committed
+   deliveries, with the no-network per-party work run directly between
+   them.  One party loop per callback: the engine itself separates the
+   sends of whatever lags under keyed jitter.  [recv_link]/[recv_party]
+   resolve a delivered dir id to the receiving endpoint in O(1). *)
 
 type transport = {
   recv_link : link_state array; (* dir -> link at the receiving endpoint *)
   recv_party : int array; (* dir -> receiving party id *)
 }
 
-(* Apply [f] to each party of [shard], in ascending id order. *)
-let iter_shard ex parties shard f =
-  let lo, hi = Live.Exec.bounds ex ~shard in
-  for id = lo to hi - 1 do
-    f parties.(id)
-  done
-
 (* Ground truth for the hash-collision probe: compare this endpoint's
-   transcript with the peer's copy of the same link.  [None] when either
-   side is already shorter than the position (the peer may have truncated
-   earlier in this very phase).  Built once per link for a traced run;
-   a collision is tagged with the iteration of the memo's phase. *)
+   serialized transcript with the peer's copy of the same link, word by
+   word ([Transcript.same_prefix], the test the shared hash memo makes).
+   [None] when either side is already shorter than the position (the
+   peer may have truncated earlier in this very phase).  Built once per
+   link for a traced run; a collision is tagged with the iteration of
+   the memo's phase. *)
 let collision_probe graph parties sink l p =
   let peer_tr = (link_to graph parties.(l.peer) p.id).tr in
   Meeting_points.
@@ -262,7 +257,7 @@ let collision_probe graph parties sink l p =
       truth =
         (fun ~pos ->
           if pos <= Transcript.length l.tr && pos <= Transcript.length peer_tr then
-            Some (Transcript.equal_prefix l.tr peer_tr >= pos)
+            Some (Transcript.same_prefix l.tr peer_tr pos)
           else None);
       on_collision =
         (fun ~pos -> Trace.Sink.count sink ~id:c_collision ~iter:(Mp_memo.iter l.memo) ~arg:pos 1);
@@ -282,9 +277,9 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
           p.links)
     parties;
   (* [prepare] fixes every bit of a link's message before anything is
-     received, so the 5τ rounds go out as one block: each shard prepares
+     received, so the 5τ rounds go out as one block: every party prepares
      its links' messages and packs them (word i of a link's block is
-     field i of its message); once the block is delivered, each shard
+     field i of its message); once the block is delivered, every party
      decides its links' verdicts from the received words, parked in
      [mp_cut] — nobody truncates there.  Crashed parties neither write
      (their links go dark) nor read.
@@ -295,8 +290,9 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
   Live.Exec.block ex
     ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
     ~width:tau ~rounds:(Meeting_points.message_bits ~tau)
-    ~write:(fun ~shard out ->
-      iter_shard ex parties shard (fun p ->
+    ~write:(fun out ->
+      Array.iter
+        (fun p ->
           if fc.alive.(p.id) then begin
             let rot =
               if Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then fc.rot_mask.(p.id)
@@ -310,9 +306,11 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
                 (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
                 out ~dir:l.dir_out
             done
-          end))
-    ~read:(fun ~shard inw ->
-      iter_shard ex parties shard (fun p ->
+          end)
+        parties)
+    ~read:(fun inw ->
+      Array.iter
+        (fun p ->
           if fc.alive.(p.id) then
             for i = 0 to Array.length p.links - 1 do
               let l = p.links.(i) in
@@ -323,89 +321,88 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
                  with
                 | `Keep -> -1
                 | `Truncate_to x -> x)
-            done))
+            done)
+        parties)
     ();
-  Live.Exec.slice ex (fun w ->
-      iter_shard ex parties w (fun p ->
-          if fc.alive.(p.id) then
-            Array.iter
-              (fun l ->
-                if l.mp_cut >= 0 then begin
-                  Trace.Sink.count pr.sink ~id:c_mp_trunc ~iter ~arg:p.id 1;
-                  pr.truncs <- pr.truncs + 1;
-                  Transcript.truncate l.tr l.mp_cut;
-                  l.mp_cut <- -1
-                end)
-              p.links))
+  Array.iter
+    (fun p ->
+      if fc.alive.(p.id) then
+        Array.iter
+          (fun l ->
+            if l.mp_cut >= 0 then begin
+              Trace.Sink.count pr.sink ~id:c_mp_trunc ~iter ~arg:p.id 1;
+              pr.truncs <- pr.truncs + 1;
+              Transcript.truncate l.tr l.mp_cut;
+              l.mp_cut <- -1
+            end)
+          p.links)
+    parties
 
-let compute_statuses ex parties ~alive ~statuses =
-  Live.Exec.slice ex (fun w ->
-      iter_shard ex parties w (fun p ->
-          let in_mp =
-            Array.exists
-              (fun l -> Meeting_points.status l.mp = Meeting_points.Meeting_points)
-              p.links
-          in
-          let len0 = Transcript.length p.links.(0).tr in
-          let equal_lens = Array.for_all (fun l -> Transcript.length l.tr = len0) p.links in
-          statuses.(p.id) <- alive.(p.id) && (not in_mp) && equal_lens))
+let compute_statuses parties ~alive ~statuses =
+  Array.iter
+    (fun p ->
+      let in_mp =
+        Array.exists (fun l -> Meeting_points.status l.mp = Meeting_points.Meeting_points) p.links
+      in
+      let len0 = Transcript.length p.links.(0).tr in
+      let equal_lens = Array.for_all (fun l -> Transcript.length l.tr = len0) p.links in
+      statuses.(p.id) <- alive.(p.id) && (not in_mp) && equal_lens)
+    parties
 
 (* A participant's walk through its view of chunk [c]; [cur, stop) is left to play. *)
 type walk = { p : party_state; c : int; mc : Pi.machine option; mutable cur : int; stop : int }
 
 let simulation_phase ex net parties fc ch ~iter ~n_real =
-  let nshards = Live.Exec.shards ex in
   let max_r = Chunking.max_rounds ch in
   (* Participation — alive with netCorrect up — is known before the
      phase starts, so only participants reset their records and listen:
      idle parties cost this phase nothing.  (Stale records on idle
      parties are never read: every read below walks the participant
-     lists, and a party resets whenever it participates.)  Each shard
-     lists its own participants — machine reconstruction reads only the
-     party's own transcripts. *)
-  let participants = Array.make nshards [] in
-  Live.Exec.slice ex (fun w ->
-      let acc = ref [] in
-      iter_shard ex parties w (fun p ->
-          if fc.alive.(p.id) && p.net_correct then begin
-            Array.iter
-              (fun l ->
-                l.bot <- false;
-                Array.fill l.record 0 (Array.length l.record) Transcript.sym_star)
-              p.links;
-            let c =
-              1 + Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
-            in
-            let mc =
-              if c <= n_real then
-                Some
-                  (Replayer.machine_at p.repl ~transcripts:(fun j -> p.links.(j).tr) ~upto:(c - 1))
-              else None
-            in
-            let cur, stop = Chunking.party_view ch ~chunk_index:c ~party:p.id in
-            acc := { p; c; mc; cur; stop } :: !acc
-          end);
-      participants.(w) <- List.rev !acc);
+     list, and a party resets whenever it participates.) *)
+  let acc = ref [] in
+  Array.iter
+    (fun p ->
+      if fc.alive.(p.id) && p.net_correct then begin
+        Array.iter
+          (fun l ->
+            l.bot <- false;
+            Array.fill l.record 0 (Array.length l.record) Transcript.sym_star)
+          p.links;
+        let c =
+          1 + Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
+        in
+        let mc =
+          if c <= n_real then
+            Some (Replayer.machine_at p.repl ~transcripts:(fun j -> p.links.(j).tr) ~upto:(c - 1))
+          else None
+        in
+        let cur, stop = Chunking.party_view ch ~chunk_index:c ~party:p.id in
+        acc := { p; c; mc; cur; stop } :: !acc
+      end)
+    parties;
+  let participants = List.rev !acc in
   (* ⊥ round: idling parties announce, participants listen (Line 16/23).
      Crashed parties announce nothing — their links just go dark. *)
   Live.Exec.round ex
     ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Simulation)
-    ~write:(fun ~shard buf ->
-      iter_shard ex parties shard (fun p ->
+    ~write:(fun ~shard:_ buf ->
+      Array.iter
+        (fun p ->
           if fc.alive.(p.id) && not p.net_correct then
-            Array.iter (fun l -> Active.send buf ~dir:l.dir_out true) p.links))
-    ~read:(fun ~shard master ->
+            Array.iter (fun l -> Active.send buf ~dir:l.dir_out true) p.links)
+        parties)
+    ~read:(fun ~shard:_ master ->
       List.iter
         (fun s ->
           Array.iter
             (fun l -> if not (Active.is_silent master ~dir:l.dir_in) then l.bot <- true)
             s.p.links)
-        participants.(shard))
+        participants)
     ();
   (* Each round plays the participants' sends of round [t], then their
      receives, off their views: [f s l r ev] gets the link, the Π round
      (-1 for padding) and the event index the symbol is recorded at. *)
-  let play shard ~t ~send f =
+  let play ~t ~send f =
     List.iter
       (fun s ->
         while
@@ -417,22 +414,22 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
             (Chunking.entry_event ch s.cur);
           s.cur <- s.cur + 1
         done)
-      participants.(shard)
+      participants
   in
   for t = 0 to max_r - 1 do
     (* Only real chunks have Π entries (r >= 0), and they have a machine.
        It still sends on a ⊥ link, so its state advances, but nothing
        goes out; it hears 0 there. *)
     Live.Exec.round ex
-      ~write:(fun ~shard buf ->
-        play shard ~t ~send:true (fun s l r ev ->
+      ~write:(fun ~shard:_ buf ->
+        play ~t ~send:true (fun s l r ev ->
             let bit = r >= 0 && (Option.get s.mc).Pi.send ~round:r ~dst:l.peer in
             if not l.bot then begin
               Active.send buf ~dir:l.dir_out bit;
               l.record.(ev) <- Transcript.sym_bit bit
             end))
-      ~read:(fun ~shard master ->
-        play shard ~t ~send:false (fun s l r ev ->
+      ~read:(fun ~shard:_ master ->
+        play ~t ~send:false (fun s l r ev ->
             let got = Active.get master ~dir:l.dir_in in
             (match got with Some b -> l.record.(ev) <- Transcript.sym_bit b | None -> ());
             if r >= 0 then
@@ -444,26 +441,24 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
      required all its links to have equal length, and nothing truncates
      between [compute_statuses] and this phase, so every link records the
      participant's own chunk [c], laid out by [c]'s schedule. *)
-  Live.Exec.slice ex (fun w ->
-      List.iter
-        (fun s ->
-          Array.iter
-            (fun l ->
-              if not l.bot then begin
-                assert (Transcript.length l.tr + 1 = s.c);
-                let n = Chunking.events_on_link ch ~chunk_index:s.c ~edge:l.edge in
-                Transcript.push_chunk l.tr ~events:(Array.sub l.record 0 n)
-              end)
-            s.p.links;
-          match s.mc with
-          | Some mc when Array.for_all (fun l -> not l.bot) s.p.links ->
-              Replayer.store s.p.repl ~machine:mc ~upto:s.c ~transcripts:(fun j -> s.p.links.(j).tr)
-          | Some _ | None -> ())
-        participants.(w))
+  List.iter
+    (fun s ->
+      Array.iter
+        (fun l ->
+          if not l.bot then begin
+            assert (Transcript.length l.tr + 1 = s.c);
+            let n = Chunking.events_on_link ch ~chunk_index:s.c ~edge:l.edge in
+            Transcript.push_chunk l.tr ~events:(Array.sub l.record 0 n)
+          end)
+        s.p.links;
+      match s.mc with
+      | Some mc when Array.for_all (fun l -> not l.bot) s.p.links ->
+          Replayer.store s.p.repl ~machine:mc ~upto:s.c ~transcripts:(fun j -> s.p.links.(j).tr)
+      | Some _ | None -> ())
+    participants
 
 let rewind_phase ex net tp parties fc pr ~iter ~depth =
   let n = Array.length parties in
-  let nshards = Live.Exec.shards ex in
   (* Wave shape for the trace: [pr.rewinds] counts every chunk rewound
      (self-initiated or honored request), cumulatively over the run;
      [depth] is the last round of this phase in which any link still
@@ -473,27 +468,24 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
      evaluation can newly satisfy the send predicate: meeting-points
      statuses are frozen for the phase, [already_rewound] is monotone,
      and transcript lengths change only through a party's own
-     truncations.  So the phase keeps per-shard candidate sets —
-     initially every live party — re-admitting a party only when it
-     truncates (as sender or as receiver of a request; both touch only
-     the owner's cells).  Rounds late in the wave cost O(new activity),
-     not O(n · degree). *)
+     truncations.  So the phase keeps a candidate set — initially every
+     live party — re-admitting a party only when it truncates (as
+     sender or as receiver of a request).  Rounds late in the wave cost
+     O(new activity), not O(n · degree). *)
   let candidate = Array.make n false in
-  let cur = Array.make nshards [] and nxt = Array.make nshards [] in
-  let readmit w id =
+  let cur = ref [] and nxt = ref [] in
+  let readmit id =
     if fc.alive.(id) && not candidate.(id) then begin
       candidate.(id) <- true;
-      nxt.(w) <- id :: nxt.(w)
+      nxt := id :: !nxt
     end
   in
-  Live.Exec.slice ex (fun w ->
-      let acc = ref [] in
-      iter_shard ex parties w (fun p ->
-          if fc.alive.(p.id) then begin
-            candidate.(p.id) <- true;
-            acc := p.id :: !acc
-          end);
-      cur.(w) <- List.rev !acc);
+  for id = n - 1 downto 0 do
+    if fc.alive.(id) then begin
+      candidate.(id) <- true;
+      cur := id :: !cur
+    end
+  done;
   for round = 1 to n do
     let label =
       if round = 1 then
@@ -501,14 +493,14 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
       else None
     in
     Live.Exec.round ex ?label
-      ~write:(fun ~shard buf ->
+      ~write:(fun ~shard:_ buf ->
         (* Plan sends from the state at round start (Line 27-31); the
            per-link truncation can be applied immediately because each
            link's decision reads only its own length against the party's
            min, which a single-chunk truncation of a longer link cannot
            lower. *)
-        List.iter (fun id -> candidate.(id) <- false) cur.(shard);
-        nxt.(shard) <- [];
+        List.iter (fun id -> candidate.(id) <- false) !cur;
+        nxt := [];
         List.iter
           (fun id ->
             let p = parties.(id) in
@@ -531,14 +523,14 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
                   sent := true
                 end)
               p.links;
-            if !sent then readmit shard id)
-          cur.(shard))
-      ~read:(fun ~shard master ->
+            if !sent then readmit id)
+          !cur)
+      ~read:(fun ~shard:_ master ->
         (* Any symbol received in a rewind round is a rewind request —
            insertions forge them, deletions suppress them (Line 33-38). *)
         Active.iter master (fun ~dir _bit ->
             let id = tp.recv_party.(dir) in
-            if Live.Exec.owner ex id = shard && fc.alive.(id) then begin
+            if fc.alive.(id) then begin
               let l = tp.recv_link.(dir) in
               if
                 Meeting_points.status l.mp <> Meeting_points.Meeting_points
@@ -549,10 +541,10 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
                 l.already_rewound <- true;
                 pr.rewinds <- pr.rewinds + 1;
                 depth := round;
-                readmit shard id
+                readmit id
               end
             end);
-        cur.(shard) <- nxt.(shard))
+        cur := !nxt)
       ()
   done
 
@@ -661,8 +653,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let net = Network.create graph adversary in
     Network.set_fault_hooks net (Faults.Plan.network_hooks plan);
     (* ---- execution engine ----
-       The lockstep backend is the live engine's one-shard default
-       (d = 0) — exactly the historical round loop. *)
+       The lockstep backend is the live engine's default (d = 0) —
+       exactly the historical round loop. *)
     let live_cfg =
       match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c
     in
@@ -867,8 +859,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let traces = ref [] in
     let continue_loop = ref true in
     let iter = ref 0 in
-    (* Per-iteration scratch, written shard-locally by the phase
-       executors (each cell touched only by the party's owner). *)
+    (* Per-iteration scratch of the phase executors, one cell per
+       party. *)
     let statuses = Array.make n false in
     let flag_agg = Array.make n false in
     let net_corrects = Array.make n false in
@@ -941,19 +933,15 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       enter sp_mp ~iter:it;
       meeting_points_phase ex net parties fc pr ~iter:it ~tau:params.Params.tau;
       Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
-      compute_statuses ex parties ~alive ~statuses;
+      compute_statuses parties ~alive ~statuses;
       enter sp_flag ~iter:it;
       if params.Params.flag_passing then
         Flag_passing.run_exec ~alive ?probe:flag_probe
           ~label:(fun () -> Network.set_phase net ~iteration:it ~phase:Netsim.Adversary.Flag)
           ex flag_sched ~statuses ~agg:flag_agg ~net_correct:net_corrects
-      else
-        Live.Exec.slice ex (fun w ->
-            let lo, hi = Live.Exec.bounds ex ~shard:w in
-            Array.blit statuses lo net_corrects lo (hi - lo));
+      else Array.blit statuses 0 net_corrects 0 n;
       Trace.Sink.span_end sink ~id:sp_flag ~iter:it;
-      Live.Exec.slice ex (fun w ->
-          iter_shard ex parties w (fun p -> p.net_correct <- net_corrects.(p.id)));
+      Array.iter (fun p -> p.net_correct <- net_corrects.(p.id)) parties;
       Log.debug (fun f ->
             f "iteration %d: statuses=[%s] netCorrect=[%s]" it
               (String.concat ""
@@ -972,8 +960,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         (* Per-iteration tallies: everything read here went quiet when
            its phase ended (MP statuses freeze after the MP phase, the
            flag scratch after the flag phase, the rewind tally after the
-           wave).  Values are global sums, so the export is the same
-           whatever the shard count. *)
+           wave).  Values are global sums. *)
         count_mp_transitions ~iter:it;
         let count_true a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
         let votes = count_true statuses and ok = count_true net_corrects in

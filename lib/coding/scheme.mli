@@ -78,16 +78,17 @@ type spy = {
 
 type backend =
   | Lockstep
-      (** the reference backend: the live engine at one shard, d = 0 —
+      (** the reference backend: the live engine's default, d = 0 —
           the historical round loop *)
   | Live of Live.Config.t
-      (** the live engine (lib/live) at the configured shard count: with
-          [ragged_d] = 0 it is differentially tested byte-identical to
-          {!Lockstep} (outcome and timing-free trace export) at any
-          shard count; with [ragged_d] > 0 each (round, shard) may lag
-          by keyed jitter, booked as insertions/deletions through the
-          network's fault accounting.  Every callback runs on the
-          caller's domain; parallelism lives across trials
+      (** the live engine (lib/live): with [ragged_d] = 0 it is the
+          {!Lockstep} round loop at any shard count, each round one
+          write, one commit and one read (the differential suite checks
+          outcome and timing-free trace export); with [ragged_d] > 0
+          each (round, jitter unit) may lag by keyed jitter, booked as
+          insertions/deletions through the network's fault accounting,
+          and [shards] sets the number of units.  Every callback runs on
+          the caller's domain; parallelism lives across trials
           ([Runner.Pool]). *)
 
 module Config : sig
@@ -132,7 +133,7 @@ module Config : sig
             ({!Faults.Outcome.Iteration_budget}) *)
     backend : backend;
         (** execution backend; {!Lockstep} (the default) is the serial
-            reference, [Live _] sets the shard count and ragged slack *)
+            reference, [Live _] sets the ragged slack and jitter units *)
     trace_sample_every : int;
         (** trace sampling: keep every Nth iteration's events (1 — the
             default — keeps all); counter totals then cover the sampled

@@ -99,6 +99,10 @@ let copy t =
 let serialized t = t.bits
 let serialized_bits t = if t.n = 0 then 0 else t.cum.(t.n - 1)
 
+let same_prefix a b p =
+  let bits = prefix_bits a p in
+  bits = prefix_bits b p && Util.Bitvec.equal_prefix a.bits b.bits ~bits
+
 let equal_prefix a b =
   let rec go i =
     if i >= a.n || i >= b.n then i

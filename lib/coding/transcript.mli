@@ -58,6 +58,12 @@ val serialized_bits : t -> int
 val prefix_bits : t -> int -> int
 (** Bit length of the serialization of the first [i] chunks. *)
 
+val same_prefix : t -> t -> int -> bool
+(** [same_prefix a b p]: the first [p] chunks of [a] and [b] serialize
+    to the same bits, compared word by word.  Both ends of a link record
+    the same number of events for each chunk index, so for them this is
+    [equal_prefix a b >= p].  Requires [p <= length] of both. *)
+
 val copy : t -> t
 (** Deep copy (used by adversaries to evaluate hypothetical
     corruptions without touching the live state). *)

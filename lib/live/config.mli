@@ -2,14 +2,15 @@
 
 type t = {
   shards : int;
-      (** contiguous party ranges (>= 1): the engine runs each round's
-          callbacks range by range, and keys its jitter per range *)
+      (** jitter units (>= 1): contiguous party ranges, each of which
+          lags its whole round on its own keyed draw.  They change no
+          output at [ragged_d = 0] *)
   ragged_d : int;
-      (** synchrony slack: a shard's round may land up to [ragged_d]
+      (** synchrony slack: a unit's round may land up to [ragged_d]
           rounds late, by keyed jitter; 0 = lockstep (byte-identical to
           the reference backend) *)
   jitter_rate : float;
-      (** probability that a (round, shard) pair draws a lag in
+      (** probability that a (round, unit) pair draws a lag in
           [1..ragged_d] *)
   jitter_key : int64;  (** seed of the deterministic jitter stream *)
 }
@@ -21,15 +22,14 @@ val make :
   ?jitter_key:int64 ->
   unit ->
   t
-(** [shards] defaults to [Domain.recommended_domain_count ()]; [ragged_d]
-    to [0]; [jitter_rate] to [0.001] (on mic's default cycle-8 run the
-    scheme fails from a lag rate of about 0.005 on).  Raises
-    [Invalid_argument] on out-of-range values. *)
+(** [shards] defaults to [1] on every host, so a ragged run draws the
+    same lags wherever it runs; [ragged_d] to [0]; [jitter_rate] to
+    [0.001] (on mic's default cycle-8 run the scheme fails from a lag
+    rate of about 0.005 on).  Raises [Invalid_argument] on out-of-range
+    values. *)
 
 val default : t
-(** One shard, lockstep — semantically the reference backend run
+(** One unit, lockstep — semantically the reference backend run
     through the live engine. *)
-
-val default_shards : unit -> int
 
 val pp : Format.formatter -> t -> unit

@@ -1,35 +1,21 @@
 (* The live execution engine.  A phase driver describes each global
-   round as a pair of callbacks — [write shard buf] submits the round's
-   transmissions for the parties of [shard]; [read shard master]
-   consumes the delivered round — plus [block]s (a run of rounds whose
-   sends are all known upfront, written and read as words and committed
-   by one [Network.commit_block]) and occasional [slice] jobs (pure
-   per-shard state work, no network).
+   round as a pair of callbacks — [write buf] submits the round's
+   transmissions of every party; [read master] consumes the delivered
+   round — plus [block]s (a run of rounds whose sends are all known
+   upfront, written and read as words and committed by one
+   [Network.commit_block]) and occasional [slice] steps (no network).
 
-   Everything runs inline on the calling domain, shard by shard in
-   shard order.  With d = 0 every shard writes straight into one master
-   buffer and the engine is *exactly* the historical lockstep loop; with
-   d > 0 it simulates raggedness deterministically (a keyed RNG delays a
-   shard's whole round by a lag in [1..d], booking the
-   deletions/insertions through the network's jitter hooks).  Shards are
-   the unit of that jitter, which is why the partition stays. *)
+   Everything runs inline on the calling domain, each callback once per
+   round over all parties.  With d = 0 the driver writes straight into
+   one master buffer and the engine is *exactly* the historical lockstep
+   loop; with d > 0 it simulates raggedness deterministically: a keyed
+   RNG delays one jitter unit's whole round by a lag in [1..d], booking
+   the deletions/insertions through the network's jitter hooks.  Jitter
+   units are contiguous party ranges ({!Shard.partition}); they are the
+   engine's own business, and only routing a lagging round needs them. *)
 
 module Network = Netsim.Network
 module Active = Netsim.Network.Active
-
-(* A block of rounds known upfront ([block]): shards write their
-   out-directions' words into [w_out], one commit runs the whole block
-   into [w_in], shards read their in-directions' words.  [w_outs.(w)] /
-   [w_ins.(w)] list the directions shard [w] sends / receives on. *)
-type words = {
-  w_rounds : int;
-  w_out : Network.Block.t;
-  w_in : Network.Block.t;
-  w_write : shard:int -> Network.Block.t -> unit;
-  w_read : shard:int -> Network.Block.t -> unit;
-  w_outs : int array array;
-  w_ins : int array array;
-}
 
 (* Engine probes.  Klass discipline: [live.rounds] and the keyed-jitter
    lag distribution are pure functions of the keyed execution (Exact);
@@ -62,10 +48,14 @@ let observe_rounds pr ~t0 ~rounds =
 
 type t = {
   net : Network.t;
-  sh : Shard.t;
+  two_m : int;
   d : int;
   master : Active.t;
   scratch : Active.t;
+  (* Per jitter unit, the directions its parties send on, ascending
+     (empty at d = 0, where no unit lags), and this round's lag. *)
+  unit_outs : int array array;
+  lags : int array;
   (* slot -> (dir, bit) list of delayed symbols due to surface there *)
   pending : (int * bool) list array;
   jitter_rate : float;
@@ -77,23 +67,33 @@ type t = {
   mutable surfaced : int;
   pr : probes;
   mutable shut : bool;
-  (* [block]'s word buffers (out, in), kept while the shape repeats, and
-     the per-shard (out, in) direction lists, built on first use. *)
+  (* [block]'s word buffers (out, in), kept while the shape repeats. *)
   mutable blocks : (Network.Block.t * Network.Block.t) option;
-  mutable owned : (int array array * int array array) option;
 }
+
+(* Unit [w]'s out-directions: those whose source party it holds. *)
+let unit_outs net sh =
+  let outs = Array.make (Shard.shards sh) [] in
+  for dir = (2 * Topology.Graph.m (Network.graph net)) - 1 downto 0 do
+    let w = Shard.owner sh (fst (Network.link_ends net ~dir)) in
+    outs.(w) <- dir :: outs.(w)
+  done;
+  Array.map Array.of_list outs
 
 let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~weights () =
   let sh = Shard.partition ~weights ~shards:config.shards in
   let d = config.ragged_d in
   Logging.Live_log.debug (fun m ->
-      m "engine: %d shard(s), d=%d, partition %a" (Shard.shards sh) d Shard.pp sh);
+      m "engine: %d jitter unit(s), d=%d, partition %a" (Shard.shards sh) d Shard.pp sh);
+  let unit_outs = if d = 0 then [||] else unit_outs net sh in
   {
     net;
-    sh;
+    two_m = 2 * Topology.Graph.m (Network.graph net);
     d;
     master = Network.active net;
     scratch = Network.active net;
+    unit_outs;
+    lags = Array.make (Array.length unit_outs) 0;
     pending = Array.make (d + 1) [];
     jitter_rate = config.jitter_rate;
     jitter_key = config.jitter_key;
@@ -103,20 +103,16 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     pr = make_probes metrics;
     shut = false;
     blocks = None;
-    owned = None;
   }
 
-let shards t = Shard.shards t.sh
-let bounds t ~shard = Shard.range t.sh shard
-let owner t party = Shard.owner t.sh party
 let rounds_run t = t.rounds_run
 let jitter_dropped t = t.delayed
 let jitter_surfaced t = t.surfaced
 
-(* Deterministic jitter: whether shard [w]'s round [q] lags, and by how
+(* Deterministic jitter: whether unit [w]'s round [q] lags, and by how
    much, is a pure function of the jitter key — reruns are identical. *)
 let draw_lag t ~q w =
-  if t.d = 0 || t.jitter_rate <= 0. then 0
+  if t.jitter_rate <= 0. then 0
   else begin
     let u = Util.Rng.at ~seed:t.jitter_key ((q * 8192) + w) in
     let frac =
@@ -126,68 +122,62 @@ let draw_lag t ~q w =
     else 1 + (Int64.to_int (Int64.shift_right_logical u 53) mod t.d)
   end
 
+(* Round [q]'s writes under keyed jitter (d > 0).  Delayed symbols due
+   this round surface first, so a fresh symbol on the same link wins
+   (substitution semantics).  When some unit lags, the driver writes
+   into scratch and the engine routes the round unit by unit, each
+   unit's out-directions in ascending order: a lagging unit's symbols
+   are stalled into [pending], the others go to the master buffer. *)
+let jittered_write t ~q write =
+  let slot = q mod (t.d + 1) in
+  List.iter
+    (fun (dir, bit) ->
+      Active.send t.master ~dir bit;
+      Network.note_injected t.net ~dir;
+      t.surfaced <- t.surfaced + 1)
+    (List.rev t.pending.(slot));
+  t.pending.(slot) <- [];
+  let lagging = ref false in
+  for w = 0 to Array.length t.lags - 1 do
+    let lag = draw_lag t ~q w in
+    t.lags.(w) <- lag;
+    if lag > 0 then begin
+      lagging := true;
+      (* Keyed lag draw: deterministic, so the distribution is Exact. *)
+      if t.pr.on then Metrics.Registry.observe t.pr.lag_h lag
+    end
+  done;
+  if not !lagging then write ~shard:0 t.master
+  else begin
+    Active.begin_round t.scratch;
+    write ~shard:0 t.scratch;
+    Array.iteri
+      (fun w dirs ->
+        let lag = t.lags.(w) in
+        let tgt = (q + lag) mod (t.d + 1) in
+        Array.iter
+          (fun dir ->
+            match Active.get t.scratch ~dir with
+            | None -> ()
+            | Some bit when lag = 0 -> Active.send t.master ~dir bit
+            | Some bit ->
+                Network.note_stalled t.net ~dir;
+                t.delayed <- t.delayed + 1;
+                t.pending.(tgt) <- (dir, bit) :: t.pending.(tgt))
+          dirs)
+      t.unit_outs
+  end
+
 let round t ?label ~write ~read () =
   let q = t.rounds_run in
   t.rounds_run <- q + 1;
   let t0 = if t.pr.on then Unix.gettimeofday () else 0. in
   Active.begin_round t.master;
-  if t.d > 0 then begin
-    (* Delayed symbols due this round surface before fresh traffic, so
-       a fresh symbol on the same link wins (substitution semantics). *)
-    let slot = q mod (t.d + 1) in
-    List.iter
-      (fun (dir, bit) ->
-        Active.send t.master ~dir bit;
-        Network.note_injected t.net ~dir;
-        t.surfaced <- t.surfaced + 1)
-      (List.rev t.pending.(slot));
-    t.pending.(slot) <- []
-  end;
-  for w = 0 to shards t - 1 do
-    let lag = draw_lag t ~q w in
-    if lag = 0 then write ~shard:w t.master
-    else begin
-      (* Keyed lag draw: deterministic, so the distribution is Exact. *)
-      if t.pr.on then Metrics.Registry.observe t.pr.lag_h lag;
-      Active.begin_round t.scratch;
-      write ~shard:w t.scratch;
-      let tgt = (q + lag) mod (t.d + 1) in
-      Active.iter t.scratch (fun ~dir bit ->
-          Network.note_stalled t.net ~dir;
-          t.delayed <- t.delayed + 1;
-          t.pending.(tgt) <- (dir, bit) :: t.pending.(tgt))
-    end
-  done;
+  if t.d = 0 then write ~shard:0 t.master else jittered_write t ~q write;
   (match label with Some f -> f () | None -> ());
   Network.commit t.net t.master;
-  for w = 0 to shards t - 1 do
-    read ~shard:w t.master
-  done;
+  read ~shard:0 t.master;
   if t.pr.on then observe_rounds t.pr ~t0 ~rounds:1
-
-(* Silence shard [w]'s out-directions, then let it write them. *)
-let write_words b ~shard =
-  Array.iter (fun dir -> Network.Block.silence b.w_out ~dir) b.w_outs.(shard);
-  b.w_write ~shard b.w_out
-
-(* Per shard, the directions it sends on (its parties are the sources)
-   and receives on (the destinations), each in ascending order. *)
-let owned t =
-  match t.owned with
-  | Some o -> o
-  | None ->
-      let nshards = shards t in
-      let outs = Array.make nshards [] and ins = Array.make nshards [] in
-      let two_m = 2 * Topology.Graph.m (Network.graph t.net) in
-      for dir = two_m - 1 downto 0 do
-        let src, dst = Network.link_ends t.net ~dir in
-        let ws = owner t src and wd = owner t dst in
-        outs.(ws) <- dir :: outs.(ws);
-        ins.(wd) <- dir :: ins.(wd)
-      done;
-      let o = (Array.map Array.of_list outs, Array.map Array.of_list ins) in
-      t.owned <- Some o;
-      o
 
 let block_buffers t ~width ~fields =
   match t.blocks with
@@ -200,68 +190,54 @@ let block_buffers t ~width ~fields =
       t.blocks <- Some b;
       b
 
-(* A whole block at d = 0, where no round can lag: every shard writes,
-   one commit, every shard reads. *)
-let whole t ?label b =
-  t.rounds_run <- t.rounds_run + b.w_rounds;
-  let t0 = if t.pr.on then Unix.gettimeofday () else 0. in
-  for w = 0 to shards t - 1 do
-    write_words b ~shard:w
-  done;
-  (match label with Some f -> f () | None -> ());
-  Network.commit_block t.net ~rounds:b.w_rounds ~out:b.w_out ~inw:b.w_in;
-  for w = 0 to shards t - 1 do
-    b.w_read ~shard:w b.w_in
-  done;
-  if t.pr.on then observe_rounds t.pr ~t0 ~rounds:b.w_rounds
-
-(* Under keyed jitter (d > 0) drift is per round, so the block runs as
-   [rounds] ordinary rounds: round [r] sends bit [r] of each out-word
-   and records each delivered symbol into the in-words; the first
-   round's write fills the out-words and the last round's read hands the
-   in-words over. *)
-let looped t ?label b =
-  let last = b.w_rounds - 1 in
-  for r = 0 to last do
-    round t
-      ?label:(if r = 0 then label else None)
-      ~write:(fun ~shard buf ->
-        if r = 0 then write_words b ~shard;
-        Array.iter
-          (fun dir ->
-            match Network.Block.get b.w_out ~dir ~round:r with
-            | Some bit -> Active.send buf ~dir bit
-            | None -> ())
-          b.w_outs.(shard))
-      ~read:(fun ~shard master ->
-        Array.iter
-          (fun dir ->
-            if r = 0 then Network.Block.silence b.w_in ~dir;
-            match Active.get master ~dir with
-            | Some bit -> Network.Block.send b.w_in ~dir ~round:r bit
-            | None -> ())
-          b.w_ins.(shard);
-        if r = last then b.w_read ~shard b.w_in)
-      ()
-  done
-
+(* At d = 0 no round can lag, so a block is one write, one commit and
+   one read.  Under keyed jitter (d > 0) drift is per round, so the
+   block runs as [rounds] ordinary rounds: round [r] sends bit [r] of
+   each out-word and records each delivered symbol into the in-words;
+   the first round's write fills the out-words and the last round's
+   read hands the in-words over. *)
 let block t ?label ~width ~rounds ~write ~read () =
   if rounds < 1 then invalid_arg "Live.Exec.block: rounds < 1";
   if width < 1 || width >= Sys.int_size then invalid_arg "Live.Exec.block: width out of range";
-  let fields = (rounds + width - 1) / width in
-  let out, inw = block_buffers t ~width ~fields in
-  let outs, ins = owned t in
-  let b =
-    { w_rounds = rounds; w_out = out; w_in = inw; w_write = write; w_read = read; w_outs = outs;
-      w_ins = ins }
+  let out, inw = block_buffers t ~width ~fields:((rounds + width - 1) / width) in
+  let write_words () =
+    for dir = 0 to t.two_m - 1 do
+      Network.Block.silence out ~dir
+    done;
+    write out
   in
-  if t.d > 0 then looped t ?label b else whole t ?label b
+  if t.d = 0 then begin
+    t.rounds_run <- t.rounds_run + rounds;
+    let t0 = if t.pr.on then Unix.gettimeofday () else 0. in
+    write_words ();
+    (match label with Some f -> f () | None -> ());
+    Network.commit_block t.net ~rounds ~out ~inw;
+    read inw;
+    if t.pr.on then observe_rounds t.pr ~t0 ~rounds
+  end
+  else
+    for r = 0 to rounds - 1 do
+      round t
+        ?label:(if r = 0 then label else None)
+        ~write:(fun ~shard:_ buf ->
+          if r = 0 then write_words ();
+          for dir = 0 to t.two_m - 1 do
+            match Network.Block.get out ~dir ~round:r with
+            | Some bit -> Active.send buf ~dir bit
+            | None -> ()
+          done)
+        ~read:(fun ~shard:_ master ->
+          for dir = 0 to t.two_m - 1 do
+            if r = 0 then Network.Block.silence inw ~dir;
+            match Active.get master ~dir with
+            | Some bit -> Network.Block.send inw ~dir ~round:r bit
+            | None -> ()
+          done;
+          if r = rounds - 1 then read inw)
+        ()
+    done
 
-let slice t f =
-  for w = 0 to shards t - 1 do
-    f w
-  done
-
+let slice (_ : t) f = f 0
 let join (_ : t) = ()
 
 let shutdown t =

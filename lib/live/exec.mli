@@ -1,9 +1,9 @@
 (** The live execution engine: runs a phase driver's per-round
-    write/read callbacks inline on the calling domain, shard by shard.
-    With d = 0 this {e is} the historical lockstep loop; with d > 0 it
-    adds keyed jitter, drawn per (round, shard).  See DESIGN.md §3h for
-    the d=0 ≡ lockstep argument and for why there is no parallel
-    engine. *)
+    write/read callbacks inline on the calling domain, each once per
+    round over all parties.  With d = 0 this {e is} the historical
+    lockstep loop; with d > 0 it adds keyed jitter, drawn per (round,
+    jitter unit).  See DESIGN.md §3h for the d=0 ≡ lockstep argument and
+    for why there is no parallel engine. *)
 
 type t
 
@@ -14,9 +14,11 @@ val create :
   weights:int array ->
   unit ->
   t
-(** Build an engine over [net] for [Array.length weights] parties,
-    sharded by {!Shard.partition}.  Shards order the callbacks and key
-    the jitter; every callback runs on the caller's domain.
+(** Build an engine over [net] for [Array.length weights] parties.
+    Under keyed jitter ([config.ragged_d > 0]) the parties fall into
+    [config.shards] jitter units ({!Shard.partition} by [weights]), each
+    of which lags its whole round on its own draw; the units stay inside
+    the engine, and the callbacks never see them.
 
     [metrics] (default {!Metrics.Registry.disabled}) attaches engine
     telemetry: [live.rounds] (Exact counter, booked once by {!shutdown},
@@ -27,15 +29,6 @@ val create :
 
     Release every [t] with {!shutdown}. *)
 
-val shards : t -> int
-(** Effective shard count. *)
-
-val bounds : t -> shard:int -> int * int
-(** Half-open party-id range owned by a shard. *)
-
-val owner : t -> int -> int
-(** Shard owning a party id. *)
-
 val round :
   t ->
   ?label:(unit -> unit) ->
@@ -43,53 +36,57 @@ val round :
   read:(shard:int -> Netsim.Network.Active.t -> unit) ->
   unit ->
   unit
-(** Run one global round.  [write ~shard buf] must submit the round's
-    transmissions for exactly the parties of [shard] into [buf]
-    (out-directions only — each directed link has a unique sending
-    party, so shards never collide); [read ~shard master] consumes the
-    delivered round.  Every shard writes, in shard order, then [label]
-    (when given) runs once — used for [Network.set_phase] — then the
-    network transforms the round, then every shard reads.  A shard whose
-    round lags under keyed jitter writes into scratch; its symbols
-    surface in a later round. *)
+(** Run one global round.  [write buf] submits every party's
+    transmissions of the round into [buf] (out-directions, by the
+    sending party); then [label] (when given) runs once — used for
+    [Network.set_phase] — then the network transforms the round, then
+    [read master] consumes the delivered round.  Each callback runs
+    exactly once.  The [~shard] label is always 0: it is kept only for
+    perfbench's engine micro-benchmark until that benchmark is revised
+    (ROADMAP item 5).
+
+    At d = 0 [buf] is the master buffer.  Under keyed jitter, in a
+    round where some unit lags, [buf] is a scratch buffer: the engine
+    then takes the units in order and each unit's out-directions in
+    ascending order, stalling a lagging unit's symbols (they surface in
+    a later round) and passing the others to the master buffer, where a
+    fresh symbol overwrites a surfaced one. *)
 
 val block :
   t ->
   ?label:(unit -> unit) ->
   width:int ->
   rounds:int ->
-  write:(shard:int -> Netsim.Network.Block.t -> unit) ->
-  read:(shard:int -> Netsim.Network.Block.t -> unit) ->
+  write:(Netsim.Network.Block.t -> unit) ->
+  read:(Netsim.Network.Block.t -> unit) ->
   unit ->
   unit
 (** Run [rounds] (≥ 1) global rounds whose sends are all known before
     the first, as words of [width] bits ({!Netsim.Network.Block}, with
-    [⌈rounds / width⌉] fields).  [write ~shard out] must put the whole
-    block's transmissions for exactly the parties of [shard] into [out]
-    (its out-directions start silent); [read ~shard inw] consumes the
-    delivered block on the shard's in-directions.  [label] runs once,
-    before the first round is transformed.  Equivalent to [rounds]
-    calls of {!round} (same network books, events and round counter);
-    how it runs:
-    - d = 0: every shard writes, one [Network.commit_block], every shard
-      reads;
+    [⌈rounds / width⌉] fields).  [write out] must put the whole block's
+    transmissions of every party into [out] (every direction starts
+    silent); [read inw] consumes the delivered block.  [label] runs
+    once, before the first round is transformed.  Equivalent to
+    [rounds] calls of {!round} (same network books, events and round
+    counter); how it runs:
+    - d = 0: [write], one [Network.commit_block], [read];
     - d > 0 (keyed jitter): lags are drawn per round, so the block runs
       as [rounds] ordinary rounds, round [r] carrying bit [r] of the
-      words.
+      words; [write] runs in the first and [read] in the last.
     The two word buffers belong to the engine and are reused by the
     next block: [read] must copy out what it keeps.  Raises
     [Invalid_argument] for [rounds < 1] or a width outside
     [1 .. Sys.int_size - 1]. *)
 
 val slice : t -> (int -> unit) -> unit
-(** Run a no-network step: the callback runs once per shard (argument
-    = shard id), in shard order, and must touch only that shard's
-    party range. *)
+(** [slice t f] is [f 0]: a no-network step.  Kept only for perfbench's
+    engine micro-benchmark until that benchmark is revised (ROADMAP
+    item 5); drivers run such steps directly. *)
 
 val join : t -> unit
 (** A no-op: every round, block and slice has finished when its call
-    returns.  Kept so drivers written against an asynchronous engine
-    still compile. *)
+    returns.  Kept only for perfbench's engine micro-benchmark until
+    that benchmark is revised (ROADMAP item 5). *)
 
 val rounds_run : t -> int
 (** Total rounds issued ({!block} counts its [rounds]). *)

@@ -1,11 +1,10 @@
-(* Contiguous, degree-weighted sharding of parties onto worker domains.
+(* Contiguous, weighted partition of parties into the live engine's
+   jitter units.
 
-   Parties are kept in id order (contiguous ranges) so a shard's slice
-   of any per-party array is a cache-friendly window, and the cut
-   points are chosen by prefix weight so that a hub of degree 999 in a
-   star graph does not share a domain with 999 leaves' worth of work.
-   Weight 0 parties still cost a machine step, so each weight is
-   counted as [1 + w]. *)
+   Parties are kept in id order (contiguous ranges), and the cut points
+   are chosen by prefix weight, so that a hub of degree 999 in a star
+   graph does not share a unit with 999 leaves.  Weight 0 parties still
+   count, so each weight is counted as [1 + w]. *)
 
 type t = { ranges : (int * int) array; owner_of : int array }
 
@@ -55,11 +54,6 @@ let partition ~weights ~shards =
       done)
     ranges;
   { ranges; owner_of }
-
-let of_degrees ~graph ~shards =
-  let n = Topology.Graph.n graph in
-  let weights = Array.init n (fun v -> Topology.Graph.degree graph v) in
-  partition ~weights ~shards
 
 let pp ppf t =
   Format.fprintf ppf "[%s]"

@@ -1,7 +1,8 @@
-(** Contiguous, degree-weighted assignment of parties to worker
-    domains.  Shard [k] owns the half-open id range [range t k];
-    ranges are in id order, non-empty, and balanced by [1 + degree]
-    prefix weight so hub-heavy topologies don't pile onto one domain. *)
+(** Contiguous, weighted assignment of parties to the live engine's
+    jitter units ({!Exec}).  Shard [k] owns the half-open id range
+    [range t k]; ranges are in id order, non-empty, and balanced by
+    [1 + weight] prefix weight so a hub does not share its unit with
+    most of the graph. *)
 
 type t
 
@@ -10,9 +11,6 @@ val partition : weights:int array -> shards:int -> t
     into [min shards n] non-empty contiguous ranges of near-equal
     [1 + weight] prefix sums.  Raises [Invalid_argument] when there
     are no parties. *)
-
-val of_degrees : graph:Topology.Graph.t -> shards:int -> t
-(** Partition weighted by vertex degree. *)
 
 val shards : t -> int
 (** Effective shard count (≤ requested, ≤ parties). *)

@@ -1,8 +1,7 @@
 (* Per-subsystem log source for the network simulator, filterable with
    `mic --log-level mic.netsim:debug`.  Same discipline as lib/live:
-   the Logs reporter is not domain-safe, so only leader-domain paths
-   (create / fault-hook installation / stats) may log — never the
-   per-round commit path, which worker shards drive in live mode. *)
+   only setup paths (create / fault-hook installation / stats) log —
+   never the per-round commit path. *)
 
 let src = Logs.Src.create "mic.netsim" ~doc:"Noisy-network simulator"
 

@@ -337,8 +337,8 @@ let set_trace t sink = t.trace <- sink
 
 (* The per-commit active-link distribution is a function of the keyed
    execution (Exact): it replays byte-identically across jobs and shard
-   counts at d = 0, and under keyed jitter (d > 0) for a fixed shard
-   count.  The noise-rate gauge is sampled at deterministic rounds, so
+   counts at d = 0, and under keyed jitter (d > 0) for a fixed count of
+   jitter units.  The noise-rate gauge is sampled at deterministic rounds, so
    it is Exact too.  The counts of
    [stats] are not probed here: whoever owns the run books them once,
    from [stats], when it ends. *)

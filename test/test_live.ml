@@ -1,7 +1,8 @@
-(* Tests for lib/live: the shard partitioner, the execution engine's
-   round semantics, and — the backbone — the backend differential: the
-   scheme on [Live] with d = 0 must be byte-identical to [Lockstep]
-   across topologies, adversaries, fault plans and shard counts. *)
+(* Tests for lib/live: the jitter-unit partitioner, the execution
+   engine's round semantics, and — the backbone — the backend
+   differential: the scheme on [Live] with d = 0 must be byte-identical
+   to [Lockstep] across topologies, adversaries, fault plans and shard
+   counts. *)
 
 module Network = Netsim.Network
 
@@ -38,7 +39,7 @@ let test_shard_balance () =
      the hub weighs 64 and each leaf 2: the hub's shard should get few
      leaves. *)
   let g = Topology.Graph.star 64 in
-  let sh = Live.Shard.of_degrees ~graph:g ~shards:4 in
+  let sh = Live.Shard.partition ~weights:(Array.init 64 (Topology.Graph.degree g)) ~shards:4 in
   Alcotest.(check int) "4 shards" 4 (Live.Shard.shards sh);
   let _, hub_hi = Live.Shard.range sh (Live.Shard.owner sh 0) in
   Alcotest.(check bool) "hub shard is lean" true (hub_hi <= 32)
@@ -50,7 +51,8 @@ let line4 = Topology.Graph.line 4
 let test_exec_round_delivery () =
   (* A 4-party line driven for 24 rounds on 2 shards, d = 0: every
      round's rightward bit must be delivered in that round, and the
-     lockstep engine must book zero jitter. *)
+     lockstep engine must book zero jitter.  One write and one read
+     cover every party. *)
   let net = Network.create line4 Netsim.Adversary.Silent in
   let ex =
     Live.Exec.create ~net
@@ -64,24 +66,19 @@ let test_exec_round_delivery () =
       let missed = ref 0 in
       for r = 0 to 23 do
         Live.Exec.round ex
-          ~write:(fun ~shard buf ->
-            let lo, hi = Live.Exec.bounds ex ~shard in
-            for v = lo to hi - 1 do
-              if v < 3 then
-                Network.Active.send buf
-                  ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1))
-                  (r land 1 = 1)
+          ~write:(fun ~shard:_ buf ->
+            for v = 0 to 2 do
+              Network.Active.send buf
+                ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1))
+                (r land 1 = 1)
             done)
-          ~read:(fun ~shard master ->
-            let lo, hi = Live.Exec.bounds ex ~shard in
-            for v = lo to hi - 1 do
-              if v > 0 then
-                match
-                  Network.Active.get master
-                    ~dir:(Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v)
-                with
-                | Some b -> if b <> (r land 1 = 1) then incr missed
-                | None -> incr missed
+          ~read:(fun ~shard:_ master ->
+            for v = 1 to 3 do
+              match
+                Network.Active.get master ~dir:(Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v)
+              with
+              | Some b -> if b <> (r land 1 = 1) then incr missed
+              | None -> incr missed
             done)
           ()
       done;
@@ -104,7 +101,7 @@ let test_exec_block_delivery () =
        ~net:(Network.create line4 Netsim.Adversary.Silent)
        ~config:Live.Config.default ~weights:(Array.make 4 1) ()
    in
-   let nop ~shard:_ _ = () in
+   let nop _ = () in
    Alcotest.check_raises "no rounds" (Invalid_argument "Live.Exec.block: rounds < 1") (fun () ->
        Live.Exec.block ex ~width:8 ~rounds:0 ~write:nop ~read:nop ());
    Alcotest.check_raises "no width" (Invalid_argument "Live.Exec.block: width out of range")
@@ -124,9 +121,8 @@ let test_exec_block_delivery () =
           let bad = ref 0 in
           for _ = 1 to 3 do
             Live.Exec.block ex ~width:8 ~rounds:20
-              ~write:(fun ~shard out ->
-                let lo, hi = Live.Exec.bounds ex ~shard in
-                for v = lo to min hi 3 - 1 do
+              ~write:(fun out ->
+                for v = 0 to 2 do
                   Array.iteri
                     (fun field w ->
                       Network.Block.set out
@@ -134,9 +130,8 @@ let test_exec_block_delivery () =
                         ~field w)
                     (words v)
                 done)
-              ~read:(fun ~shard inw ->
-                let lo, hi = Live.Exec.bounds ex ~shard in
-                for v = max lo 1 to hi - 1 do
+              ~read:(fun inw ->
+                for v = 1 to 3 do
                   let dir = Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v in
                   Array.iteri
                     (fun field w ->
@@ -163,38 +158,61 @@ let test_exec_block_delivery () =
     ]
 
 let test_exec_callbacks_on_caller () =
-  (* Every callback of a 4-shard engine — round writes and reads, block
-     writes and reads, slices — runs on the domain that issued it, once
-     per shard, in shard order. *)
-  let net = Network.create line4 Netsim.Adversary.Silent in
-  let ex =
-    Live.Exec.create ~net ~config:(Live.Config.make ~shards:4 ()) ~weights:(Array.make 4 1) ()
-  in
+  (* The callback contract: at any shard count, lagging or not, every
+     round and every block calls [write] once and [read] once, on the
+     domain that issued it.  At d = 1 half of the (round, unit) pairs
+     lag, so most rounds route their sends through the scratch buffer
+     — and the jitter must really have stalled symbols there. *)
   let self = Domain.self () in
-  let calls = ref [] in
-  let note kind shard =
-    Alcotest.(check bool) (kind ^ " on the caller's domain") true (Domain.self () = self);
-    calls := (kind, shard) :: !calls
-  in
-  Fun.protect
-    ~finally:(fun () -> Live.Exec.shutdown ex)
-    (fun () ->
-      Live.Exec.round ex
-        ~write:(fun ~shard _ -> note "write" shard)
-        ~read:(fun ~shard _ -> note "read" shard)
-        ();
-      Live.Exec.block ex ~width:8 ~rounds:10
-        ~write:(fun ~shard _ -> note "block write" shard)
-        ~read:(fun ~shard _ -> note "block read" shard)
-        ();
-      Live.Exec.slice ex (note "slice");
-      Live.Exec.join ex);
-  Alcotest.(check int) "4 shards" 4 (Live.Exec.shards ex);
-  let each kind = List.init 4 (fun w -> (kind, w)) in
-  Alcotest.(check (list (pair string int)))
-    "once per shard, in shard order"
-    (List.concat_map each [ "write"; "read"; "block write"; "block read"; "slice" ])
-    (List.rev !calls)
+  List.iter
+    (fun (shards, d) ->
+      let name = Printf.sprintf "shards=%d, d=%d" shards d in
+      let net = Network.create line4 Netsim.Adversary.Silent in
+      let config = Live.Config.make ~shards ~ragged_d:d ~jitter_rate:0.5 () in
+      let ex = Live.Exec.create ~net ~config ~weights:(Array.make 4 1) () in
+      let writes = ref 0 and reads = ref 0 in
+      let note count =
+        Alcotest.(check bool) (name ^ ": on the caller's domain") true (Domain.self () = self);
+        incr count
+      in
+      let once what =
+        Alcotest.(check (pair int int)) (name ^ ": " ^ what ^ " write and read once") (1, 1)
+          (!writes, !reads);
+        writes := 0;
+        reads := 0
+      in
+      Fun.protect
+        ~finally:(fun () -> Live.Exec.shutdown ex)
+        (fun () ->
+          for _ = 1 to 20 do
+            Live.Exec.round ex
+              ~write:(fun ~shard:_ buf ->
+                note writes;
+                for dir = 0 to 5 do
+                  Network.Active.send buf ~dir true
+                done)
+              ~read:(fun ~shard:_ _ -> note reads)
+              ();
+            once "round"
+          done;
+          for _ = 1 to 3 do
+            Live.Exec.block ex ~width:8 ~rounds:10
+              ~write:(fun _ -> note writes)
+              ~read:(fun _ -> note reads)
+              ();
+            once "block"
+          done);
+      Alcotest.(check bool)
+        (name ^ ": lags only under slack")
+        (d > 0)
+        (Live.Exec.jitter_dropped ex > 0))
+    [ (1, 0); (2, 0); (4, 0); (1, 1); (2, 1); (4, 1) ]
+
+let test_config_default_shards () =
+  (* The default jitter-unit count is a constant, not the host's core
+     count, so a ragged run draws the same lags on every host. *)
+  Alcotest.(check int) "default shards" 1 (Live.Config.make ()).Live.Config.shards;
+  Alcotest.(check int) "Config.default shards" 1 Live.Config.default.Live.Config.shards
 
 (* ---------- Backend differential ---------- *)
 
@@ -205,11 +223,12 @@ let graphs =
     ("random8", fun () -> Topology.Graph.random_connected (Util.Rng.create 7) ~n:8 ~extra_edges:4);
   ]
 
-let run_backend ?(faults = Faults.Plan.empty) ~backend ~adv ~seed graph =
-  let pi = Protocol.Protocols.random_chatter graph ~rounds:100 ~density:0.5 ~seed:3 in
+let run_backend ?(faults = Faults.Plan.empty) ?(rounds = 100) ?sink ?metrics ~backend ~adv ~seed
+    graph =
+  let pi = Protocol.Protocols.random_chatter graph ~rounds ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 graph in
   Coding.Scheme.run_outcome
-    ~config:(Coding.Scheme.Config.make ~trace:true ~faults ~backend ())
+    ~config:(Coding.Scheme.Config.make ~trace:true ~faults ?sink ?metrics ~backend ())
     ~rng:(Util.Rng.create seed) params pi (adv ())
 
 (* Everything in [result] is plain data, so polymorphic equality is the
@@ -325,13 +344,39 @@ let test_differential_trace_stream () =
 let test_serial_ragged_deterministic () =
   (* The keyed-jitter engine: same config twice gives the same
      degraded run, and the jitter really is booked — the diagnosis
-     carries stalled/injected symbols and the outcome degrades. *)
+     carries stalled/injected symbols and the outcome degrades.  Four
+     units at d = 2 is the case where several units lag in one round
+     into one pending slot, so the timing-free trace export and the
+     Exact metrics are pinned (digests computed before the engine
+     routed lagging rounds itself): they fix the order in which a
+     lagging round's symbols are stalled and surface.  On a line that
+     order is ascending dir order; on the 4×4 grid a unit's
+     out-directions interleave with its neighbours', so only routing
+     unit by unit reproduces the digest. *)
   let g = Topology.Graph.line 6 in
   let backend = Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:2 ~jitter_rate:0.2 ()) in
   let adv () = Netsim.Adversary.Silent in
-  let a = run_backend ~backend ~adv ~seed:21 g in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let pinned name ?rounds ~backend g ~trace ~exact =
+    let sink = Trace.Sink.create () and reg = Metrics.Registry.create () in
+    let o = run_backend ?rounds ~sink ~metrics:reg ~backend ~adv ~seed:21 g in
+    Alcotest.(check string) (name ^ ": trace export digest") trace
+      (digest (Trace.Export.jsonl ~timing:false sink));
+    Alcotest.(check string) (name ^ ": exact metrics digest") exact
+      (digest (Metrics.Expo.exact_json (Metrics.Registry.snapshot reg)));
+    o
+  in
+  let a =
+    pinned "line6" ~backend g ~trace:"3ad9c562771fa6eb287de81b6798f60a"
+      ~exact:"d6486efbf3137aedc811a2ff606043f9"
+  in
   let b = run_backend ~backend ~adv ~seed:21 g in
   check_identical "ragged repeat" a b;
+  ignore
+    (pinned "grid4x4" ~rounds:60
+       ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:2 ~jitter_rate:0.05 ()))
+       (Topology.Graph.grid ~rows:4 ~cols:4)
+       ~trace:"5d3abdca149a0f8d1a5596f4ffaed810" ~exact:"a0b50f38b16707c7abb72331f5e0105d");
   Alcotest.(check string) "jitter degrades the run" "degraded" (Faults.Outcome.label a);
   (match Faults.Outcome.diagnosis a with
   | Some d ->
@@ -396,33 +441,32 @@ let test_ragged_is_keyed_jitter () =
    once through [Live.Exec.block] and once through the reference — one
    [Live.Exec.round] per wire bit, round t carrying bit t of every
    message, the loop the scheme's meeting-points phase ran before it
-   became one block.  The reference packs into and unpacks from a
-   private block per shard, so nothing in it goes through
+   became one block.  The reference packs into and unpacks from
+   private blocks, so nothing in it goes through
    [Live.Exec.block] or [Network.commit_block].  The scheme end to end
    is pinned by the Alg 1/A/B, fault and export goldens in test_coding,
    test_faults and test_trace. *)
 let per_round_block ex g ?label ~width ~rounds ~write ~read () =
   let module B = Network.Block in
   let fields = (rounds + width - 1) / width and two_m = 2 * Topology.Graph.m g in
-  let mk () = Array.init (Live.Exec.shards ex) (fun _ -> B.create g ~width ~fields) in
-  let outs = mk () and ins = mk () in
+  let outs = B.create g ~width ~fields and ins = B.create g ~width ~fields in
   for t = 0 to rounds - 1 do
     Live.Exec.round ex
       ?label:(if t = 0 then label else None)
-      ~write:(fun ~shard buf ->
-        if t = 0 then write ~shard outs.(shard);
+      ~write:(fun ~shard:_ buf ->
+        if t = 0 then write outs;
         for dir = 0 to two_m - 1 do
-          match B.get outs.(shard) ~dir ~round:t with
+          match B.get outs ~dir ~round:t with
           | Some b -> Network.Active.send buf ~dir b
           | None -> ()
         done)
-      ~read:(fun ~shard master ->
+      ~read:(fun ~shard:_ master ->
         for dir = 0 to two_m - 1 do
           match Network.Active.get master ~dir with
-          | Some b -> B.send ins.(shard) ~dir ~round:t b
+          | Some b -> B.send ins ~dir ~round:t b
           | None -> ()
         done;
-        if t = rounds - 1 then read ~shard ins.(shard))
+        if t = rounds - 1 then read ins)
       ()
   done
 
@@ -452,27 +496,22 @@ let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
     ~finally:(fun () -> Live.Exec.shutdown ex)
     (fun () ->
       for k = 0 to mp_blocks - 1 do
-        let owns ~shard v =
-          let lo, hi = Live.Exec.bounds ex ~shard in
-          v >= lo && v < hi
-        in
         let label () = Network.set_phase net ~iteration:k ~phase:Netsim.Adversary.Meeting_points in
-        let write ~shard out =
+        let write out =
           for dir = 0 to two_m - 1 do
             let src, _ = Network.link_ends net ~dir in
-            if owns ~shard src && (src + k) mod 4 <> 0 then
+            if (src + k) mod 4 <> 0 then
               for field = 0 to fields - 1 do
                 B.set out ~dir ~field (Hashtbl.hash (k, dir, field) land ((1 lsl width) - 1))
               done
           done
         in
-        let read ~shard inw =
+        let read inw =
           for dir = 0 to two_m - 1 do
-            if owns ~shard (snd (Network.link_ends net ~dir)) then
-              for field = 0 to fields - 1 do
-                got.(slot k dir field) <- B.word inw ~dir ~field;
-                got.(slot k dir field + 1) <- B.heard inw ~dir ~field
-              done
+            for field = 0 to fields - 1 do
+              got.(slot k dir field) <- B.word inw ~dir ~field;
+              got.(slot k dir field + 1) <- B.heard inw ~dir ~field
+            done
           done
         in
         if per_round then per_round_block ex g ~label ~width ~rounds ~write ~read ()
@@ -564,6 +603,7 @@ let () =
           Alcotest.test_case "block delivery" `Quick test_exec_block_delivery;
           Alcotest.test_case "callbacks on the caller's domain" `Quick
             test_exec_callbacks_on_caller;
+          Alcotest.test_case "default shards is 1" `Quick test_config_default_shards;
         ] );
       ( "differential",
         [

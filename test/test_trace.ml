@@ -225,6 +225,29 @@ let test_mp_collision_probe () =
   ignore (MP.process b2 h ~probe:probe2 ~len:4 msg2);
   Alcotest.(check int) "no collision on agreement" 0 !false_alarms
 
+let test_scheme_collision_probe () =
+  (* The scheme's probe end to end: at τ = 2 every meeting-points vote
+     is a 2-bit hash, and the seed-aware collision hunter plants
+     corruptions whose hashes still match, so a traced Algorithm 1 run
+     counts many collisions against the probe's ground truth (the two
+     ends' serialized prefixes, compared word by word).  The collision
+     total and the timing-free export are pinned: a ground truth that
+     answers differently moves both. *)
+  let g = Topology.Graph.cycle 6 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed:2 in
+  let adv, hook, _ = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 () in
+  let sink = Sink.create () in
+  let outcome =
+    Coding.Scheme.run_outcome
+      ~config:(Coding.Scheme.Config.make ~sink ~spy_hook:hook ())
+      ~rng:(Util.Rng.create 1) (Coding.Params.algorithm_1 ~tau:2 g) pi adv
+  in
+  Alcotest.(check string) "run completes" "completed" (Faults.Outcome.label outcome);
+  Alcotest.(check int) "no events dropped" 0 (Sink.dropped sink);
+  Alcotest.(check int) "mp.hash_collision total" 116 (Sink.counter_total sink "mp.hash_collision");
+  Alcotest.(check string) "export digest" "7aecc0122fd5d86d5bbeb5938d40d7a4"
+    (Digest.to_hex (Digest.string (Export.jsonl ~timing:false sink)))
+
 (* ---------- shard counts ---------- *)
 
 (* Shard invariance of the trace: a traced run on the live backend
@@ -459,6 +482,7 @@ let () =
       ( "instrumentation",
         [
           Alcotest.test_case "mp collision probe" `Quick test_mp_collision_probe;
+          Alcotest.test_case "scheme collision probe, tau 2" `Quick test_scheme_collision_probe;
           Alcotest.test_case "traced scheme run" `Quick test_traced_scheme_run;
         ] );
       ( "sharded",
