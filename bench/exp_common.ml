@@ -43,15 +43,10 @@ let best_of ~reps f =
 
 type pair = { off : sample; on : sample }
 
-(* Interleaved best-of pairs: even pairs run [off] then [on], odd pairs
-   [on] then [off], so machine drift and run order hit both sides alike;
-   each side keeps its fastest run.  At least [reps] pairs run; then the
-   pair count follows the spread the run itself shows: pairs go on, up
-   to [max_reps], until [settle] pairs in a row have improved neither
-   side's best by more than the fraction [tol] — a noisy stretch keeps
-   sampling, a quiet one stops.  Returns the best pair and the number of
-   pairs run. *)
-let settled_pair ~reps ~max_reps ~settle ~tol ~off ~on =
+(* Interleaved best-of-[reps] pairs: even reps run [off] then [on], odd
+   reps [on] then [off], so machine drift and run order hit both sides
+   alike; each side keeps its fastest run. *)
+let best_pair ~reps ~off ~on =
   let pair i =
     if i land 1 = 0 then
       let a = off () in
@@ -60,18 +55,12 @@ let settled_pair ~reps ~max_reps ~settle ~tol ~off ~on =
       let b = on () in
       { off = off (); on = b }
   in
-  let gains s best = s.wall_s < best.wall_s *. (1. -. tol) in
-  let best = ref (pair 0) and quiet = ref 0 and n = ref 1 in
-  while !n < reps || (!quiet < settle && !n < max_reps) do
-    let p = pair !n in
-    if gains p.off !best.off || gains p.on !best.on then quiet := 0 else incr quiet;
-    best := { off = faster !best.off p.off; on = faster !best.on p.on };
-    incr n
+  let best = ref (pair 0) in
+  for i = 1 to reps - 1 do
+    let p = pair i in
+    best := { off = faster !best.off p.off; on = faster !best.on p.on }
   done;
-  (!best, !n)
-
-(* Exactly [reps] interleaved pairs. *)
-let best_pair ~reps ~off ~on = fst (settled_pair ~reps ~max_reps:reps ~settle:0 ~tol:0. ~off ~on)
+  !best
 
 (* What the on side costs over the off side, in percent of the off wall
    time (negative = noise). *)

@@ -81,11 +81,15 @@ let unit_outs net sh =
   Array.map Array.of_list outs
 
 let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~weights () =
-  let sh = Shard.partition ~weights ~shards:config.shards in
   let d = config.ragged_d in
-  Logging.Live_log.debug (fun m ->
-      m "engine: %d jitter unit(s), d=%d, partition %a" (Shard.shards sh) d Shard.pp sh);
-  let unit_outs = if d = 0 then [||] else unit_outs net sh in
+  let unit_outs =
+    if d = 0 then [||]
+    else begin
+      let sh = Shard.partition ~weights ~shards:config.shards in
+      Logging.Live_log.debug (fun m -> m "engine: d=%d, jitter units %a" d Shard.pp sh);
+      unit_outs net sh
+    end
+  in
   {
     net;
     two_m = 2 * Topology.Graph.m (Network.graph net);
