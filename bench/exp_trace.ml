@@ -24,10 +24,9 @@
       trace must name the phase and iteration.
 
    Writes BENCH_trace.json.  The smoke variant (`main.exe smoke trace`,
-   `trace-smoke` alias inside `dune runtest`) runs one tiny traced
-   execution end-to-end: sink → scheme under a crash → export →
-   re-parse (Obsv.Timeline.of_jsonl), checking span nesting and counter
-   totals. *)
+   `trace-smoke` alias inside `dune runtest`) runs the experiment at toy
+   sizes, then one tiny traced execution under a crash, checking that
+   its ring kept every event and booked the crash and the potential. *)
 
 (* Every off/on comparison below is one interleaved best-of-3 pair
    (Exp_common.best_pair); the enabled side records into a fresh sink on
@@ -69,7 +68,7 @@ let bench_scheme g pi =
 let traced_export ?backend g pi =
   let sink = Trace.Sink.create () in
   ignore (Exp_common.scheme_run ?backend ~sink g pi);
-  Trace.Export.jsonl ~timing:false sink
+  Trace.Export.jsonl sink
 
 (* Per shard count, whether the traced run on the live backend (d = 0)
    exports byte-identically to the lockstep oracle. *)
@@ -102,7 +101,7 @@ let traced_trial ~key ~params ~pi ~g t =
       params pi
       (Netsim.Adversary.iid (Exp_common.trial_rng (key ^ ":adv") t) ~rate)
   in
-  (outcome, Trace.Export.jsonl ~timing:false sink, Trace.Summary.of_sink sink)
+  (outcome, Trace.Export.jsonl sink, Trace.Summary.of_sink sink)
 
 (* Per-trial timing-free JSONL exports (trial order) + the cross-trial
    Trace_agg — both determinism subjects. *)
@@ -179,10 +178,10 @@ let first_fault sink =
   let open Obsv.Timeline in
   let tl = of_sink sink in
   let pick best iter { phase; ev } =
-    match best with
-    | Some (seq, _) when seq < ev.seq -> best
-    | _ when ev.kind = Count && is_fault_event ev.name ->
-        Some (ev.seq, (ev.name, iter, (if phase = "" then "setup" else phase), ev.arg))
+    match (best, ev) with
+    | Some (first, _), Trace.Sink.Count { seq; _ } when first < seq -> best
+    | _, Trace.Sink.Count { name; arg; seq; _ } when is_fault_event name ->
+        Some (seq, (name, iter, (if phase = "" then "setup" else phase), arg))
     | _ -> best
   in
   List.fold_left
@@ -323,7 +322,7 @@ let run_with ?(raw_rounds = 200_000) ?(scheme_rounds = 120) ?(trials = 4) ?(swee
 
 let run () = ignore (run_with ())
 
-(* ---------- smoke: end-to-end re-parse ---------- *)
+(* ---------- smoke ---------- *)
 
 let smoke ?json () =
   (* The full pipeline at toy scale, JSON suppressed; includes the
@@ -337,23 +336,8 @@ let smoke ?json () =
         (Printf.sprintf "trace-smoke: unexpected first fault %s@%d in %s (party %d)" name iter
            phase party)
   | None -> failwith "trace-smoke: no first fault found");
-  (* One traced run re-parsed from its JSONL export. *)
   let _, sink, _ = degraded_probe ~rounds:40 in
   if Trace.Sink.dropped sink > 0 then failwith "trace-smoke: ring dropped events at toy scale";
-  (* Obsv.Timeline re-parses the export, recording span-nesting and
-     parse errors and recomputing the counter sums. *)
-  let tl = Obsv.Timeline.of_jsonl (Trace.Export.jsonl ~timing:false sink) in
-  (match tl.Obsv.Timeline.errors with
-  | [] -> ()
-  | e :: _ -> failwith ("trace-smoke: re-parsed export: " ^ e));
-  List.iter
-    (fun (name, total) ->
-      let reparsed = Option.value ~default:0 (List.assoc_opt name tl.Obsv.Timeline.counter_sums) in
-      if reparsed <> total then
-        failwith
-          (Printf.sprintf "trace-smoke: counter %s re-parses to %d, sink says %d" name reparsed
-             total))
-    (Trace.Sink.counter_totals sink);
   if Trace.Sink.counter_total sink "fault.crash" < 1 then
     failwith "trace-smoke: crash fault left no fault.crash count";
   (match Trace.Sink.gauge_last sink "phi" with

@@ -235,7 +235,7 @@ let search_attack ~topology ~parties ~scheme_name ~rounds ~seed ~out =
   0
 
 let run_cmd topology parties scheme_name protocol rounds adversary rate budget_denom seed
-    trace_file trace_sample trials crash stall overload backend_kind shards ragged postmortem
+    trace_file trials crash stall overload backend_kind shards ragged postmortem
     verbose log_level metrics_file attack attack_search attack_out =
   match setup_logs verbose log_level with
   | `List -> 0
@@ -293,8 +293,8 @@ let run_cmd topology parties scheme_name protocol rounds adversary rate budget_d
     let outcome =
       Coding.Scheme.run_outcome
         ~config:
-          (Coding.Scheme.Config.make ~trace:observing ~sink ~trace_sample_every:trace_sample
-             ?spy_hook:hook ~faults ~backend ~metrics ())
+          (Coding.Scheme.Config.make ~trace:observing ~sink ?spy_hook:hook ~faults ~backend
+             ~metrics ())
         ~rng:(Util.Rng.create (seed + t)) params pi adversary
     in
     (match metrics_file with
@@ -406,18 +406,8 @@ let trace_t =
            writes $(docv) itself; with --trials N each trial t writes its own numbered file \
            (name.t.json for $(docv) of name.json).  At --ragged 0 the export is the same \
            under either backend and at any --shards.  Also prints the per-iteration global \
-           state table.  See --trace-sample to bound the cost on long \
-           runs.")
+           state table.")
 let trials_t = Arg.(value & opt int 1 & info [ "trials" ] ~doc:"Independent trials.")
-
-let trace_sample_t =
-  Arg.(
-    value & opt int 1
-    & info [ "trace-sample" ] ~docv:"N"
-        ~doc:
-          "With --trace / --postmortem: record only every $(docv)-th scheme iteration \
-           (phase spans and per-iteration probes; setup, output decoding and drop-proof \
-           counter totals are always kept).  1 (default) records everything.")
 
 let postmortem_t =
   Arg.(
@@ -531,7 +521,7 @@ let attack_out_t =
 let run_term =
   Term.(
     const run_cmd $ topology_t $ parties_t $ scheme_t $ protocol_t $ rounds_t $ adversary_t
-    $ rate_t $ budget_t $ seed_t $ trace_t $ trace_sample_t $ trials_t $ crash_t $ stall_t
+    $ rate_t $ budget_t $ seed_t $ trace_t $ trials_t $ crash_t $ stall_t
     $ overload_t $ backend_t $ shards_t $ ragged_t $ postmortem_t $ verbose_t $ log_level_t
     $ metrics_t $ attack_t $ attack_search_t $ attack_out_t)
 

@@ -190,7 +190,6 @@ type trial_replay = {
   corruptions : int;
   noise_fraction : float;
   hunter_hits : int;
-  trace_jsonl : string;
 }
 
 let run_trial sc trial =
@@ -200,10 +199,7 @@ let run_trial sc trial =
   (* Fresh instance (and stats record) inside the trial: the multicore
      contract of Attacks.instantiate. *)
   let inst = Coding.Attacks.instantiate ~graph sc.candidate in
-  let sink = Trace.Sink.create ~capacity:65536 () in
-  let config =
-    Coding.Scheme.Config.make ~sink ?spy_hook:inst.Coding.Attacks.spy_hook ()
-  in
+  let config = Coding.Scheme.Config.make ?spy_hook:inst.Coding.Attacks.spy_hook () in
   let outcome =
     Coding.Scheme.run_outcome ~config
       ~rng:(Runner.Pool.trial_rng ~key:sc.key trial)
@@ -226,7 +222,6 @@ let run_trial sc trial =
     corruptions;
     noise_fraction;
     hunter_hits = inst.Coding.Attacks.stats.Coding.Attacks.hits;
-    trace_jsonl = Trace.Export.jsonl ~timing:false sink;
   }
 
 let replay ?(jobs = 1) sc =
@@ -246,7 +241,6 @@ let replay ?(jobs = 1) sc =
             corruptions = 0;
             noise_fraction = 0.;
             hunter_hits = 0;
-            trace_jsonl = "";
           }
           :: acc
       | Runner.Pool.Timed_out { trial; _ } ->
@@ -258,7 +252,6 @@ let replay ?(jobs = 1) sc =
             corruptions = 0;
             noise_fraction = 0.;
             hunter_hits = 0;
-            trace_jsonl = "";
           }
           :: acc)
     (fun trial -> run_trial sc trial)

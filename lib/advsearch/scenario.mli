@@ -9,12 +9,12 @@
 
     Determinism contract: {!run_trial} is a pure function of
     (scenario, trial index) — trial randomness is
-    [Runner.Pool.trial_rng ~key:scenario.key trial], the adversary is
-    instantiated fresh inside the trial, and the recorded trace is the
-    timing-free JSONL export — so {!replay} produces identical
-    {!trial_replay} lists at any job count, and a parsed scenario
-    replays identically to the in-memory record it was serialized
-    from. *)
+    [Runner.Pool.trial_rng ~key:scenario.key trial] and the adversary
+    is instantiated fresh inside the trial — so {!replay} produces
+    identical {!trial_replay} lists at any job count, and a parsed
+    scenario replays identically to the in-memory record it was
+    serialized from.  Replays run untraced; [mic run --attack FILE
+    --postmortem] re-runs trial 0 traced for the diagnosis. *)
 
 type t = {
   version : int;  (** format version; currently {!version} *)
@@ -68,7 +68,6 @@ type trial_replay = {
   corruptions : int;
   noise_fraction : float;
   hunter_hits : int;
-  trace_jsonl : string;  (** timing-free JSONL export of the run's trace *)
 }
 
 val run_trial : t -> int -> trial_replay

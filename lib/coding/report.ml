@@ -12,24 +12,6 @@ let pp_summary ppf (r : Scheme.result) =
     (100. *. r.Scheme.noise_fraction)
     r.Scheme.iterations_run r.Scheme.chunks_total r.Scheme.chunks_rewound
 
-let pp_int_array ppf a =
-  Format.pp_print_string ppf (String.concat ", " (Array.to_list (Array.map string_of_int a)))
-
-let pp_result ppf (r : Scheme.result) =
-  Format.fprintf ppf "verdict       : %s@." (verdict r);
-  Format.fprintf ppf "outputs       : %a@." pp_int_array r.Scheme.outputs;
-  if not r.Scheme.success then
-    Format.fprintf ppf "expected      : %a@." pp_int_array r.Scheme.reference;
-  Format.fprintf ppf "communication : %d bits for CC(Pi) = %d (blowup %.1fx, %d rounds)@."
-    r.Scheme.cc r.Scheme.cc_pi r.Scheme.rate_blowup r.Scheme.rounds;
-  Format.fprintf ppf "noise         : %d corruptions = %.4f%% of coded traffic@."
-    r.Scheme.corruptions
-    (100. *. r.Scheme.noise_fraction);
-  Format.fprintf ppf "progress      : %d/%d chunk iterations, %d chunks of rework" r.Scheme.iterations_run
-    r.Scheme.chunks_total r.Scheme.chunks_rewound;
-  if r.Scheme.exchange_failures > 0 then
-    Format.fprintf ppf "@.exchange      : %d corrupted seed exchanges" r.Scheme.exchange_failures
-
 let pp_trace ppf trace =
   let max_sum = List.fold_left (fun acc st -> max acc st.Scheme.sum_g) 1 trace in
   Format.fprintf ppf "%5s %5s %5s %5s %6s  %s@." "iter" "G*" "H*" "B*" "in-MP" "progress";

@@ -5,9 +5,6 @@
 val pp_summary : Format.formatter -> Scheme.result -> unit
 (** One line: success, CC, blowup, corruptions, iterations. *)
 
-val pp_result : Format.formatter -> Scheme.result -> unit
-(** Multi-line block with outputs and accounting. *)
-
 val pp_trace : Format.formatter -> Scheme.iter_stat list -> unit
 (** The per-iteration table (G*, H*, B*, links in MP, Σ G progress bar). *)
 

@@ -66,13 +66,11 @@ module Config = struct
     max_wall_s : float option;
     max_iterations : int option;
     backend : backend;
-    trace_sample_every : int;
   }
 
   let make ?(trace = false) ?(sink = Trace.Sink.disabled)
       ?(metrics = Metrics.Registry.disabled) ?inputs ?spy_hook ?(faults = Faults.Plan.empty)
-      ?max_wall_s ?max_iterations ?(backend = Lockstep) ?(trace_sample_every = 1) () =
-    if trace_sample_every < 1 then invalid_arg "Scheme.Config.make: trace_sample_every < 1";
+      ?max_wall_s ?max_iterations ?(backend = Lockstep) () =
     {
       trace;
       sink;
@@ -83,7 +81,6 @@ module Config = struct
       max_wall_s;
       max_iterations;
       backend;
-      trace_sample_every;
     }
 
   let default = make ()
@@ -868,10 +865,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let rewinds_traced = ref 0 in
     while !continue_loop && !iter < effective_iterations do
       let it = !iter in
-      if observing && config.Config.trace_sample_every > 1 then
-        (* Sampling: keep 1-in-N iterations.  Counter totals cover
-           sampled iterations. *)
-        Trace.Sink.set_muted sink (it mod config.Config.trace_sample_every <> 0);
       (* Entered before the watchdog gets to kill the iteration: the
          abort note must name the iteration the run died in. *)
       enter sp_iter ~iter:it;
@@ -1009,8 +1002,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       if params.Params.early_stop && all_done parties graph ~n_real then continue_loop := false;
       incr iter
     done;
-    (* Leave the sink live for the output span (and the caller). *)
-    if observing && config.Config.trace_sample_every > 1 then Trace.Sink.set_muted sink false;
     if !continue_loop && effective_iterations < iterations then
       Faults.Outcome.note diag
         (Printf.sprintf "iterations capped at %d of %d planned" effective_iterations iterations);

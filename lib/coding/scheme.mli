@@ -134,10 +134,6 @@ module Config : sig
     backend : backend;
         (** execution backend; {!Lockstep} (the default) is the serial
             reference, [Live _] sets the ragged slack and jitter units *)
-    trace_sample_every : int;
-        (** trace sampling: keep every Nth iteration's events (1 — the
-            default — keeps all); counter totals then cover the sampled
-            iterations only. *)
   }
 
   val default : t
@@ -154,7 +150,6 @@ module Config : sig
     ?max_wall_s:float ->
     ?max_iterations:int ->
     ?backend:backend ->
-    ?trace_sample_every:int ->
     unit ->
     t
 end

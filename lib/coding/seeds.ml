@@ -14,8 +14,6 @@ let make ~stream ~tau ~wmax ~slot ~slots =
   assert (tau > 0 && wmax > 0 && slot >= 0 && slot < slots);
   { stream; tau; wmax; slot; slots; block = (int_fields * tau) + (prefix_fields * tau * wmax) }
 
-let words_per_iteration t = t.block
-
 let base t ~iter = ((iter * t.slots) + t.slot) * t.block
 
 let hash_int t ~iter ~field v =

@@ -26,9 +26,6 @@ val prefix_fields : int
 
 val make : stream:Hashing.Seed_stream.t -> tau:int -> wmax:int -> slot:int -> slots:int -> t
 
-val words_per_iteration : t -> int
-(** Seed words one link consumes per iteration (layout block size). *)
-
 val hash_int : t -> iter:int -> field:int -> int -> int
 (** τ-bit hash of a small integer; [field] < {!int_fields}. *)
 

@@ -2,7 +2,6 @@ type symbol = int
 
 let sym_star = 0
 let sym_bit b = if b then 3 else 2
-let sym_to_bit = function 2 -> Some false | 3 -> Some true | _ -> None
 
 type t = {
   bits : Util.Bitvec.t;

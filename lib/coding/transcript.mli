@@ -17,7 +17,6 @@ type symbol = int
 
 val sym_star : symbol
 val sym_bit : bool -> symbol
-val sym_to_bit : symbol -> bool option
 
 type t
 

@@ -72,10 +72,3 @@ let divmod a b =
   in
   go ();
   (normalize q, normalize r)
-
-let pp ppf p =
-  if is_zero p then Format.pp_print_string ppf "0"
-  else
-    Array.iteri
-      (fun i c -> if c <> 0 then Format.fprintf ppf "%s%02x·x^%d" (if i > 0 then " + " else "") c i)
-      p

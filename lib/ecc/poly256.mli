@@ -29,4 +29,3 @@ val deriv : t -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] = (quotient, remainder); raises on division by zero. *)
 
-val pp : Format.formatter -> t -> unit

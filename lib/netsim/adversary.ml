@@ -1,13 +1,5 @@
 type phase = Exchange | Meeting_points | Flag | Simulation | Rewind | Idle
 
-let phase_to_string = function
-  | Exchange -> "exchange"
-  | Meeting_points -> "meeting-points"
-  | Flag -> "flag"
-  | Simulation -> "simulation"
-  | Rewind -> "rewind"
-  | Idle -> "idle"
-
 type context = {
   round : int;
   iteration : int;
@@ -51,11 +43,6 @@ let iid_fixing rng ~rate =
       let i = slot ~round ~dir in
       if hit ~key i ~rate then Some (Util.Rng.at_bits ~seed:key i ~lo:2 ~width:62 mod 3) else None)
 
-let of_slots slots =
-  let table = Hashtbl.create (List.length slots) in
-  List.iter (fun (r, d, a) -> Hashtbl.replace table (r, d) a) slots;
-  Oblivious (fun ~round ~dir -> Option.value ~default:0 (Hashtbl.find_opt table (round, dir)))
-
 let sampled_slots rng ~count ~rounds ~dirs =
   let chosen = Hashtbl.create count in
   let n_slots = rounds * dirs in
@@ -77,7 +64,8 @@ let burst rng ~start_round ~len ~dirs =
         1 + Util.Rng.at_bits ~seed:key (slot ~round ~dir) ~lo:0 ~width:1
       else 0)
 
-let single ~round ~dir ~addend = of_slots [ (round, dir, addend) ]
+let single ~round ~dir ~addend =
+  Oblivious (fun ~round:r ~dir:d -> if r = round && d = dir then addend else 0)
 
 let adaptive_link_target ~edge_dirs ~rate_denom ~phases =
   let dirs = Hashtbl.create (List.length edge_dirs) in

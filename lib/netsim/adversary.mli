@@ -20,8 +20,6 @@
 
 type phase = Exchange | Meeting_points | Flag | Simulation | Rewind | Idle
 
-val phase_to_string : phase -> string
-
 type context = {
   round : int;  (** global round number *)
   iteration : int;  (** scheme iteration, −1 outside the main loop *)
@@ -75,9 +73,6 @@ val burst : Util.Rng.t -> start_round:int -> len:int -> dirs:int list -> t
 
 val single : round:int -> dir:int -> addend:int -> t
 (** One corruption, for unit tests and the §1.2 cascade example. *)
-
-val of_slots : (int * int * int) list -> t
-(** Explicit (round, dir, addend) list. *)
 
 val compose : t -> t -> t
 (** Superpose two oblivious noise patterns (addends add in Z₃; opposing

@@ -40,18 +40,20 @@ let classify name =
   else if name = "mp.hash_collision" then Some Hash_collision
   else None
 
-let blame_of ~iteration (a : Timeline.attributed) cause =
-  let ev = a.Timeline.ev in
-  let is_net = starts_with ~prefix:"net." ev.Timeline.name in
-  let is_party = starts_with ~prefix:"fault." ev.Timeline.name in
+(* The blame a booked count carries: [arg] is the party of a fault
+   event and the directed link of a network event, whose [iter] is the
+   network round. *)
+let blame_of ~iteration ~phase ~name ~iter ~arg cause =
+  let is_net = starts_with ~prefix:"net." name in
+  let is_party = starts_with ~prefix:"fault." name in
   {
     cause;
-    event = ev.Timeline.name;
+    event = name;
     iteration;
-    phase = a.Timeline.phase;
-    party = (if is_party then ev.Timeline.arg else -1);
-    link = (if is_net then ev.Timeline.arg else -1);
-    round = (if is_net then ev.Timeline.iter else -1);
+    phase;
+    party = (if is_party then arg else -1);
+    link = (if is_net then arg else -1);
+    round = (if is_net then iter else -1);
   }
 
 (* Counters whose presence at (or one iteration before) a stall makes
@@ -72,10 +74,10 @@ let analyze (tl : Timeline.t) =
   let first_blame_in ~iteration events =
     List.find_map
       (fun (a : Timeline.attributed) ->
-        let ev = a.Timeline.ev in
-        if ev.Timeline.kind = Timeline.Count && ev.Timeline.ival > 0 then
-          Option.map (blame_of ~iteration a) (classify ev.Timeline.name)
-        else None)
+        match a.Timeline.ev with
+        | Trace.Sink.Count { name; iter; arg; value; _ } when value > 0 ->
+            Option.map (blame_of ~iteration ~phase:a.Timeline.phase ~name ~iter ~arg) (classify name)
+        | _ -> None)
       events
   in
   let blame =

@@ -1,20 +1,8 @@
 (* Event-stream -> per-iteration timeline.  See timeline.mli. *)
 
-module Json = Util.Json
+module Sink = Trace.Sink
 
-type kind = Span_begin | Span_end | Count | Gauge
-
-type ev = {
-  seq : int;
-  kind : kind;
-  name : string;
-  iter : int;
-  arg : int;
-  ival : int;
-  fval : float;
-}
-
-type attributed = { phase : string; ev : ev }
+type attributed = { phase : string; ev : Sink.event }
 
 type iteration = {
   index : int;
@@ -49,7 +37,6 @@ type builder = {
   mutable setup_rev : attributed list;
   mutable iters_rev : iteration list;
   mutable errs_rev : string list;
-  mutable first_seq : int;
   sums : (string, int) Hashtbl.t;
 }
 
@@ -62,17 +49,17 @@ let finalize_iteration b index =
   let depth = ref None in
   List.iter
     (fun { ev; _ } ->
-      match ev.kind with
-      | Count ->
-          Hashtbl.replace counts ev.name (ev.ival + Option.value ~default:0 (Hashtbl.find_opt counts ev.name))
-      | Gauge -> (
-          match ev.name with
-          | "phi" -> phi := Some ev.fval
-          | "progress.g_star" -> g_star := Some ev.fval
-          | "progress.b_star" -> b_star := Some ev.fval
-          | "rewind.depth" -> depth := Some (int_of_float ev.fval)
+      match ev with
+      | Sink.Count { name; value; _ } ->
+          Hashtbl.replace counts name (value + Option.value ~default:0 (Hashtbl.find_opt counts name))
+      | Sink.Gauge { name; value; _ } -> (
+          match name with
+          | "phi" -> phi := Some value
+          | "progress.g_star" -> g_star := Some value
+          | "progress.b_star" -> b_star := Some value
+          | "rewind.depth" -> depth := Some (int_of_float value)
           | _ -> ())
-      | Span_begin | Span_end -> ())
+      | Sink.Span_begin _ | Sink.Span_end _ -> ())
     events;
   let counts =
     Hashtbl.fold (fun k v l -> (k, v) :: l) counts []
@@ -96,62 +83,63 @@ let finalize_iteration b index =
   b.cur_events <- []
 
 let feed b ev =
-  if b.first_seq < 0 then b.first_seq <- ev.seq;
+  let seq =
+    match ev with
+    | Sink.Span_begin { seq; _ } | Sink.Span_end { seq; _ } | Sink.Count { seq; _ }
+    | Sink.Gauge { seq; _ } ->
+        seq
+  in
   let attribute () =
     let a = { phase = innermost_phase b.stack; ev } in
     match b.cur_iter with
     | Some _ -> b.cur_events <- a :: b.cur_events
     | None -> b.setup_rev <- a :: b.setup_rev
   in
-  (match ev.kind with
-  | Count ->
-      Hashtbl.replace b.sums ev.name
-        (ev.ival + Option.value ~default:0 (Hashtbl.find_opt b.sums ev.name));
+  match ev with
+  | Sink.Count { name; value; _ } ->
+      Hashtbl.replace b.sums name (value + Option.value ~default:0 (Hashtbl.find_opt b.sums name));
       attribute ()
-  | Gauge -> attribute ()
-  | Span_begin ->
-      if ev.name = iter_span then begin
+  | Sink.Gauge _ -> attribute ()
+  | Sink.Span_begin { name; iter; _ } ->
+      if name = iter_span then begin
         (match b.cur_iter with
         | Some open_idx ->
             b.errs_rev <-
-              Printf.sprintf "seq %d: iteration %d begins inside open iteration %d" ev.seq
-                ev.iter open_idx
+              Printf.sprintf "seq %d: iteration %d begins inside open iteration %d" seq iter
+                open_idx
               :: b.errs_rev;
             finalize_iteration b open_idx
         | None -> ());
-        b.cur_iter <- Some ev.iter
+        b.cur_iter <- Some iter
       end
       else attribute ();
-      b.stack <- ev.name :: b.stack
-  | Span_end -> (
+      b.stack <- name :: b.stack
+  | Sink.Span_end { name; _ } ->
       (match b.stack with
-      | top :: rest when top = ev.name -> b.stack <- rest
+      | top :: rest when top = name -> b.stack <- rest
       | stack ->
           b.errs_rev <-
-            Printf.sprintf "seq %d: span_end %s does not match innermost open span%s" ev.seq
-              ev.name
+            Printf.sprintf "seq %d: span_end %s does not match innermost open span%s" seq name
               (match stack with [] -> " (none open)" | top :: _ -> " " ^ top)
             :: b.errs_rev;
           (* Recover by unwinding through the name if it is open at all. *)
-          if List.mem ev.name stack then begin
+          if List.mem name stack then begin
             let rec unwind = function
-              | top :: rest when top <> ev.name -> unwind rest
+              | top :: rest when top <> name -> unwind rest
               | _ :: rest -> rest
               | [] -> []
             in
             b.stack <- unwind stack
           end);
-      if ev.name = iter_span then
+      if name = iter_span then
         match b.cur_iter with
         | Some idx -> finalize_iteration b idx
         | None ->
             b.errs_rev <-
-              Printf.sprintf "seq %d: iteration end without an open iteration" ev.seq
-              :: b.errs_rev
-      else attribute ())
-  )
+              Printf.sprintf "seq %d: iteration end without an open iteration" seq :: b.errs_rev
+      else attribute ()
 
-let finish b ~counter_totals =
+let finish b sink =
   (* An iteration span left open (truncated tail / aborted run) still
      yields its partial iteration. *)
   (match b.cur_iter with
@@ -168,13 +156,12 @@ let finish b ~counter_totals =
     Hashtbl.fold (fun k v l -> if v <> 0 then (k, v) :: l else l) b.sums []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let first_seq = max 0 b.first_seq in
+  let first_seq = Sink.dropped sink in
   {
     setup = List.rev b.setup_rev;
     iterations = List.rev b.iters_rev;
     counter_sums;
-    counter_totals =
-      (match counter_totals with Some tots -> tots | None -> counter_sums);
+    counter_totals = Sink.counter_totals sink;
     first_seq;
     truncated = first_seq > 0;
     errors = List.rev b.errs_rev;
@@ -188,81 +175,13 @@ let fresh_builder () =
     setup_rev = [];
     iters_rev = [];
     errs_rev = [];
-    first_seq = -1;
     sums = Hashtbl.create 32;
   }
 
-let ev_of_sink_event = function
-  | Trace.Sink.Span_begin { name; iter; seq; _ } ->
-      { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0. }
-  | Trace.Sink.Span_end { name; iter; seq; _ } ->
-      { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0. }
-  | Trace.Sink.Count { name; iter; arg; value; seq; _ } ->
-      { seq; kind = Count; name; iter; arg; ival = value; fval = 0. }
-  | Trace.Sink.Gauge { name; iter; value; seq; _ } ->
-      { seq; kind = Gauge; name; iter; arg = -1; ival = 0; fval = value }
-
 let of_sink sink =
   let b = fresh_builder () in
-  Trace.Sink.iter sink (fun e -> feed b (ev_of_sink_event e));
-  let tl = finish b ~counter_totals:(Some (Trace.Sink.counter_totals sink)) in
-  { tl with truncated = Trace.Sink.dropped sink > 0 }
-
-(* ---- JSONL re-parse ---- *)
-
-let ev_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_string in
-  let num k = Option.bind (Json.member k j) Json.to_float in
-  let int_of k ~default = match num k with Some f -> int_of_float f | None -> default in
-  match (str "kind", str "name", num "seq") with
-  | Some kind, Some name, Some seq -> (
-      let seq = int_of_float seq in
-      let iter = int_of "iter" ~default:(-1) in
-      match kind with
-      | "span_begin" ->
-          Some { seq; kind = Span_begin; name; iter; arg = -1; ival = 0; fval = 0. }
-      | "span_end" -> Some { seq; kind = Span_end; name; iter; arg = -1; ival = 0; fval = 0. }
-      | "count" ->
-          Some
-            {
-              seq;
-              kind = Count;
-              name;
-              iter;
-              arg = int_of "arg" ~default:(-1);
-              ival = int_of "value" ~default:0;
-              fval = 0.;
-            }
-      | "gauge" ->
-          Some
-            {
-              seq;
-              kind = Gauge;
-              name;
-              iter;
-              arg = -1;
-              ival = 0;
-              fval = Option.value ~default:Float.nan (num "value");
-            }
-      | _ -> None)
-  | _ -> None
-
-let of_jsonl text =
-  let b = fresh_builder () in
-  let lineno = ref 0 in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         incr lineno;
-         if String.length line > 0 then
-           match Json.parse_opt line with
-           | None -> b.errs_rev <- Printf.sprintf "line %d: unparseable JSON" !lineno :: b.errs_rev
-           | Some j -> (
-               match ev_of_json j with
-               | Some ev -> feed b ev
-               | None ->
-                   b.errs_rev <-
-                     Printf.sprintf "line %d: not a trace event" !lineno :: b.errs_rev));
-  finish b ~counter_totals:None
+  Sink.iter sink (feed b);
+  finish b sink
 
 (* ---- accessors ---- *)
 

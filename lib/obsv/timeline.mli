@@ -1,32 +1,25 @@
-(** Typed re-parse of a trace into a per-iteration timeline.
+(** A sink's event ring as a per-iteration timeline.
 
     {!Trace.Sink} deliberately records a flat event ring; this module
     is the inverse transform the forensic tools are built on.  It walks
-    the events (live from a sink, or re-parsed from a timing-free JSONL
-    export) tracking the open span stack, and buckets everything by the
-    enclosing [scheme.iteration] span and the innermost [phase.*] span —
-    per-slot network events carry the {e network round} in their [iter]
-    tag, so positional attribution, not the tag, is what places an event
-    in an iteration.
+    the sink's retained events tracking the open span stack, and buckets
+    everything by the enclosing [scheme.iteration] span and the
+    innermost [phase.*] span — per-slot network events carry the
+    {e network round} in their [iter] tag, so positional attribution,
+    not the tag, is what places an event in an iteration.
 
-    The result is total: malformed input (bad nesting, unparseable
-    lines) is recorded in {!t.errors} and analysis continues, so a
-    truncated or damaged trace still yields a partial timeline. *)
+    The result is total: bad nesting (a ring that wrapped mid-span, an
+    aborted run) is recorded in {!t.errors} and analysis continues, so a
+    truncated trace still yields a partial timeline. *)
 
-type kind = Span_begin | Span_end | Count | Gauge
-
-type ev = {
-  seq : int;
-  kind : kind;
-  name : string;
-  iter : int;  (** the emitter's coordinate: scheme iteration for scheme
-                   probes, absolute network round for [net.*] events *)
-  arg : int;  (** secondary coordinate: party, directed link, position *)
-  ival : int;  (** count value ([Count] only) *)
-  fval : float;  (** gauge value ([Gauge] only) *)
+type attributed = {
+  phase : string;  (** innermost [phase.*] span, [""] outside *)
+  ev : Trace.Sink.event;
+      (** [iter] is the emitter's coordinate: scheme iteration for
+          scheme probes, absolute network round for [net.*] events;
+          a count's [arg] is its secondary coordinate (party, directed
+          link, position) *)
 }
-
-type attributed = { phase : string;  (** innermost [phase.*] span, [""] outside *) ev : ev }
 
 type iteration = {
   index : int;  (** the scheme iteration (the span's [iter] tag) *)
@@ -49,21 +42,17 @@ type t = {
       (** per-counter value sums recomputed from the retained events,
           nonzero entries only, sorted by name *)
   counter_totals : (string * int) list;
-      (** authoritative drop-proof totals when built {!of_sink} (the
-          sink's side tables); equal to [counter_sums] when re-parsed
-          from an export, which carries no side tables *)
-  first_seq : int;  (** sequence number of the first retained event *)
+      (** authoritative drop-proof totals (the sink's side tables) *)
+  first_seq : int;
+      (** sequence number of the first retained event
+          ({!Trace.Sink.dropped}) *)
   truncated : bool;  (** [first_seq > 0]: the ring dropped a prefix *)
-  errors : string list;  (** nesting/parse violations, in order *)
+  errors : string list;  (** nesting violations, in order *)
 }
 
 val of_sink : Trace.Sink.t -> t
-(** Build from a live sink; [counter_totals] and [truncated] come from
-    the sink's drop-proof bookkeeping. *)
-
-val of_jsonl : string -> t
-(** Re-parse a {!Trace.Export.jsonl} export (either flavour; wall-clock
-    [ts] fields are ignored).  Unparseable lines land in [errors]. *)
+(** Build from a sink's retained events; [counter_totals] and
+    [truncated] come from its drop-proof bookkeeping. *)
 
 val count : iteration -> string -> int
 (** Summed value of a counter within one iteration (0 if absent). *)

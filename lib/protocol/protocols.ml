@@ -336,5 +336,3 @@ let random_chatter graph ~rounds ~density ~seed =
   in
   let spawn ~party:_ ~input = digest_machine ~input in
   Pi.{ graph; rounds; sends_at; spawn }
-
-let digest_outputs pi ~inputs = Pi.run_noiseless pi ~inputs

@@ -43,6 +43,3 @@ val random_chatter : Topology.Graph.t -> rounds:int -> density:float -> seed:int
     history, so that any uncorrected corruption changes some output with
     overwhelming probability.  The universal workload for property
     tests. *)
-
-val digest_outputs : Pi.t -> inputs:int array -> int array
-(** Convenience alias for {!Pi.run_noiseless}. *)

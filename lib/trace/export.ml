@@ -6,19 +6,18 @@
    no intermediate event list is materialized (at a full 32k-event ring
    that list was a measurable serialization cost). *)
 
-let deconstruct ev =
-  match ev with
-  | Sink.Span_begin { seq; ts; _ }
-  | Sink.Span_end { seq; ts; _ }
-  | Sink.Count { seq; ts; _ }
-  | Sink.Gauge { seq; ts; _ } ->
-      (seq, ts)
-
 (* Timestamp: logical seq when [timing] is off, else wall-clock
    microseconds relative to the first retained event (whose own ts is
    latched on first sight — the stream is oldest-first). *)
 let ts_of ~timing ~t0 ev =
-  let seq, ts = deconstruct ev in
+  let seq, ts =
+    match ev with
+    | Sink.Span_begin { seq; ts; _ }
+    | Sink.Span_end { seq; ts; _ }
+    | Sink.Count { seq; ts; _ }
+    | Sink.Gauge { seq; ts; _ } ->
+        (seq, ts)
+  in
   if Float.is_nan !t0 then t0 := ts;
   if timing then Printf.sprintf "%.3f" ((ts -. !t0) *. 1e6) else string_of_int seq
 
@@ -59,31 +58,29 @@ let chrome ?(timing = false) sink =
        (Sink.seq sink) (Sink.dropped sink));
   Buffer.contents b
 
-let jsonl ?(timing = false) sink =
-  let t0 = ref Float.nan in
+let jsonl sink =
   let b = Buffer.create 4096 in
-  let wall ev = if timing then Printf.sprintf ",\"ts\":%s" (ts_of ~timing ~t0 ev) else "" in
   let emit ev =
     (match ev with
     | Sink.Span_begin { name; iter; seq; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_begin\",\"name\":%s,\"iter\":%d%s}" seq
-             (Util.Json.str name) iter (wall ev))
+          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_begin\",\"name\":%s,\"iter\":%d}" seq
+             (Util.Json.str name) iter)
     | Sink.Span_end { name; iter; seq; _ } ->
         Buffer.add_string b
-          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_end\",\"name\":%s,\"iter\":%d%s}" seq
-             (Util.Json.str name) iter (wall ev))
+          (Printf.sprintf "{\"seq\":%d,\"kind\":\"span_end\",\"name\":%s,\"iter\":%d}" seq
+             (Util.Json.str name) iter)
     | Sink.Count { name; iter; arg; value; seq; _ } ->
         Buffer.add_string b
           (Printf.sprintf
-             "{\"seq\":%d,\"kind\":\"count\",\"name\":%s,\"iter\":%d,\"arg\":%d,\"value\":%d%s}"
-             seq (Util.Json.str name) iter arg value (wall ev))
+             "{\"seq\":%d,\"kind\":\"count\",\"name\":%s,\"iter\":%d,\"arg\":%d,\"value\":%d}"
+             seq (Util.Json.str name) iter arg value)
     | Sink.Gauge { name; iter; value; seq; _ } ->
         Buffer.add_string b
           (Printf.sprintf "{\"seq\":%d,\"kind\":\"gauge\",\"name\":%s,\"iter\":%d,\"value\":" seq
              (Util.Json.str name) iter);
         Buffer.add_string b (Util.Json.num value);
-        Buffer.add_string b (Printf.sprintf "%s}" (wall ev)));
+        Buffer.add_char b '}');
     Buffer.add_char b '\n'
   in
   Sink.iter sink emit;

@@ -44,7 +44,6 @@ let k_gauge = 3
 
 type t = {
   enabled : bool;
-  mutable on : bool; (* enabled && not muted — the hot-path branch *)
   profile : bool;
   capacity : int;
   kinds : int array;
@@ -67,7 +66,6 @@ let create ?(capacity = 32768) ?(profile = false) () =
   let side = max 16 (Array.length (Atomic.get table).names) in
   {
     enabled = true;
-    on = true;
     profile;
     capacity;
     kinds = Array.make capacity 0;
@@ -89,7 +87,6 @@ let disabled =
   let empty = [| 0 |] in
   {
     enabled = false;
-    on = false;
     profile = false;
     capacity = 1;
     kinds = empty;
@@ -110,8 +107,6 @@ let disabled =
 let is_enabled t = t.enabled
 let profiled t = t.profile
 let capacity t = t.capacity
-let set_muted t m = t.on <- t.enabled && not m
-let muted t = t.enabled && not t.on
 
 (* [a] copied into the front of a fresh [len]-long array of [fill]. *)
 let extend a len fill =
@@ -128,7 +123,10 @@ let grow_side t id =
   t.gset <- extend t.gset cap false
 
 (* The hot-path writer: array stores only, no allocation (the optional
-   profile stores cost one [Gc.counters] call, profiled sinks only). *)
+   profile stores read the Gc counters, profiled sinks only).  Minor
+   words come from [Gc.minor_words], which counts the young heap up to
+   its current allocation pointer; [Gc.counters]' minor figure lags it
+   between collections. *)
 let[@inline] push t kind id iter ival arg fval =
   let s = t.seq mod t.capacity in
   t.kinds.(s) <- kind;
@@ -139,14 +137,14 @@ let[@inline] push t kind id iter ival arg fval =
   t.fvals.(s) <- fval;
   t.tss.(s) <- Unix.gettimeofday ();
   if t.profile then begin
-    let mn, _, mj = Gc.counters () in
-    t.mnr.(s) <- mn;
+    let _, _, mj = Gc.counters () in
+    t.mnr.(s) <- Gc.minor_words ();
     t.mjr.(s) <- mj
   end;
   t.seq <- t.seq + 1
 
-let span_begin t ~id ~iter = if t.on then push t k_span_begin id iter 0 (-1) 0.
-let span_end t ~id ~iter = if t.on then push t k_span_end id iter 0 (-1) 0.
+let span_begin t ~id ~iter = if t.enabled then push t k_span_begin id iter 0 (-1) 0.
+let span_end t ~id ~iter = if t.enabled then push t k_span_end id iter 0 (-1) 0.
 
 (* Side-table updates. *)
 let[@inline] add_total t id v =
@@ -159,13 +157,13 @@ let[@inline] set_last t id v =
   t.gset.(id) <- true
 
 let count t ~id ?(iter = -1) ?(arg = -1) v =
-  if t.on then begin
+  if t.enabled then begin
     add_total t id v;
     push t k_count id iter v arg 0.
   end
 
 let gauge t ~id ?(iter = -1) v =
-  if t.on then begin
+  if t.enabled then begin
     set_last t id v;
     push t k_gauge id iter 0 (-1) v
   end
@@ -232,6 +230,5 @@ let gauge_lasts t = side_list t (fun id -> t.gset.(id)) (fun id -> t.glast.(id))
 
 let reset t =
   t.seq <- 0;
-  t.on <- t.enabled;
   Array.fill t.totals 0 (Array.length t.totals) 0;
   Array.fill t.gset 0 (Array.length t.gset) false

@@ -44,14 +44,6 @@ val profiled : t -> bool
 val capacity : t -> int
 (** The ring size the sink was created with. *)
 
-val set_muted : t -> bool -> unit
-(** Sampling support: a muted sink drops every probe after the usual
-    single branch (side tables included — totals of a sampled trace
-    cover the sampled iterations only).  Muting a disabled sink is a
-    no-op; unmuting never enables a disabled sink. *)
-
-val muted : t -> bool
-
 val declare : string -> int
 (** The process-wide id of an event name, allocated on first sight and
     the same on every sink and every domain thereafter.  Emitting

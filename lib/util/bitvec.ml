@@ -123,11 +123,6 @@ let append dst src =
   done;
   if n > 0 then or_word dst (load src.data (n - 1)) ~bits:(src.len - (64 * (n - 1)))
 
-let pp ppf t =
-  for i = 0 to t.len - 1 do
-    Format.pp_print_char ppf (if get t i then '1' else '0')
-  done
-
 let popcount x =
   let x = Int64.sub x Int64.(logand (shift_right_logical x 1) 0x5555555555555555L) in
   let x =

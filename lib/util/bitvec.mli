@@ -59,8 +59,6 @@ val equal_prefix : t -> t -> bits:int -> bool
 val append : t -> t -> unit
 (** [append dst src] appends all bits of [src] to [dst]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val popcount : int64 -> int
 (** Number of set bits of a word (exposed for the hash). *)
 

@@ -3,8 +3,8 @@
     The repo writes JSON in four places — trace exports
     ([Trace.Export]), metric snapshots ([Metrics.Expo]), bench and run
     reports, and the observatory history ([Obsv.Observatory]) — and
-    re-parses its own artifacts: JSONL trace exports
-    ([Obsv.Timeline.of_jsonl]), BENCH_*.json files and scenarios.  No
+    re-parses its own artifacts: BENCH_*.json files, the observatory
+    history and scenarios.  No
     JSON library is installed, so the reader is the subset those writers
     emit: the standard scalar/array/object grammar, [\uXXXX] escapes
     decoded as raw bytes, numbers as OCaml floats, and [null] for the

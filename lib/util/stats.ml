@@ -29,8 +29,6 @@ let percentile_arr p xs =
   end
 
 let median xs = percentile 0.5 xs
-let minimum = function [] -> nan | xs -> List.fold_left min (List.hd xs) xs
-let maximum = function [] -> nan | xs -> List.fold_left max (List.hd xs) xs
 
 let wilson_interval ~successes ~trials =
   if trials = 0 then (0., 1.)
@@ -50,8 +48,8 @@ let wilson_interval ~successes ~trials =
 let histogram ~bins xs =
   match xs with
   | [] -> [||]
-  | _ ->
-      let lo = minimum xs and hi = maximum xs in
+  | x :: _ ->
+      let lo = List.fold_left min x xs and hi = List.fold_left max x xs in
       let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1. in
       let counts = Array.make bins 0 in
       List.iter

@@ -10,9 +10,6 @@ val percentile_arr : float -> float array -> float
 (** [percentile_arr p xs]: nearest-rank percentile of an array (sorts a
     copy; the argument is not modified).  nan on the empty array. *)
 
-val minimum : float list -> float
-val maximum : float list -> float
-
 val wilson_interval : successes:int -> trials:int -> float * float
 (** 95% Wilson score interval for a binomial proportion. *)
 

@@ -361,7 +361,7 @@ let test_serial_ragged_deterministic () =
     let sink = Trace.Sink.create () and reg = Metrics.Registry.create () in
     let o = run_backend ?rounds ~sink ~metrics:reg ~backend ~adv ~seed:21 g in
     Alcotest.(check string) (name ^ ": trace export digest") trace
-      (digest (Trace.Export.jsonl ~timing:false sink));
+      (digest (Trace.Export.jsonl sink));
     Alcotest.(check string) (name ^ ": exact metrics digest") exact
       (digest (Metrics.Expo.exact_json (Metrics.Registry.snapshot reg)));
     o
@@ -417,7 +417,7 @@ let test_ragged_is_keyed_jitter () =
         (Netsim.Adversary.iid (Util.Rng.create 99) ~rate:0.002)
     in
     ( outcome,
-      Trace.Export.jsonl ~timing:false sink,
+      Trace.Export.jsonl sink,
       Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) )
   in
   let o, tr, m = go () and o_ref, tr_ref, m_ref = go () in
@@ -519,7 +519,7 @@ let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
       done);
   ( got,
     Network.stats net,
-    Trace.Export.jsonl ~timing:false sink,
+    Trace.Export.jsonl sink,
     Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) )
 
 let mp_adversaries =

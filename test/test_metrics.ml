@@ -317,7 +317,7 @@ let test_aborted_run_names_its_phase () =
   (* At 2 shards the run aborts at the same round with the same books,
      and its trace is the serial one, event for event: the timing-free
      export of the aborted run is pinned at 1 and 2 shards alike. *)
-  let export_digest sink = Digest.to_hex (Digest.string (Trace.Export.jsonl ~timing:false sink)) in
+  let export_digest sink = Digest.to_hex (Digest.string (Trace.Export.jsonl sink)) in
   let sink1 = Trace.Sink.create () and sink2 = Trace.Sink.create () in
   ignore (scheme_exact ~sink:sink1 ~adversary ());
   Alcotest.(check string) "aborted export digest" "5d4b97b4e25f4327c087bf28847ebd78"

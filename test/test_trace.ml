@@ -120,8 +120,7 @@ let test_profile_alloc () =
   let s = Sink.declare "phase.x" in
   Sink.span_begin t ~id:s ~iter:0;
   (* Small blocks so the allocation lands in the minor heap (a large
-     array would go straight to the major heap); generously many of
-     them, because Gc.counters only sees flushed allocation chunks. *)
+     array would go straight to the major heap). *)
   ignore (Sys.opaque_identity (List.init 100_000 (fun i -> i)));
   Sink.span_end t ~id:s ~iter:0;
   (match (Sink.alloc_words t ~seq:0, Sink.alloc_words t ~seq:1) with
@@ -160,12 +159,12 @@ let test_export_deterministic () =
     t
   in
   let a = mk () and b = mk () in
-  Alcotest.(check string) "jsonl identical" (Export.jsonl ~timing:false a)
-    (Export.jsonl ~timing:false b);
+  Alcotest.(check string) "jsonl identical" (Export.jsonl a)
+    (Export.jsonl b);
   Alcotest.(check string) "chrome identical" (Export.chrome ~timing:false a)
     (Export.chrome ~timing:false b);
   (* Timing-free output carries no wall-clock field. *)
-  let lines = String.split_on_char '\n' (Export.jsonl ~timing:false a) in
+  let lines = String.split_on_char '\n' (Export.jsonl a) in
   List.iter
     (fun l ->
       let has_ts =
@@ -246,14 +245,14 @@ let test_scheme_collision_probe () =
   Alcotest.(check int) "no events dropped" 0 (Sink.dropped sink);
   Alcotest.(check int) "mp.hash_collision total" 116 (Sink.counter_total sink "mp.hash_collision");
   Alcotest.(check string) "export digest" "7aecc0122fd5d86d5bbeb5938d40d7a4"
-    (Digest.to_hex (Digest.string (Export.jsonl ~timing:false sink)))
+    (Digest.to_hex (Digest.string (Export.jsonl sink)))
 
 (* ---------- shard counts ---------- *)
 
 (* Shard invariance of the trace: a traced run on the live backend
    exports byte-identically to the lockstep oracle at ragged depth 0,
    for shards in {1, 2, 4}, with identical outcomes. *)
-let scheme_export ~backend ?(sample = 1) () =
+let scheme_export ~backend () =
   let g = Topology.Graph.cycle 8 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 g in
@@ -262,14 +261,12 @@ let scheme_export ~backend ?(sample = 1) () =
     Faults.Plan.make ~key:"test-sharded"
       [ Faults.Plan.Crash { party = 1; at_iteration = 2; recover_at = None } ]
   in
-  let config =
-    Coding.Scheme.Config.make ~sink ~faults ~backend ~trace_sample_every:sample ()
-  in
+  let config = Coding.Scheme.Config.make ~sink ~faults ~backend () in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi
       (Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.002)
   in
-  (outcome, Export.jsonl ~timing:false sink, sink)
+  (outcome, Export.jsonl sink, sink)
 
 let outcome_fingerprint = function
   | Faults.Outcome.Completed r | Faults.Outcome.Degraded (r, _) ->
@@ -294,22 +291,6 @@ let test_sharded_byte_identity () =
         (Printf.sprintf "export byte-identical at shards=%d" shards)
         oracle live)
     [ 1; 2; 4 ]
-
-let test_sharded_sampling () =
-  (* Sampling mutes whole iterations identically on both backends, keeps
-     setup and the output phase, and strictly shrinks the stream. *)
-  let _, full, _ = scheme_export ~backend:Coding.Scheme.Lockstep () in
-  let _, oracle, _ = scheme_export ~backend:Coding.Scheme.Lockstep ~sample:2 () in
-  let _, live, _ =
-    scheme_export
-      ~backend:(Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:0 ()))
-      ~sample:2 ()
-  in
-  Alcotest.(check string) "sampled export engine-independent" oracle live;
-  Alcotest.(check bool) "sampling shrinks the stream" true
-    (String.length oracle < String.length full);
-  Alcotest.(check bool) "sampled stream keeps spans" true
-    (String.length oracle > 0)
 
 let test_sharded_ragged_well_ordered () =
   (* Ragged depth > 0 (keyed jitter, 2 shards): the run must finish and
@@ -379,13 +360,12 @@ let test_traced_scheme_run () =
   | None -> Alcotest.fail "phi gauge never fired");
   (* Byte-identical replay of the timing-free export. *)
   let _, sink2 = traced_run () in
-  Alcotest.(check string) "replay identical" (Export.jsonl ~timing:false sink)
-    (Export.jsonl ~timing:false sink2)
+  Alcotest.(check string) "replay identical" (Export.jsonl sink)
+    (Export.jsonl sink2)
 
 (* One noisy run under all five fault kinds on a 3×3 grid, traced and
    metered: the subject of the export goldens and of the cross-surface
-   consistency check.  Sampling stays off — a sampled trace's totals
-   cover the sampled iterations only, by design. *)
+   consistency check. *)
 let probe_run ~shards ~ragged_d =
   let g = Topology.Graph.grid ~rows:3 ~cols:3 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:16 in
@@ -415,7 +395,7 @@ let test_export_golden () =
   let _, sink, snap = probe_run ~shards:1 ~ragged_d:0 in
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
   let digest s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "jsonl export digest" "652ee6777e54460c3da7b97f1cce391c" (digest (Export.jsonl ~timing:false sink));
+  Alcotest.(check string) "jsonl export digest" "652ee6777e54460c3da7b97f1cce391c" (digest (Export.jsonl sink));
   Alcotest.(check string) "exact metrics digest" "5c1d059d02e60a4cfa8bd08530be7397" (digest (Metrics.Expo.exact_json snap))
 
 (* Every surface books the same events: trace counter totals, Exact
@@ -488,7 +468,6 @@ let () =
       ( "sharded",
         [
           Alcotest.test_case "byte-identity vs lockstep" `Quick test_sharded_byte_identity;
-          Alcotest.test_case "sampling" `Quick test_sharded_sampling;
           Alcotest.test_case "ragged well-ordered" `Quick test_sharded_ragged_well_ordered;
         ] );
       ( "surfaces",
