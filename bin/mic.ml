@@ -147,18 +147,8 @@ let replay_attack ~postmortem path =
       in
       if postmortem then begin
         (* Re-run trial 0 with an enabled sink for the diagnosis. *)
-        let graph = Advsearch.Scenario.graph_of_topology sc.Advsearch.Scenario.topology in
-        let params =
-          Advsearch.Scenario.params_of_algorithm sc.Advsearch.Scenario.algorithm graph
-        in
-        let pi = Advsearch.Scenario.workload ~rounds:sc.Advsearch.Scenario.rounds graph in
-        let inst = Coding.Attacks.instantiate ~graph sc.Advsearch.Scenario.candidate in
         let sink = Trace.Sink.create () in
-        ignore
-          (Coding.Scheme.run_outcome
-             ~config:(Coding.Scheme.Config.make ~sink ?spy_hook:inst.Coding.Attacks.spy_hook ())
-             ~rng:(Runner.Pool.trial_rng ~key:sc.Advsearch.Scenario.key 0)
-             params pi inst.Coding.Attacks.adversary);
+        ignore (Advsearch.Scenario.run_trial ~sink sc 0);
         Format.printf "%a" Obsv.Postmortem.pp (Obsv.Postmortem.analyze (Obsv.Timeline.of_sink sink))
       end;
       (match Advsearch.Scenario.check ~jobs:1 sc with

@@ -192,14 +192,14 @@ type trial_replay = {
   hunter_hits : int;
 }
 
-let run_trial sc trial =
+let run_trial ?(sink = Trace.Sink.disabled) sc trial =
   let graph = graph_of_topology sc.topology in
   let params = params_of_algorithm sc.algorithm graph in
   let pi = workload ~rounds:sc.rounds graph in
   (* Fresh instance (and stats record) inside the trial: the multicore
      contract of Attacks.instantiate. *)
   let inst = Coding.Attacks.instantiate ~graph sc.candidate in
-  let config = Coding.Scheme.Config.make ?spy_hook:inst.Coding.Attacks.spy_hook () in
+  let config = Coding.Scheme.Config.make ~sink ?spy_hook:inst.Coding.Attacks.spy_hook () in
   let outcome =
     Coding.Scheme.run_outcome ~config
       ~rng:(Runner.Pool.trial_rng ~key:sc.key trial)

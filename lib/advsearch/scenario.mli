@@ -14,7 +14,8 @@
     identical {!trial_replay} lists at any job count, and a parsed
     scenario replays identically to the in-memory record it was
     serialized from.  Replays run untraced; [mic run --attack FILE
-    --postmortem] re-runs trial 0 traced for the diagnosis. *)
+    --postmortem] re-runs trial 0 into an enabled sink ({!run_trial}
+    [~sink]) for the diagnosis. *)
 
 type t = {
   version : int;  (** format version; currently {!version} *)
@@ -70,8 +71,10 @@ type trial_replay = {
   hunter_hits : int;
 }
 
-val run_trial : t -> int -> trial_replay
-(** Replay one trial (deterministic; see the module comment). *)
+val run_trial : ?sink:Trace.Sink.t -> t -> int -> trial_replay
+(** Replay one trial (deterministic; see the module comment).  [sink]
+    (default {!Trace.Sink.disabled}) receives the run's trace events;
+    it does not change the replay. *)
 
 val replay : ?jobs:int -> t -> trial_replay list
 (** All trials through {!Runner.Pool}, merged in trial order.  [jobs]

@@ -79,9 +79,10 @@ let env ~algorithm ~topology ~rounds =
 
 (* ---------- one run, one candidate, one trial ---------- *)
 
-(* Identical to Scenario.run_trial's execution (same sink capacity, same
-   config shape, same trial-rng derivation), so a scenario whose [key]
-   is an eval's candidate key replays the search's runs byte-for-byte. *)
+(* Scenario.run_trial's execution with a sink (same config shape, same
+   trial-rng derivation; a sink does not change a run), so a scenario
+   whose [key] is an eval's candidate key replays the search's runs
+   byte-for-byte. *)
 let run_candidate env cand ~key trial =
   let inst = Coding.Attacks.instantiate ~graph:env.graph cand in
   let sink = Trace.Sink.create ~capacity:65536 () in

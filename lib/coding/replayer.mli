@@ -14,10 +14,20 @@
     costs O(the party's own slots).  The live simulation phase walks the
     same view, which is what keeps a replay equal to the live run.
 
-    Replays are cached: as long as no transcript of the party has been
-    truncated since the last replay (checked via transcript versions),
-    the cached machine is advanced incrementally instead of rebuilt, so
-    an error-free simulation costs O(1) replays per chunk. *)
+    Replays resume from checkpoints.  A checkpoint is a machine after
+    chunks 1..s together with each link's {!Transcript.stamp} at s; it is
+    current while every link still holds s chunks with those stamps
+    (O(degree) integer compares).  The replayer keeps the last stored
+    machine, handed back uncopied when it is current and at or below
+    the target, so an error-free simulation feeds O(1) chunks per
+    iteration.  From the party's first miss on, it also keeps a ladder of
+    {!Protocol.Pi.machine} snapshots taken at every 4th stored chunk and
+    thinned with distance (about two per doubling, so O(log n_real)):
+    a miss copies the newest current rung at or below the target and
+    feeds only the chunks after it, and re-spawns only when no rung is
+    current.  A rewind of depth D thus replays about D/2 + 4 chunks
+    rather than the whole prefix.  A run that never misses takes no
+    snapshots. *)
 
 type t
 
@@ -32,14 +42,17 @@ val machine_at :
     the link to the party's [j]-th neighbour, in [Graph.neighbors] order
     (the view's neighbour index).  Each transcript must hold at least
     [upto] chunks.  The returned machine is live: the caller may keep
-    advancing it (the cache hands out ownership until the next call). *)
+    advancing it (the cache hands out ownership until the next call;
+    rungs are never handed out, only copies of them). *)
 
 val store :
   t -> machine:Protocol.Pi.machine -> upto:int -> transcripts:(int -> Transcript.t) -> unit
 (** Give a machine back to the cache, asserting that its state equals a
     replay of chunks 1..upto of the current transcripts.  The simulation
     phase calls this after a fully-successful chunk, making error-free
-    simulation cost O(1) replayed chunks per iteration. *)
+    simulation cost O(1) replayed chunks per iteration.  Once the party
+    has missed, a store at a multiple of 4 also takes a rung (one
+    {!Protocol.Pi.machine.snapshot}). *)
 
 val output : t -> transcripts:(int -> Transcript.t) -> upto:int -> int
 (** The party's Π-output after [upto] chunks. *)

@@ -10,7 +10,9 @@
     followed by the symbols, exactly the encoding the hashes of the
     meeting-points mechanism are computed over (the chunk number makes
     prefixes of different lengths hash differently, the issue footnote 11
-    of the paper addresses).  Truncation (rewinding) is O(1). *)
+    of the paper addresses).  Truncation (rewinding) is O(1).  Each
+    chunk carries a prefix {!stamp}, which is how replay checkpoints
+    tell that the prefix they were built from is still current. *)
 
 type symbol = int
 (** 0 = ∗ (missing), 2 = bit 0, 3 = bit 1. *)
@@ -24,10 +26,6 @@ val create : unit -> t
 
 val length : t -> int
 (** Number of chunks. *)
-
-val version : t -> int
-(** Incremented on every truncation — lets replay caches detect that a
-    prefix they replayed is gone. *)
 
 val chunks_rewound : t -> int
 (** Total chunks ever removed by truncation — the "rework" this endpoint
@@ -45,8 +43,9 @@ val truncate : t -> int -> unit
 val corrupt : t -> chunk:int -> event:int -> unit
 (** Bit-rot injection: silently flip the stored symbol at position
     [event] of chunk [chunk] (1-based; bits flip 0↔1, a ∗ becomes bit 0)
-    and rebuild the serialization, so subsequent hashes are computed over
-    the rotted record.  Bumps [version].  Rows shared with earlier
+    and rebuild the serialization from that chunk on, so subsequent
+    hashes are computed over the rotted record.  Restamps chunks
+    [chunk..length] (see {!stamp}).  Rows shared with earlier
     {!copy} snapshots are left pristine.  Raises [Invalid_argument] when
     the coordinates are out of range. *)
 
@@ -56,6 +55,16 @@ val serialized : t -> Util.Bitvec.t
 val serialized_bits : t -> int
 val prefix_bits : t -> int -> int
 (** Bit length of the serialization of the first [i] chunks. *)
+
+val stamp : t -> int -> int
+(** [stamp t i] names the prefix of chunks 1..[i] ([0 <= i <= length]):
+    it changes exactly when one of those chunks changes — a push after
+    a truncation below [i] stamps the new chunk [i], and {!corrupt}
+    restamps every chunk from the rotted one on — and a truncation
+    that keeps chunk [i] keeps it ([stamp t 0] is always 0).  A stamp
+    is never reused within one transcript, so a replay cache that
+    recorded [stamp t s] knows its chunks 1..s are still current
+    while [s <= length t] and the stamp still reads the same.  O(1). *)
 
 val same_prefix : t -> t -> int -> bool
 (** [same_prefix a b p]: the first [p] chunks of [a] and [b] serialize

@@ -12,8 +12,7 @@ let sequence p q =
     invalid_arg "Combinators.sequence: protocols over different graphs";
   let r1 = p.Pi.rounds in
   let sends_at r = if r < r1 then p.Pi.sends_at r else q.Pi.sends_at (r - r1) in
-  let spawn ~party ~input =
-    let m1 = p.Pi.spawn ~party ~input and m2 = q.Pi.spawn ~party ~input in
+  let rec machine m1 m2 =
     Pi.
       {
         send =
@@ -23,8 +22,10 @@ let sequence p q =
           (fun ~round ~src bit ->
             if round < r1 then m1.recv ~round ~src bit else m2.recv ~round:(round - r1) ~src bit);
         output = (fun () -> combine_outputs (m1.output ()) (m2.output ()));
+        snapshot = (fun () -> machine (m1.snapshot ()) (m2.snapshot ()));
       }
   in
+  let spawn ~party ~input = machine (p.Pi.spawn ~party ~input) (q.Pi.spawn ~party ~input) in
   Pi.{ graph = p.Pi.graph; rounds = r1 + q.Pi.rounds; sends_at; spawn }
 
 let repeat k p =

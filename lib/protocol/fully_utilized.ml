@@ -32,8 +32,7 @@ let of_pi pi =
       sched @ List.filter (fun d -> not (Hashtbl.mem set d)) dirs
     end
   in
-  let spawn ~party ~input =
-    let inner = pi.Pi.spawn ~party ~input in
+  let rec machine ~party inner =
     Pi.
       {
         send =
@@ -43,8 +42,10 @@ let of_pi pi =
           (fun ~round ~src bit ->
             if Hashtbl.mem (scheduled round) (src, party) then inner.recv ~round ~src bit);
         output = inner.output;
+        snapshot = (fun () -> machine ~party (inner.snapshot ()));
       }
   in
+  let spawn ~party ~input = machine ~party (pi.Pi.spawn ~party ~input) in
   Pi.{ graph = pi.Pi.graph; rounds = pi.Pi.rounds; sends_at; spawn }
 
 let expansion pi =

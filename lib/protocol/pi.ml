@@ -2,6 +2,7 @@ type machine = {
   send : round:int -> dst:int -> bool;
   recv : round:int -> src:int -> bool -> unit;
   output : unit -> int;
+  snapshot : unit -> machine;
 }
 
 type t = {
@@ -19,15 +20,17 @@ let cc t =
   !total
 
 let validate t =
+  (* [seen.(d)] is the last round that scheduled directed link [d]. *)
+  let seen = Array.make (2 * Topology.Graph.m t.graph) (-1) in
   for r = 0 to t.rounds - 1 do
-    let seen = Hashtbl.create 8 in
     List.iter
       (fun (u, v) ->
         if not (Topology.Graph.are_adjacent t.graph u v) then
           invalid_arg (Printf.sprintf "Pi.validate: round %d schedules non-adjacent %d->%d" r u v);
-        if Hashtbl.mem seen (u, v) then
+        let d = Topology.Graph.dir_id t.graph ~src:u ~dst:v in
+        if seen.(d) = r then
           invalid_arg (Printf.sprintf "Pi.validate: round %d schedules %d->%d twice" r u v);
-        Hashtbl.add seen (u, v) ())
+        seen.(d) <- r)
       (t.sends_at r)
   done
 

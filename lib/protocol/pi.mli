@@ -8,8 +8,11 @@
     {!machine}s: deterministic state machines over (input, received bits).
 
     The machine interface is re-entrant by construction: the coding scheme
-    re-[spawn]s a machine and replays stored transcripts into it whenever
-    it needs to (re-)simulate a chunk after a rewind. *)
+    rebuilds a machine from stored transcripts whenever it needs to
+    (re-)simulate a chunk after a rewind.  Machines can be copied
+    ([snapshot]), so that rebuild resumes from a checkpoint copy taken
+    at an earlier chunk instead of re-[spawn]ing and replaying from
+    chunk 1. *)
 
 type machine = {
   send : round:int -> dst:int -> bool;
@@ -21,6 +24,11 @@ type machine = {
   output : unit -> int;
       (** The party's output given the history so far (computable at any
           point; meaningful after the last round). *)
+  snapshot : unit -> machine;
+      (** An independent machine in the same state: advancing either
+          one leaves the other's later sends and output unchanged, and
+          the copy behaves exactly as a fresh [spawn] given the same calls
+          would.  O(the machine's state). *)
 }
 
 type t = {
@@ -38,7 +46,8 @@ val cc : t -> int
 
 val validate : t -> unit
 (** Check the schedule invariants (adjacency, no duplicate directed link
-    in a round); raises [Invalid_argument] on violation. *)
+    in a round); raises [Invalid_argument] on violation.  Keeps one
+    round stamp per directed link, no table per round. *)
 
 val run_noiseless : t -> inputs:int array -> int array
 (** Reference execution over a perfect network; returns per-party

@@ -10,8 +10,7 @@ let mix d x =
 (* A machine whose sends are digest-derived bits and whose output is the
    digest of its whole history — used by protocols whose purpose is to be
    corruption-sensitive rather than to compute something meaningful. *)
-let digest_machine ~input =
-  let d = ref (mix 1 input) in
+let rec digest_machine d =
   Pi.
     {
       send =
@@ -25,6 +24,7 @@ let digest_machine ~input =
         (fun ~round ~src bit ->
           d := mix !d ((round * 4093) + (src * 2) + if bit then 1 else 0));
       output = (fun () -> !d);
+      snapshot = (fun () -> digest_machine (ref !d));
     }
 
 let ring_sum ~n ~bits =
@@ -42,29 +42,27 @@ let ring_sum ~n ~bits =
   in
   let spawn ~party:_ ~input =
     let x = input land mask in
-    let incoming = ref 0 in
-    let last_complete = ref 0 in
-    let completed_hops = ref 0 in
-    Pi.
-      {
-        send =
-          (fun ~round ~dst:_ ->
-            let hop = round / bits and j = round mod bits in
-            (* First lap (hop < n): forward partial sum + my input.
-               Second lap: forward the total unchanged. *)
-            let value = if hop < n then (!last_complete + x) land mask else !last_complete in
-            (value lsr j) land 1 = 1);
-        recv =
-          (fun ~round ~src:_ bit ->
-            let j = round mod bits in
-            if j = 0 then incoming := 0;
-            if bit then incoming := !incoming lor (1 lsl j);
-            if j = bits - 1 then begin
-              last_complete := !incoming;
-              incr completed_hops
-            end);
-        output = (fun () -> !last_complete);
-      }
+    let rec machine incoming last_complete =
+      Pi.
+        {
+          send =
+            (fun ~round ~dst:_ ->
+              let hop = round / bits and j = round mod bits in
+              (* First lap (hop < n): forward partial sum + my input.
+                 Second lap: forward the total unchanged. *)
+              let value = if hop < n then (!last_complete + x) land mask else !last_complete in
+              (value lsr j) land 1 = 1);
+          recv =
+            (fun ~round ~src:_ bit ->
+              let j = round mod bits in
+              if j = 0 then incoming := 0;
+              if bit then incoming := !incoming lor (1 lsl j);
+              if j = bits - 1 then last_complete := !incoming);
+          output = (fun () -> !last_complete);
+          snapshot = (fun () -> machine (ref !incoming) (ref !last_complete));
+        }
+    in
+    machine (ref 0) (ref 0)
   in
   Pi.{ graph; rounds; sends_at; spawn }
 
@@ -82,7 +80,7 @@ let line_flow ~n ~phases ~chat =
         let c = off - (n - 1) in
         if c mod 2 = 0 then [ (n - 2, n - 1) ] else [ (n - 1, n - 2) ]
   in
-  let spawn ~party:_ ~input = digest_machine ~input in
+  let spawn ~party:_ ~input = digest_machine (ref (mix 1 input)) in
   Pi.{ graph; rounds; sends_at; spawn }
 
 let broadcast_tree graph ~bits =
@@ -120,26 +118,28 @@ let broadcast_tree graph ~bits =
   let mask = (1 lsl bits) - 1 in
   let spawn ~party ~input =
     let is_root = party = tree.Topology.Graph.root in
-    let value = ref (if is_root then input land mask else 0) in
-    let child_parity = ref 0 in
-    Pi.
-      {
-        send =
-          (fun ~round ~dst:_ ->
-            if round < down_rounds then (!value lsr (round mod bits)) land 1 = 1
-            else
-              (* Upward parity: parity of my value xor parities received
-                 from my children. *)
-              ((Util.Bitvec.popcount (Int64.of_int !value) + !child_parity) land 1) = 1);
-        recv =
-          (fun ~round ~src:_ bit ->
-            if round < down_rounds then begin
-              let j = round mod bits in
-              if bit then value := !value lor (1 lsl j)
-            end
-            else if bit then child_parity := !child_parity + 1);
-        output = (fun () -> !value);
-      }
+    let rec machine value child_parity =
+      Pi.
+        {
+          send =
+            (fun ~round ~dst:_ ->
+              if round < down_rounds then (!value lsr (round mod bits)) land 1 = 1
+              else
+                (* Upward parity: parity of my value xor parities received
+                   from my children. *)
+                ((Util.Bitvec.popcount (Int64.of_int !value) + !child_parity) land 1) = 1);
+          recv =
+            (fun ~round ~src:_ bit ->
+              if round < down_rounds then begin
+                let j = round mod bits in
+                if bit then value := !value lor (1 lsl j)
+              end
+              else if bit then child_parity := !child_parity + 1);
+          output = (fun () -> !value);
+          snapshot = (fun () -> machine (ref !value) (ref !child_parity));
+        }
+    in
+    machine (ref (if is_root then input land mask else 0)) (ref 0)
   in
   Pi.{ graph; rounds; sends_at; spawn }
 
@@ -158,18 +158,21 @@ let pairwise_ip graph ~bits =
   let mask = (1 lsl bits) - 1 in
   let spawn ~party:_ ~input =
     let x = input land mask in
-    let acc = ref 0 in
-    Pi.
-      {
-        send = (fun ~round ~dst:_ -> (x lsr (round / 2)) land 1 = 1);
-        recv =
-          (fun ~round ~src:_ bit ->
-            let j = round / 2 in
-            (* Accumulate ⟨x, x_v⟩ contributions bit by bit, xor over all
-               neighbors. *)
-            if bit && (x lsr j) land 1 = 1 then acc := !acc lxor 1);
-        output = (fun () -> !acc);
-      }
+    let rec machine acc =
+      Pi.
+        {
+          send = (fun ~round ~dst:_ -> (x lsr (round / 2)) land 1 = 1);
+          recv =
+            (fun ~round ~src:_ bit ->
+              let j = round / 2 in
+              (* Accumulate ⟨x, x_v⟩ contributions bit by bit, xor over all
+                 neighbors. *)
+              if bit && (x lsr j) land 1 = 1 then acc := !acc lxor 1);
+          output = (fun () -> !acc);
+          snapshot = (fun () -> machine (ref !acc));
+        }
+    in
+    machine (ref 0)
   in
   Pi.{ graph; rounds; sends_at; spawn }
 
@@ -185,11 +188,8 @@ let gossip_max graph ~bits =
   in
   let sends_at r = if r >= rounds then [] else dirs in
   let mask = (1 lsl bits) - 1 in
-  let spawn ~party:_ ~input =
-    let best = ref (input land mask) in
-    (* Incoming values this phase, keyed by sender; merged at phase end. *)
-    let incoming = Hashtbl.create 4 in
-    let last_phase = ref 0 in
+  (* [incoming]: this phase's values, keyed by sender; merged at phase end. *)
+  let rec machine best incoming last_phase =
     let merge () =
       Hashtbl.iter (fun _ v -> if v > !best then best := v) incoming;
       Hashtbl.reset incoming
@@ -217,8 +217,10 @@ let gossip_max graph ~bits =
           (fun () ->
             merge ();
             !best);
+        snapshot = (fun () -> machine (ref !best) (Hashtbl.copy incoming) (ref !last_phase));
       }
   in
+  let spawn ~party:_ ~input = machine (ref (input land mask)) (Hashtbl.create 4) (ref 0) in
   Pi.{ graph; rounds; sends_at; spawn }
 
 let convergecast_sum graph ~bits =
@@ -260,56 +262,57 @@ let convergecast_sum graph ~bits =
     else []
   in
   let spawn ~party ~input =
-    let acc = ref (input land ((1 lsl bits) - 1)) in
-    let incoming = Hashtbl.create 4 in
-    let total = ref None in
-    Pi.
-      {
-        send =
-          (fun ~round ~dst:_ ->
-            let block = round / width and j = round mod width in
-            let value =
+    let rec machine acc incoming total =
+      Pi.
+        {
+          send =
+            (fun ~round ~dst:_ ->
+              let block = round / width and j = round mod width in
+              let value =
+                if block < up_blocks then begin
+                  (* Fold the children's subtotals in before speaking. *)
+                  Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
+                  Hashtbl.reset incoming;
+                  !acc
+                end
+                else
+                  match !total with
+                  | Some t -> t
+                  | None ->
+                      (* The root computes the total as the downward phase
+                         starts. *)
+                      Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
+                      Hashtbl.reset incoming;
+                      total := Some !acc;
+                      !acc
+              in
+              (value lsr j) land 1 = 1);
+          recv =
+            (fun ~round ~src bit ->
+              let block = round / width and j = round mod width in
               if block < up_blocks then begin
-                (* Fold the children's subtotals in before speaking. *)
-                Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
-                Hashtbl.reset incoming;
-                !acc
+                let v = Option.value ~default:0 (Hashtbl.find_opt incoming src) in
+                Hashtbl.replace incoming src (if bit then v lor (1 lsl j) else v)
               end
-              else
-                match !total with
-                | Some t -> t
-                | None ->
-                    (* The root computes the total as the downward phase
-                       starts. *)
-                    Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
-                    Hashtbl.reset incoming;
-                    total := Some !acc;
-                    !acc
-            in
-            (value lsr j) land 1 = 1);
-        recv =
-          (fun ~round ~src bit ->
-            let block = round / width and j = round mod width in
-            if block < up_blocks then begin
-              let v = Option.value ~default:0 (Hashtbl.find_opt incoming src) in
-              Hashtbl.replace incoming src (if bit then v lor (1 lsl j) else v)
-            end
-            else begin
-              let v = Option.value ~default:0 !total in
-              let v = if bit then v lor (1 lsl j) else v land lnot (1 lsl j) in
-              total := Some v
-            end);
-        output =
-          (fun () ->
-            match !total with
-            | Some t -> t
-            | None ->
-                (* The root never receives downward; fold any remaining
-                   children and report. *)
-                Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
-                Hashtbl.reset incoming;
-                if party = tree.Topology.Graph.root then !acc else !acc);
-      }
+              else begin
+                let v = Option.value ~default:0 !total in
+                let v = if bit then v lor (1 lsl j) else v land lnot (1 lsl j) in
+                total := Some v
+              end);
+          output =
+            (fun () ->
+              match !total with
+              | Some t -> t
+              | None ->
+                  (* The root never receives downward; fold any remaining
+                     children and report. *)
+                  Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
+                  Hashtbl.reset incoming;
+                  if party = tree.Topology.Graph.root then !acc else !acc);
+          snapshot = (fun () -> machine (ref !acc) (Hashtbl.copy incoming) (ref !total));
+        }
+    in
+    machine (ref (input land ((1 lsl bits) - 1))) (Hashtbl.create 4) (ref None)
   in
   Pi.{ graph; rounds; sends_at; spawn }
 
@@ -334,5 +337,5 @@ let random_chatter graph ~rounds ~density ~seed =
       !acc
     end
   in
-  let spawn ~party:_ ~input = digest_machine ~input in
+  let spawn ~party:_ ~input = digest_machine (ref (mix 1 input)) in
   Pi.{ graph; rounds; sends_at; spawn }

@@ -96,6 +96,15 @@ let test_replay_byte_identical () =
   Alcotest.(check bool) "parsed == in-memory" true (r_mem = r_parsed);
   Alcotest.(check bool) "jobs=1 == jobs=4" true (r_mem = r_mem4)
 
+let test_traced_trial_replays_identically () =
+  (* [mic run --attack FILE --postmortem] diagnoses trial 0 through
+     [run_trial ~sink]: the sink must record the run without changing it. *)
+  let sink = Trace.Sink.create () in
+  let traced = Advsearch.Scenario.run_trial ~sink sample_scenario 0 in
+  Alcotest.(check bool) "sink recorded the run" true (Trace.Sink.events sink <> []);
+  Alcotest.(check bool) "traced == untraced" true
+    (traced = Advsearch.Scenario.run_trial sample_scenario 0)
+
 let test_pin_and_check () =
   let pinned = Advsearch.Scenario.pin_expected sample_scenario in
   Alcotest.(check bool) "expected pinned" true
@@ -235,6 +244,8 @@ let () =
           Alcotest.test_case "JSON round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "parse errors are total" `Quick test_scenario_parse_errors;
           Alcotest.test_case "replay byte-identical" `Quick test_replay_byte_identical;
+          Alcotest.test_case "traced trial replays identically" `Quick
+            test_traced_trial_replays_identically;
           Alcotest.test_case "pin + check" `Quick test_pin_and_check;
         ] );
       ( "search",

@@ -31,21 +31,38 @@ let test_transcript_serialization_layout () =
     (Coding.Transcript.serialized_bits t);
   Alcotest.(check int) "prefix 0" 0 (Coding.Transcript.prefix_bits t 0)
 
-let test_transcript_truncate_version () =
+let test_transcript_truncate_stamp () =
   let t = Coding.Transcript.create () in
   for i = 0 to 4 do
     Coding.Transcript.push_chunk t ~events:(chunk_events i 4)
   done;
-  let v0 = Coding.Transcript.version t in
+  let stamps () = List.init 6 (Coding.Transcript.stamp t) in
+  let s0 = stamps () in
+  Alcotest.(check int) "stamp 0" 0 (List.hd s0);
+  Alcotest.(check int) "stamps distinct" 5 (List.length (List.sort_uniq compare (List.tl s0)));
   Coding.Transcript.truncate t 5;
-  Alcotest.(check int) "no-op truncate keeps version" v0 (Coding.Transcript.version t);
+  Alcotest.(check (list int)) "no-op truncate keeps stamps" s0 (stamps ());
   Coding.Transcript.truncate t 3;
   Alcotest.(check int) "length" 3 (Coding.Transcript.length t);
-  Alcotest.(check bool) "version bumped" true (Coding.Transcript.version t > v0);
+  Alcotest.(check (list int)) "kept prefix keeps its stamps" (List.filteri (fun i _ -> i <= 3) s0)
+    (List.init 4 (Coding.Transcript.stamp t));
   (* Re-push after truncation: chunk numbering and serialization stay
-     consistent. *)
+     consistent, and the re-pushed chunk gets a fresh stamp even though
+     its record is the same. *)
+  Coding.Transcript.push_chunk t ~events:(chunk_events 3 4);
+  Alcotest.(check bool) "truncate + re-push restamps" true
+    (Coding.Transcript.stamp t 4 <> List.nth s0 4);
+  Coding.Transcript.truncate t 3;
   Coding.Transcript.push_chunk t ~events:(chunk_events 9 4);
-  Alcotest.(check bool) "chunk 4 replaced" true (Coding.Transcript.events t 4 = chunk_events 9 4)
+  Alcotest.(check bool) "chunk 4 replaced" true (Coding.Transcript.events t 4 = chunk_events 9 4);
+  let s1 = List.init 5 (Coding.Transcript.stamp t) in
+  Coding.Transcript.corrupt t ~chunk:2 ~event:0;
+  let s2 = List.init 5 (Coding.Transcript.stamp t) in
+  Alcotest.(check (list int)) "corrupt keeps the prefix below" (List.filteri (fun i _ -> i <= 1) s1)
+    (List.filteri (fun i _ -> i <= 1) s2);
+  List.iteri
+    (fun i (a, b) -> if i >= 2 then Alcotest.(check bool) "corrupt restamps from its chunk" true (a <> b))
+    (List.combine s1 s2)
 
 let test_transcript_serialization_distinguishes_position () =
   (* Two transcripts with identical chunk contents at different chunk
@@ -697,11 +714,62 @@ let test_replayer_cache_correctness () =
   Alcotest.(check int) "post-truncation replay agrees" reference
     (Coding.Replayer.output repl ~transcripts ~upto:n_real)
 
+let test_replayer_resumes_from_checkpoint () =
+  (* Count spawns: after its first miss the replayer keeps snapshots, so a
+     shallow rewind resumes from one instead of re-spawning, while rot
+     below every snapshot leaves it nothing to resume from. *)
+  let g = Topology.Graph.cycle 4 in
+  let pi0 = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.6 ~seed:41 in
+  let spawns = ref 0 in
+  let spawn ~party ~input =
+    incr spawns;
+    pi0.Protocol.Pi.spawn ~party ~input
+  in
+  let pi = { pi0 with Protocol.Pi.spawn } in
+  let ch = Protocol.Chunking.make pi ~k:(Topology.Graph.m g) in
+  (* The reference walks an uncounted copy of the same layout. *)
+  let ch0 = Protocol.Chunking.make pi0 ~k:(Topology.Graph.m g) in
+  let inputs = [| 3; 14; 15; 92 |] in
+  let trs = honest_transcripts ch0 ~inputs in
+  let n_real = Protocol.Chunking.n_real ch in
+  let neighbors = Topology.Graph.neighbors g 0 in
+  let transcripts j = trs.(0).(neighbors.(j)) in
+  let by_id nbr = trs.(0).(nbr) in
+  let expect upto =
+    (reference_machine ch0 ~party:0 ~input:inputs.(0) ~transcripts:by_id ~upto).Protocol.Pi.output ()
+  in
+  let repl = Coding.Replayer.create ch ~party:0 ~input:inputs.(0) in
+  ignore (Coding.Replayer.machine_at repl ~transcripts ~upto:n_real);
+  (* A miss (the live machine is past chunk 0) re-spawns and starts the
+     snapshots; the walk up stores every chunk. *)
+  for upto = 0 to n_real do
+    Alcotest.(check int) "walk up agrees" (expect upto) (Coding.Replayer.output repl ~transcripts ~upto)
+  done;
+  Alcotest.(check int) "spawns before any rewind" 2 !spawns;
+  let tr = trs.(0).(neighbors.(0)) in
+  let saved = Coding.Transcript.events tr n_real in
+  Coding.Transcript.truncate tr (n_real - 1);
+  Coding.Transcript.push_chunk tr ~events:(Array.map (fun s -> if s = 3 then 2 else 3) saved);
+  Alcotest.(check int) "shallow rewind agrees" (expect n_real)
+    (Coding.Replayer.output repl ~transcripts ~upto:n_real);
+  Alcotest.(check int) "shallow rewind resumes from a snapshot" 2 !spawns;
+  let c = ref 1 in
+  while Array.length (Coding.Transcript.events tr !c) = 0 do
+    incr c
+  done;
+  Coding.Transcript.corrupt tr ~chunk:!c ~event:0;
+  Alcotest.(check int) "rot below every snapshot agrees" (expect n_real)
+    (Coding.Replayer.output repl ~transcripts ~upto:n_real);
+  Alcotest.(check int) "rot below every snapshot re-spawns" 3 !spawns
+
 let prop_replayer_matches_reference =
   (* Damaged records: random ∗ symbols, flipped bits and rows cut short
-     of the layout; then one link is truncated and re-pushed with fresh
-     damage, which must invalidate the cache.  Replayer and reference
-     agree at every prefix. *)
+     of the layout.  Then one chunk below the newest snapshot rots, and
+     several rounds each truncate one link at a random depth and re-push
+     it with fresh damage: each change must invalidate the cached
+     machine and exactly the snapshots at or above it.  Replayer and
+     reference agree at every prefix, straight after each change and on
+     a final sweep. *)
   QCheck.Test.make ~name:"replayer equals the reference walk on damaged transcripts" ~count:30
     QCheck.(triple (int_bound 2) small_nat bool)
     (fun (shape, a, triple_k) ->
@@ -745,28 +813,37 @@ let prop_replayer_matches_reference =
       let by_id nbr = List.assoc nbr (Array.to_list trs) in
       let transcripts j = snd trs.(j) in
       let repl = Coding.Replayer.create ch ~party ~input:inputs.(party) in
-      let agree () =
-        List.for_all
-          (fun upto ->
-            let expect =
-              (reference_machine ch ~party ~input:inputs.(party) ~transcripts:by_id ~upto)
-                .Protocol.Pi.output ()
-            in
-            (Coding.Replayer.machine_at repl ~transcripts ~upto).Protocol.Pi.output () = expect
-            && Coding.Replayer.output repl ~transcripts ~upto = expect)
-          (* [n_real] first: right after the re-push, the cache still
-             holds the pre-truncation machine at [n_real]. *)
-          (n_real :: List.init (n_real + 1) Fun.id)
+      let check upto =
+        let expect =
+          (reference_machine ch ~party ~input:inputs.(party) ~transcripts:by_id ~upto)
+            .Protocol.Pi.output ()
+        in
+        (Coding.Replayer.machine_at repl ~transcripts ~upto).Protocol.Pi.output () = expect
+        && Coding.Replayer.output repl ~transcripts ~upto = expect
       in
-      let before = agree () in
-      let nbr, tr = trs.(a mod Array.length trs) in
-      let from = Util.Rng.int r n_real in
-      Coding.Transcript.truncate tr from;
-      for c = from + 1 to n_real do
-        Coding.Transcript.push_chunk tr
-          ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+      (* [n_real] first: right after a change, the cache still holds the
+         machine at [n_real].  The sweep up then stores every chunk, so
+         snapshots sit below [n_real] (every 4th chunk, thinned). *)
+      let agree () = List.for_all check (n_real :: List.init (n_real + 1) Fun.id) in
+      let pick () = trs.(Util.Rng.int r (Array.length trs)) in
+      let ok = ref (agree ()) in
+      (* Rot one event at or below the newest snapshot. *)
+      let _, tr = pick () in
+      let c = 1 + Util.Rng.int r (4 * (n_real / 4)) in
+      let len = Array.length (Coding.Transcript.events tr c) in
+      if len > 0 then Coding.Transcript.corrupt tr ~chunk:c ~event:(Util.Rng.int r len);
+      ok := !ok && check n_real;
+      for _ = 1 to 4 do
+        let nbr, tr = pick () in
+        let from = n_real - (1 + Util.Rng.int r n_real) in
+        Coding.Transcript.truncate tr from;
+        for c = from + 1 to n_real do
+          Coding.Transcript.push_chunk tr
+            ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+        done;
+        ok := !ok && check n_real && check (Util.Rng.int r (n_real + 1))
       done;
-      before && agree ())
+      !ok && agree ())
 
 (* ---------- Randomness exchange ---------- *)
 
@@ -1349,7 +1426,7 @@ let () =
         [
           Alcotest.test_case "push and read" `Quick test_transcript_push_and_read;
           Alcotest.test_case "serialization layout" `Quick test_transcript_serialization_layout;
-          Alcotest.test_case "truncate and version" `Quick test_transcript_truncate_version;
+          Alcotest.test_case "truncate and stamp" `Quick test_transcript_truncate_stamp;
           Alcotest.test_case "position in serialization" `Quick
             test_transcript_serialization_distinguishes_position;
           Alcotest.test_case "equal prefix" `Quick test_transcript_equal_prefix;
@@ -1388,6 +1465,7 @@ let () =
         [
           Alcotest.test_case "matches noiseless" `Quick test_replayer_matches_noiseless;
           Alcotest.test_case "cache correctness" `Quick test_replayer_cache_correctness;
+          Alcotest.test_case "resumes from a checkpoint" `Quick test_replayer_resumes_from_checkpoint;
           QCheck_alcotest.to_alcotest prop_replayer_matches_reference;
         ] );
       ( "randomness exchange",

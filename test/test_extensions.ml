@@ -280,6 +280,92 @@ let test_prefix_bit_sensitivity_is_hash_delta () =
     Alcotest.(check int) "h(x xor e_p) = h(x) xor sens(p)" (hx lxor sens) hy
   done
 
+(* ---------- machine snapshots ---------- *)
+
+type call = Send of int * int * bool | Recv of int * int * bool
+
+(* Run rounds [lo, hi) of [pi] over [machines], flipping a delivered bit
+   whenever [flip ()], and log every call (newest first). *)
+let drive pi machines logs ~lo ~hi ~flip =
+  for round = lo to hi - 1 do
+    let sent =
+      List.map
+        (fun (u, v) ->
+          let b = machines.(u).Protocol.Pi.send ~round ~dst:v in
+          logs.(u) <- Send (round, v, b) :: logs.(u);
+          (u, v, b))
+        (pi.Protocol.Pi.sends_at round)
+    in
+    List.iter
+      (fun (u, v, b) ->
+        let b = b <> flip () in
+        machines.(v).Protocol.Pi.recv ~round ~src:u b;
+        logs.(v) <- Recv (round, u, b) :: logs.(v))
+      sent
+  done
+
+(* A fresh spawn given the calls of [log] sends what the log recorded
+   and ends on [output]. *)
+let replays pi ~party ~input log output =
+  let m = pi.Protocol.Pi.spawn ~party ~input in
+  List.for_all
+    (function
+      | Send (round, dst, b) -> m.Protocol.Pi.send ~round ~dst = b
+      | Recv (round, src, b) ->
+          m.Protocol.Pi.recv ~round ~src b;
+          true)
+    (List.rev log)
+  && m.Protocol.Pi.output () = output
+
+(* Every machine constructor: the five protocols with their own machines,
+   the digest machine (line_flow, random_chatter) and both wrappers. *)
+let snapshot_protocols g r =
+  let open Protocol in
+  let chatter = Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:(Util.Rng.int r 1000) in
+  [
+    Protocols.ring_sum ~n:5 ~bits:4;
+    Protocols.line_flow ~n:5 ~phases:3 ~chat:4;
+    Protocols.broadcast_tree g ~bits:5;
+    Protocols.pairwise_ip g ~bits:6;
+    Protocols.gossip_max g ~bits:6;
+    Protocols.convergecast_sum g ~bits:5;
+    chatter;
+    Combinators.sequence (Protocols.gossip_max g ~bits:4) chatter;
+    Fully_utilized.of_pi (Protocols.convergecast_sum g ~bits:5);
+  ]
+
+let prop_snapshot_independent =
+  QCheck.Test.make ~name:"snapshot is independent and equals a fresh replay" ~count:25
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let r = Util.Rng.create ((a * 7919) + b) in
+      let g = Topology.Graph.random_connected r ~n:(4 + (a mod 5)) ~extra_edges:(b mod 4) in
+      List.for_all
+        (fun pi ->
+          let n = Topology.Graph.n pi.Protocol.Pi.graph in
+          let inputs = Array.init n (fun _ -> Util.Rng.int r 1024) in
+          let flip () = Util.Rng.int r 6 = 0 in
+          let machines =
+            Array.init n (fun party -> pi.Protocol.Pi.spawn ~party ~input:inputs.(party))
+          in
+          let logs = Array.make n [] in
+          let split = Util.Rng.int r (pi.Protocol.Pi.rounds + 1) in
+          drive pi machines logs ~lo:0 ~hi:split ~flip;
+          let copies = Array.map (fun m -> m.Protocol.Pi.snapshot ()) machines in
+          let copy_logs = Array.copy logs in
+          (* The copies live their own noisy future first; the originals,
+             run on afterwards through another, must not notice. *)
+          drive pi copies copy_logs ~lo:split ~hi:pi.Protocol.Pi.rounds ~flip;
+          let copy_out = Array.map (fun m -> m.Protocol.Pi.output ()) copies in
+          drive pi machines logs ~lo:split ~hi:pi.Protocol.Pi.rounds ~flip;
+          let out = Array.map (fun m -> m.Protocol.Pi.output ()) machines in
+          List.for_all
+            (fun p ->
+              replays pi ~party:p ~input:inputs.(p) logs.(p) out.(p)
+              && replays pi ~party:p ~input:inputs.(p) copy_logs.(p) copy_out.(p))
+            (List.init n Fun.id))
+        (snapshot_protocols g r))
+
 let () =
   Alcotest.run "extensions"
     [
@@ -288,6 +374,7 @@ let () =
           Alcotest.test_case "gossip max" `Quick test_gossip_max_correct;
           Alcotest.test_case "convergecast sum" `Quick test_convergecast_sum_correct;
           Alcotest.test_case "gossip max coded+noise" `Quick test_gossip_max_coded_under_noise;
+          QCheck_alcotest.to_alcotest prop_snapshot_independent;
         ] );
       ( "fully utilized",
         [

@@ -288,14 +288,18 @@ let test_transcript_corrupt_isolated () =
   in
   let original = mk () in
   let victim = Coding.Transcript.copy original in
-  let v0 = Coding.Transcript.version victim in
+  let stamps () = List.init 5 (Coding.Transcript.stamp victim) in
+  let s0 = stamps () in
   Coding.Transcript.corrupt victim ~chunk:2 ~event:1;
   (* The copy's rows are shared: corrupt must not write through. *)
   Alcotest.(check bool) "original chunk untouched" true
     (Coding.Transcript.events original 2 = Coding.Transcript.events (mk ()) 2);
   Alcotest.(check bool) "victim chunk changed" false
     (Coding.Transcript.events victim 2 = Coding.Transcript.events original 2);
-  Alcotest.(check bool) "version bumped" true (Coding.Transcript.version victim > v0);
+  Alcotest.(check bool) "stamp below kept" true (Coding.Transcript.stamp victim 1 = List.nth s0 1);
+  Alcotest.(check bool) "stamps from the rotted chunk changed" true
+    (List.for_all2 (fun a b -> a <> b) (List.filteri (fun i _ -> i >= 2) s0)
+       (List.filteri (fun i _ -> i >= 2) (stamps ())));
   (* Serialization is rebuilt to match the rotted rows. *)
   Alcotest.(check int) "serialized length preserved"
     (Coding.Transcript.serialized_bits original)

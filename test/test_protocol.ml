@@ -100,6 +100,26 @@ let test_validate_catches_bad_schedule () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected Invalid_argument"
 
+(* The round stamps must tell rounds apart: a link reused in the next
+   round is fine, twice in one round is not, and a non-adjacent pair is
+   refused before it is looked up. *)
+let test_validate_round_stamps () =
+  let g = Topology.Graph.line 3 in
+  let chatter = Protocols.random_chatter g ~rounds:1 ~density:0. ~seed:0 in
+  let with_sends rounds sends_at = { chatter with Pi.rounds; sends_at } in
+  let raises name pi fragment =
+    match Pi.validate pi with
+    | exception Invalid_argument msg ->
+        let n = String.length fragment in
+        let rec has i = i + n <= String.length msg && (String.sub msg i n = fragment || has (i + 1)) in
+        Alcotest.(check bool) (name ^ ": " ^ msg) true (has 0)
+    | () -> Alcotest.fail (name ^ ": expected Invalid_argument")
+  in
+  Pi.validate (with_sends 3 (fun _ -> [ (0, 1); (1, 0); (1, 2) ]));
+  raises "non-adjacent" (with_sends 2 (fun r -> if r = 1 then [ (0, 1); (0, 2) ] else [])) "non-adjacent 0->2";
+  raises "duplicate" (with_sends 3 (fun r -> if r = 2 then [ (1, 2); (2, 1); (1, 2) ] else [ (1, 2) ]))
+    "round 2 schedules 1->2 twice"
+
 (* --- chunking --- *)
 
 let check_chunking pi k =
@@ -398,6 +418,7 @@ let () =
           Alcotest.test_case "random chatter" `Quick test_random_chatter_valid;
           Alcotest.test_case "cc" `Quick test_cc_counts_transmissions;
           Alcotest.test_case "validate" `Quick test_validate_catches_bad_schedule;
+          Alcotest.test_case "validate round stamps" `Quick test_validate_round_stamps;
         ] );
       ( "chunking",
         [
