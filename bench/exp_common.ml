@@ -66,11 +66,6 @@ let best_pair ~reps ~off ~on =
    time (negative = noise). *)
 let overhead_pct p = 100. *. ((p.on.wall_s /. p.off.wall_s) -. 1.)
 
-(* The one overhead gate: a bench fails when [pct] exceeds [bound]. *)
-let check_overhead ~what ~bound pct =
-  if pct > bound then
-    failwith (Printf.sprintf "%s overhead %.2f%% exceeds the %g%% gate" what pct bound)
-
 (* Rounds per second of [rounds] rounds timed by [s]. *)
 let per_sec ~rounds s = float_of_int rounds /. s.wall_s
 
@@ -275,48 +270,41 @@ let full_duplex g =
       Netsim.Network.Active.send act ~dir:((2 * e) + 1) ((r + v) land 1 = 0)
     done
 
-(* The live engine's overhead floor, shared by the live and metrics
-   benches: every party sends one bit toward its first neighbour each
-   round and the read drains the deliveries —
-   maximal round pressure, minimal work.  [metrics] arms the network's per-round probes
-   (net.active_links, net.noise_rate) and the engine's (round latency,
-   lag); live.rounds is booked at shutdown.  Engine start-up and
-   shutdown stay off the clock; returns the round loop's sample and the
-   engine's jitter drops. *)
-let engine_floor ?(metrics = Metrics.Registry.disabled) g ~rounds =
+(* The live engine's overhead floor, timed by the live bench: every
+   party sends one bit toward its first neighbour each round and the
+   read drains the deliveries — maximal round pressure, minimal work.
+   Engine start-up stays off the clock; returns the round loop's sample
+   and the engine's jitter drops. *)
+let engine_floor g ~rounds =
   let n = Topology.Graph.n g in
   let net = Netsim.Network.create g Netsim.Adversary.Silent in
-  Netsim.Network.set_metrics net metrics;
   let ex =
-    Live.Exec.create ~net ~config:Live.Config.default ~metrics
+    Live.Exec.create ~net ~config:Live.Config.default
       ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
       ()
   in
-  Fun.protect
-    ~finally:(fun () -> Live.Exec.shutdown ex)
-    (fun () ->
-      let out_dir =
-        Array.init n (fun v ->
-            let nb = Topology.Graph.neighbors g v in
-            if Array.length nb = 0 then -1 else Topology.Graph.dir_id g ~src:v ~dst:nb.(0))
-      in
-      let (), s =
-        measure (fun () ->
-            for r = 0 to rounds - 1 do
-              Live.Exec.round ex
-                ~write:(fun ~shard:_ buf ->
-                  for v = 0 to n - 1 do
-                    if out_dir.(v) >= 0 then
-                      Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
-                  done)
-                ~read:(fun ~shard:_ master ->
-                  let seen = ref 0 in
-                  Netsim.Network.Active.iter master (fun ~dir:_ _ -> incr seen);
-                  ignore !seen)
-                ()
-            done)
-      in
-      (s, Live.Exec.jitter_dropped ex))
+  let out_dir =
+    Array.init n (fun v ->
+        let nb = Topology.Graph.neighbors g v in
+        if Array.length nb = 0 then -1 else Topology.Graph.dir_id g ~src:v ~dst:nb.(0))
+  in
+  let (), s =
+    measure (fun () ->
+        for r = 0 to rounds - 1 do
+          Live.Exec.round ex
+            ~write:(fun ~shard:_ buf ->
+              for v = 0 to n - 1 do
+                if out_dir.(v) >= 0 then
+                  Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
+              done)
+            ~read:(fun ~shard:_ master ->
+              let seen = ref 0 in
+              Netsim.Network.Active.iter master (fun ~dir:_ _ -> incr seen);
+              ignore !seen)
+            ()
+        done)
+  in
+  (s, Live.Exec.jitter_dropped ex)
 
 (* The timed Scheme.run of the transport and trace benches: Algorithm 1
    on [pi] under 0.05% iid noise with fixed seeds, on [backend] and

@@ -58,6 +58,8 @@ let run () =
           chunks_total = 0;
           exchange_failures = 0;
           chunks_rewound = 0;
+          mp_truncations = 0;
+          rewinds = 0;
           trace = [];
         })
   in

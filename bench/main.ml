@@ -38,7 +38,7 @@ let experiments =
     ("trace", "observability probes: overhead + determinism (BENCH_trace.json)", Exp_trace.run);
     ("live", "live engine: round floor, ragged insdel sweep (BENCH_live.json)", Exp_live.run);
     ("adv", "attack-space search: discovered vs baseline adversaries (BENCH_adv.json)", Exp_adv.run);
-    ("metrics", "online telemetry: probe overhead + snapshot determinism (BENCH_metrics.json)", Exp_metrics.run);
+    ("metrics", "metric snapshots projected from outcomes: merge + shard determinism (BENCH_metrics.json)", Exp_metrics.run);
   ]
 
 (* The toy-scale smoke tests that `dune runtest` runs, one alias each

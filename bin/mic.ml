@@ -277,20 +277,20 @@ let run_cmd topology parties scheme_name protocol rounds adversary rate budget_d
     let faults = fault_plan ~crash ~stall ~overload ~rate ~seed t in
     let observing = trace_file <> None || postmortem in
     let sink = if observing then Trace.Sink.create () else Trace.Sink.disabled in
-    let metrics =
-      if metrics_file <> None then Metrics.Registry.create () else Metrics.Registry.disabled
-    in
     let outcome =
       Coding.Scheme.run_outcome
         ~config:
-          (Coding.Scheme.Config.make ~trace:observing ~sink ?spy_hook:hook ~faults ~backend
-             ~metrics ())
+          (Coding.Scheme.Config.make
+             ~trace:(observing || metrics_file <> None)
+             ~sink ?spy_hook:hook ~faults ~backend ())
         ~rng:(Util.Rng.create (seed + t)) params pi adversary
     in
     (match metrics_file with
     | None -> ()
     | Some f ->
-        let snap = Metrics.Registry.snapshot metrics in
+        let snap =
+          Coding.Report.metrics ~k:params.Coding.Params.k ~m:(Topology.Graph.m graph) outcome
+        in
         if Filename.extension f = ".jsonl" then begin
           Metrics.Expo.append_jsonl ~path:f snap;
           Format.printf "  [metrics: %d series appended -> %s]@." (List.length snap) f
@@ -426,12 +426,13 @@ let metrics_t =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Collect online telemetry for every trial (scheme iteration/rewind/Φ counters, \
-           network corruption counters and noise gauges, live-engine round latency and \
-           ragged lag histograms) and write one snapshot per trial.  A $(docv) ending in \
-           .jsonl gets one appended JSON line per trial; any other name is written as \
-           OpenMetrics text, numbered per trial like --trace (name.t.om).  Count-valued \
-           metrics are the same at any --shards at --ragged 0.")
+          "Write every trial's metrics, projected from its outcome when it ends: outcome \
+           tallies, iterations, meeting-points truncations, rewinds, Φ stalls and the last Φ \
+           (the run keeps its per-iteration trace for these), communication, corruptions, \
+           run-end noise rate, rounds, and stalled and injected symbols.  A $(docv) ending \
+           in .jsonl gets one appended JSON line per trial; any other name is written as \
+           OpenMetrics text, numbered per trial like --trace (name.t.om).  Every series is \
+           count-valued, so the file is the same at any --shards at --ragged 0.")
 
 let crash_t =
   Arg.(value & opt int 0 & info [ "crash" ] ~doc:"Crash-stop the first $(docv) parties early.")

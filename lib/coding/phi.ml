@@ -8,3 +8,5 @@ let eval cst ~k ~m ~sum_g ~sum_b ~b_star ~corruptions =
   -. (cst.c_mp *. fk *. float_of_int sum_b)
   -. (cst.c1 *. fk *. float_of_int b_star)
   +. (cst.c7 *. fk *. float_of_int corruptions)
+
+let stall ~k delta = delta < float_of_int k -. 1e-9

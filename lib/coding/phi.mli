@@ -17,3 +17,9 @@ val default_constants : constants
 val eval :
   constants -> k:int -> m:int -> sum_g:int -> sum_b:int -> b_star:int -> corruptions:int -> float
 (** φ = K/m·ΣG − C_mp·K·ΣB − C₁·K·B* + C₇·K·corruptions. *)
+
+val stall : k:int -> float -> bool
+(** [stall ~k delta]: an iteration whose Φ rose by [delta] fell short of
+    Lemma 4.2's per-iteration increment K (up to a 1e-9 float
+    tolerance).  The one definition of a stall: the sink's in-run
+    [phi.stall] event and {!Potential.stalls} both apply it. *)

@@ -15,6 +15,9 @@ let increments ?(constants = default_constants) ~k ~m trace =
   in
   go [] trace
 
+let stalls ?(constants = default_constants) ~k ~m trace =
+  List.length (List.filter (Phi.stall ~k) (increments ~constants ~k ~m trace))
+
 let check_clean_exact ?(constants = default_constants) ~k ~m trace =
   List.for_all
     (fun delta -> abs_float (delta -. float_of_int k) < 1e-6)

@@ -37,6 +37,11 @@ val phi : constants -> k:int -> m:int -> Scheme.iter_stat -> float
 val increments : ?constants:constants -> k:int -> m:int -> Scheme.iter_stat list -> float list
 (** Per-iteration φ deltas (length = trace length − 1). *)
 
+val stalls : ?constants:constants -> k:int -> m:int -> Scheme.iter_stat list -> int
+(** The increments that are a {!Phi.stall}: iterations where φ rose by
+    less than K.  On a traced run this is the sink's [phi.stall]
+    total. *)
+
 val check_clean_exact : ?constants:constants -> k:int -> m:int -> Scheme.iter_stat list -> bool
 (** On an error-free trace: every increment equals K. *)
 

@@ -29,3 +29,47 @@ let pp_params ppf (p : Params.t) =
     (match p.Params.seed_mode with Params.Crs -> "CRS" | Params.Exchange -> "exchange")
     (if p.Params.flag_passing then "" else " [no flag passing]")
     (if p.Params.rewind then "" else " [no rewind]")
+
+let metrics ~k ~m outcome =
+  let open Metrics.Registry in
+  let count name v = (name, Exact, Counter v) and gauge name v = (name, Exact, Gauge v) in
+  let tally label =
+    count ("scheme.outcome." ^ label) (Bool.to_int (Faults.Outcome.label outcome = label))
+  in
+  (* A completed run's diagnosis is the all-zero one. *)
+  let d =
+    Option.value (Faults.Outcome.diagnosis outcome) ~default:(Faults.Outcome.fresh_diagnosis ())
+  in
+  let books =
+    [
+      count "net.stalled" d.Faults.Outcome.stalled_slots;
+      count "net.injected" d.Faults.Outcome.injected;
+    ]
+  in
+  let run (r : Scheme.result) =
+    [
+      count "net.cc" r.Scheme.cc;
+      count "net.corruptions" r.Scheme.corruptions;
+      gauge "net.noise_rate" r.Scheme.noise_fraction;
+      count "live.rounds" r.Scheme.rounds;
+      count "scheme.iterations" r.Scheme.iterations_run;
+      count "scheme.mp_truncations" r.Scheme.mp_truncations;
+      count "scheme.rewinds" r.Scheme.rewinds;
+    ]
+    @
+    match List.rev r.Scheme.trace with
+    | [] -> []
+    | last :: _ ->
+        [
+          count "scheme.phi_stalls" (Potential.stalls ~k ~m r.Scheme.trace);
+          gauge "scheme.phi" (Potential.phi Potential.default_constants ~k ~m last);
+        ]
+  in
+  let series =
+    match Faults.Outcome.result outcome with
+    | Some r -> run r
+    | None -> [ count "scheme.iterations" d.Faults.Outcome.iterations_run ]
+  in
+  List.sort
+    (fun (a, _, _) (b, _, _) -> String.compare a b)
+    (List.map tally [ "completed"; "degraded"; "aborted" ] @ books @ series)

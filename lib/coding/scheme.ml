@@ -33,6 +33,8 @@ type result = {
   chunks_total : int;
   exchange_failures : int;
   chunks_rewound : int;
+  mp_truncations : int;
+  rewinds : int;
   trace : iter_stat list;
 }
 
@@ -59,7 +61,6 @@ module Config = struct
   type t = {
     trace : bool;
     sink : Trace.Sink.t;
-    metrics : Metrics.Registry.t;
     inputs : int array option;
     spy_hook : (spy -> unit) option;
     faults : Faults.Plan.t;
@@ -68,13 +69,11 @@ module Config = struct
     backend : backend;
   }
 
-  let make ?(trace = false) ?(sink = Trace.Sink.disabled)
-      ?(metrics = Metrics.Registry.disabled) ?inputs ?spy_hook ?(faults = Faults.Plan.empty)
-      ?max_wall_s ?max_iterations ?(backend = Lockstep) () =
+  let make ?(trace = false) ?(sink = Trace.Sink.disabled) ?inputs ?spy_hook
+      ?(faults = Faults.Plan.empty) ?max_wall_s ?max_iterations ?(backend = Lockstep) () =
     {
       trace;
       sink;
-      metrics;
       inputs;
       spy_hook;
       faults;
@@ -117,47 +116,18 @@ let g_gstar = Trace.Sink.declare "progress.g_star"
 let g_bstar = Trace.Sink.declare "progress.b_star"
 
 (* Per-run probe state: the sink every probe site emits into, and the
-   run's own tallies, the books its Exact metrics are read from when the
-   run ends ([book_counts]).  [truncs] and [rewinds] count MP
-   truncations and rewound chunks so far; [phi] is the last Φ
-   evaluated, nan before the first. *)
+   run's own tallies, returned in its result.  [truncs] and [rewinds]
+   count MP truncations and rewound chunks so far; [phi] is the last Φ
+   evaluated for the sink's gauge and [phi.stall] events, nan before
+   the first. *)
 type probes = {
   sink : Trace.Sink.t;
   mutable truncs : int;
   mutable rewinds : int;
-  mutable phi_stalls : int;
   mutable phi : float;
 }
 
-let make_probes sink = { sink; truncs = 0; rewinds = 0; phi_stalls = 0; phi = Float.nan }
-
-(* The run's Exact count metrics.  Registered when the network is wired
-   (so every run that got that far snapshots the same names), booked
-   once by the returned closure when the run ends — completed or
-   aborted — from [Network.stats] and the tallies above; no per-event
-   probe copies a count the run already keeps.  The same read folds
-   the network's fault books into the diagnosis. *)
-let book_counts metrics net pr ~diag ~iterations_run =
-  let open Metrics.Registry in
-  let c = counter metrics in
-  let net_cc = c "net.cc" and net_corrupt = c "net.corruptions" in
-  let net_stalled = c "net.stalled" and net_injected = c "net.injected" in
-  let iters = c "scheme.iterations" and truncs = c "scheme.mp_truncations" in
-  let rewinds = c "scheme.rewinds" and phi_stalls = c "scheme.phi_stalls" in
-  let phi = gauge metrics ~klass:Exact "scheme.phi" in
-  fun () ->
-    let s = Network.stats net in
-    diag.Faults.Outcome.stalled_slots <- s.Network.stalled;
-    diag.Faults.Outcome.injected <- s.Network.injected;
-    add net_cc s.Network.cc;
-    add net_corrupt s.Network.corruptions;
-    add net_stalled s.Network.stalled;
-    add net_injected s.Network.injected;
-    add iters !iterations_run;
-    add truncs pr.truncs;
-    add rewinds pr.rewinds;
-    add phi_stalls pr.phi_stalls;
-    if not (Float.is_nan pr.phi) then set phi pr.phi
+let make_probes sink = { sink; truncs = 0; rewinds = 0; phi = Float.nan }
 
 type link_state = {
   peer : int;
@@ -612,22 +582,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
   in
   let plan = config.Config.faults in
   let diag = Faults.Outcome.fresh_diagnosis () in
-  let metrics = config.Config.metrics in
   (* Where the run is: the iteration and span id of the phase it last
      entered, named in the diagnosis if the run aborts. *)
   let at_iter = ref (-1) and at_phase = ref (-1) in
-  (* Outcome tallies are registered eagerly so all three names appear in
-     every snapshot (zero-valued included) — the registration set stays
-     invariant across runs that end differently. *)
-  let completed_c, degraded_c, aborted_c =
-    let open Metrics.Registry in
-    ( counter metrics "scheme.outcome.completed",
-      counter metrics "scheme.outcome.degraded",
-      counter metrics "scheme.outcome.aborted" )
-  in
   let t0 = Sys.time () in
-  (* Installed once the network is wired: books every other Exact count
-     and the network's fault counts (see [book_counts]). *)
+  (* Installed once the network is wired: folds the network's fault
+     books into the diagnosis. *)
   let close_books = ref ignore in
   let iterations_run = ref 0 in
   let iterations_planned = ref 0 in
@@ -656,10 +616,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c
     in
     let weights = Array.init n (fun id -> Topology.Graph.degree graph id) in
-    let ex = Live.Exec.create ~net ~config:live_cfg ~metrics ~weights () in
+    let ex = Live.Exec.create ~net ~config:live_cfg ~weights () in
     let sink = config.Config.sink in
     let observing = Trace.Sink.is_enabled sink in
-    let metered = Metrics.Registry.is_enabled metrics in
     let pr = make_probes sink in
     (* Enter a phase: open its span, remember where the run is. *)
     let enter id ~iter =
@@ -668,9 +627,11 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Trace.Sink.span_begin sink ~id ~iter
     in
     Network.set_trace net sink;
-    Network.set_metrics net metrics;
-    close_books := book_counts metrics net pr ~diag ~iterations_run;
-    Fun.protect ~finally:(fun () -> Live.Exec.shutdown ex) @@ fun () ->
+    (close_books :=
+       fun () ->
+         let s = Network.stats net in
+         diag.Faults.Outcome.stalled_slots <- s.Network.stalled;
+         diag.Faults.Outcome.injected <- s.Network.injected);
     let flag_sched = Flag_passing.compile graph ~tree in
     let max_r = Chunking.max_rounds ch in
     (* Randomness: CRS or per-link exchange (Algorithm 5).  [same_stream
@@ -970,10 +931,10 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           end
         end
       end;
-      if config.Config.trace || observing || metered then begin
+      if config.Config.trace || observing then begin
         let st = stats_of net parties graph ~iteration:it in
         if config.Config.trace then traces := st :: !traces;
-        if observing || metered then begin
+        if observing then begin
           (* The live Φ trajectory (proxy of §4.1; see potential.mli) and
              the per-iteration global progress gauges.  Lemma 4.2 says Φ
              must rise by K per iteration amortized — a [phi.stall] marks
@@ -982,17 +943,11 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             Phi.eval Phi.default_constants ~k:params.Params.k ~m ~sum_g:st.sum_g
               ~sum_b:st.sum_b ~b_star:st.b_star ~corruptions:st.corruptions
           in
-          if observing then begin
-            Trace.Sink.gauge sink ~id:g_phi ~iter:it phi;
-            Trace.Sink.gauge sink ~id:g_gstar ~iter:it (float_of_int st.g_star);
-            Trace.Sink.gauge sink ~id:g_bstar ~iter:it (float_of_int st.b_star)
-          end;
-          if
-            (not (Float.is_nan pr.phi)) && phi -. pr.phi < float_of_int params.Params.k -. 1e-9
-          then begin
+          Trace.Sink.gauge sink ~id:g_phi ~iter:it phi;
+          Trace.Sink.gauge sink ~id:g_gstar ~iter:it (float_of_int st.g_star);
+          Trace.Sink.gauge sink ~id:g_bstar ~iter:it (float_of_int st.b_star);
+          if (not (Float.is_nan pr.phi)) && Phi.stall ~k:params.Params.k (phi -. pr.phi) then
             Trace.Sink.count sink ~id:c_phi_stall ~iter:it 1;
-            pr.phi_stalls <- pr.phi_stalls + 1
-          end;
           pr.phi <- phi
         end
       end;
@@ -1038,11 +993,13 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           (fun acc p ->
             Array.fold_left (fun acc l -> acc + Transcript.chunks_rewound l.tr) acc p.links)
           0 parties;
+      mp_truncations = pr.truncs;
+      rewinds = pr.rewinds;
       trace = List.rev !traces;
     }
   in
   (* The run's one booking point, on either outcome branch: the
-     diagnosis and every Exact count are read from the run's books. *)
+     diagnosis is read from the run's books. *)
   let fold_books () =
     diag.Faults.Outcome.iterations_run <- !iterations_run;
     diag.Faults.Outcome.iterations_planned <- !iterations_planned;
@@ -1052,17 +1009,10 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
   match body () with
   | result ->
       fold_books ();
-      if Faults.Outcome.clean diag then begin
-        Metrics.Registry.incr completed_c;
-        Faults.Outcome.Completed result
-      end
-      else begin
-        Metrics.Registry.incr degraded_c;
-        Faults.Outcome.Degraded (result, diag)
-      end
+      if Faults.Outcome.clean diag then Faults.Outcome.Completed result
+      else Faults.Outcome.Degraded (result, diag)
   | exception e ->
       fold_books ();
-      Metrics.Registry.incr aborted_c;
       let phase = if !at_phase < 0 then "setup" else Trace.Sink.name !at_phase in
       Faults.Outcome.note diag
         (if !at_iter < 0 then "aborted during " ^ phase

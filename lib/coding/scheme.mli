@@ -46,6 +46,11 @@ type result = {
   chunks_total : int;  (** |Π| in chunks *)
   exchange_failures : int;  (** links whose seed exchange was corrupted *)
   chunks_rewound : int;  (** total rework: chunks simulated then truncated, summed over link endpoints *)
+  mp_truncations : int;  (** meeting-points truncations, over link endpoints *)
+  rewinds : int;
+      (** chunks rewound by the rewind phase (self-initiated or honored
+          requests) — a part of [chunks_rewound], which also counts
+          meeting-points truncations and rejoin cuts *)
   trace : iter_stat list;  (** per-iteration statistics, oldest first (empty unless requested) *)
 }
 
@@ -103,15 +108,10 @@ module Config : sig
             events, network corruption events, and per-iteration Φ /
             G* / B* gauges (with [phi.stall] marking iterations where Φ
             rose by less than K).  Independent of [trace]: the sink
-            observes live, [trace] retains {!iter_stat}s in the result. *)
-    metrics : Metrics.Registry.t;
-        (** online telemetry registry.  {!Metrics.Registry.disabled} (the
-            default) keeps every probe at one branch; an enabled registry
-            books [scheme.*] counters (iterations, MP truncations,
-            rewinds, Φ stalls, outcome tallies) and the [scheme.phi]
-            gauge, and is threaded to the network ([net.*]) and the live
-            engine ([live.*]).  Count-valued ([Exact]) metrics stay
-            deterministic for a fixed configuration. *)
+            observes live, [trace] retains {!iter_stat}s in the result.
+            A run's metrics are not collected in-run: they are a
+            projection of its outcome ([Report.metrics]), whose Φ
+            series need [trace]. *)
     inputs : int array option;
         (** party inputs; [None] draws a deterministic pseudorandom
             assignment from the run's [rng] *)
@@ -143,7 +143,6 @@ module Config : sig
   val make :
     ?trace:bool ->
     ?sink:Trace.Sink.t ->
-    ?metrics:Metrics.Registry.t ->
     ?inputs:int array ->
     ?spy_hook:(spy -> unit) ->
     ?faults:Faults.Plan.t ->

@@ -17,35 +17,6 @@
 module Network = Netsim.Network
 module Active = Netsim.Network.Active
 
-(* Engine probes.  Klass discipline: [live.rounds] and the keyed-jitter
-   lag distribution are pure functions of the keyed execution (Exact);
-   per-round wall latency depends on real scheduling (Timed).
-   [live.rounds] is not probed per round: [shutdown] books it once. *)
-type probes = {
-  on : bool;
-  rounds_c : Metrics.Registry.counter;
-  lag_h : Metrics.Registry.hist; (* keyed lag draws (lag >= 1) *)
-  round_ns : Metrics.Registry.hist; (* per-round latency, ns *)
-}
-
-let make_probes reg =
-  let open Metrics.Registry in
-  {
-    on = is_enabled reg;
-    rounds_c = counter reg "live.rounds";
-    lag_h = hist reg "live.ragged.lag";
-    round_ns = hist reg ~klass:Timed "live.round_ns";
-  }
-
-(* Book a job started at [t0] as [rounds] rounds of [live.round_ns]: a
-   block's latency is spread evenly over its rounds, so the histogram
-   stays a distribution of per-round latencies. *)
-let observe_rounds pr ~t0 ~rounds =
-  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) / rounds in
-  for _ = 1 to rounds do
-    Metrics.Registry.observe pr.round_ns ns
-  done
-
 type t = {
   net : Network.t;
   two_m : int;
@@ -65,8 +36,6 @@ type t = {
   mutable rounds_run : int;
   mutable delayed : int;
   mutable surfaced : int;
-  pr : probes;
-  mutable shut : bool;
   (* [block]'s word buffers (out, in), kept while the shape repeats. *)
   mutable blocks : (Network.Block.t * Network.Block.t) option;
 }
@@ -80,7 +49,7 @@ let unit_outs net sh =
   done;
   Array.map Array.of_list outs
 
-let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~weights () =
+let create ~net ~(config : Config.t) ~weights () =
   let d = config.ragged_d in
   let unit_outs =
     if d = 0 then [||]
@@ -104,8 +73,6 @@ let create ~net ~(config : Config.t) ?(metrics = Metrics.Registry.disabled) ~wei
     rounds_run = 0;
     delayed = 0;
     surfaced = 0;
-    pr = make_probes metrics;
-    shut = false;
     blocks = None;
   }
 
@@ -145,11 +112,7 @@ let jittered_write t ~q write =
   for w = 0 to Array.length t.lags - 1 do
     let lag = draw_lag t ~q w in
     t.lags.(w) <- lag;
-    if lag > 0 then begin
-      lagging := true;
-      (* Keyed lag draw: deterministic, so the distribution is Exact. *)
-      if t.pr.on then Metrics.Registry.observe t.pr.lag_h lag
-    end
+    if lag > 0 then lagging := true
   done;
   if not !lagging then write ~shard:0 t.master
   else begin
@@ -175,13 +138,11 @@ let jittered_write t ~q write =
 let round t ?label ~write ~read () =
   let q = t.rounds_run in
   t.rounds_run <- q + 1;
-  let t0 = if t.pr.on then Unix.gettimeofday () else 0. in
   Active.begin_round t.master;
   if t.d = 0 then write ~shard:0 t.master else jittered_write t ~q write;
   (match label with Some f -> f () | None -> ());
   Network.commit t.net t.master;
-  read ~shard:0 t.master;
-  if t.pr.on then observe_rounds t.pr ~t0 ~rounds:1
+  read ~shard:0 t.master
 
 let block_buffers t ~width ~fields =
   match t.blocks with
@@ -212,12 +173,10 @@ let block t ?label ~width ~rounds ~write ~read () =
   in
   if t.d = 0 then begin
     t.rounds_run <- t.rounds_run + rounds;
-    let t0 = if t.pr.on then Unix.gettimeofday () else 0. in
     write_words ();
     (match label with Some f -> f () | None -> ());
     Network.commit_block t.net ~rounds ~out ~inw;
-    read inw;
-    if t.pr.on then observe_rounds t.pr ~t0 ~rounds
+    read inw
   end
   else
     for r = 0 to rounds - 1 do
@@ -244,8 +203,4 @@ let block t ?label ~width ~rounds ~write ~read () =
 let slice (_ : t) f = f 0
 let join (_ : t) = ()
 
-let shutdown t =
-  if not t.shut then begin
-    t.shut <- true;
-    Metrics.Registry.add t.pr.rounds_c t.rounds_run
-  end
+let shutdown (_ : t) = ()

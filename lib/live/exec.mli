@@ -10,7 +10,6 @@ type t
 val create :
   net:Netsim.Network.t ->
   config:Config.t ->
-  ?metrics:Metrics.Registry.t ->
   weights:int array ->
   unit ->
   t
@@ -20,14 +19,10 @@ val create :
     of which lags its whole round on its own draw; the units stay inside
     the engine, and the callbacks never see them.
 
-    [metrics] (default {!Metrics.Registry.disabled}) attaches engine
-    telemetry: [live.rounds] (Exact counter, booked once by {!shutdown},
-    not per round), [live.ragged.lag] (Exact histogram of keyed lag
-    draws) and [live.round_ns] (Timed per-round latency; a {!block}
-    committed whole books its latency divided by its rounds, once per
-    round).
-
-    Release every [t] with {!shutdown}. *)
+    The engine keeps no telemetry of its own: the jitter it draws is
+    booked through the network ({!Netsim.Network.note_stalled},
+    {!Netsim.Network.note_injected}) and its round count is
+    {!rounds_run}. *)
 
 val round :
   t ->
@@ -100,5 +95,6 @@ val jitter_surfaced : t -> int
     by {!jitter_dropped}). *)
 
 val shutdown : t -> unit
-(** Book [live.rounds] with {!rounds_run} (idempotent; never raises).
-    A round whose label or commit raised still counts. *)
+(** A no-op: an engine holds no resource to release.  Kept only for
+    perfbench's engine micro-benchmark until that benchmark is revised
+    (ROADMAP item 3). *)

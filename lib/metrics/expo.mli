@@ -6,21 +6,16 @@
     byte-identically — the property `metrics-smoke` and the `metrics`
     bench experiment assert across job and shard counts.  Metric names
     are sanitized for OpenMetrics (any character outside [[a-zA-Z0-9_:]]
-    becomes [_]), label values escape backslash, double-quote and
-    newline per the OpenMetrics escaping rules, and JSON strings escape
-    per JSON; JSON keeps the dotted names. *)
+    becomes [_]) and JSON strings escape per JSON; JSON keeps the
+    dotted names. *)
 
 val openmetrics : Registry.snapshot -> string
-(** OpenMetrics text format: `# TYPE` lines, `_total` counters, gauge
-    samples, `_bucket{le="..."}` cumulative histogram series with
-    `_sum`/`_count`, terminated by `# EOF`. *)
+(** OpenMetrics text format: `# TYPE` lines, `_total` counters and
+    gauge samples, terminated by `# EOF`. *)
 
 val json : Registry.snapshot -> string
 (** One-line JSON object [{"exact": {...}, "timed": {...}}]; counters
-    are numbers, gauges floats, histograms quantile summaries
-    [{"count": n, "sum": s, "p50": q, "p95": q}] with [p50]/[p95]
-    estimated by {!Hist.quantile_of_buckets} (raw buckets stay in the
-    OpenMetrics rendering only). *)
+    are numbers, gauges floats. *)
 
 val exact_json : Registry.snapshot -> string
 (** The ["exact"] sub-object alone — the byte-comparable part. *)

@@ -279,13 +279,6 @@ type t = {
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
   mutable trace : Trace.Sink.t;
-  (* Metrics probes for what the books above do not already hold: the
-     per-commit active-link distribution and the sampled noise rate.
-     Handles default to the disabled registry; [m_on] guards both so
-     the clean path adds one branch. *)
-  mutable m_on : bool;
-  mutable m_active_h : Metrics.Registry.hist;
-  mutable m_noise_g : Metrics.Registry.gauge;
 }
 
 let dir_endpoints g =
@@ -319,9 +312,6 @@ let create graph adversary =
     adv_stamp = Array.make (max 1 two_m) 0;
     adv_epoch = 0;
     trace = Trace.Sink.disabled;
-    m_on = false;
-    m_active_h = Metrics.Registry.hist Metrics.Registry.disabled "net.active_links";
-    m_noise_g = Metrics.Registry.gauge Metrics.Registry.disabled "net.noise_rate";
   }
 
 let two_m t = Array.length t.dir_ends
@@ -335,25 +325,7 @@ let set_fault_hooks t hooks =
 
 let set_trace t sink = t.trace <- sink
 
-(* The per-commit active-link distribution is a function of the keyed
-   execution (Exact): it replays byte-identically across jobs and shard
-   counts at d = 0, and under keyed jitter (d > 0) for a fixed count of
-   jitter units.  The noise-rate gauge is sampled at deterministic rounds, so
-   it is Exact too.  The counts of
-   [stats] are not probed here: whoever owns the run books them once,
-   from [stats], when it ends. *)
-let set_metrics t reg =
-  let open Metrics.Registry in
-  t.m_on <- is_enabled reg;
-  t.m_active_h <- hist reg "net.active_links";
-  t.m_noise_g <- gauge reg ~klass:Exact "net.noise_rate"
-
 let noise_fraction t = if t.cc = 0 then 0. else float_of_int t.corruptions /. float_of_int t.cc
-
-(* Gauge refresh every 64 rounds: float boxing off the per-round path. *)
-let tick_gauges t =
-  if t.m_on && t.round_no land 63 = 0 then
-    Metrics.Registry.set t.m_noise_g (noise_fraction t)
 
 let set_phase t ~iteration ~phase =
   t.iteration <- iteration;
@@ -503,25 +475,19 @@ let transform t sl buf =
           Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
         end
       done);
-  t.round_no <- t.round_no + 1;
-  tick_gauges t
-
-(* Book a round's sends: the CC and the per-commit active-link count. *)
-let book_sent t sent =
-  t.cc <- t.cc + sent;
-  if t.m_on then Metrics.Registry.observe t.m_active_h sent
+  t.round_no <- t.round_no + 1
 
 (* A round on the sparse buffer: the Silent-adversary, hook-free path
    touches only the active links. *)
 let commit t (act : Active.t) =
   if Active.length act <> two_m t then invalid_arg "Network.commit: buffer length mismatch";
-  book_sent t (Active.count act);
+  t.cc <- t.cc + Active.count act;
   transform t active_slots act
 
 (* [rounds] successive rounds whose sends are all known upfront.  The
    delivered words start as a copy of the sent ones; unless the
-   adversary is silent, no hook is installed and no metric is armed (a
-   word copy and a popcount, then), each round is booked and
+   adversary is silent and no hook is installed (a word copy and a
+   popcount, then), each round is booked and
    transformed slot by slot exactly as [commit] would: same queries in
    the same (round, dir) order, same books, same events. *)
 let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
@@ -534,7 +500,7 @@ let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
     invalid_arg "Network.commit_block: rounds out of range";
   Block.deliver out inw ~rounds;
   match (t.adversary, t.faults) with
-  | Adversary.Silent, None when not t.m_on ->
+  | Adversary.Silent, None ->
       t.cc <- t.cc + Block.spoken inw;
       t.round_no <- t.round_no + rounds
   | _ ->
@@ -542,7 +508,7 @@ let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
       for r = 0 to rounds - 1 do
         v.b_field <- r / out.Block.width;
         v.b_bit <- 1 lsl (r mod out.Block.width);
-        book_sent t (Block.count_at out v.b_field v.b_bit);
+        t.cc <- t.cc + Block.count_at out v.b_field v.b_bit;
         transform t block_slots v
       done
 

@@ -170,18 +170,6 @@ val set_trace : t -> Trace.Sink.t -> unit
     which every probe is a single branch on an already-corrupted slot
     and free otherwise. *)
 
-val set_metrics : t -> Metrics.Registry.t -> unit
-(** Attach a metrics registry.  Rounds then feed the per-commit
-    [net.active_links] histogram (Exact) and a [net.noise_rate] gauge
-    (Exact) refreshed every 64 rounds — the two series {!stats} does not
-    hold.  The counts it does hold (cc, corruptions, stalled, injected)
-    are not probed per event: the run's owner books them once from
-    {!stats} ([Coding.Scheme] as [net.cc], [net.corruptions],
-    [net.stalled], [net.injected]).  Both series replay byte-identically
-    across jobs and shard counts, since the execution itself does.  The
-    default is
-    {!Metrics.Registry.disabled}: one branch per round. *)
-
 val set_phase : t -> iteration:int -> phase:Adversary.phase -> unit
 (** Label the upcoming rounds for adaptive adversaries and traces.  The
     label leaks no private state: the schedule of phases is public by
@@ -206,12 +194,11 @@ val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
     [rounds] successive {!commit}s of those sends: the adversary and
     the fault hooks are queried slot by slot in the same (round, dir)
     order, an adaptive strategy gets the same per-round context (its
-    [sends] built from [out]), and the books, the [net.*] trace events,
-    the [net.active_links] observations (one per round) and the round
-    counter advance exactly as theirs would.  Z3 arithmetic applies to
+    [sends] built from [out]), and the books, the [net.*] trace events
+    and the round counter advance exactly as theirs would.  Z3 arithmetic applies to
     each bit, so a corruption of a silent round is an insertion.  Cost:
     a copy of the words and a popcount under a silent adversary with
-    no fault hooks and no metrics; otherwise O(2m) per round.  Raises
+    no fault hooks; otherwise O(2m) per round.  Raises
     [Invalid_argument] if either block does not match the network's
     2m, the two differ in shape, or [rounds] exceeds
     [width * fields]. *)
@@ -230,4 +217,7 @@ val note_injected : t -> dir:int -> unit
     Increments [stats.injected] and emits [net.injected]. *)
 
 val stats : t -> stats
-(** The network's books, in one read. *)
+(** The network's books, in one read.  They are the network's only
+    tallies: a run's [net.*] metrics are projected from them once the
+    run has returned ([Coding.Report.metrics]), never probed per
+    round. *)

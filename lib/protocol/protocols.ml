@@ -213,10 +213,7 @@ let gossip_max graph ~bits =
             let j = round mod bits in
             let v = Option.value ~default:0 (Hashtbl.find_opt incoming src) in
             Hashtbl.replace incoming src (if bit then v lor (1 lsl j) else v));
-        output =
-          (fun () ->
-            merge ();
-            !best);
+        output = (fun () -> Hashtbl.fold (fun _ v b -> max v b) incoming !best);
         snapshot = (fun () -> machine (ref !best) (Hashtbl.copy incoming) (ref !last_phase));
       }
   in
@@ -261,7 +258,7 @@ let convergecast_sum graph ~bits =
         (List.init n (fun i -> i))
     else []
   in
-  let spawn ~party ~input =
+  let spawn ~party:_ ~input =
     let rec machine acc incoming total =
       Pi.
         {
@@ -304,11 +301,9 @@ let convergecast_sum graph ~bits =
               match !total with
               | Some t -> t
               | None ->
-                  (* The root never receives downward; fold any remaining
-                     children and report. *)
-                  Hashtbl.iter (fun _ v -> acc := (!acc + v) land mask) incoming;
-                  Hashtbl.reset incoming;
-                  if party = tree.Topology.Graph.root then !acc else !acc);
+                  (* The root never receives downward: its subtotal plus
+                     the children's pending ones. *)
+                  Hashtbl.fold (fun _ v a -> (a + v) land mask) incoming !acc);
           snapshot = (fun () -> machine (ref !acc) (Hashtbl.copy incoming) (ref !total));
         }
     in

@@ -20,39 +20,6 @@ let capture t f =
   try Value (f t)
   with e -> Raised { failed_trial = t; message = Printexc.to_string e }
 
-(* Pool telemetry.  Outcome counters are tallied on the calling domain
-   while it reduces outcomes in trial order, so they are as
-   deterministic as the outcomes themselves (Exact; timeouts are
-   wall-clock-shaped, hence Timed).  [runner.steals] counts trials a
-   helper domain pulled off the shared counter — pure scheduling, Timed.
-   The disabled registry keeps every probe at one branch. *)
-type probes = {
-  trials_c : Metrics.Registry.counter;
-  errors_c : Metrics.Registry.counter;
-  timeouts_c : Metrics.Registry.counter;
-  retries_c : Metrics.Registry.counter;
-  steals_c : Metrics.Registry.counter;
-}
-
-let make_probes reg =
-  let open Metrics.Registry in
-  {
-    trials_c = counter reg "runner.trials";
-    errors_c = counter reg "runner.errors";
-    timeouts_c = counter reg ~klass:Timed "runner.timeouts";
-    retries_c = counter reg "runner.retries";
-    steals_c = counter reg ~klass:Timed "runner.steals";
-  }
-
-let count_outcome pr = function
-  | Value _ -> Metrics.Registry.incr pr.trials_c
-  | Raised _ ->
-      Metrics.Registry.incr pr.trials_c;
-      Metrics.Registry.incr pr.errors_c
-  | Timed_out _ ->
-      Metrics.Registry.incr pr.trials_c;
-      Metrics.Registry.incr pr.timeouts_c
-
 (* One trial under the retry/timeout policy.  A raising attempt is
    retried (the body sees the attempt number, so it can re-derive its
    stream via [retry_rng] and stay deterministic); the last failure is
@@ -60,7 +27,7 @@ let count_outcome pr = function
    preempted — so an overlong attempt runs to completion and its result
    is then {e discarded} as [Timed_out]: the pool never hangs on the
    attempt boundary, but a wedged body wedges its domain. *)
-let attempt_trial ~attempts ~timeout_s ~pr f t =
+let attempt_trial ~attempts ~timeout_s f t =
   let rec go attempt =
     let t0 = Unix.gettimeofday () in
     match f ~attempt t with
@@ -70,10 +37,7 @@ let attempt_trial ~attempts ~timeout_s ~pr f t =
         | Some lim when elapsed_s > lim -> Timed_out { trial = t; elapsed_s }
         | _ -> Value v)
     | exception e ->
-        if attempt + 1 < attempts then begin
-          Metrics.Registry.incr pr.retries_c;
-          go (attempt + 1)
-        end
+        if attempt + 1 < attempts then go (attempt + 1)
         else Raised { failed_trial = t; message = Printexc.to_string e }
   in
   go 0
@@ -82,7 +46,7 @@ let attempt_trial ~attempts ~timeout_s ~pr f t =
    domain writes only the slots of the trials it claimed from the
    counter, so the writes are race-free; Domain.join publishes them to
    the caller. *)
-let run_slice ~jobs ~lo ~hi ~slots ~pr body =
+let run_slice ~jobs ~lo ~hi ~slots body =
   let width = hi - lo in
   (* Clamp to the hardware: spawning more domains than cores only adds
      scheduler churn (OCaml domains are not green threads), and the
@@ -94,49 +58,38 @@ let run_slice ~jobs ~lo ~hi ~slots ~pr body =
     done
   else begin
     let next = Atomic.make lo in
-    let worker ~helper () =
+    let worker () =
       let rec loop () =
         let t = Atomic.fetch_and_add next 1 in
         if t < hi then begin
-          if helper then Metrics.Registry.incr pr.steals_c;
           slots.(t - lo) <- Some (body t);
           loop ()
         end
       in
       loop ()
     in
-    let helpers = Array.init (jobs - 1) (fun _ -> Domain.spawn (worker ~helper:true)) in
-    worker ~helper:false ();
+    let helpers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     Array.iter Domain.join helpers
   end
 
-let run_outcomes ?(metrics = Metrics.Registry.disabled) ?jobs ~trials body =
+let run_outcomes ?jobs ~trials body =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if trials < 0 then invalid_arg "Pool.run: trials < 0";
   Logging.Log.debug (fun m -> m "run: %d trial(s) on %d job(s)" trials jobs);
-  let pr = make_probes metrics in
   let slots = Array.make (max 1 trials) None in
-  if trials > 0 then run_slice ~jobs ~lo:0 ~hi:trials ~slots ~pr body;
-  Array.init trials (fun t ->
-      match slots.(t) with
-      | Some o ->
-          count_outcome pr o;
-          o
-      | None -> assert false)
+  if trials > 0 then run_slice ~jobs ~lo:0 ~hi:trials ~slots body;
+  Array.init trials (fun t -> match slots.(t) with Some o -> o | None -> assert false)
 
-let run ?metrics ?jobs ~trials f = run_outcomes ?metrics ?jobs ~trials (fun t -> capture t f)
+let run ?jobs ~trials f = run_outcomes ?jobs ~trials (fun t -> capture t f)
 
-let run_retry ?(metrics = Metrics.Registry.disabled) ?jobs ?timeout_s ?(attempts = 1) ~trials f
-    =
+let run_retry ?jobs ?timeout_s ?(attempts = 1) ~trials f =
   if attempts < 1 then invalid_arg "Pool.run_retry: attempts < 1";
-  let pr = make_probes metrics in
-  run_outcomes ~metrics ?jobs ~trials (attempt_trial ~attempts ~timeout_s ~pr f)
+  run_outcomes ?jobs ~trials (attempt_trial ~attempts ~timeout_s f)
 
-let fold_outcomes ?(metrics = Metrics.Registry.disabled) ?jobs ?batch ~trials ~init ~merge
-    body =
+let fold_outcomes ?jobs ?batch ~trials ~init ~merge body =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if trials < 0 then invalid_arg "Pool.fold: trials < 0";
-  let pr = make_probes metrics in
   let batch = match batch with Some b -> max 1 b | None -> max 64 (16 * jobs) in
   Logging.Log.debug (fun m ->
       m "fold: %d trial(s) on %d job(s), batch %d" trials jobs batch);
@@ -145,25 +98,18 @@ let fold_outcomes ?(metrics = Metrics.Registry.disabled) ?jobs ?batch ~trials ~i
   let lo = ref 0 in
   while !lo < trials do
     let hi = min trials (!lo + batch) in
-    run_slice ~jobs ~lo:!lo ~hi ~slots ~pr body;
+    run_slice ~jobs ~lo:!lo ~hi ~slots body;
     for t = !lo to hi - 1 do
-      (match slots.(t - !lo) with
-      | Some o ->
-          count_outcome pr o;
-          acc := merge !acc t o
-      | None -> assert false);
+      (match slots.(t - !lo) with Some o -> acc := merge !acc t o | None -> assert false);
       slots.(t - !lo) <- None
     done;
     lo := hi
   done;
   !acc
 
-let fold ?metrics ?jobs ?batch ~trials ~init ~merge trial =
-  fold_outcomes ?metrics ?jobs ?batch ~trials ~init ~merge (fun t -> capture t trial)
+let fold ?jobs ?batch ~trials ~init ~merge trial =
+  fold_outcomes ?jobs ?batch ~trials ~init ~merge (fun t -> capture t trial)
 
-let fold_retry ?(metrics = Metrics.Registry.disabled) ?jobs ?batch ?timeout_s ?(attempts = 1)
-    ~trials ~init ~merge f =
+let fold_retry ?jobs ?batch ?timeout_s ?(attempts = 1) ~trials ~init ~merge f =
   if attempts < 1 then invalid_arg "Pool.fold_retry: attempts < 1";
-  let pr = make_probes metrics in
-  fold_outcomes ~metrics ?jobs ?batch ~trials ~init ~merge
-    (attempt_trial ~attempts ~timeout_s ~pr f)
+  fold_outcomes ?jobs ?batch ~trials ~init ~merge (attempt_trial ~attempts ~timeout_s f)

@@ -13,12 +13,10 @@
     retry entry points ({!run_retry}, {!fold_retry}) add a bounded,
     deterministic retry policy and a per-trial timeout on top.
 
-    Every entry point takes an optional [?metrics] registry (default
-    {!Metrics.Registry.disabled}) and then books [runner.trials],
-    [runner.errors] and [runner.retries] (Exact — tallied in trial
-    order on the calling domain), plus [runner.timeouts] and
-    [runner.steals] (Timed — wall-clock- and scheduling-shaped:
-    steals count trials claimed by helper domains). *)
+    The pool keeps no telemetry: trial, error and timeout counts are
+    plain counts over the returned outcomes, and per-trial metrics are
+    the caller's projection of each trial's value, merged in trial
+    order like any other reduction. *)
 
 type error = { failed_trial : int; message : string }
 
@@ -50,15 +48,13 @@ val retry_rng : key:string -> trial:int -> attempt:int -> Util.Rng.t
     the trial or what other trials did — preserving jobs-invariance
     under retries. *)
 
-val run :
-  ?metrics:Metrics.Registry.t -> ?jobs:int -> trials:int -> (int -> 'a) -> 'a outcome array
+val run : ?jobs:int -> trials:int -> (int -> 'a) -> 'a outcome array
 (** [run ~jobs ~trials f] evaluates [f t] for [t = 0 .. trials-1] on
     [min jobs trials] domains ([jobs = 1] runs sequentially on the
     calling domain, spawning nothing) and returns the outcomes indexed
     by trial.  [jobs] defaults to {!default_jobs}. *)
 
 val fold :
-  ?metrics:Metrics.Registry.t ->
   ?jobs:int ->
   ?batch:int ->
   trials:int ->
@@ -74,7 +70,6 @@ val fold :
     deterministically. *)
 
 val run_retry :
-  ?metrics:Metrics.Registry.t ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?attempts:int ->
@@ -91,7 +86,6 @@ val run_retry :
     Raises [Invalid_argument] if [attempts < 1]. *)
 
 val fold_retry :
-  ?metrics:Metrics.Registry.t ->
   ?jobs:int ->
   ?batch:int ->
   ?timeout_s:float ->

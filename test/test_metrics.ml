@@ -1,107 +1,16 @@
-(* Tests for lib/metrics: histogram bucket math, registry probes and
-   snapshot/merge determinism, the exposition writers, domain-safety of
-   the atomic cells, and the end-to-end contract — a scheme run's exact
-   telemetry is a pure function of its configuration, and an aborted
-   run's diagnosis names the iteration and phase it died in. *)
+(* Tests for lib/metrics: snapshot merge semantics, the exposition
+   writers, and the end-to-end contract — a run's metrics are a total,
+   pure projection of its outcome (Coding.Report.metrics), identical
+   across shard and job counts, and an aborted run's diagnosis names
+   the iteration and phase it died in. *)
 
-module Hist = Metrics.Hist
 module Reg = Metrics.Registry
 module Expo = Metrics.Expo
 
-(* ---------- histogram ---------- *)
-
-let test_hist_buckets () =
-  (* Small values are exact cells. *)
-  for v = 0 to 15 do
-    Alcotest.(check int) (Printf.sprintf "exact cell %d" v) v (Hist.bucket_of v);
-    Alcotest.(check int) (Printf.sprintf "exact bound %d" v) v (Hist.upper_of v)
-  done;
-  (* Bucket index is monotone in the value and the bound brackets it
-     within the octave/8 resolution. *)
-  let prev = ref (-1) in
-  let v = ref 1 in
-  while !v > 0 && !v < max_int / 4 do
-    let b = Hist.bucket_of !v in
-    Alcotest.(check bool) "monotone" true (b >= !prev);
-    Alcotest.(check bool) "in range" true (b >= 0 && b < Hist.bucket_count);
-    let hi = Hist.upper_of b in
-    Alcotest.(check bool) (Printf.sprintf "upper_of bounds %d" !v) true (hi >= !v);
-    if !v >= 16 then
-      Alcotest.(check bool)
-        (Printf.sprintf "~12.5%% resolution at %d" !v)
-        true
-        (float_of_int hi <= 1.126 *. float_of_int !v);
-    prev := b;
-    v := (!v * 7) + 3
-  done
-
-let test_hist_observe () =
-  let h = Hist.create () in
-  List.iter (Hist.observe h) [ 0; 3; 3; 100; 1_000_000; -5 ];
-  Alcotest.(check int) "count" 6 (Hist.count h);
-  (* negative clamps to 0, so the sum sees it as 0 *)
-  Alcotest.(check int) "sum" (0 + 3 + 3 + 100 + 1_000_000) (Hist.sum h);
-  let nz = Hist.nonzero h in
-  Alcotest.(check bool) "nonzero ascending" true
-    (List.sort (fun (a, _) (b, _) -> compare a b) nz = nz);
-  Alcotest.(check int) "cells cover count" (Hist.count h)
-    (List.fold_left (fun a (_, c) -> a + c) 0 nz);
-  Alcotest.(check (list (pair int int))) "exact cells" [ (0, 2); (3, 2) ]
-    (List.filter (fun (up, _) -> up < 16) nz)
-
-(* ---------- registry ---------- *)
-
-let test_registry_probes () =
-  let r = Reg.create () in
-  let c = Reg.counter r "a.count" in
-  Reg.incr c;
-  Reg.add c 4;
-  (* Get-or-create: a second handle hits the same cell. *)
-  Reg.incr (Reg.counter r "a.count");
-  Alcotest.(check int) "counter accumulates across handles" 6 (Reg.counter_value c);
-  let g = Reg.gauge r "a.level" in
-  Reg.set g 1.5;
-  Reg.set g 2.5;
-  let h = Reg.hist r "a.h" in
-  Reg.observe h 3;
-  Reg.observe h 20;
-  Reg.observe h 20;
-  Alcotest.(check int) "hist count via handle" 3 (Reg.hist_count h);
-  (* Snapshot is name-sorted and carries the right shapes. *)
-  (match Reg.snapshot r with
-  | [ ("a.count", Reg.Exact, Reg.Counter 6);
-      ("a.h", Reg.Exact, Reg.Histogram { count = 3; sum = 43; _ });
-      ("a.level", Reg.Timed, Reg.Gauge 2.5) ] -> ()
-  | s -> Alcotest.failf "unexpected snapshot shape (%d entries)" (List.length s));
-  (* Type mismatch on a taken name is a programming error. *)
-  (match Reg.gauge r "a.count" with
-  | _ -> Alcotest.fail "counter name re-registered as gauge"
-  | exception Invalid_argument _ -> ());
-  (* First klass wins. *)
-  let c2 = Reg.counter r ~klass:Reg.Timed "a.count" in
-  Reg.incr c2;
-  (match List.find (fun (n, _, _) -> n = "a.count") (Reg.snapshot r) with
-  | _, Reg.Exact, Reg.Counter 7 -> ()
-  | _ -> Alcotest.fail "first-registered klass should win")
-
-let test_registry_disabled () =
-  Alcotest.(check bool) "disabled" false (Reg.is_enabled Reg.disabled);
-  let c = Reg.counter Reg.disabled "x" in
-  Reg.incr c;
-  Reg.add c 100;
-  Reg.set (Reg.gauge Reg.disabled "y") 5.;
-  Reg.observe (Reg.hist Reg.disabled "z") 5;
-  Alcotest.(check int) "counter stays 0" 0 (Reg.counter_value c);
-  Alcotest.(check int) "snapshot empty" 0 (List.length (Reg.snapshot Reg.disabled))
+(* ---------- snapshots ---------- *)
 
 let test_registry_merge () =
-  let mk cv gv =
-    let r = Reg.create () in
-    Reg.add (Reg.counter r "c") cv;
-    Reg.set (Reg.gauge r "g") gv;
-    Reg.observe (Reg.hist r "h") cv;
-    Reg.snapshot r
-  in
+  let mk cv gv = [ ("c", Reg.Exact, Reg.Counter cv); ("g", Reg.Timed, Reg.Gauge gv) ] in
   let merged = Reg.merge [ mk 2 1.0; mk 5 9.0 ] in
   (match List.find (fun (n, _, _) -> n = "c") merged with
   | _, _, Reg.Counter 7 -> ()
@@ -109,36 +18,21 @@ let test_registry_merge () =
   (match List.find (fun (n, _, _) -> n = "g") merged with
   | _, _, Reg.Gauge 9.0 -> ()
   | _ -> Alcotest.fail "gauges keep the last value in merge order");
-  (match List.find (fun (n, _, _) -> n = "h") merged with
-  | _, _, Reg.Histogram { count = 2; sum = 7; buckets } ->
-      Alcotest.(check bool) "bucket cells add" true
-        (List.fold_left (fun a (_, c) -> a + c) 0 buckets = 2)
-  | _ -> Alcotest.fail "histograms merge cellwise");
-  (* Merge is associative over disjoint names and klass filters split. *)
-  let r = Reg.create () in
-  Reg.incr (Reg.counter r "only.exact");
-  Reg.set (Reg.gauge r "only.timed") 1.;
-  let s = Reg.snapshot r in
+  (* The merge is name-sorted; on a name collision the first klass and,
+     across types, the first value win. *)
+  (match
+     Reg.merge
+       [
+         [ ("b", Reg.Exact, Reg.Counter 1); ("a", Reg.Exact, Reg.Counter 6) ];
+         [ ("a", Reg.Timed, Reg.Counter 1); ("b", Reg.Exact, Reg.Gauge 2.) ];
+       ]
+   with
+  | [ ("a", Reg.Exact, Reg.Counter 7); ("b", Reg.Exact, Reg.Counter 1) ] -> ()
+  | s -> Alcotest.failf "unexpected merge shape (%d entries)" (List.length s));
+  (* Klass filters split. *)
+  let s = [ ("only.exact", Reg.Exact, Reg.Counter 1); ("only.timed", Reg.Timed, Reg.Gauge 1.) ] in
   Alcotest.(check int) "exact_only" 1 (List.length (Reg.exact_only s));
   Alcotest.(check int) "timed_only" 1 (List.length (Reg.timed_only s))
-
-let test_registry_domain_safety () =
-  (* 4 domains, 10k increments each: atomic adds commute, so the totals
-     are exact — the property that lets metrics stay on in live mode. *)
-  let r = Reg.create () in
-  let c = Reg.counter r "par.c" in
-  let h = Reg.hist r "par.h" in
-  let per_domain = 10_000 in
-  let work () =
-    for i = 1 to per_domain do
-      Reg.incr c;
-      Reg.observe h (i land 1023)
-    done
-  in
-  let ds = Array.init 4 (fun _ -> Domain.spawn work) in
-  Array.iter Domain.join ds;
-  Alcotest.(check int) "counter exact under contention" (4 * per_domain) (Reg.counter_value c);
-  Alcotest.(check int) "hist count exact under contention" (4 * per_domain) (Reg.hist_count h)
 
 (* ---------- exposition ---------- *)
 
@@ -148,25 +42,18 @@ let contains hay needle =
   go 0
 
 let expo_snapshot () =
-  let r = Reg.create () in
-  Reg.add (Reg.counter r "net.cc") 42;
-  Reg.set (Reg.gauge r ~klass:Reg.Exact "net.noise-rate") 0.25;
-  let h = Reg.hist r "live.round_ns" in
-  Reg.observe h 3;
-  Reg.observe h 100;
-  Reg.set (Reg.gauge r "sched.level") 7.;
-  Reg.snapshot r
+  [
+    ("net.cc", Reg.Exact, Reg.Counter 42);
+    ("net.noise-rate", Reg.Exact, Reg.Gauge 0.25);
+    ("sched.level", Reg.Timed, Reg.Gauge 7.);
+  ]
 
 let test_openmetrics () =
   let om = Expo.openmetrics (expo_snapshot ()) in
   Alcotest.(check bool) "counter type line" true (contains om "# TYPE net_cc counter");
   Alcotest.(check bool) "counter sample" true (contains om "net_cc_total 42");
+  Alcotest.(check bool) "gauge type line" true (contains om "# TYPE net_noise_rate gauge");
   Alcotest.(check bool) "dots and dashes sanitized" true (contains om "net_noise_rate 0.25");
-  Alcotest.(check bool) "histogram type" true (contains om "# TYPE live_round_ns histogram");
-  Alcotest.(check bool) "le=3 cell" true (contains om "live_round_ns_bucket{le=\"3\"} 1");
-  Alcotest.(check bool) "+Inf cumulative" true (contains om "live_round_ns_bucket{le=\"+Inf\"} 2");
-  Alcotest.(check bool) "sum" true (contains om "live_round_ns_sum 103");
-  Alcotest.(check bool) "count" true (contains om "live_round_ns_count 2");
   let n = String.length om in
   Alcotest.(check string) "EOF terminated" "# EOF\n" (String.sub om (n - 6) 6)
 
@@ -180,44 +67,17 @@ let test_json_exposition () =
       Alcotest.(check (option (float 1e-9))) "counter under exact" (Some 42.)
         (Option.bind (member2 "exact" "net.cc") Util.Json.to_float);
       Alcotest.(check (option (float 1e-9))) "timed gauge under timed" (Some 7.)
-        (Option.bind (member2 "timed" "sched.level") Util.Json.to_float);
-      Alcotest.(check bool) "hist has percentiles" true
-        (Option.bind (member2 "exact" "live.round_ns") (Util.Json.member "p95") <> None)
+        (Option.bind (member2 "timed" "sched.level") Util.Json.to_float)
   | None -> Alcotest.fail "json line does not parse");
   (* exact_json is the byte-comparison subject: no timed members. *)
   let ej = Expo.exact_json snap in
   Alcotest.(check bool) "exact_json drops timed" false (contains ej "sched.level");
   Alcotest.(check bool) "exact_json keeps exact" true (contains ej "net.cc")
 
-let test_hist_quantile () =
-  let h = Hist.create () in
-  (* Exact range: values below 16 have one cell each, so interpolation
-     is exact.  1..10: p50 lands on 5, p95 on 10 (rank ceil). *)
-  for v = 1 to 10 do
-    Hist.observe h v
-  done;
-  Alcotest.(check (float 1e-9)) "exact p50" 5. (Hist.quantile h 0.50);
-  Alcotest.(check (float 1e-9)) "exact max" 10. (Hist.quantile h 1.0);
-  Alcotest.(check (float 1e-9)) "clamped below" 1. (Hist.quantile h (-1.));
-  (* Log range: the documented bound — within 12.5% of the true value. *)
-  let h2 = Hist.create () in
-  List.iter (Hist.observe h2) [ 1000; 2000; 3000; 4000 ];
-  let q = Hist.quantile h2 0.5 in
-  Alcotest.(check bool)
-    (Printf.sprintf "p50 within bucket bound (%.1f)" q)
-    true
-    (Float.abs (q -. 2000.) <= 0.125 *. 2000.);
-  (* The bucket-list estimator agrees with the live one. *)
-  Alcotest.(check (float 1e-9)) "bucket-list form agrees" q
-    (Hist.quantile_of_buckets (Hist.nonzero h2) ~count:(Hist.count h2) 0.5);
-  Alcotest.(check (float 1e-9)) "empty" 0. (Hist.quantile (Hist.create ()) 0.5)
-
 let test_expo_escaping () =
-  (* Hostile registry keys must neither corrupt the OpenMetrics text
+  (* Hostile metric names must neither corrupt the OpenMetrics text
      nor break the JSON line. *)
-  let r = Reg.create () in
-  Reg.add (Reg.counter r "evil\"quote\\back.slash") 3 |> ignore;
-  let snap = Reg.snapshot r in
+  let snap = [ ("evil\"quote\\back.slash", Reg.Exact, Reg.Counter 3) ] in
   let om = Expo.openmetrics snap in
   Alcotest.(check bool) "openmetrics name sanitized" true
     (contains om "evil_quote_back_slash_total 3");
@@ -234,23 +94,25 @@ let test_expo_escaping () =
 
 (* ---------- end-to-end: scheme runs ---------- *)
 
-let scheme_exact ?(shards = 0) ?max_iterations ?max_wall_s ?sink
+(* One Algorithm 1 run on a 6-cycle and its projected metrics.  The run
+   keeps its per-iteration trace unless [~trace:false], so the
+   projection carries Φ. *)
+let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?max_iterations ?max_wall_s ?sink
     ?(adversary = Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001) () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 g in
-  let reg = Reg.create () in
   let backend =
     if shards = 0 then Coding.Scheme.Lockstep
     else Coding.Scheme.Live (Live.Config.make ~shards ())
   in
   let config =
-    Coding.Scheme.Config.make ~metrics:reg ~backend ?max_iterations ?max_wall_s ?sink ()
+    Coding.Scheme.Config.make ~trace ~backend ?faults ?max_iterations ?max_wall_s ?sink ()
   in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adversary
   in
-  (outcome, Reg.snapshot reg)
+  (outcome, Coding.Report.metrics ~k:params.Coding.Params.k ~m:(Topology.Graph.m g) outcome)
 
 let test_scheme_metrics_deterministic () =
   let outcome, s1 = scheme_exact () in
@@ -310,9 +172,9 @@ let test_aborted_run_names_its_phase () =
   (match List.find_opt (fun (n, _, _) -> n = "scheme.outcome.aborted") snap with
   | Some (_, _, Reg.Counter 1) -> ()
   | _ -> Alcotest.fail "aborted outcome not tallied");
-  (* Every count booked up to the abort, pinned: the aborted run's
-     Exact metrics are as deterministic as a completed run's. *)
-  Alcotest.(check string) "aborted exact metrics digest" "efab83dbee5283f9e9cc38a238519eb6"
+  (* What the aborted run's diagnosis holds, pinned: its projection is
+     as deterministic as a completed run's. *)
+  Alcotest.(check string) "aborted exact metrics digest" "c9949dda57d4bd4978174d412e6109a9"
     (Digest.to_hex (Digest.string (Expo.exact_json snap)));
   (* At 2 shards the run aborts at the same round with the same books,
      and its trace is the serial one, event for event: the timing-free
@@ -325,7 +187,7 @@ let test_aborted_run_names_its_phase () =
   (match scheme_exact ~shards:2 ~sink:sink2 ~adversary () with
   | Faults.Outcome.Aborted (Faults.Outcome.Internal_error _, _), snap2 ->
       Alcotest.(check string) "aborted exact metrics digest, 2 shards"
-        "efab83dbee5283f9e9cc38a238519eb6"
+        "c9949dda57d4bd4978174d412e6109a9"
         (Digest.to_hex (Digest.string (Expo.exact_json snap2)));
       Alcotest.(check string) "aborted export digest, 2 shards"
         "5d4b97b4e25f4327c087bf28847ebd78" (export_digest sink2)
@@ -340,43 +202,103 @@ let test_aborted_run_names_its_phase () =
         [ "aborted in iteration 0 during scheme.iteration" ] diag.Faults.Outcome.notes
   | o, _ -> Alcotest.failf "expected Wall_budget abort, got %s" (Faults.Outcome.label o)
 
+(* Per-trial metrics through the pool: each trial projects its own
+   outcome, the snapshots merge in trial order, and the merge is the
+   same at any job count.  Trial, error and timeout counts are plain
+   counts over the outcome array. *)
 let test_pool_metrics () =
   let run ~jobs =
-    let reg = Reg.create () in
     let outcomes =
-      Runner.Pool.run ~metrics:reg ~jobs ~trials:8 (fun t ->
-          if t = 3 then failwith "boom" else t * t)
+      Runner.Pool.run ~jobs ~trials:6 (fun t ->
+          if t = 3 then failwith "boom"
+          else
+            snd
+              (scheme_exact
+                 ~adversary:(Netsim.Adversary.iid (Util.Rng.create (100 + t)) ~rate:0.002)
+                 ()))
     in
-    Alcotest.(check int) "outcomes" 8 (Array.length outcomes);
-    Reg.snapshot reg
+    let snaps =
+      Array.to_list outcomes
+      |> List.filter_map (function Runner.Pool.Value s -> Some s | _ -> None)
+    in
+    let errors =
+      Array.fold_left
+        (fun n o -> match o with Runner.Pool.Raised _ -> n + 1 | _ -> n)
+        0 outcomes
+    in
+    (Expo.exact_json (Reg.merge snaps), errors)
   in
-  let s1 = run ~jobs:1 and s2 = run ~jobs:4 in
-  Alcotest.(check string) "pool exact metrics jobs-invariant" (Expo.exact_json s1)
-    (Expo.exact_json s2);
-  let find snap n =
+  let s1, e1 = run ~jobs:1 and s4, e4 = run ~jobs:4 in
+  Alcotest.(check string) "merged exact metrics jobs-invariant" s1 s4;
+  Alcotest.(check (pair int int)) "errors counted from outcomes" (1, 1) (e1, e4);
+  Alcotest.(check bool) "five runs tallied" true (contains s1 "\"scheme.iterations\"");
+  Alcotest.(check bool) "outcomes tallied" true
+    (contains s1 "\"scheme.outcome.completed\": 5")
+
+(* The projection is total: every outcome constructor, and a run that
+   kept no per-iteration trace (then there is no Φ to project). *)
+let test_projection_total () =
+  let names snap = List.map (fun (n, _, _) -> n) snap in
+  let has snap n = List.mem n (names snap) in
+  let value snap n =
     match List.find_opt (fun (m, _, _) -> m = n) snap with
-    | Some (_, _, Reg.Counter v) -> v
-    | _ -> Alcotest.failf "metric %s missing" n
+    | Some (_, Reg.Exact, Reg.Counter v) -> v
+    | _ -> Alcotest.failf "exact counter %s missing" n
   in
-  Alcotest.(check int) "trials counted" 8 (find s1 "runner.trials");
-  Alcotest.(check int) "errors counted" 1 (find s1 "runner.errors")
+  let tallied label snap =
+    List.iter
+      (fun l ->
+        Alcotest.(check int) (label ^ ": tally " ^ l) (Bool.to_int (l = label))
+          (value snap ("scheme.outcome." ^ l)))
+      [ "completed"; "degraded"; "aborted" ]
+  in
+  let sorted snap = List.sort compare (names snap) = names snap in
+  (* Completed: the jitter books read 0 and Φ is there. *)
+  let o, snap = scheme_exact () in
+  Alcotest.(check string) "completed run" "completed" (Faults.Outcome.label o);
+  tallied "completed" snap;
+  Alcotest.(check bool) "sorted" true (sorted snap);
+  Alcotest.(check int) "no stalls when completed" 0 (value snap "net.stalled");
+  Alcotest.(check bool) "phi projected" true (has snap "scheme.phi" && has snap "scheme.phi_stalls");
+  (* Degraded: the stalls come from the diagnosis. *)
+  let faults =
+    Faults.Plan.make ~key:"projection"
+      [ Faults.Plan.Link_stall { edge = 0; from_round = 50; rounds = 40 } ]
+  in
+  let o, snap = scheme_exact ~faults () in
+  (match o with
+  | Faults.Outcome.Degraded (_, d) ->
+      tallied "degraded" snap;
+      Alcotest.(check int) "stalls from the diagnosis" d.Faults.Outcome.stalled_slots
+        (value snap "net.stalled");
+      Alcotest.(check bool) "stalls booked" true (d.Faults.Outcome.stalled_slots > 0)
+  | o -> Alcotest.failf "expected degraded, got %s" (Faults.Outcome.label o));
+  (* Aborted: only what the diagnosis holds. *)
+  let o, snap = scheme_exact ~max_iterations:0 () in
+  Alcotest.(check string) "aborted run" "aborted" (Faults.Outcome.label o);
+  tallied "aborted" snap;
+  Alcotest.(check (list string)) "aborted series"
+    [
+      "net.injected";
+      "net.stalled";
+      "scheme.iterations";
+      "scheme.outcome.aborted";
+      "scheme.outcome.completed";
+      "scheme.outcome.degraded";
+    ]
+    (names snap);
+  (* No trace: everything but Φ. *)
+  let _, traced = scheme_exact () and _, untraced = scheme_exact ~trace:false () in
+  Alcotest.(check bool) "no phi without a trace" false
+    (has untraced "scheme.phi" || has untraced "scheme.phi_stalls");
+  Alcotest.(check (list string)) "the rest is unchanged"
+    (List.filter (fun n -> n <> "scheme.phi" && n <> "scheme.phi_stalls") (names traced))
+    (names untraced)
 
 let () =
   Alcotest.run "metrics"
     [
-      ( "hist",
-        [
-          Alcotest.test_case "bucket math" `Quick test_hist_buckets;
-          Alcotest.test_case "observe + nonzero" `Quick test_hist_observe;
-          Alcotest.test_case "quantile estimator" `Quick test_hist_quantile;
-        ] );
-      ( "registry",
-        [
-          Alcotest.test_case "probes + snapshot" `Quick test_registry_probes;
-          Alcotest.test_case "disabled is inert" `Quick test_registry_disabled;
-          Alcotest.test_case "merge semantics" `Quick test_registry_merge;
-          Alcotest.test_case "domain safety" `Quick test_registry_domain_safety;
-        ] );
+      ("registry", [ Alcotest.test_case "merge semantics" `Quick test_registry_merge ]);
       ( "expo",
         [
           Alcotest.test_case "openmetrics shape" `Quick test_openmetrics;
@@ -391,5 +313,6 @@ let () =
           Alcotest.test_case "aborted run names its phase" `Quick
             test_aborted_run_names_its_phase;
           Alcotest.test_case "pool metrics" `Quick test_pool_metrics;
+          Alcotest.test_case "projection is total" `Quick test_projection_total;
         ] );
     ]

@@ -809,23 +809,20 @@ let test_differential_adaptive () =
 
    Two twins on the same traffic: one runs [rounds] single [commit]s of
    the block's sends (round r carries bit r of each direction's words),
-   the other one [commit_block].  Delivered words, books, trace events
-   and the Exact metrics (one net.active_links observation per round,
-   the 64-round noise gauge) must agree.  [adv ()] is called once per
-   twin, so a stateful strategy gets a fresh, identical copy each. *)
-let check_block ?hooks ~metered ~name g adv ~width ~fields ~rounds ~sym =
+   the other one [commit_block].  Delivered words, books and trace
+   events must agree.  [adv ()] is called once per twin, so a stateful
+   strategy gets a fresh, identical copy each. *)
+let check_block ?hooks ~name g adv ~width ~fields ~rounds ~sym =
   let module B = Network.Block in
   let twin () =
     let net = Network.create g (adv ()) in
     let sink = Trace.Sink.create () in
-    let reg = if metered then Metrics.Registry.create () else Metrics.Registry.disabled in
     Network.set_trace net sink;
-    Network.set_metrics net reg;
     Network.set_fault_hooks net hooks;
     Network.set_phase net ~iteration:3 ~phase:Adversary.Meeting_points;
-    (net, sink, reg)
+    (net, sink)
   in
-  let net_r, sink_r, reg_r = twin () and net_b, sink_b, reg_b = twin () in
+  let net_r, sink_r = twin () and net_b, sink_b = twin () in
   let two_m = 2 * Topology.Graph.m g in
   (* [sym dir r]: 0, 1, or 2 for a silent round (2 everywhere: a dead sender). *)
   let out = Network.Block.create g ~width ~fields in
@@ -863,9 +860,7 @@ let check_block ?hooks ~metered ~name g adv ~width ~fields ~rounds ~sym =
   done;
   let s_r = Network.stats net_r and s_b = Network.stats net_b in
   Alcotest.(check bool) (name ^ ": stats") true (s_r = s_b);
-  Alcotest.(check bool) (name ^ ": trace events") true (norm_events sink_r = norm_events sink_b);
-  let exact reg = Metrics.Expo.exact_json (Metrics.Registry.snapshot reg) in
-  Alcotest.(check string) (name ^ ": exact metrics") (exact reg_r) (exact reg_b)
+  Alcotest.(check bool) (name ^ ": trace events") true (norm_events sink_r = norm_events sink_b)
 
 (* The block shapes: τ = 30 (the largest hash width, 150 rounds, the
    meeting-points shape) and a short ragged one that ends mid-field. *)
@@ -883,18 +878,13 @@ let check_block_random ?hooks ~name adv =
       let h = (((seed * 131) + dir) * 31) + r in
       if dir mod 3 = 2 then 2 else if h mod 17 = 0 then 2 else (h / 3) land 1
     in
-    (* Unmetered, a silent adversary without hooks takes the word-copy
-       path; metered, every adversary goes round by round. *)
+    (* A silent adversary without hooks takes the word-copy path; any
+       other goes round by round. *)
     List.iter
       (fun (width, fields, rounds) ->
-        List.iter
-          (fun metered ->
-            check_block ?hooks ~metered
-              ~name:
-                (Printf.sprintf "%s (seed %d, width %d, %d rounds, metered %b)" name seed width
-                   rounds metered)
-              g (fun () -> adv seed g) ~width ~fields ~rounds ~sym)
-          [ true; false ])
+        check_block ?hooks
+          ~name:(Printf.sprintf "%s (seed %d, width %d, %d rounds)" name seed width rounds)
+          g (fun () -> adv seed g) ~width ~fields ~rounds ~sym)
       block_shapes
   done
 

@@ -388,6 +388,50 @@ let test_accessors_reject_out_of_range () =
   Alcotest.check_raises "party_view chunk 0" (Invalid_argument "Chunking.chunk: index < 1")
     (fun () -> ignore (Chunking.party_view ch ~chunk_index:0 ~party:0))
 
+(* [Pi.machine.output] is computable at any point, so asking it must
+   not change the machine: over every protocol constructor, a twin
+   whose machines are asked for their output at random rounds sends
+   exactly what the unasked run sends, and ends on the same outputs. *)
+let prop_output_leaves_sends =
+  QCheck.Test.make ~name:"mid-run output leaves later sends unchanged" ~count:25
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let r = Util.Rng.create ((a * 7919) + b) in
+      let g = Topology.Graph.random_connected r ~n:(4 + (a mod 5)) ~extra_edges:(b mod 4) in
+      List.for_all
+        (fun pi ->
+          let n = Topology.Graph.n pi.Pi.graph in
+          let inputs = Array.init n (fun _ -> Util.Rng.int r 1024) in
+          let spawn () = Array.init n (fun party -> pi.Pi.spawn ~party ~input:inputs.(party)) in
+          let plain = spawn () and asked = spawn () in
+          let same = ref true in
+          for round = 0 to pi.Pi.rounds - 1 do
+            if Util.Rng.int r 4 = 0 then Array.iter (fun m -> ignore (m.Pi.output ())) asked;
+            let sent =
+              List.map
+                (fun (u, v) ->
+                  let bit = plain.(u).Pi.send ~round ~dst:v in
+                  if asked.(u).Pi.send ~round ~dst:v <> bit then same := false;
+                  (u, v, bit))
+                (pi.Pi.sends_at round)
+            in
+            List.iter
+              (fun (u, v, bit) ->
+                plain.(v).Pi.recv ~round ~src:u bit;
+                asked.(v).Pi.recv ~round ~src:u bit)
+              sent
+          done;
+          !same && Array.for_all2 (fun m m' -> m.Pi.output () = m'.Pi.output ()) plain asked)
+        [
+          Protocols.ring_sum ~n:5 ~bits:4;
+          Protocols.line_flow ~n:5 ~phases:3 ~chat:4;
+          Protocols.broadcast_tree g ~bits:5;
+          Protocols.pairwise_ip g ~bits:6;
+          Protocols.gossip_max g ~bits:6;
+          Protocols.convergecast_sum g ~bits:5;
+          Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:(Util.Rng.int r 1000);
+        ])
+
 let prop_chunking_exact_5k =
   QCheck.Test.make ~name:"chunks are exactly 5K on random graphs" ~count:25
     QCheck.(pair small_nat small_nat)
@@ -419,6 +463,7 @@ let () =
           Alcotest.test_case "cc" `Quick test_cc_counts_transmissions;
           Alcotest.test_case "validate" `Quick test_validate_catches_bad_schedule;
           Alcotest.test_case "validate round stamps" `Quick test_validate_round_stamps;
+          QCheck_alcotest.to_alcotest prop_output_leaves_sends;
         ] );
       ( "chunking",
         [

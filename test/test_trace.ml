@@ -363,9 +363,10 @@ let test_traced_scheme_run () =
   Alcotest.(check string) "replay identical" (Export.jsonl sink)
     (Export.jsonl sink2)
 
-(* One noisy run under all five fault kinds on a 3×3 grid, traced and
-   metered: the subject of the export goldens and of the cross-surface
-   consistency check. *)
+(* One noisy run under all five fault kinds on a 3×3 grid, traced into
+   a sink and keeping its per-iteration trace, with its metrics
+   projected from the outcome: the subject of the export goldens and of
+   the cross-surface consistency check. *)
 let probe_run ~shards ~ragged_d =
   let g = Topology.Graph.grid ~rows:3 ~cols:3 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:120 ~density:0.4 ~seed:16 in
@@ -380,30 +381,32 @@ let probe_run ~shards ~ragged_d =
         Faults.Plan.Seed_rot { party = 7; from_iteration = 30 };
       ]
   in
-  let sink = Sink.create () and reg = Metrics.Registry.create () in
+  let sink = Sink.create () in
   let backend = Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d ~jitter_rate:0.05 ()) in
-  let config = Coding.Scheme.Config.make ~sink ~metrics:reg ~faults ~backend () in
-  let outcome =
-    Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 46) (Coding.Params.algorithm_1 g) pi
-      adv
-  in
-  (outcome, sink, Metrics.Registry.snapshot reg)
+  let config = Coding.Scheme.Config.make ~trace:true ~sink ~faults ~backend () in
+  let params = Coding.Params.algorithm_1 g in
+  let outcome = Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 46) params pi adv in
+  let k = params.Coding.Params.k in
+  (outcome, sink, k, Coding.Report.metrics ~k ~m:(Topology.Graph.m g) outcome)
 
 (* Digests of both timing-free exports: any change to event names,
    order, values or metric registration shows here. *)
 let test_export_golden () =
-  let _, sink, snap = probe_run ~shards:1 ~ragged_d:0 in
+  let _, sink, _, snap = probe_run ~shards:1 ~ragged_d:0 in
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
   let digest s = Digest.to_hex (Digest.string s) in
   Alcotest.(check string) "jsonl export digest" "652ee6777e54460c3da7b97f1cce391c" (digest (Export.jsonl sink));
-  Alcotest.(check string) "exact metrics digest" "5c1d059d02e60a4cfa8bd08530be7397" (digest (Metrics.Expo.exact_json snap))
+  Alcotest.(check string) "exact metrics digest" "3d5d7e301777812099f43915b49d6b46" (digest (Metrics.Expo.exact_json snap))
 
-(* Every surface books the same events: trace counter totals, Exact
-   metric counters and the result/diagnosis fields agree on the run
-   above — at 1 and 2 shards at d = 0, and ragged (keyed jitter, where
-   delayed symbols are booked as stalls and surface as injections). *)
+(* Every surface books the same events: trace counter totals, the
+   metrics projected from the outcome and the result/diagnosis fields
+   agree on the run above — at 1 and 2 shards at d = 0, and ragged
+   (keyed jitter, where delayed symbols are booked as stalls and surface
+   as injections).  Φ stalls are one definition read three ways: the
+   sink's in-run [phi.stall] events, the projection's
+   [scheme.phi_stalls] and the increments of the result's trace. *)
 let test_surfaces_agree ~shards ~ragged_d () =
-  let outcome, sink, snap = probe_run ~shards ~ragged_d in
+  let outcome, sink, k, snap = probe_run ~shards ~ragged_d in
   Alcotest.(check int) "no drops" 0 (Sink.dropped sink);
   let r, d =
     match outcome with
@@ -431,10 +434,21 @@ let test_surfaces_agree ~shards ~ragged_d () =
       r.Coding.Scheme.iterations_run;
       d.Faults.Outcome.iterations_run;
     ];
-  agree "rewinds" [ trace "rewind.requests"; metric "scheme.rewinds" ];
-  agree "mp truncations" [ trace "mp.truncate"; metric "scheme.mp_truncations" ];
-  agree "phi stalls" [ trace "phi.stall"; metric "scheme.phi_stalls" ];
+  agree "rewinds" [ trace "rewind.requests"; metric "scheme.rewinds"; r.Coding.Scheme.rewinds ];
+  agree "mp truncations"
+    [ trace "mp.truncate"; metric "scheme.mp_truncations"; r.Coding.Scheme.mp_truncations ];
+  let m = Topology.Graph.m (Topology.Graph.grid ~rows:3 ~cols:3) in
+  agree "phi stalls"
+    [
+      trace "phi.stall";
+      metric "scheme.phi_stalls";
+      List.length
+        (List.filter
+           (fun d -> d < float_of_int k)
+           (Coding.Potential.increments ~k ~m r.Coding.Scheme.trace));
+    ];
   agree "cc" [ metric "net.cc"; r.Coding.Scheme.cc ];
+  agree "rounds" [ metric "live.rounds"; r.Coding.Scheme.rounds ];
   (* The run exercises the surfaces it compares. *)
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " fired") true (trace n > 0))
