@@ -18,17 +18,6 @@ let test_registry_merge () =
   (match List.find (fun (n, _, _) -> n = "g") merged with
   | _, _, Reg.Gauge 9.0 -> ()
   | _ -> Alcotest.fail "gauges keep the last value in merge order");
-  (* The merge is name-sorted; on a name collision the first klass and,
-     across types, the first value win. *)
-  (match
-     Reg.merge
-       [
-         [ ("b", Reg.Exact, Reg.Counter 1); ("a", Reg.Exact, Reg.Counter 6) ];
-         [ ("a", Reg.Timed, Reg.Counter 1); ("b", Reg.Exact, Reg.Gauge 2.) ];
-       ]
-   with
-  | [ ("a", Reg.Exact, Reg.Counter 7); ("b", Reg.Exact, Reg.Counter 1) ] -> ()
-  | s -> Alcotest.failf "unexpected merge shape (%d entries)" (List.length s));
   (* Klass filters split. *)
   let s = [ ("only.exact", Reg.Exact, Reg.Counter 1); ("only.timed", Reg.Timed, Reg.Gauge 1.) ] in
   Alcotest.(check int) "exact_only" 1 (List.length (Reg.exact_only s));
@@ -113,6 +102,36 @@ let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?max_iterations ?max_wall
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adversary
   in
   (outcome, Coding.Report.metrics ~k:params.Coding.Params.k ~m:(Topology.Graph.m g) outcome)
+
+(* The probes are the projection's readings of the outcome: a projected
+   snapshot keeps the snapshot contract (name-sorted, one entry per
+   name), and merging snapshots keeps it too -- on a name collision the
+   first klass and, across types, the first value win. *)
+let test_registry_snapshot () =
+  let _, snap = scheme_exact () in
+  let names = List.map (fun (n, _, _) -> n) snap in
+  Alcotest.(check (list string)) "projection is name-sorted, names unique"
+    (List.sort_uniq compare names) names;
+  let doubled = Reg.merge [ snap; snap ] in
+  Alcotest.(check (list string)) "self-merge keeps the names" names
+    (List.map (fun (n, _, _) -> n) doubled);
+  List.iter2
+    (fun (n, k, v) (_, k', v') ->
+      Alcotest.(check bool) (n ^ " klass kept") true (k = k');
+      match (v, v') with
+      | Reg.Counter a, Reg.Counter b -> Alcotest.(check int) (n ^ " counter doubles") (2 * a) b
+      | Reg.Gauge a, Reg.Gauge b -> Alcotest.(check (float 0.)) (n ^ " gauge kept") a b
+      | _ -> Alcotest.failf "%s changed type in a self-merge" n)
+    snap doubled;
+  match
+    Reg.merge
+      [
+        [ ("b", Reg.Exact, Reg.Counter 1); ("a", Reg.Exact, Reg.Counter 6) ];
+        [ ("a", Reg.Timed, Reg.Counter 1); ("b", Reg.Exact, Reg.Gauge 2.) ];
+      ]
+  with
+  | [ ("a", Reg.Exact, Reg.Counter 7); ("b", Reg.Exact, Reg.Counter 1) ] -> ()
+  | s -> Alcotest.failf "unexpected merge shape (%d entries)" (List.length s)
 
 let test_scheme_metrics_deterministic () =
   let outcome, s1 = scheme_exact () in
@@ -298,7 +317,11 @@ let test_projection_total () =
 let () =
   Alcotest.run "metrics"
     [
-      ("registry", [ Alcotest.test_case "merge semantics" `Quick test_registry_merge ]);
+      ( "registry",
+        [
+          Alcotest.test_case "probes + snapshot" `Quick test_registry_snapshot;
+          Alcotest.test_case "merge semantics" `Quick test_registry_merge;
+        ] );
       ( "expo",
         [
           Alcotest.test_case "openmetrics shape" `Quick test_openmetrics;
