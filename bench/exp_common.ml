@@ -147,9 +147,6 @@ let run_trials_aux ?jobs:j ~trials (f : int -> Coding.Scheme.result * 'aux) :
             ((if r.Coding.Scheme.success then succ + 1 else succ), errs, Some a :: aux)
         | Runner.Pool.Raised e ->
             Format.eprintf "[trial %d raised: %s]@." t e.Runner.Pool.message;
-            (succ, errs + 1, None :: aux)
-        | Runner.Pool.Timed_out { trial; elapsed_s } ->
-            Format.eprintf "[trial %d timed out after %.1fs]@." trial elapsed_s;
             (succ, errs + 1, None :: aux))
       f
   in
@@ -179,9 +176,7 @@ let grid (cells : 'a list) (f : 'a -> 'b) : 'b list =
   |> Array.to_list
   |> List.map (function
        | Runner.Pool.Value v -> v
-       | Runner.Pool.Raised e -> failwith e.Runner.Pool.message
-       | Runner.Pool.Timed_out { trial; elapsed_s } ->
-           failwith (Format.asprintf "grid cell %d timed out after %.1fs" trial elapsed_s))
+       | Runner.Pool.Raised e -> failwith e.Runner.Pool.message)
 
 (* The Report record for a summary, for experiments that emit JSON. *)
 let report ~experiment ~key s =

@@ -109,10 +109,6 @@ let cell ~jobs ~trials ~pi ~g (alg_id, mk_params) ~crashes ~overload ~chaos =
                loudly and poison the exit status. *)
             Format.eprintf "[faults trial %d raised: %s]@." t e.Runner.Pool.message;
             incr Exp_common.total_errors;
-            (c, d, a + 1, s, ci, rj, st, inj, rot)
-        | Runner.Pool.Timed_out { trial; elapsed_s } ->
-            Format.eprintf "[faults trial %d timed out after %.1fs]@." trial elapsed_s;
-            incr Exp_common.total_errors;
             (c, d, a + 1, s, ci, rj, st, inj, rot))
       (fun t ->
         let config =

@@ -38,8 +38,7 @@ let merged_exact ~jobs ~trials ~rounds g =
       ~merge:(fun acc _t outcome ->
         match outcome with
         | Runner.Pool.Value s -> s :: acc
-        | Runner.Pool.Raised e -> failwith ("metrics trial raised: " ^ e.Runner.Pool.message)
-        | Runner.Pool.Timed_out _ -> failwith "metrics trial timed out")
+        | Runner.Pool.Raised e -> failwith ("metrics trial raised: " ^ e.Runner.Pool.message))
       (fun t ->
         run_snapshot ~rng:(Exp_common.trial_rng key t)
           ~adv_rng:(Exp_common.trial_rng (key ^ ":adv") t)

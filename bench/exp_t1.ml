@@ -77,7 +77,7 @@ let run () =
      vanishing noise fraction — the stateless-defence failure mode. *)
   measured_row "repetition x5" "cycle" "targeted" "adapt insdel"
     (baseline (fun t ->
-         let u, v = List.hd (pi_cycle.Protocol.Pi.sends_at 0) in
+         let u, v = List.hd (Protocol.Pi.sends_at pi_cycle 0) in
          Coding.Baseline.repetition ~rng:(rng "t1:rep5t:scheme" t) ~rep:5 pi_cycle
            (Netsim.Adversary.burst (rng "t1:rep5t:adv" t) ~start_round:0 ~len:5
               ~dirs:[ Topology.Graph.dir_id cycle ~src:u ~dst:v ])));

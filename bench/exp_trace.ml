@@ -122,10 +122,6 @@ let traced_sweep ~jobs ~trials ~rounds =
         | Runner.Pool.Raised e ->
             Format.eprintf "[trace trial %d raised: %s]@." t e.Runner.Pool.message;
             incr Exp_common.total_errors;
-            acc
-        | Runner.Pool.Timed_out { trial; elapsed_s } ->
-            Format.eprintf "[trace trial %d timed out after %.1fs]@." trial elapsed_s;
-            incr Exp_common.total_errors;
             acc)
       (traced_trial ~key ~params ~pi ~g)
   in

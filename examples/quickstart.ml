@@ -38,7 +38,7 @@ let () =
 
   (* 5. For contrast: one single targeted corruption against both the
         unprotected protocol and the coded one. *)
-  let u, v = List.hd (pi.Protocol.Pi.sends_at 0) in
+  let u, v = List.hd (Protocol.Pi.sends_at pi 0) in
   let one_error () =
     Netsim.Adversary.single ~round:0 ~dir:(Topology.Graph.dir_id graph ~src:u ~dst:v) ~addend:1
   in

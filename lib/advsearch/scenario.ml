@@ -242,17 +242,6 @@ let replay ?(jobs = 1) sc =
             noise_fraction = 0.;
             hunter_hits = 0;
           }
-          :: acc
-      | Runner.Pool.Timed_out { trial; _ } ->
-          {
-            trial;
-            outcome_class = "error:timeout";
-            success = false;
-            cc = 0;
-            corruptions = 0;
-            noise_fraction = 0.;
-            hunter_hits = 0;
-          }
           :: acc)
     (fun trial -> run_trial sc trial)
   |> List.rev

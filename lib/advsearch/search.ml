@@ -119,7 +119,7 @@ let evaluate_batch ~jobs ~trials ~generation ~keys env cands =
           Runner.Accum.add waste.(ci) fit.Fitness.waste;
           hits.(ci) <- hits.(ci) + fit.Fitness.hunter_hits;
           classes.(ci) <- fit.Fitness.outcome_class :: classes.(ci)
-      | Runner.Pool.Raised _ | Runner.Pool.Timed_out _ ->
+      | Runner.Pool.Raised _ ->
           errors.(ci) <- errors.(ci) + 1;
           classes.(ci) <- "error" :: classes.(ci))
     (fun i -> run_candidate env cands.(i / trials) ~key:keys.(i / trials) (i mod trials));

@@ -1,8 +1,9 @@
 (** Baselines for the experiments.
 
-    - {!uncoded}: run Π directly over the noisy network.  Any single
-      corruption of a message bit silently propagates; deletions read as
-      0.  This is the "no protection" row of every comparison.
+    - {!uncoded}: run Π directly over the noisy network ({!repetition}
+      with one copy).  Any single corruption of a message bit silently
+      propagates; deletions read as 0.  This is the "no protection" row
+      of every comparison.
     - {!repetition}: the classic stateless defence — every transmission
       of Π is repeated 2r+1 times in consecutive rounds and the receiver
       majority-votes.  This resists substitutions at rate < r/(2r+1) per

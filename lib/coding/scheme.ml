@@ -568,7 +568,6 @@ let planned_iterations params pi =
   iterations_of params (Chunking.n_real ch)
 
 let run_outcome ?(config = Config.default) ~rng params pi adversary =
-  Pi.validate pi;
   let graph = pi.Pi.graph in
   let n = Topology.Graph.n graph and m = Topology.Graph.m graph in
   (* Configuration validation raises ordinary [Invalid_argument] — only

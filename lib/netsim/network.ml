@@ -270,8 +270,6 @@ type t = {
   mutable faults : fault_hooks option;
   mutable iteration : int;
   mutable phase : Adversary.phase;
-  (* Directed link id -> (src, dst). *)
-  dir_ends : (int * int) array;
   (* Per-round dedup stamps for adaptive corruption requests. *)
   adv_stamp : int array;
   mutable adv_epoch : int;
@@ -280,17 +278,6 @@ type t = {
      clean slots. *)
   mutable trace : Trace.Sink.t;
 }
-
-let dir_endpoints g =
-  let m = Topology.Graph.m g in
-  let ends = Array.make (2 * m) (0, 0) in
-  Array.iteri
-    (fun id (u, v) ->
-      let lo = min u v and hi = max u v in
-      ends.(2 * id) <- (lo, hi);
-      ends.((2 * id) + 1) <- (hi, lo))
-    (Topology.Graph.edges g);
-  ends
 
 let create graph adversary =
   let two_m = 2 * Topology.Graph.m graph in
@@ -308,16 +295,15 @@ let create graph adversary =
     faults = None;
     iteration = -1;
     phase = Adversary.Idle;
-    dir_ends = dir_endpoints graph;
     adv_stamp = Array.make (max 1 two_m) 0;
     adv_epoch = 0;
     trace = Trace.Sink.disabled;
   }
 
-let two_m t = Array.length t.dir_ends
+let two_m t = 2 * Topology.Graph.m t.graph
 let graph t = t.graph
 let active t = Active.of_length (two_m t)
-let link_ends t ~dir = t.dir_ends.(dir)
+let link_ends t ~dir = Topology.Graph.dir_ends t.graph dir
 let set_fault_hooks t hooks =
   Logging.Log.debug (fun m ->
       m "fault hooks %s" (match hooks with None -> "cleared" | Some _ -> "installed"));
@@ -336,7 +322,7 @@ let set_phase t ~iteration ~phase =
 let sends_of_active t (act : Active.t) =
   let acc = ref [] in
   Active.iter act (fun ~dir bit ->
-      let src, dst = t.dir_ends.(dir) in
+      let src, dst = Topology.Graph.dir_ends t.graph dir in
       acc := (src, dst, bit) :: !acc);
   List.rev !acc
 
@@ -381,7 +367,7 @@ let block_slots =
         for dir = o.Block.len - 1 downto 0 do
           let i = (dir * o.Block.fields) + v.b_field in
           if o.Block.heard.(i) land v.b_bit <> 0 then begin
-            let src, dst = t.dir_ends.(dir) in
+            let src, dst = Topology.Graph.dir_ends t.graph dir in
             acc := (src, dst, o.Block.ones.(i) land v.b_bit <> 0) :: !acc
           end
         done;

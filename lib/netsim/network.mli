@@ -155,7 +155,8 @@ val active : t -> Active.t
 (** A fresh sparse buffer sized for this network. *)
 
 val link_ends : t -> dir:int -> int * int
-(** (src, dst) endpoints of a directed link id. *)
+(** (src, dst) endpoints of a directed link id: the graph's
+    {!Topology.Graph.dir_ends}. *)
 
 val set_fault_hooks : t -> fault_hooks option -> unit
 (** Install (or clear) the fault engine's hooks.  [None] — the default —

@@ -1,13 +1,10 @@
-type slot = { pi_round : int option; src : int; dst : int }
-
-type chunk = { index : int; rounds : slot list array }
-
 type t = {
   pi : Pi.t;
   k : int;
-  layouts : slot list array array;
-      (* [layouts.(i)]: the schedule of chunk i+1; the last entry, at
-         [n_real], is the schedule every dummy chunk shares *)
+  n_real : int;
+  max_rounds : int;
+  (* Layout [l] < [n_real] is chunk l+1; layout [n_real] is the schedule
+     every dummy chunk shares. *)
   pi_base : int array; (* per layout: the Π round played at round offset 0 *)
   pi_rounds : int array; (* per layout: leading rounds that carry Π; the rest pad *)
   events : int array; (* [l * m + edge]: slots of layout [l] on [edge] *)
@@ -19,112 +16,133 @@ type t = {
 
 let pi t = t.pi
 let k t = t.k
-let chunk_bits t = 5 * t.k
-let n_real t = Array.length t.layouts - 1
-let max_rounds t = Array.fold_left (fun acc r -> max acc (Array.length r)) 0 t.layouts
+let n_real t = t.n_real
+let max_rounds t = t.max_rounds
 
-(* All 2m directed links in a canonical order, used for padding. *)
-let all_dirs graph =
-  Topology.Graph.edges graph
-  |> Array.to_list
-  |> List.concat_map (fun (u, v) -> [ (min u v, max u v); (max u v, min u v) ])
-  |> Array.of_list
-
-(* Schedule [count] padding transmissions into rounds of at most one
-   symbol per directed link, cycling through all 2m links. *)
-let padding_rounds dirs count =
-  let two_m = Array.length dirs in
-  Array.init ((count + two_m - 1) / two_m) (fun r ->
-      List.init (min two_m (count - (r * two_m))) (fun i ->
-          let src, dst = dirs.(i) in
-          { pi_round = None; src; dst }))
+(* Greedy packing: add Π rounds to a chunk while keeping >= 2m slots of
+   headroom, so that the padding covers every directed link at least
+   once.  Each Π round is one chunk round, so a chunk plays a run of
+   consecutive Π rounds; the last chunk is flushed even when empty, so
+   a Π without rounds still has one real chunk.  Returns each real
+   chunk's first Π round and round count. *)
+let pack pi ~k5 ~two_m =
+  let sched = pi.Pi.schedule in
+  let starts = ref [] and start = ref 0 and comm = ref 0 in
+  Array.iteri
+    (fun r ds ->
+      if !comm + Array.length ds > k5 - two_m then begin
+        starts := !start :: !starts;
+        start := r;
+        comm := 0
+      end;
+      comm := !comm + Array.length ds)
+    sched;
+  let starts = Array.of_list (List.rev (!start :: !starts)) in
+  let next c = if c + 1 < Array.length starts then starts.(c + 1) else pi.Pi.rounds in
+  (starts, Array.mapi (fun c first -> next c - first) starts)
 
 (* Build the per-party views in two passes over every slot: one counts
-   each party's entries, one fills them.  Within a round every sender's
-   entry is added before any receiver's, so a party's entries come out
-   ordered by round offset, sends before receives, then schedule order.
-   A slot's event index is its position on its link in schedule order
-   (round ascending, then list order): the transcript record's layout. *)
-let index pi ~k layouts =
+   each party's entries, one fills them.  A layout's rounds are its Π
+   rounds (dir ids in schedule order), then virtual padding: rounds of
+   at most 2m slots that cycle through the dir ids 0, 1, ..., topping
+   the chunk up to exactly 5K.  Within a round every sender's entry is
+   added before any receiver's, so a party's entries come out ordered by
+   round offset, sends before receives, then schedule order.  A slot's
+   event index is its position on its link (edge [dir / 2]) in schedule
+   order: the transcript record's layout. *)
+let make pi ~k =
   let open Topology.Graph in
   let g = pi.Pi.graph in
-  let n = n g and m = m g and nl = Array.length layouts in
+  let n = n g and m = m g in
+  if k < m then invalid_arg "Chunking.make: k < m";
+  let k5 = 5 * k and two_m = 2 * m in
+  let starts, lens = pack pi ~k5 ~two_m in
+  let n_real = Array.length starts in
+  let nl = n_real + 1 in
+  let pi_base = Array.append starts [| 0 |] and pi_rounds = Array.append lens [| 0 |] in
+  let padding = Array.init two_m Fun.id in
+  (* [f roff dirs len] for each round of layout [l]: the round's slots
+     are [dirs.(0 .. len - 1)].  Returns the layout's round count. *)
+  let iter_layout l f =
+    let comm = ref 0 in
+    for i = 0 to pi_rounds.(l) - 1 do
+      let ds = pi.Pi.schedule.(pi_base.(l) + i) in
+      f i ds (Array.length ds);
+      comm := !comm + Array.length ds
+    done;
+    let roff = ref pi_rounds.(l) and left = ref (k5 - !comm) in
+    assert (!left >= two_m);
+    while !left > 0 do
+      f !roff padding (min two_m !left);
+      incr roff;
+      left := !left - two_m
+    done;
+    !roff
+  in
   let view_start = Array.make ((nl * n) + 1) 0 in
-  Array.iteri
-    (fun l ->
-      let count p = view_start.((l * n) + p + 1) <- view_start.((l * n) + p + 1) + 1 in
-      Array.iter (List.iter (fun s -> count s.src; count s.dst)))
-    layouts;
+  let max_rounds = ref 0 in
+  for l = 0 to nl - 1 do
+    let count p = view_start.((l * n) + p + 1) <- view_start.((l * n) + p + 1) + 1 in
+    let rounds =
+      iter_layout l (fun _ ds len ->
+          for j = 0 to len - 1 do
+            let u, v = dir_ends g ds.(j) in
+            count u;
+            count v
+          done)
+    in
+    max_rounds := max !max_rounds rounds
+  done;
   for i = 1 to nl * n do
     view_start.(i) <- view_start.(i) + view_start.(i - 1)
   done;
   let total = view_start.(nl * n) in
   let step = Array.make total 0 and nbr = Array.make total 0 and event = Array.make total 0 in
   let fill = Array.sub view_start 0 (nl * n) and events = Array.make (nl * m) 0 in
-  let pi_base = Array.make nl 0 and pi_rounds = Array.make nl 0 in
-  let round_ev = Array.make (2 * m) 0 in
-  let add l p ~peer ~st ~ev =
+  (* Per dir: the peer's index in the sender's and in the receiver's
+     neighbour list. *)
+  let src_nbr = Array.init two_m (fun d -> let u, v = dir_ends g d in neighbor_index g u v) in
+  let dst_nbr = Array.init two_m (fun d -> let u, v = dir_ends g d in neighbor_index g v u) in
+  let round_ev = Array.make two_m 0 in
+  let add l p ~nb ~st ~ev =
     let i = fill.((l * n) + p) in
     fill.((l * n) + p) <- i + 1;
     step.(i) <- st;
-    nbr.(i) <- neighbor_index g p peer;
+    nbr.(i) <- nb;
     event.(i) <- ev
   in
-  Array.iteri
-    (fun l ->
-      Array.iteri (fun roff slots ->
-          (match slots with
-          | { pi_round = Some r; _ } :: _ -> pi_base.(l) <- r - roff; pi_rounds.(l) <- roff + 1
-          | _ -> ());
-          List.iteri
-            (fun j s ->
-              let cell = (l * m) + edge_id g s.src s.dst in
-              round_ev.(j) <- events.(cell);
-              events.(cell) <- events.(cell) + 1;
-              add l s.src ~peer:s.dst ~st:(2 * roff) ~ev:round_ev.(j))
-            slots;
-          List.iteri
-            (fun j s -> add l s.dst ~peer:s.src ~st:((2 * roff) + 1) ~ev:round_ev.(j))
-            slots))
-    layouts;
-  { pi; k; layouts; pi_base; pi_rounds; events; view_start; step; nbr; event }
-
-let make pi ~k =
-  let m = Topology.Graph.m pi.Pi.graph in
-  if k < m then invalid_arg "Chunking.make: k < m";
-  let k5 = 5 * k in
-  let dirs = all_dirs pi.Pi.graph in
-  let two_m = Array.length dirs in
-  (* Greedy packing: add protocol rounds while keeping >= 2m headroom so
-     that the padding covers every directed link at least once.  Each Π
-     round is one chunk round, so a chunk plays a run of consecutive Π
-     rounds. *)
-  let chunks = ref [] in
-  let current = ref [] and current_comm = ref 0 in
-  let flush () =
-    let pad = k5 - !current_comm in
-    assert (pad >= two_m);
-    chunks := Array.append (Array.of_list (List.rev !current)) (padding_rounds dirs pad) :: !chunks;
-    current := [];
-    current_comm := 0
-  in
-  for r = 0 to pi.Pi.rounds - 1 do
-    let sends = pi.Pi.sends_at r in
-    let comm = List.length sends in
-    assert (comm <= two_m);
-    if !current_comm + comm > k5 - two_m then flush ();
-    current :=
-      List.map (fun (src, dst) -> { pi_round = Some r; src; dst }) sends :: !current;
-    current_comm := !current_comm + comm
+  for l = 0 to nl - 1 do
+    ignore
+      (iter_layout l (fun roff ds len ->
+           for j = 0 to len - 1 do
+             let d = ds.(j) in
+             let cell = (l * m) + (d / 2) in
+             round_ev.(j) <- events.(cell);
+             events.(cell) <- events.(cell) + 1;
+             add l (fst (dir_ends g d)) ~nb:src_nbr.(d) ~st:(2 * roff) ~ev:round_ev.(j)
+           done;
+           for j = 0 to len - 1 do
+             let d = ds.(j) in
+             add l (snd (dir_ends g d)) ~nb:dst_nbr.(d) ~st:((2 * roff) + 1) ~ev:round_ev.(j)
+           done))
   done;
-  if !current <> [] || !chunks = [] then flush ();
-  index pi ~k (Array.of_list (List.rev (padding_rounds dirs k5 :: !chunks)))
+  {
+    pi;
+    k;
+    n_real;
+    max_rounds = !max_rounds;
+    pi_base;
+    pi_rounds;
+    events;
+    view_start;
+    step;
+    nbr;
+    event;
+  }
 
 let layout t chunk_index =
   if chunk_index < 1 then invalid_arg "Chunking.chunk: index < 1";
-  min chunk_index (n_real t + 1) - 1
-
-let chunk t i = { index = i; rounds = t.layouts.(layout t i) }
+  min chunk_index (t.n_real + 1) - 1
 
 let party_view t ~chunk_index ~party =
   let l = layout t chunk_index and n = Topology.Graph.n t.pi.Pi.graph in
@@ -161,14 +179,11 @@ let link_slots_full t ~chunk_index ~edge =
   done;
   slots
 
-let link_slots t ~chunk_index ~edge =
-  Array.map (fun (r, src, dst, _) -> (r, src, dst)) (link_slots_full t ~chunk_index ~edge)
-
 let serialized_chunk_bits t ~chunk_index ~edge =
   32 + (2 * events_on_link t ~chunk_index ~edge)
 
 let max_transcript_words t ~horizon =
-  let n_real = n_real t in
+  let n_real = t.n_real in
   let worst = ref 0 in
   for edge = 0 to Topology.Graph.m t.pi.Pi.graph - 1 do
     let bits c = serialized_chunk_bits t ~chunk_index:c ~edge in

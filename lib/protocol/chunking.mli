@@ -4,7 +4,7 @@
     A chunk is a fixed schedule of rounds.  Real protocol rounds are
     packed greedily while keeping at least 2m transmissions of headroom;
     the remainder is {e virtual padding}: scheduled all-zero transmissions
-    that cycle through every directed link, which simultaneously (a) tops
+    that cycle through every directed link in dir-id order, which simultaneously (a) tops
     the chunk up to exactly 5K transmissions, and (b) guarantees the
     paper's normalisation that every party sends at least one bit to each
     neighbor in every chunk.  Padding bits really travel over the noisy
@@ -13,42 +13,27 @@
     Chunks past the end of Π are {e dummy chunks} of pure padding — the
     padding of Π "with enough dummy chunks" that the paper prescribes. *)
 
-type slot = { pi_round : int option; src : int; dst : int }
-(** One scheduled transmission inside a chunk; [pi_round = None] for
-    virtual padding (the bit sent is always 0). *)
-
-type chunk = {
-  index : int;  (** 1-based chunk number *)
-  rounds : slot list array;  (** schedule: [rounds.(i)] = sends of chunk round i *)
-}
-
 type t
 
 val make : Pi.t -> k:int -> t
 (** [make pi ~k] chunks [pi] with chunk size 5K where K = [k].  Requires
     [k >= m] (the paper sets K = m, m·log m or m·log log m).
 
-    It also builds the per-party view below: two passes over each real
-    chunk's rounds and over the shared dummy schedule, so [make] costs
+    The chunks are laid out straight from Π's compiled schedule
+    (the dir ids of [Pi.t.schedule]): [make] stores no slot lists, only the
+    per-party view below, built in two passes over each real chunk's
+    slots and over the shared dummy schedule.  So [make] costs
     O(total slots), and the view and per-link counts are O(1) lookups.
     Nothing is cached across calls: each [make] builds its own view. *)
 
 val pi : t -> Pi.t
 val k : t -> int
-val chunk_bits : t -> int
-(** = 5K. *)
-
 val n_real : t -> int
 (** |Π|: number of chunks containing real protocol rounds. *)
 
 val max_rounds : t -> int
 (** Fixed length (in network rounds) of the simulation phase: an upper
     bound on the rounds of any chunk (real or dummy). *)
-
-val chunk : t -> int -> chunk
-(** [chunk t i] for 1-based [i]; beyond [n_real] returns the dummy
-    schedule with the requested index.
-    @raise Invalid_argument ["Chunking.chunk: index < 1"] if [i < 1]. *)
 
 (** {2 Per-party view}
 
@@ -96,17 +81,14 @@ val entry_pi_round : t -> chunk_index:int -> int -> int
     @raise Invalid_argument ["Chunking: edge out of range"] if [edge] is
     outside [\[0, m)]. *)
 
-val link_slots : t -> chunk_index:int -> edge:int -> (int * int * int) array
-(** The transmissions of a chunk restricted to one link, in schedule
-    order (round ascending, then list order within a round): (round
-    offset within the chunk, src, dst).  This is the event layout of the
-    pairwise transcript for that chunk.  Read off one endpoint's view
-    into a fresh array: O(that party's entries in the chunk). *)
-
 val link_slots_full : t -> chunk_index:int -> edge:int -> (int * int * int * bool) array
-(** Like {!link_slots} with a fourth component marking virtual padding
-    slots (whose honest bit is always 0) — the slots whose content an
-    adversary can predict ahead of time. *)
+(** The transmissions of a chunk restricted to one link, in schedule
+    order (round ascending, then schedule order within a round): (round
+    offset within the chunk, src, dst, is virtual padding).  This is the
+    event layout of the pairwise transcript for that chunk; padding
+    slots (whose honest bit is always 0) are the slots whose content an
+    adversary can predict ahead of time.  Read off one endpoint's view
+    into a fresh array: O(that party's entries in the chunk). *)
 
 val events_on_link : t -> chunk_index:int -> edge:int -> int
 (** Number of transmissions of the chunk on the link (both directions).

@@ -11,7 +11,7 @@ let sequence p q =
   if not (same_graph p.Pi.graph q.Pi.graph) then
     invalid_arg "Combinators.sequence: protocols over different graphs";
   let r1 = p.Pi.rounds in
-  let sends_at r = if r < r1 then p.Pi.sends_at r else q.Pi.sends_at (r - r1) in
+  let sends_at r = if r < r1 then Pi.sends_at p r else Pi.sends_at q (r - r1) in
   let rec machine m1 m2 =
     Pi.
       {
@@ -26,7 +26,7 @@ let sequence p q =
       }
   in
   let spawn ~party ~input = machine (p.Pi.spawn ~party ~input) (q.Pi.spawn ~party ~input) in
-  Pi.{ graph = p.Pi.graph; rounds = r1 + q.Pi.rounds; sends_at; spawn }
+  Pi.make ~graph:p.Pi.graph ~rounds:(r1 + q.Pi.rounds) ~sends_at ~spawn
 
 let repeat k p =
   if k < 1 then invalid_arg "Combinators.repeat: k < 1";

@@ -8,40 +8,46 @@ type machine = {
 type t = {
   graph : Topology.Graph.t;
   rounds : int;
-  sends_at : int -> (int * int) list;
+  schedule : int array array;
   spawn : party:int -> input:int -> machine;
 }
 
-let cc t =
-  let total = ref 0 in
-  for r = 0 to t.rounds - 1 do
-    total := !total + List.length (t.sends_at r)
-  done;
-  !total
-
-let validate t =
+let make ~graph ~rounds ~sends_at ~spawn =
   (* [seen.(d)] is the last round that scheduled directed link [d]. *)
-  let seen = Array.make (2 * Topology.Graph.m t.graph) (-1) in
-  for r = 0 to t.rounds - 1 do
-    List.iter
-      (fun (u, v) ->
-        if not (Topology.Graph.are_adjacent t.graph u v) then
-          invalid_arg (Printf.sprintf "Pi.validate: round %d schedules non-adjacent %d->%d" r u v);
-        let d = Topology.Graph.dir_id t.graph ~src:u ~dst:v in
-        if seen.(d) = r then
-          invalid_arg (Printf.sprintf "Pi.validate: round %d schedules %d->%d twice" r u v);
-        seen.(d) <- r)
-      (t.sends_at r)
-  done
+  let seen = Array.make (2 * Topology.Graph.m graph) (-1) in
+  let compile r (u, v) =
+    if not (Topology.Graph.are_adjacent graph u v) then
+      invalid_arg (Printf.sprintf "Pi.validate: round %d schedules non-adjacent %d->%d" r u v);
+    let d = Topology.Graph.dir_id graph ~src:u ~dst:v in
+    if seen.(d) = r then
+      invalid_arg (Printf.sprintf "Pi.validate: round %d schedules %d->%d twice" r u v);
+    seen.(d) <- r;
+    d
+  in
+  let schedule = Array.init rounds (fun r -> Array.of_list (List.map (compile r) (sends_at r))) in
+  { graph; rounds; schedule; spawn }
+
+let sends_at t r = Array.to_list (Array.map (Topology.Graph.dir_ends t.graph) t.schedule.(r))
+let cc t = Array.fold_left (fun acc ds -> acc + Array.length ds) 0 t.schedule
 
 let run_noiseless t ~inputs =
-  let n = Topology.Graph.n t.graph in
+  let g = t.graph in
+  let n = Topology.Graph.n g in
   if Array.length inputs <> n then invalid_arg "Pi.run_noiseless: wrong input count";
   let machines = Array.init n (fun party -> t.spawn ~party ~input:inputs.(party)) in
-  for r = 0 to t.rounds - 1 do
-    let scheduled = t.sends_at r in
-    (* Synchrony: all sends of a round are computed before any delivery. *)
-    let bits = List.map (fun (u, v) -> (u, v, machines.(u).send ~round:r ~dst:v)) scheduled in
-    List.iter (fun (u, v, b) -> machines.(v).recv ~round:r ~src:u b) bits
-  done;
+  let bits = Array.make (2 * Topology.Graph.m g) false in
+  Array.iteri
+    (fun r ds ->
+      (* Synchrony: all sends of a round are computed before any delivery. *)
+      Array.iter
+        (fun d ->
+          let u, v = Topology.Graph.dir_ends g d in
+          bits.(d) <- machines.(u).send ~round:r ~dst:v)
+        ds;
+      Array.iter
+        (fun d ->
+          let u, v = Topology.Graph.dir_ends g d in
+          machines.(v).recv ~round:r ~src:u bits.(d))
+        ds)
+    t.schedule;
   Array.map (fun mc -> mc.output ()) machines

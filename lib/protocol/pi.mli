@@ -2,10 +2,14 @@
 
     A protocol runs for a fixed number of synchronous rounds over a graph.
     As the paper requires, the {e speaking order is fixed}: whether the
-    directed link u→v carries a bit in round r is given by the pure
-    function [sends_at] and does not depend on inputs — only the {e
-    content} of messages does.  Message content is produced by per-party
-    {!machine}s: deterministic state machines over (input, received bits).
+    directed link u→v carries a bit in round r does not depend on inputs
+    — only the {e content} of messages does.  So the schedule is a value:
+    {!make} calls the author's [sends_at] once per round and compiles it
+    into per-round arrays of directed-link ids, checking it as it goes.
+    A [t] can only come from {!make}, so every [t] is a valid schedule,
+    and every schedule reader walks the compiled arrays.  Message content
+    is produced by per-party {!machine}s: deterministic state machines
+    over (input, received bits).
 
     The machine interface is re-entrant by construction: the coding scheme
     rebuilds a machine from stored transcripts whenever it needs to
@@ -16,7 +20,7 @@
 
 type machine = {
   send : round:int -> dst:int -> bool;
-      (** Called exactly when [sends_at round] schedules me→dst, in
+      (** Called exactly when round [round]'s schedule has me→dst, in
           schedule order within the round.  Must be deterministic given
           the machine's history. *)
   recv : round:int -> src:int -> bool -> unit;
@@ -31,23 +35,39 @@ type machine = {
           would.  O(the machine's state). *)
 }
 
-type t = {
+type t = private {
   graph : Topology.Graph.t;
   rounds : int;
-  sends_at : int -> (int * int) list;
-      (** [sends_at r] lists the (src, dst) transmissions of round [r],
-          in a canonical order.  Pure.  Each directed link at most once
-          per round; endpoints must be adjacent. *)
+  schedule : int array array;
+      (** [schedule.(r)] lists the directed links
+          ({!Topology.Graph.dir_id}) that carry a bit in round [r], in the
+          order [sends_at r] gave them.  Read-only: {!make} checked these
+          arrays, and every reader shares them. *)
   spawn : party:int -> input:int -> machine;
 }
 
+val make :
+  graph:Topology.Graph.t ->
+  rounds:int ->
+  sends_at:(int -> (int * int) list) ->
+  spawn:(party:int -> input:int -> machine) ->
+  t
+(** [make ~graph ~rounds ~sends_at ~spawn] compiles the schedule: it
+    calls [sends_at r] once for each round [r] in [\[0, rounds)], where
+    [sends_at r] lists the (src, dst) transmissions of round [r] in a
+    canonical order, and keeps no reference to [sends_at].  Each directed
+    link may appear at most once per round, and endpoints must be
+    adjacent.
+    @raise Invalid_argument ["Pi.validate: round r schedules non-adjacent
+    u->v"] or ["Pi.validate: round r schedules u->v twice"] at the first
+    pair that breaks a rule. *)
+
+val sends_at : t -> int -> (int * int) list
+(** [sends_at t r] is round [r]'s transmissions as (src, dst) pairs, in
+    schedule order, for [r] in [\[0, rounds)]. *)
+
 val cc : t -> int
 (** Communication complexity: total number of transmissions. *)
-
-val validate : t -> unit
-(** Check the schedule invariants (adjacency, no duplicate directed link
-    in a round); raises [Invalid_argument] on violation.  Keeps one
-    round stamp per directed link, no table per round. *)
 
 val run_noiseless : t -> inputs:int array -> int array
 (** Reference execution over a perfect network; returns per-party

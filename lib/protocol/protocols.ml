@@ -34,11 +34,8 @@ let ring_sum ~n ~bits =
   let mask = (1 lsl bits) - 1 in
   let rounds = 2 * n * bits in
   let sends_at r =
-    if r >= rounds then []
-    else
-      let hop = r / bits in
-      let src = hop mod n in
-      [ (src, (src + 1) mod n) ]
+    let src = r / bits mod n in
+    [ (src, (src + 1) mod n) ]
   in
   let spawn ~party:_ ~input =
     let x = input land mask in
@@ -64,7 +61,7 @@ let ring_sum ~n ~bits =
     in
     machine (ref 0) (ref 0)
   in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let line_flow ~n ~phases ~chat =
   if n < 3 then invalid_arg "Protocols.line_flow: n < 3";
@@ -72,16 +69,13 @@ let line_flow ~n ~phases ~chat =
   let phase_rounds = n - 1 + chat in
   let rounds = phases * phase_rounds in
   let sends_at r =
-    if r >= rounds then []
-    else
-      let off = r mod phase_rounds in
-      if off < n - 1 then [ (off, off + 1) ]
-      else
-        let c = off - (n - 1) in
-        if c mod 2 = 0 then [ (n - 2, n - 1) ] else [ (n - 1, n - 2) ]
+    let off = r mod phase_rounds in
+    if off < n - 1 then [ (off, off + 1) ]
+    else if (off - (n - 1)) mod 2 = 0 then [ (n - 2, n - 1) ]
+    else [ (n - 1, n - 2) ]
   in
   let spawn ~party:_ ~input = digest_machine (ref (mix 1 input)) in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let broadcast_tree graph ~bits =
   if bits < 1 || bits > 30 then invalid_arg "Protocols.broadcast_tree: bits";
@@ -141,19 +135,17 @@ let broadcast_tree graph ~bits =
     in
     machine (ref (if is_root then input land mask else 0)) (ref 0)
   in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let pairwise_ip graph ~bits =
   if bits < 1 || bits > 30 then invalid_arg "Protocols.pairwise_ip: bits";
   let edges = Topology.Graph.edges graph in
   let rounds = 2 * bits in
   let sends_at r =
-    if r >= rounds then []
-    else
-      let j = r / 2 and dir = r mod 2 in
-      ignore j;
-      Array.to_list
-        (Array.map (fun (u, v) -> if dir = 0 then (min u v, max u v) else (max u v, min u v)) edges)
+    Array.to_list
+      (Array.map
+         (fun (u, v) -> if r mod 2 = 0 then (min u v, max u v) else (max u v, min u v))
+         edges)
   in
   let mask = (1 lsl bits) - 1 in
   let spawn ~party:_ ~input =
@@ -174,19 +166,14 @@ let pairwise_ip graph ~bits =
     in
     machine (ref 0)
   in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let gossip_max graph ~bits =
   if bits < 1 || bits > 30 then invalid_arg "Protocols.gossip_max: bits";
   let phases = Topology.Graph.diameter graph + 1 in
   let rounds = phases * bits in
-  let edges = Topology.Graph.edges graph in
-  let dirs =
-    List.concat_map
-      (fun (u, v) -> [ (min u v, max u v); (max u v, min u v) ])
-      (Array.to_list edges)
-  in
-  let sends_at r = if r >= rounds then [] else dirs in
+  let dirs = List.init (2 * Topology.Graph.m graph) (Topology.Graph.dir_ends graph) in
+  let sends_at _ = dirs in
   let mask = (1 lsl bits) - 1 in
   (* [incoming]: this phase's values, keyed by sender; merged at phase end. *)
   let rec machine best incoming last_phase =
@@ -218,7 +205,7 @@ let gossip_max graph ~bits =
       }
   in
   let spawn ~party:_ ~input = machine (ref (input land mask)) (Hashtbl.create 4) (ref 0) in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let convergecast_sum graph ~bits =
   if bits < 1 || bits > 20 then invalid_arg "Protocols.convergecast_sum: bits";
@@ -309,7 +296,7 @@ let convergecast_sum graph ~bits =
     in
     machine (ref (input land ((1 lsl bits) - 1))) (Hashtbl.create 4) (ref None)
   in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn
 
 let random_chatter graph ~rounds ~density ~seed =
   if density < 0. || density > 1. then invalid_arg "Protocols.random_chatter: density";
@@ -320,17 +307,14 @@ let random_chatter graph ~rounds ~density ~seed =
     Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) < density
   in
   let sends_at r =
-    if r >= rounds then []
-    else begin
-      let acc = ref [] in
-      Array.iteri
-        (fun i (u, v) ->
-          let lo = min u v and hi = max u v in
-          if speaks r ((2 * i) + 1) then acc := (hi, lo) :: !acc;
-          if speaks r (2 * i) then acc := (lo, hi) :: !acc)
-        edges;
-      !acc
-    end
+    let acc = ref [] in
+    Array.iteri
+      (fun i (u, v) ->
+        let lo = min u v and hi = max u v in
+        if speaks r ((2 * i) + 1) then acc := (hi, lo) :: !acc;
+        if speaks r (2 * i) then acc := (lo, hi) :: !acc)
+      edges;
+    !acc
   in
   let spawn ~party:_ ~input = digest_machine (ref (mix 1 input)) in
-  Pi.{ graph; rounds; sends_at; spawn }
+  Pi.make ~graph ~rounds ~sends_at ~spawn

@@ -8,6 +8,9 @@ type t = {
      probe (the hashtable was the O(1)-but-allocating bottleneck at
      n = 10k, where scheme setup performs O(m) lookups). *)
   adj_eid : int array array;
+  (* dir_ends.(d) is the (src, dst) of directed link d: the inverse of
+     [dir_id], built once so every reader shares one table. *)
+  dir_ends : (int * int) array;
 }
 
 type tree = {
@@ -54,6 +57,7 @@ let edge_id t u v =
   match adj_index t a b with -1 -> raise Not_found | i -> t.adj_eid.(a).(i)
 
 let dir_id t ~src ~dst = (2 * edge_id t src dst) + if src < dst then 0 else 1
+let dir_ends t d = t.dir_ends.(d)
 
 let bfs_dist_into t root dist =
   Array.fill dist 0 t.n (-1);
@@ -96,7 +100,13 @@ let create ~n ~edges =
   let sorted = Array.map (fun l -> Array.of_list (List.sort compare l)) adj_lists in
   let adj = Array.map (Array.map fst) sorted in
   let adj_eid = Array.map (Array.map snd) sorted in
-  let t = { n; edges = Array.of_list edges; adj; adj_eid } in
+  let edges = Array.of_list edges in
+  let dir_ends =
+    Array.init (2 * Array.length edges) (fun d ->
+        let u, v = edges.(d / 2) in
+        if d land 1 = 0 then (min u v, max u v) else (max u v, min u v))
+  in
+  let t = { n; edges; adj; adj_eid; dir_ends } in
   if n > 1 then begin
     let dist = bfs_dist t 0 in
     if Array.exists (fun d -> d < 0) dist then invalid_arg "Graph.create: not connected"

@@ -40,6 +40,11 @@ val dir_id : t -> src:int -> dst:int -> int
 (** Identifier in [0, 2m) of the directed link src→dst:
     [2 * edge_id + (if src < dst then 0 else 1)]. *)
 
+val dir_ends : t -> int -> int * int
+(** [dir_ends g d] is the (src, dst) of directed link [d], the inverse
+    of {!dir_id}: ids [2e] and [2e + 1] are edge [e] from its lower and
+    from its higher endpoint.  A stored table: O(1), no allocation. *)
+
 val degree : t -> int -> int
 val max_degree : t -> int
 

@@ -608,13 +608,13 @@ let test_replayer_matches_noiseless () =
   Alcotest.(check bool) "outputs = noiseless outputs" true (r.Coding.Scheme.outputs = reference)
 
 (* The reference schedule walk: rescan every slot of every round of
-   chunk [c], keep the slots [mine] selects, and hand each to [send],
-   then each to [recv s i] with [i] its position on its link, taken from
-   a per-link cursor.  Both the honest-transcript builder and the
-   reference replayer below are this one walk. *)
-let walk_chunk ch c ~mine ~send ~recv =
-  let open Protocol.Chunking in
-  let g = (pi ch).Protocol.Pi.graph in
+   chunk [c] of the reference packing [rf], keep the slots [mine]
+   selects, and hand each to [send], then each to [recv s i] with [i]
+   its position on its link, taken from a per-link cursor.  Both the
+   honest-transcript builder and the reference replayer below are this
+   one walk. *)
+let walk_chunk rf c ~mine ~send ~recv =
+  let open Chunk_ref in
   let cursors = Hashtbl.create 8 in
   Array.iter
     (fun slots ->
@@ -622,25 +622,28 @@ let walk_chunk ch c ~mine ~send ~recv =
       List.iter send mine;
       List.iter
         (fun s ->
-          let e = Topology.Graph.edge_id g s.src s.dst in
+          let e = Topology.Graph.edge_id rf.graph s.src s.dst in
           let i = Option.value ~default:0 (Hashtbl.find_opt cursors e) in
           Hashtbl.replace cursors e (i + 1);
           recv s i)
         mine)
-    (chunk ch c).rounds
+    (chunk rf c)
+
+let reference_packing ch =
+  Chunk_ref.make (Protocol.Chunking.pi ch) ~k:(Protocol.Chunking.k ch)
 
 (* Every party's transcripts of a noiseless run of chunks 1..n_real:
    [trs.(u).(v)] is u's copy of the link to v. *)
 let honest_transcripts ch ~inputs =
-  let open Protocol.Chunking in
-  let pi = pi ch in
+  let open Chunk_ref in
+  let pi = Protocol.Chunking.pi ch and rf = reference_packing ch in
   let g = pi.Protocol.Pi.graph in
   let n = Topology.Graph.n g in
   let machines = Array.init n (fun party -> pi.Protocol.Pi.spawn ~party ~input:inputs.(party)) in
   let trs = Array.init n (fun _ -> Array.init n (fun _ -> Coding.Transcript.create ())) in
-  for c = 1 to n_real ch do
+  for c = 1 to n_real rf do
     let sent = Hashtbl.create 16 and rows = Array.make (Topology.Graph.m g) [] in
-    walk_chunk ch c
+    walk_chunk rf c
       ~mine:(fun _ -> true)
       ~send:(fun s ->
         Hashtbl.replace sent (s.src, s.dst)
@@ -666,10 +669,11 @@ let honest_transcripts ch ~inputs =
    or a record too short for the event, reads as 0).  [transcripts nbr]
    is the link to neighbour id [nbr]. *)
 let reference_machine ch ~party ~input ~transcripts ~upto =
-  let open Protocol.Chunking in
-  let machine = (pi ch).Protocol.Pi.spawn ~party ~input in
-  for c = 1 to min upto (n_real ch) do
-    walk_chunk ch c
+  let open Chunk_ref in
+  let rf = reference_packing ch in
+  let machine = (Protocol.Chunking.pi ch).Protocol.Pi.spawn ~party ~input in
+  for c = 1 to min upto (n_real rf) do
+    walk_chunk rf c
       ~mine:(fun s -> s.src = party || s.dst = party)
       ~send:(fun s ->
         match s.pi_round with
@@ -725,7 +729,10 @@ let test_replayer_resumes_from_checkpoint () =
     incr spawns;
     pi0.Protocol.Pi.spawn ~party ~input
   in
-  let pi = { pi0 with Protocol.Pi.spawn } in
+  let pi =
+    Protocol.Pi.make ~graph:g ~rounds:pi0.Protocol.Pi.rounds ~sends_at:(Protocol.Pi.sends_at pi0)
+      ~spawn
+  in
   let ch = Protocol.Chunking.make pi ~k:(Topology.Graph.m g) in
   (* The reference walks an uncounted copy of the same layout. *)
   let ch0 = Protocol.Chunking.make pi0 ~k:(Topology.Graph.m g) in
@@ -897,7 +904,7 @@ let test_uncoded_one_error_fails () =
   let g = Topology.Graph.cycle 5 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:80 ~density:0.5 ~seed:6 in
   (* Find some scheduled transmission early on and corrupt it. *)
-  let r0 = List.hd (pi.Protocol.Pi.sends_at 0) in
+  let r0 = List.hd (Protocol.Pi.sends_at pi 0) in
   let dir = Topology.Graph.dir_id g ~src:(fst r0) ~dst:(snd r0) in
   let adv = Netsim.Adversary.single ~round:0 ~dir ~addend:1 in
   let r = Coding.Baseline.uncoded ~rng:(Util.Rng.create 14) pi adv in
@@ -916,7 +923,7 @@ let test_repetition_loses_to_targeted_burst () =
   let pi = Protocol.Protocols.ring_sum ~n:5 ~bits:8 in
   let g = pi.Protocol.Pi.graph in
   (* Concentrate corruption on the first transmission's 5 copies. *)
-  let u, v = List.hd (pi.Protocol.Pi.sends_at 0) in
+  let u, v = List.hd (Protocol.Pi.sends_at pi 0) in
   let dir = Topology.Graph.dir_id g ~src:u ~dst:v in
   let adv = Netsim.Adversary.burst (Util.Rng.create 17) ~start_round:0 ~len:5 ~dirs:[ dir ] in
   let r = Coding.Baseline.repetition ~rng:(Util.Rng.create 18) ~rep:5 pi adv in

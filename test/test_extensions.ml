@@ -20,7 +20,6 @@ let test_gossip_max_correct () =
     (fun (name, g) ->
       let n = Topology.Graph.n g in
       let pi = Protocol.Protocols.gossip_max g ~bits:12 in
-      Protocol.Pi.validate pi;
       let inputs = Array.init n (fun _ -> Util.Rng.int rng 4096) in
       let expected = Array.fold_left max 0 inputs in
       Array.iteri
@@ -33,7 +32,6 @@ let test_convergecast_sum_correct () =
     (fun (name, g) ->
       let n = Topology.Graph.n g in
       let pi = Protocol.Protocols.convergecast_sum g ~bits:10 in
-      Protocol.Pi.validate pi;
       let inputs = Array.init n (fun _ -> Util.Rng.int rng 1024) in
       let log2n =
         let rec lg acc p = if p >= n then acc else lg (acc + 1) (2 * p) in
@@ -65,7 +63,15 @@ let test_fully_utilized_same_outputs () =
       let n = Topology.Graph.n g in
       let pi = Protocol.Protocols.random_chatter g ~rounds:80 ~density:0.3 ~seed:5 in
       let fu = Protocol.Fully_utilized.of_pi pi in
-      Protocol.Pi.validate fu;
+      (* Every round keeps Π's transmissions, in order, ahead of the
+         fill, and uses all 2m directed links. *)
+      for r = 0 to pi.Protocol.Pi.rounds - 1 do
+        let orig = Protocol.Pi.sends_at pi r and full = Protocol.Pi.sends_at fu r in
+        Alcotest.(check bool) (name ^ ": original first") true
+          (List.filteri (fun i _ -> i < List.length orig) full = orig);
+        Alcotest.(check int) (name ^ ": fully utilised") (2 * Topology.Graph.m g)
+          (List.length (List.sort_uniq compare full))
+      done;
       let inputs = Array.init n (fun i -> i * 31) in
       Alcotest.(check bool) (name ^ ": outputs preserved") true
         (Protocol.Pi.run_noiseless pi ~inputs = Protocol.Pi.run_noiseless fu ~inputs))
@@ -200,7 +206,12 @@ let test_sequence_outputs () =
   let p = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:61 in
   let q = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.3 ~seed:62 in
   let seq = Protocol.Combinators.sequence p q in
-  Protocol.Pi.validate seq;
+  for r = 0 to seq.Protocol.Pi.rounds - 1 do
+    let r1 = p.Protocol.Pi.rounds in
+    Alcotest.(check bool) "schedules concatenate" true
+      (Protocol.Pi.sends_at seq r
+      = if r < r1 then Protocol.Pi.sends_at p r else Protocol.Pi.sends_at q (r - r1))
+  done;
   Alcotest.(check int) "rounds add" (p.Protocol.Pi.rounds + q.Protocol.Pi.rounds)
     seq.Protocol.Pi.rounds;
   Alcotest.(check int) "cc adds" (Protocol.Pi.cc p + Protocol.Pi.cc q) (Protocol.Pi.cc seq);
@@ -294,7 +305,7 @@ let drive pi machines logs ~lo ~hi ~flip =
           let b = machines.(u).Protocol.Pi.send ~round ~dst:v in
           logs.(u) <- Send (round, v, b) :: logs.(u);
           (u, v, b))
-        (pi.Protocol.Pi.sends_at round)
+        (Protocol.Pi.sends_at pi round)
     in
     List.iter
       (fun (u, v, b) ->

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection engine: keyed plan determinism, the
    never-raise outcome contract of Scheme.run_outcome under every fault
-   class, the watchdogs, transcript corruption, the pool's retry/timeout
-   policy and the robust calibration wrapper. *)
+   class, the watchdogs, transcript corruption and the checked-in
+   attack scenarios. *)
 
 (* ---------- Plan: keyed determinism and window queries ---------- *)
 
@@ -307,105 +307,6 @@ let test_transcript_corrupt_isolated () =
   Alcotest.(check bool) "serialized content differs" false
     (Util.Bitvec.equal (Coding.Transcript.serialized original) (Coding.Transcript.serialized victim))
 
-(* ---------- Pool: retry and timeout policy ---------- *)
-
-let test_pool_retry_recovers () =
-  let body ~attempt t = if attempt = 0 && t mod 3 = 0 then failwith "flaky" else (t, attempt) in
-  let r = Runner.Pool.run_retry ~jobs:4 ~attempts:2 ~trials:12 body in
-  Array.iteri
-    (fun t o ->
-      match o with
-      | Runner.Pool.Value (t', a) ->
-          Alcotest.(check int) "trial index" t t';
-          Alcotest.(check int) "retried exactly the flaky ones" (if t mod 3 = 0 then 1 else 0) a
-      | _ -> Alcotest.fail "expected every trial to recover on retry")
-    r
-
-let test_pool_retry_exhausts_to_raised () =
-  let r = Runner.Pool.run_retry ~jobs:2 ~attempts:3 ~trials:4 (fun ~attempt:_ _ -> failwith "always") in
-  Array.iteri
-    (fun t o ->
-      match o with
-      | Runner.Pool.Raised e -> Alcotest.(check int) "failed trial recorded" t e.Runner.Pool.failed_trial
-      | _ -> Alcotest.fail "expected Raised after exhausting attempts")
-    r;
-  Alcotest.(check bool) "attempts < 1 rejected" true
-    (try
-       ignore (Runner.Pool.run_retry ~attempts:0 ~trials:1 (fun ~attempt:_ t -> t));
-       false
-     with Invalid_argument _ -> true)
-
-let test_pool_retry_rng_streams () =
-  let w rng = Util.Rng.int64 rng in
-  (* Attempt 0 is the plain trial stream — a retrying pool is a drop-in. *)
-  Alcotest.(check int64) "attempt 0 = trial stream"
-    (w (Runner.Pool.trial_rng ~key:"rr" 3))
-    (w (Runner.Pool.retry_rng ~key:"rr" ~trial:3 ~attempt:0));
-  Alcotest.(check bool) "attempt 1 re-keys" true
-    (w (Runner.Pool.retry_rng ~key:"rr" ~trial:3 ~attempt:1)
-    <> w (Runner.Pool.retry_rng ~key:"rr" ~trial:3 ~attempt:0));
-  Alcotest.(check bool) "attempts distinct" true
-    (w (Runner.Pool.retry_rng ~key:"rr" ~trial:3 ~attempt:1)
-    <> w (Runner.Pool.retry_rng ~key:"rr" ~trial:3 ~attempt:2))
-
-let test_pool_timeout_marks () =
-  let busy _ =
-    let x = ref 0 in
-    for i = 1 to 200_000 do
-      x := !x + i
-    done;
-    !x
-  in
-  let r = Runner.Pool.run_retry ~jobs:1 ~timeout_s:1e-9 ~trials:2 (fun ~attempt:_ t -> busy t) in
-  Array.iter
-    (function
-      | Runner.Pool.Timed_out { elapsed_s; _ } ->
-          Alcotest.(check bool) "elapsed measured" true (elapsed_s > 0.)
-      | _ -> Alcotest.fail "expected Timed_out under a 1ns budget")
-    r;
-  (* A generous budget never trips. *)
-  let ok = Runner.Pool.run_retry ~jobs:1 ~timeout_s:3600. ~trials:2 (fun ~attempt:_ t -> busy t) in
-  Array.iter
-    (function Runner.Pool.Value _ -> () | _ -> Alcotest.fail "spurious timeout") ok
-
-let test_pool_fold_retry_matches_run_retry () =
-  let body ~attempt t = if attempt = 0 && t mod 4 = 1 then failwith "flaky" else (t * t) + attempt in
-  let via_run =
-    Array.to_list (Runner.Pool.run_retry ~jobs:3 ~attempts:2 ~trials:20 body)
-    |> List.filter_map (function Runner.Pool.Value v -> Some v | _ -> None)
-  in
-  let via_fold =
-    List.rev
-      (Runner.Pool.fold_retry ~jobs:3 ~batch:4 ~attempts:2 ~trials:20 ~init:[]
-         ~merge:(fun acc _ o ->
-           match o with Runner.Pool.Value v -> v :: acc | _ -> acc)
-         body)
-  in
-  Alcotest.(check (list int)) "fold_retry = run_retry" via_run via_fold
-
-(* ---------- Calibrate: robust bisection ---------- *)
-
-let test_threshold_r_matches_threshold_when_clean () =
-  let g = Topology.Graph.cycle 5 in
-  let pi = Protocol.Protocols.random_chatter g ~rounds:80 ~density:0.5 ~seed:68 in
-  let params = Coding.Params.algorithm_1 g in
-  let plain = Coding.Calibrate.threshold ~trials:2 ~steps:4 ~rng_seed:69 params pi in
-  let v = Coding.Calibrate.threshold_r ~trials:2 ~steps:4 ~rng_seed:69 params pi in
-  Alcotest.(check (float 1e-12)) "attempt-0 streams reproduce threshold" plain
-    v.Coding.Calibrate.threshold;
-  Alcotest.(check int) "nothing retried" 0 v.Coding.Calibrate.retried;
-  Alcotest.(check int) "nothing aborted" 0 v.Coding.Calibrate.aborted;
-  Alcotest.(check bool) "not exhausted" false v.Coding.Calibrate.exhausted;
-  Alcotest.(check bool) "work accounted" true (v.Coding.Calibrate.scheme_runs > 0)
-
-let test_threshold_r_exhaustion_is_clean () =
-  let g = Topology.Graph.cycle 5 in
-  let pi = Protocol.Protocols.random_chatter g ~rounds:80 ~density:0.5 ~seed:68 in
-  let params = Coding.Params.algorithm_1 g in
-  let v = Coding.Calibrate.threshold_r ~trials:2 ~steps:4 ~max_runs:1 ~rng_seed:69 params pi in
-  Alcotest.(check bool) "budget exhaustion reported" true v.Coding.Calibrate.exhausted;
-  Alcotest.(check bool) "run cap respected" true (v.Coding.Calibrate.scheme_runs <= 2)
-
 (* ---------- discovered-attack regression scenarios ---------- *)
 
 (* The checked-in worst cases from the adv bench search (one per
@@ -475,21 +376,6 @@ let () =
         ] );
       ( "transcript rot",
         [ Alcotest.test_case "corrupt isolated from copies" `Quick test_transcript_corrupt_isolated ] );
-      ( "pool retry",
-        [
-          Alcotest.test_case "retry recovers" `Quick test_pool_retry_recovers;
-          Alcotest.test_case "exhaustion raises outcome" `Quick test_pool_retry_exhausts_to_raised;
-          Alcotest.test_case "retry streams keyed" `Quick test_pool_retry_rng_streams;
-          Alcotest.test_case "timeout marks trials" `Quick test_pool_timeout_marks;
-          Alcotest.test_case "fold_retry matches run_retry" `Quick
-            test_pool_fold_retry_matches_run_retry;
-        ] );
-      ( "calibrate",
-        [
-          Alcotest.test_case "threshold_r = threshold when clean" `Quick
-            test_threshold_r_matches_threshold_when_clean;
-          Alcotest.test_case "exhaustion verdict" `Quick test_threshold_r_exhaustion_is_clean;
-        ] );
       ( "attack scenarios",
         [
           Alcotest.test_case "discovered worst cases replay to pinned classes" `Quick

@@ -12,7 +12,6 @@ let test_ring_sum_correct () =
     let n = 3 + Util.Rng.int rng 8 in
     let bits = 4 + Util.Rng.int rng 6 in
     let pi = Protocols.ring_sum ~n ~bits in
-    Pi.validate pi;
     let inputs = Array.init n (fun _ -> Util.Rng.int rng (1 lsl bits)) in
     let expected = Array.fold_left ( + ) 0 inputs land ((1 lsl bits) - 1) in
     let outputs = Pi.run_noiseless pi ~inputs in
@@ -26,7 +25,6 @@ let test_broadcast_tree_correct () =
     (fun g ->
       let bits = 8 in
       let pi = Protocols.broadcast_tree g ~bits in
-      Pi.validate pi;
       let n = Topology.Graph.n g in
       let inputs = Array.init n (fun i -> 1000 + i) in
       let expected = inputs.(0) land ((1 lsl bits) - 1) in
@@ -45,7 +43,6 @@ let test_pairwise_ip_correct () =
   let g = Topology.Graph.cycle 5 in
   let bits = 6 in
   let pi = Protocols.pairwise_ip g ~bits in
-  Pi.validate pi;
   let inputs = Array.init 5 (fun _ -> Util.Rng.int rng (1 lsl bits)) in
   let ip x y = Util.Bitvec.parity64 (Int64.of_int (x land y)) in
   let expected p =
@@ -61,7 +58,6 @@ let test_pairwise_ip_correct () =
 
 let test_line_flow_valid_and_deterministic () =
   let pi = Protocols.line_flow ~n:5 ~phases:3 ~chat:4 in
-  Pi.validate pi;
   let inputs = [| 1; 2; 3; 4; 5 |] in
   let o1 = Pi.run_noiseless pi ~inputs in
   let o2 = Pi.run_noiseless pi ~inputs in
@@ -72,7 +68,6 @@ let test_line_flow_valid_and_deterministic () =
 let test_random_chatter_valid () =
   let g = Topology.Graph.random_connected rng ~n:8 ~extra_edges:5 in
   let pi = Protocols.random_chatter g ~rounds:100 ~density:0.4 ~seed:3 in
-  Pi.validate pi;
   Alcotest.(check bool) "some communication" true (Pi.cc pi > 0);
   Alcotest.(check bool) "not fully utilised" true (Pi.cc pi < 100 * 2 * Topology.Graph.m g);
   let inputs = Array.init 8 (fun i -> i * 17) in
@@ -84,93 +79,152 @@ let test_cc_counts_transmissions () =
   (* 2 laps * 4 hops * 5 bits = 40 transmissions. *)
   Alcotest.(check int) "cc" 40 (Pi.cc pi)
 
+let chatter_spawn =
+  (Protocols.random_chatter (Topology.Graph.line 3) ~rounds:1 ~density:0. ~seed:0).Pi.spawn
+
 let test_validate_catches_bad_schedule () =
   let g = Topology.Graph.line 3 in
-  let bad =
-    Pi.
-      {
-        graph = g;
-        rounds = 1;
-        sends_at = (fun _ -> [ (0, 2) ]);
-        spawn = (fun ~party:_ ~input -> Protocols.random_chatter g ~rounds:1 ~density:0. ~seed:0
-                                        |> fun p -> p.Pi.spawn ~party:0 ~input);
-      }
-  in
-  match Pi.validate bad with
+  match Pi.make ~graph:g ~rounds:1 ~sends_at:(fun _ -> [ (0, 2) ]) ~spawn:chatter_spawn with
   | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument"
+  | _ -> Alcotest.fail "expected Invalid_argument"
 
 (* The round stamps must tell rounds apart: a link reused in the next
    round is fine, twice in one round is not, and a non-adjacent pair is
    refused before it is looked up. *)
 let test_validate_round_stamps () =
   let g = Topology.Graph.line 3 in
-  let chatter = Protocols.random_chatter g ~rounds:1 ~density:0. ~seed:0 in
-  let with_sends rounds sends_at = { chatter with Pi.rounds; sends_at } in
-  let raises name pi fragment =
-    match Pi.validate pi with
+  let with_sends rounds sends_at = Pi.make ~graph:g ~rounds ~sends_at ~spawn:chatter_spawn in
+  let raises name rounds sends_at fragment =
+    match with_sends rounds sends_at with
     | exception Invalid_argument msg ->
         let n = String.length fragment in
         let rec has i = i + n <= String.length msg && (String.sub msg i n = fragment || has (i + 1)) in
         Alcotest.(check bool) (name ^ ": " ^ msg) true (has 0)
-    | () -> Alcotest.fail (name ^ ": expected Invalid_argument")
+    | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
   in
-  Pi.validate (with_sends 3 (fun _ -> [ (0, 1); (1, 0); (1, 2) ]));
-  raises "non-adjacent" (with_sends 2 (fun r -> if r = 1 then [ (0, 1); (0, 2) ] else [])) "non-adjacent 0->2";
-  raises "duplicate" (with_sends 3 (fun r -> if r = 2 then [ (1, 2); (2, 1); (1, 2) ] else [ (1, 2) ]))
+  ignore (with_sends 3 (fun _ -> [ (0, 1); (1, 0); (1, 2) ]));
+  raises "non-adjacent" 2 (fun r -> if r = 1 then [ (0, 1); (0, 2) ] else []) "non-adjacent 0->2";
+  raises "duplicate" 3 (fun r -> if r = 2 then [ (1, 2); (2, 1); (1, 2) ] else [ (1, 2) ])
     "round 2 schedules 1->2 twice"
+
+(* [Pi.make] over random per-round pair lists, some of them non-adjacent
+   or repeated within a round: it raises exactly the message for the
+   first offending pair (rounds in order, then list order), or it builds
+   a Π that gives back every round's list and counts their lengths. *)
+let prop_make_compiles_or_names_the_fault =
+  QCheck.Test.make ~name:"Pi.make compiles or names the first fault" ~count:200
+    QCheck.(pair small_nat small_nat)
+    (fun (a, b) ->
+      let r = Util.Rng.create ((a * 7057) + b) in
+      let n = 2 + (a mod 5) in
+      let g = Topology.Graph.random_connected r ~n ~extra_edges:(b mod 3) in
+      let edges = Array.to_list (Topology.Graph.edges g) in
+      let adjacent u v = List.mem (u, v) edges || List.mem (v, u) edges in
+      let pair () =
+        if Util.Rng.int r 8 = 0 then (Util.Rng.int r n, Util.Rng.int r n)
+        else
+          let u, v = List.nth edges (Util.Rng.int r (List.length edges)) in
+          if Util.Rng.int r 2 = 0 then (u, v) else (v, u)
+      in
+      let rounds = Util.Rng.int r 6 in
+      let lists = Array.init rounds (fun _ -> List.init (Util.Rng.int r 5) (fun _ -> pair ())) in
+      let fault =
+        let rec scan rd =
+          if rd = rounds then None
+          else
+            let rec go seen = function
+              | [] -> scan (rd + 1)
+              | (u, v) :: rest ->
+                  let msg fmt = Some (Printf.sprintf fmt rd u v) in
+                  if not (adjacent u v) then msg "Pi.validate: round %d schedules non-adjacent %d->%d"
+                  else if List.mem (u, v) seen then msg "Pi.validate: round %d schedules %d->%d twice"
+                  else go ((u, v) :: seen) rest
+            in
+            go [] lists.(rd)
+        in
+        scan 0
+      in
+      let sends_at rd = lists.(rd) in
+      match (Pi.make ~graph:g ~rounds ~sends_at ~spawn:chatter_spawn, fault) with
+      | exception Invalid_argument msg -> fault = Some msg
+      | pi, None ->
+          pi.Pi.rounds = rounds
+          && List.for_all (fun rd -> Pi.sends_at pi rd = lists.(rd)) (List.init rounds Fun.id)
+          && Pi.cc pi = Array.fold_left (fun acc l -> acc + List.length l) 0 lists
+      | _, Some _ -> false)
 
 (* --- chunking --- *)
 
+(* Every (chunk, party) entry of lib's view, as (party, round offset,
+   is_send, peer, Π round or -1). *)
+let view_entries ch ~chunk_index =
+  let g = (Chunking.pi ch).Pi.graph in
+  List.concat_map
+    (fun party ->
+      let lo, hi = Chunking.party_view ch ~chunk_index ~party in
+      List.init (hi - lo) (fun i ->
+          let e = lo + i in
+          ( party,
+            Chunking.entry_round ch e,
+            Chunking.entry_is_send ch e,
+            (Topology.Graph.neighbors g party).(Chunking.entry_nbr ch e),
+            Chunking.entry_pi_round ch ~chunk_index e )))
+    (List.init (Topology.Graph.n g) Fun.id)
+
 let check_chunking pi k =
   let ch = Chunking.make pi ~k in
+  let rf = Chunk_ref.make pi ~k in
   let g = pi.Pi.graph in
   let m = Topology.Graph.m g in
   let k5 = 5 * k in
-  (* 1. Every chunk (real and dummy) carries exactly 5K transmissions. *)
+  Alcotest.(check int) "n_real = reference" (Chunk_ref.n_real rf) (Chunking.n_real ch);
   for i = 1 to Chunking.n_real ch + 2 do
-    let c = Chunking.chunk ch i in
-    let comm = Array.fold_left (fun acc slots -> acc + List.length slots) 0 c.Chunking.rounds in
-    Alcotest.(check int) (Printf.sprintf "chunk %d has 5K bits" i) k5 comm;
+    let sends = List.filter (fun (_, _, send, _, _) -> send) (view_entries ch ~chunk_index:i) in
+    (* 1. Every chunk (real and dummy) carries exactly 5K transmissions. *)
+    Alcotest.(check int) (Printf.sprintf "chunk %d has 5K bits" i) k5 (List.length sends);
     Alcotest.(check bool) "chunk fits in max_rounds" true
-      (Array.length c.Chunking.rounds <= Chunking.max_rounds ch);
+      (List.for_all (fun (_, roff, _, _, _) -> roff < Chunking.max_rounds ch) sends);
     (* 2. Each directed link appears at least once per chunk, so every
        party sends at least one bit to each neighbor. *)
-    let dir_count = Hashtbl.create 16 in
-    Array.iter
-      (List.iter (fun s ->
-           let key = (s.Chunking.src, s.Chunking.dst) in
-           Hashtbl.replace dir_count key (1 + Option.value ~default:0 (Hashtbl.find_opt dir_count key))))
-      c.Chunking.rounds;
     Array.iter
       (fun (u, v) ->
-        Alcotest.(check bool) "dir u->v present" true (Hashtbl.mem dir_count (min u v, max u v));
-        Alcotest.(check bool) "dir v->u present" true (Hashtbl.mem dir_count (max u v, min u v)))
+        Alcotest.(check bool) "dir u->v present" true
+          (List.exists (fun (p, _, _, q, _) -> p = u && q = v) sends);
+        Alcotest.(check bool) "dir v->u present" true
+          (List.exists (fun (p, _, _, q, _) -> p = v && q = u) sends))
       (Topology.Graph.edges g)
   done;
-  (* 3. Real rounds are all present exactly once, in order. *)
-  let seen = ref [] in
+  (* 3. Real rounds are all present exactly once, in order: each chunk
+     plays rounds after the previous chunk's, and every scheduled
+     transmission is played once. *)
+  let played = ref [] and last = ref (-1) in
   for i = 1 to Chunking.n_real ch do
-    Array.iter
-      (List.iter (fun s ->
-           match s.Chunking.pi_round with Some r -> seen := r :: !seen | None -> ()))
-      (Chunking.chunk ch i).Chunking.rounds
+    let rounds =
+      List.filter_map
+        (fun (p, _, send, q, r) -> if send && r >= 0 then Some (r, p, q) else None)
+        (view_entries ch ~chunk_index:i)
+    in
+    List.iter
+      (fun (r, _, _) -> Alcotest.(check bool) "chunks play rounds in order" true (r > !last))
+      rounds;
+    last := List.fold_left (fun acc (r, _, _) -> max acc r) !last rounds;
+    played := rounds @ !played
   done;
-  let rounds_seen = List.sort_uniq compare !seen in
-  let expected_rounds =
-    List.filter (fun r -> pi.Pi.sends_at r <> []) (List.init pi.Pi.rounds (fun r -> r))
+  let scheduled =
+    List.concat_map
+      (fun r -> List.map (fun (u, v) -> (r, u, v)) (Pi.sends_at pi r))
+      (List.init pi.Pi.rounds Fun.id)
   in
-  Alcotest.(check (list int)) "all protocol rounds chunked" expected_rounds rounds_seen;
-  (* 4. Per-link event layout is consistent with the schedule. *)
-  for e = 0 to m - 1 do
-    let slots = Chunking.link_slots ch ~chunk_index:1 ~edge:e in
-    Alcotest.(check int) "events count matches"
-      (Array.length slots)
-      (Chunking.events_on_link ch ~chunk_index:1 ~edge:e);
-    Array.iter
-      (fun (_, src, dst) ->
-        Alcotest.(check int) "slots belong to the edge" e (Topology.Graph.edge_id g src dst))
-      slots
+  Alcotest.(check (list (triple int int int))) "all protocol rounds chunked once"
+    (List.sort compare scheduled) (List.sort compare !played);
+  (* 4. Per-link event layout equals the reference packing's. *)
+  for i = 1 to Chunking.n_real ch + 2 do
+    for e = 0 to m - 1 do
+      let slots = Chunking.link_slots_full ch ~chunk_index:i ~edge:e in
+      Alcotest.(check bool) "link slots = reference" true (slots = Chunk_ref.link_slots rf i ~edge:e);
+      Alcotest.(check int) "events count matches" (Array.length slots)
+        (Chunking.events_on_link ch ~chunk_index:i ~edge:e)
+    done
   done;
   ch
 
@@ -239,38 +293,22 @@ let test_link_slots_full_pads_marked () =
   let n = Array.length real in
   Alcotest.(check bool) "real chunk ends with a pad" true
     (n > 0 && (fun (_, _, _, pad) -> pad) real.(n - 1));
-  Alcotest.(check bool) "slot views agree" true
-    (Array.map (fun (r, s, d, _) -> (r, s, d)) real = Chunking.link_slots ch ~chunk_index:1 ~edge:0)
+  Alcotest.(check bool) "slots = reference" true
+    (real = Chunk_ref.link_slots (Chunk_ref.make pi ~k:(Topology.Graph.m pi.Pi.graph)) 1 ~edge:0)
 
-(* The reference layout: rescan the whole chunk for the slots on [edge],
-   in schedule order, marking virtual padding.  The per-link layouts
-   [Chunking] reads off its per-party view must reproduce it exactly. *)
-let scan_link_slots ch ~chunk_index ~edge =
-  let g = (Chunking.pi ch).Pi.graph in
-  let acc = ref [] in
-  Array.iteri
-    (fun roff slots ->
-      List.iter
-        (fun s ->
-          let open Chunking in
-          if Topology.Graph.edge_id g s.src s.dst = edge then
-            acc := (roff, s.src, s.dst, s.pi_round = None) :: !acc)
-        slots)
-    (Chunking.chunk ch chunk_index).Chunking.rounds;
-  Array.of_list (List.rev !acc)
-
-(* The reference per-party view: the link rescans of the party's edges,
-   one entry per slot it sends or receives, with the slot's position in
-   its link scan as the event index; sorted by round offset, sends
-   first, then schedule order.  Entries are (round offset, is_send,
-   neighbour index, Π round or -1, event index). *)
-let scan_party_view ch ~chunk_index ~party =
-  let g = (Chunking.pi ch).Pi.graph in
-  let rounds = (Chunking.chunk ch chunk_index).Chunking.rounds in
+(* The reference per-party view: the reference packing's link rescans
+   of the party's edges, one entry per slot it sends or receives, with
+   the slot's position in its link scan as the event index; sorted by
+   round offset, sends first, then schedule order.  Entries are (round
+   offset, is_send, neighbour index, Π round or -1, event index). *)
+let scan_party_view rf ~chunk_index ~party =
+  let g = rf.Chunk_ref.graph in
+  let rounds = Chunk_ref.chunk rf chunk_index in
   let position roff src dst =
     let rec go i = function
       | [] -> assert false
-      | s :: rest -> if s.Chunking.src = src && s.Chunking.dst = dst then (i, s) else go (i + 1) rest
+      | s :: rest ->
+          if s.Chunk_ref.src = src && s.Chunk_ref.dst = dst then (i, s) else go (i + 1) rest
     in
     go 0 rounds.(roff)
   in
@@ -280,10 +318,10 @@ let scan_party_view ch ~chunk_index ~party =
       Array.iteri
         (fun i (roff, src, dst, _) ->
           let pos, s = position roff src dst in
-          let pi_round = Option.value ~default:(-1) s.Chunking.pi_round in
+          let pi_round = Option.value ~default:(-1) s.Chunk_ref.pi_round in
           let send = src = party in
           acc := ((roff, (if send then 0 else 1), pos), (roff, send, j, pi_round, i)) :: !acc)
-        (scan_link_slots ch ~chunk_index ~edge:(Topology.Graph.edge_id g party peer)))
+        (Chunk_ref.link_slots rf chunk_index ~edge:(Topology.Graph.edge_id g party peer)))
     (Topology.Graph.neighbors g party);
   List.map snd (List.sort compare !acc)
 
@@ -301,17 +339,15 @@ let prop_index_matches_scan =
       let m = Topology.Graph.m g in
       let k = if triple_k then 3 * m else m in
       let pi = Protocols.random_chatter g ~rounds:(40 + (a mod 80)) ~density:0.4 ~seed:a in
-      let ch = Chunking.make pi ~k in
+      let ch = Chunking.make pi ~k and rf = Chunk_ref.make pi ~k in
       let n_real = Chunking.n_real ch in
-      let ok = ref true in
+      let ok = ref (n_real = Chunk_ref.n_real rf) in
       for chunk_index = 1 to n_real + 2 do
         for edge = 0 to m - 1 do
-          let scan = scan_link_slots ch ~chunk_index ~edge in
+          let scan = Chunk_ref.link_slots rf chunk_index ~edge in
           ok :=
             !ok
             && Chunking.link_slots_full ch ~chunk_index ~edge = scan
-            && Chunking.link_slots ch ~chunk_index ~edge
-               = Array.map (fun (roff, src, dst, _) -> (roff, src, dst)) scan
             && Chunking.events_on_link ch ~chunk_index ~edge = Array.length scan
         done;
         for party = 0 to Topology.Graph.n g - 1 do
@@ -325,7 +361,7 @@ let prop_index_matches_scan =
                   Chunking.entry_pi_round ch ~chunk_index e,
                   Chunking.entry_event ch e ))
           in
-          ok := !ok && view = scan_party_view ch ~chunk_index ~party
+          ok := !ok && view = scan_party_view rf ~chunk_index ~party
         done
       done;
       let brute horizon =
@@ -333,7 +369,7 @@ let prop_index_matches_scan =
         for edge = 0 to m - 1 do
           let bits = ref 0 in
           for chunk_index = 1 to horizon do
-            bits := !bits + 32 + (2 * Array.length (scan_link_slots ch ~chunk_index ~edge))
+            bits := !bits + 32 + (2 * Array.length (Chunk_ref.link_slots rf chunk_index ~edge))
           done;
           worst := max !worst !bits
         done;
@@ -351,7 +387,6 @@ let test_accessors_reject_out_of_range () =
   let ch = Chunking.make pi ~k:m in
   let accessors =
     [
-      ("link_slots", fun ~chunk_index ~edge -> ignore (Chunking.link_slots ch ~chunk_index ~edge));
       ( "link_slots_full",
         fun ~chunk_index ~edge -> ignore (Chunking.link_slots_full ch ~chunk_index ~edge) );
       ("events_on_link", fun ~chunk_index ~edge -> ignore (Chunking.events_on_link ch ~chunk_index ~edge));
@@ -413,7 +448,7 @@ let prop_output_leaves_sends =
                   let bit = plain.(u).Pi.send ~round ~dst:v in
                   if asked.(u).Pi.send ~round ~dst:v <> bit then same := false;
                   (u, v, bit))
-                (pi.Pi.sends_at round)
+                (Pi.sends_at pi round)
             in
             List.iter
               (fun (u, v, bit) ->
@@ -443,10 +478,9 @@ let prop_chunking_exact_5k =
       let k = Topology.Graph.m g in
       let ch = Chunking.make pi ~k in
       let ok = ref true in
-      for i = 1 to Chunking.n_real ch + 1 do
-        let c = Chunking.chunk ch i in
-        let comm = Array.fold_left (fun acc s -> acc + List.length s) 0 c.Chunking.rounds in
-        ok := !ok && comm = 5 * k
+      for chunk_index = 1 to Chunking.n_real ch + 1 do
+        let sends = List.filter (fun (_, _, send, _, _) -> send) (view_entries ch ~chunk_index) in
+        ok := !ok && List.length sends = 5 * k
       done;
       !ok)
 
@@ -463,6 +497,7 @@ let () =
           Alcotest.test_case "cc" `Quick test_cc_counts_transmissions;
           Alcotest.test_case "validate" `Quick test_validate_catches_bad_schedule;
           Alcotest.test_case "validate round stamps" `Quick test_validate_round_stamps;
+          QCheck_alcotest.to_alcotest prop_make_compiles_or_names_the_fault;
           QCheck_alcotest.to_alcotest prop_output_leaves_sends;
         ] );
       ( "chunking",

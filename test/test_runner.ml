@@ -73,7 +73,7 @@ let test_run_jobs_invariant () =
 let summarize outcomes =
   let acc = Runner.Accum.create () in
   Array.iter
-    (function Runner.Pool.Value v -> Runner.Accum.add acc v | Runner.Pool.Raised _ | Runner.Pool.Timed_out _ -> ())
+    (function Runner.Pool.Value v -> Runner.Accum.add acc v | Runner.Pool.Raised _ -> ())
     outcomes;
   Runner.Accum.summary acc
 
@@ -91,7 +91,7 @@ let test_fold_matches_run () =
       ~merge:(fun n _ o ->
         (match o with
         | Runner.Pool.Value v -> Runner.Accum.add acc v
-        | Runner.Pool.Raised _ | Runner.Pool.Timed_out _ -> ());
+        | Runner.Pool.Raised _ -> ());
         n + 1)
       trial_body
   in
@@ -108,8 +108,7 @@ let test_exception_capture () =
       | Runner.Pool.Value v ->
           Alcotest.(check bool) "value trials" true (t mod 3 <> 0 && v = t * t)
       | Runner.Pool.Raised e ->
-          Alcotest.(check bool) "raised trials" true (t mod 3 = 0 && e.Runner.Pool.failed_trial = t)
-      | Runner.Pool.Timed_out _ -> Alcotest.fail "no timeout configured")
+          Alcotest.(check bool) "raised trials" true (t mod 3 = 0 && e.Runner.Pool.failed_trial = t))
     outcomes
 
 let test_zero_trials () =
@@ -174,7 +173,7 @@ let report_of outcomes ~jobs ~wall =
       | Runner.Pool.Value v ->
           incr successes;
           Runner.Accum.add acc v
-      | Runner.Pool.Raised _ | Runner.Pool.Timed_out _ -> incr errors)
+      | Runner.Pool.Raised _ -> incr errors)
     outcomes;
   {
     Runner.Report.experiment = "test";
