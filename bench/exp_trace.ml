@@ -165,7 +165,7 @@ let profile_runs ~trials ~rounds =
 
 let is_fault_event name =
   String.starts_with ~prefix:"fault." name
-  || name = "net.stalled" || name = "net.injected" || name = "scheme.abort"
+  || name = "net.stalled" || name = "net.injected"
 
 (* The first fault-class count in emission order, placed by
    Obsv.Timeline: (event, iteration or -1 outside every iteration,

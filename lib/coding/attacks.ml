@@ -5,7 +5,7 @@ let fresh_stats () = { attempts = 0; hits = 0; corruptions_spent = 0 }
 (* Per-simulation-phase working state of the hunter. *)
 type phase_state = {
   slots : (int * int * int * bool) array; (* (roff, src, dst, is_pad) events of the chunk on the link *)
-  observed : Transcript.symbol option array;
+  observed : bool array; (* the honest sender spoke event i this phase *)
   cut : int; (* first attackable trailing-pad event index *)
   trigger_roff : int;
   base_len : int; (* transcript length (chunks) when the phase began *)
@@ -51,7 +51,7 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
           Some
             {
               slots;
-              observed = Array.make n None;
+              observed = Array.make n false;
               cut;
               trigger_roff;
               base_len = Transcript.length view.Scheme.tr_lo;
@@ -100,18 +100,15 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
       let n = Array.length st.slots in
       let all_observed = ref true in
       for i = 0 to st.cut - 1 do
-        if st.observed.(i) = None then all_observed := false
+        if not st.observed.(i) then all_observed := false
       done;
       if !all_observed then begin
-        (* Honest chunk record: observed real events, zero pads after. *)
-        let honest =
-          Array.init n (fun i ->
-              if i < st.cut then Option.get st.observed.(i) else Transcript.sym_bit false)
+        (* Where the chunk's n symbols will sit once pushed; the hash
+           sensitivity depends only on the positions, not the bits. *)
+        let sym_bits_start event =
+          Transcript.symbol_offset view.Scheme.tr_lo ~chunk:(st.base_len + 1) ~event
         in
-        let base = Transcript.copy view.Scheme.tr_lo in
-        Transcript.push_chunk base ~events:honest;
-        let total_bits = Transcript.serialized_bits base in
-        let sym_bits_start i = Transcript.prefix_bits base st.base_len + 32 + (2 * i) in
+        let total_bits = sym_bits_start n in
         let iter_next = spy.Scheme.current_iteration () + 1 in
         let d = n - st.cut in
         let sens pos =
@@ -156,8 +153,7 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
               (fun i (roff, src, dst, _) ->
                 if roff = !offset then
                   List.iter
-                    (fun (s, t, bit) ->
-                      if s = src && t = dst then st.observed.(i) <- Some (Transcript.sym_bit bit))
+                    (fun (s, t, _) -> if s = src && t = dst then st.observed.(i) <- true)
                     ctx.sends)
               st.slots;
             if (not st.planned) && !offset = st.trigger_roff then begin

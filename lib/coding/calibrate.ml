@@ -10,7 +10,6 @@ let run_one ~rng_seed ~rate params pi t =
   match Scheme.run_outcome ~rng:(Util.Rng.create (rng_seed + t)) params pi adversary with
   | Faults.Outcome.Completed r | Faults.Outcome.Degraded (r, _) -> r
   | Faults.Outcome.Aborted (reason, _) ->
-      (* With no watchdog configured, only an internal error aborts. *)
       failwith ("Calibrate: a scheme run aborted: " ^ Faults.Outcome.abort_to_string reason)
 
 let sweep ?(trials = 8) ~rng_seed ~rates params pi =

@@ -36,4 +36,4 @@ val threshold :
     succeed, located by [steps] (default 7) bisection steps below [hi]
     (default 0.05).  Returns 0 if even the noiseless run fails.  Trial
     [t] uses the same streams at every rate.  Raises [Failure] if a run
-    aborted (with no watchdog, only an internal error aborts a run). *)
+    aborted (an internal error). *)

@@ -58,9 +58,10 @@ let feed_chunk t machine transcripts c =
       if r >= 0 && Chunking.entry_is_send t.ch e then
         ignore (machine.Pi.send ~round:r ~dst:t.neighbors.(j))
       else if r >= 0 then
-        let ev = Transcript.events (transcripts j) c and i = Chunking.entry_event t.ch e in
+        let tr = transcripts j and i = Chunking.entry_event t.ch e in
         machine.Pi.recv ~round:r ~src:t.neighbors.(j)
-          (i < Array.length ev && ev.(i) = Transcript.sym_bit true)
+          (i < Transcript.event_count tr c
+          && Transcript.symbol tr ~chunk:c ~event:i = Transcript.sym_bit true)
     done
   end
 

@@ -64,23 +64,12 @@ module Config = struct
     inputs : int array option;
     spy_hook : (spy -> unit) option;
     faults : Faults.Plan.t;
-    max_wall_s : float option;
-    max_iterations : int option;
     backend : backend;
   }
 
   let make ?(trace = false) ?(sink = Trace.Sink.disabled) ?inputs ?spy_hook
-      ?(faults = Faults.Plan.empty) ?max_wall_s ?max_iterations ?(backend = Lockstep) () =
-    {
-      trace;
-      sink;
-      inputs;
-      spy_hook;
-      faults;
-      max_wall_s;
-      max_iterations;
-      backend;
-    }
+      ?(faults = Faults.Plan.empty) ?(backend = Lockstep) () =
+    { trace; sink; inputs; spy_hook; faults; backend }
 
   let default = make ()
 end
@@ -108,7 +97,6 @@ let c_fault_crash = Trace.Sink.declare "fault.crash"
 let c_fault_rejoin = Trace.Sink.declare "fault.rejoin"
 let c_fault_seed_rot = Trace.Sink.declare "fault.seed_rot"
 let c_fault_tr_rot = Trace.Sink.declare "fault.transcript_rot"
-let c_abort = Trace.Sink.declare "scheme.abort"
 let c_phi_stall = Trace.Sink.declare "phi.stall"
 let g_rewind_depth = Trace.Sink.declare "rewind.depth"
 let g_phi = Trace.Sink.declare "phi"
@@ -117,17 +105,22 @@ let g_bstar = Trace.Sink.declare "progress.b_star"
 
 (* Per-run probe state: the sink every probe site emits into, and the
    run's own tallies, returned in its result.  [truncs] and [rewinds]
-   count MP truncations and rewound chunks so far; [phi] is the last Φ
-   evaluated for the sink's gauge and [phi.stall] events, nan before
-   the first. *)
+   count MP truncations and rewound chunks so far; [mp_enter] and
+   [mp_exit] count the links that entered and left meeting points in
+   this iteration's MP phase, the only place a status changes; [phi] is
+   the last Φ evaluated for the sink's gauge and [phi.stall] events,
+   nan before the first. *)
 type probes = {
   sink : Trace.Sink.t;
   mutable truncs : int;
   mutable rewinds : int;
+  mutable mp_enter : int;
+  mutable mp_exit : int;
   mutable phi : float;
 }
 
-let make_probes sink = { sink; truncs = 0; rewinds = 0; phi = Float.nan }
+let make_probes sink =
+  { sink; truncs = 0; rewinds = 0; mp_enter = 0; mp_exit = 0; phi = Float.nan }
 
 type link_state = {
   peer : int;
@@ -231,9 +224,11 @@ let collision_probe graph parties sink l p =
     }
 
 let meeting_points_phase ex net parties fc pr ~iter ~tau =
+  pr.mp_enter <- 0;
+  pr.mp_exit <- 0;
   (* Seed-rot accounting runs before the block (the rot decision is a
      pure keyed function), so the block's callbacks touch no run-wide
-     books. *)
+     books but the MP transition tallies. *)
   Array.iter
     (fun p ->
       if fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then
@@ -281,13 +276,18 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
           if fc.alive.(p.id) then
             for i = 0 to Array.length p.links - 1 do
               let l = p.links.(i) in
+              let was_in = Meeting_points.status l.mp = Meeting_points.Meeting_points in
               l.mp_cut <-
                 (match
                    Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
                      (Meeting_points.unpack inw ~dir:l.dir_in)
                  with
                 | `Keep -> -1
-                | `Truncate_to x -> x)
+                | `Truncate_to x -> x);
+              match (was_in, Meeting_points.status l.mp) with
+              | false, Meeting_points.Meeting_points -> pr.mp_enter <- pr.mp_enter + 1
+              | true, Meeting_points.Simulate -> pr.mp_exit <- pr.mp_exit + 1
+              | _ -> ()
             done)
         parties)
     ();
@@ -415,7 +415,7 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
           if not l.bot then begin
             assert (Transcript.length l.tr + 1 = s.c);
             let n = Chunking.events_on_link ch ~chunk_index:s.c ~edge:l.edge in
-            Transcript.push_chunk l.tr ~events:(Array.sub l.record 0 n)
+            Transcript.push_chunk l.tr ~events:l.record ~len:n
           end)
         s.p.links;
       match s.mc with
@@ -561,8 +561,6 @@ let all_done parties graph ~n_real =
 
 (* ---------- main entry ---------- *)
 
-exception Abort of Faults.Outcome.abort_reason
-
 let planned_iterations params pi =
   let ch = Chunking.make pi ~k:params.Params.k in
   iterations_of params (Chunking.n_real ch)
@@ -596,13 +594,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let n_real = Chunking.n_real ch in
     let iterations = iterations_of params n_real in
     iterations_planned := iterations;
-    let effective_iterations =
-      match config.Config.max_iterations with
-      | None -> iterations
-      | Some c ->
-          if c <= 0 then raise (Abort (Faults.Outcome.Iteration_budget c));
-          min c iterations
-    in
     let horizon = n_real + iterations + 2 in
     let wmax = Chunking.max_transcript_words ch ~horizon in
     let tree = Topology.Graph.bfs_tree graph in
@@ -748,40 +739,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     in
     let fc = { plan; diag; alive; rot_mask } in
     let have_faults = not (Faults.Plan.is_empty plan) in
-    (* ---- trace scratch ---- *)
-    let total_links = Array.fold_left (fun acc p -> acc + Array.length p.links) 0 parties in
-    (* Per-link meeting-points status snapshot taken before each MP phase,
-       so the enter/exit transition counters come from a diff, not from
-       hooks inside the mechanism.  The diff runs at the end of the
-       iteration (MP statuses only mutate inside the MP phase, so it sees
-       exactly the post-phase values). *)
-    let mp_before = Array.make (max 1 total_links) false in
-    let record_mp_status () =
-      let i = ref 0 in
-      Array.iter
-        (fun p ->
-          Array.iter
-            (fun l ->
-              mp_before.(!i) <- Meeting_points.status l.mp = Meeting_points.Meeting_points;
-              incr i)
-            p.links)
-        parties
-    in
-    let count_mp_transitions ~iter =
-      let enter = ref 0 and exit_ = ref 0 and i = ref 0 in
-      Array.iter
-        (fun p ->
-          Array.iter
-            (fun l ->
-              let now = Meeting_points.status l.mp = Meeting_points.Meeting_points in
-              if now && not mp_before.(!i) then incr enter
-              else if (not now) && mp_before.(!i) then incr exit_;
-              incr i)
-            p.links)
-        parties;
-      if !enter > 0 then Trace.Sink.count sink ~id:c_mp_enter ~iter !enter;
-      if !exit_ > 0 then Trace.Sink.count sink ~id:c_mp_exit ~iter !exit_
-    in
     (* ---- adversary spy ---- *)
     let cur_iter = ref 0 in
     let flag_probe =
@@ -823,16 +780,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let net_corrects = Array.make n false in
     let rewind_depth = ref 0 in
     let rewinds_traced = ref 0 in
-    while !continue_loop && !iter < effective_iterations do
+    while !continue_loop && !iter < iterations do
       let it = !iter in
-      (* Entered before the watchdog gets to kill the iteration: the
-         abort note must name the iteration the run died in. *)
       enter sp_iter ~iter:it;
-      (match config.Config.max_wall_s with
-      | Some b when Sys.time () -. t0 > b ->
-          Trace.Sink.count sink ~id:c_abort ~iter:it 1;
-          raise (Abort (Faults.Outcome.Wall_budget b))
-      | _ -> ());
       iterations_run := it + 1;
       cur_iter := it;
       Log.debug (fun f ->
@@ -869,9 +819,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             let len = Transcript.length l.tr in
             if len > 0 then begin
               let chunk = 1 + Faults.Plan.choice plan ~salt:3 ~coord ~bound:len in
-              let row = Transcript.events l.tr chunk in
-              if Array.length row > 0 then begin
-                let event = Faults.Plan.choice plan ~salt:4 ~coord ~bound:(Array.length row) in
+              let events = Transcript.event_count l.tr chunk in
+              if events > 0 then begin
+                let event = Faults.Plan.choice plan ~salt:4 ~coord ~bound:events in
                 Transcript.corrupt l.tr ~chunk ~event;
                 Trace.Sink.count sink ~id:c_fault_tr_rot ~iter:it ~arg:id 1;
                 diag.Faults.Outcome.transcript_rot <- diag.Faults.Outcome.transcript_rot + 1
@@ -882,7 +832,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Trace.Sink.span_end sink ~id:sp_prepass ~iter:it
       end;
       Array.iter (fun p -> Array.iter (fun l -> l.already_rewound <- false) p.links) parties;
-      if observing then record_mp_status ();
       enter sp_mp ~iter:it;
       meeting_points_phase ex net parties fc pr ~iter:it ~tau:params.Params.tau;
       Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
@@ -914,7 +863,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
            its phase ended (MP statuses freeze after the MP phase, the
            flag scratch after the flag phase, the rewind tally after the
            wave).  Values are global sums. *)
-        count_mp_transitions ~iter:it;
+        if pr.mp_enter > 0 then Trace.Sink.count sink ~id:c_mp_enter ~iter:it pr.mp_enter;
+        if pr.mp_exit > 0 then Trace.Sink.count sink ~id:c_mp_exit ~iter:it pr.mp_exit;
         let count_true a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
         let votes = count_true statuses and ok = count_true net_corrects in
         Trace.Sink.count sink ~id:c_flag_votes ~iter:it votes;
@@ -956,9 +906,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       if params.Params.early_stop && all_done parties graph ~n_real then continue_loop := false;
       incr iter
     done;
-    if !continue_loop && effective_iterations < iterations then
-      Faults.Outcome.note diag
-        (Printf.sprintf "iterations capped at %d of %d planned" effective_iterations iterations);
     (* ---- outputs ---- *)
     enter sp_output ~iter:(-1);
     let outputs =
@@ -1016,12 +963,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       Faults.Outcome.note diag
         (if !at_iter < 0 then "aborted during " ^ phase
          else Printf.sprintf "aborted in iteration %d during %s" !at_iter phase);
-      let reason =
-        match e with
-        | Abort reason -> reason
-        | e -> Faults.Outcome.Internal_error (Printexc.to_string e)
-      in
-      Faults.Outcome.Aborted (reason, diag)
+      Faults.Outcome.Aborted (Faults.Outcome.Internal_error (Printexc.to_string e), diag)
 
 let run ?(config = Config.default) ~rng params pi adversary =
   match run_outcome ~config ~rng params pi adversary with

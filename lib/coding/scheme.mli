@@ -121,16 +121,6 @@ module Config : sig
         (** deterministic fault schedule applied to the execution
             (crashes, link stalls, noise overload, state rot);
             {!Faults.Plan.empty} — the default — runs nominally *)
-    max_wall_s : float option;
-        (** watchdog: abort ({!Faults.Outcome.Wall_budget}) once the run
-            has consumed this much processor time.  Wall aborts are
-            timing-dependent — leave [None] (the default) wherever
-            byte-identical reproducibility matters. *)
-    max_iterations : int option;
-        (** watchdog: cap the iteration count below the a-priori planned
-            number; hitting the cap degrades the run (diagnosis note),
-            a non-positive cap aborts it
-            ({!Faults.Outcome.Iteration_budget}) *)
     backend : backend;
         (** execution backend; {!Lockstep} (the default) is the serial
             reference, [Live _] sets the ragged slack and jitter units *)
@@ -138,7 +128,7 @@ module Config : sig
 
   val default : t
   (** No trace, disabled sink, pseudorandom inputs, no spy, no faults,
-      no watchdogs, lockstep backend. *)
+      lockstep backend. *)
 
   val make :
     ?trace:bool ->
@@ -146,8 +136,6 @@ module Config : sig
     ?inputs:int array ->
     ?spy_hook:(spy -> unit) ->
     ?faults:Faults.Plan.t ->
-    ?max_wall_s:float ->
-    ?max_iterations:int ->
     ?backend:backend ->
     unit ->
     t
@@ -164,16 +152,16 @@ val run_outcome :
     schedule, and report what kind of execution it was:
 
     - [Completed r] — nominal conditions end to end;
-    - [Degraded (r, d)] — the run finished but fault events fired (or an
-      iteration cap bound); [d] attributes every one of them;
-    - [Aborted (reason, d)] — a watchdog fired or an exception escaped
-      the execution.
+    - [Degraded (r, d)] — the run finished but fault events fired; [d]
+      attributes every one of them;
+    - [Aborted (reason, d)] — an exception escaped the execution (a
+      raising adversary, say); [d] names the iteration and phase.
 
     The contract: once configuration validation has passed (invalid
     inputs still raise [Invalid_argument]), this function never raises —
     every fault combination lands in one of the three constructors.
     Same [config], [rng] state, params, Π and adversary ⇒ identical
-    outcome (wall-clock watchdog excepted).
+    outcome.
 
     [rng] drives seed sampling (and default input assignment).  The
     adversary sees everything the model grants it and nothing more (in
@@ -189,7 +177,7 @@ val run :
   result
 (** {!run_outcome} for the nominal world: returns the result of a
     [Completed] or [Degraded] execution and raises [Failure] on
-    [Aborted] (which cannot happen without watchdogs). *)
+    [Aborted]. *)
 
 val planned_rounds : Params.t -> Protocol.Pi.t -> int
 (** The a-priori fixed round count of the full (non-early-stopped)
@@ -198,4 +186,4 @@ val planned_rounds : Params.t -> Protocol.Pi.t -> int
 
 val planned_iterations : Params.t -> Protocol.Pi.t -> int
 (** The a-priori fixed iteration count of the execution — the base for
-    fault-plan iteration coordinates and [max_iterations] caps. *)
+    fault-plan iteration coordinates. *)

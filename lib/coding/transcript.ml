@@ -3,9 +3,11 @@ type symbol = int
 let sym_star = 0
 let sym_bit b = if b then 3 else 2
 
+(* A chunk serializes as its 32-bit number, then 2 bits per symbol. *)
+let header_bits = 32
+
 type t = {
-  bits : Util.Bitvec.t;
-  mutable chunks : symbol array array; (* record per chunk *)
+  bits : Util.Bitvec.t; (* the serialization: the one store of every record *)
   mutable cum : int array; (* cum.(i) = serialized bits of chunks 1..i+1 *)
   mutable stamps : int array;
       (* [||] until the first truncation or rot: chunk i+1 is then the
@@ -21,7 +23,6 @@ type t = {
 let create () =
   {
     bits = Util.Bitvec.create ();
-    chunks = Array.make 8 [||];
     cum = Array.make 8 0;
     stamps = [||];
     n = 0;
@@ -33,10 +34,7 @@ let length t = t.n
 let chunks_rewound t = t.rewound
 
 let ensure t =
-  if t.n = Array.length t.chunks then begin
-    let chunks = Array.make (2 * t.n) [||] in
-    Array.blit t.chunks 0 chunks 0 t.n;
-    t.chunks <- chunks;
+  if t.n = Array.length t.cum then begin
     let cum = Array.make (2 * t.n) 0 in
     Array.blit t.cum 0 cum 0 t.n;
     t.cum <- cum;
@@ -50,33 +48,40 @@ let ensure t =
 (* A clean transcript keeps no stamps (see [t]); the first truncation or
    rot materialises the implicit ones. *)
 let materialise t =
-  if Array.length t.stamps = 0 then t.stamps <- Array.init (Array.length t.chunks) (fun i -> i + 1)
+  if Array.length t.stamps = 0 then t.stamps <- Array.init (Array.length t.cum) (fun i -> i + 1)
 
 let restamp t i =
   t.stamps.(i) <- t.next_stamp;
   t.next_stamp <- t.next_stamp - 1
 
-let push_chunk t ~events =
+let push_chunk t ~events ~len =
   ensure t;
-  let index = t.n + 1 in
-  Util.Bitvec.push_int t.bits ~bits:32 index;
-  Array.iter
-    (fun s ->
-      assert (s = 0 || s = 2 || s = 3);
-      Util.Bitvec.push_int t.bits ~bits:2 s)
-    events;
-  t.chunks.(t.n) <- events;
+  Util.Bitvec.push_int t.bits ~bits:header_bits (t.n + 1);
+  for i = 0 to len - 1 do
+    let s = events.(i) in
+    assert (s = 0 || s = 2 || s = 3);
+    Util.Bitvec.push_int t.bits ~bits:2 s
+  done;
   t.cum.(t.n) <- Util.Bitvec.length t.bits;
   if Array.length t.stamps > 0 then restamp t t.n;
   t.n <- t.n + 1
 
-let events t i =
-  if i < 1 || i > t.n then invalid_arg "Transcript.events: out of range";
-  t.chunks.(i - 1)
-
 let prefix_bits t i =
   if i < 0 || i > t.n then invalid_arg "Transcript.prefix_bits: out of range";
   if i = 0 then 0 else t.cum.(i - 1)
+
+let event_count t c =
+  if c < 1 || c > t.n then invalid_arg "Transcript.event_count: out of range";
+  (t.cum.(c - 1) - prefix_bits t (c - 1) - header_bits) / 2
+
+let symbol_offset t ~chunk ~event =
+  if chunk < 1 || chunk > t.n + 1 then invalid_arg "Transcript.symbol_offset: out of range";
+  prefix_bits t (chunk - 1) + header_bits + (2 * event)
+
+let symbol t ~chunk ~event =
+  if event < 0 || event >= event_count t chunk then invalid_arg "Transcript.symbol: out of range";
+  let o = symbol_offset t ~chunk ~event in
+  Bool.to_int (Util.Bitvec.get t.bits o) + (2 * Bool.to_int (Util.Bitvec.get t.bits (o + 1)))
 
 let stamp t i =
   if i < 0 || i > t.n then invalid_arg "Transcript.stamp: out of range";
@@ -91,49 +96,36 @@ let truncate t n =
     t.n <- n
   end
 
+(* A symbol's width never changes, so the rot rewrites its two bits in
+   place: 2 ↔ 3 is the low bit, and ∗ (0) becomes bit 0 (2) by setting
+   the high one. *)
 let corrupt t ~chunk ~event =
   if chunk < 1 || chunk > t.n then invalid_arg "Transcript.corrupt: chunk out of range";
-  let row = t.chunks.(chunk - 1) in
-  if event < 0 || event >= Array.length row then
+  if event < 0 || event >= event_count t chunk then
     invalid_arg "Transcript.corrupt: event out of range";
-  (* [copy] shares chunk rows, so replace the row rather than mutate it
-     in place: snapshots taken before the rot keep a pristine record. *)
-  let row = Array.copy row in
-  row.(event) <- (match row.(event) with 2 -> 3 | 3 -> 2 | _ -> 2);
-  t.chunks.(chunk - 1) <- row;
+  let o = symbol_offset t ~chunk ~event in
+  if Util.Bitvec.get t.bits (o + 1) then Util.Bitvec.set t.bits o (not (Util.Bitvec.get t.bits o))
+  else Util.Bitvec.set t.bits (o + 1) true;
   materialise t;
-  (* Rebuild the serialization from the rotted chunk on, so hashes really
-     see the rotted state, and restamp that suffix. *)
-  Util.Bitvec.truncate t.bits (prefix_bits t (chunk - 1));
   for i = chunk - 1 to t.n - 1 do
-    Util.Bitvec.push_int t.bits ~bits:32 (i + 1);
-    Array.iter (fun s -> Util.Bitvec.push_int t.bits ~bits:2 s) t.chunks.(i);
-    t.cum.(i) <- Util.Bitvec.length t.bits;
     restamp t i
   done
 
-let copy t =
-  {
-    bits = Util.Bitvec.copy t.bits;
-    chunks = Array.copy t.chunks;
-    cum = Array.copy t.cum;
-    stamps = Array.copy t.stamps;
-    n = t.n;
-    next_stamp = t.next_stamp;
-    rewound = t.rewound;
-  }
-
 let serialized t = t.bits
-let serialized_bits t = if t.n = 0 then 0 else t.cum.(t.n - 1)
+let serialized_bits t = prefix_bits t t.n
 
 let same_prefix a b p =
   let bits = prefix_bits a p in
-  bits = prefix_bits b p && Util.Bitvec.equal_prefix a.bits b.bits ~bits
+  bits = prefix_bits b p && Util.Bitvec.common_prefix a.bits b.bits ~bits = bits
 
+(* Chunk i+1 is common while both ends end it at the same offset within
+   the common bits: equal offsets at every chunk so far mean equal
+   record lengths, so records of different lengths never match. *)
 let equal_prefix a b =
+  let d =
+    Util.Bitvec.common_prefix a.bits b.bits ~bits:(min (serialized_bits a) (serialized_bits b))
+  in
   let rec go i =
-    if i >= a.n || i >= b.n then i
-    else if a.chunks.(i) = b.chunks.(i) then go (i + 1)
-    else i
+    if i < a.n && i < b.n && a.cum.(i) = b.cum.(i) && a.cum.(i) <= d then go (i + 1) else i
   in
   go 0

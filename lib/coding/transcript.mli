@@ -6,13 +6,15 @@
     (in schedule order, both directions interleaved): the bit sent /
     received, or ∗ when an expected transmission never arrived.
 
-    The transcript also maintains its own serialization — chunk number
+    The transcript is stored once, as its serialization — chunk number
     followed by the symbols, exactly the encoding the hashes of the
     meeting-points mechanism are computed over (the chunk number makes
     prefixes of different lengths hash differently, the issue footnote 11
-    of the paper addresses).  Truncation (rewinding) is O(1).  Each
-    chunk carries a prefix {!stamp}, which is how replay checkpoints
-    tell that the prefix they were built from is still current. *)
+    of the paper addresses) — and every reader decodes from those bits:
+    a symbol in O(1), a prefix question as a word compare.  Truncation
+    (rewinding) is O(1).  Each chunk carries a prefix {!stamp}, which is
+    how replay checkpoints tell that the prefix they were built from is
+    still current. *)
 
 type symbol = int
 (** 0 = ∗ (missing), 2 = bit 0, 3 = bit 1. *)
@@ -31,11 +33,18 @@ val chunks_rewound : t -> int
 (** Total chunks ever removed by truncation — the "rework" this endpoint
     performed (instrumentation for the coordination experiments). *)
 
-val push_chunk : t -> events:symbol array -> unit
-(** Append the next chunk's record; its chunk number is [length t + 1]. *)
+val push_chunk : t -> events:symbol array -> len:int -> unit
+(** Append the next chunk's record, the first [len] symbols of [events];
+    its chunk number is [length t + 1]. *)
 
-val events : t -> int -> symbol array
-(** [events t i] is the record of chunk [i] (1-based). *)
+val event_count : t -> int -> int
+(** [event_count t c] is the number of symbols in the record of chunk
+    [c] (1-based).  O(1). *)
+
+val symbol : t -> chunk:int -> event:int -> symbol
+(** The symbol at position [event] (0-based) of chunk [chunk]'s record,
+    decoded from the serialization.  O(1).  Raises [Invalid_argument]
+    when the coordinates are out of range. *)
 
 val truncate : t -> int -> unit
 (** Keep the first [n] chunks. *)
@@ -43,11 +52,9 @@ val truncate : t -> int -> unit
 val corrupt : t -> chunk:int -> event:int -> unit
 (** Bit-rot injection: silently flip the stored symbol at position
     [event] of chunk [chunk] (1-based; bits flip 0↔1, a ∗ becomes bit 0)
-    and rebuild the serialization from that chunk on, so subsequent
-    hashes are computed over the rotted record.  Restamps chunks
-    [chunk..length] (see {!stamp}).  Rows shared with earlier
-    {!copy} snapshots are left pristine.  Raises [Invalid_argument] when
-    the coordinates are out of range. *)
+    in the serialization, so subsequent hashes are computed over the
+    rotted record.  Restamps chunks [chunk..length] (see {!stamp}).
+    Raises [Invalid_argument] when the coordinates are out of range. *)
 
 val serialized : t -> Util.Bitvec.t
 (** The backing bit string (valid up to [serialized_bits t] bits). *)
@@ -55,6 +62,13 @@ val serialized : t -> Util.Bitvec.t
 val serialized_bits : t -> int
 val prefix_bits : t -> int -> int
 (** Bit length of the serialization of the first [i] chunks. *)
+
+val symbol_offset : t -> chunk:int -> event:int -> int
+(** The bit offset of symbol [event] of chunk [chunk] in the
+    serialization, for [1 <= chunk <= length t + 1]: chunk [length t + 1]
+    is the one a push would append next, so
+    [symbol_offset t ~chunk:(length t + 1) ~event:n] is the serialized
+    length after pushing a record of [n] symbols. *)
 
 val stamp : t -> int -> int
 (** [stamp t i] names the prefix of chunks 1..[i] ([0 <= i <= length]):
@@ -72,11 +86,9 @@ val same_prefix : t -> t -> int -> bool
     the same number of events for each chunk index, so for them this is
     [equal_prefix a b >= p].  Requires [p <= length] of both. *)
 
-val copy : t -> t
-(** Deep copy (used by adversaries to evaluate hypothetical
-    corruptions without touching the live state). *)
-
 val equal_prefix : t -> t -> int
 (** Longest common prefix, in chunks, of two transcripts — the G_{u,v} of
     the potential function (global instrumentation only; parties never
-    call this). *)
+    call this).  One word compare of the serializations, then a walk of
+    the chunk boundaries: records of different lengths at one index
+    differ. *)

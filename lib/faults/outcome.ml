@@ -1,7 +1,4 @@
-type abort_reason =
-  | Wall_budget of float
-  | Iteration_budget of int
-  | Internal_error of string
+type abort_reason = Internal_error of string
 
 type diagnosis = {
   mutable crashed_iterations : int;
@@ -49,10 +46,7 @@ let label = function
   | Degraded _ -> "degraded"
   | Aborted _ -> "aborted"
 
-let abort_to_string = function
-  | Wall_budget s -> Printf.sprintf "wall-clock budget exhausted (%.3fs)" s
-  | Iteration_budget n -> Printf.sprintf "iteration budget exhausted (%d)" n
-  | Internal_error msg -> "internal error: " ^ msg
+let abort_to_string (Internal_error msg) = "internal error: " ^ msg
 
 let pp_diagnosis fmt d =
   let fields =

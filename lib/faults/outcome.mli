@@ -10,19 +10,13 @@
     - [Completed r]: the run finished under nominal conditions;
     - [Degraded (r, d)]: the run finished, but non-nominal events fired
       (the diagnosis [d] attributes every one of them);
-    - [Aborted (reason, d)]: the run was cut short by a watchdog or an
-      internal error; partial diagnosis attached.
+    - [Aborted (reason, d)]: the run was cut short by an internal error
+      (an exception escaped the run body); partial diagnosis attached.
 
     The contract consumers rely on: a fault-injected execution {e always}
     ends in one of these three — never an exception, never a hang. *)
 
-type abort_reason =
-  | Wall_budget of float
-      (** the wall-clock watchdog fired; payload is the configured
-          budget in seconds *)
-  | Iteration_budget of int
-      (** the iteration watchdog fired before any useful work *)
-  | Internal_error of string  (** an exception escaped the run body *)
+type abort_reason = Internal_error of string  (** an exception escaped the run body *)
 
 type diagnosis = {
   mutable crashed_iterations : int;

@@ -30,12 +30,10 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
 (* Blame-class events: anything that books deviation from the nominal
-   noiseless execution.  [scheme.abort] is fault-class: only watchdogs
-   (configured by a fault-tolerance harness) book it. *)
+   noiseless execution. *)
 let classify name =
-  if starts_with ~prefix:"fault." name || name = "net.injected" || name = "net.stalled"
-     || name = "scheme.abort"
-  then Some Injected_fault
+  if starts_with ~prefix:"fault." name || name = "net.injected" || name = "net.stalled" then
+    Some Injected_fault
   else if name = "net.corrupt" then Some Adversary_noise
   else if name = "mp.hash_collision" then Some Hash_collision
   else None

@@ -141,7 +141,7 @@ let make pi ~k =
   }
 
 let layout t chunk_index =
-  if chunk_index < 1 then invalid_arg "Chunking.chunk: index < 1";
+  if chunk_index < 1 then invalid_arg "Chunking: chunk_index < 1";
   min chunk_index (t.n_real + 1) - 1
 
 let party_view t ~chunk_index ~party =

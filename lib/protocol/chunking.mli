@@ -51,7 +51,7 @@ val max_rounds : t -> int
 val party_view : t -> chunk_index:int -> party:int -> int * int
 (** [party_view t ~chunk_index ~party] is the range [\[lo, hi)] of the
     party's entry ids in that chunk.  O(1).
-    @raise Invalid_argument ["Chunking.chunk: index < 1"] if
+    @raise Invalid_argument ["Chunking: chunk_index < 1"] if
     [chunk_index < 1].
     @raise Invalid_argument ["Chunking: party out of range"] if [party]
     is outside [\[0, n)]. *)
@@ -76,7 +76,7 @@ val entry_pi_round : t -> chunk_index:int -> int -> int
 
     The accessors below take a 1-based [chunk_index] (any index past
     [n_real] reads the dummy layout) and an [edge] id in [\[0, m)].
-    @raise Invalid_argument ["Chunking.chunk: index < 1"] if
+    @raise Invalid_argument ["Chunking: chunk_index < 1"] if
     [chunk_index < 1].
     @raise Invalid_argument ["Chunking: edge out of range"] if [edge] is
     outside [\[0, m)]. *)

@@ -17,10 +17,10 @@ let make ~graph ~rounds ~sends_at ~spawn =
   let seen = Array.make (2 * Topology.Graph.m graph) (-1) in
   let compile r (u, v) =
     if not (Topology.Graph.are_adjacent graph u v) then
-      invalid_arg (Printf.sprintf "Pi.validate: round %d schedules non-adjacent %d->%d" r u v);
+      invalid_arg (Printf.sprintf "Pi.make: round %d schedules non-adjacent %d->%d" r u v);
     let d = Topology.Graph.dir_id graph ~src:u ~dst:v in
     if seen.(d) = r then
-      invalid_arg (Printf.sprintf "Pi.validate: round %d schedules %d->%d twice" r u v);
+      invalid_arg (Printf.sprintf "Pi.make: round %d schedules %d->%d twice" r u v);
     seen.(d) <- r;
     d
   in

@@ -58,8 +58,8 @@ val make :
     canonical order, and keeps no reference to [sends_at].  Each directed
     link may appear at most once per round, and endpoints must be
     adjacent.
-    @raise Invalid_argument ["Pi.validate: round r schedules non-adjacent
-    u->v"] or ["Pi.validate: round r schedules u->v twice"] at the first
+    @raise Invalid_argument ["Pi.make: round r schedules non-adjacent
+    u->v"] or ["Pi.make: round r schedules u->v twice"] at the first
     pair that breaks a rule. *)
 
 val sends_at : t -> int -> (int * int) list

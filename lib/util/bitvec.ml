@@ -38,6 +38,11 @@ let get t i =
   assert (i >= 0 && i < t.len);
   (Char.code (Bytes.unsafe_get t.data (i lsr 3)) lsr (i land 7)) land 1 = 1
 
+let set t i b =
+  assert (i >= 0 && i < t.len);
+  let byte = Char.code (Bytes.unsafe_get t.data (i lsr 3)) and m = 1 lsl (i land 7) in
+  Bytes.unsafe_set t.data (i lsr 3) (Char.unsafe_chr (if b then byte lor m else byte land lnot m))
+
 let push t b =
   ensure t (t.len + 1);
   if b then begin
@@ -97,32 +102,6 @@ let equal a b =
   let rec go i = i >= n || (Int64.equal (load a.data i) (load b.data i) && go (i + 1)) in
   go 0
 
-(* Word-wise, unboxed: the [bits lsr 6] whole words compared as they
-   are, then the partial last word (if any) under a mask, since bits
-   past [bits] may differ even where both vectors are longer. *)
-let equal_prefix a b ~bits =
-  if bits < 0 || bits > a.len || bits > b.len then invalid_arg "Bitvec.equal_prefix: bits";
-  let full = bits lsr 6 and rest = bits land 63 in
-  let i = ref 0 in
-  while !i < full && Int64.equal (load a.data !i) (load b.data !i) do
-    incr i
-  done;
-  !i = full
-  && (rest = 0
-     || Int64.equal 0L
-          (Int64.logand
-             (Int64.logxor (load a.data full) (load b.data full))
-             (Int64.pred (Int64.shift_left 1L rest))))
-
-let append dst src =
-  let src = if dst == src then copy src else src in
-  ensure dst (dst.len + src.len);
-  let n = words src in
-  for i = 0 to n - 2 do
-    or_word dst (load src.data i) ~bits:64
-  done;
-  if n > 0 then or_word dst (load src.data (n - 1)) ~bits:(src.len - (64 * (n - 1)))
-
 let popcount x =
   let x = Int64.sub x Int64.(logand (shift_right_logical x 1) 0x5555555555555555L) in
   let x =
@@ -132,5 +111,37 @@ let popcount x =
   in
   let x = Int64.(logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL) in
   Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
+
+(* Word-wise, unboxed: whole words compared as they are until one
+   differs or the [bits lsr 6] full words run out, then the partial last
+   word (if any) under a mask, since bits past [bits] may differ even
+   where both vectors are longer.  The first differing bit of a word is
+   its lowest set bit of the XOR. *)
+let common_prefix a b ~bits =
+  if bits < 0 || bits > a.len || bits > b.len then invalid_arg "Bitvec.common_prefix: bits";
+  let full = bits lsr 6 in
+  let i = ref 0 in
+  while !i < full && Int64.equal (load a.data !i) (load b.data !i) do
+    incr i
+  done;
+  let x =
+    if !i < full then Int64.logxor (load a.data !i) (load b.data !i)
+    else if bits land 63 = 0 then 0L
+    else
+      Int64.logand
+        (Int64.logxor (load a.data full) (load b.data full))
+        (Int64.pred (Int64.shift_left 1L (bits land 63)))
+  in
+  if Int64.equal x 0L then bits
+  else (64 * !i) + popcount (Int64.pred (Int64.logand x (Int64.neg x)))
+
+let append dst src =
+  let src = if dst == src then copy src else src in
+  ensure dst (dst.len + src.len);
+  let n = words src in
+  for i = 0 to n - 2 do
+    or_word dst (load src.data i) ~bits:64
+  done;
+  if n > 0 then or_word dst (load src.data (n - 1)) ~bits:(src.len - (64 * (n - 1)))
 
 let parity64 x = popcount x land 1

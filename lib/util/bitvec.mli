@@ -8,7 +8,7 @@
     whole words into place, and none of them allocates once the capacity
     (which doubles as needed) is there.  Truncation to a shorter length,
     which is how transcripts are rewound, costs one masked word plus
-    clearing the dropped words. *)
+    clearing the dropped words; {!set} rewrites a bit in place. *)
 
 type t
 
@@ -23,6 +23,9 @@ val words : t -> int
 (** Number of 64-bit words covering [length] bits (ceiling). *)
 
 val get : t -> int -> bool
+val set : t -> int -> bool -> unit
+(** [set t i b] overwrites bit [i] (< [length t]) in place. *)
+
 val push : t -> bool -> unit
 (** Append one bit. *)
 
@@ -50,10 +53,12 @@ val backing : t -> Bytes.t
 
 val copy : t -> t
 val equal : t -> t -> bool
-val equal_prefix : t -> t -> bits:int -> bool
-(** [equal_prefix a b ~bits] is true when the first [bits] bits of [a]
-    and [b] agree, whatever follows them.  Compares whole words, about
-    one compare per 64 bits, and allocates nothing.  Raises
+val common_prefix : t -> t -> bits:int -> int
+(** [common_prefix a b ~bits] is the length of the longest common prefix
+    of [a] and [b] within their first [bits] bits: [bits] when those
+    agree, whatever follows them, else the position of the first
+    differing bit.  Compares whole words, about one compare per 64 bits,
+    and allocates nothing.  Raises
     [Invalid_argument] unless [0 <= bits <= min (length a) (length b)]. *)
 
 val append : t -> t -> unit

@@ -10,21 +10,28 @@ let chunk_events seed len =
   Array.init len (fun i ->
       match (seed + i) mod 3 with 0 -> Coding.Transcript.sym_star | 1 -> 2 | _ -> 3)
 
+(* Push a whole record; read one back symbol by symbol. *)
+let push t events = Coding.Transcript.push_chunk t ~events ~len:(Array.length events)
+
+let record t c =
+  Array.init (Coding.Transcript.event_count t c) (fun event ->
+      Coding.Transcript.symbol t ~chunk:c ~event)
+
 let test_transcript_push_and_read () =
   let t = Coding.Transcript.create () in
   Alcotest.(check int) "empty" 0 (Coding.Transcript.length t);
-  Coding.Transcript.push_chunk t ~events:(chunk_events 0 5);
-  Coding.Transcript.push_chunk t ~events:(chunk_events 1 3);
+  push t (chunk_events 0 5);
+  push t (chunk_events 1 3);
   Alcotest.(check int) "two chunks" 2 (Coding.Transcript.length t);
-  Alcotest.(check bool) "events roundtrip" true (Coding.Transcript.events t 1 = chunk_events 0 5);
-  Alcotest.(check bool) "events roundtrip 2" true (Coding.Transcript.events t 2 = chunk_events 1 3)
+  Alcotest.(check bool) "events roundtrip" true (record t 1 = chunk_events 0 5);
+  Alcotest.(check bool) "events roundtrip 2" true (record t 2 = chunk_events 1 3)
 
 let test_transcript_serialization_layout () =
   let t = Coding.Transcript.create () in
-  Coding.Transcript.push_chunk t ~events:(chunk_events 0 4);
+  push t (chunk_events 0 4);
   (* 32 header bits + 2 bits per event. *)
   Alcotest.(check int) "prefix bits 1" (32 + 8) (Coding.Transcript.prefix_bits t 1);
-  Coding.Transcript.push_chunk t ~events:(chunk_events 1 6);
+  push t (chunk_events 1 6);
   Alcotest.(check int) "prefix bits 2" (32 + 8 + 32 + 12) (Coding.Transcript.prefix_bits t 2);
   Alcotest.(check int) "serialized = prefix at len"
     (Coding.Transcript.prefix_bits t 2)
@@ -34,7 +41,7 @@ let test_transcript_serialization_layout () =
 let test_transcript_truncate_stamp () =
   let t = Coding.Transcript.create () in
   for i = 0 to 4 do
-    Coding.Transcript.push_chunk t ~events:(chunk_events i 4)
+    push t (chunk_events i 4)
   done;
   let stamps () = List.init 6 (Coding.Transcript.stamp t) in
   let s0 = stamps () in
@@ -49,12 +56,12 @@ let test_transcript_truncate_stamp () =
   (* Re-push after truncation: chunk numbering and serialization stay
      consistent, and the re-pushed chunk gets a fresh stamp even though
      its record is the same. *)
-  Coding.Transcript.push_chunk t ~events:(chunk_events 3 4);
+  push t (chunk_events 3 4);
   Alcotest.(check bool) "truncate + re-push restamps" true
     (Coding.Transcript.stamp t 4 <> List.nth s0 4);
   Coding.Transcript.truncate t 3;
-  Coding.Transcript.push_chunk t ~events:(chunk_events 9 4);
-  Alcotest.(check bool) "chunk 4 replaced" true (Coding.Transcript.events t 4 = chunk_events 9 4);
+  push t (chunk_events 9 4);
+  Alcotest.(check bool) "chunk 4 replaced" true (record t 4 = chunk_events 9 4);
   let s1 = List.init 5 (Coding.Transcript.stamp t) in
   Coding.Transcript.corrupt t ~chunk:2 ~event:0;
   let s2 = List.init 5 (Coding.Transcript.stamp t) in
@@ -69,9 +76,9 @@ let test_transcript_serialization_distinguishes_position () =
      numbers serialize differently (footnote 11: chunk numbers break the
      h(x) = h(x ∘ 0) degeneracy). *)
   let a = Coding.Transcript.create () and b = Coding.Transcript.create () in
-  Coding.Transcript.push_chunk a ~events:(chunk_events 0 4);
-  Coding.Transcript.push_chunk b ~events:(chunk_events 1 4);
-  Coding.Transcript.push_chunk b ~events:(chunk_events 0 4);
+  push a (chunk_events 0 4);
+  push b (chunk_events 1 4);
+  push b (chunk_events 0 4);
   (* chunk 1 of a = chunk 2 of b, but serializations of those chunks
      differ because of the embedded chunk number. *)
   Alcotest.(check bool) "serializations differ" false
@@ -80,12 +87,12 @@ let test_transcript_serialization_distinguishes_position () =
 let test_transcript_equal_prefix () =
   let a = Coding.Transcript.create () and b = Coding.Transcript.create () in
   for i = 0 to 3 do
-    Coding.Transcript.push_chunk a ~events:(chunk_events i 4);
-    Coding.Transcript.push_chunk b ~events:(chunk_events i 4)
+    push a (chunk_events i 4);
+    push b (chunk_events i 4)
   done;
   Alcotest.(check int) "full agreement" 4 (Coding.Transcript.equal_prefix a b);
-  Coding.Transcript.push_chunk a ~events:(chunk_events 7 4);
-  Coding.Transcript.push_chunk b ~events:(chunk_events 8 4);
+  push a (chunk_events 7 4);
+  push b (chunk_events 8 4);
   Alcotest.(check int) "diverged at 5" 4 (Coding.Transcript.equal_prefix a b);
   Coding.Transcript.truncate a 2;
   Alcotest.(check int) "clamped by length" 2 (Coding.Transcript.equal_prefix a b)
@@ -233,14 +240,14 @@ let build_pair ~g ~extra_a ~extra_b =
   let ta = Coding.Transcript.create () and tb = Coding.Transcript.create () in
   for i = 0 to g - 1 do
     let ev = chunk_events i 4 in
-    Coding.Transcript.push_chunk ta ~events:ev;
-    Coding.Transcript.push_chunk tb ~events:ev
+    push ta ev;
+    push tb ev
   done;
   for i = 0 to extra_a - 1 do
-    Coding.Transcript.push_chunk ta ~events:(chunk_events (1000 + i) 4)
+    push ta (chunk_events (1000 + i) 4)
   done;
   for i = 0 to extra_b - 1 do
-    Coding.Transcript.push_chunk tb ~events:(chunk_events (2000 + i) 4)
+    push tb (chunk_events (2000 + i) 4)
   done;
   (ta, tb)
 
@@ -381,7 +388,7 @@ let prop_mp_memo_matches_plain_hasher =
       in
       let build suffix =
         let t = T.create () in
-        List.iter (fun events -> T.push_chunk t ~events) (common @ suffix);
+        List.iter (push t) (common @ suffix);
         t
       in
       (* [p] the oracle's side, [m] the memo's. *)
@@ -451,11 +458,11 @@ let prop_mp_memo_matches_plain_hasher =
         (match Util.Rng.int r 4 with
         | 0 ->
             let c = chunk () in
-            T.push_chunk pa ~events:c;
-            T.push_chunk ma ~events:c
+            push pa c;
+            push ma c
         | 1 ->
             let c = chunk () in
-            List.iter (fun t -> T.push_chunk t ~events:c) [ pa; pb; ma; mb ]
+            List.iter (fun t -> push t c) [ pa; pb; ma; mb ]
         | _ -> ())
       done;
       !ok)
@@ -468,18 +475,134 @@ let prop_transcript_serialization_is_prefix_closed =
     QCheck.(small_list (int_bound 6))
     (fun sizes ->
       let t = Coding.Transcript.create () in
-      List.iteri (fun i sz -> Coding.Transcript.push_chunk t ~events:(chunk_events i (sz + 1))) sizes;
+      List.iteri (fun i sz -> push t (chunk_events i (sz + 1))) sizes;
       let full = Coding.Transcript.serialized t in
       let ok = ref true in
       for i = 0 to Coding.Transcript.length t do
         let bits = Coding.Transcript.prefix_bits t i in
         let partial = Coding.Transcript.create () in
         for j = 1 to i do
-          Coding.Transcript.push_chunk partial ~events:(Coding.Transcript.events t j)
+          push partial (record t j)
         done;
         let p = Coding.Transcript.serialized partial in
         for b = 0 to bits - 1 do
           if Util.Bitvec.get p b <> Util.Bitvec.get full b then ok := false
+        done
+      done;
+      !ok)
+
+(* Two transcripts against a record-list model, over random sequences
+   of push, truncate, re-push and [corrupt].  Pushes draw records of
+   0..12 symbols, often the other end's record at that index, sometimes
+   with one symbol more or less, so both ends share prefixes and differ
+   by record length at one index.  After every step: the readers return
+   the model's records; [equal_prefix] is the model's longest common
+   run of equal records; [same_prefix] at every [p] agrees with the
+   model's serializations; and the stamps follow their rules — 0 at 0,
+   kept below a change, fresh (never seen on that end) from it on, and
+   one end's step leaves the other's untouched. *)
+let prop_transcript_model =
+  let module T = Coding.Transcript in
+  let serialize recs p =
+    let v = Util.Bitvec.create () in
+    List.iteri
+      (fun i r ->
+        if i < p then begin
+          Util.Bitvec.push_int v ~bits:32 (i + 1);
+          Array.iter (fun s -> Util.Bitvec.push_int v ~bits:2 s) r
+        end)
+      recs;
+    v
+  in
+  QCheck.Test.make ~name:"transcript = record-list model" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Util.Rng.create seed in
+      let sym () = [| T.sym_star; T.sym_bit false; T.sym_bit true |].(Util.Rng.int r 3) in
+      let ends = [| T.create (); T.create () |] and model = [| [||]; [||] |] in
+      let seen = [| Hashtbl.create 64; Hashtbl.create 64 |] in
+      let stamps e = Array.init (T.length ends.(e) + 1) (T.stamp ends.(e)) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let lcp () =
+        let a = model.(0) and b = model.(1) in
+        let rec go i =
+          if i < Array.length a && i < Array.length b && a.(i) = b.(i) then go (i + 1) else i
+        in
+        go 0
+      in
+      for _ = 1 to 60 do
+        let e = Util.Rng.int r 2 in
+        let t = ends.(e) and before = stamps e and other = stamps (1 - e) in
+        let n = Array.length model.(e) in
+        (* [kept]: the stamps 0..kept-1 of [e] must not change. *)
+        let kept =
+          match Util.Rng.int r 5 with
+          | 0 | 1 ->
+              let peer = model.(1 - e) in
+              let rc =
+                if n < Array.length peer && Util.Rng.int r 3 > 0 then begin
+                  let base = peer.(n) in
+                  match Util.Rng.int r 4 with
+                  | 0 -> Array.append base [| sym () |]
+                  | 1 when Array.length base > 0 -> Array.sub base 0 (Array.length base - 1)
+                  | _ -> Array.copy base
+                end
+                else Array.init (Util.Rng.int r 13) (fun _ -> sym ())
+              in
+              (* Pushed from a longer scratch array, as the scheme does. *)
+              let scratch = Array.append rc (Array.init 5 (fun _ -> sym ())) in
+              T.push_chunk t ~events:scratch ~len:(Array.length rc);
+              model.(e) <- Array.append model.(e) [| rc |];
+              n + 1
+          | 2 | 3 ->
+              let k = Util.Rng.int r (n + 1) in
+              T.truncate t k;
+              model.(e) <- Array.sub model.(e) 0 k;
+              k + 1
+          | _ ->
+              let c = 1 + Util.Rng.int r (max 1 n) in
+              if n > 0 && Array.length model.(e).(c - 1) > 0 then begin
+                let event = Util.Rng.int r (Array.length model.(e).(c - 1)) in
+                T.corrupt t ~chunk:c ~event;
+                let row = Array.copy model.(e).(c - 1) in
+                row.(event) <- T.sym_bit (row.(event) = T.sym_bit false);
+                model.(e).(c - 1) <- row;
+                c
+              end
+              else n + 1
+        in
+        let after = stamps e in
+        Array.iteri
+          (fun i s ->
+            if i < kept then check (i < Array.length before && s = before.(i))
+            else check ((not (Hashtbl.mem seen.(e) s)) && not (Array.mem s (Array.sub after 0 i))))
+          after;
+        Array.iter (fun s -> Hashtbl.replace seen.(e) s ()) after;
+        check (after.(0) = 0);
+        check (stamps (1 - e) = other);
+        Array.iteri
+          (fun j m ->
+            check (T.length ends.(j) = Array.length m);
+            Array.iteri
+              (fun i rc ->
+                check (T.event_count ends.(j) (i + 1) = Array.length rc);
+                Array.iteri (fun ev s -> check (T.symbol ends.(j) ~chunk:(i + 1) ~event:ev = s)) rc)
+              m;
+            check
+              (Util.Bitvec.equal
+                 (serialize (Array.to_list m) (Array.length m))
+                 (let v = Util.Bitvec.copy (T.serialized ends.(j)) in
+                  Util.Bitvec.truncate v (T.serialized_bits ends.(j));
+                  v)))
+          model;
+        check (T.equal_prefix ends.(0) ends.(1) = lcp ());
+        for p = 0 to min (Array.length model.(0)) (Array.length model.(1)) do
+          check
+            (T.same_prefix ends.(0) ends.(1) p
+            = Util.Bitvec.equal
+                (serialize (Array.to_list model.(0)) p)
+                (serialize (Array.to_list model.(1)) p))
         done
       done;
       !ok)
@@ -658,8 +781,8 @@ let honest_transcripts ch ~inputs =
     Array.iteri
       (fun e (u, v) ->
         let row = Array.of_list (List.rev rows.(e)) in
-        Coding.Transcript.push_chunk trs.(u).(v) ~events:row;
-        Coding.Transcript.push_chunk trs.(v).(u) ~events:(Array.copy row))
+        push trs.(u).(v) row;
+        push trs.(v).(u) (Array.copy row))
       (Topology.Graph.edges g)
   done;
   trs
@@ -682,7 +805,7 @@ let reference_machine ch ~party ~input ~transcripts ~upto =
       ~recv:(fun s i ->
         match s.pi_round with
         | Some r when s.dst = party ->
-            let ev = Coding.Transcript.events (transcripts s.src) c in
+            let ev = record (transcripts s.src) c in
             machine.Protocol.Pi.recv ~round:r ~src:s.src
               (i < Array.length ev && ev.(i) = Coding.Transcript.sym_bit true)
         | Some _ | None -> ())
@@ -712,9 +835,9 @@ let test_replayer_cache_correctness () =
   Alcotest.(check int) "cache hit agrees" reference
     (Coding.Replayer.output repl ~transcripts ~upto:n_real);
   let nbr = neighbors.(0) in
-  let saved = Coding.Transcript.events trs.(0).(nbr) n_real in
+  let saved = record trs.(0).(nbr) n_real in
   Coding.Transcript.truncate trs.(0).(nbr) (n_real - 1);
-  Coding.Transcript.push_chunk trs.(0).(nbr) ~events:saved;
+  push trs.(0).(nbr) saved;
   Alcotest.(check int) "post-truncation replay agrees" reference
     (Coding.Replayer.output repl ~transcripts ~upto:n_real)
 
@@ -754,14 +877,14 @@ let test_replayer_resumes_from_checkpoint () =
   done;
   Alcotest.(check int) "spawns before any rewind" 2 !spawns;
   let tr = trs.(0).(neighbors.(0)) in
-  let saved = Coding.Transcript.events tr n_real in
+  let saved = record tr n_real in
   Coding.Transcript.truncate tr (n_real - 1);
-  Coding.Transcript.push_chunk tr ~events:(Array.map (fun s -> if s = 3 then 2 else 3) saved);
+  push tr (Array.map (fun s -> if s = 3 then 2 else 3) saved);
   Alcotest.(check int) "shallow rewind agrees" (expect n_real)
     (Coding.Replayer.output repl ~transcripts ~upto:n_real);
   Alcotest.(check int) "shallow rewind resumes from a snapshot" 2 !spawns;
   let c = ref 1 in
-  while Array.length (Coding.Transcript.events tr !c) = 0 do
+  while Coding.Transcript.event_count tr !c = 0 do
     incr c
   done;
   Coding.Transcript.corrupt tr ~chunk:!c ~event:0;
@@ -811,8 +934,7 @@ let prop_replayer_matches_reference =
           (fun nbr ->
             let tr = Coding.Transcript.create () in
             for c = 1 to n_real do
-              Coding.Transcript.push_chunk tr
-                ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+              push tr (damage (record honest.(party).(nbr) c))
             done;
             (nbr, tr))
           (Topology.Graph.neighbors g party)
@@ -837,7 +959,7 @@ let prop_replayer_matches_reference =
       (* Rot one event at or below the newest snapshot. *)
       let _, tr = pick () in
       let c = 1 + Util.Rng.int r (4 * (n_real / 4)) in
-      let len = Array.length (Coding.Transcript.events tr c) in
+      let len = Coding.Transcript.event_count tr c in
       if len > 0 then Coding.Transcript.corrupt tr ~chunk:c ~event:(Util.Rng.int r len);
       ok := !ok && check n_real;
       for _ = 1 to 4 do
@@ -845,8 +967,7 @@ let prop_replayer_matches_reference =
         let from = n_real - (1 + Util.Rng.int r n_real) in
         Coding.Transcript.truncate tr from;
         for c = from + 1 to n_real do
-          Coding.Transcript.push_chunk tr
-            ~events:(damage (Coding.Transcript.events honest.(party).(nbr) c))
+          push tr (damage (record honest.(party).(nbr) c))
         done;
         ok := !ok && check n_real && check (Util.Rng.int r (n_real + 1))
       done;
@@ -1438,6 +1559,7 @@ let () =
             test_transcript_serialization_distinguishes_position;
           Alcotest.test_case "equal prefix" `Quick test_transcript_equal_prefix;
           QCheck_alcotest.to_alcotest prop_transcript_serialization_is_prefix_closed;
+          QCheck_alcotest.to_alcotest prop_transcript_model;
         ] );
       ( "seeds",
         [

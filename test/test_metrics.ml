@@ -86,7 +86,7 @@ let test_expo_escaping () =
 (* One Algorithm 1 run on a 6-cycle and its projected metrics.  The run
    keeps its per-iteration trace unless [~trace:false], so the
    projection carries Φ. *)
-let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?max_iterations ?max_wall_s ?sink
+let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?sink
     ?(adversary = Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001) () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
@@ -95,9 +95,7 @@ let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?max_iterations ?max_wall
     if shards = 0 then Coding.Scheme.Lockstep
     else Coding.Scheme.Live (Live.Config.make ~shards ())
   in
-  let config =
-    Coding.Scheme.Config.make ~trace ~backend ?faults ?max_iterations ?max_wall_s ?sink ()
-  in
+  let config = Coding.Scheme.Config.make ~trace ~backend ?faults ?sink () in
   let outcome =
     Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adversary
   in
@@ -162,21 +160,24 @@ let test_scheme_metrics_shard_invariant () =
 
 exception Planted
 
+(* An adversary that raises once the run reaches [phase] of iteration
+   [iteration]. *)
+let planted ~iteration ~phase =
+  Netsim.Adversary.Adaptive
+    {
+      budget = (fun _ -> 0);
+      strategy =
+        (fun ctx ->
+          if ctx.Netsim.Adversary.iteration = iteration && ctx.Netsim.Adversary.phase = phase then
+            raise Planted
+          else []);
+    }
+
 let test_aborted_run_names_its_phase () =
   (* An adversary that raises inside iteration 2's simulation phase:
      the run aborts with an internal error, the diagnosis says where,
      and the abort is tallied. *)
-  let adversary =
-    Netsim.Adversary.Adaptive
-      {
-        budget = (fun _ -> 0);
-        strategy =
-          (fun ctx ->
-            if ctx.Netsim.Adversary.iteration = 2 && ctx.Netsim.Adversary.phase = Netsim.Adversary.Simulation
-            then raise Planted
-            else []);
-      }
-  in
+  let adversary = planted ~iteration:2 ~phase:Netsim.Adversary.Simulation in
   let outcome, snap = scheme_exact ~adversary () in
   (match outcome with
   | Faults.Outcome.Aborted (Faults.Outcome.Internal_error msg, diag) ->
@@ -213,13 +214,13 @@ let test_aborted_run_names_its_phase () =
   | o, _ ->
       Alcotest.failf "expected an internal-error abort at 2 shards, got %s"
         (Faults.Outcome.label o));
-  (* A wall budget of 0 trips the watchdog at its first check, right
-     after iteration 0 opens. *)
-  match scheme_exact ~max_wall_s:0. () with
-  | Faults.Outcome.Aborted (Faults.Outcome.Wall_budget _, diag), _ ->
-      Alcotest.(check (list string)) "watchdog note"
-        [ "aborted in iteration 0 during scheme.iteration" ] diag.Faults.Outcome.notes
-  | o, _ -> Alcotest.failf "expected Wall_budget abort, got %s" (Faults.Outcome.label o)
+  (* An abort in the first phase of the first iteration names it too. *)
+  let adversary = planted ~iteration:0 ~phase:Netsim.Adversary.Meeting_points in
+  match scheme_exact ~adversary () with
+  | Faults.Outcome.Aborted (Faults.Outcome.Internal_error _, diag), _ ->
+      Alcotest.(check (list string)) "first-phase note"
+        [ "aborted in iteration 0 during phase.meeting_points" ] diag.Faults.Outcome.notes
+  | o, _ -> Alcotest.failf "expected an internal-error abort, got %s" (Faults.Outcome.label o)
 
 (* Per-trial metrics through the pool: each trial projects its own
    outcome, the snapshots merge in trial order, and the merge is the
@@ -293,7 +294,9 @@ let test_projection_total () =
       Alcotest.(check bool) "stalls booked" true (d.Faults.Outcome.stalled_slots > 0)
   | o -> Alcotest.failf "expected degraded, got %s" (Faults.Outcome.label o));
   (* Aborted: only what the diagnosis holds. *)
-  let o, snap = scheme_exact ~max_iterations:0 () in
+  let o, snap =
+    scheme_exact ~adversary:(planted ~iteration:0 ~phase:Netsim.Adversary.Meeting_points) ()
+  in
   Alcotest.(check string) "aborted run" "aborted" (Faults.Outcome.label o);
   tallied "aborted" snap;
   Alcotest.(check (list string)) "aborted series"

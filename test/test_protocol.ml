@@ -136,8 +136,8 @@ let prop_make_compiles_or_names_the_fault =
               | [] -> scan (rd + 1)
               | (u, v) :: rest ->
                   let msg fmt = Some (Printf.sprintf fmt rd u v) in
-                  if not (adjacent u v) then msg "Pi.validate: round %d schedules non-adjacent %d->%d"
-                  else if List.mem (u, v) seen then msg "Pi.validate: round %d schedules %d->%d twice"
+                  if not (adjacent u v) then msg "Pi.make: round %d schedules non-adjacent %d->%d"
+                  else if List.mem (u, v) seen then msg "Pi.make: round %d schedules %d->%d twice"
                   else go ((u, v) :: seen) rest
             in
             go [] lists.(rd)
@@ -406,7 +406,7 @@ let test_accessors_reject_out_of_range () =
                 (fun () -> f ~chunk_index ~edge))
             [ -1; m; m + 7 ])
         [ 1; Chunking.n_real ch + 1 ];
-      Alcotest.check_raises (name ^ " chunk 0") (Invalid_argument "Chunking.chunk: index < 1")
+      Alcotest.check_raises (name ^ " chunk 0") (Invalid_argument "Chunking: chunk_index < 1")
         (fun () -> f ~chunk_index:0 ~edge:0))
     accessors;
   let n = Topology.Graph.n pi.Pi.graph in
@@ -420,7 +420,7 @@ let test_accessors_reject_out_of_range () =
             (fun () -> ignore (Chunking.party_view ch ~chunk_index ~party)))
         [ -1; n; n + 7 ])
     [ 1; Chunking.n_real ch + 1 ];
-  Alcotest.check_raises "party_view chunk 0" (Invalid_argument "Chunking.chunk: index < 1")
+  Alcotest.check_raises "party_view chunk 0" (Invalid_argument "Chunking: chunk_index < 1")
     (fun () -> ignore (Chunking.party_view ch ~chunk_index:0 ~party:0))
 
 (* [Pi.machine.output] is computable at any point, so asking it must

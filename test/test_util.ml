@@ -145,35 +145,39 @@ let test_bitvec_equal_after_truncate () =
   Bitvec.truncate b 2;
   Alcotest.(check bool) "prefixes equal" true (Bitvec.equal a b)
 
-(* [equal_prefix] at word boundaries: [bits] of 0, 63, 64 and 65 over
-   vectors that run 70 bits past it and differ only there; then a
-   difference in the last bit in range, and the domain check. *)
-let test_bitvec_equal_prefix () =
+(* [common_prefix] at word boundaries: [bits] of 0, 63, 64 and 65 over
+   vectors that run 70 bits past it and differ only there, so the whole
+   range is common; then differences inside the range, which it must
+   locate (the last bit in range, the first bit, bit 10, and the first
+   of two), and the domain check. *)
+let test_bitvec_common_prefix () =
   let r = Rng.create 7 in
   let pattern = List.init 200 (fun _ -> Rng.bool r) in
-  let mk ?flip ?(len = 200) () =
+  let mk ?(flips = []) ?(len = 200) () =
     Bitvec.of_bools
       (List.filteri (fun i _ -> i < len)
-         (List.mapi (fun i b -> if Some i = flip then not b else b) pattern))
+         (List.mapi (fun i b -> if List.mem i flips then not b else b) pattern))
   in
   List.iter
     (fun bits ->
       let a = mk () in
-      Alcotest.(check bool) (Printf.sprintf "bits %d: equal" bits) true
-        (Bitvec.equal_prefix a (mk ()) ~bits);
-      Alcotest.(check bool) (Printf.sprintf "bits %d: differs just past" bits) true
-        (Bitvec.equal_prefix a (mk ~flip:bits ()) ~bits);
-      Alcotest.(check bool) (Printf.sprintf "bits %d: differs 70 past" bits) true
-        (Bitvec.equal_prefix a (mk ~flip:(bits + 69) ()) ~bits);
-      Alcotest.(check bool) (Printf.sprintf "bits %d: shorter peer" bits) true
-        (Bitvec.equal_prefix a (mk ~len:bits ()) ~bits);
-      if bits > 0 then
-        Alcotest.(check bool) (Printf.sprintf "bits %d: last bit in range" bits) false
-          (Bitvec.equal_prefix a (mk ~flip:(bits - 1) ()) ~bits))
+      let check what want b =
+        Alcotest.(check int) (Printf.sprintf "bits %d: %s" bits what) want
+          (Bitvec.common_prefix a b ~bits)
+      in
+      check "equal" bits (mk ());
+      check "differs just past" bits (mk ~flips:[ bits ] ());
+      check "differs 70 past" bits (mk ~flips:[ bits + 69 ] ());
+      check "shorter peer" bits (mk ~len:bits ());
+      if bits > 0 then begin
+        check "last bit in range" (bits - 1) (mk ~flips:[ bits - 1 ] ());
+        check "first bit" 0 (mk ~flips:[ 0 ] ())
+      end;
+      if bits > 10 then check "first of two" 10 (mk ~flips:[ 10; bits - 1 ] ()))
     [ 0; 63; 64; 65 ];
   Alcotest.check_raises "bits past the shorter vector"
-    (Invalid_argument "Bitvec.equal_prefix: bits") (fun () ->
-      ignore (Bitvec.equal_prefix (mk ()) (mk ~len:64 ()) ~bits:65))
+    (Invalid_argument "Bitvec.common_prefix: bits") (fun () ->
+      ignore (Bitvec.common_prefix (mk ()) (mk ~len:64 ()) ~bits:65))
 
 let test_bitvec_word_beyond_data () =
   let v = Bitvec.of_bools [ true ] in
@@ -230,9 +234,10 @@ let test_bitvec_push_int_domain () =
     (List.for_all (Bitvec.get v) (List.init Sys.int_size Fun.id))
 
 (* The vector against a [bool array] model, over random sequences of
-   every mutation.  After each step: [length], [get], [word] and
-   [equal] agree with the model, and every bit of [backing] at or
-   beyond [length] is zero — the hash kernel reads whole words of it. *)
+   every mutation, [set] included.  After each step: [length], [get],
+   [word] and [equal] agree with the model, and every bit of [backing]
+   at or beyond [length] is zero — the hash kernel reads whole words of
+   it. *)
 let model_word m w =
   let x = ref 0L in
   for b = 0 to 63 do
@@ -270,7 +275,7 @@ let prop_bitvec_model =
       let snapshots = ref [] in
       let ok = ref true in
       for _ = 1 to 80 do
-        (match Rng.int rng 7 with
+        (match Rng.int rng 8 with
         | 0 ->
             let b = Rng.bool rng in
             Bitvec.push !v b;
@@ -288,6 +293,12 @@ let prop_bitvec_model =
             let n = Rng.int rng (Array.length !m + 1) in
             Bitvec.truncate !v n;
             m := Array.sub !m 0 n
+        | 7 ->
+            if Array.length !m > 0 then begin
+              let i = Rng.int rng (Array.length !m) and b = Rng.bool rng in
+              Bitvec.set !v i b;
+              m.contents.(i) <- b
+            end
         | 5 ->
             snapshots := (Bitvec.copy !v, Array.copy !m) :: !snapshots;
             v := Bitvec.copy !v
@@ -355,6 +366,11 @@ let test_bitvec_allocation_free () =
   check "push_int64" (fun i -> Bitvec.push_int64 v words.(i land 15));
   check "truncate" (fun _ -> Bitvec.truncate v (Bitvec.length v - 61));
   ignore (Sys.opaque_identity v);
+  (* [common_prefix] over equal words, then up to a differing bit. *)
+  let a = Bitvec.of_bools (List.init 300 (fun i -> i mod 3 = 0)) in
+  let b = Bitvec.of_bools (List.init 300 (fun i -> i mod 3 = 0 && i <> 200)) in
+  check "common_prefix" (fun i ->
+      ignore (Sys.opaque_identity (Bitvec.common_prefix a b ~bits:(100 + (i land 127)))));
   check "Rng.at_bits" (fun i ->
       ignore (Sys.opaque_identity (Rng.at_bits ~seed:3L i ~lo:11 ~width:53)))
 
@@ -506,7 +522,7 @@ let () =
           Alcotest.test_case "truncate then push" `Quick test_bitvec_truncate_then_push;
           Alcotest.test_case "equal" `Quick test_bitvec_equal;
           Alcotest.test_case "equal after truncate" `Quick test_bitvec_equal_after_truncate;
-          Alcotest.test_case "equal_prefix" `Quick test_bitvec_equal_prefix;
+          Alcotest.test_case "common_prefix" `Quick test_bitvec_common_prefix;
           Alcotest.test_case "word beyond data" `Quick test_bitvec_word_beyond_data;
           Alcotest.test_case "push_int domain" `Quick test_bitvec_push_int_domain;
           Alcotest.test_case "push_int at every offset" `Quick test_bitvec_push_int_offsets;
