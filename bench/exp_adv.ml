@@ -4,9 +4,10 @@
    For each (algorithm × topology) cell the derandomized engine in
    lib/advsearch explores the attack candidate space — family, composed
    partner, target links, iteration window, burst shape, budget
-   (rate_denom), hunter depth — scoring candidates by trace-derived
-   fitness (failures, phi.stall count, Φ-rise deficit, rework per
-   corruption).  Hand-written baselines (each pure family at the default
+   (rate_denom), hunter depth — scoring candidates by a fitness projected
+   from each run's outcome (failures, Φ stall count, Φ-rise deficit,
+   rework per corruption; Φ from the result's per-iteration trace, no
+   sink).  Hand-written baselines (each pure family at the default
    budget) are scored by the same evaluator on the same trial keys, so
    "the search beat the baselines" is an apples-to-apples dominance
    statement on the (budget, failure probability) plane: at least as

@@ -231,6 +231,13 @@ let subheading s = Format.printf "@.--- %s ---@." s
 let workload ?(rounds = 300) ?(density = 0.5) ?(seed = 3) graph =
   Protocol.Protocols.random_chatter graph ~rounds ~density ~seed
 
+(* One attack family, built as every attack is: a candidate with no
+   partner and no window, on [edges] ([[]] = every edge), depth-[depth]
+   hunter search, budget 1/[rate_denom] of the traffic. *)
+let attack ~graph ?(edges = []) ?(depth = 4) ~rate_denom family =
+  Coding.Attacks.instantiate ~graph
+    { Coding.Attacks.default_candidate with family; edges; depth; rate_denom }
+
 let bar ?(width = 30) fraction =
   let n = int_of_float (fraction *. float_of_int width) in
   String.init width (fun i -> if i < n then '#' else '.')

@@ -53,29 +53,32 @@ let run () =
         Exp_common.run_trials ~trials (fun t ->
             Coding.Scheme.run
               ~rng:(Exp_common.trial_rng ("e3:mpblind:" ^ kid) t)
-              params pi (Coding.Attacks.mp_blind ~rate_denom))
+              params pi
+              (Exp_common.attack ~graph:g ~rate_denom Coding.Attacks.Mp_blind)
+                .Coding.Attacks.adversary)
       in
       Format.printf "%-14s %-28s %15s %7s %12.5f %8.1fx@." "mp-blind" name
         (Exp_common.success_cell s) "-" (Exp_common.mean_fraction s) (Exp_common.mean_blowup s))
     schemes;
   (* 2b. flag-forger and rewind-spoofer *)
   List.iter
-    (fun (attack_name, akey, mk) ->
+    (fun (attack_name, akey, family) ->
       List.iter
         (fun (name, kid, params, rate_denom) ->
           let s =
             Exp_common.run_trials ~trials (fun t ->
                 Coding.Scheme.run
                   ~rng:(Exp_common.trial_rng (Printf.sprintf "e3:%s:%s" akey kid) t)
-                  params pi (mk ~rate_denom))
+                  params pi
+                  (Exp_common.attack ~graph:g ~rate_denom family).Coding.Attacks.adversary)
           in
           Format.printf "%-14s %-28s %15s %7s %12.5f %8.1fx@." attack_name name
             (Exp_common.success_cell s) "-" (Exp_common.mean_fraction s)
             (Exp_common.mean_blowup s))
         schemes)
     [
-      ("flag-forger", "forge", fun ~rate_denom -> Coding.Attacks.flag_forger ~rate_denom);
-      ("rewind-spoof", "spoof", fun ~rate_denom -> Coding.Attacks.rewind_spoofer ~rate_denom);
+      ("flag-forger", "forge", Coding.Attacks.Flag_forge);
+      ("rewind-spoof", "spoof", Coding.Attacks.Rewind_spoof);
     ];
   (* 3. hash-hunter.  The hunter's hit counter is per-trial state, so it
      is returned through run_trials_aux and summed in trial order —
@@ -83,16 +86,16 @@ let run () =
   let hunter_row label name key params rate_denom =
     let s, aux =
       Exp_common.run_trials_aux ~trials (fun t ->
-          let adv, hook, stats =
-            Coding.Attacks.collision_hunter ~graph:g ~edge:(t mod Topology.Graph.m g) ~depth:4
-              ~rate_denom ()
+          let inst =
+            Exp_common.attack ~graph:g ~edges:[ t mod Topology.Graph.m g ] ~rate_denom
+              Coding.Attacks.Hunter
           in
           let r =
             Coding.Scheme.run
-              ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
-              ~rng:(Exp_common.trial_rng key t) params pi adv
+              ~config:(Coding.Scheme.Config.make ?spy_hook:inst.Coding.Attacks.spy_hook ())
+              ~rng:(Exp_common.trial_rng key t) params pi inst.Coding.Attacks.adversary
           in
-          (r, stats.Coding.Attacks.hits))
+          (r, inst.Coding.Attacks.stats.Coding.Attacks.hits))
     in
     let hits = List.fold_left (fun acc a -> acc + Option.value ~default:0 a) 0 aux in
     Format.printf "%-14s %-28s %15s %7d %12.5f %8.1fx@." label name (Exp_common.success_cell s)

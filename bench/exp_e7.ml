@@ -26,15 +26,15 @@ let run () =
          through run_trials_aux and summed in trial order. *)
       let s, aux =
         Exp_common.run_trials_aux ~trials (fun t ->
-            let adv, hook, stats =
-              Coding.Attacks.collision_hunter ~graph:g ~edge:(t mod Topology.Graph.m g) ~depth
-                ~rate_denom:300 ()
+            let { Coding.Attacks.adversary; spy_hook; stats } =
+              Exp_common.attack ~graph:g ~edges:[ t mod Topology.Graph.m g ] ~depth
+                ~rate_denom:300 Coding.Attacks.Hunter
             in
             let r =
               Coding.Scheme.run
-                ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
+                ~config:(Coding.Scheme.Config.make ?spy_hook ())
                 ~rng:(Exp_common.trial_rng (Printf.sprintf "e7:tau%d" tau) t)
-                (Coding.Params.algorithm_1 ~tau g) pi adv
+                (Coding.Params.algorithm_1 ~tau g) pi adversary
             in
             (r, (stats.Coding.Attacks.attempts, stats.Coding.Attacks.hits)))
       in

@@ -102,24 +102,24 @@ let run () =
   let logm = float_of_int (Coding.Params.ceil_log2 m) in
   measured_row "Algorithm B" "cycle" "eps/(m log m)" "adapt insdel"
     (Exp_common.run_trials ~trials (fun t ->
-         let adv, hook, _stats =
-           Coding.Attacks.collision_hunter ~graph:cycle ~edge:(t mod m) ~depth:4
+         let { Coding.Attacks.adversary; spy_hook; _ } =
+           Exp_common.attack ~graph:cycle ~edges:[ t mod m ]
              ~rate_denom:(int_of_float (fm *. logm /. eps_slot))
-             ()
+             Coding.Attacks.Hunter
          in
          Coding.Scheme.run
-           ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
-           ~rng:(rng "t1:algB:scheme" t) (Coding.Params.algorithm_b cycle) pi_cycle adv));
+           ~config:(Coding.Scheme.Config.make ?spy_hook ())
+           ~rng:(rng "t1:algB:scheme" t) (Coding.Params.algorithm_b cycle) pi_cycle adversary));
   measured_row "Algorithm C (CRS)" "cycle" "eps/(m llog m)" "adapt insdel"
     (Exp_common.run_trials ~trials (fun t ->
-         let adv, hook, _stats =
-           Coding.Attacks.collision_hunter ~graph:cycle ~edge:(t mod m) ~depth:4
+         let { Coding.Attacks.adversary; spy_hook; _ } =
+           Exp_common.attack ~graph:cycle ~edges:[ t mod m ]
              ~rate_denom:(int_of_float (fm *. 2. /. eps_slot))
-             ()
+             Coding.Attacks.Hunter
          in
          Coding.Scheme.run
-           ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
-           ~rng:(rng "t1:algC:scheme" t) (Coding.Params.algorithm_c cycle) pi_cycle adv));
+           ~config:(Coding.Scheme.Config.make ?spy_hook ())
+           ~rng:(rng "t1:algC:scheme" t) (Coding.Params.algorithm_c cycle) pi_cycle adversary));
   Format.printf "%s@." (String.make 116 '-');
   Format.printf
     "All measured rows completed in polynomial time; the uncoded/repetition rows show@.";

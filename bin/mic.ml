@@ -267,12 +267,28 @@ let run_cmd topology parties scheme_name protocol rounds adversary rate budget_d
               ~phases:[ Netsim.Adversary.Simulation ],
             None,
             None )
-      | Mpblind -> (Coding.Attacks.mp_blind ~rate_denom:budget_denom, None, None)
-      | Hunter ->
-          let adv, hook, stats =
-            Coding.Attacks.collision_hunter ~graph ~edge:0 ~depth:4 ~rate_denom:budget_denom ()
+      | Mpblind ->
+          let inst =
+            Coding.Attacks.instantiate ~graph
+              {
+                Coding.Attacks.default_candidate with
+                family = Coding.Attacks.Mp_blind;
+                rate_denom = budget_denom;
+              }
           in
-          (adv, Some hook, Some stats)
+          (inst.Coding.Attacks.adversary, None, None)
+      | Hunter ->
+          let { Coding.Attacks.adversary; spy_hook; stats } =
+            Coding.Attacks.instantiate ~graph
+              {
+                Coding.Attacks.default_candidate with
+                family = Coding.Attacks.Hunter;
+                edges = [ 0 ];
+                depth = 4;
+                rate_denom = budget_denom;
+              }
+          in
+          (adversary, spy_hook, Some stats)
     in
     let faults = fault_plan ~crash ~stall ~overload ~rate ~seed t in
     let observing = trace_file <> None || postmortem in

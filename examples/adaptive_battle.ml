@@ -16,12 +16,19 @@
 
 let battle name params pi seed =
   let graph = pi.Protocol.Pi.graph in
-  let adversary, hook, stats =
-    Coding.Attacks.collision_hunter ~graph ~edge:0 ~depth:4 ~rate_denom:300 ()
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    Coding.Attacks.instantiate ~graph
+      {
+        Coding.Attacks.default_candidate with
+        family = Coding.Attacks.Hunter;
+        edges = [ 0 ];
+        depth = 4;
+        rate_denom = 300;
+      }
   in
   let result =
     Coding.Scheme.run
-      ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
+      ~config:(Coding.Scheme.Config.make ?spy_hook ())
       ~rng:(Util.Rng.create seed) params pi adversary
   in
   Format.printf "  %-34s tau=%-3d %-9b %7d %6d %9.5f%% %8.1fx@." name params.Coding.Params.tau

@@ -53,9 +53,9 @@ let substitution_everything =
       strategy =
         (fun ctx ->
           List.map
-            (fun (src, dst, bit) ->
+            (fun (dir, bit) ->
               (* value flip: 0 -> 1 is addend 1; 1 -> 0 is addend 2. *)
-              (Topology.Graph.dir_id ctx.Netsim.Adversary.graph ~src ~dst, if bit then 2 else 1))
+              (dir, if bit then 2 else 1))
             ctx.Netsim.Adversary.sends);
     }
 

@@ -17,39 +17,32 @@ let outcome_class outcome =
   | None -> label
   | Some r -> label ^ if r.Coding.Scheme.success then ":ok" else ":fail"
 
-(* Σ max(0, K − ΔΦ) over consecutive gauged iterations, in units of K.
-   Gaps in the trajectory (iterations that gauged nothing) expect K per
-   skipped iteration, so a stalled tail cannot hide by not gauging. *)
-let deficit ~k trajectory =
+(* Σ max(0, K − ΔΦ) over the per-iteration increments, in units of K. *)
+let deficit ~k increments =
   let kf = float_of_int k in
-  let rec go acc = function
-    | (i1, phi1) :: ((i2, phi2) :: _ as rest) ->
-        let expected = kf *. float_of_int (i2 - i1) in
-        go (acc +. Float.max 0. (expected -. (phi2 -. phi1))) rest
-    | _ -> acc
-  in
-  go 0. trajectory /. kf
+  List.fold_left (fun acc delta -> acc +. Float.max 0. (kf -. delta)) 0. increments /. kf
 
-let extract ~k ~stats ~outcome ~timeline =
+let extract ~k ~m ~stats ~outcome =
   let result = Faults.Outcome.result outcome in
   let failed =
     match result with None -> true | Some r -> not r.Coding.Scheme.success
   in
-  let corruptions, cc, noise_fraction, waste =
+  let corruptions, cc, noise_fraction, waste, trace =
     match result with
-    | None -> (0, 0, 0., 0.)
+    | None -> (0, 0, 0., 0., [])
     | Some r ->
         ( r.Coding.Scheme.corruptions,
           r.Coding.Scheme.cc,
           r.Coding.Scheme.noise_fraction,
           float_of_int r.Coding.Scheme.chunks_rewound
-          /. float_of_int (max 1 r.Coding.Scheme.corruptions) )
+          /. float_of_int (max 1 r.Coding.Scheme.corruptions),
+          r.Coding.Scheme.trace )
   in
   {
     outcome_class = outcome_class outcome;
     failed;
-    phi_stalls = Obsv.Timeline.total timeline "phi.stall";
-    phi_deficit = deficit ~k (Obsv.Timeline.phi_trajectory timeline);
+    phi_stalls = Coding.Potential.stalls ~k ~m trace;
+    phi_deficit = deficit ~k (Coding.Potential.increments ~k ~m trace);
     waste;
     noise_fraction;
     corruptions;

@@ -79,21 +79,21 @@ let env ~algorithm ~topology ~rounds =
 
 (* ---------- one run, one candidate, one trial ---------- *)
 
-(* Scenario.run_trial's execution with a sink (same config shape, same
-   trial-rng derivation; a sink does not change a run), so a scenario
-   whose [key] is an eval's candidate key replays the search's runs
-   byte-for-byte. *)
+(* Scenario.run_trial's execution with the per-iteration trace kept
+   (same trial-rng derivation; keeping the trace does not change a run),
+   so a scenario whose [key] is an eval's candidate key replays the
+   search's runs byte-for-byte.  The fitness is projected from the
+   outcome. *)
 let run_candidate env cand ~key trial =
   let inst = Coding.Attacks.instantiate ~graph:env.graph cand in
-  let sink = Trace.Sink.create ~capacity:65536 () in
-  let config = Coding.Scheme.Config.make ~sink ?spy_hook:inst.Coding.Attacks.spy_hook () in
+  let config = Coding.Scheme.Config.make ~trace:true ?spy_hook:inst.Coding.Attacks.spy_hook () in
   let outcome =
     Coding.Scheme.run_outcome ~config
       ~rng:(Runner.Pool.trial_rng ~key trial)
       env.params env.pi inst.Coding.Attacks.adversary
   in
-  Fitness.extract ~k:env.params.Coding.Params.k ~stats:inst.Coding.Attacks.stats ~outcome
-    ~timeline:(Obsv.Timeline.of_sink sink)
+  Fitness.extract ~k:env.params.Coding.Params.k ~m:(Topology.Graph.m env.graph)
+    ~stats:inst.Coding.Attacks.stats ~outcome
 
 (* ---------- batch evaluation: one pool fold per generation ---------- *)
 

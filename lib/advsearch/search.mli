@@ -7,7 +7,9 @@
     ε-greedy bandit over family mean scores.  Every candidate is
     evaluated over [trials] independent runs fanned out on
     {!Runner.Pool} — a whole generation's (candidate × trial) matrix is
-    one pool fold — and scored with {!Fitness}.
+    one pool fold — and scored with {!Fitness}, which projects the
+    signals from each run's outcome: a run keeps its per-iteration trace
+    ([~trace:true]) and needs no sink.
 
     {e Determinism contract}: every random decision is keyed.  Proposal
     randomness is [Rng.of_key (key ^ ":propose:" ^ gen ^ ":" ^ slot)];

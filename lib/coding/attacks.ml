@@ -4,7 +4,7 @@ let fresh_stats () = { attempts = 0; hits = 0; corruptions_spent = 0 }
 
 (* Per-simulation-phase working state of the hunter. *)
 type phase_state = {
-  slots : (int * int * int * bool) array; (* (roff, src, dst, is_pad) events of the chunk on the link *)
+  slots : (int * int * bool) array; (* (roff, dir, is_pad) events of the chunk on the link *)
   observed : bool array; (* the honest sender spoke event i this phase *)
   cut : int; (* first attackable trailing-pad event index *)
   trigger_roff : int;
@@ -16,7 +16,7 @@ type phase_state = {
 let trailing_pads slots depth =
   let n = Array.length slots in
   let rec first_pad i =
-    if i > 0 && (fun (_, _, _, p) -> p) slots.(i - 1) then first_pad (i - 1) else i
+    if i > 0 && (fun (_, _, p) -> p) slots.(i - 1) then first_pad (i - 1) else i
   in
   let start = first_pad n in
   max start (n - depth)
@@ -25,9 +25,9 @@ let trailing_pads slots depth =
    bare strategy function, leaving budget wrapping (and therefore
    composition with other strategies under one shared budget) to the
    caller.  [stats] is caller-supplied so composed hunters over a link
-   set can share one per-trial record. *)
-let hunter_strategy ~graph ~edge ~depth ~stats =
-  if depth < 1 || depth > 8 then invalid_arg "Attacks.collision_hunter: depth in 1..8";
+   set can share one per-trial record; [depth] is checked by
+   [validate]. *)
+let hunter_strategy ~edge ~depth ~stats =
   let spy_ref : Scheme.spy option ref = ref None in
   let hook spy = spy_ref := Some spy in
   let prev_phase = ref Netsim.Adversary.Idle in
@@ -47,7 +47,7 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
         let cut = trailing_pads slots depth in
         if cut >= n then None
         else
-          let trigger_roff = (fun (r, _, _, _) -> r) slots.(cut) in
+          let trigger_roff = (fun (r, _, _) -> r) slots.(cut) in
           Some
             {
               slots;
@@ -124,8 +124,7 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
             Array.iteri
               (fun j a ->
                 if a <> 0 then begin
-                  let roff, src, dst, _ = st.slots.(st.cut + j) in
-                  let dir = Topology.Graph.dir_id graph ~src ~dst in
+                  let roff, dir, _ = st.slots.(st.cut + j) in
                   let addend = if a = 1 then 1 else 2 in
                   let existing = Option.value ~default:[] (Hashtbl.find_opt plan roff) in
                   Hashtbl.replace plan roff ((dir, addend) :: existing)
@@ -150,11 +149,9 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
         | Some st when !offset >= 0 ->
             (* Record this round's honest traffic on the target link. *)
             Array.iteri
-              (fun i (roff, src, dst, _) ->
+              (fun i (roff, dir, _) ->
                 if roff = !offset then
-                  List.iter
-                    (fun (s, t, _) -> if s = src && t = dst then st.observed.(i) <- true)
-                    ctx.sends)
+                  List.iter (fun (d, _) -> if d = dir then st.observed.(i) <- true) ctx.sends)
               st.slots;
             if (not st.planned) && !offset = st.trigger_roff then begin
               st.planned <- true;
@@ -167,13 +164,6 @@ let hunter_strategy ~graph ~edge ~depth ~stats =
     !requests
   in
   (hook, strategy)
-
-let collision_hunter ~graph ~edge ~depth ~rate_denom () =
-  let stats = fresh_stats () in
-  let hook, strategy = hunter_strategy ~graph ~edge ~depth ~stats in
-  ( Netsim.Adversary.Adaptive { budget = (fun cc -> cc / rate_denom); strategy },
-    hook,
-    stats )
 
 (* Directed-link admission predicate for a target edge set; [[]] means
    every link (the historical behaviour of the broad attacks). *)
@@ -199,13 +189,10 @@ let flag_forger_strategy ~admit ctx =
        damaging direction) and addend 2 on 1 (continue→stop). *)
     let left = ref ctx.budget_left and requests = ref [] in
     List.iter
-      (fun (src, dst, bit) ->
-        if !left > 0 then begin
-          let d = Topology.Graph.dir_id ctx.graph ~src ~dst in
-          if admit d then begin
-            requests := (d, if bit then 2 else 1) :: !requests;
-            decr left
-          end
+      (fun (d, bit) ->
+        if !left > 0 && admit d then begin
+          requests := (d, if bit then 2 else 1) :: !requests;
+          decr left
         end)
       ctx.sends;
     !requests
@@ -216,10 +203,7 @@ let rewind_spoofer_strategy ~admit ctx =
   if ctx.phase <> Rewind then []
   else begin
     let busy = Hashtbl.create 8 in
-    List.iter
-      (fun (src, dst, _) ->
-        Hashtbl.replace busy (Topology.Graph.dir_id ctx.graph ~src ~dst) ())
-      ctx.sends;
+    List.iter (fun (d, _) -> Hashtbl.replace busy d ()) ctx.sends;
     let left = ref ctx.budget_left and requests = ref [] in
     let two_m = 2 * Topology.Graph.m ctx.graph in
     for d = 0 to two_m - 1 do
@@ -240,13 +224,10 @@ let mp_blind_strategy ~admit ctx =
   else begin
     let left = ref ctx.budget_left and requests = ref [] in
     List.iter
-      (fun (src, dst, _) ->
-        if !left > 0 then begin
-          let d = Topology.Graph.dir_id ctx.graph ~src ~dst in
-          if admit d then begin
-            requests := (d, 1) :: !requests;
-            decr left
-          end
+      (fun (d, _) ->
+        if !left > 0 && admit d then begin
+          requests := (d, 1) :: !requests;
+          decr left
         end)
       ctx.sends;
     !requests
@@ -274,10 +255,6 @@ let burst_strategy ~graph ~admit ~start ~len ctx =
 
 let wrap ~rate_denom strategy =
   Netsim.Adversary.Adaptive { budget = (fun cc -> cc / rate_denom); strategy }
-
-let mp_blind ~rate_denom = wrap ~rate_denom (mp_blind_strategy ~admit:(fun _ -> true))
-let flag_forger ~rate_denom = wrap ~rate_denom (flag_forger_strategy ~admit:(fun _ -> true))
-let rewind_spoofer ~rate_denom = wrap ~rate_denom (rewind_spoofer_strategy ~admit:(fun _ -> true))
 
 (* ---------- the uniform candidate constructor ---------- *)
 
@@ -381,7 +358,7 @@ let instantiate ~graph c =
         let strategies =
           List.map
             (fun edge ->
-              let hook, s = hunter_strategy ~graph ~edge ~depth:c.depth ~stats in
+              let hook, s = hunter_strategy ~edge ~depth:c.depth ~stats in
               hooks := hook :: !hooks;
               s)
             edges

@@ -18,49 +18,24 @@
     collections exist in almost every chunk; with τ = Θ(log m)
     (Algorithm B) they exist with probability 1/poly(m) — which is the
     quantitative content of Theorem 1.2's parameter choice, and what
-    experiment E7 measures. *)
+    experiment E7 measures.
+
+    Every attack here is built one way: as a {!candidate} passed to
+    {!instantiate}.  The families' strategies read the round's sends as
+    the network hands them over, (dir id, bit) pairs, and answer with
+    (dir id, addend) requests under one budget of 1/[rate_denom] of the
+    communication so far. *)
 
 type stats = {
   mutable attempts : int;  (** chunks examined *)
   mutable hits : int;  (** hidden corruptions committed *)
   mutable corruptions_spent : int;
 }
-(** Live attack statistics.  {e Multicore contract}: the record is
-    mutable, unsynchronized state of one attack instance — construct the
-    instance (and hence the record) {e inside} the trial thunk when
-    running on {!Runner.Pool}, never once outside it, and aggregate the
-    per-trial values in trial order (e.g. through [Runner.Accum]).
-    Every constructor below returns a fresh record per call. *)
-
-val collision_hunter :
-  graph:Topology.Graph.t ->
-  edge:int ->
-  depth:int ->
-  rate_denom:int ->
-  unit ->
-  Netsim.Adversary.t * (Scheme.spy -> unit) * stats
-(** [collision_hunter ~graph ~edge ~depth ~rate_denom ()] targets
-    one link; [depth] bounds
-    how many trailing padding transmissions per chunk the search may
-    alter (candidate space 3^depth); the budget is 1/[rate_denom] of
-    the communication so far.  Returns the adversary, the spy hook to
-    pass to {!Scheme.run}, and live statistics. *)
-
-val mp_blind : rate_denom:int -> Netsim.Adversary.t
-(** A cruder non-oblivious attack for comparison: corrupt
-    consistency-check traffic (hash messages) at every opportunity the
-    budget allows, blinding the meeting-points mechanism rather than
-    fooling it. *)
-
-val flag_forger : rate_denom:int -> Netsim.Adversary.t
-(** Corrupt flag-passing traffic: flip continue↔stop bits on the
-    spanning tree, trying to make the network idle when it should run
-    and run when it should idle (the attack surface of Algorithm 3). *)
-
-val rewind_spoofer : rate_denom:int -> Netsim.Adversary.t
-(** Inject rewind requests into silent rewind-phase slots: every
-    accepted spoof makes the victim truncate a correct chunk (Line
-    33-38's attack surface).  Insertion noise in its purest form. *)
+(** Live hunter statistics of one {!instance}.  {e Multicore contract}:
+    the record is mutable, unsynchronized state of that instance — call
+    {!instantiate} {e inside} the trial thunk when running on
+    {!Runner.Pool}, never once outside it, and aggregate the per-trial
+    values in trial order (e.g. through [Runner.Accum]). *)
 
 (** {2 The uniform attack-candidate constructor}
 
@@ -77,9 +52,18 @@ val rewind_spoofer : rate_denom:int -> Netsim.Adversary.t
 
 type family =
   | Hunter  (** the §6.1 collision hunter, one instance per target edge *)
-  | Mp_blind  (** corrupt consistency-check traffic *)
-  | Flag_forge  (** flip continue↔stop flag bits *)
-  | Rewind_spoof  (** insert rewind requests into silent slots *)
+  | Mp_blind
+      (** corrupt consistency-check traffic (hash messages) at every
+          opportunity the budget allows, blinding the meeting-points
+          mechanism rather than fooling it *)
+  | Flag_forge
+      (** flip continue↔stop bits on the spanning tree, trying to make
+          the network idle when it should run and run when it should
+          idle (the attack surface of Algorithm 3) *)
+  | Rewind_spoof
+      (** insert rewind requests into silent rewind-phase slots: every
+          accepted spoof makes the victim truncate a correct chunk
+          (Lines 33–38); insertion noise in its purest form *)
   | Burst
       (** budgeted burst: hit every admitted directed link each round of
           a [burst_start, burst_start + burst_len) round window *)
@@ -113,10 +97,13 @@ val candidate_to_string : candidate -> string
     ["hunter+rewind_spoof@e0,3 rd600 w2-9 d4"]. *)
 
 type instance = {
-  adversary : Netsim.Adversary.t;  (** always [Adaptive] *)
+  adversary : Netsim.Adversary.t;
+      (** always [Adaptive]; pass to {!Scheme.run_outcome} *)
   spy_hook : (Scheme.spy -> unit) option;
-      (** present iff a hunter is involved; pass to {!Scheme.Config} *)
-  stats : stats;  (** fresh per instance; hunter hits land here *)
+      (** present iff a hunter is involved; pass to {!Scheme.Config.make} *)
+  stats : stats;
+      (** fresh per instance; hunter attempts and hits land here (zero
+          for the other families) *)
 }
 
 val instantiate : graph:Topology.Graph.t -> candidate -> instance

@@ -8,7 +8,6 @@ type t = {
   iteration_factor : int;
   extra_iterations : int;
   flag_passing : bool;
-  rewind : bool;
   early_stop : bool;
 }
 
@@ -26,7 +25,6 @@ let base ~name ~k ~tau ~seed_mode =
     iteration_factor = 6;
     extra_iterations = 12;
     flag_passing = true;
-    rewind = true;
     early_stop = true;
   }
 

@@ -22,7 +22,6 @@ type t = {
   iteration_factor : int;  (** iterations = factor · |Π| + extra *)
   extra_iterations : int;
   flag_passing : bool;  (** ablation switch: disable the flag-passing phase *)
-  rewind : bool;  (** ablation switch: disable the rewind phase *)
   early_stop : bool;
       (** simulator convenience: stop once every link's common prefix
           covers |Π| — sound because from that point parties only append

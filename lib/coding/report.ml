@@ -25,10 +25,9 @@ let pp_trace ppf trace =
     trace
 
 let pp_params ppf (p : Params.t) =
-  Format.fprintf ppf "%s: K=%d tau=%d seeds=%s%s%s" p.Params.name p.Params.k p.Params.tau
+  Format.fprintf ppf "%s: K=%d tau=%d seeds=%s%s" p.Params.name p.Params.k p.Params.tau
     (match p.Params.seed_mode with Params.Crs -> "CRS" | Params.Exchange -> "exchange")
     (if p.Params.flag_passing then "" else " [no flag passing]")
-    (if p.Params.rewind then "" else " [no rewind]")
 
 let metrics ~k ~m outcome =
   let open Metrics.Registry in

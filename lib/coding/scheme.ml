@@ -156,11 +156,10 @@ let iterations_of params n_real =
   (params.Params.iteration_factor * n_real) + params.Params.extra_iterations
 
 let phase_round_counts params ch tree =
-  let n = Topology.Graph.n (Chunking.pi ch).Pi.graph in
   let mp = 5 * params.Params.tau in
   let flag = if params.Params.flag_passing then Flag_passing.rounds_needed tree else 0 in
   let sim = 1 + Chunking.max_rounds ch in
-  let rewind = if params.Params.rewind then n else 0 in
+  let rewind = Topology.Graph.n (Chunking.pi ch).Pi.graph in
   (mp, flag, sim, rewind)
 
 let planned_rounds params pi =
@@ -853,11 +852,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       enter sp_sim ~iter:it;
       simulation_phase ex net parties fc ch ~iter:it ~n_real;
       Trace.Sink.span_end sink ~id:sp_sim ~iter:it;
-      if params.Params.rewind then begin
-        enter sp_rewind ~iter:it;
-        rewind_phase ex net tp parties fc pr ~iter:it ~depth:rewind_depth;
-        Trace.Sink.span_end sink ~id:sp_rewind ~iter:it
-      end;
+      enter sp_rewind ~iter:it;
+      rewind_phase ex net tp parties fc pr ~iter:it ~depth:rewind_depth;
+      Trace.Sink.span_end sink ~id:sp_rewind ~iter:it;
       if observing then begin
         (* Per-iteration tallies: everything read here went quiet when
            its phase ended (MP statuses freeze after the MP phase, the
@@ -870,14 +867,13 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
         Trace.Sink.count sink ~id:c_flag_votes ~iter:it votes;
         Trace.Sink.count sink ~id:c_net_correct ~iter:it ok;
         Trace.Sink.count sink ~id:c_idle ~iter:it (n - ok);
-        if params.Params.rewind then begin
-          (* The tally is cumulative: this iteration's wave is the rise. *)
-          let reqs = pr.rewinds - !rewinds_traced in
-          rewinds_traced := pr.rewinds;
-          if reqs > 0 then begin
-            Trace.Sink.count sink ~id:c_rewind_req ~iter:it reqs;
-            Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it (float_of_int !rewind_depth)
-          end
+        (* The rewind tally is cumulative: this iteration's wave is the
+           rise. *)
+        let reqs = pr.rewinds - !rewinds_traced in
+        rewinds_traced := pr.rewinds;
+        if reqs > 0 then begin
+          Trace.Sink.count sink ~id:c_rewind_req ~iter:it reqs;
+          Trace.Sink.gauge sink ~id:g_rewind_depth ~iter:it (float_of_int !rewind_depth)
         end
       end;
       if config.Config.trace || observing then begin

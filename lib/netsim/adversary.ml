@@ -8,7 +8,7 @@ type context = {
   cc_sent : int;
   corruptions : int;
   budget_left : int;
-  sends : (int * int * bool) list;
+  sends : (int * bool) list;
 }
 
 type t =
@@ -43,17 +43,6 @@ let iid_fixing rng ~rate =
       let i = slot ~round ~dir in
       if hit ~key i ~rate then Some (Util.Rng.at_bits ~seed:key i ~lo:2 ~width:62 mod 3) else None)
 
-let sampled_slots rng ~count ~rounds ~dirs =
-  let chosen = Hashtbl.create count in
-  let n_slots = rounds * dirs in
-  let target = min count n_slots in
-  while Hashtbl.length chosen < target do
-    let r = Util.Rng.int rng rounds and d = Util.Rng.int rng dirs in
-    if not (Hashtbl.mem chosen (r, d)) then
-      Hashtbl.add chosen (r, d) (1 + Util.Rng.int rng 2)
-  done;
-  Oblivious (fun ~round ~dir -> Option.value ~default:0 (Hashtbl.find_opt chosen (round, dir)))
-
 let burst rng ~start_round ~len ~dirs =
   let dirs_set = Hashtbl.create (List.length dirs) in
   List.iter (fun d -> Hashtbl.replace dirs_set d ()) dirs;
@@ -79,8 +68,7 @@ let adaptive_link_target ~edge_dirs ~rate_denom ~phases =
           else begin
             let requests = ref [] and left = ref ctx.budget_left in
             List.iter
-              (fun (src, dst, _) ->
-                let d = Topology.Graph.dir_id ctx.graph ~src ~dst in
+              (fun (d, _) ->
                 if Hashtbl.mem dirs d && !left > 0 then begin
                   requests := (d, 1) :: !requests;
                   decr left
@@ -100,11 +88,9 @@ let adaptive_phase_attack ~rate_denom ~phases rng =
           else begin
             let requests = ref [] and left = ref ctx.budget_left in
             List.iter
-              (fun (src, dst, _) ->
+              (fun (d, _) ->
                 if !left > 0 && Util.Rng.int rng 2 = 0 then begin
-                  requests :=
-                    (Topology.Graph.dir_id ctx.graph ~src ~dst, 1 + Util.Rng.int rng 2)
-                    :: !requests;
+                  requests := (d, 1 + Util.Rng.int rng 2) :: !requests;
                   decr left
                 end)
               ctx.sends;

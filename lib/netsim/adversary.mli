@@ -28,7 +28,10 @@ type context = {
   cc_sent : int;  (** transmissions sent so far (incl. this round's) *)
   corruptions : int;  (** corruptions committed so far *)
   budget_left : int;  (** further corruptions the budget allows *)
-  sends : (int * int * bool) list;  (** this round's true (src, dst, bit) *)
+  sends : (int * bool) list;
+      (** this round's true sends as (dir id, bit), in ascending dir
+          order — the network's own currency; {!Topology.Graph.dir_ends}
+          maps a dir back to its endpoints *)
 }
 
 type t =
@@ -61,11 +64,6 @@ val iid_fixing : Util.Rng.t -> rate:float -> t
     forced slot is only a corruption when it actually changes the
     output, so the realised corruption count is lower than {!iid}'s at
     equal [rate] (Remark 1's accounting). *)
-
-val sampled_slots :
-  Util.Rng.t -> count:int -> rounds:int -> dirs:int -> t
-(** Exactly [count] corruptions at distinct uniformly random
-    (round < rounds, dir < dirs) slots. *)
 
 val burst : Util.Rng.t -> start_round:int -> len:int -> dirs:int list -> t
 (** Corrupt every slot of the given directed links for [len] consecutive

@@ -317,13 +317,11 @@ let set_phase t ~iteration ~phase =
   t.iteration <- iteration;
   t.phase <- phase
 
-(* The adaptive strategy interface predates the buffer API and consumes
-   a (src, dst, bit) list in ascending dir order. *)
-let sends_of_active t (act : Active.t) =
+(* An adaptive strategy's view of the round: (dir, bit) in ascending
+   dir order. *)
+let sends_of_active (act : Active.t) =
   let acc = ref [] in
-  Active.iter act (fun ~dir bit ->
-      let src, dst = Topology.Graph.dir_ends t.graph dir in
-      acc := (src, dst, bit) :: !acc);
+  Active.iter act (fun ~dir bit -> acc := (dir, bit) :: !acc);
   List.rev !acc
 
 (* Adaptive budget for this round. *)
@@ -347,7 +345,7 @@ let adaptive_budget t budget =
 type 'b slots = {
   sym : 'b -> dir:int -> int;
   write : 'b -> dir:int -> int -> unit;
-  sends : t -> 'b -> (int * int * bool) list;
+  sends : 'b -> (int * bool) list;
 }
 
 let active_slots = { sym = Active.sym; write = Active.write; sends = sends_of_active }
@@ -362,14 +360,12 @@ let block_slots =
     write =
       (fun v ~dir c -> Block.write v.b_in ((dir * v.b_in.Block.fields) + v.b_field) v.b_bit c);
     sends =
-      (fun t v ->
+      (fun v ->
         let o = v.b_out and acc = ref [] in
         for dir = o.Block.len - 1 downto 0 do
           let i = (dir * o.Block.fields) + v.b_field in
-          if o.Block.heard.(i) land v.b_bit <> 0 then begin
-            let src, dst = Topology.Graph.dir_ends t.graph dir in
-            acc := (src, dst, o.Block.ones.(i) land v.b_bit <> 0) :: !acc
-          end
+          if o.Block.heard.(i) land v.b_bit <> 0 then
+            acc := (dir, o.Block.ones.(i) land v.b_bit <> 0) :: !acc
         done;
         !acc);
   }
@@ -420,7 +416,7 @@ let transform t sl buf =
             cc_sent = t.cc;
             corruptions = t.corruptions;
             budget_left;
-            sends = sl.sends t buf;
+            sends = sl.sends buf;
           }
       in
       (* Accept requests in strategy order (budget + dedup), then apply

@@ -3,8 +3,10 @@
     Folds a sink's span pairs into one row per span name: how many times
     the span ran, total wall time between begin/end timestamps, and —
     when the sink was created with [~profile:true] ({!Trace.Sink.create})
-    — the Gc minor/major words allocated inside the span (inclusive of
-    nested spans; zero on unprofiled sinks).
+    — the Gc minor words allocated inside the span (inclusive of nested
+    spans; zero on unprofiled sinks).  Major words are not recorded:
+    where a major-GC slice lands depends on the whole run's allocation,
+    not on the span it falls in.
 
     Rows answer the hot-path question directly: of one iteration's
     budget, how much goes to the consistency check ([phase.meeting_points])
@@ -18,7 +20,6 @@ type row = {
   count : int;  (** completed begin/end pairs *)
   wall_s : float;  (** summed wall time inside the span *)
   minor_words : float;  (** summed Gc minor-word delta (0 unless profiled) *)
-  major_words : float;  (** summed Gc major-word delta (0 unless profiled) *)
 }
 
 val of_sink : Trace.Sink.t -> row list
@@ -26,8 +27,8 @@ val of_sink : Trace.Sink.t -> row list
     Unmatched begins/ends (ring truncation) are skipped. *)
 
 val metrics : row list -> (string * float) list
-(** [prof.<span>.wall_s], [prof.<span>.count], [prof.<span>.minor_words],
-    [prof.<span>.major_words] per row, sorted — the shape
+(** [prof.<span>.count], [prof.<span>.minor_words] and
+    [prof.<span>.wall_s] per row, sorted — the shape
     {!Runner.Trace_agg.add_metrics} takes. *)
 
 val pp : Format.formatter -> row list -> unit

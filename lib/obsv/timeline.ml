@@ -8,12 +8,8 @@ type iteration = {
   index : int;
   events : attributed list;
   counts : (string * int) list;
-  phi : float option;
-  g_star : float option;
   b_star : float option;
   stalled : bool;
-  rewind_requests : int;
-  rewind_depth : int option;
 }
 
 type t = {
@@ -45,38 +41,26 @@ let innermost_phase stack = match List.find_opt is_phase stack with Some p -> p 
 let finalize_iteration b index =
   let events = List.rev b.cur_events in
   let counts = Hashtbl.create 16 in
-  let phi = ref None and g_star = ref None and b_star = ref None in
-  let depth = ref None in
+  let b_star = ref None in
   List.iter
     (fun { ev; _ } ->
       match ev with
       | Sink.Count { name; value; _ } ->
           Hashtbl.replace counts name (value + Option.value ~default:0 (Hashtbl.find_opt counts name))
-      | Sink.Gauge { name; value; _ } -> (
-          match name with
-          | "phi" -> phi := Some value
-          | "progress.g_star" -> g_star := Some value
-          | "progress.b_star" -> b_star := Some value
-          | "rewind.depth" -> depth := Some (int_of_float value)
-          | _ -> ())
-      | Sink.Span_begin _ | Sink.Span_end _ -> ())
+      | Sink.Gauge { name = "progress.b_star"; value; _ } -> b_star := Some value
+      | Sink.Gauge _ | Sink.Span_begin _ | Sink.Span_end _ -> ())
     events;
   let counts =
     Hashtbl.fold (fun k v l -> (k, v) :: l) counts []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let count name = Option.value ~default:0 (List.assoc_opt name counts) in
   b.iters_rev <-
     {
       index;
       events;
       counts;
-      phi = !phi;
-      g_star = !g_star;
       b_star = !b_star;
-      stalled = count "phi.stall" > 0;
-      rewind_requests = count "rewind.requests";
-      rewind_depth = !depth;
+      stalled = Option.value ~default:0 (List.assoc_opt "phi.stall" counts) > 0;
     }
     :: b.iters_rev;
   b.cur_iter <- None;
@@ -186,7 +170,3 @@ let of_sink sink =
 (* ---- accessors ---- *)
 
 let count it name = Option.value ~default:0 (List.assoc_opt name it.counts)
-let total t name = Option.value ~default:0 (List.assoc_opt name t.counter_totals)
-
-let phi_trajectory t =
-  List.filter_map (fun it -> Option.map (fun p -> (it.index, p)) it.phi) t.iterations

@@ -25,12 +25,8 @@ type iteration = {
   index : int;  (** the scheme iteration (the span's [iter] tag) *)
   events : attributed list;  (** in emission order, phase-attributed *)
   counts : (string * int) list;  (** per-name value sums, sorted by name *)
-  phi : float option;  (** Φ gauge, if emitted this iteration *)
-  g_star : float option;
-  b_star : float option;
+  b_star : float option;  (** [progress.b_star] gauge, if emitted *)
   stalled : bool;  (** a [phi.stall] count fired this iteration *)
-  rewind_requests : int;
-  rewind_depth : int option;
 }
 
 type t = {
@@ -57,8 +53,3 @@ val of_sink : Trace.Sink.t -> t
 val count : iteration -> string -> int
 (** Summed value of a counter within one iteration (0 if absent). *)
 
-val total : t -> string -> int
-(** Drop-proof lifetime total of a counter (0 if absent). *)
-
-val phi_trajectory : t -> (int * float) list
-(** [(iteration, Φ)] for every iteration that gauged Φ, in order. *)

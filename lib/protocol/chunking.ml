@@ -167,15 +167,15 @@ let events_on_link t ~chunk_index ~edge =
    sends or receives each of them, and the entry's event index is the
    slot's place. *)
 let link_slots_full t ~chunk_index ~edge =
-  let slots = Array.make (events_on_link t ~chunk_index ~edge) (0, 0, 0, false) in
+  let slots = Array.make (events_on_link t ~chunk_index ~edge) (0, 0, false) in
   let g = t.pi.Pi.graph in
   let u, v = (Topology.Graph.edges g).(edge) in
   let lo, hi = party_view t ~chunk_index ~party:u and j = Topology.Graph.neighbor_index g u v in
+  let out = Topology.Graph.dir_id g ~src:u ~dst:v and back = Topology.Graph.dir_id g ~src:v ~dst:u in
   for e = lo to hi - 1 do
-    if t.nbr.(e) = j then begin
-      let src, dst = if entry_is_send t e then (u, v) else (v, u) in
-      slots.(t.event.(e)) <- (entry_round t e, src, dst, entry_pi_round t ~chunk_index e < 0)
-    end
+    if t.nbr.(e) = j then
+      let dir = if entry_is_send t e then out else back in
+      slots.(t.event.(e)) <- (entry_round t e, dir, entry_pi_round t ~chunk_index e < 0)
   done;
   slots
 

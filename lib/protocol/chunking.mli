@@ -81,10 +81,11 @@ val entry_pi_round : t -> chunk_index:int -> int -> int
     @raise Invalid_argument ["Chunking: edge out of range"] if [edge] is
     outside [\[0, m)]. *)
 
-val link_slots_full : t -> chunk_index:int -> edge:int -> (int * int * int * bool) array
+val link_slots_full : t -> chunk_index:int -> edge:int -> (int * int * bool) array
 (** The transmissions of a chunk restricted to one link, in schedule
     order (round ascending, then schedule order within a round): (round
-    offset within the chunk, src, dst, is virtual padding).  This is the
+    offset within the chunk, directed link id, is virtual padding) — the
+    dir ids an adaptive adversary sees in its round context.  This is the
     event layout of the pairwise transcript for that chunk; padding
     slots (whose honest bit is always 0) are the slots whose content an
     adversary can predict ahead of time.  Read off one endpoint's view

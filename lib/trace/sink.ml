@@ -54,7 +54,6 @@ type t = {
   fvals : float array;
   tss : float array;
   mnr : float array; (* Gc minor words at emission; ring-sized iff profile *)
-  mjr : float array; (* Gc major words at emission *)
   mutable seq : int;
   mutable totals : int array; (* by declared id; grown on demand *)
   mutable glast : float array;
@@ -76,7 +75,6 @@ let create ?(capacity = 32768) ?(profile = false) () =
     fvals = Array.make capacity 0.;
     tss = Array.make capacity 0.;
     mnr = (if profile then Array.make capacity 0. else [| 0. |]);
-    mjr = (if profile then Array.make capacity 0. else [| 0. |]);
     seq = 0;
     totals = Array.make side 0;
     glast = Array.make side 0.;
@@ -97,7 +95,6 @@ let disabled =
     fvals = [| 0. |];
     tss = [| 0. |];
     mnr = [| 0. |];
-    mjr = [| 0. |];
     seq = 0;
     totals = [| 0 |];
     glast = [| 0. |];
@@ -122,11 +119,10 @@ let grow_side t id =
   t.glast <- extend t.glast cap 0.;
   t.gset <- extend t.gset cap false
 
-(* The hot-path writer: array stores only, no allocation (the optional
-   profile stores read the Gc counters, profiled sinks only).  Minor
-   words come from [Gc.minor_words], which counts the young heap up to
-   its current allocation pointer; [Gc.counters]' minor figure lags it
-   between collections. *)
+(* The hot-path writer: array stores only, no allocation.  A profiled
+   sink also stores [Gc.minor_words], which counts the young heap up to
+   its current allocation pointer and allocates nothing itself (the
+   float lands unboxed in the float array). *)
 let[@inline] push t kind id iter ival arg fval =
   let s = t.seq mod t.capacity in
   t.kinds.(s) <- kind;
@@ -136,11 +132,7 @@ let[@inline] push t kind id iter ival arg fval =
   t.args.(s) <- arg;
   t.fvals.(s) <- fval;
   t.tss.(s) <- Unix.gettimeofday ();
-  if t.profile then begin
-    let _, _, mj = Gc.counters () in
-    t.mnr.(s) <- Gc.minor_words ();
-    t.mjr.(s) <- mj
-  end;
+  if t.profile then t.mnr.(s) <- Gc.minor_words ();
   t.seq <- t.seq + 1
 
 let span_begin t ~id ~iter = if t.enabled then push t k_span_begin id iter 0 (-1) 0.
@@ -202,8 +194,7 @@ let events t =
 
 let alloc_words t ~seq:sq =
   if t.profile && sq >= retained_from t && sq < t.seq then
-    let s = sq mod t.capacity in
-    Some (t.mnr.(s), t.mjr.(s))
+    Some t.mnr.(sq mod t.capacity)
   else None
 
 (* Side-table lookups by name: 0 / absent for names never declared or

@@ -28,10 +28,13 @@ val create : ?capacity:int -> ?profile:bool -> unit -> t
     long-lived sink reused through {!reset} allocates its ring once.
 
     With [~profile:true] every event additionally records the domain's
-    cumulative Gc minor/major word counters at emission time (read back
-    via {!alloc_words}), so a post-hoc profiler can turn span pairs into
-    per-phase allocation deltas.  Like wall-clock timestamps, these are
-    execution artifacts: they never appear in timing-free exports. *)
+    cumulative [Gc.minor_words] at emission time (read back via
+    {!alloc_words}), so a post-hoc profiler can turn span pairs into
+    per-phase allocation deltas.  The read allocates nothing, so a
+    profiled sink keeps the no-allocation promise and a span's delta
+    counts only the code inside it.  Like wall-clock timestamps, these
+    are execution artifacts: they never appear in timing-free
+    exports. *)
 
 val disabled : t
 (** The shared no-op sink: every probe returns after one branch. *)
@@ -39,7 +42,7 @@ val disabled : t
 val is_enabled : t -> bool
 
 val profiled : t -> bool
-(** Whether the sink records Gc counters per event. *)
+(** Whether the sink records Gc minor words per event. *)
 
 val capacity : t -> int
 (** The ring size the sink was created with. *)
@@ -93,8 +96,8 @@ val iter : t -> (event -> unit) -> unit
     list — same order and contents as {!events}.  Serializers
     ({!Export}) stream through this. *)
 
-val alloc_words : t -> seq:int -> (float * float) option
-(** [(minor_words, major_words)] recorded when event [seq] was emitted;
+val alloc_words : t -> seq:int -> float option
+(** The cumulative minor words recorded when event [seq] was emitted;
     [None] unless the sink is {!profiled} and [seq] is still retained. *)
 
 val counter_total : t -> string -> int

@@ -196,6 +196,56 @@ let test_hunter_stats_jobs_invariant () =
     (Advsearch.Search.eval_to_json e4);
   Alcotest.(check bool) "hunter attempted collisions" true (e1.Advsearch.Search.hunter_hits >= 0)
 
+(* ---------- fitness: a projection of the outcome ---------- *)
+
+(* The reference is the sink read-back the search once scored with: the
+   [phi.stall] total, and Σ max(0, K·(i₂ − i₁) − ΔΦ) / K over the [phi]
+   gauges, in emission order, tagged with their iterations. *)
+let sink_deficit ~k sink =
+  let kf = float_of_int k in
+  let gauges =
+    List.filter_map
+      (function Trace.Sink.Gauge { name = "phi"; iter; value; _ } -> Some (iter, value) | _ -> None)
+      (Trace.Sink.events sink)
+  in
+  let rec go acc = function
+    | (i1, phi1) :: ((i2, phi2) :: _ as rest) ->
+        go (acc +. Float.max 0. ((kf *. float_of_int (i2 - i1)) -. (phi2 -. phi1))) rest
+    | _ -> acc
+  in
+  go 0. gauges /. kf
+
+(* Each family's baseline candidate (the adv bench's: whole graph, no
+   window, budget 1/600), run once with the trace kept and a sink. *)
+let test_fitness_matches_sink () =
+  let graph = Advsearch.Scenario.graph_of_topology "clique:5" in
+  let params = Advsearch.Scenario.params_of_algorithm "1" graph in
+  let pi = Advsearch.Scenario.workload ~rounds:40 graph in
+  let k = params.Coding.Params.k and m = Topology.Graph.m graph in
+  let stalled = ref 0 in
+  List.iter
+    (fun family ->
+      let { Coding.Attacks.adversary; spy_hook; stats } =
+        Coding.Attacks.instantiate ~graph
+          { Coding.Attacks.default_candidate with family; burst_len = 200; rate_denom = 600 }
+      in
+      let sink = Trace.Sink.create () in
+      let config = Coding.Scheme.Config.make ~trace:true ~sink ?spy_hook () in
+      let outcome =
+        Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 9) params pi adversary
+      in
+      let fit = Advsearch.Fitness.extract ~k ~m ~stats ~outcome in
+      let name = Coding.Attacks.family_to_string family in
+      Alcotest.(check int) (name ^ ": no events dropped") 0 (Trace.Sink.dropped sink);
+      Alcotest.(check int) (name ^ ": phi_stalls = sink phi.stall total")
+        (Trace.Sink.counter_total sink "phi.stall")
+        fit.Advsearch.Fitness.phi_stalls;
+      Alcotest.(check (float 0.)) (name ^ ": phi_deficit = sink deficit") (sink_deficit ~k sink)
+        fit.Advsearch.Fitness.phi_deficit;
+      stalled := !stalled + fit.Advsearch.Fitness.phi_stalls)
+    Coding.Attacks.all_families;
+  Alcotest.(check bool) (Printf.sprintf "some family stalls Φ (%d stalls)" !stalled) true (!stalled > 0)
+
 (* ---------- candidate validation ---------- *)
 
 let test_instantiate_validation () =
@@ -254,6 +304,7 @@ let () =
           Alcotest.test_case "eval replays as scenario" `Quick test_search_eval_replays_as_scenario;
           Alcotest.test_case "frontier is Pareto" `Quick test_frontier_pareto;
           Alcotest.test_case "hunter stats jobs-invariant" `Quick test_hunter_stats_jobs_invariant;
+          Alcotest.test_case "fitness = sink read-back" `Quick test_fitness_matches_sink;
         ] );
       ( "attacks",
         [

@@ -1183,20 +1183,38 @@ let test_scheme_ring_sum_correct_value () =
   Alcotest.(check bool) "success" true r.Coding.Scheme.success;
   Array.iter (fun o -> Alcotest.(check int) "sum value" expected o) r.Coding.Scheme.outputs
 
+(* The §6.1 collision hunter on one edge, built as every attack is: a
+   one-family candidate. *)
+let hunter ~graph ~edge ~depth ~rate_denom =
+  Coding.Attacks.instantiate ~graph
+    {
+      Coding.Attacks.default_candidate with
+      family = Coding.Attacks.Hunter;
+      edges = [ edge ];
+      depth;
+      rate_denom;
+    }
+
 let test_scheme_adaptive_attack_algorithm_b () =
   (* The §6.1 separation: the seed-aware collision hunter hides
      corruptions behind the constant-length hashes of Algorithm 1 but
      finds nothing against Algorithm B's Θ(log m)-bit hashes. *)
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:250 ~density:0.4 ~seed:10 in
-  let attack () = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 () in
-  let adv1, hook1, stats1 = attack () in
-  let r1 = Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook1 ()) ~rng:(Util.Rng.create 27) (Coding.Params.algorithm_1 g) pi adv1 in
-  ignore r1;
+  let run seed params =
+    let { Coding.Attacks.adversary; spy_hook; stats } =
+      hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300
+    in
+    let r =
+      Coding.Scheme.run ~config:(Coding.Scheme.Config.make ?spy_hook ())
+        ~rng:(Util.Rng.create seed) params pi adversary
+    in
+    (r, stats)
+  in
+  let _, stats1 = run 27 (Coding.Params.algorithm_1 g) in
   Alcotest.(check bool) "hunter hides corruptions from Algorithm 1" true
     (stats1.Coding.Attacks.hits > 0);
-  let adv_b, hook_b, stats_b = attack () in
-  let rb = Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook_b ()) ~rng:(Util.Rng.create 28) (Coding.Params.algorithm_b g) pi adv_b in
+  let rb, stats_b = run 28 (Coding.Params.algorithm_b g) in
   Alcotest.(check bool) "algorithm B beats the hunter" true rb.Coding.Scheme.success;
   Alcotest.(check int) "hunter finds nothing against B" 0 stats_b.Coding.Attacks.hits
 
@@ -1205,8 +1223,14 @@ let test_scheme_mp_blind_attack () =
      iteration; within a small budget Algorithm B still finishes. *)
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.4 ~seed:16 in
-  let adv = Coding.Attacks.mp_blind ~rate_denom:3000 in
-  let r = Coding.Scheme.run ~rng:(Util.Rng.create 29) (Coding.Params.algorithm_b g) pi adv in
+  let inst =
+    Coding.Attacks.instantiate ~graph:g
+      { Coding.Attacks.default_candidate with family = Coding.Attacks.Mp_blind; rate_denom = 3000 }
+  in
+  let r =
+    Coding.Scheme.run ~rng:(Util.Rng.create 29) (Coding.Params.algorithm_b g) pi
+      inst.Coding.Attacks.adversary
+  in
   Alcotest.(check bool) "survives mp blinding within budget" true r.Coding.Scheme.success
 
 let test_scheme_constant_rate_noiseless () =
@@ -1363,8 +1387,13 @@ let test_scheme_algorithm_c_vs_hunter () =
      nothing against it either. *)
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.4 ~seed:33 in
-  let adv, hook, stats = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 () in
-  let r = Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook ()) ~rng:(Util.Rng.create 60) (Coding.Params.algorithm_c g) pi adv in
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300
+  in
+  let r =
+    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ?spy_hook ()) ~rng:(Util.Rng.create 60)
+      (Coding.Params.algorithm_c g) pi adversary
+  in
   Alcotest.(check bool) "algorithm C succeeds" true r.Coding.Scheme.success;
   Alcotest.(check int) "no hidden corruptions" 0 stats.Coding.Attacks.hits
 
@@ -1473,13 +1502,13 @@ let test_scheme_golden_algorithm_a_fingerprint () =
 let test_scheme_golden_algorithm_b_fingerprint () =
   let g = Topology.Graph.cycle 5 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.4 ~seed:17 in
-  let adv, hook, stats =
-    Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 ()
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300
   in
   let r =
     Coding.Scheme.run
-      ~config:(Coding.Scheme.Config.make ~spy_hook:hook ())
-      ~rng:(Util.Rng.create 47) (Coding.Params.algorithm_b g) pi adv
+      ~config:(Coding.Scheme.Config.make ?spy_hook ())
+      ~rng:(Util.Rng.create 47) (Coding.Params.algorithm_b g) pi adversary
   in
   Alcotest.(check bool) "success" true r.Coding.Scheme.success;
   Alcotest.(check (array int))

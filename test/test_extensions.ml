@@ -135,31 +135,52 @@ let prop_potential_lemma_4_2 =
 
 (* ---------- attacks ---------- *)
 
+(* The §6.1 collision hunter on one edge, built as every attack is: a
+   one-family candidate. *)
+let hunter ~graph ~edge ~depth ~rate_denom =
+  Coding.Attacks.instantiate ~graph
+    {
+      Coding.Attacks.default_candidate with
+      family = Coding.Attacks.Hunter;
+      edges = [ edge ];
+      depth;
+      rate_denom;
+    }
+
+(* A broad attack family on every edge of [attack_run]'s cycle. *)
+let family f ~rate_denom =
+  (Coding.Attacks.instantiate ~graph:(Topology.Graph.cycle 6)
+     { Coding.Attacks.default_candidate with family = f; rate_denom })
+    .Coding.Attacks.adversary
+
 let attack_run ?(params_of = Coding.Params.algorithm_1) adv seed =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.5 ~seed:2 in
   Coding.Scheme.run ~rng:(Util.Rng.create seed) (params_of g) pi adv
 
 let test_flag_forger_within_budget () =
-  let r = attack_run (Coding.Attacks.flag_forger ~rate_denom:1500) 20 in
+  let r = attack_run (family Coding.Attacks.Flag_forge ~rate_denom:1500) 20 in
   Alcotest.(check bool) "survives flag forging within budget" true r.Coding.Scheme.success;
   Alcotest.(check bool) "budget respected" true (r.Coding.Scheme.noise_fraction <= 1. /. 1500. +. 0.001)
 
 let test_rewind_spoofer_within_budget () =
-  let r = attack_run (Coding.Attacks.rewind_spoofer ~rate_denom:1500) 21 in
+  let r = attack_run (family Coding.Attacks.Rewind_spoof ~rate_denom:1500) 21 in
   Alcotest.(check bool) "survives rewind spoofing within budget" true r.Coding.Scheme.success;
   Alcotest.(check bool) "spoofs caused rework" true (r.Coding.Scheme.chunks_rewound > 0)
 
 let test_rewind_spoofer_kills_at_high_budget () =
-  let r = attack_run (Coding.Attacks.rewind_spoofer ~rate_denom:50) 22 in
+  let r = attack_run (family Coding.Attacks.Rewind_spoof ~rate_denom:50) 22 in
   Alcotest.(check bool) "unbounded spoofing wins" false r.Coding.Scheme.success
 
 let test_hunter_respects_budget () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:200 ~density:0.5 ~seed:2 in
-  let adv, hook, stats = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:3 ~rate_denom:400 () in
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    hunter ~graph:g ~edge:0 ~depth:3 ~rate_denom:400
+  in
   let r =
-    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook ()) ~rng:(Util.Rng.create 23) (Coding.Params.algorithm_1 g) pi adv
+    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ?spy_hook ()) ~rng:(Util.Rng.create 23)
+      (Coding.Params.algorithm_1 g) pi adversary
   in
   Alcotest.(check bool) "noise fraction within budget" true
     (r.Coding.Scheme.noise_fraction <= 1. /. 400. +. 0.001);
@@ -172,9 +193,12 @@ let test_hunter_hits_are_invisible () =
      aggregate: hits > 0 while the scheme needed extra iterations. *)
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:250 ~density:0.5 ~seed:2 in
-  let adv, hook, stats = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300 () in
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    hunter ~graph:g ~edge:0 ~depth:4 ~rate_denom:300
+  in
   let r =
-    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook ()) ~rng:(Util.Rng.create 24) (Coding.Params.algorithm_1 g) pi adv
+    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ?spy_hook ()) ~rng:(Util.Rng.create 24)
+      (Coding.Params.algorithm_1 g) pi adversary
   in
   Alcotest.(check bool) "hunter found hits vs tau=6" true (stats.Coding.Attacks.hits > 0);
   Alcotest.(check bool) "hidden corruptions delayed the run" true
@@ -183,21 +207,21 @@ let test_hunter_hits_are_invisible () =
 let test_hunter_blind_against_long_hashes () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:150 ~density:0.5 ~seed:2 in
-  let adv, hook, stats = Coding.Attacks.collision_hunter ~graph:g ~edge:0 ~depth:3 ~rate_denom:300 () in
+  let { Coding.Attacks.adversary; spy_hook; stats } =
+    hunter ~graph:g ~edge:0 ~depth:3 ~rate_denom:300
+  in
   let r =
-    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ~spy_hook:hook ()) ~rng:(Util.Rng.create 25)
-      (Coding.Params.algorithm_1 ~tau:20 g) pi adv
+    Coding.Scheme.run ~config:(Coding.Scheme.Config.make ?spy_hook ()) ~rng:(Util.Rng.create 25)
+      (Coding.Params.algorithm_1 ~tau:20 g) pi adversary
   in
   Alcotest.(check bool) "success" true r.Coding.Scheme.success;
   (* 3^3 - 1 = 26 candidates against 2^-20 per-candidate odds: no hit. *)
   Alcotest.(check int) "no hits at tau=20" 0 stats.Coding.Attacks.hits
 
 let test_hunter_rejects_bad_depth () =
-  Alcotest.check_raises "depth 0" (Invalid_argument "Attacks.collision_hunter: depth in 1..8")
-    (fun () ->
-      ignore
-        (Coding.Attacks.collision_hunter ~graph:(Topology.Graph.cycle 4) ~edge:0 ~depth:0
-           ~rate_denom:100 ()))
+  Alcotest.check_raises "depth 0"
+    (Invalid_argument "Attacks.instantiate: depth in 1..8 (got 0)")
+    (fun () -> ignore (hunter ~graph:(Topology.Graph.cycle 4) ~edge:0 ~depth:0 ~rate_denom:100))
 
 (* ---------- combinators ---------- *)
 

@@ -18,6 +18,12 @@ let delivered_of_active net act =
       out := (src, dst, bit) :: !out);
   List.rev !out
 
+(* The buffer's deliveries as (dir, bit), in ascending dir order. *)
+let dir_bits act =
+  let out = ref [] in
+  Network.Active.iter act (fun ~dir bit -> out := (dir, bit) :: !out);
+  List.rev !out
+
 let fill_active g act sends =
   Network.Active.begin_round act;
   List.iter
@@ -211,15 +217,6 @@ let test_iid_draws_allocation_free () =
   | Adversary.Oblivious_fixing f -> check "fixing misses" (fun i -> f ~round:i ~dir:0)
   | _ -> Alcotest.fail "iid_fixing is fixing"
 
-let test_sampled_slots_count () =
-  let rng = Util.Rng.create 7 in
-  let adv = Adversary.sampled_slots rng ~count:25 ~rounds:100 ~dirs:8 in
-  let net = Network.create g4 adv in
-  for _ = 1 to 100 do
-    ignore (round net ~sends:[])
-  done;
-  Alcotest.(check int) "exactly 25 corruptions" 25 (corruptions net)
-
 let test_burst () =
   let rng = Util.Rng.create 8 in
   let d01 = dir g4 0 1 in
@@ -284,10 +281,7 @@ let test_adaptive_budget_enforced () =
       {
         budget = (fun cc -> cc / 10);
         strategy =
-          (fun ctx ->
-            List.map
-              (fun (s, d, _) -> (Topology.Graph.dir_id ctx.Adversary.graph ~src:s ~dst:d, 1))
-              ctx.Adversary.sends);
+          (fun ctx -> List.map (fun (d, _) -> (d, 1)) ctx.Adversary.sends);
       }
   in
   let net = Network.create g4 adv in
@@ -315,9 +309,7 @@ let test_adaptive_sees_phase () =
               fired_in := ctx.Adversary.phase :: !fired_in;
             if ctx.Adversary.phase = Adversary.Simulation then
               (* Addend 1 on a sent 1 is a deletion (Z3: 1 + 1 = 2 = ∗). *)
-              List.map
-                (fun (s, d, _) -> (Topology.Graph.dir_id ctx.Adversary.graph ~src:s ~dst:d, 1))
-                ctx.Adversary.sends
+              List.map (fun (d, _) -> (d, 1)) ctx.Adversary.sends
             else []);
       }
   in
@@ -560,15 +552,11 @@ module Dense_ref = struct
       ids = (id "net.corrupt", id "net.injected", id "net.stalled");
       round_no = 0; cc = 0; corruptions = 0; stalled = 0; injected = 0 }
 
-  (* (src, dst, bit) for every non-silent slot, in ascending dir order. *)
-  let listing t slots =
-    let edges = Topology.Graph.edges t.graph in
+  (* (dir, bit) for every non-silent slot, in ascending dir order: an
+     adaptive strategy's view of the sends, and the round's deliveries. *)
+  let listing slots =
     List.filter_map
-      (fun d ->
-        let u, v = edges.(d / 2) in
-        let lo = min u v and hi = max u v in
-        let src, dst = if d land 1 = 0 then (lo, hi) else (hi, lo) in
-        if slots.(d) = 2 then None else Some (src, dst, slots.(d) = 1))
+      (fun d -> if slots.(d) = 2 then None else Some (d, slots.(d) = 1))
       (List.init (Array.length slots) Fun.id)
 
   let adaptive_budget t budget =
@@ -612,7 +600,7 @@ module Dense_ref = struct
           Adversary.
             { round = t.round_no; iteration = -1; phase = Idle; graph = t.graph;
               cc_sent = t.cc; corruptions = t.corruptions; budget_left;
-              sends = listing t slots }
+              sends = listing slots }
         in
         let left = ref budget_left in
         List.iter
@@ -650,7 +638,7 @@ module Dense_ref = struct
           end
         done);
     t.round_no <- t.round_no + 1;
-    listing t slots
+    listing slots
 
   let stats t =
     let noise_fraction =
@@ -689,9 +677,9 @@ let check_differential ?hooks ~name g adv ~rounds ~sends_at =
     let d_ref = Dense_ref.round oracle sends in
     fill_active g act sends;
     Network.commit net act;
-    Alcotest.(check (list (triple int int bool)))
+    Alcotest.(check (list (pair int bool)))
       (Printf.sprintf "%s: delivery, round %d" name r)
-      d_ref (delivered_of_active net act)
+      d_ref (dir_bits act)
   done;
   let s_ref = Dense_ref.stats oracle and s = Network.stats net in
   Alcotest.(check int) (name ^ " rounds") s_ref.Network.rounds s.Network.rounds;
@@ -780,11 +768,7 @@ let test_differential_adaptive () =
     Adversary.Adaptive
       {
         budget = (fun cc -> cc / 8);
-        strategy =
-          (fun ctx ->
-            List.map
-              (fun (s, d, _) -> (Topology.Graph.dir_id ctx.Adversary.graph ~src:s ~dst:d, 1))
-              ctx.Adversary.sends);
+        strategy = (fun ctx -> List.map (fun (d, _) -> (d, 1)) ctx.Adversary.sends);
       }
   in
   check_differential ~name:"adaptive greedy" g4 adv ~rounds:80 ~sends_at:(fun r ->
@@ -911,6 +895,39 @@ let test_block_adaptive () =
   check_block_random ~name:"adaptive phase attack" (fun seed _ ->
       Adversary.adaptive_phase_attack ~rate_denom:5 ~phases (Util.Rng.create (400 + seed)))
 
+let test_block_sends_view () =
+  (* Both round paths hand an adaptive strategy the round's sends as the
+     same ascending (dir, bit) list: the parties' words of that round,
+     read before any corruption. *)
+  let g = Topology.Graph.random_connected (Util.Rng.create 41) ~n:6 ~extra_edges:3 in
+  let two_m = 2 * Topology.Graph.m g and rounds = 19 in
+  let sym dir r = if dir mod 3 = 2 || (dir + r) mod 5 = 0 then 2 else ((dir * 7) + r) land 1 in
+  let views = ref [] in
+  let recording () =
+    let seen = ref [] in
+    views := seen :: !views;
+    Adversary.Adaptive
+      {
+        budget = (fun cc -> cc / 3);
+        strategy =
+          (fun ctx ->
+            seen := ctx.Adversary.sends :: !seen;
+            List.map (fun (d, b) -> (d, if b then 2 else 1)) ctx.Adversary.sends);
+      }
+  in
+  check_block ~name:"sends view" g recording ~width:7 ~fields:3 ~rounds ~sym;
+  let expected =
+    List.init rounds (fun r ->
+        List.filter_map
+          (fun dir -> match sym dir r with 2 -> None | c -> Some (dir, c = 1))
+          (List.init two_m Fun.id))
+  in
+  match !views with
+  | [ a; b ] ->
+      Alcotest.(check (list (list (pair int bool)))) "commit view" expected (List.rev !a);
+      Alcotest.(check (list (list (pair int bool)))) "commit_block view" expected (List.rev !b)
+  | _ -> Alcotest.fail "one strategy per twin"
+
 let test_block_fault_hooks () =
   (* Stalls, injected addends (insertions on dead senders included) and a
      scaled adaptive budget, on top of iid and adaptive noise. *)
@@ -995,7 +1012,6 @@ let () =
           Alcotest.test_case "iid wide slots distinct" `Quick test_iid_wide_slots_distinct;
           Alcotest.test_case "iid draws match at" `Quick test_iid_draws_match_at;
           Alcotest.test_case "iid draws allocation-free" `Quick test_iid_draws_allocation_free;
-          Alcotest.test_case "sampled slots count" `Quick test_sampled_slots_count;
           Alcotest.test_case "burst" `Quick test_burst;
           Alcotest.test_case "fixing semantics" `Quick test_fixing_semantics;
           Alcotest.test_case "iid fixing cheaper" `Quick test_iid_fixing_cheaper_than_additive;
@@ -1026,6 +1042,7 @@ let () =
           Alcotest.test_case "block: fixing" `Quick test_block_fixing;
           Alcotest.test_case "block: burst" `Quick test_block_burst;
           Alcotest.test_case "block: adaptive" `Quick test_block_adaptive;
+          Alcotest.test_case "block: adaptive sends view" `Quick test_block_sends_view;
           Alcotest.test_case "block: fault hooks" `Quick test_block_fault_hooks;
           Alcotest.test_case "block: rejects" `Quick test_block_rejects;
           Alcotest.test_case "stats record" `Quick test_stats_record;

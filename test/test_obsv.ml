@@ -79,14 +79,14 @@ let traced_run ?capacity ?(party = 2) ?(at_iteration = 3) ?(faulty = true) ?(rat
   let adv =
     if rate > 0. then Netsim.Adversary.iid (Util.Rng.create 6) ~rate else Netsim.Adversary.Silent
   in
-  let config = Coding.Scheme.Config.make ~sink ~faults () in
+  let config = Coding.Scheme.Config.make ~trace:true ~sink ~faults () in
   let outcome = Coding.Scheme.run_outcome ~config ~rng:(Util.Rng.create 5) params pi adv in
   (outcome, sink)
 
 (* ---------- timeline ---------- *)
 
 let test_timeline_of_sink () =
-  let _, sink = traced_run () in
+  let outcome, sink = traced_run () in
   let tl = Timeline.of_sink sink in
   Alcotest.(check (list string)) "no nesting errors" [] tl.Timeline.errors;
   Alcotest.(check bool) "not truncated" false tl.Timeline.truncated;
@@ -98,11 +98,26 @@ let test_timeline_of_sink () =
   (* Retained events reconcile with the sink's drop-proof totals. *)
   Alcotest.(check (list (pair string int))) "counter sums = totals" tl.Timeline.counter_totals
     tl.Timeline.counter_sums;
-  (* Every iteration that gauged phi appears in the trajectory. *)
-  let traj = Timeline.phi_trajectory tl in
-  Alcotest.(check bool) "phi trajectory nonempty" true (traj <> []);
-  Alcotest.(check bool) "trajectory in iteration order" true
-    (List.sort (fun (a, _) (b, _) -> compare a b) traj = traj)
+  (* Each iteration gauges Φ once, and the gauges are Φ projected from
+     the outcome's per-iteration trace; the [phi.stall] total is its
+     stall count. *)
+  let r = Option.get (Faults.Outcome.result outcome) in
+  let m = Topology.Graph.m (Topology.Graph.cycle 6) in
+  let k = m (* Algorithm 1 *) in
+  let gauged (it : Timeline.iteration) =
+    List.filter_map
+      (fun (a : Timeline.attributed) ->
+        match a.Timeline.ev with Sink.Gauge { name = "phi"; value; _ } -> Some value | _ -> None)
+      it.Timeline.events
+  in
+  Alcotest.(check (list (list (float 0.)))) "phi gauges = projected phi"
+    (List.map
+       (fun st -> [ Coding.Potential.phi Coding.Potential.default_constants ~k ~m st ])
+       r.Coding.Scheme.trace)
+    (List.map gauged tl.Timeline.iterations);
+  Alcotest.(check int) "phi.stall total = projected stalls"
+    (Coding.Potential.stalls ~k ~m r.Coding.Scheme.trace)
+    (Sink.counter_total sink "phi.stall")
 
 (* A ring too small for the run wraps mid-span: the timeline covers the
    retained tail, records the broken nesting instead of raising, and

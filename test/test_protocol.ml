@@ -171,6 +171,13 @@ let view_entries ch ~chunk_index =
             Chunking.entry_pi_round ch ~chunk_index e )))
     (List.init (Topology.Graph.n g) Fun.id)
 
+(* The reference packer's slots of chunk [i] on [edge], each (src, dst)
+   encoded as the dir id {!Chunking.link_slots_full} reports. *)
+let ref_link_slots rf i ~edge =
+  Array.map
+    (fun (roff, src, dst, pad) -> (roff, Topology.Graph.dir_id rf.Chunk_ref.graph ~src ~dst, pad))
+    (Chunk_ref.link_slots rf i ~edge)
+
 let check_chunking pi k =
   let ch = Chunking.make pi ~k in
   let rf = Chunk_ref.make pi ~k in
@@ -221,7 +228,7 @@ let check_chunking pi k =
   for i = 1 to Chunking.n_real ch + 2 do
     for e = 0 to m - 1 do
       let slots = Chunking.link_slots_full ch ~chunk_index:i ~edge:e in
-      Alcotest.(check bool) "link slots = reference" true (slots = Chunk_ref.link_slots rf i ~edge:e);
+      Alcotest.(check bool) "link slots = reference" true (slots = ref_link_slots rf i ~edge:e);
       Alcotest.(check int) "events count matches" (Array.length slots)
         (Chunking.events_on_link ch ~chunk_index:i ~edge:e)
     done
@@ -288,13 +295,13 @@ let test_link_slots_full_pads_marked () =
   (* Dummy chunks are pure padding; real chunks end in padding. *)
   let dummy = Chunking.link_slots_full ch ~chunk_index:(Chunking.n_real ch + 1) ~edge:0 in
   Alcotest.(check bool) "dummy chunk all pads" true
-    (Array.for_all (fun (_, _, _, pad) -> pad) dummy);
+    (Array.for_all (fun (_, _, pad) -> pad) dummy);
   let real = Chunking.link_slots_full ch ~chunk_index:1 ~edge:0 in
   let n = Array.length real in
   Alcotest.(check bool) "real chunk ends with a pad" true
-    (n > 0 && (fun (_, _, _, pad) -> pad) real.(n - 1));
+    (n > 0 && (fun (_, _, pad) -> pad) real.(n - 1));
   Alcotest.(check bool) "slots = reference" true
-    (real = Chunk_ref.link_slots (Chunk_ref.make pi ~k:(Topology.Graph.m pi.Pi.graph)) 1 ~edge:0)
+    (real = ref_link_slots (Chunk_ref.make pi ~k:(Topology.Graph.m pi.Pi.graph)) 1 ~edge:0)
 
 (* The reference per-party view: the reference packing's link rescans
    of the party's edges, one entry per slot it sends or receives, with
@@ -344,7 +351,7 @@ let prop_index_matches_scan =
       let ok = ref (n_real = Chunk_ref.n_real rf) in
       for chunk_index = 1 to n_real + 2 do
         for edge = 0 to m - 1 do
-          let scan = Chunk_ref.link_slots rf chunk_index ~edge in
+          let scan = ref_link_slots rf chunk_index ~edge in
           ok :=
             !ok
             && Chunking.link_slots_full ch ~chunk_index ~edge = scan
