@@ -30,12 +30,18 @@ let run () =
           let d01 = Topology.Graph.dir_id g ~src:0 ~dst:1 in
           let d10 = Topology.Graph.dir_id g ~src:1 ~dst:0 in
           let key = Util.Rng.int64 (Exp_common.trial_rng ("e6:burst:" ^ kid) t) in
+          (* A round's row lists d01 = 2e before d10 = 2e + 1 (ascending). *)
           let adv =
             Netsim.Adversary.Oblivious
-              (fun ~round ~dir ->
-                if (dir = d01 || dir = d10) && round mod 700 < 30 && round > 100 then
-                  1 + Int64.to_int (Int64.logand (Util.Rng.at ~seed:key ((round * 16) + dir)) 1L)
-                else 0)
+              (fun ~round ~two_m:_ ->
+                if round mod 700 < 30 && round > 100 then
+                  List.map
+                    (fun dir ->
+                      ( dir,
+                        1 + Int64.to_int (Int64.logand (Util.Rng.at ~seed:key ((round * 16) + dir)) 1L)
+                      ))
+                    [ d01; d10 ]
+                else [])
           in
           let r =
             Coding.Scheme.run ~rng:(Exp_common.trial_rng ("e6:scheme:" ^ kid) t) params pi adv

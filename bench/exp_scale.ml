@@ -23,10 +23,12 @@
    a factor F across the sweep, the few-active per-round cost must stay
    near flat.
 
-   The network runs a silent adversary: oblivious patterns are functions
-   over all 2m directions (insertions can land anywhere), so they are
-   inherently O(2m) per round on any transport — the sparse fast path is
-   about rounds the adversary leaves alone.  Noise-equivalence of
+   The network runs a silent adversary.  An oblivious pattern hands the
+   network only a round's nonzero entries, but producing them is the
+   pattern's own cost: iid noise still draws once per direction
+   (insertions can land anywhere), O(2m) per round on any transport,
+   while a burst or a single slot costs only its own slots — the sparse
+   fast path is about rounds the adversary leaves alone.  Noise-equivalence of
    [commit] and the dense reference round is the netsim differential
    suite's job, not this bench's.
 

@@ -13,48 +13,77 @@ type context = {
 
 type t =
   | Silent
-  | Oblivious of (round:int -> dir:int -> int)
-  | Oblivious_fixing of (round:int -> dir:int -> int option)
+  | Oblivious of (round:int -> two_m:int -> (int * int) list)
+  | Oblivious_fixing of (round:int -> two_m:int -> (int * int) list)
   | Adaptive of { budget : int -> int; strategy : context -> (int * int) list }
 
-(* Each slot draws one word [w = Util.Rng.at ~seed:key (coord round
-   dir)]: a pure function of the slot.  A slot is hit when the top 53
-   bits of [w], as a fraction of 2^53, fall below the rate; only a hit
-   reads the other bits it needs (bit 0, or [w lsr 2] mod 3), so the
-   common miss costs one draw.  [Util.Rng.at_bits] reads the bits
-   without boxing. *)
-let[@inline] slot ~round ~dir = Util.Rng.coord ~width:65536 round dir
+(* Slot (round, dir) draws one word [w = Util.Rng.at ~seed:key (coord
+   round dir)]: a pure function of the slot.  A slot is hit when the top
+   53 bits of [w], as a fraction of 2^53, fall below the rate; a hit
+   reads the other bits it needs (bit 0, or [w lsr 2] mod 3).  The draw
+   and the in-width [coord] cell are restated here so that they inline
+   into the round loop: every int64 stays an unboxed local, and a round
+   without a hit allocates nothing. *)
+let width = 65536
 
-let[@inline] hit ~key i ~rate =
-  float_of_int (Util.Rng.at_bits ~seed:key i ~lo:11 ~width:53) *. (1. /. 9007199254740992.)
-  < rate
+let[@inline] slot ~round ~dir =
+  if dir < width then (round * width) + dir else Util.Rng.coord ~width round dir
+
+let[@inline] mix z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] draw ~key i = mix (Int64.add key (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L))
+
+(* The top 53 bits [x] of a word are exact in a float, and scaling by a
+   power of two is exact, so [x / 2^53 < rate] holds iff [x] lies below
+   the integer [below rate]. *)
+let below rate =
+  let t = rate *. 9007199254740992. in
+  if t >= 9007199254740992. then 1 lsl 53 else if t > 0. then int_of_float (Float.ceil t) else 0
+
+(* The round's hits over dirs [0, two_m), consed from the top down so
+   the list comes out ascending.  An additive hit carries its addend
+   1 + (bit 0); a fixing hit its forced symbol ([w lsr 2] mod 3). *)
+let scan ~key ~below ~fixing ~round ~two_m =
+  let hits = ref [] in
+  for dir = two_m - 1 downto 0 do
+    let w = draw ~key (slot ~round ~dir) in
+    if Int64.to_int (Int64.shift_right_logical w 11) < below then
+      hits :=
+        ( dir,
+          if fixing then Int64.to_int (Int64.shift_right_logical w 2) mod 3
+          else 1 + (Int64.to_int w land 1) )
+        :: !hits
+  done;
+  !hits
 
 let iid rng ~rate =
-  let key = Util.Rng.int64 rng in
-  Oblivious
-    (fun ~round ~dir ->
-      let i = slot ~round ~dir in
-      if hit ~key i ~rate then 1 + Util.Rng.at_bits ~seed:key i ~lo:0 ~width:1 else 0)
+  let key = Util.Rng.int64 rng and below = below rate in
+  Oblivious (fun ~round ~two_m -> scan ~key ~below ~fixing:false ~round ~two_m)
 
 let iid_fixing rng ~rate =
-  let key = Util.Rng.int64 rng in
-  Oblivious_fixing
-    (fun ~round ~dir ->
-      let i = slot ~round ~dir in
-      if hit ~key i ~rate then Some (Util.Rng.at_bits ~seed:key i ~lo:2 ~width:62 mod 3) else None)
+  let key = Util.Rng.int64 rng and below = below rate in
+  Oblivious_fixing (fun ~round ~two_m -> scan ~key ~below ~fixing:true ~round ~two_m)
 
 let burst rng ~start_round ~len ~dirs =
-  let dirs_set = Hashtbl.create (List.length dirs) in
-  List.iter (fun d -> Hashtbl.replace dirs_set d ()) dirs;
+  let dirs = List.sort_uniq compare (List.filter (fun d -> d >= 0) dirs) in
   let key = Util.Rng.int64 rng in
   Oblivious
-    (fun ~round ~dir ->
-      if round >= start_round && round < start_round + len && Hashtbl.mem dirs_set dir then
-        1 + Util.Rng.at_bits ~seed:key (slot ~round ~dir) ~lo:0 ~width:1
-      else 0)
+    (fun ~round ~two_m ->
+      if round >= start_round && round < start_round + len then
+        List.filter_map
+          (fun dir ->
+            if dir < two_m then
+              Some (dir, 1 + (Int64.to_int (draw ~key (slot ~round ~dir)) land 1))
+            else None)
+          dirs
+      else [])
 
 let single ~round ~dir ~addend =
-  Oblivious (fun ~round:r ~dir:d -> if r = round && d = dir then addend else 0)
+  let hit = if addend = 0 then [] else [ (dir, addend) ] in
+  Oblivious (fun ~round:r ~two_m -> if r = round && dir >= 0 && dir < two_m then hit else [])
 
 let adaptive_link_target ~edge_dirs ~rate_denom ~phases =
   let dirs = Hashtbl.create (List.length edge_dirs) in
@@ -97,11 +126,3 @@ let adaptive_phase_attack ~rate_denom ~phases rng =
             !requests
           end);
     }
-
-let compose a b =
-  match (a, b) with
-  | Silent, x | x, Silent -> x
-  | Oblivious f, Oblivious g ->
-      Oblivious (fun ~round ~dir -> (f ~round ~dir + g ~round ~dir) mod 3)
-  | (Oblivious_fixing _ | Adaptive _), _ | _, (Oblivious_fixing _ | Adaptive _) ->
-      invalid_arg "Adversary.compose: only additive oblivious patterns compose"

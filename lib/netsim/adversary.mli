@@ -9,9 +9,10 @@
     (insertion).  Every nonzero addend counts as one corruption.
 
     Two adversary classes:
-    - {e oblivious}: the addend for each (round, directed link) slot is a
-      pure function fixed before the execution — independent of the
-      parties' randomness (the model of Theorems 1.1 / §4–5);
+    - {e oblivious}: a noise pattern e ∈ {0,1,2}^{2m·R} fixed before the
+      execution — independent of the parties' randomness (the model of
+      Theorems 1.1 / §4–5).  The network reads it one round at a time:
+      the pattern returns that round's nonzero entries of e;
     - {e adaptive} (non-oblivious): a strategy that observes the current
       round's genuine traffic and global progress and chooses corruptions
       on the fly (the model of Theorem 1.2 / §6), subject to a budget
@@ -36,15 +37,18 @@ type context = {
 
 type t =
   | Silent  (** noiseless channel *)
-  | Oblivious of (round:int -> dir:int -> int)
-      (** additive: slot addend in {0,1,2}; must be a pure function *)
-  | Oblivious_fixing of (round:int -> dir:int -> int option)
-      (** the {e fixing} oblivious adversary of Remark 1: [Some s] forces
-          the slot's output to the Z₃ symbol [s] (0, 1, or 2 = silence)
-          regardless of what was sent; [None] leaves the slot alone.
-          A fixed slot counts as a corruption only when the forced output
-          differs from the honest one — exactly the counting subtlety the
-          remark discusses. *)
+  | Oblivious of (round:int -> two_m:int -> (int * int) list)
+      (** additive: [pattern ~round ~two_m] is round [round]'s row of e
+          over the dirs [0, two_m): its (dir, addend) entries with addend
+          in {1,2}, in ascending dir order (a round without noise is
+          [[]]).  Must be a pure function. *)
+  | Oblivious_fixing of (round:int -> two_m:int -> (int * int) list)
+      (** the {e fixing} oblivious adversary of Remark 1: the same row
+          shape, but an entry (dir, s) forces the slot's output to the Z₃
+          symbol [s] (0, 1, or 2 = silence) regardless of what was sent;
+          a dir without an entry is left alone.  A fixed slot counts as a
+          corruption only when the forced output differs from the honest
+          one — exactly the counting subtlety the remark discusses. *)
   | Adaptive of { budget : int -> int; strategy : context -> (int * int) list }
       (** [budget cc] is the corruption allowance as a function of the
           communication performed so far (e.g. [fun cc -> cc / 100]);
@@ -56,7 +60,8 @@ type t =
 val iid : Util.Rng.t -> rate:float -> t
 (** Each slot independently corrupted with probability [rate], addend
     uniform in {1,2}.  (The pattern is a pure function of the slot and a
-    private RNG key, hence oblivious.) *)
+    private RNG key, hence oblivious.)  A round costs one inlined draw
+    per slot and allocates only its hits. *)
 
 val iid_fixing : Util.Rng.t -> rate:float -> t
 (** The fixing counterpart of {!iid}: each slot is independently forced,
@@ -67,18 +72,11 @@ val iid_fixing : Util.Rng.t -> rate:float -> t
 
 val burst : Util.Rng.t -> start_round:int -> len:int -> dirs:int list -> t
 (** Corrupt every slot of the given directed links for [len] consecutive
-    rounds from [start_round] — a concentrated attack on a region. *)
+    rounds from [start_round] — a concentrated attack on a region.  A
+    round costs only its own slots. *)
 
 val single : round:int -> dir:int -> addend:int -> t
 (** One corruption, for unit tests and the §1.2 cascade example. *)
-
-val compose : t -> t -> t
-(** Superpose two oblivious noise patterns (addends add in Z₃; opposing
-    corruptions may cancel, which then costs nothing — the additive
-    model's arithmetic).  Silent is the identity.  Raises
-    [Invalid_argument] if either side is adaptive or fixing: those carry
-    budgets/output-forcing whose composition semantics would be
-    ambiguous. *)
 
 (** {2 Adaptive strategies} *)
 

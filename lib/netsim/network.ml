@@ -375,35 +375,36 @@ let corrupt t sl buf ~dir a =
   sl.write buf ~dir ((sl.sym buf ~dir + a) mod 3);
   Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
 
+(* Apply a round's oblivious row in its ascending dir order.  An
+   additive entry carries its addend (1 or 2); a fixing entry the symbol
+   it forces, translated into the addend that forces it: forcing the
+   honest symbol yields addend 0 and is free (Remark 1). *)
+let rec apply_row t sl buf ~two_m ~fixing ~prev = function
+  | [] -> ()
+  | (d, v) :: rest ->
+      if d <= prev || d >= two_m || v < (if fixing then 0 else 1) || v > 2 then
+        invalid_arg "Network: oblivious pattern entry out of order or out of range";
+      let a = if fixing then ((v - sl.sym buf ~dir:d) mod 3 + 3) mod 3 else v in
+      if a <> 0 then corrupt t sl buf ~dir:d a;
+      apply_row t sl buf ~two_m ~fixing ~prev:d rest
+
 (* The one transform of a network round (§2.1), once its sends are
    booked: the adversary is queried and its corruptions applied in
-   ascending dir order, then the fault hooks run.  Oblivious patterns
-   are a function over all 2m directions (insertions can land
-   anywhere), so evaluating them is inherently O(2m); the same holds for
-   installed fault hooks.  Adaptive adversaries are naturally sparse:
-   the strategy returns the corruption list outright. *)
+   ascending dir order, then the fault hooks run.  An oblivious pattern
+   hands over the round's row of e as its nonzero entries, so applying
+   it costs only the hits; producing the row is the pattern's own cost
+   (one inlined draw per slot for iid, only its own slots for burst and
+   single).  Installed fault hooks are queried on all 2m directions.
+   Adaptive adversaries are naturally sparse: the strategy returns the
+   corruption list outright. *)
 let transform t sl buf =
   let two_m = two_m t in
   (match t.adversary with
   | Adversary.Silent -> ()
   | Adversary.Oblivious pattern ->
-      for d = 0 to two_m - 1 do
-        let a = pattern ~round:t.round_no ~dir:d in
-        assert (a >= 0 && a <= 2);
-        if a <> 0 then corrupt t sl buf ~dir:d a
-      done
+      apply_row t sl buf ~two_m ~fixing:false ~prev:(-1) (pattern ~round:t.round_no ~two_m)
   | Adversary.Oblivious_fixing pattern ->
-      (* A fixing adversary is translated into the addend that forces its
-         chosen output; forcing the honest symbol yields addend 0 and is
-         free (Remark 1). *)
-      for d = 0 to two_m - 1 do
-        match pattern ~round:t.round_no ~dir:d with
-        | None -> ()
-        | Some forced ->
-            assert (forced >= 0 && forced <= 2);
-            let a = ((forced - sl.sym buf ~dir:d) mod 3 + 3) mod 3 in
-            if a <> 0 then corrupt t sl buf ~dir:d a
-      done
+      apply_row t sl buf ~two_m ~fixing:true ~prev:(-1) (pattern ~round:t.round_no ~two_m)
   | Adversary.Adaptive { budget; strategy } ->
       let budget_left = adaptive_budget t budget in
       let ctx =
@@ -469,9 +470,9 @@ let commit t (act : Active.t) =
 (* [rounds] successive rounds whose sends are all known upfront.  The
    delivered words start as a copy of the sent ones; unless the
    adversary is silent and no hook is installed (a word copy and a
-   popcount, then), each round is booked and
-   transformed slot by slot exactly as [commit] would: same queries in
-   the same (round, dir) order, same books, same events. *)
+   popcount, then), each round is booked and transformed exactly as
+   [commit] would: same queries in the same (round, dir) order, same
+   books, same events. *)
 let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
   let two_m = two_m t in
   if out.Block.len <> two_m || inw.Block.len <> two_m then

@@ -13,9 +13,11 @@
     epoch bump, no clearing of the 2m-slot space), write bits on the
     links that actually carry a symbol, and hand the buffer to {!commit}.
     Per-round cost is O(active links) plus whatever the adversary model
-    inherently requires (oblivious patterns and fault hooks are functions
-    over all 2m directions, so those paths scan; a silent or adaptive
-    adversary keeps the round fully sparse).  This is what lets the
+    inherently requires: an oblivious pattern hands over the round's
+    nonzero entries, whose production is its own cost (one draw per
+    slot for iid, its own slots for a burst); fault hooks are queried
+    on all 2m directions; a silent or adaptive adversary keeps the
+    round fully sparse.  This is what lets the
     simulation scale to thousands of parties whose phase drivers leave
     most links idle most rounds.
 
@@ -184,8 +186,10 @@ val commit : t -> Active.t -> unit
     silence, inserted ones appear on links that were silent.  Raises
     [Invalid_argument] on buffer length mismatch.  Cost: O(active) under
     a silent adversary with no fault hooks; O(active + |strategy list|)
-    under an adaptive one; O(2m) when an oblivious pattern or fault
-    hooks must be consulted per direction. *)
+    under an adaptive one; under an oblivious pattern, O(active + hits)
+    plus the pattern's own cost for the round's row (one inlined draw per
+    direction for iid); O(2m) when fault hooks must be consulted per
+    direction. *)
 
 val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
 (** [commit_block t ~rounds ~out ~inw] executes the first [rounds]
@@ -193,13 +197,14 @@ val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
     all known before the first — and leaves what the network delivered
     in [inw] (rounds past [rounds] are silent there).  It is exactly
     [rounds] successive {!commit}s of those sends: the adversary and
-    the fault hooks are queried slot by slot in the same (round, dir)
-    order, an adaptive strategy gets the same per-round context (its
-    [sends] built from [out]), and the books, the [net.*] trace events
-    and the round counter advance exactly as theirs would.  Z3 arithmetic applies to
+    the fault hooks are queried in the same (round, dir) order, an
+    adaptive strategy gets the same per-round context (its [sends]
+    built from [out]), and the books, the [net.*] trace events and the
+    round counter advance exactly as theirs would.  Z3 arithmetic applies to
     each bit, so a corruption of a silent round is an insertion.  Cost:
     a copy of the words and a popcount under a silent adversary with
-    no fault hooks; otherwise O(2m) per round.  Raises
+    no fault hooks; otherwise the per-round cost of {!commit} plus an
+    O(2m) count of the round's sends.  Raises
     [Invalid_argument] if either block does not match the network's
     2m, the two differ in shape, or [rounds] exceeds
     [width * fields]. *)

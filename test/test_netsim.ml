@@ -142,80 +142,186 @@ let test_iid_oblivious_pure () =
   in
   Alcotest.(check bool) "replay identical" true (run () = run ())
 
+(* A round's row of an oblivious pattern (either flavour). *)
+let row = function
+  | Adversary.Oblivious f | Adversary.Oblivious_fixing f -> f
+  | _ -> Alcotest.fail "not an oblivious pattern"
+
 (* Past 65,536 directed links, slot (r, 65_536 + d) must not draw the
    word of (r + 1, d). *)
 let test_iid_wide_slots_distinct () =
-  match Adversary.iid (Util.Rng.create 8) ~rate:0.5 with
-  | Adversary.Oblivious f ->
-      let differ = ref 0 in
-      for r = 0 to 9_999 do
-        if f ~round:r ~dir:65_543 <> f ~round:(r + 1) ~dir:7 then incr differ
-      done;
-      (* Independent slots at rate 0.5 disagree on 5/8 of the draws. *)
-      Alcotest.(check bool) (Printf.sprintf "slots independent (%d/10000 differ)" !differ) true
-        (!differ > 5_000)
-  | _ -> Alcotest.fail "iid is oblivious"
+  let f = row (Adversary.iid (Util.Rng.create 8) ~rate:0.05) and rounds = 600 in
+  let row_at r = f ~round:r ~two_m:65_544 in
+  let addend entries d = Option.value ~default:0 (List.assoc_opt d entries) in
+  let differ = ref 0 and prev = ref (row_at 0) in
+  for r = 1 to rounds do
+    let next = row_at r in
+    if addend !prev 65_543 <> addend next 7 then incr differ;
+    prev := next
+  done;
+  (* Independent slots at rate 0.05 disagree on 9.6% of the draws;
+     slots sharing a word would never disagree. *)
+  Alcotest.(check bool) (Printf.sprintf "slots independent (%d/%d differ)" !differ rounds) true
+    (!differ > rounds / 20)
 
-(* The iid patterns draw exactly the bits of [Util.Rng.at] they always
-   did (the key is the first word of the adversary's rng), and a draw
-   allocates nothing: they run on every slot of every round. *)
+(* The per-slot formula the per-round patterns must reproduce: slot
+   (round, dir) draws [Util.Rng.at] keyed by the first word of the
+   adversary's rng, is hit when the word's top 53 bits as a fraction of
+   2^53 fall below the rate, and a hit reads bit 0 (additive addend
+   1 + bit) or [w lsr 2] mod 3 (fixing symbol). *)
+let iid_key seed = Util.Rng.int64 (Util.Rng.create seed)
+
+let iid_word ~key ~round ~dir = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir)
+
+let iid_hit ~rate w =
+  Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) < rate
+
 let iid_reference ~seed ~rate ~round ~dir =
-  let key = Util.Rng.int64 (Util.Rng.create seed) in
-  let w = Util.Rng.at ~seed:key (Util.Rng.coord ~width:65536 round dir) in
-  let u = Int64.to_float (Int64.shift_right_logical w 11) *. (1. /. 9007199254740992.) in
-  (w, u < rate)
+  let w = iid_word ~key:(iid_key seed) ~round ~dir in
+  (w, iid_hit ~rate w)
+
+let addend_of w = 1 + Int64.to_int (Int64.logand w 1L)
+let forced_of w = Int64.to_int (Int64.rem (Int64.shift_right_logical w 2) 3L)
 
 let test_iid_draws_match_at () =
-  let rate = 0.3 in
-  match
-    ( Adversary.iid (Util.Rng.create 5) ~rate,
-      Adversary.iid_fixing (Util.Rng.create 5) ~rate,
-      Adversary.burst (Util.Rng.create 5) ~start_round:0 ~len:max_int ~dirs:[ 3; 70_000 ] )
-  with
-  | Adversary.Oblivious iid, Adversary.Oblivious_fixing fixing, Adversary.Oblivious burst ->
-      for round = 0 to 199 do
-        List.iter
-          (fun dir ->
-            let w, hit = iid_reference ~seed:5 ~rate ~round ~dir in
-            Alcotest.(check int) "iid addend"
-              (if hit then 1 + Int64.to_int (Int64.logand w 1L) else 0)
-              (iid ~round ~dir);
-            Alcotest.(check (option int)) "fixing output"
-              (if hit then Some (Int64.to_int (Int64.rem (Int64.shift_right_logical w 2) 3L))
-               else None)
-              (fixing ~round ~dir);
-            if dir = 3 || dir = 70_000 then
-              Alcotest.(check int) "burst addend"
-                (1 + Int64.to_int (Int64.logand w 1L))
-                (burst ~round ~dir))
-          [ 0; 3; 17; 65_535; 70_000 ]
-      done
-  | _ -> Alcotest.fail "iid and burst are oblivious, iid_fixing is fixing"
+  let rate = 0.3 and two_m = 70_001 and probes = [ 0; 3; 17; 65_535; 70_000 ] in
+  let iid = row (Adversary.iid (Util.Rng.create 5) ~rate)
+  and fixing = row (Adversary.iid_fixing (Util.Rng.create 5) ~rate)
+  and burst =
+    row (Adversary.burst (Util.Rng.create 5) ~start_round:0 ~len:max_int ~dirs:[ 70_000; 3 ])
+  in
+  for round = 0 to 19 do
+    let iid_row = iid ~round ~two_m and fixing_row = fixing ~round ~two_m in
+    List.iter
+      (fun dir ->
+        let w, hit = iid_reference ~seed:5 ~rate ~round ~dir in
+        Alcotest.(check (option int)) "iid addend"
+          (if hit then Some (addend_of w) else None)
+          (List.assoc_opt dir iid_row);
+        Alcotest.(check (option int)) "fixing output"
+          (if hit then Some (forced_of w) else None)
+          (List.assoc_opt dir fixing_row))
+      probes;
+    let burst_ref dir = (dir, addend_of (fst (iid_reference ~seed:5 ~rate ~round ~dir))) in
+    Alcotest.(check (list (pair int int))) "burst row"
+      [ burst_ref 3; burst_ref 70_000 ]
+      (burst ~round ~two_m)
+  done
 
+(* Minor words allocated by one row. *)
+let row_words f ~round ~two_m =
+  let before = Gc.minor_words () in
+  let r = Sys.opaque_identity (f ~round ~two_m) in
+  (Gc.minor_words () -. before, List.length r)
+
+(* A round without a hit allocates nothing, and the hits are the only
+   allocation of iid: one pair and one cons cell (6 words) each. *)
 let test_iid_draws_allocation_free () =
-  let per_call f =
-    let calls = 20_000 in
-    ignore (Sys.opaque_identity (f 0));
-    let before = Gc.minor_words () in
-    for i = 1 to calls do
-      ignore (Sys.opaque_identity (f i))
-    done;
-    (Gc.minor_words () -. before) /. float_of_int calls
+  let clean name f ~two_m ~rounds =
+    for round = 0 to rounds - 1 do
+      let w, hits = row_words f ~round ~two_m in
+      Alcotest.(check (pair int (float 0.)))
+        (Printf.sprintf "%s: round %d clean, no words" name round)
+        (0, 0.) (hits, w)
+    done
   in
-  let check name f =
-    let w = per_call f in
-    Alcotest.(check bool) (Printf.sprintf "%s: %.4f words/draw" name w) true (w <= 0.01)
+  clean "iid at rate 0" (row (Adversary.iid (Util.Rng.create 6) ~rate:0.)) ~two_m:960 ~rounds:50;
+  clean "fixing at rate 0"
+    (row (Adversary.iid_fixing (Util.Rng.create 6) ~rate:0.))
+    ~two_m:960 ~rounds:50;
+  clean "burst outside its window"
+    (row (Adversary.burst (Util.Rng.create 6) ~start_round:100 ~len:5 ~dirs:[ 0; 1 ]))
+    ~two_m:960 ~rounds:50;
+  clean "single off its round" (row (Adversary.single ~round:100 ~dir:3 ~addend:1)) ~two_m:960
+    ~rounds:50;
+  List.iter
+    (fun (name, adv) ->
+      let f = row adv in
+      let words = ref 0. and hits = ref 0 in
+      for round = 0 to 49 do
+        let w, h = row_words f ~round ~two_m:64 in
+        words := !words +. w;
+        hits := !hits + h
+      done;
+      Alcotest.(check bool) (name ^ ": some hits") true (!hits > 0);
+      Alcotest.(check (float 0.)) (name ^ ": 6 words per hit") (6. *. float_of_int !hits) !words)
+    [
+      ("iid", Adversary.iid (Util.Rng.create 6) ~rate:0.3);
+      ("fixing", Adversary.iid_fixing (Util.Rng.create 6) ~rate:0.3);
+    ]
+
+(* Every oblivious builder against the per-slot formula: the exact
+   entries, ascending and unique, at rates 0, 5e-4, 0.3 and 1 and at
+   2m = 20, 30, 960 and 70,000 (past 65,536 dirs the slot index leaves
+   the in-width cell); a round without a hit allocates nothing. *)
+let prop_rows_match_reference =
+  let rates = [| 0.; 5e-4; 0.3; 1. |] and widths = [| 20; 30; 960; 70_000 |] in
+  QCheck.Test.make ~name:"oblivious rows = per-slot reference" ~count:120
+    QCheck.(
+      quad (int_bound 3) (pair (int_bound 3) (int_bound 3)) (int_bound 1_000) (int_bound 1_000_000))
+    (fun (kind, (ri, wi), seed, round) ->
+      let rate = rates.(ri) and two_m = widths.(wi) and key = iid_key seed in
+      let all_dirs = List.init two_m Fun.id in
+      let adv, expected =
+        match kind with
+        | 0 | 1 ->
+            let hits =
+              List.filter_map
+                (fun dir ->
+                  let w = iid_word ~key ~round ~dir in
+                  if iid_hit ~rate w then Some (dir, if kind = 0 then addend_of w else forced_of w)
+                  else None)
+                all_dirs
+            in
+            let rng = Util.Rng.create seed in
+            ((if kind = 0 then Adversary.iid rng ~rate else Adversary.iid_fixing rng ~rate), hits)
+        | 2 ->
+            (* Unsorted, duplicated and out-of-range dirs; in the window
+               unless [seed mod 3 = 2]. *)
+            let dirs = [ two_m - 1; 3; 17; 3; two_m; 70_000; -1 ] in
+            let start_round = round - (seed mod 3) in
+            let expected =
+              if seed mod 3 = 2 then []
+              else
+                List.map
+                  (fun dir -> (dir, addend_of (iid_word ~key ~round ~dir)))
+                  (List.sort_uniq compare (List.filter (fun d -> d >= 0 && d < two_m) dirs))
+            in
+            (Adversary.burst (Util.Rng.create seed) ~start_round ~len:2 ~dirs, expected)
+        | _ ->
+            let dir = seed mod two_m and addend = seed mod 3 in
+            let expected = if seed land 4 = 0 && addend <> 0 then [ (dir, addend) ] else [] in
+            (Adversary.single ~round:(round + (seed land 4)) ~dir ~addend, expected)
+      in
+      let f = row adv in
+      let got = f ~round ~two_m in
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      got = expected && ascending got && (got <> [] || fst (row_words f ~round ~two_m) = 0.))
+
+(* The network applies a row only if its entries are ascending dirs in
+   range with values in range: addends in {1,2}, forced symbols in
+   {0,1,2}. *)
+let test_rows_rejected () =
+  let bad name adv =
+    let net = Network.create g4 adv in
+    Alcotest.check_raises name
+      (Invalid_argument "Network: oblivious pattern entry out of order or out of range")
+      (fun () -> ignore (round net ~sends:[]))
   in
-  (match Adversary.iid (Util.Rng.create 6) ~rate:0.3 with
-  | Adversary.Oblivious f -> check "iid" (fun i -> f ~round:(i / 64) ~dir:(i land 63))
-  | _ -> Alcotest.fail "iid is oblivious");
-  (match Adversary.burst (Util.Rng.create 6) ~start_round:0 ~len:max_int ~dirs:[ 0; 1 ] with
-  | Adversary.Oblivious f -> check "burst" (fun i -> f ~round:i ~dir:(i land 1))
-  | _ -> Alcotest.fail "burst is oblivious");
-  (* A fixing hit is an [int option]; the misses must cost nothing. *)
-  match Adversary.iid_fixing (Util.Rng.create 6) ~rate:0. with
-  | Adversary.Oblivious_fixing f -> check "fixing misses" (fun i -> f ~round:i ~dir:0)
-  | _ -> Alcotest.fail "iid_fixing is fixing"
+  let two_m = 2 * Topology.Graph.m g4 in
+  let additive entries = Adversary.Oblivious (fun ~round:_ ~two_m:_ -> entries) in
+  let fixing entries = Adversary.Oblivious_fixing (fun ~round:_ ~two_m:_ -> entries) in
+  bad "descending dirs" (additive [ (3, 1); (1, 1) ]);
+  bad "repeated dir" (additive [ (2, 1); (2, 2) ]);
+  bad "dir past 2m" (additive [ (two_m, 1) ]);
+  bad "negative dir" (additive [ (-1, 1) ]);
+  bad "zero addend" (additive [ (0, 0) ]);
+  bad "addend 3" (additive [ (0, 3) ]);
+  bad "fixing symbol 3" (fixing [ (0, 3) ]);
+  bad "fixing descending" (fixing [ (1, 0); (0, 0) ])
 
 let test_burst () =
   let rng = Util.Rng.create 8 in
@@ -231,8 +337,9 @@ let test_fixing_semantics () =
   (* Remark 1: the fixing adversary forces outputs; forcing the honest
      symbol costs nothing. *)
   let d01 = dir g4 0 1 in
-  let mk forced = Netsim.Adversary.Oblivious_fixing
-      (fun ~round ~dir -> if round = 0 && dir = d01 then Some forced else None)
+  let mk forced =
+    Netsim.Adversary.Oblivious_fixing
+      (fun ~round ~two_m:_ -> if round = 0 then [ (d01, forced) ] else [])
   in
   (* Force 1 on a sent 0: substitution, one corruption. *)
   let net = Network.create g4 (mk 1) in
@@ -340,35 +447,6 @@ let prop_additive_semantics =
       received = (sym + addend) mod 3
       && corruptions net = (if addend = 0 then 0 else 1))
 
-let test_compose () =
-  let d01 = dir g4 0 1 in
-  (* burst + iid: slots hit by both may cancel (1 + 2 = 0). *)
-  let a = Adversary.single ~round:0 ~dir:d01 ~addend:1 in
-  let b = Adversary.single ~round:0 ~dir:d01 ~addend:2 in
-  let net = Network.create g4 (Adversary.compose a b) in
-  Alcotest.(check (list (triple int int bool))) "addends cancel" [ (0, 1, true) ]
-    (round net ~sends:[ (0, 1, true) ]);
-  Alcotest.(check int) "cancellation is free" 0 (corruptions net);
-  (* Identity. *)
-  let net = Network.create g4 (Adversary.compose Adversary.Silent a) in
-  Alcotest.(check (list (triple int int bool))) "silent identity (flip applies)" []
-    (round net ~sends:[ (0, 1, true) ]);
-  (* Genuinely combined: a burst and a single on different slots. *)
-  let combined =
-    Adversary.compose
-      (Adversary.single ~round:0 ~dir:d01 ~addend:1)
-      (Adversary.single ~round:1 ~dir:d01 ~addend:1)
-  in
-  let net = Network.create g4 combined in
-  ignore (round net ~sends:[ (0, 1, false) ]);
-  ignore (round net ~sends:[ (0, 1, false) ]);
-  Alcotest.(check int) "both slots corrupted" 2 (corruptions net);
-  (* Adaptive composition rejected. *)
-  let adaptive = Adversary.Adaptive { budget = (fun _ -> 0); strategy = (fun _ -> []) } in
-  Alcotest.check_raises "adaptive rejected"
-    (Invalid_argument "Adversary.compose: only additive oblivious patterns compose") (fun () ->
-      ignore (Adversary.compose a adaptive))
-
 let test_noise_fraction () =
   let net = Network.create g4 Adversary.Silent in
   Alcotest.(check (float 0.001)) "zero cc" 0. (noise_fraction net)
@@ -391,24 +469,6 @@ let test_adaptive_overspend_clamped () =
     ignore (round net ~sends:[ (0, 1, true); (2, 3, false) ])
   done;
   Alcotest.(check int) "spend clamped to exactly the budget" cap (corruptions net)
-
-let test_compose_rejects_out_of_model () =
-  (* Regression lock: compose is defined only on additive oblivious
-     patterns.  Fixing and adaptive adversaries must keep raising, on
-     either side. *)
-  let a = Adversary.single ~round:0 ~dir:(dir g4 0 1) ~addend:1 in
-  let fixing = Adversary.Oblivious_fixing (fun ~round:_ ~dir:_ -> None) in
-  let adaptive = Adversary.Adaptive { budget = (fun _ -> 0); strategy = (fun _ -> []) } in
-  let rejects name x y =
-    Alcotest.check_raises name
-      (Invalid_argument "Adversary.compose: only additive oblivious patterns compose") (fun () ->
-        ignore (Adversary.compose x y))
-  in
-  rejects "fixing on the left" fixing a;
-  rejects "fixing on the right" a fixing;
-  rejects "adaptive on the left" adaptive a;
-  rejects "adaptive on the right" a adaptive;
-  rejects "both out of model" adaptive fixing
 
 (* ------------------------------------------------------------------ *)
 (* Transport: the sparse active-link buffer and its dense oracle.     *)
@@ -526,8 +586,9 @@ let test_sparse_empty_round () =
 
    An independent implementation of one network round (§2.1) over a
    dense int array of Z3 symbols (0, 1 are bits; 2 is silence), written
-   the obvious way: collect every direction's adversary addend, apply
-   them in ascending dir order, then the fault hooks.  It keeps its own
+   the obvious way: spread the adversary's row of the round over a
+   dense addend array (one entry per direction), apply the addends in
+   ascending dir order, then the fault hooks.  It keeps its own
    books and trace events and calls nothing in [Network] beyond the
    public types, so the differential suite compares [Network.commit]
    against code that shares none of its round logic. *)
@@ -585,15 +646,11 @@ module Dense_ref = struct
     (match t.adversary with
     | Adversary.Silent -> ()
     | Adversary.Oblivious pattern ->
-        for d = 0 to two_m - 1 do
-          t.addends.(d) <- pattern ~round:t.round_no ~dir:d
-        done
+        List.iter (fun (d, a) -> t.addends.(d) <- a) (pattern ~round:t.round_no ~two_m)
     | Adversary.Oblivious_fixing pattern ->
-        for d = 0 to two_m - 1 do
-          match pattern ~round:t.round_no ~dir:d with
-          | None -> ()
-          | Some forced -> t.addends.(d) <- ((forced - slots.(d)) mod 3 + 3) mod 3
-        done
+        List.iter
+          (fun (d, forced) -> t.addends.(d) <- ((forced - slots.(d)) mod 3 + 3) mod 3)
+          (pattern ~round:t.round_no ~two_m)
     | Adversary.Adaptive { budget; strategy } ->
         let budget_left = adaptive_budget t budget in
         let ctx =
@@ -1013,6 +1070,7 @@ let () =
           Alcotest.test_case "iid draws match at" `Quick test_iid_draws_match_at;
           Alcotest.test_case "iid draws allocation-free" `Quick test_iid_draws_allocation_free;
           Alcotest.test_case "burst" `Quick test_burst;
+          Alcotest.test_case "rows rejected" `Quick test_rows_rejected;
           Alcotest.test_case "fixing semantics" `Quick test_fixing_semantics;
           Alcotest.test_case "iid fixing cheaper" `Quick test_iid_fixing_cheaper_than_additive;
           Alcotest.test_case "adaptive budget" `Quick test_adaptive_budget_enforced;
@@ -1020,9 +1078,7 @@ let () =
           Alcotest.test_case "adaptive phase view" `Quick test_adaptive_sees_phase;
           Alcotest.test_case "noise fraction" `Quick test_noise_fraction;
           QCheck_alcotest.to_alcotest prop_additive_semantics;
-          Alcotest.test_case "compose" `Quick test_compose;
-          Alcotest.test_case "compose rejects out-of-model" `Quick
-            test_compose_rejects_out_of_model;
+          QCheck_alcotest.to_alcotest prop_rows_match_reference;
         ] );
       ( "transport",
         [
