@@ -75,7 +75,9 @@ let run ?(sink = Trace.Sink.disabled) net ~rng =
         | Some payload -> payload_to_seed payload
         | None -> fallback_seed received.(e)
       in
-      let hi_gen = Smallbias.Generator.of_seed decoded in
       let ok = decoded = seeds.(e) in
+      let hi_gen =
+        if ok then Smallbias.Generator.fresh lo_gen else Smallbias.Generator.of_seed decoded
+      in
       if not ok then Trace.Sink.count sink ~id:ev_failed ~arg:e 1;
       { lo_gen; hi_gen; ok })

@@ -27,6 +27,12 @@ val rounds_needed : unit -> int
 
 val run : ?sink:Trace.Sink.t -> Netsim.Network.t -> rng:Util.Rng.t -> link_outcome array
 (** Execute the exchange on every link of the network simultaneously;
-    result is indexed by edge id.  [sink] (default disabled) receives
+    result is indexed by edge id.  Each link expands its sent seed once,
+    into [lo_gen].  When the higher end decodes exactly that seed,
+    [hi_gen] is [Smallbias.Generator.fresh lo_gen]: the same generator
+    without a second modulus search, yet a separate object with its own
+    cursor and tables.  Otherwise [hi_gen] expands what was decoded, or,
+    if decoding failed, a deterministic garbage seed made from the
+    received bits.  [sink] (default disabled) receives
     one [exchange.failed] count per link whose endpoints ended up with
     different seeds ([arg] = edge id). *)

@@ -37,13 +37,37 @@ val pow_x : field -> int -> int
 val pow : field -> int -> int -> int
 
 val is_irreducible : int -> bool
-(** Rabin's test for x^62 + low(x).  62 = 2·31, so irreducibility
-    amounts to x^(2^62) = x (mod f) and gcd(x^(2^31) − x, f) =
-    gcd(x^2 − x, f) = 1. *)
+(** Whether x^62 + low(x) is irreducible, exactly.  A sieve rejects
+    most reducible candidates in tens of nanoseconds: an even constant
+    term (the factor x), an odd popcount of [low] (an even-weight
+    polynomial has the factor x + 1), then trial division by every
+    irreducible of degree 2..7 ({!small_divisors}) through packed
+    nibble-indexed residue tables (64 lookups in 8 KiB, built at module
+    init).  About 85% of random odd candidates stop there.  Rabin's test
+    decides the rest: 62 = 2·31, so irreducibility amounts to x^(2^62) =
+    x (mod f) and gcd(x^(2^31) − x, f) = gcd(x^2 − x, f) = 1.  Every
+    step is exact, so the answer is the same as Rabin's alone. *)
+
+val first_irreducible : (int -> int) -> field
+(** [first_irreducible cand] is the field of the first [cand i], for
+    i = 0, 1, …, that {!is_irreducible} accepts (the search behind
+    {!random_irreducible} and [Smallbias.Generator.of_seed]).  The
+    modulus is not tested again. *)
 
 val random_irreducible : Util.Rng.t -> int
 (** Rejection-sample the low bits of an irreducible degree-62
     polynomial. *)
+
+val small_divisors : int array
+(** The sieve's divisors: every irreducible polynomial over GF(2) of
+    degree 2..7 (39 of them), as full bit patterns (x^2 + x + 1 is [0b111]),
+    ascending. *)
+
+val small_residue : int -> int -> int
+(** [small_residue p i] is p mod [small_divisors.(i)] for a polynomial
+    [p] of degree at most 62 (bit 62 may be set), read from the sieve's
+    tables.  Exposed so that tests can check every table entry against
+    polynomial division. *)
 
 val popcount_int : int -> int
 (** Population count of a native int's low 62 bits (helper exposed for

@@ -84,13 +84,21 @@ type delta = {
   regressed : bool;
 }
 
-let timed_regressed ~tolerance a b =
-  let a' = Float.abs a and b' = Float.abs b in
-  if a = b then false
-  else if (a < 0.) <> (b < 0.) then true (* sign flip is always a change *)
-  else
-    let hi = Float.max a' b' and lo = Float.min a' b' in
-    hi /. Float.max lo 1e-12 > 1. +. tolerance
+(* A timed key's better direction, from its name alone: rates and
+   speed-ups are higher-is-better, every other timed key (walls, ns,
+   words, overheads, RSS) lower-is-better. *)
+let higher_is_better name =
+  lowercase_contains ~needle:"per_sec" name || lowercase_contains ~needle:"speedup" name
+
+(* [before] -> [after] regresses only when it moves the worse way: by a
+   magnitude ratio beyond [1 + tolerance], or across zero. *)
+let timed_regressed ~tolerance ~higher before after =
+  let worse = if higher then after < before else after > before in
+  worse
+  && ((before < 0.) <> (after < 0.)
+     ||
+     let a = Float.abs before and b = Float.abs after in
+     Float.max a b /. Float.max (Float.min a b) 1e-12 > 1. +. tolerance)
 
 let diff ?(tolerance = 1.5) ~prev cur =
   let diff_side timed before after =
@@ -105,7 +113,9 @@ let diff ?(tolerance = 1.5) ~prev cur =
           | Some _, None -> true (* lost coverage *)
           | None, Some _ -> false (* new coverage *)
           | None, None -> false
-          | Some b, Some a -> if timed then timed_regressed ~tolerance b a else a <> b
+          | Some b, Some a ->
+              if timed then timed_regressed ~tolerance ~higher:(higher_is_better metric) b a
+              else a <> b
         in
         { metric; before = b; after = a; timed; regressed })
       names
@@ -251,7 +261,7 @@ let render_markdown ~prev ~cur deltas =
   line "";
   line "%s" timing_marker;
   line "";
-  line "## Timed drift beyond tolerance: %d" (List.length timed_reg);
+  line "## Timed regressions beyond tolerance: %d" (List.length timed_reg);
   if timed_reg <> [] then begin
     line "";
     line "| metric | previous | current |";

@@ -10,7 +10,7 @@
       across machines and job counts, compared {e exactly};
     - {e timed} metrics — wall clocks, rates, allocation counts:
       execution artifacts, compared within a loose relative tolerance
-      (CI boxes jitter);
+      (CI boxes jitter) and only in their worse direction (see {!diff});
     - {e ignored} metrics — job counts and other knobs that legitimately
       differ between runs.
 
@@ -51,8 +51,12 @@ type delta = {
 val diff : ?tolerance:float -> prev:entry -> entry -> delta list
 (** [diff ~prev cur]: one delta per metric name in either entry, sorted.  Exact metrics
     regress on any change or disappearance (new metrics are fine);
-    timed metrics regress when the before/after ratio exceeds
-    [1 + tolerance] (default 1.5) in either direction. *)
+    timed metrics regress only when they move the worse way: by a
+    before/after magnitude ratio beyond [1 + tolerance] (default 1.5),
+    or across zero.  The worse way comes from the name: keys containing
+    [per_sec] or [speedup] are higher-is-better, every other timed key
+    is lower-is-better, so a timed metric that got faster, however much,
+    never regresses. *)
 
 val regressions : delta list -> delta list
 

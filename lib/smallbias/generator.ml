@@ -36,7 +36,8 @@ type t = {
   (* [tbl_x64] and [pow] are built on the first seek or hash.  [pow] is
      the byte-window power table: entry k*256+d is x^(64·d·256^k).  Row
      k is filled on the first power that has a nonzero byte k, and reads
-     0 at entry k*256 until then. *)
+     0 at entry k*256 until then.  Its 256 entries past the 8 rows are
+     [fill_row]'s scratch, so that filling a row allocates nothing. *)
   mutable tbl_x64 : int array;
   mutable pow : int array;
 }
@@ -44,10 +45,10 @@ type t = {
 let seed_bits = 128
 let state_mask = (1 lsl 62) - 1
 
-let create ~f ~s =
-  let s = s land state_mask in
-  if s = 0 then invalid_arg "Generator.create: zero start state";
-  let field = Gf2k.make ~modulus_low:f in
+(* [field]'s modulus is irreducible by construction: [Gf2k.make] and
+   [Gf2k.first_irreducible] are its only sources. *)
+let of_field field ~s =
+  let f = Gf2k.modulus_low field in
   {
     field;
     s;
@@ -61,45 +62,53 @@ let create ~f ~s =
     pow = [||];
   }
 
-let sample rng =
-  let f = Gf2k.random_irreducible rng in
-  let rec nonzero () =
-    let s = Int64.to_int (Util.Rng.int64 rng) land state_mask in
-    if s = 0 then nonzero () else s
+let create ~f ~s =
+  let s = s land state_mask in
+  if s = 0 then invalid_arg "Generator.create: zero start state";
+  of_field (Gf2k.make ~modulus_low:f) ~s
+
+(* The first nonzero state among [draw 0], [draw 1], … *)
+let first_state draw =
+  let rec go i =
+    let s = Int64.to_int (draw i) land state_mask in
+    if s = 0 then go (i + 1) else s
   in
-  create ~f ~s:(nonzero ())
+  go 0
+
+let sample rng =
+  let field =
+    Gf2k.first_irreducible (fun _ -> (Int64.to_int (Util.Rng.int64 rng) land state_mask) lor 1)
+  in
+  of_field field ~s:(first_state (fun _ -> Util.Rng.int64 rng))
 
 let of_seed (a, b) =
-  (* Deterministic irreducible search: hash the candidate space starting
-     from [a] until Rabin's test passes.  Both endpoints of a link run this
-     on identical bits, so they derive identical generators. *)
-  let rec find i =
-    let cand = (Int64.to_int (Util.Rng.at ~seed:a i) land state_mask) lor 1 in
-    if Gf2k.is_irreducible cand then cand else find (i + 1)
+  (* Deterministic irreducible search: the first candidate keyed by [a]
+     that is irreducible.  Both endpoints of a link run this on identical
+     bits, so they derive identical generators. *)
+  let field =
+    Gf2k.first_irreducible (fun i -> (Int64.to_int (Util.Rng.at ~seed:a i) land state_mask) lor 1)
   in
-  let f = find 0 in
-  let rec nonzero i =
-    let s = Int64.to_int (Util.Rng.at ~seed:b i) land state_mask in
-    if s = 0 then nonzero (i + 1) else s
-  in
-  create ~f ~s:(nonzero 0)
+  of_field field ~s:(first_state (fun i -> Util.Rng.at ~seed:b i))
+
+let fresh t = of_field t.field ~s:t.s
 
 let seed t = (Gf2k.modulus_low t.field, t.s)
 
 (* One step of the recurrence: the window one bit further on. *)
 let shift f_low w = (w lsr 1) lor (Gf2k.parity_int (w land f_low) lsl 61)
 
-(* The byte table of the GF(2)-linear map sending bit k to [basis.(k)]. *)
+(* The byte table of the GF(2)-linear map sending bit k to [basis.(k)]
+   (bits past the basis to 0): entry pos*256 + byte is the image of
+   byte·2^(8·pos).  Each row is filled by doubling: its entries below
+   2^b, each plus the image of bit b, are those from 2^b up to
+   2^(b+1). *)
 let byte_table basis =
   let tbl = Array.make (8 * 256) 0 in
-  for pos = 0 to 7 do
-    for byte = 0 to 255 do
-      let v = ref 0 in
-      for bit = 0 to 7 do
-        let k = (8 * pos) + bit in
-        if k < 62 && (byte lsr bit) land 1 = 1 then v := !v lxor basis.(k)
-      done;
-      tbl.((pos * 256) + byte) <- !v
+  for k = 0 to 63 do
+    let row = k / 8 * 256 and half = 1 lsl (k mod 8) in
+    let img = if k < Array.length basis then basis.(k) else 0 in
+    for j = 0 to half - 1 do
+      tbl.(row + half + j) <- tbl.(row + j) lxor img
     done
   done;
   tbl
@@ -107,14 +116,15 @@ let byte_table basis =
 let ensure_walk t =
   if Array.length t.tbl_w = 0 then begin
     let f_low = Gf2k.modulus_low t.field in
-    (* The successor of window e_k is e_k shifted 64 steps on. *)
-    let succ = Array.make 62 0 in
-    for k = 0 to 61 do
-      let w = ref (1 lsl k) in
-      for _ = 1 to 64 do
-        w := shift f_low !w
-      done;
-      succ.(k) <- !w
+    (* The successor of window e_k is e_k shifted 64 steps on.  Shifting
+       is linear and shift e_(k+1) = e_k + f_(k+1)·e_61, so below e_61
+       each successor is one shift of the next one up. *)
+    let succ = Array.make 62 (1 lsl 61) in
+    for _ = 1 to 64 do
+      succ.(61) <- shift f_low succ.(61)
+    done;
+    for k = 60 downto 0 do
+      succ.(k) <- shift f_low succ.(k + 1) lxor (succ.(61) land -((f_low lsr (k + 1)) land 1))
     done;
     (* State x^k has window b_k .. b_(k+61): the start window (= s)
        shifted k steps on. *)
@@ -138,7 +148,7 @@ let ensure_field t =
     done;
     t.tbl_x64 <- byte_table times;
     (* Last: a non-empty [pow] marks both tables built. *)
-    t.pow <- Array.make (8 * 256) 0
+    t.pow <- Array.make (9 * 256) 0
   end
 
 (* The image of a 62-bit [v] under a byte-tabulated linear map. *)
@@ -197,18 +207,36 @@ let reduce t x ~n ~last_lo ~last_hi =
   !r
 
 (* Row [k] of [pow]: x^(64·256^k) is x^64 squared 8k times, and entry d
-   its d-th power.  Entry 0 is written last: it marks the row filled. *)
+   its d-th power, entry d - 1 times it.  That product is a GF(2)-linear
+   map, tabulated per nibble in [pow]'s scratch (16 positions of 16
+   entries from [nib] on, each position filled by doubling from the
+   images of its 4 bits): 16 lookups per entry instead of a field
+   product.  Entry 0 is written last: it marks the row filled. *)
+let nib = 8 * 256
+
 let fill_row t k =
-  let row = k * 256 in
+  let row = k * 256 and pow = t.pow in
   let b = ref (apply t.tbl_x64 1) in
   for _ = 1 to 8 * k do
     b := Gf2k.mul t.field !b !b
   done;
-  t.pow.(row + 1) <- !b;
-  for d = 2 to 255 do
-    t.pow.(row + d) <- Gf2k.mul t.field t.pow.(row + d - 1) !b
+  let img = ref !b in
+  for j = 0 to 61 do
+    let pos = nib + (j / 4 * 16) and half = 1 lsl (j mod 4) in
+    for v = 0 to half - 1 do
+      pow.(pos + half + v) <- pow.(pos + v) lxor !img
+    done;
+    img := Gf2k.step t.field !img
   done;
-  t.pow.(row) <- 1
+  pow.(row + 1) <- !b;
+  for d = 2 to 255 do
+    let p = pow.(row + d - 1) and q = ref 0 in
+    for pos = 0 to 15 do
+      q := !q lxor Array.unsafe_get pow (nib + ((pos * 16) lor ((p lsr (4 * pos)) land 15)))
+    done;
+    pow.(row + d) <- !q
+  done;
+  pow.(row) <- 1
 
 (* x^(64·i) for [i >= 0]: the product of one [pow] entry per nonzero
    byte of [i] (the first taken as it is). *)

@@ -28,10 +28,20 @@ val sample : Util.Rng.t -> t
 
 val of_seed : int64 * int64 -> t
 (** [of_seed (a, b)] deterministically expands 128 uniform bits into a
-    valid seed: [a] seeds the search for an irreducible f, [b] gives the
-    start state.  This is the function G of Lemma 2.5 as used by the
-    randomness-exchange protocol: both endpoints apply it to the same
-    exchanged bits and obtain the same generator. *)
+    valid seed: f is the {e first} irreducible candidate of the stream
+    keyed by [a] (candidate i is the low 62 bits of
+    [Util.Rng.at ~seed:a i], constant term forced to 1), and s the first
+    nonzero low 62 bits of the stream keyed by [b].  That choice is the
+    specification, whichever exact irreducibility test finds it (today
+    {!Gf.Gf2k.is_irreducible}'s sieve, then Rabin's test).  This is the
+    function G of Lemma 2.5 as used by the randomness-exchange protocol:
+    both endpoints apply it to the same exchanged bits and obtain the
+    same generator. *)
+
+val fresh : t -> t
+(** [fresh g] is a new generator on [g]'s seed: cursor at word 0, no
+    tables built, nothing mutable shared with [g].  Equal to
+    [create ~f ~s] on [seed g], without testing f again. *)
 
 val seed : t -> int * int
 (** The (f, s) pair, for serialization. *)
@@ -72,10 +82,11 @@ val seek_word : t -> int -> unit
     below 2^24.  A byte table then maps the state to the 62-bit output
     window.  About 0.15 µs on a 2-core x86-64 host.  A generator builds
     its tables on first use: the two window tables (32 KiB) on its
-    first word or seek, the x^64 byte table and the power table
-    (32 KiB) on its first seek or hash, and a power row (255
-    multiplies) the first time a power has a nonzero byte in its
-    position.
+    first word or seek, the x^64 byte table and the power table (34
+    KiB, with 2 KiB of scratch for filling rows) on its first seek or
+    hash, and a power row (8k squarings, then 254 nibble-table products
+    of 16 lookups each) the first time a power has a nonzero byte in its
+    position k.
     After [seek_word g i], [next_word g] returns word [i].  Raises
     [Invalid_argument] if [i < 0]. *)
 

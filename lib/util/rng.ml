@@ -44,17 +44,6 @@ let float t =
 
 let at ~seed i = mix (Int64.add seed (Int64.mul (Int64.of_int (i + 1)) gamma))
 
-(* [at] and [mix] spelled out in one body: every int64 below is a local
-   the compiler keeps unboxed, and the result leaves as an int. *)
-let at_bits ~seed i ~lo ~width =
-  if lo < 0 || width < 1 || width > 62 || lo + width > 64 then
-    invalid_arg "Rng.at_bits: bit range";
-  let z = Int64.add seed (Int64.mul (Int64.of_int (i + 1)) gamma) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  let z = Int64.(logxor z (shift_right_logical z 31)) in
-  Int64.to_int (Int64.shift_right_logical z lo) land ((1 lsl width) - 1)
-
 (* In-width cells keep the row-major index the keyed streams were built
    on, so every pinned output that draws from them stays the same.  Past
    [width], Cantor-pair (row, col - width) into the bottom of the int

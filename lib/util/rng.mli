@@ -42,13 +42,6 @@ val at : seed:int64 -> int -> int64
     same arguments always agree, which makes it suitable as a lazily
     materialised common random string. *)
 
-val at_bits : seed:int64 -> int -> lo:int -> width:int -> int
-(** [at_bits ~seed i ~lo ~width] is bits [lo .. lo + width - 1] of
-    [at ~seed i], as a non-negative [int] — the same draw, computed
-    without allocating (no boxed [int64] crosses a call).  Requires
-    [lo >= 0], [1 <= width <= 62] and [lo + width <= 64]; raises
-    [Invalid_argument] otherwise. *)
-
 val coord : width:int -> int -> int -> int
 (** [coord ~width row col] is the {!at} index of cell [(row, col)] of a
     keyed grid [width] columns wide, such as (round, directed link) or

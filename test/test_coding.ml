@@ -1012,6 +1012,51 @@ let test_exchange_targeted_burst_fails_one_link () =
     Alcotest.(check bool) "other edges fine" true out.(e).Coding.Randomness_exchange.ok
   done
 
+(* Every link's (lo seed, hi seed, ok) from one exchange, digested.  The
+   pins were taken before the modulus search gained its sieve and the
+   higher end stopped repeating the lower end's search: any change to
+   which modulus [of_seed] picks, to the fallback seed or to the decode
+   shows here.  At rate 0.18 some links fail to decode (the fallback
+   path), and the rest decode. *)
+let exchange_digest g adv =
+  let net = Netsim.Network.create g adv in
+  let out = Coding.Randomness_exchange.run net ~rng:(Util.Rng.create 42) in
+  let seed gen =
+    let f, s = Smallbias.Generator.seed gen in
+    Printf.sprintf "%x,%x" f s
+  in
+  let fails = Array.fold_left (fun a o -> if o.Coding.Randomness_exchange.ok then a else a + 1) 0 out in
+  let line o =
+    Printf.sprintf "%s|%s|%b" (seed o.Coding.Randomness_exchange.lo_gen)
+      (seed o.Coding.Randomness_exchange.hi_gen) o.Coding.Randomness_exchange.ok
+  in
+  (fails, Array.length out, Digest.to_hex (Digest.string (String.concat ";" (Array.to_list (Array.map line out)))))
+
+let test_exchange_pinned () =
+  List.iter
+    (fun (name, g, silent, noisy) ->
+      let fails, m, d = exchange_digest g Netsim.Adversary.Silent in
+      Alcotest.(check int) (name ^ ": silent, no failure") 0 fails;
+      Alcotest.(check string) (name ^ ": silent digest") silent d;
+      let fails, _, d = exchange_digest g (Netsim.Adversary.iid (Util.Rng.create 41) ~rate:0.18) in
+      Alcotest.(check bool) (name ^ ": iid 0.18, some links fail, some decode") true
+        (fails >= 1 && fails < m);
+      Alcotest.(check string) (name ^ ": iid digest") noisy d)
+    [
+      ( "clique:5",
+        Topology.Graph.clique 5,
+        "fb54a208570842c98135718e248ae66b",
+        "4fcd520465d768230ccd9ba6dcbbdf5f" );
+      ( "cycle:6",
+        Topology.Graph.cycle 6,
+        "76bbdbcb190db5f95eb0ac08e9f7f469",
+        "537670939c9a6ac176bd5bce2a4e75bd" );
+      ( "grid:4x4",
+        Topology.Graph.grid ~rows:4 ~cols:4,
+        "08fcc1ada227c9f32bdaf11afb02026f",
+        "80389bc603185c4d21daaa5dd349c6ba" );
+    ]
+
 (* ---------- Baselines ---------- *)
 
 let test_uncoded_noiseless () =
@@ -1632,6 +1677,7 @@ let () =
           Alcotest.test_case "light noise decodes" `Quick test_exchange_light_noise_decodes;
           Alcotest.test_case "targeted burst fails one link" `Quick
             test_exchange_targeted_burst_fails_one_link;
+          Alcotest.test_case "pinned seeds" `Quick test_exchange_pinned;
         ] );
       ( "baselines",
         [

@@ -89,7 +89,7 @@ let test_gf62_random_irreducible () =
   let r = Util.Rng.create 77 in
   for _ = 1 to 3 do
     let m = Gf2k.random_irreducible r in
-    Alcotest.(check bool) "sampled modulus passes Rabin" true (Gf2k.is_irreducible m);
+    Alcotest.(check bool) "sampled modulus irreducible" true (Gf2k.is_irreducible m);
     Alcotest.(check int) "odd constant term" 1 (m land 1)
   done
 
@@ -156,6 +156,79 @@ let prop_gf62_mul_matches_bit_serial =
           let a = edge_operand rng and b = edge_operand rng in
           Gf2k.mul f a b = ref_mul f a b)
         (List.init 20 Fun.id))
+
+(* --- the irreducibility sieve against Rabin's test alone --- *)
+
+(* Carry-less product of two GF(2) polynomials whose degrees sum to at
+   most 62. *)
+let clmul a b =
+  let r = ref 0 in
+  for i = 0 to 62 do
+    if (b lsr i) land 1 = 1 then r := !r lxor (a lsl i)
+  done;
+  !r
+
+(* A random polynomial of degree exactly [d] with constant term 1. *)
+let poly_of_degree rng d =
+  if d = 0 then 1
+  else (Int64.to_int (Util.Rng.int64 rng) land ((1 lsl d) - 1)) lor (1 lsl d) lor 1
+
+let low62 full = full land mask62
+
+(* Reducible degree-62 polynomials whose factors the sieve may not see:
+   products of small irreducibles (topped up by a random factor), x + 1
+   times a degree-61 polynomial, and squares of degree-31 ones. *)
+let constructed_reducible rng =
+  match Util.Rng.int rng 3 with
+  | 0 ->
+      let small () = Gf2k.small_divisors.(Util.Rng.int rng (Array.length Gf2k.small_divisors)) in
+      let rec go p =
+        let g = small () and d = Rabin_ref.degree p in
+        if d + Rabin_ref.degree g <= 62 && Util.Rng.int rng 4 > 0 then go (clmul p g)
+        else clmul p (poly_of_degree rng (62 - d))
+      in
+      low62 (go (small ()))
+  | 1 -> low62 (clmul 0b11 (poly_of_degree rng 61))
+  | _ ->
+      let h = poly_of_degree rng 31 in
+      low62 (clmul h h)
+
+let prop_irreducible_matches_rabin =
+  QCheck.Test.make ~name:"is_irreducible = sieve-free Rabin (random odd candidates)" ~count:3000
+    QCheck.int64
+    (fun x ->
+      let cand = (Int64.to_int x land mask62) lor 1 in
+      Gf2k.is_irreducible cand = Rabin_ref.is_irreducible cand)
+
+let prop_constructed_reducibles_rejected =
+  QCheck.Test.make ~name:"constructed reducibles rejected by both tests" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let cand = constructed_reducible (Util.Rng.create seed) in
+      (not (Gf2k.is_irreducible cand)) && not (Rabin_ref.is_irreducible cand))
+
+(* The divisors are every irreducible of degree 2..7, and the packed
+   tables give every divisor's residue of every nibble at every position
+   (so, by linearity, of every polynomial of degree <= 62): one flipped
+   table bit fails here. *)
+let test_sieve_tables () =
+  let irreducible g =
+    List.for_all (fun d -> Rabin_ref.poly_mod g d <> 0) (List.init (g - 2) (fun i -> i + 2))
+  in
+  Alcotest.(check (list int)) "divisors" (List.filter irreducible (List.init 252 (fun i -> i + 4)))
+    (Array.to_list Gf2k.small_divisors);
+  Alcotest.(check int) "39 divisors" 39 (Array.length Gf2k.small_divisors);
+  let bad = ref 0 in
+  Array.iteri
+    (fun i g ->
+      for pos = 0 to 15 do
+        for v = 0 to if pos = 15 then 7 else 15 do
+          let p = v lsl (4 * pos) in
+          if Gf2k.small_residue p i <> Rabin_ref.poly_mod p g then incr bad
+        done
+      done)
+    Gf2k.small_divisors;
+  Alcotest.(check int) "table entries off" 0 !bad
 
 (* --- GF(256) --- *)
 
@@ -236,6 +309,9 @@ let () =
           Alcotest.test_case "parity_int" `Quick test_parity_int;
           QCheck_alcotest.to_alcotest prop_gf62_mul_linear_in_xor;
           QCheck_alcotest.to_alcotest prop_gf62_mul_matches_bit_serial;
+          Alcotest.test_case "sieve tables" `Quick test_sieve_tables;
+          QCheck_alcotest.to_alcotest prop_irreducible_matches_rabin;
+          QCheck_alcotest.to_alcotest prop_constructed_reducibles_rejected;
         ] );
       ( "gf256",
         [

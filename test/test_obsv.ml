@@ -330,6 +330,51 @@ let test_observatory_diff () =
   Alcotest.(check int) "identical clean" 0
     (List.length (Obs.regressions (Obs.diff ~prev prev)))
 
+(* The timed check before it had a direction: either way beyond the
+   tolerance, or across zero. *)
+let symmetric_regressed ~tolerance a b =
+  a <> b
+  && ((a < 0.) <> (b < 0.)
+     || Float.max (Float.abs a) (Float.abs b) /. Float.max (Float.min (Float.abs a) (Float.abs b)) 1e-12
+        > 1. +. tolerance)
+
+let timed_keys = [ ("w.wall_s", false); ("w.rounds_per_sec", true); ("w.block_speedup", true); ("w.minor_words", false) ]
+
+(* A timed key fails only when it moves its worse way: every slowdown
+   the symmetric check failed still fails, and no speed-up fails. *)
+let prop_observatory_timed_direction =
+  QCheck.Test.make ~name:"timed check: slowdowns fail as before, speed-ups pass" ~count:2000
+    QCheck.(triple (int_bound 3) (float_range (-5.) 50.) (float_range (-5.) 50.))
+    (fun (k, before, after) ->
+      let metric, higher = List.nth timed_keys k in
+      let prev = entry 1 [] [ (metric, before) ] and cur = entry 2 [] [ (metric, after) ] in
+      let regressed = Obs.regressions (Obs.diff ~tolerance:1.5 ~prev cur) <> [] in
+      let slower = if higher then after < before else after > before in
+      if slower then regressed = symmetric_regressed ~tolerance:1.5 before after else not regressed)
+
+let test_observatory_timed_direction () =
+  let check name expect before after metric =
+    let prev = entry 1 [ ("e.n", 3.) ] [ (metric, before) ] in
+    let cur = entry 2 [ ("e.n", 3.) ] [ (metric, after) ] in
+    Alcotest.(check (list string)) name expect
+      (List.map (fun d -> d.Obs.metric) (Obs.regressions (Obs.diff ~prev cur)))
+  in
+  (* A 3.5-6x faster search wall, as from a faster seed setup. *)
+  check "wall 6x faster passes" [] 0.136 0.023 "adv.search_walls[a:k5].search_wall_s";
+  check "wall 6x slower fails" [ "adv.search_walls[a:k5].search_wall_s" ] 0.023 0.136
+    "adv.search_walls[a:k5].search_wall_s";
+  check "rate 3x higher passes" [] 4.3e6 12.4e6 "t.raw_rounds_per_sec";
+  check "rate 3x lower fails" [ "t.raw_rounds_per_sec" ] 12.4e6 4.3e6 "t.raw_rounds_per_sec";
+  check "speedup 4x higher passes" [] 1.2 4.8 "t.mp_block.block_speedup";
+  check "speedup 4x lower fails" [ "t.mp_block.block_speedup" ] 4.8 1.2 "t.mp_block.block_speedup";
+  check "overhead across zero the better way passes" [] 5. (-1.) "t.overhead_pct";
+  check "overhead across zero the worse way fails" [ "t.overhead_pct" ] (-1.) 5. "t.overhead_pct";
+  (* A lost timed key and a changed exact value still fail. *)
+  let prev = entry 1 [ ("e.n", 3.) ] [ ("w.wall_s", 1.); ("w.gone_s", 1.) ] in
+  let cur = entry 2 [ ("e.n", 4.) ] [ ("w.wall_s", 0.1) ] in
+  Alcotest.(check (list string)) "lost key and exact change fail" [ "e.n"; "w.gone_s" ]
+    (List.map (fun d -> d.Obs.metric) (Obs.regressions (Obs.diff ~prev cur)))
+
 let test_observatory_roundtrip () =
   let e = entry 3 [ ("e.a", 1.5); ("e.b", 0.) ] [ ("w.t", 2.25) ] in
   let line = Obs.entry_to_jsonl e in
@@ -413,6 +458,8 @@ let () =
         [
           Alcotest.test_case "classify + flatten" `Quick test_observatory_classify_flatten;
           Alcotest.test_case "diff" `Quick test_observatory_diff;
+          Alcotest.test_case "timed direction" `Quick test_observatory_timed_direction;
+          QCheck_alcotest.to_alcotest prop_observatory_timed_direction;
           Alcotest.test_case "history round-trip" `Quick test_observatory_roundtrip;
           Alcotest.test_case "history cap/rotate" `Quick test_observatory_history_cap;
           Alcotest.test_case "render" `Quick test_observatory_render;

@@ -49,6 +49,37 @@ let test_of_seed_deterministic () =
     Alcotest.(check int64) "same stream" (Generator.next_word g1) (Generator.next_word g2)
   done
 
+(* [seed (of_seed s)] for fixed seeds, pinned before the modulus search
+   gained its sieve: [of_seed] must keep picking the first irreducible
+   candidate. *)
+let test_of_seed_pinned () =
+  List.iter
+    (fun ((a, b), (f, s)) ->
+      Alcotest.(check (pair int int)) (Printf.sprintf "of_seed (%Ld, %Ld)" a b) (f, s)
+        (Generator.seed (Generator.of_seed (a, b))))
+    [
+      ((0L, 0L), (0x1254741f599dc6f7, 0x2220a8397b1dcdaf));
+      ((1L, 2L), (0x1180b23a1075b77f, 0x175835de1c9756ce));
+      ((123L, 456L), (0x892b7d35732738d, 0x3bf184b8e34cb36c));
+      ((-1L, -1L), (0x31e50fe7bbd6e1d, 0x24d971771b652c20));
+      ((0x0BADL, 0x5EEDL), (0x28ba4f5ef6122581, 0x9f1fd9d03f0a9b4));
+      ((Int64.min_int, Int64.max_int), (0x2dc892bb91e7b359, 0x2a67d7552e039ea7));
+      ((0x123456789ABCDEFL, 0xFEDCBA987654321L), (0x12e180e0ac6b7a35, 0x14fb831e056ac0d4));
+      ((42L, 0L), (0x181ce1ff0e4ae395, 0x2220a8397b1dcdaf));
+    ]
+
+(* [fresh g] restarts g's stream on a separate generator: same seed,
+   cursor at 0, and advancing one leaves the other where it was. *)
+let test_fresh_independent () =
+  let g = Generator.of_seed (7L, 8L) in
+  let w0 = Generator.next_word g and w1 = Generator.next_word g in
+  let h = Generator.fresh g in
+  Alcotest.(check bool) "same seed" true (Generator.seed h = Generator.seed g);
+  Alcotest.(check int) "cursor at 0" 0 (Generator.word_index h);
+  Alcotest.(check int64) "word 0" w0 (Generator.next_word h);
+  Alcotest.(check int) "g's cursor untouched" 2 (Generator.word_index g);
+  Alcotest.(check int64) "word 1" w1 (Generator.next_word h)
+
 let test_of_seed_valid_modulus () =
   (* Expansion must always land on an irreducible modulus, even for
      degenerate seed bits. *)
@@ -259,6 +290,8 @@ let () =
           Alcotest.test_case "seek far and back" `Quick test_seek_far_and_back;
           Alcotest.test_case "of_seed deterministic" `Quick test_of_seed_deterministic;
           Alcotest.test_case "of_seed valid modulus" `Slow test_of_seed_valid_modulus;
+          Alcotest.test_case "of_seed pinned" `Quick test_of_seed_pinned;
+          Alcotest.test_case "fresh is independent" `Quick test_fresh_independent;
           Alcotest.test_case "zero state rejected" `Quick test_zero_state_rejected;
           Alcotest.test_case "streams differ" `Quick test_streams_differ_across_seeds;
           Alcotest.test_case "empirical balance" `Quick test_empirical_balance;

@@ -28,26 +28,6 @@ let test_rng_stateless_at () =
   Alcotest.(check bool) "at varies with index" true (Rng.at ~seed:99L 5 <> Rng.at ~seed:99L 6);
   Alcotest.(check bool) "at varies with seed" true (Rng.at ~seed:99L 5 <> Rng.at ~seed:98L 5)
 
-(* [at_bits] is a bit range of [at], for every seed, index (negative
-   ones included: out-of-width grid cells use them) and range. *)
-let prop_at_bits_matches_at =
-  QCheck.Test.make ~name:"at_bits = bits of at" ~count:2000
-    QCheck.(quad int64 int (int_bound 63) (int_range 1 62))
-    (fun (seed, i, lo, width) ->
-      let lo = min lo (64 - width) in
-      let mask = Int64.pred (Int64.shift_left 1L width) in
-      Rng.at_bits ~seed i ~lo ~width
-      = Int64.to_int (Int64.logand (Int64.shift_right_logical (Rng.at ~seed i) lo) mask))
-
-let test_rng_at_bits_domain () =
-  List.iter
-    (fun (lo, width) ->
-      Alcotest.check_raises
-        (Printf.sprintf "lo %d width %d" lo width)
-        (Invalid_argument "Rng.at_bits: bit range")
-        (fun () -> ignore (Rng.at_bits ~seed:1L 0 ~lo ~width)))
-    [ (-1, 4); (0, 0); (0, 63); (3, 62) ]
-
 (* Below the width a grid cell keeps its historical index; past it, every
    cell gets an index of its own that no in-width cell uses. *)
 let test_rng_coord () =
@@ -370,9 +350,7 @@ let test_bitvec_allocation_free () =
   let a = Bitvec.of_bools (List.init 300 (fun i -> i mod 3 = 0)) in
   let b = Bitvec.of_bools (List.init 300 (fun i -> i mod 3 = 0 && i <> 200)) in
   check "common_prefix" (fun i ->
-      ignore (Sys.opaque_identity (Bitvec.common_prefix a b ~bits:(100 + (i land 127)))));
-  check "Rng.at_bits" (fun i ->
-      ignore (Sys.opaque_identity (Rng.at_bits ~seed:3L i ~lo:11 ~width:53)))
+      ignore (Sys.opaque_identity (Bitvec.common_prefix a b ~bits:(100 + (i land 127)))))
 
 (* --- Stats --- *)
 
@@ -506,8 +484,6 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "stateless at" `Quick test_rng_stateless_at;
-          QCheck_alcotest.to_alcotest prop_at_bits_matches_at;
-          Alcotest.test_case "at_bits domain" `Quick test_rng_at_bits_domain;
           Alcotest.test_case "grid coordinates" `Quick test_rng_coord;
           Alcotest.test_case "int in range" `Quick test_rng_int_range;
           Alcotest.test_case "float in range" `Quick test_rng_float_range;
