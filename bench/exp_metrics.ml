@@ -10,10 +10,12 @@
    - merge determinism: a scheme sweep where every trial projects its
      outcome to a snapshot; the snapshots merged in trial order must
      serialize to byte-identical exact JSON at jobs=1 and jobs=4;
-   - shard invariance: one live-backend scheme run per shard count in
-     {1, 2, 4} at d=0; the projected snapshots must be byte-identical
-     — the shard count only keys the engine's jitter, and the outcome
-     may not notice. *)
+   - shard determinism: one live-backend scheme run per shard count in
+     {1, 2, 4} under keyed jitter (d = 1), each projected snapshot
+     against its pinned digest.  The shard count keys the jitter units,
+     so it is read only at d > 0: at d = 0 the three runs would be one
+     execution.  Under jitter every meeting-points step hashes, so the
+     pins also guard the full meeting-points path. *)
 
 let scheme_params g = Coding.Params.algorithm_1 g
 
@@ -46,12 +48,24 @@ let merged_exact ~jobs ~trials ~rounds g =
   in
   Metrics.Expo.exact_json (Metrics.Registry.merge (List.rev snaps_rev))
 
-(* ---------- shard invariance (live backend, d = 0) ---------- *)
+(* ---------- shard determinism (live backend, d = 1) ---------- *)
 
-let shard_exact ~shards ~rounds g =
-  let backend = Coding.Scheme.Live (Live.Config.make ~shards ()) in
+(* The digest of one keyed-jitter run's exact snapshot.  A fixed
+   workload, so the full run and the smoke check the same pins. *)
+let shard_digest ~shards g =
+  let backend =
+    Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d:1 ~jitter_rate:0.02 ())
+  in
   Metrics.Expo.exact_json
-    (run_snapshot ~backend ~rng:(Util.Rng.create 7) ~adv_rng:(Util.Rng.create 8) ~rounds g)
+    (run_snapshot ~backend ~rng:(Util.Rng.create 7) ~adv_rng:(Util.Rng.create 8) ~rounds:60 g)
+  |> Digest.string |> Digest.to_hex
+
+let shard_pins =
+  [
+    (1, "42ca2d2d17cfbf9f87ea0cce9bd682b0");
+    (2, "f43793d7abd925c00cfbe343a0f0daec");
+    (4, "f262c561497c7f949e5febeb4145a3ca");
+  ]
 
 (* ---------- harness ---------- *)
 
@@ -73,15 +87,13 @@ let run_with ~trials ~chatter_rounds ~json () =
   Exp_common.subheading "merged snapshot determinism";
   Format.printf "  jobs=1 vs jobs=4 (%d trials): exact JSON %s@." trials
     (if merge_ok then "byte-identical" else "DIFFERS");
-  let shard_snaps =
-    List.map (fun s -> (s, shard_exact ~shards:s ~rounds:chatter_rounds g)) [ 1; 2; 4 ]
+  let shard_ok =
+    List.for_all (fun (shards, pin) -> String.equal (shard_digest ~shards g) pin) shard_pins
   in
-  let base = snd (List.hd shard_snaps) in
-  let shard_ok = List.for_all (fun (_, s) -> String.equal s base) shard_snaps in
-  Format.printf "  live backend shards 1/2/4 at d=0: exact JSON %s@."
-    (if shard_ok then "byte-identical" else "DIFFERS");
+  Format.printf "  live backend shards 1/2/4 at d=1: exact JSON %s@."
+    (if shard_ok then "matches the pinned digests" else "DIFFERS from a pinned digest");
   if not merge_ok then failwith "metrics: merged exact snapshot differs between jobs=1 and jobs=4";
-  if not shard_ok then failwith "metrics: exact snapshot differs across shard counts at d=0";
+  if not shard_ok then failwith "metrics: exact snapshot differs from its pin at d=1";
   Exp_common.write_json json (json_of ~merge_ok ~shard_ok)
 
 let run () = run_with ~trials:8 ~chatter_rounds:100 ~json:(Some "BENCH_metrics.json") ()

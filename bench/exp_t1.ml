@@ -60,6 +60,7 @@ let run () =
           chunks_rewound = 0;
           mp_truncations = 0;
           rewinds = 0;
+          mp_decided = 0;
           trace = [];
         })
   in

@@ -18,6 +18,7 @@ let create () = { k = 0; e = 0; mpc1 = 0; mpc2 = 0; mp1 = 0; mp2 = 0; status = S
 
 let status t = t.status
 let k t = t.k
+let equal (a : t) b = a = b
 
 let message_bits ~tau = 5 * tau
 
@@ -134,3 +135,13 @@ let process t hasher ?probe ~len msg =
     end
   end;
   !decision
+
+(* What prepare + process leave on an in-sync link whose block arrived
+   untouched: prepare takes k to 1, so κ = 1 and mp1 = len; both ends
+   sent equal messages, so k agrees and the mp1 vote passes at full
+   length, and process resets to Simulate with [`Keep]. *)
+let settle t ~len =
+  assert (t.status = Simulate && t.k = 0);
+  reset_process t;
+  t.mp1 <- len;
+  t.mp2 <- max 0 (len - 1)

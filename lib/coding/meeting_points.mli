@@ -29,6 +29,9 @@ val status : t -> status
 val k : t -> int
 (** The meeting-points iteration counter (0 when in sync). *)
 
+val equal : t -> t -> bool
+(** Same counters, candidates and status. *)
+
 type message = { hk : int; hp1 : int; hp2 : int; ht1 : int; ht2 : int }
 
 val message_bits : tau:int -> int
@@ -73,3 +76,15 @@ val process : t -> hasher -> ?probe:probe -> len:int -> message -> [ `Keep | `Tr
     the truncation the caller must apply to its transcript.  Also flips
     [status] to [Simulate] when the full transcripts verifiably agree.
     [probe] (observability only) reports hash collisions. *)
+
+val settle : t -> len:int -> unit
+(** The step of a link decided without hashing: it leaves exactly the
+    state {!prepare} then {!process} (verdict [`Keep]) leave when both
+    ends are in [Simulate], hold identical transcripts of [len] chunks,
+    and received each other's message untouched — k = E = mpc1 = mpc2
+    = 0, mp1 = [len], mp2 = max 0 ([len] − 1), [Simulate].  There
+    prepare takes k to 1, so κ = 1 and mp1 = [len]; the two messages
+    are equal, so k agrees and the mp1 vote at full length passes.
+    Only a simulator holding both transcripts can know a link is in
+    this case; a deployed party hashes.  Asserts that [t] is in
+    [Simulate] with k = 0, as every link is between phases. *)

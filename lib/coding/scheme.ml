@@ -35,6 +35,7 @@ type result = {
   chunks_rewound : int;
   mp_truncations : int;
   rewinds : int;
+  mp_decided : int;
   trace : iter_stat list;
 }
 
@@ -105,7 +106,8 @@ let g_bstar = Trace.Sink.declare "progress.b_star"
 
 (* Per-run probe state: the sink every probe site emits into, and the
    run's own tallies, returned in its result.  [truncs] and [rewinds]
-   count MP truncations and rewound chunks so far; [mp_enter] and
+   count MP truncations and rewound chunks so far, [mp_decided] the
+   link ends whose MP step was decided without hashing; [mp_enter] and
    [mp_exit] count the links that entered and left meeting points in
    this iteration's MP phase, the only place a status changes; [phi] is
    the last Φ evaluated for the sink's gauge and [phi.stall] events,
@@ -114,13 +116,14 @@ type probes = {
   sink : Trace.Sink.t;
   mutable truncs : int;
   mutable rewinds : int;
+  mutable mp_decided : int;
   mutable mp_enter : int;
   mutable mp_exit : int;
   mutable phi : float;
 }
 
 let make_probes sink =
-  { sink; truncs = 0; rewinds = 0; mp_enter = 0; mp_exit = 0; phi = Float.nan }
+  { sink; truncs = 0; rewinds = 0; mp_decided = 0; mp_enter = 0; mp_exit = 0; phi = Float.nan }
 
 type link_state = {
   peer : int;
@@ -138,6 +141,7 @@ type link_state = {
   memo : Mp_memo.t; (* the link's hash memo, shared with the peer end when it can be *)
   mutable probe : Meeting_points.probe option; (* collision probe; traced runs only *)
   hasher : Meeting_points.hasher; (* this end's oracle over [memo], built once *)
+  mutable decided : bool; (* this iteration's MP step is decided without hashing *)
 }
 
 type party_state = {
@@ -177,13 +181,23 @@ let planned_rounds params pi =
 (* Per-run fault state threaded through the phase executors.  [alive]
    is the crash mask (dead parties neither send nor update state);
    [rot_mask.(id)] is the party's fixed seed-rot mask (0 when the plan
-   never rots that party's seeds). *)
+   never rots that party's seeds), [rot.(id)] the mask it hashes under
+   in this iteration's MP phase (0 unless its seeds rot there). *)
 type fault_ctx = {
   plan : Faults.Plan.t;
   diag : Faults.Outcome.diagnosis;
   alive : bool array;
   rot_mask : int array;
+  rot : int array;
 }
+
+(* The two ends of a link are in sync: both idle in meeting-points terms
+   and their transcripts identical. *)
+let in_sync a b =
+  Meeting_points.status a.mp = Meeting_points.Simulate
+  && Meeting_points.status b.mp = Meeting_points.Simulate
+  && Transcript.length a.tr = Transcript.length b.tr
+  && Transcript.same_prefix a.tr b.tr (Transcript.length a.tr)
 
 (* ---------- phase executors ----------
 
@@ -222,52 +236,93 @@ let collision_probe graph parties sink l p =
         (fun ~pos -> Trace.Sink.count sink ~id:c_collision ~iter:(Mp_memo.iter l.memo) ~arg:pos 1);
     }
 
-let meeting_points_phase ex net parties fc pr ~iter ~tau =
+(* A decided end's message: any constant that fills every bit, since
+   nobody reads it (its peer is decided too) and no noise lands on it. *)
+let settled_msg = Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 }
+
+(* The decided path: flag the links whose MP step is already fixed, so
+   that neither end hashes.  A link qualifies when both ends are alive
+   with intact seeds this iteration, share one memo (one seed stream),
+   are in sync, and the block's noise touches neither of its dirs
+   ([touched], from [Network.touched]); then prepare + process would
+   exchange equal messages and keep ([Meeting_points.settle]).  The
+   lower end sets both ends' flags, so every flag is reset in a pass of
+   its own first: resetting an end as the setting pass reaches it would
+   clear the flag its lower peer had just set. *)
+let decide_links net tp parties fc ~touched ~rounds =
+  Array.iter (fun p -> Array.iter (fun l -> l.decided <- false) p.links) parties;
+  match touched with
+  | None -> ()
+  | Some touched ->
+      Network.touched net ~rounds touched;
+      for id = 0 to Array.length parties - 1 do
+        let p = parties.(id) in
+        if fc.alive.(id) && fc.rot.(id) = 0 then
+          for i = 0 to Array.length p.links - 1 do
+            let l = p.links.(i) in
+            let q = tp.recv_link.(l.dir_out) in
+            if
+              id < l.peer && fc.alive.(l.peer) && fc.rot.(l.peer) = 0 && l.memo == q.memo
+              && (not touched.(l.dir_out))
+              && (not touched.(l.dir_in))
+              && in_sync l q
+            then begin
+              l.decided <- true;
+              q.decided <- true
+            end
+          done
+      done
+
+let meeting_points_phase ex net tp parties fc pr ~touched ~iter ~tau =
   pr.mp_enter <- 0;
   pr.mp_exit <- 0;
   (* Seed-rot accounting runs before the block (the rot decision is a
      pure keyed function), so the block's callbacks touch no run-wide
-     books but the MP transition tallies. *)
+     books but the MP tallies. *)
   Array.iter
     (fun p ->
-      if fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then
+      let rots = fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter in
+      fc.rot.(p.id) <- (if rots then fc.rot_mask.(p.id) else 0);
+      if rots then
         Array.iter
           (fun _l ->
             fc.diag.Faults.Outcome.seed_rot <- fc.diag.Faults.Outcome.seed_rot + 1;
             Trace.Sink.count pr.sink ~id:c_fault_seed_rot ~iter ~arg:p.id 1)
           p.links)
     parties;
+  let rounds = Meeting_points.message_bits ~tau in
+  decide_links net tp parties fc ~touched ~rounds;
   (* [prepare] fixes every bit of a link's message before anything is
      received, so the 5τ rounds go out as one block: every party prepares
      its links' messages and packs them (word i of a link's block is
      field i of its message); once the block is delivered, every party
      decides its links' verdicts from the received words, parked in
      [mp_cut] — nobody truncates there.  Crashed parties neither write
-     (their links go dark) nor read.
+     (their links go dark) nor read.  A decided end sends
+     [settled_msg] (the same 5τ bits on the wire, so the same cc) and
+     settles without hashing.
 
      Decide, then apply: when traced, the collision probe's ground
      truth reads the peer's transcript, so every link decides before any
      link truncates. *)
   Live.Exec.block ex
     ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
-    ~width:tau ~rounds:(Meeting_points.message_bits ~tau)
+    ~width:tau ~rounds
     ~write:(fun out ->
       Array.iter
         (fun p ->
-          if fc.alive.(p.id) then begin
-            let rot =
-              if Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter then fc.rot_mask.(p.id)
-              else 0
-            in
+          if fc.alive.(p.id) then
             for i = 0 to Array.length p.links - 1 do
               let l = p.links.(i) in
               l.mp_len <- Transcript.length l.tr;
-              Mp_memo.start l.memo ~lower:(p.id < l.peer) ~iter ~rot;
-              Meeting_points.pack
-                (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
-                out ~dir:l.dir_out
-            done
-          end)
+              if l.decided then Meeting_points.pack settled_msg out ~dir:l.dir_out
+              else begin
+                Mp_memo.start l.memo ~lower:(p.id < l.peer) ~iter ~rot:fc.rot.(p.id);
+                Meeting_points.pack
+                  (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
+                  out ~dir:l.dir_out
+              end
+            done)
         parties)
     ~read:(fun inw ->
       Array.iter
@@ -275,18 +330,24 @@ let meeting_points_phase ex net parties fc pr ~iter ~tau =
           if fc.alive.(p.id) then
             for i = 0 to Array.length p.links - 1 do
               let l = p.links.(i) in
-              let was_in = Meeting_points.status l.mp = Meeting_points.Meeting_points in
-              l.mp_cut <-
-                (match
-                   Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
-                     (Meeting_points.unpack inw ~dir:l.dir_in)
-                 with
-                | `Keep -> -1
-                | `Truncate_to x -> x);
-              match (was_in, Meeting_points.status l.mp) with
-              | false, Meeting_points.Meeting_points -> pr.mp_enter <- pr.mp_enter + 1
-              | true, Meeting_points.Simulate -> pr.mp_exit <- pr.mp_exit + 1
-              | _ -> ()
+              if l.decided then begin
+                Meeting_points.settle l.mp ~len:l.mp_len;
+                pr.mp_decided <- pr.mp_decided + 1
+              end
+              else begin
+                let was_in = Meeting_points.status l.mp = Meeting_points.Meeting_points in
+                l.mp_cut <-
+                  (match
+                     Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
+                       (Meeting_points.unpack inw ~dir:l.dir_in)
+                   with
+                  | `Keep -> -1
+                  | `Truncate_to x -> x);
+                match (was_in, Meeting_points.status l.mp) with
+                | false, Meeting_points.Meeting_points -> pr.mp_enter <- pr.mp_enter + 1
+                | true, Meeting_points.Simulate -> pr.mp_exit <- pr.mp_exit + 1
+                | _ -> ()
+              end
             done)
         parties)
     ();
@@ -694,6 +755,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                   memo;
                   probe = None;
                   hasher = Mp_memo.hasher memo ~lower:(id < peer);
+                  decided = false;
                 })
               neighbors
           in
@@ -736,8 +798,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                 ~bound:(max 1 ((1 lsl min params.Params.tau 30) - 1))
           else 0)
     in
-    let fc = { plan; diag; alive; rot_mask } in
+    let fc = { plan; diag; alive; rot_mask; rot = Array.make n 0 } in
     let have_faults = not (Faults.Plan.is_empty plan) in
+    (* The decided MP path's touched-dir buffer, reused every iteration.
+       Off under keyed jitter (d > 0): a lag moves bits between rounds,
+       so no dir is known untouched before the block. *)
+    let touched = if live_cfg.Live.Config.ragged_d = 0 then Some (Array.make (2 * m) false) else None in
     (* ---- adversary spy ---- *)
     let cur_iter = ref 0 in
     let flag_probe =
@@ -759,13 +825,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           let l_lo = link_to graph parties.(lo) hi in
           let l_hi = link_to graph parties.(hi) lo in
           assert (l_lo.peer = hi && l_hi.peer = lo);
-          let in_sync =
-            Meeting_points.status l_lo.mp = Meeting_points.Simulate
-            && Meeting_points.status l_hi.mp = Meeting_points.Simulate
-            && Transcript.length l_lo.tr = Transcript.length l_hi.tr
-            && Transcript.equal_prefix l_lo.tr l_hi.tr = Transcript.length l_lo.tr
-          in
-          { tr_lo = l_lo.tr; tr_hi = l_hi.tr; seeds = l_lo.seeds; in_sync }
+          { tr_lo = l_lo.tr; tr_hi = l_hi.tr; seeds = l_lo.seeds; in_sync = in_sync l_lo l_hi }
         in
         hook { spy_chunking = ch; current_iteration = (fun () -> !cur_iter); edge_view });
     (* ---- main loop ---- *)
@@ -832,7 +892,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       end;
       Array.iter (fun p -> Array.iter (fun l -> l.already_rewound <- false) p.links) parties;
       enter sp_mp ~iter:it;
-      meeting_points_phase ex net parties fc pr ~iter:it ~tau:params.Params.tau;
+      meeting_points_phase ex net tp parties fc pr ~touched ~iter:it ~tau:params.Params.tau;
       Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
       compute_statuses parties ~alive ~statuses;
       enter sp_flag ~iter:it;
@@ -937,6 +997,7 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
           0 parties;
       mp_truncations = pr.truncs;
       rewinds = pr.rewinds;
+      mp_decided = pr.mp_decided;
       trace = List.rev !traces;
     }
   in

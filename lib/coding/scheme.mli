@@ -51,6 +51,16 @@ type result = {
       (** chunks rewound by the rewind phase (self-initiated or honored
           requests) — a part of [chunks_rewound], which also counts
           meeting-points truncations and rejoin cuts *)
+  mp_decided : int;
+      (** meeting-points steps, over link endpoints, that the simulator
+          decided without hashing: both ends alive with intact seeds
+          and one shared hash memo, in sync ({!edge_view}'s [in_sync]),
+          the live engine at d = 0, and the step's block untouched by
+          noise ({!Netsim.Network.touched}).  Each step leaves exactly
+          the state hashing would ({!Meeting_points.settle}); a
+          deployed party would have hashed there, so this is the count
+          of steps whose hashing cost the simulator saved.  Not
+          projected into {!Report.metrics}. *)
   trace : iter_stat list;  (** per-iteration statistics, oldest first (empty unless requested) *)
 }
 

@@ -277,6 +277,12 @@ type t = {
      probe sites below cost one branch per corrupted slot and nothing on
      clean slots. *)
   mutable trace : Trace.Sink.t;
+  (* The oblivious rows [touched] drew, for rounds [rows_from] to
+     [rows_from + rows_n - 1]: [transform] reads them rather than draw
+     them again (a pattern is pure, so a drawn row is the row). *)
+  mutable rows : (int * int) list array;
+  mutable rows_from : int;
+  mutable rows_n : int;
 }
 
 let create graph adversary =
@@ -298,6 +304,9 @@ let create graph adversary =
     adv_stamp = Array.make (max 1 two_m) 0;
     adv_epoch = 0;
     trace = Trace.Sink.disabled;
+    rows = [||];
+    rows_from = 0;
+    rows_n = 0;
   }
 
 let two_m t = 2 * Topology.Graph.m t.graph
@@ -391,20 +400,24 @@ let rec apply_row t sl buf ~two_m ~fixing ~prev = function
 (* The one transform of a network round (§2.1), once its sends are
    booked: the adversary is queried and its corruptions applied in
    ascending dir order, then the fault hooks run.  An oblivious pattern
-   hands over the round's row of e as its nonzero entries, so applying
-   it costs only the hits; producing the row is the pattern's own cost
-   (one inlined draw per slot for iid, only its own slots for burst and
-   single).  Installed fault hooks are queried on all 2m directions.
-   Adaptive adversaries are naturally sparse: the strategy returns the
-   corruption list outright. *)
+   hands over the round's row of e as its nonzero entries (or [touched]
+   drew it already), so applying it costs only the hits; producing the
+   row is the pattern's own cost (one inlined draw per slot for iid,
+   only its own slots for burst and single).  Installed fault hooks are
+   queried on all 2m directions.  Adaptive adversaries are naturally
+   sparse: the strategy returns the corruption list outright. *)
+let row t pattern ~two_m =
+  let i = t.round_no - t.rows_from in
+  if i >= 0 && i < t.rows_n then t.rows.(i) else pattern ~round:t.round_no ~two_m
+
 let transform t sl buf =
   let two_m = two_m t in
   (match t.adversary with
   | Adversary.Silent -> ()
   | Adversary.Oblivious pattern ->
-      apply_row t sl buf ~two_m ~fixing:false ~prev:(-1) (pattern ~round:t.round_no ~two_m)
+      apply_row t sl buf ~two_m ~fixing:false ~prev:(-1) (row t pattern ~two_m)
   | Adversary.Oblivious_fixing pattern ->
-      apply_row t sl buf ~two_m ~fixing:true ~prev:(-1) (pattern ~round:t.round_no ~two_m)
+      apply_row t sl buf ~two_m ~fixing:true ~prev:(-1) (row t pattern ~two_m)
   | Adversary.Adaptive { budget; strategy } ->
       let budget_left = adaptive_budget t budget in
       let ctx =
@@ -494,6 +507,39 @@ let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
         t.cc <- t.cc + Block.count_at out v.b_field v.b_bit;
         transform t block_slots v
       done
+
+(* The dirs the next [rounds] rounds may alter, read from the same
+   sources [transform] reads: the oblivious rows, kept for [transform],
+   and the keyed fault hooks.  An adaptive strategy reads the sent
+   bits, so it may touch every dir.  A source that raises, or a row
+   entry out of range, marks every dir: the commit then raises at the
+   round it always did (only the rows drawn whole are kept). *)
+let touched t ~rounds buf =
+  let two_m = two_m t in
+  if Array.length buf <> two_m then invalid_arg "Network.touched: buffer length mismatch";
+  Array.fill buf 0 two_m false;
+  if Array.length t.rows < rounds then t.rows <- Array.make rounds [];
+  t.rows_from <- t.round_no;
+  t.rows_n <- 0;
+  let mark (d, _) = if d < 0 || d >= two_m then raise Exit else buf.(d) <- true in
+  try
+    for r = t.round_no to t.round_no + rounds - 1 do
+      (match t.adversary with
+      | Adversary.Silent -> ()
+      | Adversary.Oblivious pattern | Adversary.Oblivious_fixing pattern ->
+          let row = pattern ~round:r ~two_m in
+          t.rows.(t.rows_n) <- row;
+          t.rows_n <- t.rows_n + 1;
+          List.iter mark row
+      | Adversary.Adaptive _ -> raise Exit);
+      match t.faults with
+      | None -> ()
+      | Some h ->
+          for d = 0 to two_m - 1 do
+            if h.extra_addend ~round:r ~dir:d <> 0 || h.stall ~round:r ~dir:d then buf.(d) <- true
+          done
+    done
+  with _ -> Array.fill buf 0 two_m true
 
 (* Jitter noise booked by the live backend (lib/live): a symbol delayed
    past the round it was written for is a deletion (stalled); the

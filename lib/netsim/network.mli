@@ -209,6 +209,27 @@ val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
     2m, the two differ in shape, or [rounds] exceeds
     [width * fields]. *)
 
+val touched : t -> rounds:int -> bool array -> unit
+(** [touched t ~rounds buf] sets [buf.(dir)] to whether the next
+    [rounds] rounds (the ones the next {!commit}s or {!commit_block}
+    will run) may alter a symbol on [dir], and to [false] elsewhere.  It
+    reads the sources the commit reads, without committing anything:
+    - {!Adversary.Silent}: no dir;
+    - an oblivious pattern, additive or fixing: the dirs of its rows
+      for those rounds (a fixing entry counts even where it would force
+      the honest symbol: that depends on the bit sent);
+    - installed fault hooks: every dir with a nonzero [extra_addend] or
+      a [stall] in one of those rounds;
+    - {!Adversary.Adaptive}: every dir, since a strategy reads the sent
+      bits.
+    A pattern or hook that raises, or a row entry out of range, marks
+    every dir; the commit then raises where it always did.  Patterns
+    and hooks are pure, so drawing them here changes no later commit;
+    the rows drawn are kept, and the commits of those rounds read them
+    instead of drawing them again.  Cost: the patterns' rows for
+    [rounds] rounds, plus [2m] hook queries per round when hooks are
+    installed.  Raises [Invalid_argument] unless [buf] has length 2m. *)
+
 val note_stalled : t -> dir:int -> unit
 (** Book one deletion event on a directed link outside {!commit} — used
     by the live backend (lib/live) when keyed jitter delays a symbol

@@ -90,15 +90,27 @@ type delta = {
 let higher_is_better name =
   lowercase_contains ~needle:"per_sec" name || lowercase_contains ~needle:"speedup" name
 
-(* [before] -> [after] regresses only when it moves the worse way: by a
+(* A [*_pct] key is a percentage that may sit near zero (an overhead
+   measured as the difference of two close walls), where a ratio
+   tolerance reads noise as a regression; it gets an absolute tolerance
+   in percentage points instead. *)
+let pct_points = 30.
+
+let is_pct name = String.ends_with ~suffix:"_pct" name
+
+(* [before] -> [after] regresses only when it moves the worse way: for a
+   [*_pct] key by more than [pct_points] points, for any other by a
    magnitude ratio beyond [1 + tolerance], or across zero. *)
-let timed_regressed ~tolerance ~higher before after =
+let timed_regressed ~tolerance ~higher ~pct before after =
   let worse = if higher then after < before else after > before in
   worse
-  && ((before < 0.) <> (after < 0.)
-     ||
-     let a = Float.abs before and b = Float.abs after in
-     Float.max a b /. Float.max (Float.min a b) 1e-12 > 1. +. tolerance)
+  &&
+  if pct then Float.abs (after -. before) > pct_points
+  else
+    (before < 0.) <> (after < 0.)
+    ||
+    let a = Float.abs before and b = Float.abs after in
+    Float.max a b /. Float.max (Float.min a b) 1e-12 > 1. +. tolerance
 
 let diff ?(tolerance = 1.5) ~prev cur =
   let diff_side timed before after =
@@ -114,7 +126,9 @@ let diff ?(tolerance = 1.5) ~prev cur =
           | None, Some _ -> false (* new coverage *)
           | None, None -> false
           | Some b, Some a ->
-              if timed then timed_regressed ~tolerance ~higher:(higher_is_better metric) b a
+              if timed then
+                timed_regressed ~tolerance ~higher:(higher_is_better metric)
+                  ~pct:(is_pct metric) b a
               else a <> b
         in
         { metric; before = b; after = a; timed; regressed })

@@ -53,10 +53,15 @@ val diff : ?tolerance:float -> prev:entry -> entry -> delta list
     regress on any change or disappearance (new metrics are fine);
     timed metrics regress only when they move the worse way: by a
     before/after magnitude ratio beyond [1 + tolerance] (default 1.5),
-    or across zero.  The worse way comes from the name: keys containing
-    [per_sec] or [speedup] are higher-is-better, every other timed key
-    is lower-is-better, so a timed metric that got faster, however much,
-    never regresses. *)
+    or across zero.  A timed key ending in [_pct] is a percentage that
+    may sit near zero and swing across it between runs of one tree (an
+    overhead read as the difference of two close walls), so it gets an
+    absolute tolerance instead: it regresses when it moves the worse way
+    by more than 30 percentage points, sign flips included, and the
+    ratio [tolerance] does not apply to it.  The worse way comes from
+    the name: keys containing [per_sec] or [speedup] are
+    higher-is-better, every other timed key is lower-is-better, so a
+    timed metric that got faster, however much, never regresses. *)
 
 val regressions : delta list -> delta list
 

@@ -1621,6 +1621,197 @@ let test_scheme_golden_fault_fingerprint () =
       Alcotest.(check int) "chunks rewound" 600 r.Coding.Scheme.chunks_rewound
   | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
 
+(* ---------- the decided meeting-points path ---------- *)
+
+(* [Meeting_points.settle] against the hashing it skips.  Two ends hold
+   identical transcripts of ℓ chunks (ℓ = 0 included) and one shared
+   memo over a uniform or δ-biased stream; their MP states start in
+   Simulate, fresh or left by earlier in-sync steps at other lengths.
+   Both ends prepare, exchange untouched messages and process; a third
+   state settles.  Both verdicts keep, and all three states are equal. *)
+let prop_mp_settle_matches_hashing =
+  QCheck.Test.make ~name:"settle ≡ prepare + process on in-sync links" ~count:300
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let r = Util.Rng.create seed in
+      let module MP = Coding.Meeting_points in
+      let module T = Coding.Transcript in
+      let tau = 1 + Util.Rng.int r 24 in
+      let key = Util.Rng.int64 r in
+      let stream =
+        if Util.Rng.bool r then
+          Hashing.Seed_stream.biased (Smallbias.Generator.of_seed (key, 0x5EEDL))
+        else Hashing.Seed_stream.uniform ~key
+      in
+      let seeds = Coding.Seeds.make ~stream ~tau ~wmax:64 ~slot:0 ~slots:1 in
+      let chunks =
+        List.init (Util.Rng.int r 12) (fun _ ->
+            Array.init (1 + Util.Rng.int r 6) (fun _ -> [| 0; 2; 3 |].(Util.Rng.int r 3)))
+      in
+      let build () =
+        let t = T.create () in
+        List.iter (push t) chunks;
+        t
+      in
+      let lo = build () and hi = build () in
+      let len = T.length lo in
+      let memo = Coding.Mp_memo.shared seeds ~lo ~hi in
+      let hl = Coding.Mp_memo.hasher memo ~lower:true
+      and hh = Coding.Mp_memo.hasher memo ~lower:false in
+      let st_lo = MP.create () and st_hi = MP.create () and settled = MP.create () in
+      for _ = 1 to Util.Rng.int r 3 do
+        let earlier = Util.Rng.int r (len + 3) in
+        List.iter (fun st -> MP.settle st ~len:earlier) [ st_lo; st_hi; settled ]
+      done;
+      let iter = Util.Rng.int r 50 in
+      Coding.Mp_memo.start memo ~lower:true ~iter ~rot:0;
+      Coding.Mp_memo.start memo ~lower:false ~iter ~rot:0;
+      let m_lo = MP.prepare st_lo hl ~len and m_hi = MP.prepare st_hi hh ~len in
+      let v_lo = MP.process st_lo hl ~len m_hi and v_hi = MP.process st_hi hh ~len m_lo in
+      MP.settle settled ~len;
+      v_lo = `Keep && v_hi = `Keep && MP.equal st_lo settled && MP.equal st_hi settled
+      && MP.status settled = MP.Simulate
+      && MP.k settled = 0)
+
+(* An oblivious pattern as an adaptive strategy with an unbounded
+   budget: the same corruptions round for round, but the network reports
+   every dir as touched, so the run never takes the decided path.  A
+   fixing entry becomes the addend that forces its symbol against the
+   bit sent ([ctx.sends]; absent = silence), 0 (free) dropped. *)
+let as_adaptive adv =
+  let pattern, fixing =
+    match adv with
+    | Netsim.Adversary.Oblivious p -> (p, false)
+    | Netsim.Adversary.Oblivious_fixing p -> (p, true)
+    | _ -> invalid_arg "as_adaptive: not an oblivious pattern"
+  in
+  Netsim.Adversary.Adaptive
+    {
+      budget = (fun _ -> max_int);
+      strategy =
+        (fun ctx ->
+          let two_m = 2 * Topology.Graph.m ctx.Netsim.Adversary.graph in
+          let row = pattern ~round:ctx.Netsim.Adversary.round ~two_m in
+          if not fixing then row
+          else
+            List.filter_map
+              (fun (d, v) ->
+                let sent =
+                  match List.assoc_opt d ctx.Netsim.Adversary.sends with
+                  | Some b -> Bool.to_int b
+                  | None -> 2
+                in
+                let a = (((v - sent) mod 3) + 3) mod 3 in
+                if a = 0 then None else Some (d, a))
+              row);
+    }
+
+(* One traced run: its outcome and timing-free export. *)
+let traced_run ?faults ~seed g adv =
+  let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed in
+  let sink = Trace.Sink.create () in
+  let o =
+    Coding.Scheme.run_outcome
+      ~config:(Coding.Scheme.Config.make ~trace:true ~sink ?faults ())
+      ~rng:(Util.Rng.create (seed + 1)) (Coding.Params.algorithm_1 g) pi adv
+  in
+  (o, Trace.Export.jsonl sink)
+
+(* The decided path against runs that never take it: each oblivious
+   pattern runs as itself and as [as_adaptive] of itself, on a line, a
+   clique and a grid, with and without a fault plan that stalls a link
+   and overloads the noise.  Everything but [mp_decided] must be equal:
+   the result (outputs, cc, corruptions, truncations, rewinds, the
+   per-iteration trace), the fault books and the traced export.  The
+   oblivious runs must have decided some steps, else nothing was
+   compared. *)
+let test_decided_mp_differential () =
+  let topologies =
+    [
+      ("line:5", Topology.Graph.line 5);
+      ("clique:4", Topology.Graph.clique 4);
+      ("grid:3x3", Topology.Graph.grid ~rows:3 ~cols:3);
+    ]
+  in
+  let patterns g =
+    let two_m = 2 * Topology.Graph.m g in
+    [
+      ("iid", Netsim.Adversary.iid (Util.Rng.create 31) ~rate:0.004);
+      ("iid_fixing", Netsim.Adversary.iid_fixing (Util.Rng.create 32) ~rate:0.006);
+      ( "burst",
+        Netsim.Adversary.burst (Util.Rng.create 33) ~start_round:150 ~len:400
+          ~dirs:[ 0; 1; two_m - 1 ] );
+    ]
+  in
+  let plan =
+    Faults.Plan.make ~key:"decided-mp"
+      [
+        Faults.Plan.Link_stall { edge = 0; from_round = 300; rounds = 120 };
+        Faults.Plan.Noise_overload { factor = 4.; from_round = 700; rounds = 300; rate = 0.002 };
+      ]
+  in
+  let summary o =
+    match o with
+    | Faults.Outcome.Completed r | Faults.Outcome.Degraded (r, _) ->
+        let books =
+          match Faults.Outcome.diagnosis o with
+          | Some d -> (d.Faults.Outcome.stalled_slots, d.Faults.Outcome.injected)
+          | None -> (0, 0)
+        in
+        (Faults.Outcome.label o, { r with Coding.Scheme.mp_decided = 0 }, books, r.Coding.Scheme.mp_decided)
+    | Faults.Outcome.Aborted _ -> Alcotest.fail "unexpected abort"
+  in
+  List.iter
+    (fun (gname, g) ->
+      List.iter
+        (fun (pname, adv) ->
+          List.iter
+            (fun faults ->
+              let name =
+                Printf.sprintf "%s/%s%s" gname pname (if faults = None then "" else "/faults")
+              in
+              let o, tr = traced_run ?faults ~seed:7 g adv in
+              let o', tr' = traced_run ?faults ~seed:7 g (as_adaptive adv) in
+              let label, r, books, decided = summary o and label', r', books', decided' = summary o' in
+              Alcotest.(check string) (name ^ ": outcome") label' label;
+              Alcotest.(check (array int)) (name ^ ": outputs") r'.Coding.Scheme.outputs
+                r.Coding.Scheme.outputs;
+              Alcotest.(check int) (name ^ ": cc") r'.Coding.Scheme.cc r.Coding.Scheme.cc;
+              Alcotest.(check int) (name ^ ": corruptions") r'.Coding.Scheme.corruptions
+                r.Coding.Scheme.corruptions;
+              Alcotest.(check int) (name ^ ": truncations") r'.Coding.Scheme.mp_truncations
+                r.Coding.Scheme.mp_truncations;
+              Alcotest.(check int) (name ^ ": rewinds") r'.Coding.Scheme.rewinds
+                r.Coding.Scheme.rewinds;
+              Alcotest.(check bool) (name ^ ": whole result") true (r = r');
+              Alcotest.(check (pair int int)) (name ^ ": fault books") books' books;
+              Alcotest.(check string) (name ^ ": traced export") tr' tr;
+              Alcotest.(check int) (name ^ ": adaptive decides nothing") 0 decided';
+              Alcotest.(check bool) (name ^ ": oblivious decides") true (decided > 0))
+            [ None; Some plan ])
+        (patterns g))
+    topologies
+
+(* [mp_decided] counts only where the path may run: some steps on a
+   clean lockstep run, none under an adaptive adversary (it reads the
+   sent bits) and none under keyed jitter (d > 0). *)
+let test_decided_mp_gates () =
+  let g = Topology.Graph.cycle 6 in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
+  let decided ?backend adv =
+    let config = Coding.Scheme.Config.make ?backend () in
+    (Coding.Scheme.run ~config ~rng:(Util.Rng.create 5) (Coding.Params.algorithm_1 g) pi adv)
+      .Coding.Scheme.mp_decided
+  in
+  Alcotest.(check bool) "silent lockstep decides" true (decided Netsim.Adversary.Silent > 0);
+  Alcotest.(check int) "adaptive decides nothing" 0
+    (decided (Netsim.Adversary.adaptive_phase_attack ~rate_denom:200 ~phases:[] (Util.Rng.create 4)));
+  Alcotest.(check int) "keyed jitter decides nothing" 0
+    (decided
+       ~backend:(Coding.Scheme.Live (Live.Config.make ~ragged_d:1 ~jitter_rate:0.01 ()))
+       Netsim.Adversary.Silent)
+
+
 let () =
   Alcotest.run "coding"
     [
@@ -1654,6 +1845,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_mp_convergence;
           QCheck_alcotest.to_alcotest prop_mp_converges_under_random_message_noise;
           QCheck_alcotest.to_alcotest prop_mp_memo_matches_plain_hasher;
+          QCheck_alcotest.to_alcotest prop_mp_settle_matches_hashing;
           Alcotest.test_case "survives corrupted messages" `Quick
             test_mp_survives_corrupted_messages;
         ] );
@@ -1719,5 +1911,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_scheme_noiseless_random_graphs;
           QCheck_alcotest.to_alcotest prop_scheme_deterministic;
           QCheck_alcotest.to_alcotest prop_scheme_light_noise_random_graphs;
+          Alcotest.test_case "decided MP ≡ never decided" `Quick test_decided_mp_differential;
+          Alcotest.test_case "decided MP gates" `Quick test_decided_mp_gates;
         ] );
     ]

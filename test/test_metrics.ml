@@ -86,14 +86,15 @@ let test_expo_escaping () =
 (* One Algorithm 1 run on a 6-cycle and its projected metrics.  The run
    keeps its per-iteration trace unless [~trace:false], so the
    projection carries Φ. *)
-let scheme_exact ?(shards = 0) ?(trace = true) ?faults ?sink
+let scheme_exact ?(shards = 0) ?(ragged_d = 0) ?(trace = true) ?faults ?sink
     ?(adversary = Netsim.Adversary.iid (Util.Rng.create 6) ~rate:0.001) () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
   let params = Coding.Params.algorithm_1 g in
   let backend =
     if shards = 0 then Coding.Scheme.Lockstep
-    else Coding.Scheme.Live (Live.Config.make ~shards ())
+    else if ragged_d = 0 then Coding.Scheme.Live (Live.Config.make ~shards ())
+    else Coding.Scheme.Live (Live.Config.make ~shards ~ragged_d ~jitter_rate:0.02 ())
   in
   let config = Coding.Scheme.Config.make ~trace ~backend ?faults ?sink () in
   let outcome =
@@ -152,11 +153,28 @@ let test_scheme_metrics_deterministic () =
     (find "scheme.outcome.completed" + find "scheme.outcome.degraded");
   Alcotest.(check int) "no abort" 0 (find "scheme.outcome.aborted")
 
+(* At d = 0 the shard count is never read, so comparing shard counts
+   there compares one execution with itself.  Under keyed jitter (d = 1)
+   the shard count keys the jitter units, and the meeting-points phase
+   hashes every link (no step is decided without hashing there): each
+   shard count's projected snapshot is pinned, and the jitter must have
+   acted. *)
 let test_scheme_metrics_shard_invariant () =
-  let _, s1 = scheme_exact ~shards:1 () in
-  let _, s2 = scheme_exact ~shards:2 () in
-  Alcotest.(check string) "lockstep vs live d=0 exact bytes" (Expo.exact_json s1)
-    (Expo.exact_json s2)
+  List.iter
+    (fun (shards, pin) ->
+      let o, snap = scheme_exact ~shards ~ragged_d:1 () in
+      let name = Printf.sprintf "d=1, %d shard(s)" shards in
+      Alcotest.(check string) (name ^ ": exact metrics digest") pin
+        (Digest.to_hex (Digest.string (Expo.exact_json snap)));
+      match Faults.Outcome.diagnosis o with
+      | Some d ->
+          Alcotest.(check bool) (name ^ ": jitter booked") true (d.Faults.Outcome.stalled_slots > 0)
+      | None -> Alcotest.failf "%s: expected a degraded run" name)
+    [
+      (1, "a06b0e1addad26fa5233308ad2267236");
+      (2, "ad924e7b1e50abed6f8b745e5b2688ae");
+      (4, "ccd5a30ffe5fee0d2803ebd3f6af773d");
+    ]
 
 exception Planted
 

@@ -368,7 +368,16 @@ let test_observatory_timed_direction () =
   check "speedup 4x higher passes" [] 1.2 4.8 "t.mp_block.block_speedup";
   check "speedup 4x lower fails" [ "t.mp_block.block_speedup" ] 4.8 1.2 "t.mp_block.block_speedup";
   check "overhead across zero the better way passes" [] 5. (-1.) "t.overhead_pct";
-  check "overhead across zero the worse way fails" [ "t.overhead_pct" ] (-1.) 5. "t.overhead_pct";
+  (* A [*_pct] key gets an absolute tolerance in points: the sign flips
+     one tree's raw trace overhead showed between runs pass, a rise
+     beyond 30 points fails, however it crosses zero. *)
+  check "pct sign flip within the points passes" [] (-23.59) 4.90 "t.raw_enabled_overhead_pct";
+  check "pct 2.5x growth within the points passes" [] 2.06 5.2 "t.raw_enabled_overhead_pct";
+  check "pct rise beyond the points fails" [ "t.scheme_enabled_overhead_pct" ] 18.7 49.
+    "t.scheme_enabled_overhead_pct";
+  check "pct rise across zero beyond the points fails" [ "t.overhead_pct" ] (-1.) 35.
+    "t.overhead_pct";
+  check "non-pct key across zero still fails" [ "t.overhead_ratio" ] (-1.) 5. "t.overhead_ratio";
   (* A lost timed key and a changed exact value still fail. *)
   let prev = entry 1 [ ("e.n", 3.) ] [ ("w.wall_s", 1.); ("w.gone_s", 1.) ] in
   let cur = entry 2 [ ("e.n", 4.) ] [ ("w.wall_s", 0.1) ] in
