@@ -276,19 +276,16 @@ let full_duplex g =
       Netsim.Network.Active.send act ~dir:((2 * e) + 1) ((r + v) land 1 = 0)
     done
 
-(* The live engine's overhead floor, timed by the live bench: every
-   party sends one bit toward its first neighbour each round and the
-   read drains the deliveries — maximal round pressure, minimal work.
-   Engine start-up stays off the clock; returns the round loop's sample
-   and the engine's jitter drops. *)
+(* The round floor of the live bench: every party sends one bit toward
+   its first neighbour each round, committed to a silent network, and
+   the read drains the deliveries — maximal round pressure, minimal
+   work.  Set-up stays off the clock; returns the round loop's sample
+   and the symbols the network booked as stalled (none without
+   jitter). *)
 let engine_floor g ~rounds =
   let n = Topology.Graph.n g in
   let net = Netsim.Network.create g Netsim.Adversary.Silent in
-  let ex =
-    Live.Exec.create ~net ~config:Live.Config.default
-      ~weights:(Array.init n (fun v -> Topology.Graph.degree g v))
-      ()
-  in
+  let buf = Netsim.Network.active net in
   let out_dir =
     Array.init n (fun v ->
         let nb = Topology.Graph.neighbors g v in
@@ -297,20 +294,17 @@ let engine_floor g ~rounds =
   let (), s =
     measure (fun () ->
         for r = 0 to rounds - 1 do
-          Live.Exec.round ex
-            ~write:(fun ~shard:_ buf ->
-              for v = 0 to n - 1 do
-                if out_dir.(v) >= 0 then
-                  Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
-              done)
-            ~read:(fun ~shard:_ master ->
-              let seen = ref 0 in
-              Netsim.Network.Active.iter master (fun ~dir:_ _ -> incr seen);
-              ignore !seen)
-            ()
+          Netsim.Network.Active.begin_round buf;
+          for v = 0 to n - 1 do
+            if out_dir.(v) >= 0 then Netsim.Network.Active.send buf ~dir:out_dir.(v) (r land 1 = 0)
+          done;
+          Netsim.Network.commit net buf;
+          let seen = ref 0 in
+          Netsim.Network.Active.iter buf (fun ~dir:_ _ -> incr seen);
+          ignore !seen
         done)
   in
-  (s, Live.Exec.jitter_dropped ex)
+  (s, (Netsim.Network.stats net).Netsim.Network.stalled)
 
 (* The timed Scheme.run of the transport and trace benches: Algorithm 1
    on [pi] under 0.05% iid noise with fixed seeds, on [backend] and

@@ -1,10 +1,11 @@
-(* LIVE — the execution engine (lib/live).
+(* LIVE — ragged synchrony: keyed jitter, the insertion/deletion channel
+   a [Live] backend installs on its network (DESIGN.md §3h).
 
    Two measurements, written to BENCH_live.json:
 
-   - raw engine rounds/sec on K5, line16 and a 32x32 grid (1024
-     parties): every party speaks to its first neighbor every round, so
-     the per-round work is O(n);
+   - raw rounds/sec of [Network.commit] on K5, line16 and a 32x32 grid
+     (1024 parties) with no jitter installed: every party speaks to its
+     first neighbor every round, so the per-round work is O(n);
    - the ragged sweep, d in {0, 1, 2, 4}: full scheme executions on
      4 jitter units with keyed jitter, reporting the induced insdel rate
      ((stalled + injected) / cc) and whether the simulation still
@@ -12,11 +13,11 @@
      reproducible (the jitter stream is keyed, not timed), so the
      observatory classifies them Exact.
 
-   The d=0 engine is the lockstep reference; its equivalence to the
-   historical loop is the live test suite's differential job, not this
-   bench's.  The rows keep their historical keys ([<topo>:serial1]) and
-   fields; [overhead_x] is 1 by construction since the parallel engine
-   it compared against was deleted (DESIGN.md §3h). *)
+   A [Live] backend at d = 0 installs nothing, so it is the lockstep
+   run; the live test suite's differential checks that.  The rows keep
+   their historical keys ([<topo>:serial1]) and fields; [overhead_x] is
+   1 by construction since the parallel engine it compared against was
+   deleted (DESIGN.md §3h). *)
 
 type round_row = { topo : string; n : int; per_sec : float; dropped : int }
 
@@ -40,7 +41,7 @@ let topologies ~grid_side =
      Topology.Graph.grid ~rows:grid_side ~cols:grid_side);
   ]
 
-(* Rounds/sec and jitter drops of the engine floor (Exp_common). *)
+(* Rounds/sec and jitter drops of the round floor (Exp_common). *)
 let round_sweep ~grid_side ~rounds =
   List.map
     (fun (topo, g) ->
@@ -48,7 +49,7 @@ let round_sweep ~grid_side ~rounds =
       { topo; n = Topology.Graph.n g; per_sec = Exp_common.per_sec ~rounds s; dropped })
     (topologies ~grid_side)
 
-(* One full scheme execution on the live engine (4 jitter units) at ragged
+(* One full scheme execution under keyed jitter (4 jitter units) at ragged
    depth [d] under a silent adversary: the insdel noise the keyed lags
    induced, or None when the run left no result. *)
 let ragged_run ~chatter_rounds ~jitter_rate ~d g =
@@ -112,7 +113,7 @@ let json_of rounds_rows ragged_rows =
     ]
 
 let run_with ~grid_side ~rounds ~chatter_rounds ~ragged_ds ~json () =
-  Exp_common.heading "LIVE  |  execution engine: round floor, ragged synchrony";
+  Exp_common.heading "LIVE  |  round floor, ragged synchrony";
   let rounds_rows = round_sweep ~grid_side ~rounds in
   Format.printf "  %-10s %6s | %12s %8s@." "topology" "n" "rounds/s" "dropped";
   List.iter

@@ -14,8 +14,8 @@
      for — per-round cost must stay O(active), independent of 2m) and
      {e full-duplex} (every directed link speaks; the sparse worst case);
    - one compiled flag-passing phase over the BFS tree, run by
-     [Flag_passing.run_exec] on a default engine, the phase
-     driver whose per-round cost is O(speaking level);
+     [Flag_passing.run_exec] on a silent network, the phase driver
+     whose per-round cost is O(speaking level);
    - peak resident memory ([Util.Mem.peak_rss_kb], monotone across the
      sweep) and the GC heap high-water mark.
 
@@ -94,13 +94,11 @@ let bench_flag g =
   let net = Network.create g Netsim.Adversary.Silent in
   let tree = Topology.Graph.bfs_tree g in
   let sched = Coding.Flag_passing.compile g ~tree in
-  let ex = Live.Exec.create ~net ~config:Live.Config.default ~weights:(Array.make n 1) () in
   let statuses = Array.make n true in
   let agg = Array.make n false and net_correct = Array.make n false in
   let (), wall =
-    Exp_common.time (fun () -> Coding.Flag_passing.run_exec ex sched ~statuses ~agg ~net_correct)
+    Exp_common.time (fun () -> Coding.Flag_passing.run_exec net sched ~statuses ~agg ~net_correct)
   in
-  Live.Exec.shutdown ex;
   wall
 
 let measure ~few_rounds_sparse ~ops_budget (family, build) =

@@ -10,19 +10,19 @@
     forge either verdict, which is exactly the attack surface the
     analysis charges to the adversary.
 
-    The phase has one driver, {!run_exec}, which issues its rounds
-    through a live execution engine.  The traffic pattern is fixed by
-    the tree, so callers on the hot path {!compile} the schedule
-    (per-level sender sets and directed link indices) once per execution
-    — each round then costs O(nodes at the speaking level), not O(2m).
-    {!run} compiles on the fly and runs a default engine for one-shot
-    use. *)
+    The phase has one driver, {!run_exec}, which commits its rounds to
+    the network.  The traffic pattern is fixed by the tree, so callers
+    on the hot path {!compile} the schedule (per-level sender sets,
+    directed link indices and a round buffer) once per execution — each
+    round then costs O(nodes at the speaking level), not O(2m).  {!run}
+    compiles on the fly for one-shot use. *)
 
 val rounds_needed : Topology.Graph.tree -> int
 (** 2·(depth − 1): the a-priori fixed length of the phase. *)
 
 type schedule
-(** Precompiled per-level sender sets and directed-link indices. *)
+(** Precompiled per-level sender sets and directed-link indices, and
+    the phase's round buffer. *)
 
 val compile : Topology.Graph.t -> tree:Topology.Graph.tree -> schedule
 
@@ -35,17 +35,16 @@ type probe = { on_missing : node:int -> unit }
 val run_exec :
   ?alive:bool array ->
   ?probe:probe ->
-  ?label:(unit -> unit) ->
-  Live.Exec.t ->
+  Netsim.Network.t ->
   schedule ->
   statuses:bool array ->
   agg:bool array ->
   net_correct:bool array ->
   unit
-(** [run_exec ex sched ~statuses ~agg ~net_correct] executes the phase
-    through a live execution engine (lib/live); [statuses.(u)] is
-    status_u (true = continue).  Each round is one engine round whose
-    write and read run over the speaking level, and the result lands in
+(** [run_exec net sched ~statuses ~agg ~net_correct] executes the phase
+    over [net]; [statuses.(u)] is status_u (true = continue).  Each
+    round is one {!Netsim.Network.commit} whose sends and reads run over
+    the speaking level, and the result lands in
     the caller-preallocated [net_correct] (fully overwritten; [agg] is
     scratch, also fully overwritten).  With no noise, every entry is
     [for_all statuses].
@@ -55,11 +54,9 @@ val run_exec :
     as {e stop} at live parents — the conservative noise semantics — and
     their own netCorrect is pinned false.
 
-    [label] runs once, before the first round's network transform
-    (callers pass the phase marking). *)
+    The caller labels the phase ({!Netsim.Network.set_phase}) first. *)
 
 val run :
   Netsim.Network.t -> tree:Topology.Graph.tree -> statuses:bool array -> bool array
-(** One-shot convenience: {!compile} the schedule, run {!run_exec} on a
-    default engine ({!Live.Config.default}) over the network, and
-    return netCorrect per party. *)
+(** One-shot convenience: {!compile} the schedule, run {!run_exec} over
+    the network, and return netCorrect per party. *)

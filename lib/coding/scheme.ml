@@ -201,19 +201,20 @@ let in_sync a b =
 
 (* ---------- phase executors ----------
 
-   Each drives the network through the live execution engine (lib/live):
-   a phase is a sequence of [Live.Exec.round]s (and one meeting-points
-   [Live.Exec.block]) whose write callback submits every party's
-   transmissions of the round (by precomputed dir index, into a sparse
-   [Active] buffer) and whose read callback consumes the committed
-   deliveries, with the no-network per-party work run directly between
-   them.  One party loop per callback: the engine itself separates the
-   sends of whatever lags under keyed jitter.  [recv_link]/[recv_party]
-   resolve a delivered dir id to the receiving endpoint in O(1). *)
+   Each commits to the network directly: a phase labels its rounds
+   ([Network.set_phase]), then runs each round as begin, every party's
+   sends (by precomputed dir index, into the sparse [buf]), [commit] and
+   the reads of the delivered round; the meeting-points exchange is one
+   [commit_block] over [mp_out]/[mp_in].  Keyed jitter, when installed,
+   is the network's business.  [recv_link]/[recv_party] resolve a
+   delivered dir id to the receiving endpoint in O(1). *)
 
 type transport = {
   recv_link : link_state array; (* dir -> link at the receiving endpoint *)
   recv_party : int array; (* dir -> receiving party id *)
+  buf : Active.t; (* the round buffer of every phase but meeting points *)
+  mp_out : Network.Block.t; (* the meeting-points block: sends *)
+  mp_in : Network.Block.t; (* and deliveries *)
 }
 
 (* Ground truth for the hash-collision probe: compare this endpoint's
@@ -251,34 +252,31 @@ let settled_msg = Meeting_points.{ hk = 0; hp1 = 0; hp2 = 0; ht1 = 0; ht2 = 0 }
    clear the flag its lower peer had just set. *)
 let decide_links net tp parties fc ~touched ~rounds =
   Array.iter (fun p -> Array.iter (fun l -> l.decided <- false) p.links) parties;
-  match touched with
-  | None -> ()
-  | Some touched ->
-      Network.touched net ~rounds touched;
-      for id = 0 to Array.length parties - 1 do
-        let p = parties.(id) in
-        if fc.alive.(id) && fc.rot.(id) = 0 then
-          for i = 0 to Array.length p.links - 1 do
-            let l = p.links.(i) in
-            let q = tp.recv_link.(l.dir_out) in
-            if
-              id < l.peer && fc.alive.(l.peer) && fc.rot.(l.peer) = 0 && l.memo == q.memo
-              && (not touched.(l.dir_out))
-              && (not touched.(l.dir_in))
-              && in_sync l q
-            then begin
-              l.decided <- true;
-              q.decided <- true
-            end
-          done
+  Network.touched net ~rounds touched;
+  for id = 0 to Array.length parties - 1 do
+    let p = parties.(id) in
+    if fc.alive.(id) && fc.rot.(id) = 0 then
+      for i = 0 to Array.length p.links - 1 do
+        let l = p.links.(i) in
+        let q = tp.recv_link.(l.dir_out) in
+        if
+          id < l.peer && fc.alive.(l.peer) && fc.rot.(l.peer) = 0 && l.memo == q.memo
+          && (not touched.(l.dir_out))
+          && (not touched.(l.dir_in))
+          && in_sync l q
+        then begin
+          l.decided <- true;
+          q.decided <- true
+        end
       done
+  done
 
-let meeting_points_phase ex net tp parties fc pr ~touched ~iter ~tau =
+let meeting_points_phase net tp parties fc pr ~touched ~iter ~tau =
   pr.mp_enter <- 0;
   pr.mp_exit <- 0;
   (* Seed-rot accounting runs before the block (the rot decision is a
-     pure keyed function), so the block's callbacks touch no run-wide
-     books but the MP tallies. *)
+     pure keyed function), so the block's sends and reads touch no
+     run-wide books but the MP tallies. *)
   Array.iter
     (fun p ->
       let rots = fc.alive.(p.id) && Faults.Plan.seed_rot fc.plan ~party:p.id ~iteration:iter in
@@ -305,52 +303,51 @@ let meeting_points_phase ex net tp parties fc pr ~touched ~iter ~tau =
      Decide, then apply: when traced, the collision probe's ground
      truth reads the peer's transcript, so every link decides before any
      link truncates. *)
-  Live.Exec.block ex
-    ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points)
-    ~width:tau ~rounds
-    ~write:(fun out ->
-      Array.iter
-        (fun p ->
-          if fc.alive.(p.id) then
-            for i = 0 to Array.length p.links - 1 do
-              let l = p.links.(i) in
-              l.mp_len <- Transcript.length l.tr;
-              if l.decided then Meeting_points.pack settled_msg out ~dir:l.dir_out
-              else begin
-                Mp_memo.start l.memo ~lower:(p.id < l.peer) ~iter ~rot:fc.rot.(p.id);
-                Meeting_points.pack
-                  (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
-                  out ~dir:l.dir_out
-              end
-            done)
-        parties)
-    ~read:(fun inw ->
-      Array.iter
-        (fun p ->
-          if fc.alive.(p.id) then
-            for i = 0 to Array.length p.links - 1 do
-              let l = p.links.(i) in
-              if l.decided then begin
-                Meeting_points.settle l.mp ~len:l.mp_len;
-                pr.mp_decided <- pr.mp_decided + 1
-              end
-              else begin
-                let was_in = Meeting_points.status l.mp = Meeting_points.Meeting_points in
-                l.mp_cut <-
-                  (match
-                     Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
-                       (Meeting_points.unpack inw ~dir:l.dir_in)
-                   with
-                  | `Keep -> -1
-                  | `Truncate_to x -> x);
-                match (was_in, Meeting_points.status l.mp) with
-                | false, Meeting_points.Meeting_points -> pr.mp_enter <- pr.mp_enter + 1
-                | true, Meeting_points.Simulate -> pr.mp_exit <- pr.mp_exit + 1
-                | _ -> ()
-              end
-            done)
-        parties)
-    ();
+  for dir = 0 to Array.length tp.recv_party - 1 do
+    Network.Block.silence tp.mp_out ~dir
+  done;
+  Array.iter
+    (fun p ->
+      if fc.alive.(p.id) then
+        for i = 0 to Array.length p.links - 1 do
+          let l = p.links.(i) in
+          l.mp_len <- Transcript.length l.tr;
+          if l.decided then Meeting_points.pack settled_msg tp.mp_out ~dir:l.dir_out
+          else begin
+            Mp_memo.start l.memo ~lower:(p.id < l.peer) ~iter ~rot:fc.rot.(p.id);
+            Meeting_points.pack
+              (Meeting_points.prepare l.mp l.hasher ~len:l.mp_len)
+              tp.mp_out ~dir:l.dir_out
+          end
+        done)
+    parties;
+  Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Meeting_points;
+  Network.commit_block net ~rounds ~out:tp.mp_out ~inw:tp.mp_in;
+  Array.iter
+    (fun p ->
+      if fc.alive.(p.id) then
+        for i = 0 to Array.length p.links - 1 do
+          let l = p.links.(i) in
+          if l.decided then begin
+            Meeting_points.settle l.mp ~len:l.mp_len;
+            pr.mp_decided <- pr.mp_decided + 1
+          end
+          else begin
+            let was_in = Meeting_points.status l.mp = Meeting_points.Meeting_points in
+            l.mp_cut <-
+              (match
+                 Meeting_points.process l.mp l.hasher ?probe:l.probe ~len:l.mp_len
+                   (Meeting_points.unpack tp.mp_in ~dir:l.dir_in)
+               with
+              | `Keep -> -1
+              | `Truncate_to x -> x);
+            match (was_in, Meeting_points.status l.mp) with
+            | false, Meeting_points.Meeting_points -> pr.mp_enter <- pr.mp_enter + 1
+            | true, Meeting_points.Simulate -> pr.mp_exit <- pr.mp_exit + 1
+            | _ -> ()
+          end
+        done)
+    parties;
   Array.iter
     (fun p ->
       if fc.alive.(p.id) then
@@ -379,7 +376,7 @@ let compute_statuses parties ~alive ~statuses =
 (* A participant's walk through its view of chunk [c]; [cur, stop) is left to play. *)
 type walk = { p : party_state; c : int; mc : Pi.machine option; mutable cur : int; stop : int }
 
-let simulation_phase ex net parties fc ch ~iter ~n_real =
+let simulation_phase net tp parties fc ch ~iter ~n_real =
   let max_r = Chunking.max_rounds ch in
   (* Participation — alive with netCorrect up — is known before the
      phase starts, so only participants reset their records and listen:
@@ -410,22 +407,19 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
   let participants = List.rev !acc in
   (* ⊥ round: idling parties announce, participants listen (Line 16/23).
      Crashed parties announce nothing — their links just go dark. *)
-  Live.Exec.round ex
-    ~label:(fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Simulation)
-    ~write:(fun ~shard:_ buf ->
-      Array.iter
-        (fun p ->
-          if fc.alive.(p.id) && not p.net_correct then
-            Array.iter (fun l -> Active.send buf ~dir:l.dir_out true) p.links)
-        parties)
-    ~read:(fun ~shard:_ master ->
-      List.iter
-        (fun s ->
-          Array.iter
-            (fun l -> if not (Active.is_silent master ~dir:l.dir_in) then l.bot <- true)
-            s.p.links)
-        participants)
-    ();
+  let buf = tp.buf in
+  Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Simulation;
+  Active.begin_round buf;
+  Array.iter
+    (fun p ->
+      if fc.alive.(p.id) && not p.net_correct then
+        Array.iter (fun l -> Active.send buf ~dir:l.dir_out true) p.links)
+    parties;
+  Network.commit net buf;
+  List.iter
+    (fun s ->
+      Array.iter (fun l -> if not (Active.is_silent buf ~dir:l.dir_in) then l.bot <- true) s.p.links)
+    participants;
   (* Each round plays the participants' sends of round [t], then their
      receives, off their views: [f s l r ev] gets the link, the Π round
      (-1 for padding) and the event index the symbol is recorded at. *)
@@ -447,22 +441,20 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
     (* Only real chunks have Π entries (r >= 0), and they have a machine.
        It still sends on a ⊥ link, so its state advances, but nothing
        goes out; it hears 0 there. *)
-    Live.Exec.round ex
-      ~write:(fun ~shard:_ buf ->
-        play ~t ~send:true (fun s l r ev ->
-            let bit = r >= 0 && (Option.get s.mc).Pi.send ~round:r ~dst:l.peer in
-            if not l.bot then begin
-              Active.send buf ~dir:l.dir_out bit;
-              l.record.(ev) <- Transcript.sym_bit bit
-            end))
-      ~read:(fun ~shard:_ master ->
-        play ~t ~send:false (fun s l r ev ->
-            let got = Active.get master ~dir:l.dir_in in
-            (match got with Some b -> l.record.(ev) <- Transcript.sym_bit b | None -> ());
-            if r >= 0 then
-              (Option.get s.mc).Pi.recv ~round:r ~src:l.peer
-                ((not l.bot) && Option.value ~default:false got)))
-      ()
+    Active.begin_round buf;
+    play ~t ~send:true (fun s l r ev ->
+        let bit = r >= 0 && (Option.get s.mc).Pi.send ~round:r ~dst:l.peer in
+        if not l.bot then begin
+          Active.send buf ~dir:l.dir_out bit;
+          l.record.(ev) <- Transcript.sym_bit bit
+        end);
+    Network.commit net buf;
+    play ~t ~send:false (fun s l r ev ->
+        let got = Active.get buf ~dir:l.dir_in in
+        (match got with Some b -> l.record.(ev) <- Transcript.sym_bit b | None -> ());
+        if r >= 0 then
+          (Option.get s.mc).Pi.recv ~round:r ~src:l.peer
+            ((not l.bot) && Option.value ~default:false got))
   done;
   (* Push the recorded chunk on every non-⊥ link.  A participant's status
      required all its links to have equal length, and nothing truncates
@@ -484,7 +476,7 @@ let simulation_phase ex net parties fc ch ~iter ~n_real =
       | Some _ | None -> ())
     participants
 
-let rewind_phase ex net tp parties fc pr ~iter ~depth =
+let rewind_phase net tp parties fc pr ~iter ~depth =
   let n = Array.length parties in
   (* Wave shape for the trace: [pr.rewinds] counts every chunk rewound
      (self-initiated or honored request), cumulatively over the run;
@@ -513,66 +505,61 @@ let rewind_phase ex net tp parties fc pr ~iter ~depth =
       cur := id :: !cur
     end
   done;
+  let buf = tp.buf in
+  Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Rewind;
   for round = 1 to n do
-    let label =
-      if round = 1 then
-        Some (fun () -> Network.set_phase net ~iteration:iter ~phase:Netsim.Adversary.Rewind)
-      else None
-    in
-    Live.Exec.round ex ?label
-      ~write:(fun ~shard:_ buf ->
-        (* Plan sends from the state at round start (Line 27-31); the
-           per-link truncation can be applied immediately because each
-           link's decision reads only its own length against the party's
-           min, which a single-chunk truncation of a longer link cannot
-           lower. *)
-        List.iter (fun id -> candidate.(id) <- false) !cur;
-        nxt := [];
-        List.iter
-          (fun id ->
-            let p = parties.(id) in
-            let min_len =
-              Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
-            in
-            let sent = ref false in
-            Array.iter
-              (fun l ->
-                if
-                  Meeting_points.status l.mp <> Meeting_points.Meeting_points
-                  && (not l.already_rewound)
-                  && Transcript.length l.tr > min_len
-                then begin
-                  Active.send buf ~dir:l.dir_out true;
-                  Transcript.truncate l.tr (Transcript.length l.tr - 1);
-                  l.already_rewound <- true;
-                  pr.rewinds <- pr.rewinds + 1;
-                  depth := round;
-                  sent := true
-                end)
-              p.links;
-            if !sent then readmit id)
-          !cur)
-      ~read:(fun ~shard:_ master ->
-        (* Any symbol received in a rewind round is a rewind request —
-           insertions forge them, deletions suppress them (Line 33-38). *)
-        Active.iter master (fun ~dir _bit ->
-            let id = tp.recv_party.(dir) in
-            if fc.alive.(id) then begin
-              let l = tp.recv_link.(dir) in
-              if
-                Meeting_points.status l.mp <> Meeting_points.Meeting_points
-                && not l.already_rewound
-              then begin
-                if Transcript.length l.tr > 0 then
-                  Transcript.truncate l.tr (Transcript.length l.tr - 1);
-                l.already_rewound <- true;
-                pr.rewinds <- pr.rewinds + 1;
-                depth := round;
-                readmit id
-              end
-            end);
-        cur := !nxt)
-      ()
+    Active.begin_round buf;
+    (* Plan sends from the state at round start (Line 27-31); the
+       per-link truncation can be applied immediately because each
+       link's decision reads only its own length against the party's
+       min, which a single-chunk truncation of a longer link cannot
+       lower. *)
+    List.iter (fun id -> candidate.(id) <- false) !cur;
+    nxt := [];
+    List.iter
+      (fun id ->
+        let p = parties.(id) in
+        let min_len =
+          Array.fold_left (fun acc l -> min acc (Transcript.length l.tr)) max_int p.links
+        in
+        let sent = ref false in
+        Array.iter
+          (fun l ->
+            if
+              Meeting_points.status l.mp <> Meeting_points.Meeting_points
+              && (not l.already_rewound)
+              && Transcript.length l.tr > min_len
+            then begin
+              Active.send buf ~dir:l.dir_out true;
+              Transcript.truncate l.tr (Transcript.length l.tr - 1);
+              l.already_rewound <- true;
+              pr.rewinds <- pr.rewinds + 1;
+              depth := round;
+              sent := true
+            end)
+          p.links;
+        if !sent then readmit id)
+      !cur;
+    Network.commit net buf;
+    (* Any symbol received in a rewind round is a rewind request —
+       insertions forge them, deletions suppress them (Line 33-38). *)
+    Active.iter buf (fun ~dir _bit ->
+        let id = tp.recv_party.(dir) in
+        if fc.alive.(id) then begin
+          let l = tp.recv_link.(dir) in
+          if
+            Meeting_points.status l.mp <> Meeting_points.Meeting_points
+            && not l.already_rewound
+          then begin
+            if Transcript.length l.tr > 0 then
+              Transcript.truncate l.tr (Transcript.length l.tr - 1);
+            l.already_rewound <- true;
+            pr.rewinds <- pr.rewinds + 1;
+            depth := round;
+            readmit id
+          end
+        end);
+    cur := !nxt
   done
 
 (* ---------- global instrumentation (simulator-side only) ---------- *)
@@ -659,14 +646,6 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     let tree = Topology.Graph.bfs_tree graph in
     let net = Network.create graph adversary in
     Network.set_fault_hooks net (Faults.Plan.network_hooks plan);
-    (* ---- execution engine ----
-       The lockstep backend is the live engine's default (d = 0) —
-       exactly the historical round loop. *)
-    let live_cfg =
-      match config.Config.backend with Lockstep -> Live.Config.default | Live c -> c
-    in
-    let weights = Array.init n (fun id -> Topology.Graph.degree graph id) in
-    let ex = Live.Exec.create ~net ~config:live_cfg ~weights () in
     let sink = config.Config.sink in
     let observing = Trace.Sink.is_enabled sink in
     let pr = make_probes sink in
@@ -712,6 +691,12 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
                 ~slot:0 ~slots:1),
             fun edge -> outcomes.(edge).Randomness_exchange.ok )
     in
+    (* A [Live] backend's keyed jitter joins the channel here, after the
+       seed exchange: the exchange runs in lockstep, and the jitter's
+       rounds count from the first meeting-points round. *)
+    (match config.Config.backend with
+    | Lockstep -> ()
+    | Live c -> Live.Config.install c net ~weights:(Array.init n (Topology.Graph.degree graph)));
     (* One hash memo per link, shared by its two ends when they hold one
        stream; otherwise one per end.  The lower-id end is built first
        and makes the shared memo; [trs] holds every end's transcript by
@@ -782,7 +767,9 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
             l)
       in
       let recv_party = Array.init (2 * m) (fun dir -> snd (Network.link_ends net ~dir)) in
-      { recv_link; recv_party }
+      (* A meeting-points message is 5 fields of τ bits ([Meeting_points.pack]). *)
+      let mp_block () = Network.Block.create graph ~width:params.Params.tau ~fields:5 in
+      { recv_link; recv_party; buf = Network.active net; mp_out = mp_block (); mp_in = mp_block () }
     in
     (* ---- fault state ---- *)
     let alive = Array.make n true in
@@ -800,10 +787,8 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
     in
     let fc = { plan; diag; alive; rot_mask; rot = Array.make n 0 } in
     let have_faults = not (Faults.Plan.is_empty plan) in
-    (* The decided MP path's touched-dir buffer, reused every iteration.
-       Off under keyed jitter (d > 0): a lag moves bits between rounds,
-       so no dir is known untouched before the block. *)
-    let touched = if live_cfg.Live.Config.ragged_d = 0 then Some (Array.make (2 * m) false) else None in
+    (* The decided MP path's touched-dir buffer, reused every iteration. *)
+    let touched = Array.make (2 * m) false in
     (* ---- adversary spy ---- *)
     let cur_iter = ref 0 in
     let flag_probe =
@@ -892,14 +877,15 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
       end;
       Array.iter (fun p -> Array.iter (fun l -> l.already_rewound <- false) p.links) parties;
       enter sp_mp ~iter:it;
-      meeting_points_phase ex net tp parties fc pr ~touched ~iter:it ~tau:params.Params.tau;
+      meeting_points_phase net tp parties fc pr ~touched ~iter:it ~tau:params.Params.tau;
       Trace.Sink.span_end sink ~id:sp_mp ~iter:it;
       compute_statuses parties ~alive ~statuses;
       enter sp_flag ~iter:it;
-      if params.Params.flag_passing then
-        Flag_passing.run_exec ~alive ?probe:flag_probe
-          ~label:(fun () -> Network.set_phase net ~iteration:it ~phase:Netsim.Adversary.Flag)
-          ex flag_sched ~statuses ~agg:flag_agg ~net_correct:net_corrects
+      if params.Params.flag_passing then begin
+        Network.set_phase net ~iteration:it ~phase:Netsim.Adversary.Flag;
+        Flag_passing.run_exec ~alive ?probe:flag_probe net flag_sched ~statuses ~agg:flag_agg
+          ~net_correct:net_corrects
+      end
       else Array.blit statuses 0 net_corrects 0 n;
       Trace.Sink.span_end sink ~id:sp_flag ~iter:it;
       Array.iter (fun p -> p.net_correct <- net_corrects.(p.id)) parties;
@@ -910,10 +896,10 @@ let run_outcome ?(config = Config.default) ~rng params pi adversary =
               (String.concat ""
                  (List.map (fun s -> if s then "1" else "0") (Array.to_list net_corrects))));
       enter sp_sim ~iter:it;
-      simulation_phase ex net parties fc ch ~iter:it ~n_real;
+      simulation_phase net tp parties fc ch ~iter:it ~n_real;
       Trace.Sink.span_end sink ~id:sp_sim ~iter:it;
       enter sp_rewind ~iter:it;
-      rewind_phase ex net tp parties fc pr ~iter:it ~depth:rewind_depth;
+      rewind_phase net tp parties fc pr ~iter:it ~depth:rewind_depth;
       Trace.Sink.span_end sink ~id:sp_rewind ~iter:it;
       if observing then begin
         (* Per-iteration tallies: everything read here went quiet when

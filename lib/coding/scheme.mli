@@ -55,8 +55,8 @@ type result = {
       (** meeting-points steps, over link endpoints, that the simulator
           decided without hashing: both ends alive with intact seeds
           and one shared hash memo, in sync ({!edge_view}'s [in_sync]),
-          the live engine at d = 0, and the step's block untouched by
-          noise ({!Netsim.Network.touched}).  Each step leaves exactly
+          and the step's block untouched by noise or keyed jitter
+          ({!Netsim.Network.touched}).  Each step leaves exactly
           the state hashing would ({!Meeting_points.settle}); a
           deployed party would have hashed there, so this is the count
           of steps whose hashing cost the simulator saved.  Not
@@ -92,18 +92,16 @@ type spy = {
     entry point does not grow a new optional argument per feature. *)
 
 type backend =
-  | Lockstep
-      (** the reference backend: the live engine's default, d = 0 —
-          the historical round loop *)
+  | Lockstep  (** the reference backend: every round in lockstep *)
   | Live of Live.Config.t
-      (** the live engine (lib/live): with [ragged_d] = 0 it is the
-          {!Lockstep} round loop at any shard count, each round one
-          write, one commit and one read (the differential suite checks
-          outcome and timing-free trace export); with [ragged_d] > 0
-          each (round, jitter unit) may lag by keyed jitter, booked as
-          insertions/deletions through the network's fault accounting,
-          and [shards] sets the number of units.  Every callback runs on
-          the caller's domain; parallelism lives across trials
+      (** ragged synchrony: with [ragged_d] > 0 the run installs keyed
+          jitter on its network after the seed exchange
+          ({!Live.Config.install}), so each (round, jitter unit) may lag,
+          booked as insertions/deletions through the network's fault
+          accounting, and [shards] sets the number of units.  With
+          [ragged_d] = 0 it installs nothing and is {!Lockstep} at any
+          shard count (the differential suite checks outcome and
+          timing-free trace export).  Parallelism lives across trials
           ([Runner.Pool]). *)
 
 module Config : sig

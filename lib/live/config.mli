@@ -1,4 +1,5 @@
-(** Configuration of the live execution backend (see DESIGN.md §3h). *)
+(** Configuration of ragged synchrony, the keyed jitter a [Live] run
+    installs on its network (see DESIGN.md §3h). *)
 
 type t = {
   shards : int;
@@ -29,7 +30,15 @@ val make :
     values. *)
 
 val default : t
-(** One unit, lockstep — semantically the reference backend run
-    through the live engine. *)
+(** One unit, lockstep: installs nothing, so a run is the reference
+    backend's. *)
 
 val pp : Format.formatter -> t -> unit
+
+val install : t -> Netsim.Network.t -> weights:int array -> unit
+(** [install t net ~weights] installs [t]'s keyed jitter on [net]
+    ({!Netsim.Network.set_jitter}) when [t.ragged_d > 0], and does
+    nothing otherwise.  The [Array.length weights] parties fall into
+    [t.shards] jitter units ({!Shard.partition} by [weights]), and each
+    dir lags with its source party's unit.  Raises [Invalid_argument]
+    as {!Netsim.Network.set_jitter} does. *)

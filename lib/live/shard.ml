@@ -1,5 +1,4 @@
-(* Contiguous, weighted partition of parties into the live engine's
-   jitter units.
+(* Contiguous, weighted partition of parties into keyed-jitter units.
 
    Parties are kept in id order (contiguous ranges), and the cut points
    are chosen by prefix weight, so that a hub of degree 999 in a star

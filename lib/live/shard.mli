@@ -1,5 +1,5 @@
-(** Contiguous, weighted assignment of parties to the live engine's
-    jitter units ({!Exec}).  Shard [k] owns the half-open id range
+(** Contiguous, weighted assignment of parties to keyed-jitter units
+    ({!Config.install}).  Shard [k] owns the half-open id range
     [range t k]; ranges are in id order, non-empty, and balanced by
     [1 + weight] prefix weight so a hub does not share its unit with
     most of the graph. *)

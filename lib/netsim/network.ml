@@ -283,6 +283,23 @@ type t = {
   mutable rows : (int * int) list array;
   mutable rows_from : int;
   mutable rows_n : int;
+  (* Keyed jitter, when installed ([set_jitter]). *)
+  mutable jitter : jitter option;
+}
+
+(* Ragged synchrony as a channel: per (round, unit) a keyed draw lags
+   the unit's whole round by 1..d rounds.  A lagging unit's symbols are
+   deleted from their round and surface [lag] rounds later, inserted
+   on their dir unless a fresh symbol holds it.  Rounds count from
+   [origin], the network round at install. *)
+and jitter = {
+  d : int;
+  rate : float;
+  key : int64;
+  origin : int;
+  outs : int array array; (* unit -> the dirs its parties send on, ascending *)
+  pending : (int * bool) list array; (* slot q mod (d + 1) -> symbols due in round q, newest first *)
+  scratch : Active.t; (* [commit_block]'s round buffer *)
 }
 
 let create graph adversary =
@@ -307,6 +324,7 @@ let create graph adversary =
     rows = [||];
     rows_from = 0;
     rows_n = 0;
+    jitter = None;
   }
 
 let two_m t = 2 * Topology.Graph.m t.graph
@@ -383,6 +401,17 @@ let corrupt t sl buf ~dir a =
   t.corruptions <- t.corruptions + 1;
   sl.write buf ~dir ((sl.sym buf ~dir + a) mod 3);
   Trace.Sink.count t.trace ~id:ev_corrupt ~iter:t.round_no ~arg:dir 1
+
+(* Out-of-budget events: fault-hook stalls and overload noise, and the
+   jitter's stalled and surfacing symbols, so postmortems attribute
+   ragged-synchrony noise like environment faults. *)
+let book_stalled t ~dir =
+  t.stalled <- t.stalled + 1;
+  Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:dir 1
+
+let book_injected t ~dir =
+  t.injected <- t.injected + 1;
+  Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:dir 1
 
 (* Apply a round's oblivious row in its ascending dir order.  An
    additive entry carries its addend (1 or 2); a fixing entry the symbol
@@ -461,22 +490,58 @@ let transform t sl buf =
       for d = 0 to two_m - 1 do
         let a = h.extra_addend ~round:t.round_no ~dir:d in
         if a <> 0 then begin
-          t.injected <- t.injected + 1;
           sl.write buf ~dir:d ((sl.sym buf ~dir:d + a) mod 3);
-          Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:d 1
+          book_injected t ~dir:d
         end;
         if sl.sym buf ~dir:d <> silent && h.stall ~round:t.round_no ~dir:d then begin
-          t.stalled <- t.stalled + 1;
           sl.write buf ~dir:d silent;
-          Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:d 1
+          book_stalled t ~dir:d
         end
       done);
   t.round_no <- t.round_no + 1
 
+(* Whether unit [w]'s jitter round [q] lags, and by how much: a pure
+   function of the key, so reruns draw the same lags. *)
+let lag j ~q w =
+  let u = Util.Rng.at ~seed:j.key ((q * 8192) + w) in
+  let frac = Int64.to_float (Int64.logand u 0x1FFFFFFFFFFFFFL) /. 9007199254740992.0 in
+  if frac >= j.rate then 0 else 1 + (Int64.to_int (Int64.shift_right_logical u 53) mod j.d)
+
+(* Route the parties' sends of a round through the jitter: the symbols
+   due this round are booked first, then each lagging unit's fresh
+   symbols are stalled into [pending] (units in order, each unit's dirs
+   ascending), and the due symbols take the dirs left silent — a fresh
+   symbol overwrites a surfacing one, and of two due on one dir the
+   newer wins.  A stalled symbol is due in another slot than this
+   round's, since 1 <= lag <= d. *)
+let route t j (act : Active.t) =
+  let q = t.round_no - j.origin in
+  let slot = q mod (j.d + 1) in
+  let due = j.pending.(slot) in
+  j.pending.(slot) <- [];
+  List.iter (fun (dir, _) -> book_injected t ~dir) (List.rev due);
+  for w = 0 to Array.length j.outs - 1 do
+    let lag = lag j ~q w in
+    if lag > 0 then begin
+      let tgt = (q + lag) mod (j.d + 1) in
+      Array.iter
+        (fun dir ->
+          let c = Active.sym act ~dir in
+          if c <> silent then begin
+            book_stalled t ~dir;
+            j.pending.(tgt) <- (dir, c = 1) :: j.pending.(tgt);
+            Active.write act ~dir silent
+          end)
+        j.outs.(w)
+    end
+  done;
+  List.iter (fun (dir, bit) -> if Active.sym act ~dir = silent then Active.send act ~dir bit) due
+
 (* A round on the sparse buffer: the Silent-adversary, hook-free path
-   touches only the active links. *)
+   touches only the active links.  [cc] counts the round as routed. *)
 let commit t (act : Active.t) =
   if Active.length act <> two_m t then invalid_arg "Network.commit: buffer length mismatch";
+  (match t.jitter with None -> () | Some j -> route t j act);
   t.cc <- t.cc + Active.count act;
   transform t active_slots act
 
@@ -494,26 +559,43 @@ let commit_block t ~rounds ~(out : Block.t) ~(inw : Block.t) =
     invalid_arg "Network.commit_block: block shape mismatch";
   if rounds < 0 || rounds > out.Block.width * out.Block.fields then
     invalid_arg "Network.commit_block: rounds out of range";
-  Block.deliver out inw ~rounds;
-  match (t.adversary, t.faults) with
-  | Adversary.Silent, None ->
-      t.cc <- t.cc + Block.spoken inw;
-      t.round_no <- t.round_no + rounds
-  | _ ->
-      let v = { b_out = out; b_in = inw; b_field = 0; b_bit = 1 } in
+  match t.jitter with
+  | Some j ->
+      (* Lags are drawn per round: the block runs as [rounds] commits. *)
+      let a = j.scratch in
+      for dir = 0 to two_m - 1 do
+        Block.silence inw ~dir
+      done;
       for r = 0 to rounds - 1 do
-        v.b_field <- r / out.Block.width;
-        v.b_bit <- 1 lsl (r mod out.Block.width);
-        t.cc <- t.cc + Block.count_at out v.b_field v.b_bit;
-        transform t block_slots v
+        Active.begin_round a;
+        for dir = 0 to two_m - 1 do
+          match Block.get out ~dir ~round:r with Some b -> Active.send a ~dir b | None -> ()
+        done;
+        commit t a;
+        Active.iter a (fun ~dir b -> Block.send inw ~dir ~round:r b)
       done
+  | None -> (
+      Block.deliver out inw ~rounds;
+      match (t.adversary, t.faults) with
+      | Adversary.Silent, None ->
+          t.cc <- t.cc + Block.spoken inw;
+          t.round_no <- t.round_no + rounds
+      | _ ->
+          let v = { b_out = out; b_in = inw; b_field = 0; b_bit = 1 } in
+          for r = 0 to rounds - 1 do
+            v.b_field <- r / out.Block.width;
+            v.b_bit <- 1 lsl (r mod out.Block.width);
+            t.cc <- t.cc + Block.count_at out v.b_field v.b_bit;
+            transform t block_slots v
+          done)
 
 (* The dirs the next [rounds] rounds may alter, read from the same
-   sources [transform] reads: the oblivious rows, kept for [transform],
-   and the keyed fault hooks.  An adaptive strategy reads the sent
-   bits, so it may touch every dir.  A source that raises, or a row
-   entry out of range, marks every dir: the commit then raises at the
-   round it always did (only the rows drawn whole are kept). *)
+   sources [commit] reads: the oblivious rows, kept for [transform], the
+   keyed fault hooks and the jitter's lags and pending symbols.  An
+   adaptive strategy reads the sent bits, so it may touch every dir.  A
+   source that raises, or a row entry out of range, marks every dir:
+   the commit then raises at the round it always did (only the rows
+   drawn whole are kept). *)
 let touched t ~rounds buf =
   let two_m = two_m t in
   if Array.length buf <> two_m then invalid_arg "Network.touched: buffer length mismatch";
@@ -522,38 +604,61 @@ let touched t ~rounds buf =
   t.rows_from <- t.round_no;
   t.rows_n <- 0;
   let mark (d, _) = if d < 0 || d >= two_m then raise Exit else buf.(d) <- true in
-  try
-    for r = t.round_no to t.round_no + rounds - 1 do
-      (match t.adversary with
-      | Adversary.Silent -> ()
-      | Adversary.Oblivious pattern | Adversary.Oblivious_fixing pattern ->
-          let row = pattern ~round:r ~two_m in
-          t.rows.(t.rows_n) <- row;
-          t.rows_n <- t.rows_n + 1;
-          List.iter mark row
-      | Adversary.Adaptive _ -> raise Exit);
-      match t.faults with
-      | None -> ()
-      | Some h ->
-          for d = 0 to two_m - 1 do
-            if h.extra_addend ~round:r ~dir:d <> 0 || h.stall ~round:r ~dir:d then buf.(d) <- true
-          done
-    done
-  with _ -> Array.fill buf 0 two_m true
+  (try
+     for r = t.round_no to t.round_no + rounds - 1 do
+       (match t.adversary with
+       | Adversary.Silent -> ()
+       | Adversary.Oblivious pattern | Adversary.Oblivious_fixing pattern ->
+           let row = pattern ~round:r ~two_m in
+           t.rows.(t.rows_n) <- row;
+           t.rows_n <- t.rows_n + 1;
+           List.iter mark row
+       | Adversary.Adaptive _ -> raise Exit);
+       match t.faults with
+       | None -> ()
+       | Some h ->
+           for d = 0 to two_m - 1 do
+             if h.extra_addend ~round:r ~dir:d <> 0 || h.stall ~round:r ~dir:d then buf.(d) <- true
+           done
+     done
+   with _ -> Array.fill buf 0 two_m true);
+  match t.jitter with
+  | None -> ()
+  | Some j ->
+      let q0 = t.round_no - j.origin in
+      for i = 0 to min rounds (j.d + 1) - 1 do
+        List.iter (fun (dir, _) -> buf.(dir) <- true) j.pending.((q0 + i) mod (j.d + 1))
+      done;
+      Array.iteri
+        (fun w dirs ->
+          let q = ref q0 in
+          while !q < q0 + rounds && lag j ~q:!q w = 0 do
+            incr q
+          done;
+          if !q < q0 + rounds then Array.iter (fun dir -> buf.(dir) <- true) dirs)
+        j.outs
 
-(* Jitter noise booked by the live backend (lib/live): a symbol delayed
-   past the round it was written for is a deletion (stalled); the
-   delayed symbol surfacing in a later round is an insertion.
-   Routed through the same counters and trace ids as the fault engine so
-   postmortems and Φ gauges attribute ragged-synchrony noise exactly
-   like environment faults. *)
-let note_stalled t ~dir =
-  t.stalled <- t.stalled + 1;
-  Trace.Sink.count t.trace ~id:ev_stalled ~iter:t.round_no ~arg:dir 1
-
-let note_injected t ~dir =
-  t.injected <- t.injected + 1;
-  Trace.Sink.count t.trace ~id:ev_injected ~iter:t.round_no ~arg:dir 1
+let set_jitter t ~d ~rate ~key ~units =
+  let two_m = two_m t in
+  if Option.is_some t.jitter then invalid_arg "Network.set_jitter: jitter already installed";
+  if d < 1 || not (rate >= 0. && rate <= 1.) || Array.length units <> two_m
+     || Array.exists (( > ) 0) units
+  then invalid_arg "Network.set_jitter: d, rate or units out of range";
+  let outs = Array.make (1 + Array.fold_left max (-1) units) [] in
+  for dir = two_m - 1 downto 0 do
+    outs.(units.(dir)) <- dir :: outs.(units.(dir))
+  done;
+  t.jitter <-
+    Some
+      {
+        d;
+        rate;
+        key;
+        origin = t.round_no;
+        outs = Array.map Array.of_list outs;
+        pending = Array.make (d + 1) [];
+        scratch = Active.of_length two_m;
+      }
 
 let stats t =
   {

@@ -125,8 +125,12 @@ type stats = {
   cc : int;  (** transmissions sent — the instance's CC *)
   corruptions : int;  (** corrupted slots (adversary, budgeted) *)
   noise_fraction : float;  (** [corruptions / cc] (0 when nothing sent) *)
-  stalled : int;  (** transmissions suppressed by injected link stalls *)
-  injected : int;  (** overload corruptions injected beyond the budget *)
+  stalled : int;
+      (** transmissions suppressed by injected link stalls or delayed by
+          keyed jitter *)
+  injected : int;
+      (** overload corruptions injected beyond the budget, and delayed
+          symbols surfacing under keyed jitter *)
 }
 
 (** Environment faults beyond the adversary's accounted budget, supplied
@@ -173,6 +177,20 @@ val set_trace : t -> Trace.Sink.t -> unit
     which every probe is a single branch on an already-corrupted slot
     and free otherwise. *)
 
+val set_jitter : t -> d:int -> rate:float -> key:int64 -> units:int array -> unit
+(** Install keyed jitter, ragged synchrony as channel noise (DESIGN.md
+    §3h), once per network; every later {!commit} and {!commit_block}
+    runs through it.  [units.(dir)] is [dir]'s jitter unit (callers
+    give each dir its source party's unit).  In the jitter's round [q],
+    the number of rounds committed since this call, unit [w] lags with
+    probability [rate] by a lag in [1..d], drawn from the SplitMix
+    stream keyed by [key] at [(q, w)]; the draws are pure, so reruns are
+    identical.  A lagging unit's symbols are deleted from round [q]
+    and delivered into round [q + lag].  Until it is installed the
+    network holds no jitter state.  Raises [Invalid_argument] if jitter
+    is already installed, [d < 1], [rate] is outside [\[0, 1\]], or
+    [units] does not give each of the 2m dirs a unit [>= 0]. *)
+
 val set_phase : t -> iteration:int -> phase:Adversary.phase -> unit
 (** Label the upcoming rounds for adaptive adversaries and traces.  The
     label leaks no private state: the schedule of phases is public by
@@ -189,7 +207,17 @@ val commit : t -> Active.t -> unit
     under an adaptive one; under an oblivious pattern, O(active + hits)
     plus the pattern's own cost for the round's row (one inlined draw per
     direction for iid); O(2m) when fault hooks must be consulted per
-    direction. *)
+    direction.
+
+    Under installed jitter ({!set_jitter}) the round is routed before
+    the adversary sees it: the symbols due this round surface first,
+    each booked under [stats.injected] with a [net.injected] event; then
+    each lagging unit's symbols are stalled (units in order, a unit's
+    dirs ascending), each booked under [stats.stalled] with a
+    [net.stalled] event; a surfacing symbol lands only on a dir left
+    silent, so a fresh symbol overwrites it.  [cc] counts the routed
+    round.  Routing adds one draw per unit, plus O(dirs) for each
+    lagging unit. *)
 
 val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
 (** [commit_block t ~rounds ~out ~inw] executes the first [rounds]
@@ -204,9 +232,11 @@ val commit_block : t -> rounds:int -> out:Block.t -> inw:Block.t -> unit
     each bit, so a corruption of a silent round is an insertion.  Cost:
     a copy of the words and a popcount under a silent adversary with
     no fault hooks; otherwise the per-round cost of {!commit} plus an
-    O(2m) count of the round's sends.  Raises
+    O(2m) count of the round's sends.  Under installed jitter lags are
+    drawn per round, so the block runs as [rounds] routed {!commit}s,
+    round [r] carrying bit [r] of the words.  Raises
     [Invalid_argument] if either block does not match the network's
-    2m, the two differ in shape, or [rounds] exceeds
+    2m, the two differ in shape, or [rounds] is negative or exceeds
     [width * fields]. *)
 
 val touched : t -> rounds:int -> bool array -> unit
@@ -221,27 +251,16 @@ val touched : t -> rounds:int -> bool array -> unit
     - installed fault hooks: every dir with a nonzero [extra_addend] or
       a [stall] in one of those rounds;
     - {!Adversary.Adaptive}: every dir, since a strategy reads the sent
-      bits.
+      bits;
+    - installed jitter: every dir of a unit that lags in one of those
+      rounds, and every dir with a stalled symbol due in them.
     A pattern or hook that raises, or a row entry out of range, marks
     every dir; the commit then raises where it always did.  Patterns
     and hooks are pure, so drawing them here changes no later commit;
     the rows drawn are kept, and the commits of those rounds read them
     instead of drawing them again.  Cost: the patterns' rows for
     [rounds] rounds, plus [2m] hook queries per round when hooks are
-    installed.  Raises [Invalid_argument] unless [buf] has length 2m. *)
-
-val note_stalled : t -> dir:int -> unit
-(** Book one deletion event on a directed link outside {!commit} — used
-    by the live backend (lib/live) when keyed jitter delays a symbol
-    past the round it was written for.  Increments
-    [stats.stalled] and emits the same [net.stalled] trace event as a
-    fault-engine stall, so postmortems attribute jitter noise
-    uniformly. *)
-
-val note_injected : t -> dir:int -> unit
-(** Book one insertion/substitution event on a directed link outside
-    {!commit} — a delayed symbol surfacing in a later round.
-    Increments [stats.injected] and emits [net.injected]. *)
+    installed, plus up to [rounds] lag draws per jitter unit.  Raises [Invalid_argument] unless [buf] has length 2m. *)
 
 val stats : t -> stats
 (** The network's books, in one read.  They are the network's only

@@ -1707,12 +1707,12 @@ let as_adaptive adv =
     }
 
 (* One traced run: its outcome and timing-free export. *)
-let traced_run ?faults ~seed g adv =
+let traced_run ?faults ?backend ~seed g adv =
   let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed in
   let sink = Trace.Sink.create () in
   let o =
     Coding.Scheme.run_outcome
-      ~config:(Coding.Scheme.Config.make ~trace:true ~sink ?faults ())
+      ~config:(Coding.Scheme.Config.make ~trace:true ~sink ?faults ?backend ())
       ~rng:(Util.Rng.create (seed + 1)) (Coding.Params.algorithm_1 g) pi adv
   in
   (o, Trace.Export.jsonl sink)
@@ -1720,7 +1720,8 @@ let traced_run ?faults ~seed g adv =
 (* The decided path against runs that never take it: each oblivious
    pattern runs as itself and as [as_adaptive] of itself, on a line, a
    clique and a grid, with and without a fault plan that stalls a link
-   and overloads the noise.  Everything but [mp_decided] must be equal:
+   and overloads the noise, in lockstep and under keyed jitter (2 units
+   at d = 1, 4 units at d = 2).  Everything but [mp_decided] must be equal:
    the result (outputs, cc, corruptions, truncations, rewinds, the
    per-iteration trace), the fault books and the traced export.  The
    oblivious runs must have decided some steps, else nothing was
@@ -1761,17 +1762,26 @@ let test_decided_mp_differential () =
         (Faults.Outcome.label o, { r with Coding.Scheme.mp_decided = 0 }, books, r.Coding.Scheme.mp_decided)
     | Faults.Outcome.Aborted _ -> Alcotest.fail "unexpected abort"
   in
+  let backends =
+    [
+      ("", Coding.Scheme.Lockstep);
+      ("/d1", Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.01 ()));
+      ("/d2", Coding.Scheme.Live (Live.Config.make ~shards:4 ~ragged_d:2 ~jitter_rate:0.005 ()));
+    ]
+  in
   List.iter
     (fun (gname, g) ->
       List.iter
         (fun (pname, adv) ->
           List.iter
-            (fun faults ->
+            (fun (faults, (bname, backend)) ->
               let name =
-                Printf.sprintf "%s/%s%s" gname pname (if faults = None then "" else "/faults")
+                Printf.sprintf "%s/%s%s%s" gname pname
+                  (if faults = None then "" else "/faults")
+                  bname
               in
-              let o, tr = traced_run ?faults ~seed:7 g adv in
-              let o', tr' = traced_run ?faults ~seed:7 g (as_adaptive adv) in
+              let o, tr = traced_run ?faults ~backend ~seed:7 g adv in
+              let o', tr' = traced_run ?faults ~backend ~seed:7 g (as_adaptive adv) in
               let label, r, books, decided = summary o and label', r', books', decided' = summary o' in
               Alcotest.(check string) (name ^ ": outcome") label' label;
               Alcotest.(check (array int)) (name ^ ": outputs") r'.Coding.Scheme.outputs
@@ -1788,13 +1798,14 @@ let test_decided_mp_differential () =
               Alcotest.(check string) (name ^ ": traced export") tr' tr;
               Alcotest.(check int) (name ^ ": adaptive decides nothing") 0 decided';
               Alcotest.(check bool) (name ^ ": oblivious decides") true (decided > 0))
-            [ None; Some plan ])
+            (List.concat_map (fun f -> List.map (fun b -> (f, b)) backends) [ None; Some plan ]))
         (patterns g))
     topologies
 
 (* [mp_decided] counts only where the path may run: some steps on a
    clean lockstep run, none under an adaptive adversary (it reads the
-   sent bits) and none under keyed jitter (d > 0). *)
+   sent bits), and some under keyed jitter (d > 0), whose lags and
+   pending symbols [Network.touched] reports. *)
 let test_decided_mp_gates () =
   let g = Topology.Graph.cycle 6 in
   let pi = Protocol.Protocols.random_chatter g ~rounds:40 ~density:0.5 ~seed:3 in
@@ -1806,10 +1817,11 @@ let test_decided_mp_gates () =
   Alcotest.(check bool) "silent lockstep decides" true (decided Netsim.Adversary.Silent > 0);
   Alcotest.(check int) "adaptive decides nothing" 0
     (decided (Netsim.Adversary.adaptive_phase_attack ~rate_denom:200 ~phases:[] (Util.Rng.create 4)));
-  Alcotest.(check int) "keyed jitter decides nothing" 0
+  Alcotest.(check bool) "keyed jitter decides some" true
     (decided
        ~backend:(Coding.Scheme.Live (Live.Config.make ~ragged_d:1 ~jitter_rate:0.01 ()))
-       Netsim.Adversary.Silent)
+       Netsim.Adversary.Silent
+    > 0)
 
 
 let () =

@@ -1,5 +1,7 @@
-(* Tests for lib/live: the jitter-unit partitioner, the execution
-   engine's round semantics, and — the backbone — the backend
+(* Tests for lib/live and the ragged channel it configures: the
+   jitter-unit partitioner, rounds and blocks committed to a network
+   with keyed jitter installed ([Live.Config.install]), the round
+   facade against [Network.commit], and — the backbone — the backend
    differential: the scheme on [Live] with d = 0 must be byte-identical
    to [Lockstep] across topologies, adversaries, fault plans and shard
    counts. *)
@@ -44,165 +46,208 @@ let test_shard_balance () =
   let _, hub_hi = Live.Shard.range sh (Live.Shard.owner sh 0) in
   Alcotest.(check bool) "hub shard is lean" true (hub_hi <= 32)
 
-(* ---------- Exec: raw round semantics ---------- *)
+(* ---------- Rounds and blocks under installed jitter ---------- *)
 
 let line4 = Topology.Graph.line 4
 
+(* A network on [g] with [config]'s jitter installed (none at d = 0),
+   jitter units by degree. *)
+let network ?(adv = Netsim.Adversary.Silent) ~config g =
+  let net = Network.create g adv in
+  Live.Config.install config net ~weights:(Array.init (Topology.Graph.n g) (Topology.Graph.degree g));
+  net
+
+(* The configurations the delivery cases run: 1 and 2 units at d = 0
+   (nothing installed), and 2 units at d = 1 with no lag drawn (the
+   jitter installed, every round and block routed through it). *)
+let quiet_configs =
+  [
+    ("1 shard", Live.Config.default);
+    ("2 shards", Live.Config.make ~shards:2 ());
+    ("d=1", Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0. ());
+  ]
+
 let test_exec_round_delivery () =
-  (* A 4-party line driven for 24 rounds on 2 shards, d = 0: every
-     round's rightward bit must be delivered in that round, and the
-     lockstep engine must book zero jitter.  One write and one read
-     cover every party. *)
-  let net = Network.create line4 Netsim.Adversary.Silent in
-  let ex =
-    Live.Exec.create ~net
-      ~config:(Live.Config.make ~shards:2 ())
-      ~weights:(Array.init 4 (fun i -> Topology.Graph.degree line4 i))
-      ()
-  in
-  let missed = ref 0 in
-  for r = 0 to 23 do
-    Live.Exec.round ex
-      ~write:(fun ~shard:_ buf ->
+  (* A 4-party line committing 24 rounds: every round's rightward bit
+     must be delivered in that round, and no symbol is booked as
+     stalled or injected, installed jitter or not. *)
+  List.iter
+    (fun (name, config) ->
+      let net = network ~config line4 in
+      let buf = Network.active net in
+      let missed = ref 0 in
+      for r = 0 to 23 do
+        Network.Active.begin_round buf;
         for v = 0 to 2 do
           Network.Active.send buf
             ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1))
             (r land 1 = 1)
-        done)
-      ~read:(fun ~shard:_ master ->
+        done;
+        Network.commit net buf;
         for v = 1 to 3 do
-          match
-            Network.Active.get master ~dir:(Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v)
-          with
+          match Network.Active.get buf ~dir:(Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v) with
           | Some b -> if b <> (r land 1 = 1) then incr missed
           | None -> incr missed
-        done)
-      ()
-  done;
-  Alcotest.(check int) "all deliveries intact" 0 !missed;
-  Alcotest.(check int) "rounds_run" 24 (Live.Exec.rounds_run ex);
-  Alcotest.(check int) "cc" (24 * 3) (Network.stats net).Network.cc;
-  Alcotest.(check int) "d=0 books no drops" 0 (Live.Exec.jitter_dropped ex);
-  Alcotest.(check int) "d=0 books no stale" 0 (Live.Exec.jitter_surfaced ex)
+        done
+      done;
+      let st = Network.stats net in
+      Alcotest.(check int) (name ^ ": all deliveries intact") 0 !missed;
+      Alcotest.(check int) (name ^ ": rounds") 24 st.Network.rounds;
+      Alcotest.(check int) (name ^ ": cc") (24 * 3) st.Network.cc;
+      Alcotest.(check int) (name ^ ": no drops") 0 st.Network.stalled;
+      Alcotest.(check int) (name ^ ": no stale") 0 st.Network.injected)
+    quiet_configs;
+  (* Jitter is installed once, with a lag bound, a rate in [0, 1] and a
+     unit for each of the 2m dirs. *)
+  let units = Array.make 6 0 in
+  let bad = Invalid_argument "Network.set_jitter: d, rate or units out of range" in
+  let net = Network.create line4 Netsim.Adversary.Silent in
+  Alcotest.check_raises "d = 0" bad (fun () -> Network.set_jitter net ~d:0 ~rate:0.1 ~key:1L ~units);
+  Alcotest.check_raises "nan rate" bad (fun () ->
+      Network.set_jitter net ~d:1 ~rate:Float.nan ~key:1L ~units);
+  Alcotest.check_raises "short units" bad (fun () ->
+      Network.set_jitter net ~d:1 ~rate:0.1 ~key:1L ~units:[| 0 |]);
+  Network.set_jitter net ~d:1 ~rate:0.1 ~key:1L ~units;
+  Alcotest.check_raises "installed twice"
+    (Invalid_argument "Network.set_jitter: jitter already installed") (fun () ->
+      Network.set_jitter net ~d:1 ~rate:0.1 ~key:1L ~units)
 
 let test_exec_block_delivery () =
   (* The same line carrying a 3-field block of width 8 (20 rounds, the
-     last field cut short), each engine shape: 1 and 2 shards at d = 0
-     (one commit), and the keyed-jitter engine at d = 1 with no jitter
-     (the per-round fallback).  Every sender's words must
-     arrive whole, bits past the 20th silent, and the books must count
-     20 rounds. *)
+     last field cut short), with and without installed jitter (one
+     commit, or the per-round path).  Every sender's words must arrive
+     whole, bits past the 20th silent, and the books must count 20
+     rounds. *)
   let words v = [| 0xA5 lxor v; 0x3C + v; 0x0F lsl v |] in
-  (let ex =
-     Live.Exec.create
-       ~net:(Network.create line4 Netsim.Adversary.Silent)
-       ~config:Live.Config.default ~weights:(Array.make 4 1) ()
-   in
-   let nop _ = () in
-   Alcotest.check_raises "no rounds" (Invalid_argument "Live.Exec.block: rounds < 1") (fun () ->
-       Live.Exec.block ex ~width:8 ~rounds:0 ~write:nop ~read:nop ());
-   Alcotest.check_raises "no width" (Invalid_argument "Live.Exec.block: width out of range")
-     (fun () -> Live.Exec.block ex ~width:0 ~rounds:4 ~write:nop ~read:nop ()));
+  (let net = network ~config:(Live.Config.make ~shards:2 ~ragged_d:1 ()) line4 in
+   let out = Network.Block.create line4 ~width:8 ~fields:3 in
+   let inw = Network.Block.create line4 ~width:8 ~fields:3 in
+   Alcotest.check_raises "negative rounds"
+     (Invalid_argument "Network.commit_block: rounds out of range") (fun () ->
+       Network.commit_block net ~rounds:(-1) ~out ~inw);
+   Alcotest.check_raises "rounds past the block"
+     (Invalid_argument "Network.commit_block: rounds out of range") (fun () ->
+       Network.commit_block net ~rounds:25 ~out ~inw);
+   Alcotest.check_raises "no width" (Invalid_argument "Network.Block: width out of range")
+     (fun () -> ignore (Network.Block.create line4 ~width:0 ~fields:3));
+   Alcotest.check_raises "width past a word" (Invalid_argument "Network.Block: width out of range")
+     (fun () -> ignore (Network.Block.create line4 ~width:Sys.int_size ~fields:3));
+   Alcotest.(check int) "nothing committed" 0 (Network.stats net).Network.rounds);
   List.iter
     (fun (name, config) ->
-      let net = Network.create line4 Netsim.Adversary.Silent in
-      let ex =
-        Live.Exec.create ~net ~config
-          ~weights:(Array.init 4 (fun i -> Topology.Graph.degree line4 i))
-          ()
-      in
+      let net = network ~config line4 in
+      let out = Network.Block.create line4 ~width:8 ~fields:3 in
+      let inw = Network.Block.create line4 ~width:8 ~fields:3 in
       let bad = ref 0 in
       for _ = 1 to 3 do
-        Live.Exec.block ex ~width:8 ~rounds:20
-          ~write:(fun out ->
-            for v = 0 to 2 do
-              Array.iteri
-                (fun field w ->
-                  Network.Block.set out
-                    ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1))
-                    ~field w)
-                (words v)
-            done)
-          ~read:(fun inw ->
-            for v = 1 to 3 do
-              let dir = Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v in
-              Array.iteri
-                (fun field w ->
-                  let keep = if field = 2 then 0xF else 0xFF in
-                  if Network.Block.word inw ~dir ~field <> w land keep then incr bad;
-                  if Network.Block.heard inw ~dir ~field <> keep then incr bad)
-                (words (v - 1));
-              (* Nobody speaks leftward: those directions stay silent. *)
-              let back = Topology.Graph.dir_id line4 ~src:v ~dst:(v - 1) in
-              for field = 0 to 2 do
-                if Network.Block.heard inw ~dir:back ~field <> 0 then incr bad
-              done
-            done)
-          ()
+        for dir = 0 to 5 do
+          Network.Block.silence out ~dir
+        done;
+        for v = 0 to 2 do
+          Array.iteri
+            (fun field w ->
+              Network.Block.set out ~dir:(Topology.Graph.dir_id line4 ~src:v ~dst:(v + 1)) ~field w)
+            (words v)
+        done;
+        Network.commit_block net ~rounds:20 ~out ~inw;
+        for v = 1 to 3 do
+          let dir = Topology.Graph.dir_id line4 ~src:(v - 1) ~dst:v in
+          Array.iteri
+            (fun field w ->
+              let keep = if field = 2 then 0xF else 0xFF in
+              if Network.Block.word inw ~dir ~field <> w land keep then incr bad;
+              if Network.Block.heard inw ~dir ~field <> keep then incr bad)
+            (words (v - 1));
+          (* Nobody speaks leftward: those directions stay silent. *)
+          let back = Topology.Graph.dir_id line4 ~src:v ~dst:(v - 1) in
+          for field = 0 to 2 do
+            if Network.Block.heard inw ~dir:back ~field <> 0 then incr bad
+          done
+        done
       done;
       Alcotest.(check int) (name ^ ": words intact") 0 !bad;
-      Alcotest.(check int) (name ^ ": rounds_run") 60 (Live.Exec.rounds_run ex);
       Alcotest.(check int) (name ^ ": network rounds") 60 (Network.stats net).Network.rounds;
       Alcotest.(check int) (name ^ ": cc") (3 * 3 * 20) (Network.stats net).Network.cc)
-    [
-      ("1 shard", Live.Config.default);
-      ("2 shards", Live.Config.make ~shards:2 ());
-      ("d=1", Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0. ());
-    ]
+    quiet_configs
 
 let test_exec_callbacks_on_caller () =
-  (* The callback contract: at any shard count, lagging or not, every
-     round and every block calls [write] once and [read] once, on the
-     domain that issued it.  At d = 1 half of the (round, unit) pairs
-     lag, so most rounds route their sends through the scratch buffer
-     — and the jitter must really have stalled symbols there. *)
+  (* The round facade is [Network.commit]: at any unit count, lagging
+     or not, a facade round calls [write] once, its label once and
+     [read] once, on the calling domain, and leaves the same deliveries,
+     books and trace events as a plain commit of the same sends on a
+     twin network.  Blocks committed in between go through the jitter
+     on both.  At d = 1 half of the (round, unit) pairs lag, so the
+     jitter must really have stalled symbols. *)
   let self = Domain.self () in
   List.iter
     (fun (shards, d) ->
       let name = Printf.sprintf "shards=%d, d=%d" shards d in
-      let net = Network.create line4 Netsim.Adversary.Silent in
       let config = Live.Config.make ~shards ~ragged_d:d ~jitter_rate:0.5 () in
-      let ex = Live.Exec.create ~net ~config ~weights:(Array.make 4 1) () in
-      let writes = ref 0 and reads = ref 0 in
-      let note count =
+      let sink_f = Trace.Sink.create () and sink_c = Trace.Sink.create () in
+      let via_facade = Network.create line4 Netsim.Adversary.Silent in
+      Network.set_trace via_facade sink_f;
+      let ex = Live.Exec.create ~net:via_facade ~config ~weights:(Array.make 4 1) () in
+      let plain = network ~config line4 in
+      Network.set_trace plain sink_c;
+      let buf = Network.active plain in
+      let out = Network.Block.create line4 ~width:8 ~fields:2 in
+      let inw = Network.Block.create line4 ~width:8 ~fields:2 in
+      let calls = ref 0 in
+      let note () =
         Alcotest.(check bool) (name ^ ": on the caller's domain") true (Domain.self () = self);
-        incr count
+        incr calls
       in
-      let once what =
-        Alcotest.(check (pair int int)) (name ^ ": " ^ what ^ " write and read once") (1, 1)
-          (!writes, !reads);
-        writes := 0;
-        reads := 0
-      in
-      for _ = 1 to 20 do
+      let sends r b = for dir = 0 to 5 do if (r + dir) mod 3 <> 0 then Network.Active.send b ~dir (dir land 1 = 0) done in
+      for r = 0 to 19 do
+        let seen = ref [] in
         Live.Exec.round ex
-          ~write:(fun ~shard:_ buf ->
-            note writes;
-            for dir = 0 to 5 do
-              Network.Active.send buf ~dir true
-            done)
-          ~read:(fun ~shard:_ _ -> note reads)
+          ~label:(fun () ->
+            note ();
+            Network.set_phase via_facade ~iteration:r ~phase:Netsim.Adversary.Simulation)
+          ~write:(fun ~shard b ->
+            note ();
+            Alcotest.(check int) (name ^ ": shard label") 0 shard;
+            sends r b)
+          ~read:(fun ~shard:_ b ->
+            note ();
+            Network.Active.iter b (fun ~dir bit -> seen := (dir, bit) :: !seen))
           ();
-        once "round"
+        Alcotest.(check int) (name ^ ": write, label and read once") 3 !calls;
+        calls := 0;
+        Network.Active.begin_round buf;
+        sends r buf;
+        Network.set_phase plain ~iteration:r ~phase:Netsim.Adversary.Simulation;
+        Network.commit plain buf;
+        let want = ref [] in
+        Network.Active.iter buf (fun ~dir bit -> want := (dir, bit) :: !want);
+        Alcotest.(check (list (pair int bool))) (name ^ ": round delivered") !want !seen;
+        if r mod 7 = 6 then
+          List.iter
+            (fun net ->
+              for dir = 0 to 5 do
+                Network.Block.set out ~dir ~field:0 (r * dir);
+                Network.Block.set out ~dir ~field:1 (r + dir)
+              done;
+              Network.commit_block net ~rounds:10 ~out ~inw)
+            [ via_facade; plain ]
       done;
-      for _ = 1 to 3 do
-        Live.Exec.block ex ~width:8 ~rounds:10
-          ~write:(fun _ -> note writes)
-          ~read:(fun _ -> note reads)
-          ();
-        once "block"
-      done;
+      Alcotest.(check bool) (name ^ ": books") true (Network.stats via_facade = Network.stats plain);
+      Alcotest.(check string) (name ^ ": trace export") (Trace.Export.jsonl sink_c)
+        (Trace.Export.jsonl sink_f);
       Alcotest.(check bool)
         (name ^ ": lags only under slack")
         (d > 0)
-        (Live.Exec.jitter_dropped ex > 0))
+        ((Network.stats plain).Network.stalled > 0))
     [ (1, 0); (2, 0); (4, 0); (1, 1); (2, 1); (4, 1) ]
 
 let test_config_default_shards () =
   (* The default jitter-unit count is a constant, not the host's core
      count, so a ragged run draws the same lags on every host. *)
   Alcotest.(check int) "default shards" 1 (Live.Config.make ()).Live.Config.shards;
-  Alcotest.(check int) "Config.default shards" 1 Live.Config.default.Live.Config.shards
+  Alcotest.(check int) "Config.default shards" 1 Live.Config.default.Live.Config.shards;
+  Alcotest.check_raises "nan jitter rate"
+    (Invalid_argument "Live.Config.make: jitter_rate must be in [0,1]") (fun () ->
+      ignore (Live.Config.make ~jitter_rate:Float.nan ()))
 
 (* ---------- Backend differential ---------- *)
 
@@ -313,7 +358,7 @@ let test_differential_faults () =
     [ List.nth graphs 0; List.nth graphs 2 ]
 
 let test_differential_trace_stream () =
-  (* An enabled sink on a 4-shard engine: the normalized (timing-free)
+  (* An enabled sink on a 4-unit live backend: the normalized (timing-free)
      trace streams must match the reference backend character for
      character — same probes, same order, same arguments. *)
   let g = Topology.Graph.clique 5 in
@@ -338,12 +383,12 @@ let test_differential_trace_stream () =
 (* ---------- Ragged synchrony ---------- *)
 
 let test_serial_ragged_deterministic () =
-  (* The keyed-jitter engine: same config twice gives the same
+  (* Keyed jitter in the network: same config twice gives the same
      degraded run, and the jitter really is booked — the diagnosis
      carries stalled/injected symbols and the outcome degrades.  Four
      units at d = 2 is the case where several units lag in one round
      into one pending slot, so the timing-free trace export (digests
-     computed before the engine routed lagging rounds itself) and the
+     computed before lagging rounds were routed unit by unit) and the
      projected metrics are pinned: they fix the order in which a
      lagging round's symbols are stalled and surface.  On a line that
      order is ascending dir order; on the 4×4 grid a unit's
@@ -395,8 +440,8 @@ let test_ragged_is_keyed_jitter () =
   (* Ragged synchrony is keyed jitter, drawn per (round, shard): a
      2-shard d = 1 run reproduces exactly — outcome, timing-free trace
      export and projected metrics — and matches the digests pinned when
-     ragged runs were first keyed (so no engine change has moved a lag
-     draw).  No fault plan: every stalled or injected symbol is the
+     ragged runs were first keyed (so no change, the move of the
+     jitter into the network included, has moved a lag draw).  No fault plan: every stalled or injected symbol is the
      jitter's. *)
   let g = Topology.Graph.line 6 in
   let go () =
@@ -427,69 +472,137 @@ let test_ragged_is_keyed_jitter () =
         (d.Faults.Outcome.stalled_slots > 0 && d.Faults.Outcome.injected > 0)
   | None -> Alcotest.fail "expected a diagnosis"
 
+let test_ragged_algorithm_a () =
+  (* Algorithm A under keyed jitter: the seed exchange runs first, in
+     lockstep, and the jitter's round 0 is the first meeting-points
+     round.  The timing-free trace export and projected metrics are
+     pinned from the tree in which the jitter lived in an execution
+     engine that the exchange bypassed; jittering the exchange, or
+     counting the jitter's rounds from the network's round 0, moves
+     both digests. *)
+  let g = Topology.Graph.clique 4 in
+  let params = Coding.Params.algorithm_a g in
+  let sink = Trace.Sink.create () in
+  let pi = Protocol.Protocols.random_chatter g ~rounds:60 ~density:0.5 ~seed:3 in
+  let o =
+    Coding.Scheme.run_outcome
+      ~config:
+        (Coding.Scheme.Config.make ~trace:true ~sink
+           ~backend:
+             (Coding.Scheme.Live (Live.Config.make ~shards:2 ~ragged_d:1 ~jitter_rate:0.005 ()))
+           ())
+      ~rng:(Util.Rng.create 29) params pi
+      (Netsim.Adversary.iid (Util.Rng.create 99) ~rate:0.002)
+  in
+  let digest s = Digest.to_hex (Digest.string s) in
+  let exact =
+    Metrics.Expo.exact_json
+      (Coding.Report.metrics ~k:params.Coding.Params.k ~m:(Topology.Graph.m g) o)
+  in
+  Alcotest.(check string) "trace export digest" "4f7628a13f1b6e8d795f8ffb33b788ef"
+    (digest (Trace.Export.jsonl sink));
+  Alcotest.(check string) "exact metrics digest" "eb8ddb55829b9b6c615c9af7e8d312ab" (digest exact);
+  match o with
+  | Faults.Outcome.Degraded (r, d) ->
+      Alcotest.(check bool) "success" true r.Coding.Scheme.success;
+      Alcotest.(check int) "exchange failures" 0 r.Coding.Scheme.exchange_failures;
+      Alcotest.(check (pair int int)) "jitter books" (348, 348)
+        (d.Faults.Outcome.stalled_slots, d.Faults.Outcome.injected)
+  | o -> Alcotest.fail ("expected degraded, got " ^ Faults.Outcome.label o)
+
+let test_touched_covers_jitter () =
+  (* [Network.touched] under installed jitter: over random windows of
+     1..6 rounds with random sends (a dir speaks with probability 3/4),
+     every dir whose delivered symbol differs from the one sent in some
+     round of the window was reported touched before the window.  The
+     adversary is silent, so every change is the jitter's: a lagging
+     unit's stall, or a symbol surfacing on a dir left silent. *)
+  let g = Topology.Graph.grid ~rows:3 ~cols:3 in
+  let two_m = 2 * Topology.Graph.m g in
+  List.iter
+    (fun (shards, d) ->
+      let name = Printf.sprintf "shards=%d, d=%d" shards d in
+      let net = network ~config:(Live.Config.make ~shards ~ragged_d:d ~jitter_rate:0.15 ()) g in
+      let r = Util.Rng.create (shards + (10 * d)) in
+      let buf = Network.active net and touched = Array.make two_m false in
+      let sent = Array.make two_m None in
+      let altered = ref 0 and missed = ref 0 and clean = ref 0 in
+      for _ = 1 to 300 do
+        let rounds = 1 + Util.Rng.int r 6 in
+        Network.touched net ~rounds touched;
+        for _ = 1 to rounds do
+          Network.Active.begin_round buf;
+          for dir = 0 to two_m - 1 do
+            sent.(dir) <- (if Util.Rng.int r 4 = 0 then None else Some (Util.Rng.bool r));
+            Option.iter (Network.Active.send buf ~dir) sent.(dir)
+          done;
+          Network.commit net buf;
+          for dir = 0 to two_m - 1 do
+            if Network.Active.get buf ~dir <> sent.(dir) then begin
+              incr altered;
+              if not touched.(dir) then incr missed
+            end
+          done
+        done;
+        if not (Array.exists Fun.id touched) then incr clean
+      done;
+      Alcotest.(check int) (name ^ ": every altered dir was reported") 0 !missed;
+      Alcotest.(check bool) (name ^ ": the jitter altered symbols") true (!altered > 0);
+      Alcotest.(check bool) (name ^ ": some windows untouched") true (!clean > 0))
+    [ (1, 1); (3, 1); (3, 2) ]
+
 (* ---------- Meeting-points block vs the per-round oracle ----------
 
    The meeting-points exchange's shape: every live party sends a
    five-field message of [width]-bit words on each of its links, every
-   bit fixed before the first round.  The same write/read callbacks go
-   once through [Live.Exec.block] and once through the reference — one
-   [Live.Exec.round] per wire bit, round t carrying bit t of every
+   bit fixed before the first round.  The same words go once through
+   [Network.commit_block] and once through the reference — one
+   [Network.commit] per wire bit, round t carrying bit t of every
    message, the loop the scheme's meeting-points phase ran before it
-   became one block.  The reference packs into and unpacks from
-   private blocks, so nothing in it goes through
-   [Live.Exec.block] or [Network.commit_block].  The scheme end to end
-   is pinned by the Alg 1/A/B, fault and export goldens in test_coding,
+   became one block — on networks with the same jitter installed.  The
+   reference packs into and unpacks from private blocks, so nothing in
+   it goes through [Network.commit_block].  The scheme end to end is
+   pinned by the Alg 1/A/B, fault and export goldens in test_coding,
    test_faults and test_trace. *)
-let per_round_block ex g ?label ~width ~rounds ~write ~read () =
+let per_round_block net g ~width ~rounds ~write ~read =
   let module B = Network.Block in
   let fields = (rounds + width - 1) / width and two_m = 2 * Topology.Graph.m g in
   let outs = B.create g ~width ~fields and ins = B.create g ~width ~fields in
+  let buf = Network.active net in
+  write outs;
   for t = 0 to rounds - 1 do
-    Live.Exec.round ex
-      ?label:(if t = 0 then label else None)
-      ~write:(fun ~shard:_ buf ->
-        if t = 0 then write outs;
-        for dir = 0 to two_m - 1 do
-          match B.get outs ~dir ~round:t with
-          | Some b -> Network.Active.send buf ~dir b
-          | None -> ()
-        done)
-      ~read:(fun ~shard:_ master ->
-        for dir = 0 to two_m - 1 do
-          match Network.Active.get master ~dir with
-          | Some b -> B.send ins ~dir ~round:t b
-          | None -> ()
-        done;
-        if t = rounds - 1 then read ins)
-      ()
-  done
+    Network.Active.begin_round buf;
+    for dir = 0 to two_m - 1 do
+      match B.get outs ~dir ~round:t with Some b -> Network.Active.send buf ~dir b | None -> ()
+    done;
+    Network.commit net buf;
+    Network.Active.iter buf (fun ~dir b -> B.send ins ~dir ~round:t b)
+  done;
+  read ins
 
 let mp_blocks = 4
 
-(* [mp_blocks] meeting-points-shaped blocks on a fresh, traced engine.
-   In block [k] party [v] is down when [(v + k) mod 4 = 0]: its
-   out-links stay silent, so only insertions reach its peers.  Returns
-   every delivered word and heard-mask, the network's books, the
-   timing-free JSONL trace and the engine's round count. *)
+(* [mp_blocks] meeting-points-shaped blocks on a fresh, traced network
+   with [config]'s jitter installed.  In block [k] party [v] is down
+   when [(v + k) mod 4 = 0]: its out-links stay silent, so only
+   insertions reach its peers.  Returns every delivered word and
+   heard-mask, the network's books and the timing-free JSONL trace. *)
 let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
   let module B = Network.Block in
-  let net = Network.create g (adv g) in
+  let net = network ~adv:(adv g) ~config g in
   let sink = Trace.Sink.create () in
-  let ex =
-    Live.Exec.create ~net ~config
-      ~weights:(Array.init (Topology.Graph.n g) (Topology.Graph.degree g))
-      ()
-  in
   Network.set_trace net sink;
   Network.set_fault_hooks net hooks;
   let fields = 5 and rounds = 5 * width and two_m = 2 * Topology.Graph.m g in
+  let out = B.create g ~width ~fields and inw = B.create g ~width ~fields in
   let got = Array.make (mp_blocks * two_m * fields * 2) (-1) in
   let slot k dir field = 2 * ((((k * two_m) + dir) * fields) + field) in
   for k = 0 to mp_blocks - 1 do
-    let label () = Network.set_phase net ~iteration:k ~phase:Netsim.Adversary.Meeting_points in
+    Network.set_phase net ~iteration:k ~phase:Netsim.Adversary.Meeting_points;
     let write out =
       for dir = 0 to two_m - 1 do
         let src, _ = Network.link_ends net ~dir in
+        B.silence out ~dir;
         if (src + k) mod 4 <> 0 then
           for field = 0 to fields - 1 do
             B.set out ~dir ~field (Hashtbl.hash (k, dir, field) land ((1 lsl width) - 1))
@@ -504,10 +617,14 @@ let run_mp_blocks ?hooks ~per_round ~config ~adv ~width g =
         done
       done
     in
-    if per_round then per_round_block ex g ~label ~width ~rounds ~write ~read ()
-    else Live.Exec.block ex ~label ~width ~rounds ~write ~read ()
+    if per_round then per_round_block net g ~width ~rounds ~write ~read
+    else begin
+      write out;
+      Network.commit_block net ~rounds ~out ~inw;
+      read inw
+    end
   done;
-  (got, Network.stats net, Trace.Export.jsonl sink, Live.Exec.rounds_run ex)
+  (got, Network.stats net, Trace.Export.jsonl sink)
 
 let mp_adversaries =
   let mp = [ Netsim.Adversary.Meeting_points ] in
@@ -539,28 +656,27 @@ let check_mp_oracle ?hooks name config =
       List.iter
         (fun (aname, adv) ->
           let name = Printf.sprintf "%s/%s/width %d" name aname width in
-          let w_ref, s_ref, tr_ref, r_ref =
-            run_mp_blocks ?hooks ~per_round:true ~config ~adv ~width g
-          in
-          let w, s, tr, r = run_mp_blocks ?hooks ~per_round:false ~config ~adv ~width g in
+          let w_ref, s_ref, tr_ref = run_mp_blocks ?hooks ~per_round:true ~config ~adv ~width g in
+          let w, s, tr = run_mp_blocks ?hooks ~per_round:false ~config ~adv ~width g in
           Alcotest.(check bool) (name ^ ": noise landed") true (s_ref.Network.corruptions > 0);
           Alcotest.(check (array int)) (name ^ ": delivered words") w_ref w;
           Alcotest.(check bool) (name ^ ": stats") true (s_ref = s);
           Alcotest.(check string) (name ^ ": trace export") tr_ref tr;
-          Alcotest.(check int) (name ^ ": engine rounds") r_ref r)
+          Alcotest.(check int) (name ^ ": network rounds") (mp_blocks * 5 * width) s.Network.rounds)
         mp_adversaries)
     [ 6; 30 ]
 
 let test_mp_block_d0 () =
-  (* d = 0: one commit per block, at 1, 2 and 4 shards. *)
+  (* d = 0: nothing installed, one word transform per block, at 1, 2
+     and 4 shards. *)
   List.iter
     (fun shards ->
       check_mp_oracle (Printf.sprintf "d=0/shards=%d" shards) (Live.Config.make ~shards ()))
     [ 1; 2; 4 ]
 
 let test_mp_block_d1 () =
-  (* d = 1 under keyed jitter (deterministic): the block runs as its
-     per-round fallback under the same jitter draws. *)
+  (* d = 1 under keyed jitter (deterministic): the block runs as routed
+     per-round commits under the same jitter draws. *)
   List.iter
     (fun shards ->
       check_mp_oracle
@@ -609,5 +725,7 @@ let () =
           Alcotest.test_case "serial jitter deterministic" `Quick
             test_serial_ragged_deterministic;
           Alcotest.test_case "keyed jitter at any shard count" `Quick test_ragged_is_keyed_jitter;
+          Alcotest.test_case "exchange then jitter, Algorithm A" `Quick test_ragged_algorithm_a;
+          Alcotest.test_case "touched covers the jitter" `Quick test_touched_covers_jitter;
         ] );
     ]
